@@ -198,54 +198,49 @@ class SortedNumericIndex:
         self._handles = [entry[2] for entry in self._pending]
         self._pending = None
 
-    def _slice(self, op: str, bound: float) -> tuple[int, int]:
-        """Index interval of entries whose key satisfies ``key OP bound``."""
-        if op == "<":
-            return 0, bisect_left(self._keys, bound)
-        if op == "<=":
-            return 0, bisect_right(self._keys, bound)
-        if op == ">":
-            return bisect_right(self._keys, bound), len(self._keys)
-        if op == ">=":
-            return bisect_left(self._keys, bound), len(self._keys)
-        if op == "=":
-            return bisect_left(self._keys, bound), bisect_right(self._keys, bound)
-        raise QueryError(f"sorted index cannot answer op {op!r}")
+    def window(self, op: str, bound: float, scale: float = 1.0) -> tuple[int, int]:
+        """Half-open interval ``[start, stop)`` of the entries whose key
+        ``v`` satisfies ``scale*v OP bound`` — the one bisect primitive.
 
-    def range(self, op: str, bound: float) -> list[tuple[int, object]]:
-        """Matching ``(seq, handle)`` pairs in key order (may repeat a node
-        once per matching value; callers deduplicate by seq)."""
-        start, stop = self._slice(op, bound)
-        return list(zip(self._seqs[start:stop], self._handles[start:stop]))
-
-    def count(self, op: str, bound: float) -> int:
-        """Exact matching-entry count — compile-time selectivity for free."""
-        start, stop = self._slice(op, bound)
-        return stop - start
-
-    def outer_compare(self, op: str, outer: float,
-                      scale: float = 1.0) -> list[tuple[int, object]]:
-        """Entries whose key ``v`` satisfies ``outer OP scale*v``.
-
-        The probe side of an index-backed sorted join (Q11/Q12's
-        ``$income > 5000 * $initial``).  The comparison bisects on the
-        *scaled* key so the float arithmetic is bit-identical to what a
-        per-query-built sorted join would compute — boundary values land on
-        the same side either way.  Requires ``scale > 0`` (monotone).
+        A literal range predicate probes with ``scale == 1``; the probe
+        side of an index-backed sorted join (Q11/Q12's ``$income > 5000 *
+        $initial``) passes the mirrored operator and the literal scale.
+        The comparison bisects on the *scaled* key so the float arithmetic
+        is bit-identical to what a per-query-built sorted join would
+        compute — boundary values land on the same side either way.
+        Requires ``scale > 0`` (monotone).
         """
         keys = self._keys
         key_fn = None if scale == 1.0 else (lambda v: scale * v)
-        if op == ">":                   # outer > scale*v  ->  keep the prefix
-            start, stop = 0, bisect_left(keys, outer, key=key_fn)
-        elif op == ">=":
-            start, stop = 0, bisect_right(keys, outer, key=key_fn)
-        elif op == "<":
-            start, stop = bisect_right(keys, outer, key=key_fn), len(keys)
-        elif op == "<=":
-            start, stop = bisect_left(keys, outer, key=key_fn), len(keys)
-        else:
-            raise QueryError(f"sorted join cannot answer op {op!r}")
-        return list(zip(self._seqs[start:stop], self._handles[start:stop]))
+        if op == "<":
+            return 0, bisect_left(keys, bound, key=key_fn)
+        if op == "<=":
+            return 0, bisect_right(keys, bound, key=key_fn)
+        if op == ">":
+            return bisect_right(keys, bound, key=key_fn), len(keys)
+        if op == ">=":
+            return bisect_left(keys, bound, key=key_fn), len(keys)
+        if op == "=":
+            return (bisect_left(keys, bound, key=key_fn),
+                    bisect_right(keys, bound, key=key_fn))
+        raise QueryError(f"sorted index cannot answer op {op!r}")
+
+    @property
+    def handles(self) -> list:
+        """The key-ordered handle array a window indexes into.  Live and
+        read-only: maintenance splices it in place, so a window must not
+        outlive the evaluation that bisected it."""
+        return self._handles
+
+    def pairs(self, start: int, stop: int):
+        """``(seq, handle)`` pairs of one window, in key order (may repeat
+        a node once per matching value; callers deduplicate by seq)."""
+        return zip(self._seqs[start:stop], self._handles[start:stop])
+
+    def count(self, op: str, bound: float) -> int:
+        """Exact matching-entry count — compile-time selectivity for free."""
+        start, stop = self.window(op, bound)
+        return stop - start
 
     # -- incremental maintenance -------------------------------------------------
 

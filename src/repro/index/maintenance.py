@@ -15,7 +15,7 @@ document mutations by applying *per-node deltas* instead of rebuilding:
   whose accessor reaches through the changed node and swaps the entries.
 
 Sequence numbers: probe results restore document order by sorting on the
-build seq (see :func:`repro.xquery.evaluator._doc_order_handles`), so
+build seq (see :func:`repro.xquery.evaluator._doc_order`), so
 maintenance must hand out seqs consistent with document order *within each
 indexed extent*.  The benchmark's operation set appends entities at their
 container ends (the DTD fixes everything else), so the monotone counter

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain
 
-from repro.errors import QueryError
+from repro.errors import QueryError, TypeCoercionError
 from repro.obs.trace import NULL_TRACER
 from repro.xmlio.dom import Element
 from repro.xmlio.serialize import serialize
@@ -23,9 +23,9 @@ from repro.xquery.ast import (
     Query, Step, Unary, VarRef,
 )
 from repro.xquery.functions import BUILTINS, call_builtin
-from repro.xquery.planner import CompiledQuery, JoinPlan
+from repro.xquery.planner import CompiledQuery, JoinPlan, _flip
 from repro.xquery.sequence import (
-    NodeItem, Navigator, atomic_to_string, atomize, atomize_item,
+    NodeItem, NodeWindow, Navigator, atomic_to_string, atomize, atomize_item,
     effective_boolean, general_compare, sequence_to_string, to_number, try_number,
 )
 
@@ -38,10 +38,15 @@ def item_text(item, navigator: Navigator) -> str:
 
     The single source of row rendering — ``QueryResult.serialize``,
     ``StreamingResult.serialize_item``, and ``Cursor.rowtext`` all
-    delegate here, so the three surfaces cannot drift apart.
+    delegate here, so the three surfaces cannot drift apart.  Serialising
+    is read-only, so an ``Element`` handle (a constructed row, or System
+    G's own nodes) is rendered in place, never copied first.
     """
     if isinstance(item, NodeItem):
-        return serialize(navigator.build_dom(item.handle))
+        handle = item.handle
+        if not isinstance(handle, Element):
+            handle = navigator.store.build_dom(handle)
+        return serialize(handle)
     return atomic_to_string(item)
 
 
@@ -90,13 +95,14 @@ def evaluate(compiled: CompiledQuery, tracer=NULL_TRACER) -> QueryResult:
     """Execute a compiled query and return its result sequence."""
     interpreter = _Interpreter(compiled, tracer=tracer)
     if not tracer.enabled:
-        items = interpreter.eval(compiled.query.body)
-        return QueryResult(items, interpreter.navigator)
+        return QueryResult(interpreter.eval_items(compiled.query.body),
+                           interpreter.navigator)
     with tracer.span("evaluator.eval", system=compiled.profile.name) as span:
-        items = interpreter.eval(compiled.query.body)
+        items = interpreter.eval_items(compiled.query.body)
         span.set(items=len(items),
                  index_probes=interpreter.index_probes,
-                 index_degrades=interpreter.index_degrades)
+                 index_degrades=interpreter.index_degrades,
+                 items_materialized=interpreter.items_materialized)
     return QueryResult(items, interpreter.navigator)
 
 
@@ -167,6 +173,7 @@ def _traced_stream(iterator, interpreter: "_Interpreter", span):
         span.set(rows=rows,
                  index_probes=interpreter.index_probes,
                  index_degrades=interpreter.index_degrades,
+                 items_materialized=interpreter.items_materialized,
                  barriers=interpreter.barriers,
                  stage_rows=dict(interpreter.stage_rows))
         span.finish()
@@ -190,6 +197,9 @@ class _Interpreter:
         #: the shared ``store.stats`` totals).
         self.index_probes = 0
         self.index_degrades = 0
+        #: Handles an index window wrapped into ``NodeItem``s because a
+        #: consumer pulled them (a window nobody reads costs none).
+        self.items_materialized = 0
         self.barriers = 0
         self.stage_rows: dict[int, int] = {}
 
@@ -198,6 +208,12 @@ class _Interpreter:
     def eval(self, node: Expr) -> list:
         method = _DISPATCH[type(node)]
         return method(self, node)
+
+    def eval_items(self, node: Expr) -> list:
+        """:meth:`eval` for a caller that keeps the result: a window
+        aliases live index arrays, so it is copied out into a plain list."""
+        items = self.eval(node)
+        return list(items) if isinstance(items, NodeWindow) else items
 
     def stream(self, node: Expr):
         """Lazy twin of :meth:`eval`: an iterator over the same items.
@@ -234,11 +250,13 @@ class _Interpreter:
         if plan is not None and plan.kind == "id_lookup":
             return self._eval_id_lookup(node, plan)
         if plan is not None and plan.kind in ("value_probe", "range_probe"):
-            handles = self._probe_handles(plan)
-            if handles is None:         # indexes dropped: degrade to the scan
+            window = self._probe_window(plan)
+            if window is None:          # indexes dropped: degrade to the scan
                 self.index_degrades += 1
                 return self._apply_steps([_DOC_ROOT], node.steps, 0)
-            return self._apply_steps_raw(handles, node.steps, plan.id_step + 1)
+            if plan.id_step + 1 == len(node.steps):
+                return window           # the probe answered the last step
+            return self._apply_steps(window.raw(), node.steps, plan.id_step + 1)
         if plan is not None and plan.kind == "path_index":
             handles = self._path_extent(plan)
             if handles is None:         # indexes dropped: degrade to the scan
@@ -267,30 +285,46 @@ class _Interpreter:
                 return None
             extent = indexes.path_extent(plan.prefix)
             if extent is not None:
-                self.store.stats.index_lookups += 1
-                self.index_probes += 1
+                self._count_probe()
             return extent
         return self.store.nodes_at_path(plan.prefix) or []
 
-    def _probe_handles(self, plan) -> list | None:
-        """Qualifying extent handles of a value/range probe, in document
+    def _probe_window(self, plan) -> NodeWindow | None:
+        """Qualifying extent nodes of a value/range probe, in document
         order (the probe answers the step predicate; None = unavailable)."""
+        if plan.kind == "range_probe":
+            return self._range_window(plan.prefix, plan.accessor, plan.op, plan.bound)
+        index = self._index("value", plan.prefix, plan.accessor)
+        if index is None:
+            return None
+        self._count_probe()
+        return self._window(index.probe(plan.probe_value))
+
+    def _index(self, kind: str, path, accessor):
+        """The secondary index over one field (None = indexes dropped, or
+        never built for this field)."""
         indexes = self.store.indexes
         if indexes is None:
             return None
-        if plan.kind == "value_probe":
-            index = indexes.value_field(plan.prefix, plan.accessor)
-            if index is None:
-                return None
-            self.store.stats.index_lookups += 1
-            self.index_probes += 1
-            return [handle for _seq, handle in index.probe(plan.probe_value)]
-        index = indexes.sorted_field(plan.prefix, plan.accessor)
-        if index is None:
-            return None
+        field = indexes.value_field if kind == "value" else indexes.sorted_field
+        return field(path, accessor)
+
+    def _count_probe(self) -> None:
         self.store.stats.index_lookups += 1
         self.index_probes += 1
-        return _doc_order_handles(index.range(plan.op, plan.bound))
+
+    def _range_window(self, path, accessor, op: str, bound) -> NodeWindow | None:
+        """Nodes whose sorted-index key satisfies ``key OP bound``."""
+        index = self._index("sorted", path, accessor)
+        if index is None:
+            return None
+        self._count_probe()
+        return self._window(_doc_order(index.pairs(*index.window(op, bound))))
+
+    def _window(self, entries) -> NodeWindow:
+        """A window over document-ordered index ``(seq, handle)`` entries."""
+        handles = [handle for _seq, handle in entries]
+        return NodeWindow(handles, 0, len(handles), self)
 
     def _eval_id_lookup(self, node: Path, plan) -> list:
         self.index_probes += 1
@@ -301,12 +335,9 @@ class _Interpreter:
         if step.name is not None and self.navigator.tag(handle) != step.name:
             return []
         survivors = self._filter_step([handle], step.predicates)
-        return self._apply_steps_raw(survivors, node.steps, plan.id_step + 1)
+        return self._apply_steps(survivors, node.steps, plan.id_step + 1)
 
     def _apply_steps(self, handles: list, steps: list[Step], start: int) -> list:
-        return self._apply_steps_raw(handles, steps, start)
-
-    def _apply_steps_raw(self, handles: list, steps: list[Step], start: int) -> list:
         nav = self.navigator
         current: list = list(handles)
         for index in range(start, len(steps)):
@@ -375,12 +406,12 @@ class _Interpreter:
             yield from self.eval_path(node)
             return
         if plan is not None and plan.kind in ("value_probe", "range_probe"):
-            handles = self._probe_handles(plan)
-            if handles is None:         # indexes dropped: degrade to the scan
+            window = self._probe_window(plan)
+            if window is None:          # indexes dropped: degrade to the scan
                 self.index_degrades += 1
                 yield from self._stream_steps(iter((_DOC_ROOT,)), node.steps, 0)
             else:
-                yield from self._stream_steps(iter(handles), node.steps,
+                yield from self._stream_steps(iter(window.raw()), node.steps,
                                               plan.id_step + 1)
             return
         if plan is not None and plan.kind == "path_index":
@@ -639,19 +670,14 @@ class _Interpreter:
         the ``where`` clause is the probe, so it is never evaluated.
         Returns None (degrade to the generic FLWOR) when the index is gone.
         """
-        indexes = self.store.indexes
-        if indexes is None:
+        window = self._range_window(plan.path, plan.accessor, plan.op, plan.bound)
+        if window is None:
             return None
-        index = indexes.sorted_field(plan.path, plan.accessor)
-        if index is None:
-            return None
-        self.store.stats.index_lookups += 1
-        self.index_probes += 1
         clause = node.clauses[0]
         results: list = []
         previous = self.variables.get(clause.var)
-        for handle in _doc_order_handles(index.range(plan.op, plan.bound)):
-            self.variables[clause.var] = [NodeItem(handle)]
+        for item in window:
+            self.variables[clause.var] = [item]
             results.extend(self.eval(node.ret))
         _restore(self.variables, clause.var, previous)
         return results
@@ -698,29 +724,24 @@ class _Interpreter:
         matches.sort(key=lambda pair: pair[0])
         return self._join_returns(clause, plan, [item for _, item in matches])
 
-    def _indexed_hash_probe(self, plan: JoinPlan) -> list | None:
+    def _indexed_hash_probe(self, plan: JoinPlan) -> NodeWindow | None:
         """Build-side rows matching the outer key, straight from the value
         index (no per-query hash table).  None = index unavailable."""
-        indexes = self.store.indexes
-        if indexes is None:
-            return None
-        index = indexes.value_field(plan.index_path, plan.index_accessor)
+        index = self._index("value", plan.index_path, plan.index_accessor)
         if index is None:
             return None
-        self.store.stats.index_lookups += 1
-        self.index_probes += 1
-        entries: list[tuple[int, object]] = []
-        for value in atomize(self.eval(plan.outer_key), self.navigator):
-            entries.extend(index.probe(value))
-        return [NodeItem(handle) for handle in _doc_order_handles(entries)]
+        self._count_probe()
+        buckets = [index.probe(value) for value
+                   in atomize(self.eval(plan.outer_key), self.navigator)]
+        if len(buckets) == 1:           # one bucket is in document order as is
+            return self._window(buckets[0])
+        return self._window(_doc_order(chain.from_iterable(buckets)))
 
-    def _indexed_sorted_probe(self, plan: JoinPlan) -> list | None:
-        """Build-side rows satisfying ``outer OP scale*key``, bisected from
-        the sorted index (no per-query sort).  None = index unavailable."""
-        indexes = self.store.indexes
-        if indexes is None:
-            return None
-        index = indexes.sorted_field(plan.index_path, plan.index_accessor)
+    def _indexed_sorted_probe(self, plan: JoinPlan) -> NodeWindow | list | None:
+        """Build-side rows satisfying ``outer OP scale*key``: a window in
+        key order, bisected from the sorted index (no per-query sort, no
+        row touched until a consumer pulls it).  None = index unavailable."""
+        index = self._index("sorted", plan.index_path, plan.index_accessor)
         if index is None:
             return None
         outer_values = atomize(self.eval(plan.outer_key), self.navigator)
@@ -729,10 +750,10 @@ class _Interpreter:
         outer = try_number(outer_values[0])
         if outer is None:
             return []
-        self.store.stats.index_lookups += 1
-        self.index_probes += 1
-        entries = index.outer_compare(plan.op, outer, plan.index_scale)
-        return [NodeItem(handle) for _seq, handle in entries]
+        self._count_probe()             # only a probe that bisects counts
+        # outer OP scale*key  <=>  scale*key (mirrored OP) outer
+        start, stop = index.window(_flip(plan.op), outer, plan.index_scale)
+        return NodeWindow(index.handles, start, stop, self)
 
     def _sorted_probe(self, clause: LetClause, plan: JoinPlan) -> list:
         if plan.index_kind == "sorted":
@@ -782,7 +803,7 @@ class _Interpreter:
         flwor = clause.expr
         assert isinstance(flwor, FLWOR)
         if isinstance(flwor.ret, VarRef) and flwor.ret.name == plan.inner_var:
-            return list(items)
+            return items                # a window stays a window: count() is O(1)
         out: list = []
         previous = self.variables.get(plan.inner_var)
         for item in items:
@@ -862,10 +883,10 @@ class _Interpreter:
             return [a - b]
         if op == "*":
             return [a * b]
-        if op == "div":
-            return [a / b]
-        if op == "mod":
-            return [a % b]
+        if op in ("div", "mod"):
+            if b == 0:
+                raise TypeCoercionError(f"{op} by zero")
+            return [a / b if op == "div" else a % b]
         raise QueryError(f"unknown arithmetic operator {op!r}")
 
     def eval_unary(self, node: Unary) -> list:
@@ -912,7 +933,7 @@ class _Interpreter:
     # -- constructors ------------------------------------------------------------------------
 
     def eval_ctor(self, node: ElementCtor) -> list:
-        element = Element(node.tag)
+        element = _Constructed(node.tag)
         for attribute in node.attributes:
             pieces: list[str] = []
             for part in attribute.parts:
@@ -933,7 +954,10 @@ class _Interpreter:
             previous_atomic = False
             for item in values:
                 if isinstance(item, NodeItem):
-                    element.append(self.navigator.build_dom(item.handle))
+                    child = item.handle
+                    if type(child) is not _Constructed or child.parent is not None:
+                        child = self.navigator.build_dom(child)
+                    element.append(child)
                     previous_atomic = False
                 else:
                     text = atomic_to_string(item)
@@ -943,6 +967,20 @@ class _Interpreter:
                         element.append_text(text)
                     previous_atomic = True
         return [NodeItem(element)]
+
+
+class _Constructed(Element):
+    """An element an element constructor built.
+
+    The type is the ownership rule: while a constructed element has no
+    parent, nothing else holds it in a tree, so an enclosing constructor
+    adopts it instead of deep-copying it.  Every other node — one that
+    already has a parent, or a store's own ``Element`` (System G's handles,
+    including its parent-less root) — is copied on embedding; a copy is a
+    plain ``Element``.
+    """
+
+    __slots__ = ()
 
 
 def _reads_var(expr: Expr, name: str, functions=()) -> bool:
@@ -983,17 +1021,11 @@ def _join_key(value):
     return number if number is not None else atomic_to_string(value)
 
 
-def _doc_order_handles(entries: list[tuple[int, object]]) -> list:
-    """Deduplicate index entries by build sequence and restore document
-    order (a node matches once however many of its values qualified)."""
-    seen: set[int] = set()
-    deduped: list[tuple[int, object]] = []
-    for seq, handle in entries:
-        if seq not in seen:
-            seen.add(seq)
-            deduped.append((seq, handle))
-    deduped.sort(key=lambda pair: pair[0])
-    return [handle for _seq, handle in deduped]
+def _doc_order(entries) -> list[tuple[int, object]]:
+    """Index ``(seq, handle)`` entries deduplicated by build sequence (a
+    node matches once however many of its values qualified) and restored
+    to document order."""
+    return sorted(dict(entries).items())
 
 
 def _normalize_order_columns(rows: list[tuple], descending: list[bool]) -> list[tuple]:

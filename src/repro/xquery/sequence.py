@@ -13,7 +13,10 @@ arithmetic coerce strings to numbers at evaluation time, every time.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import TypeCoercionError
+from repro.storage.dom_store import DomStore
 from repro.storage.interface import Store
 from repro.xmlio.dom import Element, Text
 
@@ -30,6 +33,49 @@ class NodeItem:
         return f"NodeItem({self.handle!r})"
 
 
+class NodeWindow:
+    """Read-only sequence of :class:`NodeItem` over ``handles[start:stop]``.
+
+    What every index-backed access path returns instead of a list: length
+    and truth are arithmetic on the window bounds, and a handle is wrapped
+    in a ``NodeItem`` only when an item is pulled (counted on
+    ``owner.items_materialized``).  ``handles`` may alias a live index
+    array, so a window must not outlive the evaluation that made it —
+    consumers that keep items (``list.extend``, ``list()``) copy them out.
+    """
+
+    __slots__ = ("handles", "start", "stop", "_owner")
+
+    def __init__(self, handles: list, start: int, stop: int, owner) -> None:
+        self.handles = handles
+        self.start = start
+        self.stop = stop
+        self._owner = owner
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __bool__(self) -> bool:
+        return self.stop > self.start
+
+    def __iter__(self):
+        return iter(self._pull(self.start, self.stop))
+
+    def __getitem__(self, index: int) -> NodeItem:
+        position = index + (self.stop if index < 0 else self.start)
+        if not self.start <= position < self.stop:
+            raise IndexError("window index out of range")
+        return self._pull(position, position + 1)[0]
+
+    def raw(self) -> list:
+        """The window's bare handles (for step pipelines, which wrap last)."""
+        return self.handles[self.start:self.stop]
+
+    def _pull(self, start: int, stop: int) -> list[NodeItem]:
+        self._owner.items_materialized += stop - start
+        return list(map(NodeItem, self.handles[start:stop]))
+
+
 class Navigator:
     """Uniform navigation over store handles and constructed DOM elements."""
 
@@ -39,7 +85,6 @@ class Navigator:
         self.store = store
         # DomStore's native handles ARE Elements; only then can an Element
         # have a document position.
-        from repro.storage.dom_store import DomStore
         self._dom_handles = isinstance(store, DomStore)
 
     def is_dom(self, handle) -> bool:
@@ -113,6 +158,8 @@ def atomic_to_string(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):    # XQuery lexical forms, not Python's
+            return "NaN" if value != value else ("INF" if value > 0 else "-INF")
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
         return format(value, ".10g")

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.benchmark.queries import QUERIES
-from repro.benchmark.systems import SYSTEMS, get_profile
+from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.errors import (
     BenchmarkError, ClosedCursorError, ClosedSessionError, TransactionError,
     UnknownSystemError,
@@ -23,6 +23,7 @@ from repro.update.engine import apply_update, serialize_store
 from repro.update.ops import PlaceBid, transaction_token
 from repro.xquery.evaluator import evaluate, evaluate_stream
 from repro.xquery.planner import compile_query
+from repro.xquery.sequence import NodeItem
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,39 @@ class TestStreamingParity:
         assert cursor.source == "scatter"
         oracle = session.execute(query, system="F")
         assert cursor.serialize() == oracle.serialize()
+
+    @pytest.fixture(scope="class")
+    def eager_g(self, small_text):
+        store = make_store("G")
+        store.load(small_text)
+        return {number: evaluate(compile_query(
+                    QUERIES[number].text, store, get_profile("G"))).serialize()
+                for number in sorted(QUERIES)}
+
+    @pytest.mark.parametrize("service", [False, True])
+    @pytest.mark.parametrize("shards", [None, 2, 6])
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_every_path_answers_like_eager_g(self, small_text, eager_g,
+                                             system, shards, service):
+        """Q1-Q20 x 7 systems x {unsharded, 2, 6 shards} x {eager,
+        streamed, service-cached}: byte-identical to eager System G."""
+        with repro.connect(small_text, systems=(system,), shards=shards,
+                           backends=(system,), service=service) as db:
+            target = db.shard_system if shards else system
+            session = db.session()
+            for number in sorted(QUERIES):
+                if service:
+                    cursors = [session.execute(number, system=target)
+                               for _ in range(2)]
+                    assert cursors[1].result_cache_hit
+                else:
+                    cursors = [session.execute(number, system=target,
+                                               stream=stream)
+                               for stream in (False, True)]
+                for cursor in cursors:
+                    assert cursor.serialize() == eager_g[number], (
+                        f"Q{number} on {system}, shards={shards}, "
+                        f"service={service}")
 
     def test_stream_false_matches_stream_true(self, tiny_db):
         session = tiny_db.session()
@@ -316,13 +350,20 @@ class TestTransactionsDirect:
                 txn.apply(PlaceBid("open_auction0", "person1", 1.0,
                                    "07/31/2026", "11:00:00"))
 
-    def test_commit_poisons_open_streaming_cursors(self, small_text):
+    @pytest.mark.parametrize("system, query", [
+        ("F", 2),
+        # A suspended join holds an index window, which aliases the very
+        # arrays the commit's index maintenance splices in place.
+        ("D", 8), ("D", 11),
+    ])
+    def test_commit_poisons_open_streaming_cursors(self, small_text,
+                                                   system, query):
         """A suspended lazy pipeline must not resume over a mutated
         store: commit invalidates un-exhausted streaming cursors, while
         drained ones are left alone."""
-        with repro.connect(small_text, systems=("F",)) as db:
+        with repro.connect(small_text, systems=(system,)) as db:
             session = db.session()
-            open_cursor = session.execute(2)
+            open_cursor = session.execute(query)
             open_cursor.fetchone()              # suspended mid-pipeline
             drained = session.execute(1)
             drained.fetchall()
@@ -333,7 +374,29 @@ class TestTransactionsDirect:
                 open_cursor.fetchall()
             assert drained.fetchall() == []     # exhausted: unaffected
             # a fresh cursor sees the committed document
-            assert session.execute(2).fetchall()
+            assert session.execute(query).fetchall()
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("query", [
+        8, 11,                                  # hash / sorted join windows
+        5,                                      # range-plan FLWOR
+        "/site/people/person/profile[@income > 50000]",     # the probe IS the result
+        "for $p in /site/people/person/profile[@income > 50000] return $p",
+    ])
+    def test_rows_are_plain_items_never_an_index_window(self, small_text,
+                                                        query, stream):
+        """Windows alias live index arrays, so none escapes an evaluation:
+        what a caller keeps is a ``list`` of ``NodeItem``s and atomics."""
+        with repro.connect(small_text, systems=("D",)) as db:
+            store = db.store("D")
+            compiled = compile_query(db.query_text(query), store, get_profile("D"))
+            items = evaluate(compiled).items
+            rows = db.session().execute(query, stream=stream).fetchall()
+            assert items and len(rows) == len(items)
+            for sequence in (items, rows):
+                assert type(sequence) is list
+                assert all(type(item) in (NodeItem, str, int, float, bool)
+                           for item in sequence)
 
     def test_empty_transaction_is_noop(self, small_text):
         with repro.connect(small_text, systems=("F",)) as db:

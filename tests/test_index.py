@@ -11,6 +11,8 @@ caught here before it could corrupt a query result.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from repro.index import extract_values, normalize_key
 from repro.service import QueryService
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import SystemProfile, compile_query
+from repro.xquery.sequence import NodeItem, NodeWindow
 
 ALL_SYSTEMS = tuple(sorted(SYSTEMS))
 INDEXED_SYSTEMS = tuple(s for s in ALL_SYSTEMS
@@ -178,9 +181,50 @@ class TestProbeEqualsScan:
         store = store_set[system]
         for (path, accessor), index in store.indexes.sorteds.items():
             extent = _scan_extent(store, path)
-            probed = _dedupe_doc_order(index.range(op, bound))
+            probed = _dedupe_doc_order(index.pairs(*index.window(op, bound)))
             assert probed == _scan_range_matches(store, extent, accessor, op, bound), \
                 (path, accessor, op, bound)
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    @given(bound=st.floats(min_value=-10.0, max_value=200000.0,
+                           allow_nan=False, allow_infinity=False),
+           op=st.sampled_from(sorted(_OPS) + ["="]),
+           scale=st.sampled_from([1.0, 0.5, 3.0, 5000.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_window_equals_the_materialized_list(self, store_set, system,
+                                                 bound, op, scale):
+        """Any (op, bound, scale): the bisected window is, item for item,
+        the list a linear filter over the index entries materializes —
+        through ``len``, truth, iteration, indexing and ``list()`` — and
+        it wraps a handle only when one is pulled."""
+        compare = {**_OPS, "=": lambda a, b: a == b}[op]
+        for index in store_set[system].indexes.sorteds.values():
+            expected = [(seq, handle) for key, seq, handle
+                        in zip(index._keys, index._seqs, index._handles)
+                        if compare(scale * key, bound)]
+            start, stop = index.window(op, bound, scale)
+            assert list(index.pairs(start, stop)) == expected
+            handles = [handle for _seq, handle in expected]
+            owner = SimpleNamespace(items_materialized=0)
+            window = NodeWindow(index.handles, start, stop, owner)
+            assert len(window) == len(expected)
+            assert bool(window) == bool(expected)
+            assert window.raw() == handles
+            assert owner.items_materialized == 0        # nothing pulled yet
+            assert [item.handle for item in window] == handles
+            assert owner.items_materialized == len(expected)
+            materialized = list(window)
+            assert type(materialized) is list
+            assert all(type(item) is NodeItem for item in materialized)
+            assert [item.handle for item in materialized] == handles
+            assert [window[i].handle for i in range(len(window))] == handles
+            if expected:
+                assert window[-1].handle == handles[-1]
+            for out_of_range in (len(window), -len(window) - 1):
+                with pytest.raises(IndexError):
+                    window[out_of_range]
+            if scale == 1.0 and op != "=":
+                assert index.count(op, bound) == len(expected)
 
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_path_extents_return_exact_scan_set(self, store_set, system):

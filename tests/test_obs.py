@@ -258,6 +258,47 @@ class TestProfileAgainstExecution:
                 == stream_span.attrs["index_probes"])
         assert eager.profile().attrs["rows"] == streamed.rowcount
 
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("query", [11, 12])
+    def test_unread_join_windows_materialize_nothing(self, small_text,
+                                                     query, stream):
+        """The allocation oracle: Q11/Q12's join ``let`` is only ever read
+        by ``count($l)``, so although every person probes the sorted index
+        and the windows are not empty, no handle is wrapped into an item."""
+        with connect(small_text, systems=("D",), tracing=True) as db:
+            cursor = db.session().execute(query, system="D", stream=stream)
+            rows = cursor.fetchall()
+            counted = sum(int(child.value) for row in rows
+                          for child in row.handle.children)
+            span = cursor.profile().find(
+                "evaluator.stream" if stream else "evaluator.eval")
+            assert counted > 0
+            # still one probe per outer binding with an income to bisect on
+            (with_income,) = db.session().execute(
+                "count(/site/people/person/profile/@income)").fetchall()
+            assert span.attrs["index_probes"] == with_income > 0
+            assert span.attrs["items_materialized"] == 0
+            assert "items_materialized=0" in cursor.profile().render()
+
+    def test_iterated_windows_count_what_they_wrap(self, small_text):
+        """A consumer that pulls items pays for exactly those: Q5's range
+        FLWOR binds each qualifying node once, and a hash-join ``let``
+        read through a path wraps each matched auction once."""
+        bought = ("for $p in /site/people/person "
+                  "let $a := for $t in /site/closed_auctions/closed_auction "
+                  "          where $t/buyer/@person = $p/@id return $t "
+                  "return <n>{$a/price/text()}</n>")
+        with connect(small_text, systems=("D",), tracing=True) as db:
+            session = db.session()
+            (qualifying,) = session.execute(5, system="D").fetchall()
+            (auctions,) = session.execute(
+                "count(/site/closed_auctions/closed_auction)").fetchall()
+            for query, expected in ((5, qualifying), (bought, auctions)):
+                cursor = session.execute(query, system="D", stream=False)
+                cursor.fetchall()
+                span = cursor.profile().find("evaluator.eval")
+                assert span.attrs["items_materialized"] == expected > 0
+
     @pytest.mark.parametrize("query", PROFILED_QUERIES)
     @pytest.mark.parametrize("system", ("C", "E"))
     def test_probe_count_matches_untraced_stats_delta(self, traced_db,

@@ -19,8 +19,9 @@ import pytest
 
 import repro
 from repro.errors import (
-    ClosedCursorError, ProtocolError, QuerySyntaxError, ServerBusyError,
-    TenantQuotaError, TransactionError, UnknownSystemError,
+    ClosedCursorError, ProtocolError, QueryError, QuerySyntaxError,
+    ServerBusyError, TenantQuotaError, TransactionError, TypeCoercionError,
+    UnknownSystemError,
 )
 from repro.server import (
     PROTOCOL_VERSION, RemotePrepared, TenantQuota, TenantRegistry,
@@ -373,6 +374,17 @@ class TestRemoteQueries:
     def test_syntax_error_typed(self, remote):
         with pytest.raises(QuerySyntaxError):
             remote.session().execute("for $x in").serialize()
+
+    def test_division_by_zero_typed(self, served, remote):
+        """A runtime arithmetic failure is a typed ``query`` reply over the
+        wire — never ``internal`` — and a typed error in process."""
+        _, database, _ = served
+        for query in ("1 div 0", "7 mod 0"):
+            with pytest.raises(TypeCoercionError, match="by zero"):
+                database.session().execute(query).fetchall()
+            with pytest.raises(QueryError, match="by zero"):
+                remote.session().execute(query).serialize()
+        assert protocol.error_code(TypeCoercionError("x")) == "query"
 
     def test_explain_matches_in_process(self, served, remote):
         _, database, _ = served

@@ -105,7 +105,8 @@ def assert_probe_equals_scan(store) -> None:
             assert index.entries == sum(len(n) for n in numeric.values()), \
                 field.label
             for key, nodes in numeric.items():
-                matched = [handle for _seq, handle in index.range("=", key)]
+                matched = [handle for _seq, handle
+                           in index.pairs(*index.window("=", key))]
                 assert sorted(map(repr, matched)) == sorted(map(repr, nodes)), \
                     (field.label, key)
     paths = index_set.paths

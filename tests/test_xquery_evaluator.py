@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.errors import QueryError
+from repro.benchmark.queries import query_text
+from repro.benchmark.systems import get_profile
+from repro.errors import QueryError, TypeCoercionError
 from repro.storage.dom_store import DomStore
-from repro.xquery.evaluator import evaluate
+from repro.update import serialize_store
+from repro.xmlio.serialize import serialize
+from repro.xquery.evaluator import _Constructed, evaluate, item_text
 from repro.xquery.planner import SystemProfile, compile_query
 
 NAIVE = SystemProfile(name="test", optimizer="none", join_rewrite_depth=0,
@@ -91,6 +95,23 @@ class TestComparisonsAndArithmetic:
 
     def test_arithmetic_empty_propagation(self, store):
         assert run(store, "/site/missing * 2").items == []
+
+    @pytest.mark.parametrize("query", ["1 div 0", "7 mod 0", "1 div (2 - 2)",
+                                       'count(/site/people/person) mod "0"'])
+    def test_division_by_zero_is_a_typed_query_error(self, store, query):
+        with pytest.raises(TypeCoercionError, match="by zero"):
+            run(store, query)
+
+    @pytest.mark.parametrize("literal, lexical", [
+        ("nan", "NaN"), ("inf", "INF"), ("-inf", "-INF"), ("1e400", "INF"),
+    ])
+    def test_non_finite_numbers_render_in_xquery_lexical_form(self, store,
+                                                              literal, lexical):
+        result = run(store, f'number("{literal}")')
+        assert result.serialize() == lexical
+        embedded = run(store, f'<v a="{{number("{literal}")}}">'
+                              f'{{number("{literal}")}}</v>')
+        assert embedded.serialize() == f'<v a="{lexical}">{lexical}</v>'
 
     def test_equality_string_vs_number(self, store):
         assert run(store, '"10" = 10').items == [True]
@@ -180,6 +201,77 @@ class TestConstructors:
     def test_count_in_constructor(self, store):
         result = run(store, "<n>{count(/site/people/person)}</n>")
         assert result.serialize() == "<n>3</n>"
+
+
+class TestConstructedNodeOwnership:
+    """A parent-less element the evaluator built is adopted by the
+    enclosing constructor; anything else is copied on embedding."""
+
+    def test_double_embed_yields_two_nodes(self, store):
+        result = run(store, "let $x := <a/> return <r>{$x}{$x}</r>")
+        assert result.serialize() == "<r><a/><a/></r>"
+        first, second = result.items[0].handle.children
+        assert first is not second
+        assert first.parent is second.parent is result.items[0].handle
+
+    def test_variable_is_readable_after_its_embed(self, store):
+        result = run(store, "let $x := <a><b/></a> "
+                            "return <o>{<r>{$x}</r>}{$x/b}{count($x/b)}</o>")
+        assert result.serialize() == "<o><r><a><b/></a></r><b/>1</o>"
+
+    def test_embedded_row_is_adopted_not_copied(self, store):
+        """The move: the inner row object itself becomes the child."""
+        result = run(store, "let $x := <a><b/></a> return <r>{$x}</r>")
+        (row,) = result.items
+        (child,) = row.handle.children
+        assert type(child) is _Constructed and child.parent is row.handle
+
+    def test_store_nodes_are_copied_never_reparented(self, store):
+        """System G's handles are Elements too — including a parent-less
+        root — and must never be adopted out of their document."""
+        before = serialize_store(store)
+        root = store.root()
+        people = root.find("people")
+        result = run(store, "<r>{/site}{/site/people}{/site/people/person[1]}</r>")
+        embedded_root, embedded_people, _person = result.items[0].handle.children
+        assert embedded_root is not root and embedded_people is not people
+        assert root.parent is None and people.parent is root
+        assert serialize(embedded_root) == serialize(root)
+        assert serialize_store(store) == before
+
+    def test_rowtext_is_repeatable_and_leaves_the_row_alone(self, store):
+        result = run(store, "for $p in /site/people/person "
+                            "return <w>{<n>{$p/name/text()}</n>}{$p/age}</w>")
+        texts = [item_text(item, result.navigator) for item in result.items]
+        assert texts == [item_text(item, result.navigator)
+                         for item in result.items]
+        assert "\n".join(texts) == result.serialize()
+        assert all(item.handle.parent is None for item in result.items)
+        # to_element() re-parents, so it alone still copies
+        wrapper = result.to_element()
+        assert all(child is not item.handle
+                   for child, item in zip(wrapper.children, result.items))
+
+    def test_g_answers_survive_embedding_its_own_nodes(self, loaded_stores):
+        """Q1-Q20 before == Q1-Q20 after constructors embedded store nodes
+        (the document root among them) on the same System G store."""
+        g = loaded_stores["G"]
+        profile = get_profile("G")
+
+        def answers():
+            return [evaluate(compile_query(query_text(n), g, profile)).serialize()
+                    for n in range(1, 21)]
+
+        before, document = answers(), serialize_store(g)
+        embed = evaluate(compile_query(
+            "for $p in /site/people/person return <w>{$p}{/site/categories}</w>",
+            g, profile))
+        assert len(embed) > 0 and embed.serialize()
+        whole = evaluate(compile_query("<all>{/site}</all>", g, profile))
+        assert whole.items[0].handle.children[0] is not g.root()
+        assert g.root().parent is None
+        assert serialize_store(g) == document
+        assert answers() == before
 
 
 class TestFunctions:
