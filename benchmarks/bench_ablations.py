@@ -6,7 +6,10 @@ the feature disabled through the profile system:
 * ID index on/off              -> Q1 (exact match)
 * structural summary on/off    -> Q6 (regular paths) on System D's store
 * join rewrite on/off          -> Q8 (reference chasing)
-* sorted vs nested-loop join   -> Q11 (value join) on System D
+* sorted vs nested-loop join   -> Q11 (value join) on System D, three
+  points: the index-backed sorted probe, the build-once nested loop (one
+  comparison per pair), and no join operator at all (the inner FLWOR
+  re-evaluated, both key paths re-navigated, per pair)
 """
 
 import pytest
@@ -62,11 +65,20 @@ def bench_q11_sorted_join(benchmark, runner):
     benchmark.pedantic(lambda: _run(store, 11, get_profile("D")), rounds=2, iterations=1)
 
 
+Q11_NLJ = SystemProfile(name="D-nlj", inequality_join="nlj",
+                        use_id_index=True, use_path_index=True)
+Q11_REEVAL = SystemProfile(name="D-reeval", join_rewrite_depth=0,
+                           use_id_index=True, use_path_index=True)
+
+
 def bench_q11_nested_loop(benchmark, runner):
     store = runner.store("D")
-    nlj = SystemProfile(name="D-nlj", inequality_join="nlj", join_rewrite_depth=0,
-                        use_id_index=True, use_path_index=True)
-    benchmark.pedantic(lambda: _run(store, 11, nlj), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: _run(store, 11, Q11_NLJ), rounds=2, iterations=1)
+
+
+def bench_q11_reevaluated(benchmark, runner):
+    store = runner.store("D")
+    benchmark.pedantic(lambda: _run(store, 11, Q11_REEVAL), rounds=2, iterations=1)
 
 
 def bench_ablation_shapes(benchmark, runner):
@@ -86,8 +98,6 @@ def bench_ablation_shapes(benchmark, runner):
     store_f = runner.store("F")
 
     def run_all():
-        nlj = SystemProfile(name="D-nlj", inequality_join="nlj", join_rewrite_depth=0,
-                            use_id_index=True, use_path_index=True)
         naive_e = SystemProfile(name="E-naive", join_rewrite_depth=0, use_id_index=False)
         return {
             "q6_summary": timed(lambda: _run(store_d, 6, get_profile("D"))),
@@ -95,11 +105,15 @@ def bench_ablation_shapes(benchmark, runner):
             "q8_join": timed(lambda: _run(store_e, 8, get_profile("E"))),
             "q8_naive": timed(lambda: _run(store_e, 8, naive_e)),
             "q11_sorted": timed(lambda: _run(store_d, 11, get_profile("D"))),
-            "q11_nlj": timed(lambda: _run(store_d, 11, nlj)),
+            "q11_nlj": timed(lambda: _run(store_d, 11, Q11_NLJ)),
+            "q11_reeval": timed(lambda: _run(store_d, 11, Q11_REEVAL)),
         }
 
     times = benchmark.pedantic(run_all, rounds=1, iterations=1)
     for key, value in times.items():
         benchmark.extra_info[key + "_ms"] = round(value * 1000, 2)
     assert times["q8_join"] < times["q8_naive"], "hash join must beat re-evaluation"
-    assert times["q11_sorted"] * 5 < times["q11_nlj"], "sorted join must dominate NLJ"
+    # Plain ordering only (measured 2.0 / 5.4 / 63 ms): ms-scale cells on a
+    # shared runner do not carry a multiplier.
+    assert times["q11_sorted"] < times["q11_nlj"] < times["q11_reeval"], \
+        "sorted probe < build-once NLJ < inner FLWOR re-evaluated per pair"

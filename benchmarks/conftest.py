@@ -31,6 +31,14 @@ def runner(bench_text) -> BenchmarkRunner:
 
 
 @pytest.fixture(scope="session")
+def runner_4x() -> BenchmarkRunner:
+    """Systems A-F on a document four times the benchmark one: the second
+    point a growth-rate claim (quadratic vs n log n) needs."""
+    return BenchmarkRunner(generate_string(4 * BENCH_SCALE),
+                           systems=("A", "B", "C", "D", "E", "F"))
+
+
+@pytest.fixture(scope="session")
 def figure4_runners() -> dict[float, BenchmarkRunner]:
     return {
         scale: BenchmarkRunner(generate_string(scale), systems=("G",))

@@ -170,7 +170,7 @@ class SortedNumericIndex:
     """Sorted ``(key, node)`` pairs for range and inequality predicates."""
 
     __slots__ = ("field", "extent_size", "nodes_empty", "nodes_multi",
-                 "_keys", "_seqs", "_handles", "_pending")
+                 "_keys", "seqs", "handles", "_pending")
 
     def __init__(self, field) -> None:
         self.field = field
@@ -179,8 +179,12 @@ class SortedNumericIndex:
         self.nodes_multi = 0            # extent nodes with 2+ raw accessor values
         self._pending: list[tuple[float, int, object]] | None = []
         self._keys: list[float] = []
-        self._seqs: list[int] = []
-        self._handles: list = []
+        #: Key-ordered handles and their build seqs, the parallel arrays a
+        #: window indexes into (``seqs`` restores its document order).
+        #: Live and read-only: maintenance splices them in place, so a
+        #: window must not outlive the evaluation that bisected it.
+        self.seqs: list[int] = []
+        self.handles: list = []
 
     def add(self, raw_value, seq: int, handle) -> None:
         key = normalize_key(raw_value)
@@ -194,8 +198,8 @@ class SortedNumericIndex:
         assert self._pending is not None
         self._pending.sort(key=lambda entry: (entry[0], entry[1]))
         self._keys = [entry[0] for entry in self._pending]
-        self._seqs = [entry[1] for entry in self._pending]
-        self._handles = [entry[2] for entry in self._pending]
+        self.seqs = [entry[1] for entry in self._pending]
+        self.handles = [entry[2] for entry in self._pending]
         self._pending = None
 
     def window(self, op: str, bound: float, scale: float = 1.0) -> tuple[int, int]:
@@ -225,17 +229,10 @@ class SortedNumericIndex:
                     bisect_right(keys, bound, key=key_fn))
         raise QueryError(f"sorted index cannot answer op {op!r}")
 
-    @property
-    def handles(self) -> list:
-        """The key-ordered handle array a window indexes into.  Live and
-        read-only: maintenance splices it in place, so a window must not
-        outlive the evaluation that bisected it."""
-        return self._handles
-
     def pairs(self, start: int, stop: int):
         """``(seq, handle)`` pairs of one window, in key order (may repeat
         a node once per matching value; callers deduplicate by seq)."""
-        return zip(self._seqs[start:stop], self._handles[start:stop])
+        return zip(self.seqs[start:stop], self.handles[start:stop])
 
     def count(self, op: str, bound: float) -> int:
         """Exact matching-entry count — compile-time selectivity for free."""
@@ -252,11 +249,11 @@ class SortedNumericIndex:
         assert self._pending is None, "freeze the index before maintaining it"
         position = bisect_left(self._keys, key)
         while position < len(self._keys) and self._keys[position] == key \
-                and self._seqs[position] < seq:
+                and self.seqs[position] < seq:
             position += 1
         self._keys.insert(position, key)
-        self._seqs.insert(position, seq)
-        self._handles.insert(position, handle)
+        self.seqs.insert(position, seq)
+        self.handles.insert(position, handle)
 
     def remove(self, raw_value, handle) -> None:
         """Drop the entry ``raw_value`` contributed for ``handle``."""
@@ -266,10 +263,10 @@ class SortedNumericIndex:
         start = bisect_left(self._keys, key)
         stop = bisect_right(self._keys, key)
         for position in range(start, stop):
-            if self._handles[position] == handle:
+            if self.handles[position] == handle:
                 del self._keys[position]
-                del self._seqs[position]
-                del self._handles[position]
+                del self.seqs[position]
+                del self.handles[position]
                 return
 
     def seq_of(self, raw_value, handle) -> int | None:
@@ -280,8 +277,8 @@ class SortedNumericIndex:
         start = bisect_left(self._keys, key)
         stop = bisect_right(self._keys, key)
         for position in range(start, stop):
-            if self._handles[position] == handle:
-                return self._seqs[position]
+            if self.handles[position] == handle:
+                return self.seqs[position]
         return None
 
     @property
@@ -294,8 +291,8 @@ class SortedNumericIndex:
         return (self._keys[0], self._keys[-1])
 
     def size_bytes(self) -> int:
-        return (sys.getsizeof(self._keys) + sys.getsizeof(self._seqs)
-                + sys.getsizeof(self._handles) + 24 * len(self._keys))
+        return (sys.getsizeof(self._keys) + sys.getsizeof(self.seqs)
+                + sys.getsizeof(self.handles) + 24 * len(self._keys))
 
     def summary(self) -> dict:
         bounds = self.bounds()

@@ -9,10 +9,10 @@ execution cost tracks the store's physical mapping.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from repro.errors import QueryError, TypeCoercionError
+from repro.index.indexes import SortedNumericIndex, ValueIndex
 from repro.obs.trace import NULL_TRACER
 from repro.xmlio.dom import Element
 from repro.xmlio.serialize import serialize
@@ -25,8 +25,9 @@ from repro.xquery.ast import (
 from repro.xquery.functions import BUILTINS, call_builtin
 from repro.xquery.planner import CompiledQuery, JoinPlan, _flip
 from repro.xquery.sequence import (
-    NodeItem, NodeWindow, Navigator, atomic_to_string, atomize, atomize_item,
-    effective_boolean, general_compare, sequence_to_string, to_number, try_number,
+    NodeItem, NodeWindow, Navigator, any_pair, atomic_to_string, atomize,
+    atomize_item, effective_boolean, general_compare, sequence_to_string,
+    to_number, try_number,
 )
 
 _DOC_ROOT = object()  # sentinel: conceptual parent of the root element
@@ -102,7 +103,9 @@ def evaluate(compiled: CompiledQuery, tracer=NULL_TRACER) -> QueryResult:
         span.set(items=len(items),
                  index_probes=interpreter.index_probes,
                  index_degrades=interpreter.index_degrades,
-                 items_materialized=interpreter.items_materialized)
+                 items_materialized=interpreter.items_materialized,
+                 join_builds=interpreter.join_builds,
+                 join_comparisons=interpreter.join_comparisons)
     return QueryResult(items, interpreter.navigator)
 
 
@@ -174,6 +177,8 @@ def _traced_stream(iterator, interpreter: "_Interpreter", span):
                  index_probes=interpreter.index_probes,
                  index_degrades=interpreter.index_degrades,
                  items_materialized=interpreter.items_materialized,
+                 join_builds=interpreter.join_builds,
+                 join_comparisons=interpreter.join_comparisons,
                  barriers=interpreter.barriers,
                  stage_rows=dict(interpreter.stage_rows))
         span.finish()
@@ -200,6 +205,10 @@ class _Interpreter:
         #: Handles an index window wrapped into ``NodeItem``s because a
         #: consumer pulled them (a window nobody reads costs none).
         self.items_materialized = 0
+        #: Per-query join builds made, and (outer binding, build row) pairs
+        #: an nlj probe compared — the paper's quadratic, counted.
+        self.join_builds = 0
+        self.join_comparisons = 0
         self.barriers = 0
         self.stage_rows: dict[int, int] = {}
 
@@ -692,112 +701,77 @@ class _Interpreter:
         plan = self.compiled.join_plans.get(id(clause))
         if plan is None:
             return self.eval(clause.expr)
+        return self._join_returns(clause, plan, self._join_probe(clause, plan))
+
+    def _join_probe(self, clause: LetClause, plan: JoinPlan) -> list | NodeWindow:
+        """Build-side rows the current outer binding joins with, in
+        document order: the one join operator.  The outer key is evaluated
+        once per binding and then looked up (hash), bisected (sorted) or
+        compared against every stored key (nlj).  Hash and sorted probe
+        the store's secondary index when the plan names one (handles come
+        back as a window, nothing is built), a private index of the same
+        class otherwise."""
+        index = None
+        if plan.index_kind is not None:
+            index = self._index(plan.index_kind, plan.index_path, plan.index_accessor)
+            if index is None:           # indexes dropped: degrade to the build
+                self.index_degrades += 1
+        shared = index is not None
+        if not shared:
+            index = self._join_build(clause, plan)
+        outer = atomize(self.eval(plan.outer_key), self.navigator)
+        op = plan.op
+        if plan.strategy == "nlj":
+            self.join_comparisons += len(index)
+            return [item for atoms, item in index if any_pair(op, outer, atoms)]
+        if not outer:
+            return []
         if plan.strategy == "hash":
-            return self._hash_probe(clause, plan)
-        return self._sorted_probe(clause, plan)
-
-    def _hash_probe(self, clause: LetClause, plan: JoinPlan) -> list:
-        if plan.index_kind == "value":
-            probed = self._indexed_hash_probe(plan)
-            if probed is not None:
-                return self._join_returns(clause, plan, probed)
-            self.index_degrades += 1
-        cache = self.join_cache.get(id(clause))
-        if cache is None:
-            table: dict = {}
-            base_items = self.eval(plan.inner_base)
-            previous = self.variables.get(plan.inner_var)
-            for index, item in enumerate(base_items):
-                self.variables[plan.inner_var] = [item]
-                for value in atomize(self.eval(plan.inner_key), self.navigator):
-                    table.setdefault(_join_key(value), []).append((index, item))
-            _restore(self.variables, plan.inner_var, previous)
-            cache = table
-            self.join_cache[id(clause)] = cache
-        matches: list[tuple[int, object]] = []
-        seen: set[int] = set()
-        for value in atomize(self.eval(plan.outer_key), self.navigator):
-            for index, item in cache.get(_join_key(value), ()):
-                if index not in seen:
-                    seen.add(index)
-                    matches.append((index, item))
-        matches.sort(key=lambda pair: pair[0])
-        return self._join_returns(clause, plan, [item for _, item in matches])
-
-    def _indexed_hash_probe(self, plan: JoinPlan) -> NodeWindow | None:
-        """Build-side rows matching the outer key, straight from the value
-        index (no per-query hash table).  None = index unavailable."""
-        index = self._index("value", plan.index_path, plan.index_accessor)
-        if index is None:
-            return None
-        self._count_probe()
-        buckets = [index.probe(value) for value
-                   in atomize(self.eval(plan.outer_key), self.navigator)]
-        if len(buckets) == 1:           # one bucket is in document order as is
-            return self._window(buckets[0])
-        return self._window(_doc_order(chain.from_iterable(buckets)))
-
-    def _indexed_sorted_probe(self, plan: JoinPlan) -> NodeWindow | list | None:
-        """Build-side rows satisfying ``outer OP scale*key``: a window in
-        key order, bisected from the sorted index (no per-query sort, no
-        row touched until a consumer pulls it).  None = index unavailable."""
-        index = self._index("sorted", plan.index_path, plan.index_accessor)
-        if index is None:
-            return None
-        outer_values = atomize(self.eval(plan.outer_key), self.navigator)
-        if not outer_values:
+            buckets = [index.probe(atom) for atom in outer]
+            entries = (buckets[0] if len(buckets) == 1 else   # in order as is
+                       _doc_order(chain.from_iterable(buckets)))
+            if shared:
+                self._count_probe()
+                return self._window(entries)
+            return [item for _seq, item in entries]
+        bound = _outer_bound(op, outer)
+        if bound is None:               # no number among the outer atoms
             return []
-        outer = try_number(outer_values[0])
-        if outer is None:
-            return []
-        self._count_probe()             # only a probe that bisects counts
         # outer OP scale*key  <=>  scale*key (mirrored OP) outer
-        start, stop = index.window(_flip(plan.op), outer, plan.index_scale)
-        return NodeWindow(index.handles, start, stop, self)
+        start, stop = index.window(_flip(op), bound,
+                                   plan.index_scale if shared else 1.0)
+        if shared:
+            self._count_probe()         # only a probe that bisects counts
+            return NodeWindow(index.handles, start, stop, self, index.seqs)
+        return [item for _seq, item in _doc_order(index.pairs(start, stop))]
 
-    def _sorted_probe(self, clause: LetClause, plan: JoinPlan) -> list:
-        if plan.index_kind == "sorted":
-            probed = self._indexed_sorted_probe(plan)
-            if probed is not None:
-                return self._join_returns(clause, plan, probed)
-            self.index_degrades += 1
-        cache = self.join_cache.get(id(clause))
-        if cache is None:
-            keys: list[float] = []
-            items: list = []
-            base_items = self.eval(plan.inner_base)
-            previous = self.variables.get(plan.inner_var)
-            decorated = []
-            for index, item in enumerate(base_items):
-                self.variables[plan.inner_var] = [item]
-                for value in atomize(self.eval(plan.inner_key), self.navigator):
-                    number = try_number(value)
-                    if number is not None:
-                        decorated.append((number, index, item))
-            _restore(self.variables, plan.inner_var, previous)
-            decorated.sort(key=lambda entry: entry[0])
-            keys = [entry[0] for entry in decorated]
-            items = [entry[2] for entry in decorated]
-            cache = (keys, items)
-            self.join_cache[id(clause)] = cache
-        keys, items = cache
-        outer_values = atomize(self.eval(plan.outer_key), self.navigator)
-        if not outer_values:
-            return []
-        outer = try_number(outer_values[0])
-        if outer is None:
-            return []
-        if plan.op == ">":          # outer > inner  ->  inner < outer
-            selected = items[: bisect_left(keys, outer)]
-        elif plan.op == ">=":
-            selected = items[: bisect_right(keys, outer)]
-        elif plan.op == "<":
-            selected = items[bisect_right(keys, outer):]
-        elif plan.op == "<=":
-            selected = items[bisect_left(keys, outer):]
-        else:
-            raise QueryError(f"sorted join cannot evaluate op {plan.op!r}")
-        return self._join_returns(clause, plan, selected)
+    def _join_build(self, clause: LetClause, plan: JoinPlan):
+        """The build side of a join no store index serves, made once per
+        execution: the base is scanned and the inner key navigated once
+        per row, into a private hash / sorted index keyed by build seq
+        (entries carry items, not handles) or, for nlj, into plain
+        ``(key atoms, item)`` rows."""
+        built = self.join_cache.get(id(clause))
+        if built is not None:
+            return built
+        self.join_builds += 1
+        strategy = plan.strategy
+        built = ([] if strategy == "nlj" else
+                 ValueIndex(None) if strategy == "hash" else SortedNumericIndex(None))
+        previous = self.variables.get(plan.inner_var)
+        for seq, item in enumerate(self.eval(plan.inner_base)):
+            self.variables[plan.inner_var] = [item]
+            atoms = atomize(self.eval(plan.inner_key), self.navigator)
+            if strategy == "nlj":
+                built.append((atoms, item))
+            else:
+                for atom in atoms:
+                    built.add(atom, seq, item)
+        _restore(self.variables, plan.inner_var, previous)
+        if strategy == "sorted":
+            built.freeze()
+        self.join_cache[id(clause)] = built
+        return built
 
     def _join_returns(self, clause: LetClause, plan: JoinPlan, items: list) -> list:
         flwor = clause.expr
@@ -1016,9 +990,19 @@ def _restore(variables: dict, name: str, previous) -> None:
         variables[name] = previous
 
 
-def _join_key(value):
-    number = try_number(value)
-    return number if number is not None else atomic_to_string(value)
+def _outer_bound(op: str, atoms: list) -> float | None:
+    """The one number a sorted probe bisects with, whatever the outer
+    key's cardinality.  General comparison is existential, so the largest
+    number decides ``>``/``>=`` and the smallest ``<``/``<=``; NaN and
+    non-numeric atoms never compare true (None = none left)."""
+    largest = op[0] == ">"
+    bound = None
+    for atom in atoms:              # one pass, no list: nearly always one atom
+        number = try_number(atom)
+        if number is not None and number == number and (
+                bound is None or (number > bound if largest else number < bound)):
+            bound = number
+    return bound
 
 
 def _doc_order(entries) -> list[tuple[int, object]]:

@@ -107,24 +107,26 @@ class RangePlan:
 
 @dataclass(slots=True)
 class JoinPlan:
-    """Decorrelation of a correlated let (hash or sorted probe).
+    """Decorrelation of a correlated let: one build, probed per outer row.
 
-    When ``index_kind`` is set, the build side is served by a secondary
-    index over ``(index_path, index_accessor)`` instead of being
-    materialized per query: ``"value"`` probes the hash index with each
-    outer key, ``"sorted"`` bisects the sorted index with the outer bound
-    (``index_scale`` folds a literal multiplier like Q11/Q12's ``5000 *``
-    into the probe).  The evaluator falls back to the per-query build when
-    the store's indexes have been dropped.
+    ``strategy`` names the probe: ``"hash"`` looks the outer key up,
+    ``"sorted"`` bisects with it, ``"nlj"`` compares it against every
+    build row's stored key (still quadratic, but neither side is
+    re-navigated per pair).  When ``index_kind`` is set, the build side is
+    served by a secondary index over ``(index_path, index_accessor)``
+    instead of being materialized per query: ``"value"`` probes the hash
+    index with each outer key, ``"sorted"`` bisects the sorted index with
+    the outer bound (``index_scale`` folds a literal multiplier like
+    Q11/Q12's ``5000 *`` into the probe).  The evaluator falls back to the
+    per-query build when the store's indexes have been dropped.
     """
 
-    strategy: str                       # "hash" | "sorted"
+    strategy: str                       # "hash" | "sorted" | "nlj"
     op: str                             # normalized: outer_key OP inner_key
     inner_var: str
     inner_base: Expr
     inner_key: Expr
     outer_key: Expr
-    where_residual: Expr | None = None
     index_kind: str | None = None       # None | "value" | "sorted"
     index_path: tuple[str, ...] = ()
     index_accessor: tuple[str, ...] = ()
@@ -536,10 +538,9 @@ def _plan_joins_in(compiled: CompiledQuery, expr: Expr, loop_vars: set[str],
                 if join is not None and budget[0] > 0:
                     if join.strategy == "sorted" and compiled.profile.inequality_join != "sorted":
                         join.strategy = "nlj"
-                    if join.strategy != "nlj":
-                        _attach_index_backing(compiled, join)
-                        compiled.join_plans[id(clause)] = join
-                        budget[0] -= 1
+                    _attach_index_backing(compiled, join)
+                    compiled.join_plans[id(clause)] = join
+                    budget[0] -= 1
                 _plan_joins_in(compiled, clause.expr, inner_loops, budget)
                 # A let variable is loop-varying only when its defining
                 # expression references a loop variable; invariant lets
@@ -615,7 +616,10 @@ def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | 
         op = comparison.op
     else:
         return None
-    strategy = "hash" if op == "=" else "sorted"
+    # The build evaluates the inner key once per row, not once per pair.
+    if _free_variables(inner_key) & loop_vars:
+        return None
+    strategy = {"=": "hash", "!=": "nlj"}.get(op, "sorted")
     return JoinPlan(strategy, op, var, inner.sequence, inner_key, outer_key)
 
 
@@ -627,9 +631,7 @@ def _scaled_var_accessor(expr: Expr, var: str):
     """Match ``$var``-rooted accessors optionally scaled by a positive
     literal multiplier (Q11/Q12's ``5000 * exactly-one($i/text())``).
 
-    Returns ``(accessor, scale, wrappers, single_value)``; an arithmetic
-    consumes only the accessor's first value, so ``single_value`` is True
-    whenever a scale (or any wrapper) is involved.
+    Returns ``(accessor, scale, wrappers)``.
     """
     expr, outer = _strip_cardinality(expr)
     if isinstance(expr, Arithmetic) and expr.op == "*":
@@ -639,13 +641,13 @@ def _scaled_var_accessor(expr: Expr, var: str):
                 matched = _var_accessor(operand, var)
                 if scale is not None and scale > 0 and matched is not None:
                     accessor, wrappers = matched
-                    return accessor, scale, outer + wrappers, True
+                    return accessor, scale, outer + wrappers
         return None
     matched = _var_accessor(expr, var)
     if matched is None:
         return None
     accessor, wrappers = matched
-    return accessor, 1.0, outer + wrappers, bool(outer + wrappers)
+    return accessor, 1.0, outer + wrappers
 
 
 def _join_base_extent(join: JoinPlan) -> tuple[str, ...] | None:
@@ -686,9 +688,12 @@ def _attach_index_backing(compiled: CompiledQuery, join: JoinPlan) -> None:
         scaled = _scaled_var_accessor(join.inner_key, join.inner_var)
         if scaled is None:
             return
-        accessor, scale, wrappers, single_value = scaled
+        accessor, scale, wrappers = scaled
         index = indexes.sorted_field(extent, accessor)
-        if index is None or not _cardinality_ok(index, wrappers, single_value):
+        # The index holds one entry per *value*, so a multi-valued node
+        # would sit in a window once per qualifying key: only a per-query
+        # build, which dedupes by build seq, may serve one.
+        if index is None or not _cardinality_ok(index, wrappers, True):
             return
         join.index_kind = "sorted"
         join.index_path = extent

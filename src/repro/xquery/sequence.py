@@ -44,13 +44,17 @@ class NodeWindow:
     consumers that keep items (``list.extend``, ``list()``) copy them out.
     """
 
-    __slots__ = ("handles", "start", "stop", "_owner")
+    __slots__ = ("handles", "start", "stop", "_owner", "_seqs")
 
-    def __init__(self, handles: list, start: int, stop: int, owner) -> None:
+    def __init__(self, handles: list, start: int, stop: int, owner,
+                 seqs: list | None = None) -> None:
         self.handles = handles
         self.start = start
         self.stop = stop
         self._owner = owner
+        #: Build seqs parallel to ``handles`` when those are in *key* order
+        #: (a sorted-index window): the first pull restores document order.
+        self._seqs = seqs
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -59,9 +63,11 @@ class NodeWindow:
         return self.stop > self.start
 
     def __iter__(self):
+        self._restore_doc_order()
         return iter(self._pull(self.start, self.stop))
 
     def __getitem__(self, index: int) -> NodeItem:
+        self._restore_doc_order()
         position = index + (self.stop if index < 0 else self.start)
         if not self.start <= position < self.stop:
             raise IndexError("window index out of range")
@@ -69,7 +75,18 @@ class NodeWindow:
 
     def raw(self) -> list:
         """The window's bare handles (for step pipelines, which wrap last)."""
+        self._restore_doc_order()
         return self.handles[self.start:self.stop]
+
+    def _restore_doc_order(self) -> None:
+        """Swap a key-ordered window for its own document-ordered copy.
+        Only a consumer that reads nodes pays the sort; ``len`` and truth
+        never do."""
+        seqs = self._seqs
+        if seqs is not None:
+            order = sorted(range(self.start, self.stop), key=seqs.__getitem__)
+            self.handles = [self.handles[position] for position in order]
+            self.start, self.stop, self._seqs = 0, len(order), None
 
     def _pull(self, start: int, stop: int) -> list[NodeItem]:
         self._owner.items_materialized += stop - start
@@ -247,8 +264,11 @@ def general_compare(op: str, left: list, right: list, navigator: Navigator) -> b
     """Existential comparison over two sequences."""
     if not left or not right:
         return False
-    left_atoms = atomize(left, navigator)
-    right_atoms = atomize(right, navigator)
+    return any_pair(op, atomize(left, navigator), atomize(right, navigator))
+
+
+def any_pair(op: str, left_atoms: list, right_atoms: list) -> bool:
+    """Whether any pair of atomics, one from each list, compares true."""
     for a in left_atoms:
         for b in right_atoms:
             if compare_atomics(op, a, b):

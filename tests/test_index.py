@@ -200,7 +200,7 @@ class TestProbeEqualsScan:
         compare = {**_OPS, "=": lambda a, b: a == b}[op]
         for index in store_set[system].indexes.sorteds.values():
             expected = [(seq, handle) for key, seq, handle
-                        in zip(index._keys, index._seqs, index._handles)
+                        in zip(index._keys, index.seqs, index.handles)
                         if compare(scale * key, bound)]
             start, stop = index.window(op, bound, scale)
             assert list(index.pairs(start, stop)) == expected
