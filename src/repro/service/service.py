@@ -25,8 +25,8 @@ and invalidation semantics, and how to read ``serve-bench`` output).
 
 Plan reuse is safe because compiled plans are read-only after compilation
 (see :class:`repro.xquery.planner.CompiledQuery`) and the stores' read paths
-keep no shared mutable scratch; execution state lives in the evaluator's
-per-call interpreter.
+keep no shared mutable scratch; execution state lives in the runtime object
+the evaluator creates per call and hands to the plan's emitted closures.
 """
 
 from __future__ import annotations

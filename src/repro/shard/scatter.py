@@ -59,14 +59,14 @@ from repro.xquery.ast import (
     ElementCtor, Expr, FLWOR, ForClause, FunctionCall, LetClause, Path,
     VarRef, walk,
 )
-from repro.xquery.evaluator import QueryResult, _Interpreter, evaluate
+from repro.xquery.evaluator import QueryResult, emit_row_program, evaluate
 from repro.xquery.parser import parse_query
 from repro.xquery.planner import (
     CompiledQuery, SystemProfile, _absolute_prefix, _find_id_predicate,
     _is_absolute, _join_base_extent, _match_correlated_let, _steps_accessor,
     _var_accessor, compile_query,
 )
-from repro.xquery.sequence import NodeItem, Navigator, effective_boolean
+from repro.xquery.sequence import NodeItem, Navigator
 
 #: Entity extent paths (container + entity tag), e.g. ("site","people","person").
 _ENTITY_PATHS = {spec.path + (spec.entity_tag,): spec.path
@@ -106,7 +106,7 @@ class _Plan:
     kind: str
     target_shard: int | None = None     # routed
     empty: bool = False                 # routed to an id no shard owns
-    ast: object = None                  # the parsed Query (probe interpreters)
+    ast: object = None                  # the parsed Query (row programs)
     extent: tuple[str, ...] = ()        # outer/counted entity extent path
     var: str = ""                       # outer for-variable
     where: Expr | None = None
@@ -518,12 +518,6 @@ class ScatterGatherExecutor:
         return "|".join(self.sharded.shard_digest(rank) or ""
                         for rank in range(self.sharded.shard_count))
 
-    def _interpreter(self, rank: int, plan: _Plan) -> _Interpreter:
-        compiled = CompiledQuery(
-            query=plan.ast, store=self.sharded.shard_store(rank),
-            profile=self._profiles[rank])
-        return _Interpreter(compiled)
-
     def _gather_result(self, slices: list[list[tuple[int, list]]]) -> QueryResult:
         """Merge per-shard (global_seq, items) slices into document order."""
         with self.tracer.span("scatter.merge") as span:
@@ -622,7 +616,7 @@ class ScatterGatherExecutor:
             ranks,
             lambda rank: self._partial(
                 rank, "join-probe", text,
-                lambda: self._probe_partial(
+                lambda: self._row_partial(
                     rank, plan,
                     self.sharded.extent_members_of(container, rank), table),
                 digest=all_digests))
@@ -647,25 +641,6 @@ class ScatterGatherExecutor:
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def _probe_partial(self, rank: int, plan: _Plan,
-                       members: list, table: dict) -> list[tuple[int, list]]:
-        """(global_seq, result items) for one shard's outer-extent slice."""
-        store = self.sharded.shard_store(rank)
-        interpreter = self._interpreter(rank, plan)
-        out: list[tuple[int, list]] = []
-        for seq, native in members:
-            interpreter.variables[plan.var] = [NodeItem(native)]
-            if plan.where is not None and not effective_boolean(
-                    interpreter.eval(plan.where)):
-                continue
-            count = 0
-            values = extract_values(store, native, plan.outer_accessor)
-            if values:
-                count = table.get(normalize_key(values[0]), 0)
-            interpreter.variables[plan.let_var] = [0.0] * count
-            out.append((seq, interpreter.eval(plan.ret)))
-        return out
-
     def _execute_scatter_flwor(self, text: str,
                                plan: _Plan) -> tuple[QueryResult, int]:
         ranks = list(range(self.sharded.shard_count))
@@ -674,21 +649,33 @@ class ScatterGatherExecutor:
             ranks,
             lambda rank: self._partial(
                 rank, "flwor", text,
-                lambda: self._flwor_partial(
+                lambda: self._row_partial(
                     rank, plan,
                     self.sharded.extent_members_of(container, rank))))
         return self._gather_result(slices), len(ranks)
 
-    def _flwor_partial(self, rank: int, plan: _Plan,
-                       members: list) -> list[tuple[int, list]]:
-        interpreter = self._interpreter(rank, plan)
+    def _row_partial(self, rank: int, plan: _Plan, members: list,
+                     table: dict | None = None) -> list[tuple[int, list]]:
+        """(global_seq, result items) for one shard's slice of the outer
+        extent: the plan's ``where`` and ``return``, emitted for the
+        shard's store, run per member.  A broadcast join's ``table``
+        (key -> build-side node count) stands in for the let variable,
+        which the return only ever counts."""
+        store = self.sharded.shard_store(rank)
+        compiled = CompiledQuery(query=plan.ast, store=store,
+                                 profile=self._profiles[rank])
+        where, ret, rt = emit_row_program(
+            compiled, (plan.var, plan.let_var), plan.where, plan.ret)
         out: list[tuple[int, list]] = []
         for seq, native in members:
-            interpreter.variables[plan.var] = [NodeItem(native)]
-            if plan.where is not None and not effective_boolean(
-                    interpreter.eval(plan.where)):
+            rt.frame[0] = [NodeItem(native)]
+            if where is not None and not where(rt):
                 continue
-            out.append((seq, interpreter.eval(plan.ret)))
+            if table is not None:
+                values = extract_values(store, native, plan.outer_accessor)
+                rt.frame[1] = [0.0] * (
+                    table.get(normalize_key(values[0]), 0) if values else 0)
+            out.append((seq, ret(rt)))
         return out
 
     def _execute_fallback(self, text: str) -> QueryResult:

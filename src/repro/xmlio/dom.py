@@ -16,6 +16,10 @@ class Text:
 
     __slots__ = ("value", "parent")
 
+    #: No element name: a scan over mixed children can test
+    #: ``child.tag == tag`` without asking each child for its type.
+    tag = None
+
     def __init__(self, value: str) -> None:
         self.value = value
         self.parent: Element | None = None
@@ -63,14 +67,14 @@ class Element:
 
     def find(self, tag: str) -> "Element | None":
         """First child element with the given tag, or None."""
-        for child in self.child_elements():
+        for child in self.children:
             if child.tag == tag:
                 return child
         return None
 
     def find_all(self, tag: str) -> list["Element"]:
         """All child elements with the given tag, in document order."""
-        return [child for child in self.child_elements() if child.tag == tag]
+        return [child for child in self.children if child.tag == tag]
 
     def iter(self, tag: str | None = None) -> Iterator["Element"]:
         """Self-and-descendant elements in document order."""

@@ -50,7 +50,6 @@ class Path(Expr):
 
     root: Expr | None
     steps: list[Step]
-    absolute_descendant: bool = False   # True for paths starting with //
 
 
 @dataclass(slots=True)
@@ -72,7 +71,6 @@ class Arithmetic(Expr):
 @dataclass(slots=True)
 class Unary(Expr):
     operand: Expr
-    negative: bool = True
 
 
 @dataclass(slots=True)
@@ -163,6 +161,14 @@ class Query:
 
     functions: dict[str, FunctionDecl]
     body: Expr
+
+
+def is_absolute(path: Path) -> bool:
+    """Whether a path starts at the document: ``/...`` or, under the
+    benchmark's single-document convention, ``document(...)/...``."""
+    root = path.root
+    return root is None or (isinstance(root, FunctionCall)
+                            and root.name in ("document", "doc"))
 
 
 def walk(node) -> list:

@@ -1,47 +1,54 @@
-"""The query evaluator.
+"""The query evaluator: emit once, run many.
 
-Executes a :class:`~repro.xquery.planner.CompiledQuery` against its store,
-honouring the plan annotations the per-system planner attached: ID-index
-lookups, path-extent scans, and decorrelated (hash / sorted) joins.  All
-document access flows through :class:`~repro.xquery.sequence.Navigator`, so
-execution cost tracks the store's physical mapping.
+:func:`emit_query` — the last pass of ``compile_query`` — turns every AST
+node of a :class:`~repro.xquery.planner.CompiledQuery` into one Python
+closure, with everything known at plan time resolved *then*: node-type
+dispatch, the access path / join / range plan of each node, step axes and
+name tests, built-ins and declared functions, variable slots, and the
+navigation a path's handles need.  :func:`evaluate` and
+:func:`evaluate_stream` only make a :class:`_Runtime` (everything one
+execution mutates) and call the emitted tree, so one compiled query runs
+any number of times, on any number of threads.  All document access still
+flows through the store's navigation API, so execution cost tracks the
+store's physical mapping.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from repro.errors import QueryError, TypeCoercionError
 from repro.index.indexes import SortedNumericIndex, ValueIndex
 from repro.obs.trace import NULL_TRACER
+from repro.storage.dom_store import DomStore
 from repro.xmlio.dom import Element
 from repro.xmlio.serialize import serialize
 from repro.xmlio.canonical import canonicalize
 from repro.xquery.ast import (
     Arithmetic, BoolOp, Comparison, ContextItem, ElementCtor, Expr, FLWOR,
     ForClause, FunctionCall, IfExpr, LetClause, Literal, Path, Quantified,
-    Query, Step, Unary, VarRef,
+    Step, Unary, VarRef, is_absolute,
 )
-from repro.xquery.functions import BUILTINS, call_builtin
-from repro.xquery.planner import CompiledQuery, JoinPlan, _flip
+from repro.xquery.functions import BUILTINS
 from repro.xquery.sequence import (
-    NodeItem, NodeWindow, Navigator, any_pair, atomic_to_string, atomize,
-    atomize_item, effective_boolean, general_compare, sequence_to_string,
-    to_number, try_number,
+    COMPARATORS, DomNavigation, NodeItem, NodeWindow, Navigator, any_pair,
+    atomic_to_string, atomize, atomize_item, effective_boolean,
+    mirror_op, sequence_to_string, to_number, try_number,
 )
 
-_DOC_ROOT = object()  # sentinel: conceptual parent of the root element
-_EXHAUSTED = object()  # sentinel: a handle iterator ran out mid-peek
+if TYPE_CHECKING:
+    from repro.xquery.planner import CompiledQuery, JoinPlan
 
 
 def item_text(item, navigator: Navigator) -> str:
     """One result item as text: markup for nodes, lexical form for atomics.
 
-    The single source of row rendering — ``QueryResult.serialize``,
-    ``StreamingResult.serialize_item``, and ``Cursor.rowtext`` all
-    delegate here, so the three surfaces cannot drift apart.  Serialising
-    is read-only, so an ``Element`` handle (a constructed row, or System
-    G's own nodes) is rendered in place, never copied first.
+    The single source of row rendering — ``QueryResult.serialize`` and
+    ``Cursor.rowtext`` both delegate here, so they cannot drift apart.
+    Serialising is read-only, so an ``Element`` handle (a constructed row,
+    or System G's own nodes) is rendered in place, never copied first.
     """
     if isinstance(item, NodeItem):
         handle = item.handle
@@ -94,19 +101,14 @@ class QueryResult:
 
 def evaluate(compiled: CompiledQuery, tracer=NULL_TRACER) -> QueryResult:
     """Execute a compiled query and return its result sequence."""
-    interpreter = _Interpreter(compiled, tracer=tracer)
-    if not tracer.enabled:
-        return QueryResult(interpreter.eval_items(compiled.query.body),
-                           interpreter.navigator)
+    rt = _Runtime(compiled.frame_size, tracer.enabled)
     with tracer.span("evaluator.eval", system=compiled.profile.name) as span:
-        items = interpreter.eval_items(compiled.query.body)
-        span.set(items=len(items),
-                 index_probes=interpreter.index_probes,
-                 index_degrades=interpreter.index_degrades,
-                 items_materialized=interpreter.items_materialized,
-                 join_builds=interpreter.join_builds,
-                 join_comparisons=interpreter.join_comparisons)
-    return QueryResult(items, interpreter.navigator)
+        items = compiled.run(rt)
+        if isinstance(items, NodeWindow):   # aliases live index arrays, and
+            items = list(items)             # the caller keeps the result
+        if tracer.enabled:
+            span.set(items=len(items), **rt.facts())
+    return QueryResult(items, Navigator(compiled.store))
 
 
 class StreamingResult:
@@ -115,28 +117,21 @@ class StreamingResult:
     Iterating yields the same items, in the same order, as
     :func:`evaluate` would put in ``QueryResult.items`` — laziness changes
     *when* work happens, never *what* comes out.  One consumer only: the
-    generator pipeline shares the interpreter's binding state, so items
+    generator pipeline binds variables in one runtime's frame, so items
     must be drawn strictly sequentially (which is what a cursor does).
     """
 
-    __slots__ = ("_iterator", "navigator", "span")
+    __slots__ = ("_iterator", "navigator")
 
-    def __init__(self, iterator, navigator: Navigator, span=None) -> None:
+    def __init__(self, iterator, navigator: Navigator) -> None:
         self._iterator = iterator
         self.navigator = navigator
-        #: The live ``evaluator.stream`` span when tracing; finished when
-        #: the pipeline is exhausted (or its generator is closed).
-        self.span = span
 
     def __iter__(self):
         return self._iterator
 
     def __next__(self):
         return next(self._iterator)
-
-    def serialize_item(self, item) -> str:
-        """One result row as text: markup for nodes, text for atomics."""
-        return item_text(item, self.navigator)
 
     def drain(self) -> QueryResult:
         """Materialize everything still pending into a :class:`QueryResult`."""
@@ -152,16 +147,15 @@ def evaluate_stream(compiled: CompiledQuery, tracer=NULL_TRACER) -> StreamingRes
     behind the same iterator.  ``list(evaluate_stream(c))`` equals
     ``evaluate(c).items`` bit-for-bit.
     """
-    interpreter = _Interpreter(compiled, tracer=tracer)
-    iterator = interpreter.stream(compiled.query.body)
-    if not tracer.enabled:
-        return StreamingResult(iterator, interpreter.navigator)
-    span = tracer.begin("evaluator.stream", system=compiled.profile.name)
-    return StreamingResult(_traced_stream(iterator, interpreter, span),
-                           interpreter.navigator, span=span)
+    rt = _Runtime(compiled.frame_size, tracer.enabled)
+    iterator = compiled.stream(rt)
+    if tracer.enabled:
+        iterator = _traced_stream(iterator, rt, tracer.begin(
+            "evaluator.stream", system=compiled.profile.name))
+    return StreamingResult(iterator, Navigator(compiled.store))
 
 
-def _traced_stream(iterator, interpreter: "_Interpreter", span):
+def _traced_stream(iterator, rt: "_Runtime", span):
     """Count rows out of the pipeline; close the span when it drains.
 
     The ``finally`` fires on exhaustion *and* on generator close, so an
@@ -173,774 +167,871 @@ def _traced_stream(iterator, interpreter: "_Interpreter", span):
             rows += 1
             yield item
     finally:
-        span.set(rows=rows,
-                 index_probes=interpreter.index_probes,
-                 index_degrades=interpreter.index_degrades,
-                 items_materialized=interpreter.items_materialized,
-                 join_builds=interpreter.join_builds,
-                 join_comparisons=interpreter.join_comparisons,
-                 barriers=interpreter.barriers,
-                 stage_rows=dict(interpreter.stage_rows))
+        span.set(rows=rows, barriers=rt.barriers,
+                 stage_rows=dict(rt.stage_rows), **rt.facts())
         span.finish()
 
 
-class _Interpreter:
-    def __init__(self, compiled: CompiledQuery, tracer=NULL_TRACER) -> None:
-        self.compiled = compiled
-        self.store = compiled.store
-        self.navigator = Navigator(compiled.store)
-        self.variables: dict[str, list] = {}
+class _Runtime:
+    """Everything one execution mutates: the variable frame (the emitter
+    resolved every ``$name`` to a slot of it), the context item / position
+    / size of the predicate being evaluated, the per-execution join builds
+    and the execution-fact counters (always maintained: integer adds are
+    cheap and make PROFILE exact even across threads, unlike the shared
+    ``store.stats`` totals).  The emitted closures take it as their one
+    argument and keep no state of their own."""
+
+    __slots__ = ("frame", "item", "position", "size", "join_cache", "trace",
+                 "index_probes", "index_degrades", "items_materialized",
+                 "join_builds", "join_comparisons", "barriers", "stage_rows")
+
+    def __init__(self, frame_size: int, trace: bool = False) -> None:
+        self.frame: list = [None] * frame_size
         self.item: NodeItem | None = None
-        self.position = 0
-        self.size = 0
+        self.position = self.size = 0
         self.join_cache: dict[int, object] = {}
-        self.tracer = tracer
-        #: Per-stage row counting happens only when tracing is live.
-        self.trace = tracer.enabled
-        #: Execution-fact counters, always maintained (integer adds are
-        #: cheap and they make PROFILE exact even across threads, unlike
-        #: the shared ``store.stats`` totals).
-        self.index_probes = 0
-        self.index_degrades = 0
+        self.trace = trace      # per-stage row counting only when tracing
+        self.index_probes = self.index_degrades = 0
         #: Handles an index window wrapped into ``NodeItem``s because a
         #: consumer pulled them (a window nobody reads costs none).
         self.items_materialized = 0
         #: Per-query join builds made, and (outer binding, build row) pairs
         #: an nlj probe compared — the paper's quadratic, counted.
-        self.join_builds = 0
-        self.join_comparisons = 0
+        self.join_builds = self.join_comparisons = 0
         self.barriers = 0
         self.stage_rows: dict[int, int] = {}
 
-    # -- dispatch -----------------------------------------------------------------
+    def facts(self) -> dict:
+        return {name: getattr(self, name) for name in (
+            "index_probes", "index_degrades", "items_materialized",
+            "join_builds", "join_comparisons")}
 
-    def eval(self, node: Expr) -> list:
-        method = _DISPATCH[type(node)]
-        return method(self, node)
 
-    def eval_items(self, node: Expr) -> list:
-        """:meth:`eval` for a caller that keeps the result: a window
-        aliases live index arrays, so it is copied out into a plain list."""
-        items = self.eval(node)
-        return list(items) if isinstance(items, NodeWindow) else items
+# -- the emit pass ------------------------------------------------------------------
 
-    def stream(self, node: Expr):
-        """Lazy twin of :meth:`eval`: an iterator over the same items.
 
-        Only expression shapes with a genuine pipeline (paths, FLWOR) get
-        a streaming implementation; the rest evaluate eagerly behind the
-        iterator, which keeps the item sequence identical by construction.
-        """
-        method = _STREAM_DISPATCH.get(type(node))
-        if method is not None:
-            return method(self, node)
-        return iter(self.eval(node))
+def emit_query(compiled: CompiledQuery) -> None:
+    """The last pass of ``compile_query``: every AST node becomes one
+    closure ``rt -> sequence``; the body's hangs off ``compiled`` as ``run``
+    and, as an iterator over the same items, ``stream``."""
+    emitter = _Emitter(compiled)
+    emitter.declare(compiled.query.functions)
+    compiled.run, compiled.stream = emitter.emit_both(compiled.query.body, {})
+    compiled.frame_size = emitter.slots
+
+
+def emit_row_program(compiled: CompiledQuery, variables: tuple[str, ...],
+                     where: Expr | None, ret: Expr):
+    """``(where test or None, return closure, runtime)`` over ``variables``
+    held in frame slots ``0..n-1``, which the caller fills per row — how
+    scatter-gather maps a shard's slice of an extent."""
+    emitter = _Emitter(compiled)
+    emitter.slots = len(variables)
+    scope = {name: slot for slot, name in enumerate(variables)}
+    test = None if where is None else emitter._test(where, scope)
+    run = emitter.emit(ret, scope)
+    return test, run, _Runtime(emitter.slots)
+
+
+class _Emitter:
+    """One pass over the AST resolving everything known at plan time: node
+    types, the plan attached to each path / let / FLWOR, step axes and
+    name tests, built-ins and their arity, declared functions, variable
+    slots (an unbound ``$name`` is an error *here*, before the first row)
+    and which navigation a path's handles need."""
+
+    def __init__(self, compiled: CompiledQuery) -> None:
+        self.compiled = compiled
+        self.store = store = compiled.store
+        self.navigator = Navigator(store)
+        dom = isinstance(store, DomStore)
+        #: Navigation for handles known to be the store's own (absolute
+        #: paths), and for handles that may be constructed Elements.
+        self.native = DomNavigation if dom else store
+        self.mixed = DomNavigation if dom else self.navigator
+        self.functions: dict[str, list] = {}
+        self.slots = 0          # slots handed out in the frame being emitted
+        self.joins = 0
+        self.context = False    # lexically inside a predicate
+
+    def declare(self, functions: dict) -> None:
+        """Each declared function's body, emitted once against a frame
+        holding only its parameters (static scoping).  A call site captures
+        the function's cell and reads it when called, so the knot is tied
+        lazily and (mutual) recursion works."""
+        self.functions = {name: [None, 0] for name in functions}
+        for name, declared in functions.items():
+            outer, self.slots = self.slots, len(declared.params)
+            cell = self.functions[name]
+            cell[0] = self.emit(declared.body, {
+                param: slot for slot, param in enumerate(declared.params)})
+            cell[1], self.slots = self.slots, outer
+
+    def emit(self, node: Expr, scope: dict):
+        return _EMIT[type(node)](self, node, scope)
+
+    def emit_both(self, node: Expr, scope: dict):
+        """``(run, stream)`` of a node on the outermost chain: FLWORs and
+        paths pipeline, anything else runs behind ``iter``."""
+        if isinstance(node, (FLWOR, Path)):
+            emit = self._flwor if isinstance(node, FLWOR) else self._path
+            return emit(node, scope, True)
+        run = self.emit(node, scope)
+        return run, lambda rt: iter(run(rt))
+
+    def _bind(self, scope: dict, name: str) -> tuple[dict, int]:
+        """A fresh frame slot for one binding site of ``$name``."""
+        self.slots += 1
+        return {**scope, name: self.slots - 1}, self.slots - 1
 
     # -- primaries -----------------------------------------------------------------
 
-    def eval_literal(self, node: Literal) -> list:
-        return [node.value]
+    def _literal(self, node: Literal, scope):
+        value = node.value
+        return lambda rt: [value]
 
-    def eval_varref(self, node: VarRef) -> list:
-        try:
-            return self.variables[node.name]
-        except KeyError:
-            raise QueryError(f"unbound variable ${node.name}") from None
+    def _slot(self, name: str, scope) -> int:
+        if name not in scope:
+            raise QueryError(f"unbound variable ${name}")
+        return scope[name]
 
-    def eval_context(self, node: ContextItem) -> list:
-        if self.item is None:
-            raise QueryError("no context item")
-        return [self.item]
+    def _varref(self, node: VarRef, scope):
+        slot = self._slot(node.name, scope)
+        return lambda rt: rt.frame[slot]
+
+    def _context_item(self, node: ContextItem, scope):
+        return (lambda rt: [rt.item]) if self.context else _no_context
 
     # -- paths ----------------------------------------------------------------------
 
-    def eval_path(self, node: Path) -> list:
-        plan = self.compiled.path_plans.get(id(node))
-        if plan is not None and plan.kind == "id_lookup":
-            return self._eval_id_lookup(node, plan)
-        if plan is not None and plan.kind in ("value_probe", "range_probe"):
-            window = self._probe_window(plan)
-            if window is None:          # indexes dropped: degrade to the scan
-                self.index_degrades += 1
-                return self._apply_steps([_DOC_ROOT], node.steps, 0)
-            if plan.id_step + 1 == len(node.steps):
-                return window           # the probe answered the last step
-            return self._apply_steps(window.raw(), node.steps, plan.id_step + 1)
-        if plan is not None and plan.kind == "path_index":
-            handles = self._path_extent(plan)
-            if handles is None:         # indexes dropped: degrade to the scan
-                self.index_degrades += 1
-                return self._apply_steps([_DOC_ROOT], node.steps, 0)
-            return self._apply_steps(handles, node.steps, plan.prefix_len)
-        if node.root is None:
-            return self._apply_steps([_DOC_ROOT], node.steps, 0)
-        if isinstance(node.root, FunctionCall) and node.root.name in ("document", "doc"):
-            return self._apply_steps([_DOC_ROOT], node.steps, 0)
-        base = self.eval(node.root)
-        if node.steps and node.steps[0].axis == "self":
-            return self._filter_sequence(base, node.steps[0].predicates)
-        handles = []
-        for item in base:
-            if not isinstance(item, NodeItem):
-                raise QueryError(f"cannot apply a path step to atomic {item!r}")
-            handles.append(item.handle)
-        return self._apply_steps(handles, node.steps, 0)
+    def _path(self, node: Path, scope, streamed: bool = False):
+        """One batch kernel per step (``handles -> handles``), chained
+        after the handles the access plan starts from.  Returns ``(run,
+        stream)``; the streamed form applies the same kernels per context
+        of the planned extent, and falls back to one batch when a
+        multi-context descendant step (which dedupes and re-sorts
+        globally) lies downstream."""
+        steps = node.steps
+        strings = steps[-1].axis in ("attribute", "text")
+        if not is_absolute(node):
+            run = self._relative_path(node, scope, strings)
+            return run, lambda rt: iter(run(rt))
+        kernels = [self._step(step, scope, self.native, index == 0)
+                   for index, step in enumerate(steps)]
+        start, resume, windowed = self._access(
+            node, self.compiled.path_plans.get(id(node)), scope)
+        tail = kernels[resume:]
 
-    def _path_extent(self, plan) -> list | None:
-        """The extent behind a ``path_index`` plan (None = unavailable)."""
-        if plan.source == "index":
-            indexes = self.store.indexes
-            if indexes is None:
-                return None
-            extent = indexes.path_extent(plan.prefix)
-            if extent is not None:
-                self._count_probe()
-            return extent
-        return self.store.nodes_at_path(plan.prefix) or []
+        def run(rt):
+            found = start(rt)
+            if found is None:           # indexes dropped: degrade to the scan
+                rt.index_degrades += 1
+                found, chain = _ROOT, kernels
+            elif tail:
+                chain = tail
+                if windowed:
+                    found = found.raw()
+            else:                       # the plan answered the last step
+                return found if windowed else list(map(NodeItem, found))
+            for kernel in chain:
+                found = kernel(rt, found)
+            return found if strings else list(map(NodeItem, found))
 
-    def _probe_window(self, plan) -> NodeWindow | None:
-        """Qualifying extent nodes of a value/range probe, in document
-        order (the probe answers the step predicate; None = unavailable)."""
-        if plan.kind == "range_probe":
-            return self._range_window(plan.prefix, plan.accessor, plan.op, plan.bound)
-        index = self._index("value", plan.prefix, plan.accessor)
-        if index is None:
-            return None
-        self._count_probe()
-        return self._window(index.probe(plan.probe_value))
+        if not streamed:
+            return run, None
+        descendant = [step.axis == "descendant" for step in steps]
 
-    def _index(self, kind: str, path, accessor):
-        """The secondary index over one field (None = indexes dropped, or
-        never built for this field)."""
-        indexes = self.store.indexes
-        if indexes is None:
-            return None
-        field = indexes.value_field if kind == "value" else indexes.sorted_field
-        return field(path, accessor)
+        def advance(rt, handles, first):
+            """``handles`` through ``steps[first:]``, counting the rows
+            entering each step (tracing only) and the barriers."""
+            for index in range(first, len(kernels)):
+                if rt.trace:
+                    rt.stage_rows[index] = rt.stage_rows.get(index, 0) + len(handles)
+                if descendant[index] and len(handles) > 1:
+                    rt.barriers += 1
+                handles = kernels[index](rt, handles)
+            return handles if strings else map(NodeItem, handles)
 
-    def _count_probe(self) -> None:
-        self.store.stats.index_lookups += 1
-        self.index_probes += 1
+        def stream(rt):
+            found, first = start(rt), resume
+            if found is None:
+                rt.index_degrades += 1
+                found, first = _ROOT, 0
+            elif windowed:
+                found = found.raw()
+            if len(found) > 1 and True not in descendant[first:]:
+                for handle in found:
+                    yield from advance(rt, [handle], first)
+            else:
+                yield from advance(rt, found, first)
+        return run, stream
 
-    def _range_window(self, path, accessor, op: str, bound) -> NodeWindow | None:
-        """Nodes whose sorted-index key satisfies ``key OP bound``."""
-        index = self._index("sorted", path, accessor)
-        if index is None:
-            return None
-        self._count_probe()
-        return self._window(_doc_order(index.pairs(*index.window(op, bound))))
+    def _relative_path(self, node: Path, scope, strings: bool):
+        steps, root = node.steps, node.root
+        slot = base = None
+        if isinstance(root, VarRef):    # read the slot, skip the call
+            slot = self._slot(root.name, scope)
+        else:
+            base = self.emit(root, scope)
+        if steps[0].axis == "self" and len(steps) == 1:     # a filter expression
+            keep = self._filter(steps[0].predicates, scope, None)
+            return lambda rt: keep(rt, rt.frame[slot] if base is None else base(rt))
+        kernels = [self._step(step, scope, self.mixed, False) for step in steps]
 
-    def _window(self, entries) -> NodeWindow:
-        """A window over document-ordered index ``(seq, handle)`` entries."""
-        handles = [handle for _seq, handle in entries]
-        return NodeWindow(handles, 0, len(handles), self)
+        def run(rt):
+            items = rt.frame[slot] if base is None else base(rt)
+            try:
+                handles = [item.handle for item in items]
+            except AttributeError:
+                raise QueryError(
+                    "cannot apply a path step to an atomic value") from None
+            for kernel in kernels:
+                handles = kernel(rt, handles)
+            return handles if strings else list(map(NodeItem, handles))
+        return run
 
-    def _eval_id_lookup(self, node: Path, plan) -> list:
-        self.index_probes += 1
-        handle = self.store.lookup_id(plan.id_value)
-        if handle is None:
-            return []
-        step = node.steps[plan.id_step]
-        if step.name is not None and self.navigator.tag(handle) != step.name:
-            return []
-        survivors = self._filter_step([handle], step.predicates)
-        return self._apply_steps(survivors, node.steps, plan.id_step + 1)
+    def _step(self, step: Step, scope, nav, at_root: bool):
+        """The batch kernel of one step.  Predicates apply per context
+        node (positions count within one parent's matches); only a
+        descendant step entered by several contexts has to dedupe."""
+        axis, name = step.axis, step.name
+        if axis in ("attribute", "text"):
+            if step.predicates:
+                raise QueryError(f"predicates on {axis} steps are not supported")
+            if at_root:
+                return lambda rt, handles: []
+            values = nav.attribute if axis == "attribute" else nav.child_texts
 
-    def _apply_steps(self, handles: list, steps: list[Step], start: int) -> list:
-        nav = self.navigator
-        current: list = list(handles)
-        for index in range(start, len(steps)):
-            step = steps[index]
-            axis = step.axis
-            if axis == "attribute":
-                out: list = []
-                for handle in current:
-                    if handle is _DOC_ROOT:
-                        continue
-                    value = nav.attribute(handle, step.name)
-                    if value is not None:
-                        out.append(value)
-                current = out
-                continue
-            if axis == "text":
+            def kernel(rt, handles):
                 out = []
-                for handle in current:
-                    if handle is _DOC_ROOT:
-                        continue
-                    out.extend(t for t in nav.child_texts(handle) if t)
-                current = out
-                continue
-            if axis == "self":
-                wrapped = [h if isinstance(h, str) else NodeItem(h) for h in current]
-                filtered = self._filter_sequence(wrapped, step.predicates)
-                current = [i.handle if isinstance(i, NodeItem) else i for i in filtered]
-                continue
-            multi_context = len(current) > 1
-            out = []
-            for handle in current:
-                out.extend(self._expand_step(handle, step))
-            if axis == "descendant" and multi_context and out:
-                out = self._dedupe_doc_order(out)
-            current = out
-        # Wrap node handles; attribute/text steps produced plain strings.
-        return [h if isinstance(h, str) else NodeItem(h) for h in current]
+                for handle in handles:
+                    if name is not None:
+                        value = values(handle, name)
+                        if value is not None:
+                            out.append(value)
+                    else:
+                        out += [text for text in values(handle) if text]
+                return out
+            return kernel
+        if axis not in ("child", "descendant"):
+            raise QueryError(f"unsupported step axis {axis!r}")
+        keep = (self._filter(step.predicates, scope, NodeItem)
+                if step.predicates else None)
+        descendant = axis == "descendant"
+        if descendant:
+            expand = nav.descendants_by_tag
+        elif name is None:
+            children = nav.children
+            expand = lambda handle, _name: children(handle)   # noqa: E731
+        else:
+            expand = nav.children_by_tag
+        tag, root_of = nav.tag, self.store.root
+        doc_position = (self.navigator if nav is self.mixed else nav).doc_position
 
-    def _expand_step(self, handle, step: Step) -> list:
-        """One context handle through one child/descendant step, with the
-        step predicates applied (shared by the eager and streaming paths)."""
-        nav = self.navigator
-        if handle is _DOC_ROOT:
-            root = self.store.root()
-            found = [root] if (step.name is None or nav.tag(root) == step.name) else []
-            if step.axis == "descendant":
-                found = found + nav.descendants_by_tag(root, step.name)
-        elif step.axis == "child":
-            if step.name is None:
-                found = nav.children(handle)
+        def kernel(rt, handles):
+            if at_root:
+                root = root_of()
+                found = [root] if name is None or tag(root) == name else []
+                if descendant:
+                    found += expand(root, name)
+            elif len(handles) == 1:
+                found = expand(handles[0], name)
             else:
-                found = nav.children_by_tag(handle, step.name)
-        else:  # descendant
-            found = nav.descendants_by_tag(handle, step.name)
-        if step.predicates:
-            found = self._filter_step(found, step.predicates)
-        return found
+                out = []
+                for handle in handles:
+                    found = expand(handle, name)
+                    out += keep(rt, found) if keep else found
+                return _dedupe(out, doc_position) if descendant and out else out
+            return keep(rt, found) if keep else found
+        return kernel
 
-    # -- streaming (the cursor pipeline) -------------------------------------------
-
-    def stream_path(self, node: Path):
-        """Lazy :meth:`eval_path`: handles flow through the step pipeline
-        one at a time instead of materializing every intermediate list."""
-        plan = self.compiled.path_plans.get(id(node))
-        if plan is not None and plan.kind == "id_lookup":
-            yield from self.eval_path(node)
-            return
-        if plan is not None and plan.kind in ("value_probe", "range_probe"):
-            window = self._probe_window(plan)
-            if window is None:          # indexes dropped: degrade to the scan
-                self.index_degrades += 1
-                yield from self._stream_steps(iter((_DOC_ROOT,)), node.steps, 0)
-            else:
-                yield from self._stream_steps(iter(window.raw()), node.steps,
-                                              plan.id_step + 1)
-            return
-        if plan is not None and plan.kind == "path_index":
-            handles = self._path_extent(plan)
-            if handles is None:
-                self.index_degrades += 1
-                yield from self._stream_steps(iter((_DOC_ROOT,)), node.steps, 0)
-            else:
-                yield from self._stream_steps(iter(handles), node.steps,
-                                              plan.prefix_len)
-            return
-        if node.root is None or (isinstance(node.root, FunctionCall)
-                                 and node.root.name in ("document", "doc")):
-            yield from self._stream_steps(iter((_DOC_ROOT,)), node.steps, 0)
-            return
-        # Relative path: the base sequence is an arbitrary (usually tiny)
-        # expression — keep the eager evaluation behind the iterator.
-        yield from self.eval_path(node)
-
-    def _stream_steps(self, handles, steps: list[Step], start: int):
-        """Generator-backed step pipeline.
-
-        Depth-first consumption produces the same order as the eager
-        breadth-first loop because each step's output is grouped by input
-        handle; the two global operations (``self`` filters and
-        multi-context descendant dedup) materialize exactly where the
-        eager path does, so the item sequence is identical bit-for-bit.
-        """
-        if start == len(steps):
-            for handle in handles:
-                yield handle if isinstance(handle, str) else NodeItem(handle)
-            return
-        if self.trace:
-            handles = self._count_stage(handles, start)
-        step = steps[start]
-        axis = step.axis
-        nav = self.navigator
-        if axis == "attribute":
-            def attributes(source=handles):
-                for handle in source:
-                    if handle is _DOC_ROOT:
-                        continue
-                    value = nav.attribute(handle, step.name)
-                    if value is not None:
-                        yield value
-            yield from self._stream_steps(attributes(), steps, start + 1)
-            return
-        if axis == "text":
-            def texts(source=handles):
-                for handle in source:
-                    if handle is _DOC_ROOT:
-                        continue
-                    yield from (t for t in nav.child_texts(handle) if t)
-            yield from self._stream_steps(texts(), steps, start + 1)
-            return
-        if axis == "self":
-            # Filter-expression semantics are positional over the whole
-            # sequence: this step is a pipeline barrier.
-            self.barriers += 1
-            wrapped = [h if isinstance(h, str) else NodeItem(h) for h in handles]
-            filtered = self._filter_sequence(wrapped, step.predicates)
-            yield from self._stream_steps(
-                (i.handle if isinstance(i, NodeItem) else i for i in filtered),
-                steps, start + 1)
-            return
-        if axis == "descendant":
-            source = iter(handles)
-            first = next(source, _EXHAUSTED)
-            if first is _EXHAUSTED:
-                return
-            second = next(source, _EXHAUSTED)
-            if second is not _EXHAUSTED:
-                # Multi-context descendants dedupe and re-sort globally in
-                # document order: another barrier, same as the eager path.
-                self.barriers += 1
-                out: list = []
-                for handle in chain((first, second), source):
-                    out.extend(self._expand_step(handle, step))
-                if out:
-                    out = self._dedupe_doc_order(out)
-                yield from self._stream_steps(iter(out), steps, start + 1)
-                return
-            handles = (first,)
-        def expanded(source=handles):
-            for handle in source:
-                yield from self._expand_step(handle, step)
-        yield from self._stream_steps(expanded(), steps, start + 1)
-
-    def _count_stage(self, handles, stage: int):
-        """Tracing only: count rows entering one step of the pipeline."""
-        counts = self.stage_rows
-        for handle in handles:
-            counts[stage] = counts.get(stage, 0) + 1
-            yield handle
-
-    def _dedupe_doc_order(self, handles: list) -> list:
-        nav = self.navigator
-        seen = set()
-        decorated = []
-        for handle in handles:
-            key = id(handle) if isinstance(handle, Element) else handle
-            if key in seen:
-                continue
-            seen.add(key)
-            decorated.append((nav.doc_position(handle), handle))
-        decorated.sort(key=lambda pair: pair[0])
-        return [handle for _, handle in decorated]
-
-    def _filter_step(self, handles: list, predicates: list[Expr]) -> list:
-        """Apply step predicates (position-aware) to raw handles."""
-        items = handles
+    def _filter(self, predicates: list[Expr], scope, wrap):
+        """``entries -> entries`` under step predicates, position-aware.
+        ``wrap`` makes the context item of an entry: ``NodeItem`` for a
+        step's raw handles, None for a filter expression's items.  Numeric
+        literals fold to an index (a non-integral one selects nothing); a
+        statically boolean predicate skips the positional test."""
+        outer, self.context = self.context, True
+        tests = []
         for predicate in predicates:
             if isinstance(predicate, Literal) and isinstance(predicate.value, (int, float)):
-                index = int(predicate.value)
-                items = [items[index - 1]] if 1 <= index <= len(items) else []
-                continue
-            kept = []
-            size = len(items)
-            saved = (self.item, self.position, self.size)
-            for position, handle in enumerate(items, start=1):
-                self.item = NodeItem(handle)
-                self.position = position
-                self.size = size
-                value = self.eval(predicate)
-                if _is_positional(value):
-                    if to_number(value[0]) == position:
-                        kept.append(handle)
-                elif effective_boolean(value):
-                    kept.append(handle)
-            self.item, self.position, self.size = saved
-            items = kept
-        return items
+                value = float(predicate.value)
+                tests.append(int(value) if value.is_integer() else 0)
+            else:
+                boolean = isinstance(predicate, _BOOLEAN)
+                tests.append(((self._test if boolean else self.emit)(predicate, scope),
+                              boolean))
+        self.context = outer
 
-    def _filter_sequence(self, items: list, predicates: list[Expr]) -> list:
-        """Filter-expression semantics over an already-built sequence."""
-        current = items
-        for predicate in predicates:
-            if isinstance(predicate, Literal) and isinstance(predicate.value, (int, float)):
-                index = int(predicate.value)
-                current = [current[index - 1]] if 1 <= index <= len(current) else []
-                continue
-            kept = []
-            size = len(current)
-            saved = (self.item, self.position, self.size)
-            for position, item in enumerate(current, start=1):
-                self.item = item
-                self.position = position
-                self.size = size
-                value = self.eval(predicate)
-                if _is_positional(value):
-                    if to_number(value[0]) == position:
-                        kept.append(item)
-                elif effective_boolean(value):
-                    kept.append(item)
-            self.item, self.position, self.size = saved
-            current = kept
-        return current
+        def keep(rt, entries):
+            for test in tests:
+                if type(test) is int:
+                    entries = [entries[test - 1]] if 1 <= test <= len(entries) else []
+                    continue
+                run, boolean = test
+                kept = []
+                saved = rt.item, rt.position, rt.size
+                rt.size = len(entries)
+                position = 0
+                for entry in entries:
+                    position += 1
+                    rt.item = wrap(entry) if wrap else entry
+                    rt.position = position
+                    value = run(rt)
+                    if boolean:
+                        if value:
+                            kept.append(entry)
+                    elif _is_positional(value):
+                        if to_number(value[0]) == position:
+                            kept.append(entry)
+                    elif effective_boolean(value):
+                        kept.append(entry)
+                rt.item, rt.position, rt.size = saved
+                entries = kept
+            return entries
+        return keep
+
+    def _access(self, node: Path, plan, scope):
+        """Where an absolute path starts: ``(start, resume, windowed)``.
+        ``start(rt)`` gives the handles the access plan found — a window
+        for the probes, None when the indexes are gone — and evaluation
+        resumes at step ``resume``; with no plan that is the root."""
+        store, kind = self.store, plan.kind if plan is not None else "steps"
+        if kind == "id_lookup":
+            step, tag = node.steps[plan.id_step], self.native.tag
+            keep = self._filter(step.predicates, scope, NodeItem)
+
+            def start(rt):
+                rt.index_probes += 1
+                handle = store.lookup_id(plan.id_value)
+                if handle is None or (step.name is not None
+                                      and tag(handle) != step.name):
+                    return []
+                return keep(rt, [handle])
+            return start, plan.id_step + 1, False
+        if kind == "range_probe":       # the probe answers the step predicate
+            return (lambda rt: _range_window(rt, store, plan.prefix, plan.accessor,
+                                             plan.op, plan.bound)), plan.id_step + 1, True
+        if kind == "value_probe":
+            def start(rt):
+                index = _field(store, "value", plan.prefix, plan.accessor)
+                if index is None:
+                    return None
+                _count_probe(rt, store)
+                return _window(rt, index.probe(plan.probe_value))
+            return start, plan.id_step + 1, True
+        if kind != "path_index":
+            return _unit, 0, False
+        if plan.source != "index":
+            return (lambda rt: store.nodes_at_path(plan.prefix) or []), plan.prefix_len, False
+
+        def start(rt):
+            indexes = store.indexes
+            extent = None if indexes is None else indexes.path_extent(plan.prefix)
+            if extent is not None:
+                _count_probe(rt, store)
+            return extent
+        return start, plan.prefix_len, False
 
     # -- FLWOR ---------------------------------------------------------------------
 
-    def eval_flwor(self, node: FLWOR) -> list:
-        range_plan = self.compiled.range_plans.get(id(node))
-        if range_plan is not None:
-            probed = self._eval_range_flwor(node, range_plan)
-            if probed is not None:
-                return probed
-            self.index_degrades += 1
-        results: list = []
-        ordered_rows: list[tuple] = []
-        clauses = node.clauses
-
-        def recurse(index: int) -> None:
-            if index == len(clauses):
-                if node.where is not None and not effective_boolean(self.eval(node.where)):
-                    return
-                if node.order:
-                    keys = tuple(self._order_key(spec.key) for spec in node.order)
-                    ordered_rows.append((keys, len(ordered_rows), self.eval(node.ret)))
-                else:
-                    results.extend(self.eval(node.ret))
-                return
-            clause = clauses[index]
-            if isinstance(clause, ForClause):
-                sequence = self.eval(clause.sequence)
-                previous = self.variables.get(clause.var)
-                for item in sequence:
-                    self.variables[clause.var] = [item]
-                    recurse(index + 1)
-                _restore(self.variables, clause.var, previous)
+    def _flwor(self, node: FLWOR, scope, streamed: bool = False):
+        """One generator chain: a stage per clause (binding frame slots in
+        place, yielding once per binding tuple), ``where`` and ``return``
+        in the last.  Returns ``(run, stream)``; the eager form is
+        ``list()`` of the chain.  Streamed, the first ``for`` sequence (a
+        path) and the ``return`` pipeline too — except behind ``order by``
+        or a range probe, which need every row first (a barrier)."""
+        compiled = self.compiled
+        range_plan = compiled.range_plans.get(id(node))
+        pipelined = streamed and not node.order and range_plan is None
+        stages, first_stream = [], None
+        for index, clause in enumerate(node.clauses):
+            if isinstance(clause, LetClause):
+                plan = compiled.join_plans.get(id(clause))
+                value = (self.emit(clause.expr, scope) if plan is None
+                         else self._join(clause, plan, scope))
+            elif pipelined and index == 0 and isinstance(clause.sequence, Path):
+                value, first_stream = self._path(clause.sequence, scope, True)
             else:
-                value = self._bind_let(clause)
-                previous = self.variables.get(clause.var)
-                self.variables[clause.var] = value
-                recurse(index + 1)
-                _restore(self.variables, clause.var, previous)
-
-        recurse(0)
+                value = self.emit(clause.sequence, scope)
+            scope, slot = self._bind(scope, clause.var)
+            stages.append((slot, value, isinstance(clause, ForClause)))
+        where = None if node.where is None else self._test(node.where, scope)
+        if range_plan is not None:      # the probe is the where clause
+            slot, base, _each = stages[0]
+            stages[0] = (slot, self._range_bindings(range_plan, slot, base, where), True)
+            where = None
+        ret, ret_stream = (self.emit_both(node.ret, scope) if pipelined
+                           else (self.emit(node.ret, scope), None))
         if node.order:
+            keys = [self.emit(spec.key, scope) for spec in node.order]
             descending = [spec.descending for spec in node.order]
-            normalized = _normalize_order_columns(ordered_rows, descending)
-            normalized.sort(key=lambda row: row[0])
-            for _, _, value in normalized:
-                results.extend(value)
-        return results
 
-    def stream_flwor(self, node: FLWOR):
-        """Lazy :meth:`eval_flwor`: one result item per qualifying binding.
+        def pipeline(first, ret):
+            upstream = _unit
+            for slot, value, each in stages:
+                upstream = _bind_stage(upstream, slot, first or value, each)
+                first = None
+            if node.order:
+                return _ordered_stage(upstream, where, keys, descending, ret,
+                                      self.navigator)
+            return _return_stage(upstream, where, ret)
 
-        ``order by`` needs every row before the first can be emitted, and
-        range-plan FLWORs are already index-bounded — both evaluate
-        eagerly behind the iterator.  The first ``for`` clause's sequence
-        itself streams (so a path-scan extent pipelines into the binding
-        loop) only when it is a plain Path that does not read the variable
-        the clause binds: a suspended generator for any *binding* sequence
-        shape (a nested FLWOR, say) would leak its bindings into the
-        ``where``/``return`` evaluation between pulls, where the eager
-        evaluator would see them unbound.  Path pipelines hold no bindings
-        while suspended (predicates evaluate to completion per item), so
-        they are the one safely-streamable shape.
-        """
-        if node.order or self.compiled.range_plans.get(id(node)) is not None:
-            self.barriers += 1
-            yield from self.eval_flwor(node)
-            return
-        clauses = node.clauses
+        rows = pipeline(None, ret)
+        run = lambda rt: list(rows(rt))             # noqa: E731
+        if pipelined:
+            return run, pipeline(first_stream, ret_stream)
 
-        def recurse(index: int):
-            if index == len(clauses):
-                if node.where is not None and not effective_boolean(self.eval(node.where)):
-                    return
-                yield from self.stream(node.ret)
-                return
-            clause = clauses[index]
-            previous = self.variables.get(clause.var)
-            try:
-                if isinstance(clause, ForClause):
-                    lazy = (index == 0
-                            and isinstance(clause.sequence, Path)
-                            and not _reads_var(clause.sequence, clause.var,
-                                               self.compiled.query.functions))
-                    sequence = (self.stream(clause.sequence) if lazy
-                                else self.eval(clause.sequence))
-                    for item in sequence:
-                        self.variables[clause.var] = [item]
-                        yield from recurse(index + 1)
+        def stream(rt):
+            rt.barriers += 1
+            return rows(rt)
+        return run, stream
+
+    def _range_bindings(self, plan, slot: int, base, where):
+        """The bindings a sorted-index range probe qualifies (the probe
+        *is* the ``where`` clause, which is then never evaluated); with the
+        indexes dropped, the base sequence filtered the generic way."""
+        store = self.store
+
+        def sequence(rt):
+            window = _range_window(rt, store, plan.path, plan.accessor,
+                                   plan.op, plan.bound)
+            if window is not None:
+                return window
+            rt.index_degrades += 1
+            kept, frame = [], rt.frame
+            for item in base(rt):
+                frame[slot] = [item]
+                if where(rt):
+                    kept.append(item)
+            return kept
+        return sequence
+
+    def _join(self, clause: LetClause, plan: JoinPlan, scope):
+        """The one join operator, for a ``let`` the planner decorrelated:
+        build-side rows the current outer binding joins with, in document
+        order.  The outer key is evaluated once per binding and then
+        looked up (hash), bisected (sorted) or compared against every
+        stored key (nlj).  Hash and sorted probe the store's secondary
+        index when the plan names one (handles come back as a window,
+        nothing is built), a private index of the same class otherwise —
+        made once per execution: the base is scanned and the inner key
+        navigated once per row (entries carry items, not handles; nlj
+        keeps plain ``(key atoms, item)`` rows)."""
+        store, navigator = self.store, self.navigator
+        strategy, op, cache_key = plan.strategy, plan.op, self.joins
+        self.joins += 1
+        base = self.emit(plan.inner_base, scope)
+        outer_key = self._atoms(plan.outer_key, scope)
+        inner_scope, slot = self._bind(scope, plan.inner_var)
+        inner_key = self._atoms(plan.inner_key, inner_scope)
+        ret = clause.expr.ret
+        ret = (None if isinstance(ret, VarRef) and ret.name == plan.inner_var
+               else self.emit(ret, inner_scope))
+        mirrored = mirror_op(op) if strategy == "sorted" else None
+
+        def build(rt):
+            built = rt.join_cache.get(cache_key)
+            if built is not None:
+                return built
+            rt.join_builds += 1
+            built = ([] if strategy == "nlj" else
+                     ValueIndex(None) if strategy == "hash" else SortedNumericIndex(None))
+            frame = rt.frame
+            for seq, item in enumerate(base(rt)):
+                frame[slot] = [item]
+                if strategy == "nlj":
+                    built.append((inner_key(rt), item))
                 else:
-                    self.variables[clause.var] = self._bind_let(clause)
-                    yield from recurse(index + 1)
-            finally:
-                _restore(self.variables, clause.var, previous)
-
-        yield from recurse(0)
-
-    def _eval_range_flwor(self, node: FLWOR, plan) -> list | None:
-        """Iterate only the bindings a sorted-index range probe qualifies;
-        the ``where`` clause is the probe, so it is never evaluated.
-        Returns None (degrade to the generic FLWOR) when the index is gone.
-        """
-        window = self._range_window(plan.path, plan.accessor, plan.op, plan.bound)
-        if window is None:
-            return None
-        clause = node.clauses[0]
-        results: list = []
-        previous = self.variables.get(clause.var)
-        for item in window:
-            self.variables[clause.var] = [item]
-            results.extend(self.eval(node.ret))
-        _restore(self.variables, clause.var, previous)
-        return results
-
-    def _order_key(self, key_expr: Expr):
-        values = atomize(self.eval(key_expr), self.navigator)
-        if not values:
-            return None
-        return values[0]
-
-    def _bind_let(self, clause: LetClause) -> list:
-        plan = self.compiled.join_plans.get(id(clause))
-        if plan is None:
-            return self.eval(clause.expr)
-        return self._join_returns(clause, plan, self._join_probe(clause, plan))
-
-    def _join_probe(self, clause: LetClause, plan: JoinPlan) -> list | NodeWindow:
-        """Build-side rows the current outer binding joins with, in
-        document order: the one join operator.  The outer key is evaluated
-        once per binding and then looked up (hash), bisected (sorted) or
-        compared against every stored key (nlj).  Hash and sorted probe
-        the store's secondary index when the plan names one (handles come
-        back as a window, nothing is built), a private index of the same
-        class otherwise."""
-        index = None
-        if plan.index_kind is not None:
-            index = self._index(plan.index_kind, plan.index_path, plan.index_accessor)
-            if index is None:           # indexes dropped: degrade to the build
-                self.index_degrades += 1
-        shared = index is not None
-        if not shared:
-            index = self._join_build(clause, plan)
-        outer = atomize(self.eval(plan.outer_key), self.navigator)
-        op = plan.op
-        if plan.strategy == "nlj":
-            self.join_comparisons += len(index)
-            return [item for atoms, item in index if any_pair(op, outer, atoms)]
-        if not outer:
-            return []
-        if plan.strategy == "hash":
-            buckets = [index.probe(atom) for atom in outer]
-            entries = (buckets[0] if len(buckets) == 1 else   # in order as is
-                       _doc_order(chain.from_iterable(buckets)))
-            if shared:
-                self._count_probe()
-                return self._window(entries)
-            return [item for _seq, item in entries]
-        bound = _outer_bound(op, outer)
-        if bound is None:               # no number among the outer atoms
-            return []
-        # outer OP scale*key  <=>  scale*key (mirrored OP) outer
-        start, stop = index.window(_flip(op), bound,
-                                   plan.index_scale if shared else 1.0)
-        if shared:
-            self._count_probe()         # only a probe that bisects counts
-            return NodeWindow(index.handles, start, stop, self, index.seqs)
-        return [item for _seq, item in _doc_order(index.pairs(start, stop))]
-
-    def _join_build(self, clause: LetClause, plan: JoinPlan):
-        """The build side of a join no store index serves, made once per
-        execution: the base is scanned and the inner key navigated once
-        per row, into a private hash / sorted index keyed by build seq
-        (entries carry items, not handles) or, for nlj, into plain
-        ``(key atoms, item)`` rows."""
-        built = self.join_cache.get(id(clause))
-        if built is not None:
+                    for atom in inner_key(rt):
+                        built.add(atom, seq, item)
+            if strategy == "sorted":
+                built.freeze()
+            rt.join_cache[cache_key] = built
             return built
-        self.join_builds += 1
-        strategy = plan.strategy
-        built = ([] if strategy == "nlj" else
-                 ValueIndex(None) if strategy == "hash" else SortedNumericIndex(None))
-        previous = self.variables.get(plan.inner_var)
-        for seq, item in enumerate(self.eval(plan.inner_base)):
-            self.variables[plan.inner_var] = [item]
-            atoms = atomize(self.eval(plan.inner_key), self.navigator)
+
+        def probe(rt):
+            index = None
+            if plan.index_kind is not None:
+                index = _field(store, plan.index_kind, plan.index_path,
+                               plan.index_accessor)
+                if index is None:       # indexes dropped: degrade to the build
+                    rt.index_degrades += 1
+            shared = index is not None
+            if not shared:
+                index = build(rt)
+            outer = outer_key(rt)
             if strategy == "nlj":
-                built.append((atoms, item))
-            else:
-                for atom in atoms:
-                    built.add(atom, seq, item)
-        _restore(self.variables, plan.inner_var, previous)
-        if strategy == "sorted":
-            built.freeze()
-        self.join_cache[id(clause)] = built
-        return built
+                rt.join_comparisons += len(index)
+                return [item for atoms, item in index if any_pair(op, outer, atoms)]
+            if not outer:
+                return []
+            if strategy == "hash":
+                buckets = [index.probe(atom) for atom in outer]
+                entries = (buckets[0] if len(buckets) == 1 else   # in order as is
+                           _doc_order(chain.from_iterable(buckets)))
+                if shared:
+                    _count_probe(rt, store)
+                    return _window(rt, entries)
+                return [item for _seq, item in entries]
+            bound = _outer_bound(op, outer)
+            if bound is None:           # no number among the outer atoms
+                return []
+            # outer OP scale*key  <=>  scale*key (mirrored OP) outer
+            start, stop = index.window(mirrored, bound,
+                                       plan.index_scale if shared else 1.0)
+            if shared:
+                _count_probe(rt, store)     # only a probe that bisects counts
+                return NodeWindow(index.handles, start, stop, rt, index.seqs)
+            return [item for _seq, item in _doc_order(index.pairs(start, stop))]
 
-    def _join_returns(self, clause: LetClause, plan: JoinPlan, items: list) -> list:
-        flwor = clause.expr
-        assert isinstance(flwor, FLWOR)
-        if isinstance(flwor.ret, VarRef) and flwor.ret.name == plan.inner_var:
-            return items                # a window stays a window: count() is O(1)
-        out: list = []
-        previous = self.variables.get(plan.inner_var)
-        for item in items:
-            self.variables[plan.inner_var] = [item]
-            out.extend(self.eval(flwor.ret))
-        _restore(self.variables, plan.inner_var, previous)
-        return out
+        if ret is None:
+            return probe                # a window stays a window: count() is O(1)
 
-    # -- quantified / conditional ------------------------------------------------------
+        def run(rt):
+            out, frame = [], rt.frame
+            for item in probe(rt):
+                frame[slot] = [item]
+                out.extend(ret(rt))
+            return out
+        return run
 
-    def eval_quantified(self, node: Quantified) -> list:
-        bindings = node.bindings
+    # -- tests (effective boolean values, without the singleton list) -------------------
 
-        def recurse(index: int) -> bool:
-            if index == len(bindings):
-                return effective_boolean(self.eval(node.satisfies))
-            clause = bindings[index]
-            sequence = self.eval(clause.sequence)
-            previous = self.variables.get(clause.var)
-            try:
-                if node.kind == "some":
-                    return any(
-                        self._bind_and(clause.var, [item], recurse, index + 1)
-                        for item in sequence
-                    )
-                return all(
-                    self._bind_and(clause.var, [item], recurse, index + 1)
-                    for item in sequence
-                )
-            finally:
-                _restore(self.variables, clause.var, previous)
+    def _test(self, node: Expr, scope):
+        """``rt -> bool``: the node's effective boolean value."""
+        if isinstance(node, _BOOLEAN):
+            return _TESTS[type(node)](self, node, scope)
+        run = self.emit(node, scope)
+        return lambda rt: effective_boolean(run(rt))
 
-        return [recurse(0)]
+    def _boolean(self, node: Expr, scope):
+        test = _TESTS[type(node)](self, node, scope)
+        return lambda rt: [test(rt)]
 
-    def _bind_and(self, var: str, value: list, fn, arg) -> bool:
-        self.variables[var] = value
-        return fn(arg)
+    def _atomic(self, node: Expr) -> bool:
+        """Whether the node's items are statically atomic (never nodes)."""
+        if isinstance(node, FunctionCall):
+            return (node.name in ("zero-or-one", "exactly-one") and len(node.args) == 1
+                    and node.name not in self.functions and self._atomic(node.args[0]))
+        return isinstance(node, (Literal, Arithmetic, Unary) + _BOOLEAN) or (
+            isinstance(node, Path) and node.steps[-1].axis in ("attribute", "text"))
 
-    def eval_if(self, node: IfExpr) -> list:
-        if effective_boolean(self.eval(node.condition)):
-            return self.eval(node.then)
-        return self.eval(node.orelse)
+    def _atoms(self, node: Expr, scope):
+        """``rt -> atomic values`` of a node: a literal is one shared
+        tuple, what is statically atomic is not atomized again."""
+        if isinstance(node, Literal):
+            atoms = (node.value,)
+            return lambda rt: atoms
+        run, navigator = self.emit(node, scope), self.navigator
+        return run if self._atomic(node) else lambda rt: atomize(run(rt), navigator)
 
-    # -- operators --------------------------------------------------------------------
-
-    def eval_comparison(self, node: Comparison) -> list:
-        left = self.eval(node.left)
-        right = self.eval(node.right)
+    def _comparison(self, node: Comparison, scope):
         if node.op == "<<":
-            return [self._before(left, right)]
-        return [general_compare(node.op, left, right, self.navigator)]
+            left, right = self.emit(node.left, scope), self.emit(node.right, scope)
+            navigator = self.navigator
+            return lambda rt: _before(left(rt), right(rt), navigator)
+        left, right = self._atoms(node.left, scope), self._atoms(node.right, scope)
+        compare = COMPARATORS[node.op]
 
-    def _before(self, left: list, right: list) -> bool:
-        nav = self.navigator
-        for a in left:
-            if not isinstance(a, NodeItem):
-                continue
-            pos_a = nav.doc_position(a.handle)
-            for b in right:
-                if not isinstance(b, NodeItem):
-                    continue
-                if pos_a < nav.doc_position(b.handle):
-                    return True
-        return False
+        def test(rt):                   # general comparison is existential
+            right_atoms = right(rt)
+            for a in left(rt):
+                for b in right_atoms:
+                    if compare(a, b):
+                        return True
+            return False
+        return test
 
-    def eval_arithmetic(self, node: Arithmetic) -> list:
-        left = atomize(self.eval(node.left), self.navigator)
-        right = atomize(self.eval(node.right), self.navigator)
-        if not left or not right:
-            return []  # arithmetic over the empty sequence is empty
-        a = to_number(left[0])
-        b = to_number(right[0])
-        op = node.op
-        if op == "+":
-            return [a + b]
-        if op == "-":
-            return [a - b]
-        if op == "*":
-            return [a * b]
-        if op in ("div", "mod"):
-            if b == 0:
+    def _boolop(self, node: BoolOp, scope):
+        operands = [self._test(operand, scope) for operand in node.operands]
+        decisive = node.op == "or"      # the operand value that ends the scan
+
+        def test(rt):
+            for operand in operands:
+                if operand(rt) is decisive:
+                    return decisive
+            return not decisive
+        return test
+
+    def _quantified(self, node: Quantified, scope):
+        upstream = _unit                # the bindings are a FLWOR's for stages
+        for clause in node.bindings:
+            sequence = self.emit(clause.sequence, scope)
+            scope, slot = self._bind(scope, clause.var)
+            upstream = _bind_stage(upstream, slot, sequence, True)
+        satisfies = self._test(node.satisfies, scope)
+        some = node.kind == "some"
+
+        def test(rt):
+            for _ in upstream(rt):
+                if satisfies(rt) is some:
+                    return some
+            return not some
+        return test
+
+    def _if(self, node: IfExpr, scope):
+        test = self._test(node.condition, scope)
+        then, orelse = self.emit(node.then, scope), self.emit(node.orelse, scope)
+        return lambda rt: then(rt) if test(rt) else orelse(rt)
+
+    # -- arithmetic ---------------------------------------------------------------------
+
+    def _number(self, node: Expr, scope):
+        """``rt -> float | None`` (None: the empty sequence); a sequence of
+        several items is a type error, never silently its first item."""
+        if isinstance(node, Literal) and try_number(node.value) is not None:
+            constant = try_number(node.value)
+            return lambda rt: constant
+        values, navigator = self._atoms(node, scope), self.navigator
+
+        def number(rt):
+            atoms = values(rt)
+            if len(atoms) > 1:
+                raise TypeCoercionError(
+                    f"arithmetic over a sequence of {len(atoms)} items")
+            return to_number(atoms[0]) if atoms else None
+        return number
+
+    def _arithmetic(self, node: Arithmetic, scope):
+        left, right = self._number(node.left, scope), self._number(node.right, scope)
+        op, apply = node.op, _ARITHMETIC[node.op]
+
+        def run(rt):
+            a, b = left(rt), right(rt)
+            if a is None or b is None:
+                return []               # arithmetic over the empty sequence is empty
+            if b == 0 and op in ("div", "mod"):
                 raise TypeCoercionError(f"{op} by zero")
-            return [a / b if op == "div" else a % b]
-        raise QueryError(f"unknown arithmetic operator {op!r}")
+            return [apply(a, b)]
+        return run
 
-    def eval_unary(self, node: Unary) -> list:
-        values = atomize(self.eval(node.operand), self.navigator)
-        if not values:
-            return []
-        return [-to_number(values[0])]
-
-    def eval_boolop(self, node: BoolOp) -> list:
-        if node.op == "and":
-            for operand in node.operands:
-                if not effective_boolean(self.eval(operand)):
-                    return [False]
-            return [True]
-        for operand in node.operands:
-            if effective_boolean(self.eval(operand)):
-                return [True]
-        return [False]
+    def _unary(self, node: Unary, scope):
+        operand = self._number(node.operand, scope)
+        return lambda rt: [] if (value := operand(rt)) is None else [-value]
 
     # -- functions -----------------------------------------------------------------------
 
-    def eval_call(self, node: FunctionCall) -> list:
-        declared = self.compiled.query.functions.get(node.name)
-        if declared is not None:
-            if len(node.args) != len(declared.params):
-                raise QueryError(
-                    f"{node.name}() expects {len(declared.params)} args, got {len(node.args)}"
-                )
-            saved = [(p, self.variables.get(p)) for p in declared.params]
-            for param, arg in zip(declared.params, node.args):
-                self.variables[param] = self.eval(arg)
-            try:
-                return self.eval(declared.body)
-            finally:
-                for param, previous in saved:
-                    _restore(self.variables, param, previous)
-        if node.name == "last":
-            return [self.size]
-        if node.name == "position":
-            return [self.position]
-        args = [self.eval(argument) for argument in node.args]
-        return call_builtin(node.name, args, self.navigator)
+    def _call(self, node: FunctionCall, scope):
+        name = node.name
+        args = [self.emit(argument, scope) for argument in node.args]
+        cell = self.functions.get(name)
+        if cell is not None:
+            arity = len(self.compiled.query.functions[name].params)
+            if len(args) != arity:
+                raise QueryError(f"{name}() expects {arity} args, got {len(args)}")
+
+            def call(rt):
+                body, size = cell       # emitted by now, whoever calls whom
+                frame = [None] * size
+                for slot, argument in enumerate(args):
+                    frame[slot] = argument(rt)
+                caller, rt.frame = rt.frame, frame
+                result = body(rt)
+                rt.frame = caller
+                return result
+            return call
+        if name in ("last", "position"):
+            if not self.context:
+                return _no_context
+            return (lambda rt: [rt.size]) if name == "last" else (lambda rt: [rt.position])
+        if name in ("document", "doc"):
+            raise QueryError(f"{name}() is only supported as the root of a path")
+        if name not in BUILTINS:
+            raise QueryError(f"unknown function {name}()")
+        impl, arity = BUILTINS[name]
+        if len(args) != arity:
+            raise QueryError(f"{name}() expects {arity} argument(s), got {len(args)}")
+        navigator = self.navigator
+        if arity == 1:
+            argument = args[0]
+            return lambda rt: impl(argument(rt), navigator)
+        return lambda rt: impl(*[argument(rt) for argument in args], navigator)
 
     # -- constructors ------------------------------------------------------------------------
 
-    def eval_ctor(self, node: ElementCtor) -> list:
-        element = _Constructed(node.tag)
-        for attribute in node.attributes:
-            pieces: list[str] = []
-            for part in attribute.parts:
-                if isinstance(part, str):
-                    pieces.append(part)
-                else:
-                    pieces.append(sequence_to_string(self.eval(part), self.navigator))
-            element.attributes[attribute.name] = "".join(pieces)
+    def _ctor(self, node: ElementCtor, scope):
+        build = self._element(node, scope)
+        return lambda rt: [NodeItem(build(rt))]
+
+    def _element(self, node: ElementCtor, scope):
+        """``rt -> _Constructed``.  Whitespace-only text is dropped and a
+        nested constructor's element adopted directly, both decided here."""
+        tag, navigator = node.tag, self.navigator
+        attributes = [(attribute.name, [
+            part if isinstance(part, str) else self.emit(part, scope)
+            for part in attribute.parts]) for attribute in node.attributes]
+        content = []
         for part in node.content:
-            if isinstance(part, str):
-                if part.strip():
-                    element.append_text(part)
-                continue
             if isinstance(part, ElementCtor):
-                element.append(self.eval_ctor(part)[0].handle)
-                continue
-            values = self.eval(part)
-            previous_atomic = False
-            for item in values:
-                if isinstance(item, NodeItem):
-                    child = item.handle
-                    if type(child) is not _Constructed or child.parent is not None:
-                        child = self.navigator.build_dom(child)
-                    element.append(child)
-                    previous_atomic = False
+                content.append((None, self._element(part, scope)))
+            elif not isinstance(part, str):
+                content.append((self.emit(part, scope), None))
+            elif part.strip():
+                content.append((part, None))
+
+        def build(rt):
+            element = _Constructed(tag)
+            for name, parts in attributes:
+                element.attributes[name] = "".join([
+                    part if isinstance(part, str)
+                    else sequence_to_string(part(rt), navigator) for part in parts])
+            for part, nested in content:
+                if nested is not None:
+                    element.append(nested(rt))
+                elif isinstance(part, str):
+                    element.append_text(part)
                 else:
-                    text = atomic_to_string(item)
-                    if previous_atomic:
-                        element.append_text(" " + text)
-                    else:
-                        element.append_text(text)
-                    previous_atomic = True
-        return [NodeItem(element)]
+                    previous_atomic = False
+                    for item in part(rt):
+                        if isinstance(item, NodeItem):
+                            child = item.handle
+                            if type(child) is not _Constructed or child.parent is not None:
+                                child = navigator.build_dom(child)
+                            element.append(child)
+                            previous_atomic = False
+                        else:
+                            text = atomic_to_string(item)
+                            element.append_text(" " + text if previous_atomic else text)
+                            previous_atomic = True
+            return element
+        return build
+
+
+#: Nodes whose value is statically one boolean: emitted as ``rt -> bool``
+#: tests, wrapped in a list only where a sequence is asked for.
+_BOOLEAN = (Comparison, BoolOp, Quantified)
+_TESTS = {Comparison: _Emitter._comparison, BoolOp: _Emitter._boolop,
+          Quantified: _Emitter._quantified}
+
+_EMIT = {
+    Literal: _Emitter._literal,
+    VarRef: _Emitter._varref,
+    ContextItem: _Emitter._context_item,
+    Path: lambda emitter, node, scope: emitter._path(node, scope)[0],
+    FLWOR: lambda emitter, node, scope: emitter._flwor(node, scope)[0],
+    Quantified: _Emitter._boolean,
+    IfExpr: _Emitter._if,
+    Comparison: _Emitter._boolean,
+    Arithmetic: _Emitter._arithmetic,
+    Unary: _Emitter._unary,
+    BoolOp: _Emitter._boolean,
+    FunctionCall: _Emitter._call,
+    ElementCtor: _Emitter._ctor,
+}
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "div": operator.truediv, "mod": operator.mod}
+
+#: The one context an unplanned absolute path starts from: its first
+#: kernel ignores the handle and begins at the store's root.
+_ROOT = (None,)
+
+
+# -- FLWOR stages: each binds its slot in place and yields once per binding ---------------
+
+
+def _unit(rt):
+    return _ROOT
+
+
+def _bind_stage(upstream, slot: int, value, each: bool):
+    """``for`` (``each``: one binding per item) or ``let`` (the sequence)."""
+    def stage(rt):
+        frame = rt.frame
+        for _ in upstream(rt):
+            if each:
+                for item in value(rt):
+                    frame[slot] = [item]
+                    yield
+            else:
+                frame[slot] = value(rt)
+                yield
+    return stage
+
+
+def _return_stage(upstream, where, ret):
+    def stage(rt):
+        for _ in upstream(rt):
+            if where is None or where(rt):
+                yield from ret(rt)
+    return stage
+
+
+def _ordered_stage(upstream, where, keys, descending, ret, navigator):
+    def stage(rt):
+        rows: list[tuple] = []
+        for _ in upstream(rt):
+            if where is None or where(rt):
+                rows.append((tuple([_order_key(key(rt), navigator) for key in keys]),
+                             len(rows), ret(rt)))
+        rows = _normalize_order_columns(rows, descending)
+        rows.sort(key=operator.itemgetter(0))
+        for _key, _arrival, value in rows:
+            yield from value
+    return stage
+
+
+def _order_key(values, navigator: Navigator):
+    return atomize_item(values[0], navigator) if values else None
+
+
+# -- runtime helpers the closures share ----------------------------------------------------
+
+
+def _no_context(rt):
+    raise QueryError("no context item")
+
+
+def _field(store, kind: str, path, accessor):
+    """The secondary index over one field (None = indexes dropped, or
+    never built for this field)."""
+    indexes = store.indexes
+    if indexes is None:
+        return None
+    field = indexes.value_field if kind == "value" else indexes.sorted_field
+    return field(path, accessor)
+
+
+def _count_probe(rt: _Runtime, store) -> None:
+    store.stats.index_lookups += 1
+    rt.index_probes += 1
+
+
+def _range_window(rt: _Runtime, store, path, accessor, op: str, bound) -> NodeWindow | None:
+    """Nodes whose sorted-index key satisfies ``key OP bound``."""
+    index = _field(store, "sorted", path, accessor)
+    if index is None:
+        return None
+    _count_probe(rt, store)
+    return _window(rt, _doc_order(index.pairs(*index.window(op, bound))))
+
+
+def _window(rt: _Runtime, entries) -> NodeWindow:
+    """A window over document-ordered index ``(seq, handle)`` entries."""
+    handles = [handle for _seq, handle in entries]
+    return NodeWindow(handles, 0, len(handles), rt)
+
+
+def _dedupe(handles: list, doc_position) -> list:
+    seen = set()
+    decorated = []
+    for handle in handles:
+        key = id(handle) if isinstance(handle, Element) else handle
+        if key in seen:
+            continue
+        seen.add(key)
+        decorated.append((doc_position(handle), handle))
+    decorated.sort(key=operator.itemgetter(0))
+    return [handle for _, handle in decorated]
+
+
+def _before(left: list, right: list, navigator: Navigator) -> bool:
+    """``<<``: some node on the left precedes some node on the right."""
+    left, right = ([navigator.doc_position(item.handle) for item in side
+                    if isinstance(item, NodeItem)] for side in (left, right))
+    return bool(left and right) and min(left) < max(right)
 
 
 class _Constructed(Element):
@@ -957,37 +1048,12 @@ class _Constructed(Element):
     __slots__ = ()
 
 
-def _reads_var(expr: Expr, name: str, functions=()) -> bool:
-    """Whether ``expr`` may read ``$name`` (shadowing guard: a for-clause
-    sequence reading the variable the clause itself binds must be fully
-    evaluated before the binding loop starts mutating it).
-
-    A call to a *declared* function counts as a potential read: UDF bodies
-    are dynamically scoped (free variables resolve against the bindings
-    live at call time) and invisible to the AST walk of ``expr``.
-    """
-    from repro.xquery.ast import walk
-    for node in walk(expr):
-        if isinstance(node, VarRef) and node.name == name:
-            return True
-        if isinstance(node, FunctionCall) and node.name in functions:
-            return True
-    return False
-
-
 def _is_positional(value: list) -> bool:
     return (
         len(value) == 1
         and isinstance(value[0], (int, float))
         and not isinstance(value[0], bool)
     )
-
-
-def _restore(variables: dict, name: str, previous) -> None:
-    if previous is None:
-        variables.pop(name, None)
-    else:
-        variables[name] = previous
 
 
 def _outer_bound(op: str, atoms: list) -> float | None:
@@ -1057,26 +1123,3 @@ class _Rev:
     def __eq__(self, other) -> bool:
         return isinstance(other, _Rev) and other.value == self.value
 
-
-_DISPATCH = {
-    Literal: _Interpreter.eval_literal,
-    VarRef: _Interpreter.eval_varref,
-    ContextItem: _Interpreter.eval_context,
-    Path: _Interpreter.eval_path,
-    FLWOR: _Interpreter.eval_flwor,
-    Quantified: _Interpreter.eval_quantified,
-    IfExpr: _Interpreter.eval_if,
-    Comparison: _Interpreter.eval_comparison,
-    Arithmetic: _Interpreter.eval_arithmetic,
-    Unary: _Interpreter.eval_unary,
-    BoolOp: _Interpreter.eval_boolop,
-    FunctionCall: _Interpreter.eval_call,
-    ElementCtor: _Interpreter.eval_ctor,
-}
-
-#: Expression shapes with a genuine lazy pipeline; everything else
-#: evaluates eagerly behind the iterator (see :meth:`_Interpreter.stream`).
-_STREAM_DISPATCH = {
-    Path: _Interpreter.stream_path,
-    FLWOR: _Interpreter.stream_flwor,
-}

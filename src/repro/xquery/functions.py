@@ -2,9 +2,12 @@
 
 The subset the twenty benchmark queries require: cardinalities (count, sum),
 existence (empty, not), text (string, contains), cardinality assertions
-(zero-or-one, exactly-one), value sets (distinct-values) and the document
-accessor.  ``last()`` and ``position()`` are context functions handled by
-the evaluator directly.
+(zero-or-one, exactly-one) and value sets (distinct-values).  Each
+implementation takes its argument sequences positionally, then the
+navigator; the evaluator's emit pass resolves name and arity once per call
+site (``BUILTINS``), so nothing is looked up per call.  ``last()`` and
+``position()`` are context functions, and ``document()`` / ``doc()`` only
+ever root a path; the emitter handles all four itself.
 """
 
 from __future__ import annotations
@@ -16,65 +19,59 @@ from repro.xquery.sequence import (
 )
 
 
-def _fn_count(args: list[list], navigator: Navigator) -> list:
-    return [len(args[0])]
+def _fn_count(sequence: list, navigator: Navigator) -> list:
+    return [len(sequence)]
 
 
-def _fn_sum(args: list[list], navigator: Navigator) -> list:
-    values = atomize(args[0], navigator)
+def _fn_sum(sequence: list, navigator: Navigator) -> list:
+    values = atomize(sequence, navigator)
     return [sum(to_number(value) for value in values)] if values else [0]
 
 
-def _fn_empty(args: list[list], navigator: Navigator) -> list:
-    return [not args[0]]
+def _fn_empty(sequence: list, navigator: Navigator) -> list:
+    return [not sequence]
 
 
-def _fn_exists(args: list[list], navigator: Navigator) -> list:
-    return [bool(args[0])]
+def _fn_exists(sequence: list, navigator: Navigator) -> list:
+    return [bool(sequence)]
 
 
-def _fn_not(args: list[list], navigator: Navigator) -> list:
-    return [not effective_boolean(args[0])]
+def _fn_not(sequence: list, navigator: Navigator) -> list:
+    return [not effective_boolean(sequence)]
 
 
-def _fn_string(args: list[list], navigator: Navigator) -> list:
-    sequence = args[0]
+def _fn_string(sequence: list, navigator: Navigator) -> list:
     if not sequence:
         return [""]
     return [atomic_to_string(atomize_item(sequence[0], navigator))]
 
 
-def _fn_contains(args: list[list], navigator: Navigator) -> list:
-    haystack = _fn_string([args[0]], navigator)[0]
-    needle = _fn_string([args[1]], navigator)[0]
-    return [needle in haystack]
+def _fn_contains(haystack: list, needle: list, navigator: Navigator) -> list:
+    return [_fn_string(needle, navigator)[0] in _fn_string(haystack, navigator)[0]]
 
 
-def _fn_number(args: list[list], navigator: Navigator) -> list:
-    sequence = args[0]
+def _fn_number(sequence: list, navigator: Navigator) -> list:
     if not sequence:
         return []
     return [to_number(atomize_item(sequence[0], navigator))]
 
 
-def _fn_zero_or_one(args: list[list], navigator: Navigator) -> list:
-    sequence = args[0]
+def _fn_zero_or_one(sequence: list, navigator: Navigator) -> list:
     if len(sequence) > 1:
         raise QueryError(f"zero-or-one(): sequence has {len(sequence)} items")
     return list(sequence)
 
 
-def _fn_exactly_one(args: list[list], navigator: Navigator) -> list:
-    sequence = args[0]
+def _fn_exactly_one(sequence: list, navigator: Navigator) -> list:
     if len(sequence) != 1:
         raise QueryError(f"exactly-one(): sequence has {len(sequence)} items")
     return list(sequence)
 
 
-def _fn_distinct_values(args: list[list], navigator: Navigator) -> list:
+def _fn_distinct_values(sequence: list, navigator: Navigator) -> list:
     seen: set = set()
     out: list = []
-    for value in atomize(args[0], navigator):
+    for value in atomize(sequence, navigator):
         key = atomic_to_string(value)
         if key not in seen:
             seen.add(key)
@@ -82,23 +79,10 @@ def _fn_distinct_values(args: list[list], navigator: Navigator) -> list:
     return out
 
 
-def _fn_name(args: list[list], navigator: Navigator) -> list:
-    sequence = args[0]
+def _fn_name(sequence: list, navigator: Navigator) -> list:
     if not sequence or not isinstance(sequence[0], NodeItem):
         return [""]
     return [navigator.tag(sequence[0].handle)]
-
-
-def _fn_document(args: list[list], navigator: Navigator) -> list:
-    """The benchmark's single-document convention: any document() call
-    resolves to the loaded document's root parent (steps then select site)."""
-    return [NodeItem(_DocumentRoot())]
-
-
-class _DocumentRoot:
-    """Sentinel handle: the conceptual parent of the root element."""
-
-    __slots__ = ()
 
 
 BUILTINS = {
@@ -114,16 +98,4 @@ BUILTINS = {
     "exactly-one": (_fn_exactly_one, 1),
     "distinct-values": (_fn_distinct_values, 1),
     "name": (_fn_name, 1),
-    "document": (_fn_document, 1),
-    "doc": (_fn_document, 1),
 }
-
-
-def call_builtin(name: str, args: list[list], navigator: Navigator) -> list:
-    entry = BUILTINS.get(name)
-    if entry is None:
-        raise QueryError(f"unknown function {name}()")
-    impl, arity = entry
-    if len(args) != arity:
-        raise QueryError(f"{name}() expects {arity} argument(s), got {len(args)}")
-    return impl(args, navigator)

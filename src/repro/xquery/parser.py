@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import QuerySyntaxError
+from repro.errors import QueryError, QuerySyntaxError
 from repro.xquery.ast import (
     Arithmetic, AttributeCtor, BoolOp, Comparison, ContextItem, ElementCtor,
     Expr, FLWOR, ForClause, FunctionCall, FunctionDecl, IfExpr, LetClause,
@@ -68,6 +68,8 @@ class _Parser:
         functions: dict[str, FunctionDecl] = {}
         while self.lexer.peek().is_name("declare"):
             decl = self._parse_function_decl()
+            if decl.name in functions:  # no overloading: the name is the key
+                raise QueryError(f"duplicate declaration of function {decl.name}()")
             functions[decl.name] = decl
         body = self.parse_expr()
         return Query(functions, body)

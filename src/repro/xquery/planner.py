@@ -34,9 +34,12 @@ from repro.storage.summary_store import SummaryStore
 from repro.xquery.ast import (
     Arithmetic, BoolOp, Comparison, ContextItem, ElementCtor, Expr, FLWOR,
     ForClause, FunctionCall, IfExpr, LetClause, LetClause as _Let, Literal,
-    Path, Quantified, Query, Step, Unary, VarRef, walk,
+    Path, Quantified, Query, Step, Unary, VarRef, is_absolute as _is_absolute,
+    walk,
 )
+from repro.xquery.evaluator import emit_query
 from repro.xquery.parser import parse_query
+from repro.xquery.sequence import mirror_op
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,13 +141,14 @@ class CompiledQuery:
     """A query compiled for one (store, profile) pair.
 
     Reuse contract (the plan cache depends on it): after
-    :func:`compile_query` returns, nothing mutates ``query``,
-    ``path_plans``, ``join_plans`` or ``warnings`` — the evaluator
-    treats them as read-only, keeping all per-execution state in its own
-    interpreter.  A compiled plan may therefore be executed repeatedly,
-    including from several threads at once, as long as the underlying
-    store's read paths are thread-safe.  ``eq=False`` keeps instances
-    hashable by identity so plans can key caches and sets directly.
+    :func:`compile_query` returns, nothing mutates ``query``, the plan
+    dictionaries, ``warnings`` or the emitted closures ``run`` / ``stream``
+    (built once, by the emit pass; they hold no per-execution state — that
+    lives in the runtime object each execution hands them).  A compiled
+    plan may therefore be executed repeatedly, including from several
+    threads at once, as long as the underlying store's read paths are
+    thread-safe.  ``eq=False`` keeps instances hashable by identity so
+    plans can key caches and sets directly.
     """
 
     query: Query
@@ -156,20 +160,14 @@ class CompiledQuery:
     warnings: list[str] = field(default_factory=list)
     metadata_accesses: int = 0
     plans_considered: int = 0
+    run: object = None                  # rt -> list (or index window)
+    stream: object = None               # rt -> iterator over the same items
+    frame_size: int = 0                 # variable slots of the main frame
 
 
 def compile_query(text: str, store: Store, profile: SystemProfile,
                   tracer=NULL_TRACER) -> CompiledQuery:
-    """Full compilation pipeline for one system."""
-    if not tracer.enabled:
-        query = parse_query(text)
-        compiled = CompiledQuery(query, store, profile)
-        _resolve_paths(compiled)
-        _plan_joins(compiled)
-        _plan_ranges(compiled)
-        _enumerate_plans(compiled)
-        _validate_tags(compiled)
-        return compiled
+    """Full compilation pipeline for one system; emission is its last pass."""
     with tracer.span("plan", system=profile.name,
                      optimizer=profile.optimizer) as span:
         with tracer.span("plan.parse"):
@@ -180,7 +178,12 @@ def compile_query(text: str, store: Store, profile: SystemProfile,
         _plan_ranges(compiled)
         _enumerate_plans(compiled)
         _validate_tags(compiled)
-        _trace_plan_choices(compiled, tracer)
+        if tracer.enabled:
+            _trace_plan_choices(compiled, tracer)
+        with tracer.span("plan.emit") as emit_span:
+            emit_query(compiled)
+            if tracer.enabled:
+                emit_span.set(nodes=len(walk(query)))
         span.set(plans_considered=compiled.plans_considered,
                  metadata_accesses=compiled.metadata_accesses,
                  warnings=len(compiled.warnings))
@@ -220,12 +223,6 @@ def _absolute_prefix(path: Path) -> tuple[tuple[str, ...], int]:
             break
         tags.append(step.name)
     return tuple(tags), len(tags)
-
-
-def _is_absolute(path: Path) -> bool:
-    if path.root is None:
-        return True
-    return isinstance(path.root, FunctionCall) and path.root.name in ("document", "doc")
 
 
 def _resolve_paths(compiled: CompiledQuery) -> None:
@@ -445,7 +442,7 @@ def _predicate_key(predicate: Expr):
         return None
     sides = (
         (predicate.left, predicate.right, predicate.op),
-        (predicate.right, predicate.left, _flip(predicate.op)),
+        (predicate.right, predicate.left, mirror_op(predicate.op)),
     )
     for expr, literal, op in sides:
         if not isinstance(literal, Literal):
@@ -610,7 +607,7 @@ def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | 
     var = inner.var
     if var in left_vars and var not in right_vars and right_vars & loop_vars:
         inner_key, outer_key = comparison.left, comparison.right
-        op = _flip(comparison.op)
+        op = mirror_op(comparison.op)
     elif var in right_vars and var not in left_vars and left_vars & loop_vars:
         inner_key, outer_key = comparison.right, comparison.left
         op = comparison.op
@@ -621,10 +618,6 @@ def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | 
         return None
     strategy = {"=": "hash", "!=": "nlj"}.get(op, "sorted")
     return JoinPlan(strategy, op, var, inner.sequence, inner_key, outer_key)
-
-
-def _flip(op: str) -> str:
-    return {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
 
 def _scaled_var_accessor(expr: Expr, var: str):
@@ -730,7 +723,7 @@ def _plan_ranges(compiled: CompiledQuery) -> None:
         matched = None
         for expr, literal, op in (
             (condition.left, condition.right, condition.op),
-            (condition.right, condition.left, _flip(condition.op)),
+            (condition.right, condition.left, mirror_op(condition.op)),
         ):
             if not isinstance(literal, Literal) or op not in ("<", "<=", ">", ">="):
                 continue

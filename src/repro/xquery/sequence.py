@@ -14,6 +14,7 @@ arithmetic coerce strings to numbers at evaluation time, every time.
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.errors import TypeCoercionError
 from repro.storage.dom_store import DomStore
@@ -104,9 +105,6 @@ class Navigator:
         # have a document position.
         self._dom_handles = isinstance(store, DomStore)
 
-    def is_dom(self, handle) -> bool:
-        return isinstance(handle, Element)
-
     def tag(self, handle) -> str:
         if isinstance(handle, Element):
             return handle.tag
@@ -154,6 +152,31 @@ class Navigator:
         if isinstance(handle, Element):
             return handle.copy()
         return self.store.build_dom(handle)
+
+
+class DomNavigation:
+    """The step-navigation half of :class:`Navigator` when every handle is
+    known to be an ``Element`` (System G, whose constructed nodes are
+    Elements too): the plain DOM calls, with no per-call type test.  The
+    emitted step kernels bind one of three navigations per path — this
+    one, the store itself (an absolute path never meets a constructed
+    node) or a ``Navigator`` (a variable may hold either kind)."""
+
+    tag = staticmethod(Element.tag.__get__)
+    children_by_tag = staticmethod(Element.find_all)
+    attribute = staticmethod(Element.get)
+
+    @staticmethod
+    def children(element: Element) -> list:
+        return list(element.child_elements())
+
+    @staticmethod
+    def descendants_by_tag(element: Element, tag: str | None) -> list:
+        return list(element.descendants(tag))
+
+    @staticmethod
+    def child_texts(element: Element) -> list[str]:
+        return [c.value for c in element.children if isinstance(c, Text)]
 
 
 # -- atomization -------------------------------------------------------------------
@@ -210,15 +233,15 @@ def effective_boolean(sequence: list) -> bool:
 
 def try_number(value) -> float | None:
     """Coerce one atomic to float, or None when impossible."""
+    if type(value) is str:              # document text: the common case
+        try:
+            return float(value)         # float() strips whitespace itself
+        except ValueError:
+            return None
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
         return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            return None
     return None
 
 
@@ -232,32 +255,35 @@ def to_number(value) -> float:
 # -- comparisons -----------------------------------------------------------------------
 
 
-def compare_atomics(op: str, left, right) -> bool:
-    """Value comparison with runtime string->number casting.
+def mirror_op(op: str) -> str:
+    """The comparison ``b OP' a`` equivalent to ``a OP b``."""
+    return {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
-    Ordering operators always compare numerically (the benchmark's casting
-    challenge); equality compares numerically when both sides cast, else as
-    strings.
-    """
-    if op in ("<", "<=", ">", ">="):
-        left_num = try_number(left)
-        right_num = try_number(right)
-        if left_num is None or right_num is None:
-            return False
-        if op == "<":
-            return left_num < right_num
-        if op == "<=":
-            return left_num <= right_num
-        if op == ">":
-            return left_num > right_num
-        return left_num >= right_num
-    left_num = try_number(left)
-    right_num = try_number(right)
+
+def _ordering(test):
+    def compare(left, right) -> bool:
+        left, right = try_number(left), try_number(right)
+        return left is not None and right is not None and test(left, right)
+    return compare
+
+
+def _equal(left, right) -> bool:
+    left_num, right_num = try_number(left), try_number(right)
     if left_num is not None and right_num is not None:
-        equal = left_num == right_num
-    else:
-        equal = atomic_to_string(left) == atomic_to_string(right)
-    return equal if op == "=" else not equal
+        return left_num == right_num
+    return atomic_to_string(left) == atomic_to_string(right)
+
+
+#: Value comparison with runtime string->number casting, one comparator
+#: per operator (resolved once per call site or probe, not per pair).
+#: Ordering operators always compare numerically (the benchmark's casting
+#: challenge); equality compares numerically when both sides cast, else as
+#: strings.
+COMPARATORS = {
+    "<": _ordering(operator.lt), "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
+    "=": _equal, "!=": lambda left, right: not _equal(left, right),
+}
 
 
 def general_compare(op: str, left: list, right: list, navigator: Navigator) -> bool:
@@ -269,8 +295,9 @@ def general_compare(op: str, left: list, right: list, navigator: Navigator) -> b
 
 def any_pair(op: str, left_atoms: list, right_atoms: list) -> bool:
     """Whether any pair of atomics, one from each list, compares true."""
+    compare = COMPARATORS[op]
     for a in left_atoms:
         for b in right_atoms:
-            if compare_atomics(op, a, b):
+            if compare(a, b):
                 return True
     return False
