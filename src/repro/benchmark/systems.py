@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
+from repro.obs.trace import NULL_TRACER
 from repro.storage.dom_store import DomStore
 from repro.storage.fragment_store import FragmentStore
 from repro.storage.heap_store import HeapStore
@@ -130,15 +131,27 @@ def make_store(name: str) -> Store:
         raise BenchmarkError(f"unknown system {name!r}; choose from A-G") from None
 
 
-def load_stores(document: str, systems: tuple[str, ...]) -> tuple[dict, dict, dict]:
-    """Bulkload one store per system letter (shared by every connection
-    owner: the embedded Database and the QueryService).
+def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
+                recovered=None, tracer=NULL_TRACER) -> tuple[dict, dict, dict, object]:
+    """The one loader of every connection owner (the embedded Database
+    and the QueryService): bulkload one store per system letter and,
+    when ``shard_spec`` (a :class:`repro.service.ShardSpec`) asks for
+    one, the sharded deployment with its scatter-gather executor.
 
-    Returns ``(stores, load_reports, failed_loads)``; a system that fails
-    to load (System G's capacity limit at scale, notably) lands in
-    ``failed_loads`` with the failure reason instead of raising.
+    Returns ``(stores, load_reports, failed_loads, scatter_executor)``;
+    a system that fails to load (System G's capacity limit at scale,
+    notably) lands in ``failed_loads`` with the failure reason instead of
+    raising.  ``recovered`` is a durable reconnect's
+    :class:`~repro.storage.wal.RecoveryReport`: when recovery already
+    reassembled the exact pre-crash partition (same placement, same
+    order seeds) in the requested shape, that store is adopted instead
+    of re-partitioning the document.
     """
-    from repro.storage.bulkload import bulkload
+    from repro.storage.bulkload import BulkloadReport, bulkload
+    if shard_spec is not None and shard_spec.name in SYSTEMS:
+        raise BenchmarkError(
+            f"shard system name {shard_spec.name!r} collides with a "
+            "benchmark system letter")
     stores: dict[str, Store] = {}
     reports: dict = {}
     failed: dict[str, str] = {}
@@ -150,7 +163,29 @@ def load_stores(document: str, systems: tuple[str, ...]) -> tuple[dict, dict, di
             failed[name] = str(exc)
             continue
         stores[name] = store
-    return stores, reports, failed
+    if shard_spec is None:
+        return stores, reports, failed, None
+    from repro.shard.scatter import ScatterGatherExecutor
+    from repro.shard.store import ShardedStore
+    name = shard_spec.name
+    sharded = ShardedStore(shard_spec.shards, shard_spec.backends)
+    adopted = getattr(recovered, "sharded_store", None)
+    if adopted is not None and adopted.backends == sharded.backends:
+        sharded = adopted
+        reports[name] = BulkloadReport(
+            store_name=name,
+            seconds=recovered.load_seconds + recovered.replay_seconds,
+            cpu_seconds=0.0, database_bytes=0, document_bytes=len(document))
+    else:
+        try:
+            reports[name] = bulkload(sharded, document, name)
+        except Exception as exc:
+            failed[name] = str(exc)
+            return stores, reports, failed, None
+    stores[name] = sharded
+    return stores, reports, failed, ScatterGatherExecutor(
+        sharded, per_shard_limit=shard_spec.per_shard_limit,
+        partial_cache_size=shard_spec.partial_cache_size, tracer=tracer)
 
 
 def get_profile(name: str) -> SystemProfile:

@@ -420,9 +420,10 @@ def _index_report(args) -> int:
 
 
 def _update_report(args) -> int:
-    from repro.benchmark.systems import make_store, parse_system_letters
-    from repro.errors import BenchmarkError, XMarkError
-    from repro.update import UpdateStream, apply_update, serialize_store
+    from repro.benchmark.systems import parse_system_letters
+    from repro.db import connect
+    from repro.errors import BenchmarkError
+    from repro.update import UpdateStream, serialize_store
     from repro.update.stream import DEFAULT_UPDATE_SEED
 
     try:
@@ -430,55 +431,41 @@ def _update_report(args) -> int:
     except BenchmarkError as exc:
         print(f"update: {exc}", file=sys.stderr)
         return 2
-    text = generate_string(args.factor)
-    stores = {}
-    for system in systems:
-        store = make_store(system)
-        try:
-            store.load(text)
-        except XMarkError as exc:
-            print(f"system {system} failed to load: {exc}", file=sys.stderr)
-            continue
-        store.index_maintenance = args.maintenance
-        stores[system] = store
-    if not stores:
-        return 1
-
-    seed = args.seed if args.seed is not None else DEFAULT_UPDATE_SEED
-    stream = UpdateStream(next(iter(stores.values())), seed)
-    report = []
-    for number in range(args.operations):
-        op = stream.next_op()
-        stream.note_applied(op)
-        row = {"op": op.token(), "systems": {}}
-        for system, store in stores.items():
-            changes = apply_update(store, op)
-            row["systems"][system] = {
-                "mutate_ms": round(changes.mutate_seconds * 1000.0, 3),
-                "index_ms": round(changes.index_seconds * 1000.0, 3),
-                "nodes_indexed": changes.nodes_indexed,
-            }
-        report.append(row)
-        if hasattr(op, "person"):
-            shown = f"{op.kind}:{op.person.attributes.get('id', '?')}"
-        else:
-            shown = ":".join(op.token().split(":", 3)[:2])
-        costs = "  ".join(
-            f"{system} {cells['mutate_ms'] + cells['index_ms']:7.3f} ms"
-            for system, cells in row["systems"].items())
-        print(f"  #{number + 1:<3d} {shown:<42s} {costs}")
-
-    digest = next(iter(stores.values())).document_digest()
-    print(f"applied {len(report)} operation(s) under {args.maintenance} "
-          f"maintenance; digest {digest}")
-    # The digest is a hash chain over (load, op tokens) and cannot detect a
-    # store mis-applying an op — serialize and compare the actual documents.
-    if len(stores) > 1:
-        texts = {serialize_store(store) for store in stores.values()}
-        if len(texts) != 1:
-            print("update: serialized documents diverged", file=sys.stderr)
+    with connect(generate_string(args.factor), systems=systems) as db:
+        for system, reason in db.failed_loads.items():
+            print(f"system {system} failed to load: {reason}", file=sys.stderr)
+        stores = db.stores
+        if not stores:
             return 1
-        print("serialized documents identical across systems")
+
+        seed = args.seed if args.seed is not None else DEFAULT_UPDATE_SEED
+        stream = UpdateStream(next(iter(stores.values())), seed)
+        report = []
+        for number in range(args.operations):
+            op = stream.next_op()
+            stream.note_applied(op)
+            commit = db.apply_transaction([op], maintenance=args.maintenance)
+            row = {"op": op.token(), "systems": commit["systems"]}
+            report.append(row)
+            if hasattr(op, "person"):
+                shown = f"{op.kind}:{op.person.attributes.get('id', '?')}"
+            else:
+                shown = ":".join(op.token().split(":", 3)[:2])
+            costs = "  ".join(
+                f"{system} {cells['mutate_ms'] + cells['index_ms']:7.3f} ms"
+                for system, cells in row["systems"].items())
+            print(f"  #{number + 1:<3d} {shown:<42s} {costs}")
+
+        print(f"applied {len(report)} operation(s) under {args.maintenance} "
+              f"maintenance; digest {db.document_digest()}")
+        # The digest is a hash chain over (load, op tokens) and cannot detect
+        # a store mis-applying an op — serialize and compare the documents.
+        if len(stores) > 1:
+            texts = {serialize_store(store) for store in stores.values()}
+            if len(texts) != 1:
+                print("update: serialized documents diverged", file=sys.stderr)
+                return 1
+            print("serialized documents identical across systems")
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump({"factor": args.factor, "seed": seed,
@@ -595,21 +582,15 @@ def _checkpoint_command(args) -> int:
     """``xmark checkpoint``: offline snapshot + WAL compaction."""
     from repro.errors import XMarkError
     from repro.storage.wal import DurabilityManager, recover
-    from repro.storage.wal.snapshot import document_snapshot, sharded_snapshot
+    from repro.storage.wal.snapshot import document_snapshot, store_snapshot
 
     try:
         report = recover(args.directory)
         with DurabilityManager(args.directory) as manager:
-            manager.attach(report.last_lsn)
-            sharded = report.sharded_store
-            if sharded is not None:
-                state = sharded.partition_state()
-                snapshot = sharded_snapshot(
-                    report.last_lsn, report.digest,
-                    backends=list(sharded.backends),
-                    fragments=sharded.shard_fragment_texts(),
-                    extent_seqs=state["extent_seqs"],
-                    id_map=state["id_map"])
+            manager.attach(report)
+            if report.sharded_store is not None:
+                snapshot = store_snapshot(report.last_lsn,
+                                          report.sharded_store)
             else:
                 snapshot = document_snapshot(
                     report.last_lsn, report.digest, report.document)

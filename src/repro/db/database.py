@@ -23,6 +23,7 @@ digests, indexes, and caches stay consistent.  See docs/API.md.
 
 from __future__ import annotations
 
+import threading
 import time
 import weakref
 
@@ -35,10 +36,9 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, TraceLogWriter, Tracer
-from repro.storage.bulkload import BulkloadReport, bulkload
-from repro.storage.interface import Store, chain_digest, store_document_text
-from repro.update.engine import apply_transaction_ops
-from repro.update.ops import UpdateOp, transaction_token
+from repro.storage.interface import Store
+from repro.update.commit import WritePath
+from repro.update.ops import UpdateOp
 from repro.xquery.evaluator import evaluate, evaluate_stream
 from repro.xquery.planner import CompiledQuery, compile_query
 
@@ -170,23 +170,23 @@ class Database:
 
         self._durability = None
         self.recovery = None            # RecoveryReport when a reconnect replayed
-        recovered_sharded = None
         if durable is not None:
-            document, recovered_sharded = self._open_durable(
-                durable, document, sync=sync, group_size=group_size,
-                shards=shards, backends=tuple(backends))
+            document = self._open_durable(durable, document, sync=sync,
+                                          group_size=group_size)
         elif document is None:
             raise BenchmarkError(
                 "document may only be omitted when reconnecting to an "
                 "existing durable directory")
         self.document = document
 
-        if service:
+        if service or shards is not None:
+            # On demand: a plain direct connection (and the process
+            # serving one) never loads the service/shard packages.
             from repro.service import QueryService, ShardSpec
-            spec = (ShardSpec(shards=shards, backends=tuple(backends),
-                              name=shard_system,
-                              per_shard_limit=per_shard_limit)
-                    if shards is not None else None)
+        spec = (ShardSpec(shards=shards, backends=tuple(backends),
+                          name=shard_system, per_shard_limit=per_shard_limit)
+                if shards is not None else None)
+        if service:
             self.service = QueryService(
                 document, tuple(systems),
                 max_workers=max_workers,
@@ -195,135 +195,73 @@ class Database:
                 result_cache_size=result_cache_size,
                 shard_spec=spec,
                 tracer=self.tracer,
+                durability=self._durability,
                 query_log=query_log,
             )
             self.stores = self.service.stores
             self.load_reports = self.service.load_reports
             self.failed_loads = self.service.failed_loads
+            self._write_path = self.service.write_path
         else:
-            self.stores, self.load_reports, self.failed_loads = load_stores(
-                document, tuple(systems))
-            if shards is not None:
-                from repro.shard.scatter import ScatterGatherExecutor
-                from repro.shard.store import ShardedStore
-                if shard_system in SYSTEMS:
-                    raise BenchmarkError(
-                        f"shard system name {shard_system!r} collides with a "
-                        "benchmark system letter")
-                if recovered_sharded is not None:
-                    # Recovery already reassembled the exact pre-crash
-                    # partition (same placement, same order seeds) —
-                    # adopt it instead of re-partitioning the document.
-                    sharded = recovered_sharded
-                    self.stores[shard_system] = sharded
-                    self.load_reports[shard_system] = BulkloadReport(
-                        store_name=shard_system,
-                        seconds=(self.recovery.load_seconds
-                                 + self.recovery.replay_seconds),
-                        cpu_seconds=0.0,
-                        database_bytes=0,
-                        document_bytes=len(document),
-                    )
-                    self._scatter = ScatterGatherExecutor(
-                        sharded, per_shard_limit=per_shard_limit,
-                        tracer=self.tracer)
-                else:
-                    sharded = ShardedStore(shards, tuple(backends))
-                    try:
-                        self.load_reports[shard_system] = bulkload(
-                            sharded, document, shard_system)
-                    except Exception as exc:
-                        self.failed_loads[shard_system] = str(exc)
-                    else:
-                        self.stores[shard_system] = sharded
-                        self._scatter = ScatterGatherExecutor(
-                            sharded, per_shard_limit=per_shard_limit,
-                            tracer=self.tracer)
+            (self.stores, self.load_reports, self.failed_loads,
+             self._scatter) = load_stores(
+                document, tuple(systems), spec, recovered=self.recovery,
+                tracer=self.tracer)
+            # The degenerate service: the same write path under its own
+            # update lock, with no gates to drain and no result cache —
+            # a commit only poisons the open streaming cursors.
+            self._update_lock = threading.RLock()
+            self._write_path = WritePath(
+                self.stores, self._update_lock, source="direct",
+                tracer=self.tracer, invalidate=self._poison_cursors,
+                durability=self._durability)
         self._serving = tuple(self.stores)
         self._registry = (MetricsRegistry() if self.service is None
                           else None)
         if durable is not None:
-            self._finish_durable(durable, sync=sync, group_size=group_size,
-                                 shards=shards, backends=tuple(backends))
+            self._finish_durable()
 
     # -- durability -----------------------------------------------------------------
 
-    def _open_durable(self, durable, document, *, sync, group_size,
-                      shards, backends):
-        """Recover an existing durable directory (or pass through for a
-        fresh one); returns the document to load and, when recovery
-        reassembled one, the pre-crash sharded store to adopt."""
+    def _open_durable(self, durable, document, *, sync, group_size) -> str:
+        """Open the durable directory's manager, recovering an existing
+        deployment first; returns the document to load."""
+        from repro.storage.interface import document_digest as content_of
         from repro.storage.wal import DurabilityManager, recover
-        if not DurabilityManager.exists(durable):
+        self._durability = manager = DurabilityManager(
+            durable, sync=sync, group_size=group_size, tracer=self.tracer)
+        if not manager.exists(durable):
             if document is None:
                 raise DurabilityError(
                     f"{durable} holds no durable deployment; a document is "
                     "required to create one")
-            return document, None
-        report = recover(durable, tracer=self.tracer)
-        manifest = DurabilityManager.read_manifest(durable)
-        if document is not None:
-            from repro.storage.interface import document_digest as content_of
-            if content_of(document) != manifest["base_digest"]:
-                raise DurabilityError(
-                    f"{durable} was created from a different base document "
-                    f"(base digest {manifest['base_digest']}); refusing to "
-                    "fork the lineage")
-        self.recovery = report
-        manager = DurabilityManager(durable, sync=sync,
-                                    group_size=group_size, tracer=self.tracer)
-        manager.attach(report.last_lsn)
-        self._durability = manager
-        recovered_sharded = None
-        candidate = report.sharded_store
-        if (candidate is not None and shards is not None
-                and candidate.shard_count == shards
-                and tuple(candidate.backends) == tuple(
-                    backends[i % len(backends)] for i in range(shards))):
-            recovered_sharded = candidate
-        return report.document, recovered_sharded
+            return document
+        self.recovery = report = recover(durable, tracer=self.tracer)
+        base_digest = manager.manifest["base_digest"]
+        if document is not None and content_of(document) != base_digest:
+            raise DurabilityError(
+                f"{durable} was created from a different base document "
+                f"(base digest {base_digest}); refusing to fork the lineage")
+        manager.attach(report)
+        return report.document
 
-    def _finish_durable(self, durable, *, sync, group_size,
-                        shards, backends) -> None:
-        """After the stores are serving: initialize a fresh durable
+    def _finish_durable(self) -> None:
+        """After the stores are serving: write a fresh durable
         directory's base snapshot, or restore the recovered digest chain."""
-        from repro.storage.wal import DurabilityManager
-        from repro.storage.wal.snapshot import (
-            document_snapshot, sharded_snapshot,
-        )
-        sharded = (self.stores.get(self.shard_system)
-                   if self.shard_system is not None else None)
-        if self._durability is None:
+        manager = self._durability
+        if self.recovery is None:
             if not self.stores:
                 raise DurabilityError(
                     "no system loaded successfully; cannot create a "
                     "durable deployment")
-            base_digest = next(iter(self.stores.values())).document_digest()
-            manager = DurabilityManager(durable, sync=sync,
-                                        group_size=group_size,
-                                        tracer=self.tracer)
-            if sharded is not None:
-                state = sharded.partition_state()
-                snapshot = sharded_snapshot(
-                    0, base_digest, backends=list(sharded.backends),
-                    fragments=sharded.shard_fragment_texts(),
-                    extent_seqs=state["extent_seqs"],
-                    id_map=state["id_map"])
-                manager.initialize(snapshot, streams=sharded.shard_count,
-                                   shard_backends=list(sharded.backends))
-            else:
-                snapshot = document_snapshot(0, base_digest, self.document)
-                manager.initialize(snapshot)
-            self._durability = manager
+            manager.initialize(self._snapshot(0, self.document))
         else:
             # Reconnect: freshly loaded stores carry the recovered
             # document's *content* digest; the lineage continues from the
             # recovered *chain* value.
             for store in self.stores.values():
                 store.restore_digest(self.recovery.digest)
-        self._durability.bind_registry(self.registry)
-        if self.service is not None:
-            self.service.durability = self._durability
+        manager.bind_registry(self.registry)
 
     @property
     def durability(self):
@@ -331,54 +269,34 @@ class Database:
         (``None`` on a non-durable connection)."""
         return self._durability
 
-    def _commit_stream(self, op: UpdateOp) -> int:
-        """The WAL stream one single-op commit routes to (its primary
-        shard on a matching sharded deployment, stream 0 otherwise)."""
-        manager = self._durability
-        if manager is None or manager.stream_count == 1:
-            return 0
-        sharded = (self.stores.get(self.shard_system)
-                   if self.shard_system is not None else None)
-        if sharded is None or sharded.shard_count != manager.stream_count:
-            return 0
-        return sharded.route_op(op)
+    def _snapshot(self, lsn: int, document: str | None = None) -> dict:
+        """The serving state as of commit ``lsn``: the sharded store's
+        partition when there is one, the default system's serialization
+        otherwise.  Caller holds the update lock (or is still
+        constructing)."""
+        from repro.storage.wal.snapshot import store_snapshot
+        store = self.stores.get(self.shard_system)
+        if store is None:
+            store = self.store(self.default_system())
+        return store_snapshot(lsn, store, document)
 
     def checkpoint(self) -> dict:
         """Snapshot the current committed state and compact the WAL.
 
-        Quiesces writers (on a service connection, via the service's
-        write barrier), writes a snapshot at the last logged LSN, flips
-        the manifest to it, truncates every stream down to the records
-        the snapshot does not cover, and drops the superseded snapshot.
-        Returns the manager's compaction report.
+        Holds the connection's update lock — the one every commit takes —
+        so the LSN and the store state it snapshots describe the same
+        commit; readers are unaffected.  Writes a snapshot at the last
+        logged LSN, flips the manifest to it, truncates every stream
+        down to the records the snapshot does not cover, and drops the
+        superseded snapshot.  Returns the manager's compaction report.
         """
-        from contextlib import nullcontext
-        from repro.storage.wal.snapshot import (
-            document_snapshot, sharded_snapshot,
-        )
         self._require_open()
         if self._durability is None:
             raise DurabilityError(
                 "connection is not durable; connect(durable=<dir>) first")
-        barrier = (self.service.write_barrier()
-                   if self.service is not None else nullcontext())
-        with barrier:
-            lsn = self._durability.last_lsn
-            sharded = (self.stores.get(self.shard_system)
-                       if self.shard_system is not None else None)
-            if sharded is not None:
-                state = sharded.partition_state()
-                snapshot = sharded_snapshot(
-                    lsn, sharded.document_digest(),
-                    backends=list(sharded.backends),
-                    fragments=sharded.shard_fragment_texts(),
-                    extent_seqs=state["extent_seqs"],
-                    id_map=state["id_map"])
-            else:
-                store = self.store(self.default_system())
-                snapshot = document_snapshot(
-                    lsn, store.document_digest(), store_document_text(store))
-            report = self._durability.checkpoint(snapshot)
+        with self._write_path.lock:
+            report = self._durability.checkpoint(
+                self._snapshot(self._durability.last_lsn))
         self.registry.counter("db.checkpoints_total").inc()
         return report
 
@@ -582,60 +500,31 @@ class Database:
 
     def apply_transaction(self, ops: list[UpdateOp], *,
                           maintenance: str | None = None) -> dict:
-        """Commit a batch of update operations as one unit.
+        """Commit a batch of update operations as one unit
+        (``kind="txn"``: one digest advance per store, over the batch
+        token) through the connection's one write path — the sequence is
+        :meth:`repro.update.commit.WritePath.commit`'s.
 
-        Every serving store receives every operation (operation-major
-        order, so a deterministic failure leaves all stores at the same
-        consistent prefix), then each store's digest advances once, over
-        the batch token.  On a service connection the service additionally
-        drains every system's admission gate for the whole batch (readers
-        never observe an intermediate document) and runs one path-selective
-        invalidation pass over the union change footprint.
-
-        There is no rollback: on failure the committed prefix stays
-        applied, digests advance over exactly the applied operations, and
-        a :class:`~repro.errors.TransactionError` reports how far the
-        batch got.
+        A service connection drains every system's admission gate for
+        the whole batch (readers never observe an intermediate document)
+        and re-keys its result cache; a direct connection poisons its
+        open streaming cursors.  There is no rollback: on failure the
+        committed prefix stays applied, digests advance over exactly the
+        applied operations, and a :class:`~repro.errors.TransactionError`
+        reports how far the batch got.
         """
         self._require_open()
-        if self.service is not None:
-            return self.service.apply_transaction(ops, maintenance=maintenance)
-        if not ops:
-            return {"ops": [], "systems": {}, "digest": None}
-        # A suspended streaming pipeline holds pre-commit store handles;
-        # resuming it over the mutated store could yield rows matching
-        # neither document state.  Poison open streaming cursors first.
+        return self._write_path.commit(ops, "txn", maintenance=maintenance)
+
+    def _poison_cursors(self, _old_digests, _changes) -> dict:
+        """A direct connection's post-commit invalidation.  A suspended
+        streaming pipeline holds pre-commit store handles; resuming it
+        over the mutated store could yield rows matching neither
+        document state."""
         for cursor in list(self._streaming_cursors):
             if not cursor._exhausted:
                 cursor.invalidate(
                     "streaming cursor invalidated by a transaction commit "
                     "on this connection; re-execute the query")
         self._streaming_cursors.clear()
-        tracer = self.tracer
-        root = (tracer.begin("txn.commit", ops=len(ops),
-                             systems=len(self.stores))
-                if tracer.enabled else None)
-        try:
-            with tracer.activate(root):
-                token = transaction_token(ops)
-                if self._durability is not None and self.stores:
-                    # WAL-before-apply: the commit is durable before any
-                    # store mutates; a crash in between replays it.
-                    prev = (next(iter(self.stores.values()))
-                            .document_digest() or "")
-                    self._durability.log_commit(
-                        ops, kind="txn", prev_digest=prev,
-                        digest=chain_digest(prev, token))
-                costs, _changed, _ancestors = apply_transaction_ops(
-                    self.stores, ops, maintenance_mode=maintenance,
-                    tracer=tracer)
-                digest = None
-                for store in self.stores.values():
-                    digest = store.advance_digest(token)
-            if root is not None:
-                root.set(digest=digest)
-        finally:
-            if root is not None:
-                root.finish()
-        return {"ops": [op.token() for op in ops], "systems": costs,
-                "digest": digest}
+        return {}

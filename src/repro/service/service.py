@@ -34,12 +34,12 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
 
 from repro.benchmark.queries import QUERIES
-from repro.benchmark.systems import SYSTEMS, get_profile, load_stores
-from repro.errors import BenchmarkError, ShardError
+from repro.benchmark.systems import get_profile, load_stores
+from repro.errors import BenchmarkError, DurabilityError, ShardError
 from repro.obs.trace import NULL_TRACER
 from repro.service.cache import PlanCache, ResultCache
 from repro.service.invalidation import (
@@ -49,9 +49,10 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.workload import ClientRequest, WorkloadGenerator, WorkloadSpec
 from repro.shard.scatter import ScatterGatherExecutor
 from repro.shard.store import DEFAULT_BACKEND, ShardedStore
-from repro.storage.bulkload import BulkloadReport, bulkload
+from repro.storage.bulkload import BulkloadReport
 from repro.storage.interface import Store, document_digest
-from repro.update.engine import ChangeSet, apply_update as engine_apply_update
+from repro.update.commit import WritePath
+from repro.update.engine import ChangeSet
 from repro.update.ops import UpdateOp
 from repro.update.stream import UpdateStream
 from repro.xquery.evaluator import QueryResult, evaluate
@@ -69,8 +70,8 @@ class ShardSpec:
     :class:`~repro.shard.scatter.ScatterGatherExecutor`.  Reads hold the
     system's admission permit like any other system's, scatter subtasks
     additionally pass per-shard admission (``per_shard_limit``), and
-    writes drain the system gate before routing through the update
-    engine — the same torn-read guarantee the unsharded systems get.
+    commits drain the system's gate with every other system's — the
+    same torn-read guarantee the unsharded systems get.
     """
 
     shards: int = 2
@@ -122,16 +123,22 @@ class QueryService:
     ) -> None:
         if max_workers <= 0:
             raise BenchmarkError(f"max_workers must be positive, got {max_workers}")
-        if shard_spec is not None and shard_spec.name in SYSTEMS:
-            raise BenchmarkError(
-                f"shard system name {shard_spec.name!r} collides with a "
-                "benchmark system letter")
         self.shard_spec = shard_spec
         self.tracer = tracer
         self._shard_executor: ScatterGatherExecutor | None = None
         self.stores: dict[str, Store] = {}
         self.load_reports: dict[str, BulkloadReport] = {}
         self.failed_loads: dict[str, str] = {}
+        # Writers serialize globally on this lock; reloads, checkpoints
+        # and close() take it too.  Lock order: update lock -> admission
+        # gates -> cache lock.
+        self._update_lock = threading.RLock()
+        #: The one write path; an embedding Database commits and
+        #: checkpoints through this same object.
+        self.write_path = WritePath(
+            self.stores, self._update_lock, source="service", tracer=tracer,
+            exclusion=self._exclusive, invalidate=self._rekey_results,
+            durability=durability)
         self._load(document, systems)
         limit = per_system_limit if per_system_limit is not None else max_workers
         if limit <= 0:
@@ -153,13 +160,7 @@ class QueryService:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="xmark-query")
         self._closed = False
-        self.updates_applied = 0
-        self._update_lock = threading.RLock()   # writers serialize globally
         self._update_stream: UpdateStream | None = None
-        #: Optional :class:`~repro.storage.wal.DurabilityManager`: when
-        #: set, every write logs to the WAL *before* the engine applies
-        #: it (see docs/DURABILITY.md).  Usually wired by the connection.
-        self.durability = durability
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -175,26 +176,15 @@ class QueryService:
         spec = self.shard_spec
         plain = tuple(name for name in systems
                       if spec is None or name != spec.name)
-        stores, reports, failed = load_stores(document, plain)
+        stores, reports, failed, executor = load_stores(
+            document, plain, spec, tracer=self.tracer,
+            recovered=getattr(self.durability, "recovered", None))
         self.stores.update(stores)
         self.load_reports.update(reports)
         self.failed_loads.update(failed)
         superseded = None
-        if spec is not None:
-            sharded = ShardedStore(spec.shards, spec.backends)
-            try:
-                self.load_reports[spec.name] = bulkload(sharded, document, spec.name)
-            except Exception as exc:
-                self.failed_loads[spec.name] = str(exc)
-            else:
-                self.stores[spec.name] = sharded
-                superseded = self._shard_executor
-                self._shard_executor = ScatterGatherExecutor(
-                    sharded,
-                    per_shard_limit=spec.per_shard_limit,
-                    partial_cache_size=spec.partial_cache_size,
-                    tracer=self.tracer,
-                )
+        if executor is not None:
+            superseded, self._shard_executor = self._shard_executor, executor
         return superseded
 
     def reload_document(self, document: str) -> None:
@@ -218,9 +208,9 @@ class QueryService:
         digest already equals the new text's digest there is no stale state
         to shed, so stores, plans, results, and indexes all survive.
 
-        Reloads serialize with in-place updates (the update lock): a
-        reload racing :meth:`apply_update` could otherwise swap the store
-        set mid-write and fork the serving systems' document lineages.
+        Reloads serialize with commits (the update lock): a reload
+        racing a commit could otherwise swap the store set mid-write and
+        fork the serving systems' document lineages.
         """
         self._require_open()
         with self._update_lock:
@@ -230,7 +220,6 @@ class QueryService:
                             for store in self.stores.values())):
                 return
             if self.durability is not None:
-                from repro.errors import DurabilityError
                 raise DurabilityError(
                     "a durable service cannot reload a different document; "
                     "the WAL lineage would fork")
@@ -269,195 +258,86 @@ class QueryService:
 
     # -- the write path ------------------------------------------------------------
 
-    @contextmanager
-    def write_barrier(self):
-        """Hold the global update lock: no write commits while held.
+    @property
+    def durability(self):
+        """The :class:`~repro.storage.wal.DurabilityManager` every commit
+        logs to before it applies (``None``: not durable)."""
+        return self.write_path.durability
 
-        Checkpoints use this to snapshot a commit-consistent state;
-        readers are unaffected (they never mutate the stores).
-        """
-        with self._update_lock:
-            yield
-
-    def _log_commit(self, ops, *, kind: str, stream: int = 0) -> None:
-        """WAL-before-apply: make the commit durable before any store
-        mutates (no-op on a non-durable service).  Caller holds the
-        update lock."""
-        if self.durability is None or not self.stores:
-            return
-        from repro.storage.interface import chain_digest
-        from repro.update.ops import transaction_token
-        prev = next(iter(self.stores.values())).document_digest() or ""
-        token = (transaction_token(ops) if kind == "txn"
-                 else ops[0].token())
-        self.durability.log_commit(ops, kind=kind, prev_digest=prev,
-                                   digest=chain_digest(prev, token),
-                                   stream=stream)
-
-    def _commit_stream(self, op: UpdateOp) -> int:
-        """The WAL stream one single-op commit routes to: its primary
-        shard when the durable deployment is per-shard, stream 0 else."""
-        manager = self.durability
-        if manager is None or manager.stream_count == 1:
-            return 0
-        spec = self.shard_spec
-        sharded = self.stores.get(spec.name) if spec is not None else None
-        if sharded is None or sharded.shard_count != manager.stream_count:
-            return 0
-        return sharded.route_op(op)
+    @property
+    def updates_applied(self) -> int:
+        return self.write_path.commits
 
     @contextmanager
-    def _exclusive(self, system: str):
-        """Drain and hold every admission permit of one system.
+    def _exclusive(self, *systems: str):
+        """Drain and hold every admission permit of the named systems —
+        of every serving system when none is named (the write path's
+        reader exclusion).
 
         Readers hold one permit for the duration of their execution, so
-        holding all of them is a write lock: no reader can observe a
-        half-applied document, and the writer waits for in-flight reads.
+        holding all of them is a write lock: the writer waits for
+        in-flight reads, and no reader observes a half-applied document
+        or two systems at different versions.
         """
-        gate = self._admission[system]
-        acquired = 0
+        held = []
         try:
-            for _ in range(self.per_system_limit):
-                gate.acquire()
-                acquired += 1
+            for name in systems or tuple(self.stores):
+                gate = self._admission[name]
+                for _ in range(self.per_system_limit):
+                    gate.acquire()
+                    held.append(gate)
             yield
         finally:
-            for _ in range(acquired):
+            for gate in held:
                 gate.release()
+
+    def _rekey_results(self, old_digests: dict[str, str],
+                       changes: ChangeSet | None) -> dict[str, dict]:
+        """The write path's invalidation: re-key the result cache
+        path-selectively.  Entries whose query the union change footprint
+        cannot affect stay cached under the new digest, the rest are
+        dropped; after a refused commit (``changes is None``) the applied
+        prefix's stores lose their cached results conservatively.
+        Compiled plans survive either way — they resolve index probes
+        through the store at execution time, so a maintained (or
+        rebuilt, or dropped) IndexSet never leaves them wrong, only
+        differently fast."""
+        if changes is None:
+            for digest in old_digests.values():
+                self.result_cache.invalidate_document(digest)
+            return {}
+        cells = {}
+        for name, old_digest in old_digests.items():
+            with self.tracer.span("service.invalidate", system=name) as inv:
+                kept, dropped = self.result_cache.rekey_document(
+                    name, old_digest, changes.digest,
+                    lambda text: not affected(query_footprint(text), changes))
+                inv.set(results_kept=kept, results_dropped=dropped,
+                        footprint=len(changes.changed_tokens))
+            cells[name] = {"results_kept": kept, "results_dropped": dropped}
+        return cells
 
     def apply_update(self, op: UpdateOp, *,
                      maintenance: str | None = None) -> dict:
-        """Apply one update operation to every serving store.
-
-        Per system, the write runs under that system's drained admission
-        gate (readers never see a torn document), the document digest
-        advances along the operation chain, and the result cache is
-        re-keyed path-selectively: entries whose query the change footprint
-        cannot affect stay cached under the new digest, the rest are
-        dropped.  Compiled plans survive — they resolve index probes
-        through the store at execution time, so a maintained (or rebuilt,
-        or dropped) IndexSet never leaves them wrong, only differently
-        fast.  Returns a per-system summary of what the write cost.
-
-        Writers serialize globally (the update lock): interleaved writers
-        could otherwise reach the serving systems in different orders and
-        fork their document lineages.
-        """
+        """Commit one update operation (WAL ``kind="op"``: the digest
+        chains over the op's own token); see :meth:`apply_transaction`."""
         self._require_open()
-        tracer = self.tracer
-        root = (tracer.begin("service.update", op=op.token(),
-                             systems=len(self.stores))
-                if tracer.enabled else None)
-        summary: dict[str, dict] = {}
-        changes: ChangeSet | None = None
-        try:
-            with tracer.activate(root), self._update_lock:
-                self._log_commit([op], kind="op",
-                                 stream=self._commit_stream(op))
-                for name, store in self.stores.items():
-                    old_digest = store.document_digest() or ""
-                    with self._exclusive(name):
-                        changes = engine_apply_update(
-                            store, op, maintenance_mode=maintenance,
-                            tracer=tracer)
-                    with tracer.span("service.invalidate",
-                                     system=name) as inv:
-                        kept, dropped = self.result_cache.rekey_document(
-                            name, old_digest, changes.digest or "",
-                            lambda text: not affected(query_footprint(text),
-                                                      changes))
-                        inv.set(results_kept=kept, results_dropped=dropped,
-                                footprint=len(changes.changed_tokens))
-                    summary[name] = {
-                        "maintenance": changes.maintenance,
-                        "mutate_ms": round(changes.mutate_seconds * 1000.0, 3),
-                        "index_ms": round(changes.index_seconds * 1000.0, 3),
-                        "nodes_indexed": changes.nodes_indexed,
-                        "results_kept": kept,
-                        "results_dropped": dropped,
-                    }
-                self.updates_applied += 1
-        finally:
-            if root is not None:
-                root.finish()
-        return {"op": op.token(), "systems": summary}
+        return self.write_path.commit([op], "op", maintenance=maintenance)
 
     def apply_transaction(self, ops: list[UpdateOp], *,
                           maintenance: str | None = None) -> dict:
-        """Commit a batch of update operations as one atomic unit.
+        """Commit a batch of update operations as one atomic unit
+        (:meth:`repro.update.commit.WritePath.commit`, ``kind="txn"``).
 
-        All serving systems' admission gates are drained and held for the
-        whole batch, so no reader ever observes an intermediate document
-        between the batch's operations — the transaction isolation the
-        per-op :meth:`apply_update` cannot give.  Each store receives the
-        operations in operation-major order (a deterministic failure
-        leaves every store at the same consistent prefix), the digest
-        advances *once* per store over the batch token, and the result
-        cache is re-keyed in one path-selective pass over the union of
-        the batch's change footprints.
-
-        No rollback: on failure the applied prefix stays, each store's
-        digest advances over exactly its applied operations (so lineages
-        remain truthful), that store's cached results are dropped
-        conservatively, and :class:`~repro.errors.TransactionError`
-        reports how far the batch got.
+        Every serving system's admission gate is drained and held for
+        the whole commit, the digest advances *once* per store over the
+        batch token, and the result cache is re-keyed in one pass over
+        the union change footprint.  No rollback: on failure the applied
+        prefix stays and :class:`~repro.errors.TransactionError` reports
+        how far the batch got.
         """
         self._require_open()
-        if not ops:
-            return {"ops": [], "systems": {}, "digest": None}
-        from repro.errors import TransactionError
-        from repro.update.engine import apply_transaction_ops
-        from repro.update.ops import transaction_token
-        summary: dict[str, dict] = {}
-        tracer = self.tracer
-        root = (tracer.begin("service.transaction", ops=len(ops),
-                             systems=len(self.stores))
-                if tracer.enabled else None)
-        try:
-            with tracer.activate(root), \
-                    self._update_lock, ExitStack() as gates:
-                for name in self.stores:
-                    gates.enter_context(self._exclusive(name))
-                old_digests = {name: store.document_digest() or ""
-                               for name, store in self.stores.items()}
-                self._log_commit(ops, kind="txn")
-                try:
-                    costs, changed_tokens, ancestor_tags = \
-                        apply_transaction_ops(
-                            self.stores, ops, maintenance_mode=maintenance,
-                            tracer=tracer)
-                except TransactionError:
-                    # the committed prefix's digests are already re-chained;
-                    # drop those stores' cached results conservatively
-                    for digest in old_digests.values():
-                        self.result_cache.invalidate_document(digest)
-                    if root is not None:
-                        root.set(error="TransactionError")
-                    raise
-                union = ChangeSet(
-                    op_token=transaction_token(ops),
-                    changed_tokens=changed_tokens,
-                    ancestor_tags=ancestor_tags,
-                )
-                digest = None
-                for name, store in self.stores.items():
-                    digest = store.advance_digest(union.op_token)
-                    with tracer.span("service.invalidate",
-                                     system=name) as inv:
-                        kept, dropped = self.result_cache.rekey_document(
-                            name, old_digests[name], digest,
-                            lambda text: not affected(query_footprint(text),
-                                                      union))
-                        inv.set(results_kept=kept, results_dropped=dropped,
-                                footprint=len(union.changed_tokens))
-                    summary[name] = dict(costs[name], results_kept=kept,
-                                         results_dropped=dropped)
-                self.updates_applied += 1
-        finally:
-            if root is not None:
-                root.finish()
-        return {"ops": [op.token() for op in ops], "systems": summary,
-                "digest": digest}
+        return self.write_path.commit(ops, "txn", maintenance=maintenance)
 
     def apply_next_update(self, *, maintenance: str | None = None) -> dict:
         """Generate and apply the next operation of the service's
@@ -468,7 +348,7 @@ class QueryService:
                 self._update_stream = UpdateStream(self.stores[first])
             op = self._update_stream.next_op()
             self._update_stream.note_applied(op)
-            return self.apply_update(op)
+            return self.apply_update(op, maintenance=maintenance)
 
     def close(self) -> None:
         # The flag flips under the update lock so concurrent closers agree

@@ -25,7 +25,9 @@ prefix of the commit history.
 Per-shard streams: a sharded deployment routes each single-op commit to
 its primary shard's stream (the shard its target entity lives on);
 transaction batches and unsharded deployments use stream 0.  LSNs are
-global across streams — writers already serialize on the update lock —
+global across streams — every writer holds the connection's update lock
+around :meth:`log_commit` (:mod:`repro.update.commit`), which is what
+makes the unlocked LSN counter here safe —
 so recovery merges the streams back into one totally-ordered logical
 log and a torn tail in any stream cuts the merged history at exactly
 that commit.
@@ -77,6 +79,7 @@ class DurabilityManager:
         self._streams: list[WriteAheadLog] = []
         self._manifest: dict | None = None
         self._next_lsn = 1
+        self.recovered = None           # RecoveryReport, set by attach()
         self._closed = False
 
     # -- layout ------------------------------------------------------------------
@@ -127,17 +130,21 @@ class DurabilityManager:
 
     # -- creation ----------------------------------------------------------------
 
-    def initialize(self, snapshot: dict, *, streams: int = 1,
-                   base_digest: str | None = None,
+    def initialize(self, snapshot: dict, *, streams: int | None = None,
                    shard_backends: list[str] | None = None) -> None:
         """Create a fresh durable directory around a base snapshot.
 
         The base snapshot is the loaded document at LSN 0: recovery of a
-        never-written deployment is just a snapshot load.
+        never-written deployment is just a snapshot load.  A sharded
+        snapshot implies one stream per shard unless told otherwise.
         """
         if self.exists(self.directory):
             raise DurabilityError(
                 f"{self.directory} already holds a durable deployment")
+        if streams is None:
+            streams = snapshot.get("shard_count", 1)
+        if shard_backends is None:
+            shard_backends = snapshot.get("backends")
         if streams < 1:
             raise DurabilityError(f"streams must be >= 1, got {streams}")
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -145,7 +152,7 @@ class DurabilityManager:
         self._write_manifest({
             "format": MANIFEST_FORMAT,
             "streams": streams,
-            "base_digest": base_digest or snapshot["digest"],
+            "base_digest": snapshot["digest"],
             "shard_backends": shard_backends,
             "snapshot": {"lsn": snapshot["lsn"],
                          "digest": snapshot["digest"],
@@ -154,18 +161,21 @@ class DurabilityManager:
         self._open_streams(streams)
         self._next_lsn = snapshot["lsn"] + 1
 
-    def attach(self, last_lsn: int) -> None:
+    def attach(self, report) -> None:
         """Bind to an existing directory after recovery scanned it.
 
         Repairs every stream's torn tail (recovery already proved the
         valid prefix is the whole usable history) so appends never land
-        after garbage, then continues the LSN sequence.
+        after garbage, then continues the LSN sequence.  The report
+        stays on :attr:`recovered`: the connection's loader adopts the
+        sharded store recovery reassembled.
         """
         streams = self.manifest["streams"]
         self._open_streams(streams)
         for stream in self._streams:
             stream.repair()
-        self._next_lsn = last_lsn + 1
+        self.recovered = report
+        self._next_lsn = report.last_lsn + 1
 
     def _open_streams(self, count: int) -> None:
         self._streams = [
@@ -187,10 +197,6 @@ class DurabilityManager:
     @property
     def stream_count(self) -> int:
         return len(self._streams)
-
-    @property
-    def next_lsn(self) -> int:
-        return self._next_lsn
 
     @property
     def last_lsn(self) -> int:

@@ -16,10 +16,11 @@
    of the requested backend; a ``"sharded"`` snapshot reassembles the
    exact pre-crash :class:`~repro.shard.store.ShardedStore` from its
    fragments, shard-parallel.
-4. **Replay** — each record's operations run through the real update
-   engine (the same code path that applied them originally), advancing
-   the digest chain exactly as the original commit did: per op token for
-   ``"op"`` records, once per batch token for ``"txn"`` records.  Before
+4. **Replay** — each record is committed through
+   :meth:`repro.update.commit.WritePath.commit`, the live write path,
+   so the digest chain advances exactly as the original commit did:
+   over the op token for ``"op"`` records, once over the batch token
+   for ``"txn"`` records.  Before
    each record the store's digest must equal the record's ``prev``
    digest, and after a successful apply it must equal the record's
    ``digest`` — any mismatch is a :class:`~repro.errors.RecoveryError`,
@@ -36,12 +37,13 @@ sharded deployments — the live reassembled store.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import RecoveryError
 from repro.obs.trace import NULL_TRACER
 from repro.storage.wal.manager import DurabilityManager
-from repro.storage.wal.records import KIND_TXN, WalRecord
+from repro.storage.wal.records import WalRecord
 from repro.storage.wal.snapshot import KIND_SHARDED
 
 #: Default scratch backend for replay: System F, the cheapest loader.
@@ -127,34 +129,24 @@ def _load_snapshot_store(snapshot: dict, manifest: dict, backend: str,
     return store
 
 
-def _replay_record(store, record: WalRecord, report: RecoveryReport) -> None:
-    from repro.errors import TransactionError, XMarkError
-    from repro.update.engine import apply_transaction_ops, apply_update
-    from repro.update.ops import transaction_token
+def _replay_record(replay, store, record: WalRecord,
+                   report: RecoveryReport) -> None:
+    from repro.errors import TransactionError
     if store.document_digest() != record.prev_digest:
         raise RecoveryError(
             f"digest chain broken before LSN {record.lsn}: store at "
             f"{store.document_digest()!r}, record expects "
             f"{record.prev_digest!r}")
-    if record.kind == KIND_TXN:
-        try:
-            apply_transaction_ops({"recover": store}, list(record.ops))
-        except TransactionError:
-            # The original commit failed at the same deterministic point;
-            # the engine re-chained the digest over the applied prefix,
-            # exactly as the live database did.  The next record's prev
-            # digest re-anchors verification.
-            report.skipped += 1
-            return
-        store.advance_digest(transaction_token(record.ops))
-    else:
-        try:
-            apply_update(store, record.ops[0])
-        except XMarkError:
-            # Logged, then refused in memory (duplicate id, missing
-            # target): the live database kept state and digest unchanged.
-            report.skipped += 1
-            return
+    try:
+        replay.commit(list(record.ops), record.kind)
+    except TransactionError:
+        # Logged, then refused in memory at the same deterministic point
+        # (duplicate id, missing target): the engine re-chained the
+        # digest over the applied prefix — nothing, for a single op —
+        # exactly as the live database did.  The next record's prev
+        # digest re-anchors verification.
+        report.skipped += 1
+        return
     if store.document_digest() != record.digest:
         raise RecoveryError(
             f"digest chain broken after LSN {record.lsn}: store at "
@@ -174,6 +166,7 @@ def recover(directory, *, backend: str = DEFAULT_REPLAY_BACKEND,
     in parallel unless ``parallel=False``.
     """
     from repro.storage.interface import store_document_text
+    from repro.update.commit import WritePath
     manifest = DurabilityManager.read_manifest(directory)
     manager = DurabilityManager(directory)
     snapshot_pointer = manifest["snapshot"]
@@ -197,10 +190,13 @@ def recover(directory, *, backend: str = DEFAULT_REPLAY_BACKEND,
         dropped_after_gap=beyond_gap,
         load_seconds=load_seconds,
     )
+    # The live write path, minus everything a scratch store has no use
+    # for: no lock (recovery owns the store), no readers, no WAL.
+    replay = WritePath({"recover": store}, nullcontext(), source="recovery")
     with tracer.span("recovery.replay", records=len(records)) as span:
         started = time.perf_counter()
         for record in records:
-            _replay_record(store, record, report)
+            _replay_record(replay, store, record, report)
         report.replay_seconds = time.perf_counter() - started
         span.set(replayed=report.replayed, skipped=report.skipped,
                  torn_streams=len(report.torn_tails))

@@ -31,6 +31,7 @@ import zlib
 from pathlib import Path
 
 from repro.errors import RecoveryError
+from repro.storage.interface import store_document_text
 
 SNAPSHOT_FORMAT = 1
 
@@ -71,6 +72,28 @@ def sharded_snapshot(lsn: int, digest: str, *, backends: list[str],
             "shard_count": len(fragments), "backends": list(backends),
             "fragments": list(fragments), "extent_seqs": extent_seqs,
             "id_map": id_map}
+
+
+def store_snapshot(lsn: int, store, document: str | None = None) -> dict:
+    """The one snapshot builder: ``store``'s state as of commit ``lsn``.
+
+    A sharded store (anything exporting ``partition_state``) yields a
+    ``"sharded"`` payload, any other store a ``"document"`` payload of
+    its serialization; ``document`` short-circuits the serialization
+    when the caller already holds the text (a fresh deployment's base
+    snapshot).  Callers hold the connection's update lock, so ``lsn``,
+    digest and content describe the same commit.
+    """
+    digest = store.document_digest()
+    if hasattr(store, "partition_state"):
+        state = store.partition_state()
+        return sharded_snapshot(
+            lsn, digest, backends=list(store.backends),
+            fragments=store.shard_fragment_texts(),
+            extent_seqs=state["extent_seqs"], id_map=state["id_map"])
+    if document is None:
+        document = store_document_text(store)
+    return document_snapshot(lsn, digest, document)
 
 
 def write_snapshot(path: str | Path, snapshot: dict) -> None:

@@ -29,7 +29,7 @@ benchmarks/bench_update_maintenance.py prices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import UpdateError
@@ -69,7 +69,6 @@ class ChangeSet:
     mutate_seconds: float = 0.0
     index_seconds: float = 0.0
     nodes_indexed: int = 0
-    removed_roots: list[str] = field(default_factory=list)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +114,6 @@ class _Application:
         self.nodes_indexed = 0
         self.tokens: set[str] = set()
         self.ancestors: set[str] = set()
-        self.removed_roots: list[str] = []
 
     # -- timed primitives -------------------------------------------------------
 
@@ -163,7 +161,6 @@ class _Application:
             self.index_seconds += time.perf_counter() - started
         self.tokens |= dtd_reachable_tokens(path[-1])
         self.ancestors.update(path[:-1])
-        self.removed_roots.append(path[-1])
 
     def set_text(self, node, path: tuple[str, ...], text: str) -> bool:
         if self.store.string_value(node) == text:
@@ -404,7 +401,6 @@ def _apply_update(store: Store, op: UpdateOp, *,
         mutate_seconds=app.mutate_seconds,
         index_seconds=app.index_seconds,
         nodes_indexed=app.nodes_indexed,
-        removed_roots=app.removed_roots,
     )
 
 
@@ -412,16 +408,16 @@ def apply_transaction_ops(stores: dict[str, Store], ops, *,
                           maintenance_mode: str | None = None,
                           tracer=NULL_TRACER,
                           ) -> tuple[dict, frozenset[str], frozenset[str]]:
-    """The shared commit core of a transaction: apply a batch to a set of
-    stores with the digest chain suppressed.
+    """Apply a batch to a set of stores with the digest chain suppressed
+    (the apply step of :meth:`repro.update.commit.WritePath.commit`, its
+    one caller).
 
     Operations apply in operation-major order, so a deterministic failure
     (bad target id, schema violation) leaves every store at the same
     consistent prefix.  On failure each store's digest is re-chained over
     exactly its applied operations — lineages stay truthful — and
-    :class:`~repro.errors.TransactionError` is raised; callers wrap their
-    own cache handling around that.  On success the caller owns advancing
-    each digest once over :func:`repro.update.ops.transaction_token`.
+    :class:`~repro.errors.TransactionError` is raised.  On success the
+    caller advances each digest once over the commit token.
 
     Returns ``(costs, changed_tokens, ancestor_tags)``: per-store cost
     cells plus the union change footprint for one invalidation pass.

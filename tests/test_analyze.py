@@ -174,8 +174,11 @@ class TestRepoClean:
         project = Project.load(default_src_root(), package="repro")
         edges = build_lock_graph(project)
         assert find_lock_cycles(edges) == []
-        # the interprocedural edge the service relies on is proven:
-        # apply_update holds the update lock while draining admission
+        # the interprocedural edge the service relies on is proven
+        # statically by reload_document (update lock, then the shard
+        # system's drained gate); commits take the same order through
+        # repro.update.commit.WritePath, whose lock and exclusion are
+        # data — tests/test_lockwitness.py sees that order live
         assert any(a.endswith("QueryService._update_lock")
                    and b.endswith("QueryService._admission")
                    for a, b in edges)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import connect
 from repro.analyze import Project, cross_check, default_src_root
 from repro.analyze.lockwitness import LockWitness, _WitnessedLock
 from repro.service import QueryService, WorkloadGenerator, WorkloadSpec
@@ -147,6 +148,28 @@ class TestCrossCheck:
         assert edges, "witness recorded no ordering edges at all"
         sites = {site for pair in edges for site in pair}
         assert any("service/service.py" in s for s in sites)
+
+    def test_commit_lock_order(self, workload_witness, small_text):
+        """One write path, one order: update lock -> admission gates ->
+        cache lock on a service; a direct connection's commit holds only
+        its update lock (above the leaf metrics locks)."""
+        project = Project.load(default_src_root(), package="repro")
+        edges = set(cross_check(workload_witness, project)["dynamic_edges"])
+        update = "repro.service.service:QueryService._update_lock"
+        gates = "repro.service.service:QueryService._admission"
+        cache = "repro.service.cache:LRUCache._lock"
+        assert {(update, gates), (gates, cache)} <= edges
+        direct = LockWitness()
+        direct.install()
+        try:
+            with connect(small_text, systems=("D",)) as db:
+                with db.session().transaction() as txn:
+                    txn.place_bid("open_auction0", "person1", 4.0,
+                                  "05/24/2000", "11:00:00")
+        finally:
+            direct.uninstall()
+        held = {a for a, _ in cross_check(direct, project)["dynamic_edges"]}
+        assert held <= {"repro.db.database:Database._update_lock"}
 
     def test_no_dynamic_cycles(self, workload_witness):
         assert workload_witness.cycles() == []

@@ -419,6 +419,9 @@ class TestProfileAgainstExecution:
             root = db.tracer.roots[-1]
             assert root.name == "txn.commit"
             assert root.attrs["ops"] == 1
+            assert root.attrs["source"] == "direct"
+            assert root.attrs["kind"] == "txn"
+            assert root.find("commit.gates") is not None
             op_span = root.find("update.op")
             assert op_span is not None
             assert op_span.attrs["maintenance"] == "incremental"
@@ -433,8 +436,9 @@ class TestProfileAgainstExecution:
                 txn.place_bid("open_auction0", "person1", 4.0,
                               "05/24/2000", "11:00:00")
             roots = [r for r in db.tracer.roots
-                     if r.name == "service.transaction"]
-            assert roots
+                     if r.name == "txn.commit"]
+            assert roots and roots[-1].attrs["source"] == "service"
+            assert roots[-1].find("commit.gates") is not None
             invalidate = roots[-1].find("service.invalidate")
             assert invalidate.attrs["system"] == "D"
             kept = invalidate.attrs["results_kept"]
