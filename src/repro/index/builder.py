@@ -52,12 +52,17 @@ def extract_values(store, node, accessor: tuple[str, ...]) -> list[str]:
 class IndexSet:
     """Every secondary index built for one loaded document on one store."""
 
-    __slots__ = ("spec", "values", "sorteds", "paths", "build_seconds",
-                 "nodes_walked", "next_seq", "deltas_applied",
+    __slots__ = ("spec", "fields_at", "values", "sorteds", "paths",
+                 "build_seconds", "nodes_walked", "next_seq", "deltas_applied",
                  "maintenance_seconds")
 
     def __init__(self, spec: IndexSpec) -> None:
         self.spec = spec
+        #: The spec's fields by extent path (the spec is frozen): what the
+        #: build walk and every maintenance walk look up per node.
+        self.fields_at: dict[tuple[str, ...], list[FieldSpec]] = {}
+        for field in spec.fields:
+            self.fields_at.setdefault(field.path, []).append(field)
         self.values: dict[FieldKey, ValueIndex] = {}
         self.sorteds: dict[FieldKey, SortedNumericIndex] = {}
         self.paths: PathIndex | None = PathIndex() if spec.build_path_index else None
@@ -123,7 +128,7 @@ def build_index_set(store, spec: IndexSpec) -> IndexSet:
     """Build every index of ``spec`` in one document-order walk of ``store``."""
     started = time.perf_counter()
     index_set = IndexSet(spec)
-    fields_at: dict[tuple[str, ...], list[FieldSpec]] = {}
+    fields_at = index_set.fields_at
     for field in spec.fields:
         if field.kind == VALUE:
             index_set.values[field.key] = ValueIndex(field)
@@ -131,7 +136,6 @@ def build_index_set(store, spec: IndexSpec) -> IndexSet:
             index_set.sorteds[field.key] = SortedNumericIndex(field)
         else:
             raise StorageError(f"unknown index kind {field.kind!r}")
-        fields_at.setdefault(field.path, []).append(field)
 
     paths = index_set.paths
     stop_tags = spec.stop_tags

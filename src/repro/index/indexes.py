@@ -322,12 +322,21 @@ class PathIndex:
         self._extents: list[list] = []
 
     def add(self, path: tuple[str, ...], handle) -> None:
+        self.extent(path).append(handle)
+
+    def extent(self, path: tuple[str, ...]) -> list:
+        """The live extent of ``path``, registered empty when first seen.
+
+        The builder appends to it in walk order; maintenance hands it to
+        :func:`repro.storage.interface.splice_subtree`, which enters an
+        inserted subtree's run at its document-order position so
+        :meth:`nodes` keeps its contract under updates.
+        """
         pid = self._ids.get(path)
         if pid is None:
-            pid = len(self._extents)
-            self._ids[path] = pid
+            pid = self._ids[path] = len(self._extents)
             self._extents.append([])
-        self._extents[pid].append(handle)
+        return self._extents[pid]
 
     def path_id(self, path: tuple[str, ...]) -> int | None:
         return self._ids.get(path)
@@ -342,21 +351,6 @@ class PathIndex:
         return len(self._extents[pid]) if pid is not None else 0
 
     # -- incremental maintenance -------------------------------------------------
-
-    def insert(self, path: tuple[str, ...], handle, position_key) -> None:
-        """Splice ``handle`` into its path extent at document order.
-
-        ``position_key`` maps a handle to a sortable document-order key
-        (normally the store's ``doc_position``); the extent stays ordered
-        so :meth:`nodes` keeps its document-order contract under updates.
-        """
-        pid = self._ids.get(path)
-        if pid is None:
-            self.add(path, handle)
-            return
-        extent = self._extents[pid]
-        position = bisect_left(extent, position_key(handle), key=position_key)
-        extent.insert(position, handle)
 
     def remove(self, path: tuple[str, ...], handle) -> None:
         """Drop ``handle`` from its path extent (ignored when absent)."""

@@ -5,9 +5,9 @@ document-order walk; this module keeps the same indexes current under
 document mutations by applying *per-node deltas* instead of rebuilding:
 
 * an inserted subtree is walked exactly like the builder walks (pre-order,
-  never descending below a spec ``stop_tag``), adding path-extent entries
-  at their document-order positions and field entries under fresh sequence
-  numbers;
+  never descending below a spec ``stop_tag``), entering each path extent
+  as one run at its document-order position and adding field entries
+  under fresh sequence numbers;
 * a subtree about to be removed is walked the same way *before* the
   physical removal (handles into it die with it), snapshotting the raw
   field values so the exact entries it contributed can be retracted;
@@ -34,15 +34,9 @@ from dataclasses import dataclass, field
 
 from repro.index.builder import IndexSet, build_index_set, extract_values
 from repro.index.spec import VALUE
+from repro.storage.interface import splice_subtree
 
 FieldKey = tuple[tuple[str, ...], tuple[str, ...]]
-
-
-def _fields_at(index_set: IndexSet) -> dict[tuple[str, ...], list]:
-    at: dict[tuple[str, ...], list] = {}
-    for field_spec in index_set.spec.fields:
-        at.setdefault(field_spec.path, []).append(field_spec)
-    return at
 
 
 def _field_index(index_set: IndexSet, field_spec):
@@ -73,21 +67,19 @@ def _touch_counters(index, raws: list, delta: int) -> None:
 
 def apply_insertion(store, index_set: IndexSet, node,
                     path: tuple[str, ...]) -> int:
-    """Index an inserted subtree by per-node deltas; returns nodes walked."""
+    """Index an inserted subtree; returns nodes walked.
+
+    Field entries are per-node deltas under fresh seqs; the path extents
+    take the subtree as one run per label path
+    (:func:`~repro.storage.interface.splice_subtree`), placed on the
+    store's ``order_key`` — going through ``doc_position`` could force an
+    O(document) rank relabel into the write path, which is exactly the
+    cost incremental maintenance exists to avoid.
+    """
     started = time.perf_counter()
-    fields_at = _fields_at(index_set)
-    paths = index_set.paths
-    # Bisect extents on the store's cheap order key: going through
-    # store.doc_position could force an O(document) rank relabel into the
-    # write path, which is exactly the cost incremental maintenance exists
-    # to avoid.
-    position_key = store.order_key
-    walked = 0
-    for current, current_path in walk_subtree(store, node, path,
-                                              index_set.spec.stop_tags):
-        walked += 1
-        if paths is not None:
-            paths.insert(current_path, current, position_key)
+    fields_at = index_set.fields_at
+    subtree = list(walk_subtree(store, node, path, index_set.spec.stop_tags))
+    for current, current_path in subtree:
         seq = index_set.next_seq
         index_set.next_seq += 1
         for field_spec in fields_at.get(current_path, ()):
@@ -96,9 +88,11 @@ def apply_insertion(store, index_set: IndexSet, node,
             _touch_counters(index, raws, +1)
             for raw in raws:
                 index.insert(raw, seq, current)
-    index_set.deltas_applied += walked
+    if index_set.paths is not None:
+        splice_subtree(store, subtree, index_set.paths.extent)
+    index_set.deltas_applied += len(subtree)
     index_set.maintenance_seconds += time.perf_counter() - started
-    return walked
+    return len(subtree)
 
 
 @dataclass(slots=True)
@@ -112,7 +106,7 @@ class RemovalPlan:
 def plan_removal(store, index_set: IndexSet, node,
                  path: tuple[str, ...]) -> RemovalPlan:
     """Snapshot the entries a subtree contributed (call BEFORE removing)."""
-    fields_at = _fields_at(index_set)
+    fields_at = index_set.fields_at
     plan = RemovalPlan()
     for current, current_path in walk_subtree(store, node, path,
                                               index_set.spec.stop_tags):

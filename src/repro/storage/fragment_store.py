@@ -385,6 +385,8 @@ class FragmentStore(Store):
         table = self.catalog.table(_table_name(node[0]))
         return table.get(self._row_of(node), "pos")
 
+    sibling_position = _pos_of
+
     def doc_position(self, node: Handle) -> int:
         if not self._mutated:
             return node[1]

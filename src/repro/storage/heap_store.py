@@ -266,6 +266,9 @@ class HeapStore(Store):
             self._order = rank_by_walk(self)
         return self._order[node]
 
+    def sibling_position(self, node: int) -> int:
+        return self._nodes.get(self._row_by_pre[node], "pos")
+
     # -- capabilities ------------------------------------------------------------------
 
     def lookup_id(self, value: str) -> int | None:

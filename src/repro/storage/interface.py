@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -50,12 +51,16 @@ class StoreStats:
     index_lookups: int = 0
     table_lookups: int = 0
     fragments_parsed: int = 0
+    order_keys: int = 0                 # document-order keys computed by splices
+    extent_splices: int = 0             # runs entered into ordered extents
 
     def reset(self) -> None:
         self.nodes_visited = 0
         self.index_lookups = 0
         self.table_lookups = 0
         self.fragments_parsed = 0
+        self.order_keys = 0
+        self.extent_splices = 0
 
 
 class Store(ABC):
@@ -243,16 +248,26 @@ class Store(ABC):
         non-existing tags)."""
         return None
 
-    def order_key(self, node: Handle):
+    def order_key(self, node: Handle, keys: "OrderKeys | None" = None):
         """A document-order key that is cheap even mid-write.
 
         ``doc_position`` may lazily relabel the whole store after a
-        mutation (an O(document) pass); index maintenance instead bisects
-        extents on this key, which the default computes locally from the
-        sibling chain.  Stores whose ``doc_position`` is cheap without
-        relabeling override this to return it directly.
+        mutation (an O(document) pass); :func:`splice_subtree` instead
+        searches extents on this key, which the default builds from the
+        sibling positions along the root-to-node chain — O(depth) with a
+        native :meth:`sibling_position`, and sharing ancestors' keys
+        through ``keys`` when a splice passes its memo.  Stores whose
+        ``doc_position`` is cheap without relabeling override this to
+        return it directly.
         """
-        return sibling_order_key(self, node)
+        return sibling_order_key(self, node, keys)
+
+    def sibling_position(self, node: Handle) -> int | None:
+        """A number ordering ``node`` among its siblings, read from the
+        physical mapping without listing them (a ``pos`` column, a content
+        slot); None when the store keeps none, and the splice's memo
+        numbers ``children(parent)`` once per parent instead."""
+        return None
 
     # -- mutation ----------------------------------------------------------------------
     #
@@ -311,25 +326,88 @@ class Store(ABC):
         return element
 
 
-def sibling_order_key(store: Store, node: Handle) -> tuple[int, ...]:
+def sibling_order_key(store: Store, node: Handle,
+                      keys: "OrderKeys | None" = None) -> tuple[int, ...]:
     """A document-order key computed locally, without global relabeling.
 
     The tuple of sibling positions along the root-to-node chain sorts in
-    document order for any two nodes of one store.  Cost is
-    O(depth x fanout) per call — the point: index maintenance can bisect a
-    path extent with O(log n) such keys instead of forcing the store's
-    O(document) rank relabel inside the write path.
+    document order for any two nodes of one store.  One level costs a
+    ``parent`` and a ``sibling_position`` read; the levels above come out
+    of ``keys`` when the caller holds a memo, so the keys one splice asks
+    for share every ancestor they have in common.
     """
-    key: list[int] = []
-    current = node
-    while True:
-        parent = store.parent(current)
-        if parent is None:
-            break
-        key.append(store.children(parent).index(current))
-        current = parent
-    key.reverse()
-    return tuple(key)
+    parent = store.parent(node)
+    if parent is None:
+        return ()
+    if keys is None:
+        keys = OrderKeys(store)
+    position = store.sibling_position(node)
+    if position is None:
+        position = keys.child_positions(parent)[node]
+    return keys(parent) + (position,)
+
+
+class OrderKeys:
+    """``store.order_key`` memoised for the length of one splice.
+
+    Valid only while the store does not mutate: the splice runs after the
+    physical insert and before the next one, under the update lock.
+    """
+
+    __slots__ = ("_store", "_keys", "_positions")
+
+    def __init__(self, store: Store) -> None:
+        self._store = store
+        self._keys: dict = {}
+        self._positions: dict = {}
+
+    def __call__(self, node: Handle):
+        key = self._keys.get(node)
+        if key is None:
+            key = self._keys[node] = self._store.order_key(node, self)
+        return key
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def child_positions(self, parent: Handle) -> dict:
+        """``child -> index`` over ``children(parent)``, listed once."""
+        positions = self._positions.get(parent)
+        if positions is None:
+            positions = self._positions[parent] = {
+                child: index
+                for index, child in enumerate(self._store.children(parent))}
+        return positions
+
+
+def splice_subtree(store: Store, subtree: list, extent_of) -> None:
+    """Enter one inserted subtree into ordered per-path extents.
+
+    ``subtree`` lists the pre-order ``(handle, label path)`` pairs of a
+    subtree that is already in the store and in no extent, root first;
+    ``extent_of(path)`` returns the live document-ordered list for a path
+    (empty for a path first seen).  The subtree is one interval of
+    document order, so its nodes at one path are one contiguous run of
+    that path's extent and every node already there lies wholly before
+    or wholly after the subtree root: one search on the root's key places
+    the whole run — none when the root sorts after the extent's last
+    node, the append-at-container-end case — and one slice assignment
+    enters it.
+    """
+    runs: dict = {}
+    for handle, path in subtree:
+        runs.setdefault(path, []).append(handle)
+    root = subtree[0][0]
+    keys = OrderKeys(store)
+    for path, run in runs.items():
+        extent = extent_of(path)
+        if not extent or keys(extent[-1]) < keys(root):
+            extent.extend(run)
+        else:
+            at = bisect_left(extent, keys(root), key=keys)
+            extent[at:at] = run
+    store.stats.order_keys += len(keys)
+    store.stats.extent_splices += len(runs)
 
 
 def rank_by_walk(store: Store) -> dict:

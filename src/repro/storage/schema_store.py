@@ -832,7 +832,7 @@ class SchemaStore(Store):
             return (rank,) + owner + (node[2],)
         raise StorageError(f"bad handle {node!r}")
 
-    def order_key(self, node):
+    def order_key(self, node, keys=None):
         """Ord-based positions are cheap here — no relabeling to avoid."""
         return self.doc_position(node)
 

@@ -54,13 +54,21 @@ class StructuralSummary:
         return summary
 
     def add(self, path: tuple[str, ...], node: int) -> None:
+        self.extent(path).append(node)
+
+    def extent(self, path: tuple[str, ...]) -> list[int]:
+        """The live extent of ``path`` as a list a write may edit: the
+        entry is registered when the path is new, a compacted extent is
+        thawed on its first write."""
         entry = self._entries.get(path)
         if entry is None:
             entry = PathEntry(path)
             self._entries[path] = entry
             self._by_tag.setdefault(path[-1], []).append(entry)
             self._tags.add(path[-1])
-        entry.nodes.append(node)
+        elif not isinstance(entry.nodes, list):
+            entry.nodes = list(entry.nodes)
+        return entry.nodes
 
     # -- queries --------------------------------------------------------------
 

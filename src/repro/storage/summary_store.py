@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 
+from repro.storage.interface import splice_subtree
 from repro.storage.structural_summary import StructuralSummary
 from repro.storage.tree_store import TreeStore
 
@@ -103,9 +103,9 @@ class SummaryStore(TreeStore):
         if not entries:
             return []
         if not self._sequential:
-            # The summary extents stay current under updates (per-node
-            # deltas), but id intervals no longer encode containment:
-            # restrict via the lazy rank labels instead.
+            # The summary extents stay current under updates (one run
+            # per path and inserted subtree), but id intervals no longer
+            # encode containment: restrict via the lazy rank labels.
             self._ensure_order()
             order = self._order
             low, high = order[node], self._stop[node]
@@ -170,49 +170,25 @@ class SummaryStore(TreeStore):
         parts.remove(node_id)
         self._content[parent] = tuple(parts)
 
-    def _sibling_key(self, node: int) -> tuple[int, ...]:
-        """Locally-computed document-order key (no O(n) rank relabel)."""
-        key: list[int] = []
-        current = node
-        while True:
-            parent = self._parents[current]
-            if parent < 0:
-                break
-            key.append(self._child_ids(parent).index(current))
-            current = parent
-        key.reverse()
-        return tuple(key)
-
     def _after_insert(self, new_ids: list[int]) -> None:
-        for node in new_ids:
-            path = self._path_of(node)
-            entry = self._summary.entry(path)
-            if entry is None:
-                self._summary.add(path, node)
-            else:
-                nodes = entry.nodes
-                if not isinstance(nodes, list):   # thaw the compacted extent
-                    nodes = list(nodes)
-                    entry.nodes = nodes
-                position = bisect_left(nodes, self._sibling_key(node),
-                                       key=self._sibling_key)
-                nodes.insert(position, node)
+        anchor = self._parents[new_ids[0]]
+        paths = {anchor: self._path_of(anchor)}
+        subtree = []
+        for node in new_ids:                # pre-order: parents come first
+            path = paths[node] = paths[self._parents[node]] + (self._tags[node],)
+            subtree.append((node, path))
             attrs = self._attrs[node]
             if attrs:
                 identifier = attrs.get("id")
                 if identifier is not None:
                     self._id_index[identifier] = node
+        splice_subtree(self, subtree, self._summary.extent)
 
     def _after_remove(self, removed: list[tuple[int, tuple[str, ...]]]) -> None:
         for node, path in removed:
-            entry = self._summary.entry(path)
-            if entry is not None:
-                nodes = entry.nodes
-                if not isinstance(nodes, list):
-                    nodes = list(nodes)
-                    entry.nodes = nodes
+            if self._summary.entry(path) is not None:
                 try:
-                    nodes.remove(node)
+                    self._summary.extent(path).remove(node)
                 except ValueError:
                     pass
             attrs = self._attrs[node]

@@ -196,6 +196,10 @@ class TreeStore(Store):
         self._ensure_order()
         return self._order[node]
 
+    def sibling_position(self, node: int) -> int:
+        """The content slot: one C-level scan of the parent's content."""
+        return self._content[self._parents[node]].index(node)
+
     def node_count(self) -> int:
         return len(self._tags)
 

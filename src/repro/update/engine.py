@@ -4,15 +4,19 @@
 ``load()`` — the supported entry point that keeps every derived structure
 consistent with the physical change:
 
-1. resolves the operation's targets by ID through the navigation API (so
-   the same operation means the same nodes on every architecture);
+1. resolves the operation's targets by ID (so the same operation means
+   the same nodes on every architecture): through the store's ID index
+   where it has one — a miss there is authoritative — and by a scan of
+   the entity's container through the navigation API where it has none;
 2. applies the physical mutations through the store's
    ``insert_child`` / ``remove_node`` / ``set_text`` surface;
-3. maintains the secondary indexes — per-node deltas when the store's
-   ``index_maintenance`` is ``"incremental"`` (snapshotting removal
-   entries *before* the physical removal, because handles die with their
-   subtree), a wholesale :func:`repro.index.maintenance.rebuild` when it
-   is ``"rebuild"``, nothing when the indexes are dropped;
+3. maintains the secondary indexes — deltas when the store's
+   ``index_maintenance`` is ``"incremental"`` (an inserted subtree enters
+   each path extent as one run and the field indexes node by node; a
+   removal's entries are snapshotted *before* the physical removal,
+   because handles die with their subtree), a wholesale
+   :func:`repro.index.maintenance.rebuild` when it is ``"rebuild"``,
+   nothing when the indexes are dropped;
 4. advances the store's document digest along the operation-token hash
    chain (stores sharing a lineage agree on the digest without comparing
    texts);
@@ -69,6 +73,10 @@ class ChangeSet:
     mutate_seconds: float = 0.0
     index_seconds: float = 0.0
     nodes_indexed: int = 0
+    #: What entering the inserted subtrees into ordered extents (the path
+    #: index, D's summary) took: order keys computed, runs spliced.
+    order_keys: int = 0
+    extent_splices: int = 0
 
 
 @lru_cache(maxsize=None)
@@ -199,6 +207,8 @@ class _Application:
             if store.tag(handle) == container_path[-1]:
                 return handle
             return None
+        if store.has_id_index():
+            return None                 # an ID index's miss is authoritative
         node = store.root()
         for tag in container_path[1:-1]:
             candidates = store.children_by_tag(node, tag)
@@ -332,7 +342,8 @@ def apply_update(store: Store, op: UpdateOp, *,
     :func:`repro.db.transaction_token`.
 
     A ``tracer`` records one ``update.op`` span per call carrying the
-    maintenance mode, timing split, and change-footprint width.
+    maintenance mode, timing split, extent-splice work and
+    change-footprint width.
     """
     if not tracer.enabled:
         return _apply_update(store, op, maintenance_mode=maintenance_mode,
@@ -345,6 +356,8 @@ def apply_update(store: Store, op: UpdateOp, *,
                  mutate_ms=round(changes.mutate_seconds * 1000.0, 3),
                  index_ms=round(changes.index_seconds * 1000.0, 3),
                  nodes_indexed=changes.nodes_indexed,
+                 order_keys=changes.order_keys,
+                 extent_splices=changes.extent_splices,
                  footprint=len(changes.changed_tokens))
     return changes
 
@@ -357,6 +370,8 @@ def _apply_update(store: Store, op: UpdateOp, *,
     if mode not in ("incremental", "rebuild"):
         raise UpdateError(f"unknown maintenance mode {mode!r}")
     app = _Application(store, mode)
+    stats = store.stats
+    keys_before, splices_before = stats.order_keys, stats.extent_splices
 
     if isinstance(op, RegisterPerson):
         identifier = op.person.attributes.get("id")
@@ -401,6 +416,8 @@ def _apply_update(store: Store, op: UpdateOp, *,
         mutate_seconds=app.mutate_seconds,
         index_seconds=app.index_seconds,
         nodes_indexed=app.nodes_indexed,
+        order_keys=stats.order_keys - keys_before,
+        extent_splices=stats.extent_splices - splices_before,
     )
 
 

@@ -209,10 +209,11 @@ class TestBulkload:
         assert report.size_ratio > 1.0
 
     def test_scan_baseline_faster_than_any_load(self, small_text):
-        scan = scan_baseline(small_text)
-        load = bulkload(IndexedTreeStore(), small_text)
-        assert scan.seconds < load.seconds
-        assert scan.events > 1000
+        scans = [scan_baseline(small_text) for _ in range(3)]
+        load = min(bulkload(IndexedTreeStore(), small_text).seconds
+                   for _ in range(3))
+        assert min(scan.seconds for scan in scans) < load
+        assert scans[0].events > 1000
 
     def test_fragmenting_mapping_loads_slowest_of_relational(self, small_text):
         # Table 1 shape: B's bulkload exceeds A's (many-table mapping).

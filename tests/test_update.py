@@ -13,6 +13,8 @@ the store.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.benchmark.queries import QUERIES, query_text
@@ -20,10 +22,13 @@ from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.errors import UpdateError
 from repro.schema.auction import REFERENCE_TARGETS, auction_dtd
 from repro.schema.validator import validate
+from repro.storage.interface import rank_by_walk
 from repro.update import (
     CloseAuction, DeleteItem, PlaceBid, RegisterPerson, UpdateStream,
     apply_update, serialize_store,
 )
+from repro.xmlgen.generator import generate_string
+from repro.xmlio.dom import Element
 from repro.xmlio.parser import parse
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import compile_query
@@ -234,12 +239,22 @@ class TestUpdateSemantics:
         with pytest.raises(UpdateError):
             apply_update(store, DeleteItem("item99999"))
 
-    def test_duplicate_person_id_raises(self, store):
-        stream = UpdateStream(store)
-        person = stream.build_person()
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_duplicate_person_id_raises(self, tiny_text, system):
+        """With an ID index (its miss is authoritative) or by the scan."""
+        store = make_store(system)
+        store.load(tiny_text)
+        person = UpdateStream(store).build_person()
         apply_update(store, RegisterPerson(person))
-        with pytest.raises(UpdateError):
+        before = serialize_store(store)
+        with pytest.raises(UpdateError, match="already registered"):
             apply_update(store, RegisterPerson(person))
+        existing = Element("person", {"id": "person0"})
+        existing.append(Element("name")).append_text("Again")
+        existing.append(Element("emailaddress")).append_text("mailto:again@example.org")
+        with pytest.raises(UpdateError, match="already registered"):
+            apply_update(store, RegisterPerson(existing))
+        assert serialize_store(store) == before
 
 
 class TestDigestChain:
@@ -323,3 +338,117 @@ class TestUpdateStream:
         op = stream.next_op("close_auction")
         stream.note_applied(op)
         assert op.auction_id not in stream.open_bidders
+
+
+def watching_person(identifier: str, auctions: list[str]) -> RegisterPerson:
+    person = Element("person", {"id": identifier})
+    person.append(Element("name")).append_text(f"Watcher {identifier}")
+    person.append(Element("emailaddress")).append_text(
+        f"mailto:{identifier}@example.org")
+    watches = person.append(Element("watches"))
+    for auction in auctions:
+        watches.append(Element("watch", {"open_auction": auction}))
+    return RegisterPerson(person)
+
+
+def ranked_extents(store) -> dict:
+    """``(structure, label path) -> pre-order ranks of the extent, in the
+    extent's own order`` for the path index and, on D, the summary."""
+    ranks = rank_by_walk(store)
+    paths = store.indexes.paths
+    extents = {("paths", path): paths.nodes(path) for path in paths.paths()}
+    if hasattr(store, "summary"):
+        extents.update((("summary", path), entry.nodes)
+                       for path, entry in store.summary._entries.items())
+    return {key: [ranks[node] for node in nodes]
+            for key, nodes in extents.items() if len(nodes)}
+
+
+class TestExtentOrderOracle:
+    """Every ordered extent after a history that exercises each way a
+    subtree's run can land equals the extent of a scratch reload."""
+
+    @pytest.fixture(scope="class")
+    def history(self, tiny_text):
+        # No watches at load: the first watching person creates the extent.
+        text = re.sub(r"<watches>.*?</watches>", "", tiny_text)
+        reference = make_store("D")
+        reference.load(text)
+        container = reference.children_by_tag(reference.root(), "open_auctions")[0]
+        auctions = reference.children_by_tag(container, "open_auction")
+        ids = [reference.attribute(auction, "id") for auction in auctions]
+        early, middle, late = ids[1], ids[len(ids) // 2], ids[-2]
+        doomed_item = reference.attribute(
+            reference.children_by_tag(auctions[len(ids) // 2], "itemref")[0], "item")
+
+        def bid(auction, person):
+            return PlaceBid(auction, person, 3.0, "01/02/2001", "10:20:30")
+
+        return text, [
+            watching_person("person9001", [late] * 3),     # run of 3, new extent
+            bid(late, "person0"), bid(late, "person1"),
+            bid(early, "person2"),                          # mid-extent
+            CloseAuction(late, "02/02/2001"),               # empties the watch extent
+            watching_person("person9002", [early, middle, ids[0]]),  # empty extent
+            DeleteItem(doomed_item),                        # cascades over `middle`
+            bid(ids[2], "person3"),
+            watching_person("person9003", [early, ids[2], ids[3]]),
+            CloseAuction(early, "03/02/2001"),
+        ]
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_extents_equal_scratch_reload_in_order(self, history, system):
+        text, operations = history
+        store = make_store(system)
+        store.load(text)
+        watch = ("site", "people", "person", "watches", "watch")
+        assert store.indexes.paths.count(watch) == 0
+        for position, op in enumerate(operations):
+            apply_update(store, op)
+            if position == 4:
+                assert store.indexes.paths.count(watch) == 0
+        reloaded = make_store(system)
+        reloaded.load(serialize_store(store))
+        expected = ranked_extents(reloaded)
+        assert len(expected[("paths", watch)]) == 3     # of nine: cascades took six
+        assert all(ranks == sorted(ranks) for ranks in expected.values())
+        assert ranked_extents(store) == expected
+
+
+class TestWriteWorkBound:
+    """docs/UPDATES.md invariant 3: what a write lists does not grow with
+    the document.  Counted, not timed: ``children`` calls of one appended
+    person and one mid-extent bid on a document with ~500 persons and ~240
+    open auctions."""
+
+    #: One call per walked node (12 inserted) plus the bid's slot lookups;
+    #: listing siblings per order key took over 400.
+    BOUND = 32
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        return generate_string(0.02)
+
+    @pytest.mark.parametrize("system", ("A", "B", "D"))
+    def test_children_calls_are_bounded(self, document, system):
+        store = make_store(system)
+        store.load(document)
+        container = store.children_by_tag(store.root(), "open_auctions")[0]
+        auctions = store.children_by_tag(container, "open_auction")
+        assert len(auctions) > 200
+        target = store.attribute(auctions[len(auctions) // 3], "id")
+        calls = 0
+        listed = store.children
+
+        def counting(node):
+            nonlocal calls
+            calls += 1
+            return listed(node)
+
+        store.children = counting
+        apply_update(store, watching_person("person9001", [target] * 3))
+        apply_update(store, PlaceBid(target, "person0", 3.0,
+                                     "01/02/2001", "10:20:30"))
+        del store.children
+        assert 0 < calls <= self.BOUND
+        assert store.stats.extent_splices > 0
