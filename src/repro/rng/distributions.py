@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from typing import TypeVar
 
-from repro.rng.lcg import Lcg48
+from repro.rng.lcg import _DOUBLE_SCALE, _INCREMENT, _MASK, _MULTIPLIER, Lcg48
 
 T = TypeVar("T")
 
@@ -133,7 +133,7 @@ class Distribution:
     with one core value per draw (binary search over the cumulative weights).
     """
 
-    __slots__ = ("_cumulative", "_total")
+    __slots__ = ("_cumulative", "_total", "_guide", "_guide_shift")
 
     def __init__(self, weights: Sequence[float]) -> None:
         if not weights:
@@ -153,6 +153,19 @@ class Distribution:
         cumulative[-1] = 1.0  # guard against floating-point shortfall
         self._cumulative = cumulative
         self._total = total
+        # Guide table for sample_run: [0, 1) cut into 2**bits equal slices;
+        # guide[k] is the index every u in slice k draws, or -1 where a
+        # cumulative boundary falls inside the slice and the draw bisects.
+        bits = min(16, (2 * len(cumulative)).bit_length())
+        slices = 1 << bits
+        guide = [-1] * slices
+        start = 0
+        for index, bound in enumerate(cumulative):
+            boundary_slice = int(bound * slices)
+            guide[start:boundary_slice] = [index] * (boundary_slice - start)
+            start = max(start, boundary_slice + 1)
+        self._guide = guide
+        self._guide_shift = 48 - bits
 
     @classmethod
     def zipf(cls, size: int, exponent: float = 1.0) -> "Distribution":
@@ -167,6 +180,45 @@ class Distribution:
     def sample(self, source: RandomSource) -> int:
         """Draw one index in ``[0, len(self))``."""
         return bisect_right(self._cumulative, source.core.next_double())
+
+    def sample_run(
+        self,
+        source: RandomSource,
+        values: Sequence[T],
+        limit: int,
+        stop_probability: float | None = None,
+    ) -> tuple[list[T], bool]:
+        """Up to ``limit`` draws of ``values[self.sample(source)]`` as one batch.
+
+        With a ``stop_probability``, every draw is followed by the draw
+        ``source.boolean(stop_probability)`` and the first True ends the
+        run.  Returns the run and whether such a draw ended it.  The core
+        is stepped in locals and handed back through ``getstate`` and
+        ``setstate``, so it is left exactly where the call-per-draw loop
+        leaves it.
+        """
+        cumulative, guide, shift = self._cumulative, self._guide, self._guide_shift
+        draws_stop = stop_probability is not None
+        # u < p for u = state / 2**48 is state < ceil(p * 2**48), in integers.
+        stop_below = math.ceil(stop_probability * (1 << 48)) if draws_stop else 0
+        core = source.core
+        state = core.getstate()
+        run: list[T] = []
+        add = run.append
+        stopped = False
+        for _ in range(limit):
+            state = (state * _MULTIPLIER + _INCREMENT) & _MASK
+            index = guide[state >> shift]
+            if index < 0:
+                index = bisect_right(cumulative, state * _DOUBLE_SCALE)
+            add(values[index])
+            if draws_stop:
+                state = (state * _MULTIPLIER + _INCREMENT) & _MASK
+                if state < stop_below:
+                    stopped = True
+                    break
+        core.setstate(state)
+        return run, stopped
 
     def probability(self, index: int) -> float:
         """The probability mass of ``index`` (for tests)."""

@@ -28,8 +28,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
 from repro.storage.interface import Store, rank_by_walk
 from repro.xmlio.dom import Element, Text
-from repro.xmlio.events import Characters, EndElement, StartElement
-from repro.xmlio.parser import iterparse
+from repro.xmlio.parser import END, START, tokens
 
 _INT = ColumnType.INT
 _STR = ColumnType.STR
@@ -105,12 +104,11 @@ class FragmentStore(Store):
 
         sequence = 0
         stack: list[tuple[Path, int, int]] = []  # (path, pre, next slot)
-        patches: list[tuple[Path, int, int]] = []  # (path, row, post)
 
-        for event in iterparse(text):
-            if isinstance(event, StartElement):
+        for kind, value, attributes in tokens(text):
+            if kind == START:
                 parent_path = stack[-1][0] if stack else ()
-                path = parent_path + (event.tag,)
+                path = parent_path + (value,)
                 pre = sequence
                 sequence += 1
                 parent_pre = stack[-1][1] if stack else None
@@ -121,18 +119,17 @@ class FragmentStore(Store):
                 if path not in self._children_map:
                     self._register_path(path, parent_path)
                 table = self.catalog.ensure_table(_table_name(path), elem_columns)
-                row = table.append(pre=pre, post=pre, parent=parent_pre, pos=slot)
-                patches_entry = (path, row, 0)
-                for name, value in event.attributes:
+                table.append(pre=pre, post=pre, parent=parent_pre, pos=slot)
+                for name, attribute in attributes:
                     attr_table = self.catalog.ensure_table(
                         _attr_table_name(path, name), attr_columns)
                     if name not in self._attr_map.setdefault(path, []):
                         self._attr_map[path].append(name)
-                    attr_table.append(parent=pre, value=value)
+                    attr_table.append(parent=pre, value=attribute)
                     if name == "id":
-                        self._id_index[value] = (path, pre)
+                        self._id_index[attribute] = (path, pre)
                 stack.append((path, pre, 0))
-            elif isinstance(event, EndElement):
+            elif kind == END:
                 path, pre, _ = stack.pop()
                 table = self.catalog.ensure_table(_table_name(path), elem_columns)
                 # Patch post: the row for `pre` is the one whose pre == pre.
@@ -147,7 +144,7 @@ class FragmentStore(Store):
                     _text_table_name(path), text_columns)
                 self._text_paths.add(path)
                 text_table.append(pre=sequence, parent=parent_pre, pos=slot,
-                                  value=event.text)
+                                  value=value)
                 sequence += 1
 
         # Build parent indexes on every element and text table.

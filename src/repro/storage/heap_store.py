@@ -27,8 +27,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
 from repro.storage.interface import Store, rank_by_walk
 from repro.xmlio.dom import Element, Text
-from repro.xmlio.events import Characters, EndElement, StartElement
-from repro.xmlio.parser import iterparse
+from repro.xmlio.parser import END, START, tokens
 
 _INT = ColumnType.INT
 _STR = ColumnType.STR
@@ -83,27 +82,27 @@ class HeapStore(Store):
         pre_row: dict[int, int] = {}
         post_patch: list[tuple[int, int]] = []
 
-        for event in iterparse(text):
-            if isinstance(event, StartElement):
+        for kind, value, attributes in tokens(text):
+            if kind == START:
                 pre = sequence
                 sequence += 1
                 parent_pre, slot = (stack[-1] if stack else (None, 0))
                 if stack:
                     stack[-1] = (stack[-1][0], stack[-1][1] + 1)
                 row = nodes.append(pre=pre, post=pre, parent=parent_pre,
-                                   tag=event.tag, pos=slot)
+                                   tag=value, pos=slot)
                 pre_row[pre] = row
-                for name, value in event.attributes:
-                    attrs.append(parent=pre, name=name, value=value)
+                for name, attribute in attributes:
+                    attrs.append(parent=pre, name=name, value=attribute)
                 stack.append((pre, 0))
-            elif isinstance(event, EndElement):
+            elif kind == END:
                 pre, _ = stack.pop()
                 post_patch.append((pre_row[pre], sequence - 1))
             else:
                 parent_pre, slot = stack[-1]
                 stack[-1] = (parent_pre, slot + 1)
                 texts.append(pre=sequence, parent=parent_pre, pos=slot,
-                             value=event.text)
+                             value=value)
                 sequence += 1
 
         post_column = nodes.column("post")

@@ -81,13 +81,7 @@ class SummaryStore(TreeStore):
             sys.getsizeof(lst)
             for lst in (self._tags, self._parents, self._posts, self._attrs, self._content)
         )
-        for attrs in self._attrs:
-            if attrs:
-                total += sys.getsizeof(attrs)
-                total += sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in attrs.items())
-        for content in self._content:
-            total += sys.getsizeof(content)
-            total += sum(sys.getsizeof(part) for part in content if isinstance(part, str))
+        total += self._payload_bytes()
         total += self.summary.size_bytes()
         total += sys.getsizeof(self._id_index) + 16 * len(self._id_index)
         return total

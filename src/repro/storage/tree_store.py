@@ -21,8 +21,7 @@ from bisect import bisect_left, bisect_right
 from repro.errors import StorageError
 from repro.storage.interface import Store
 from repro.xmlio.dom import Element, Text
-from repro.xmlio.events import Characters, EndElement, StartElement
-from repro.xmlio.parser import iterparse
+from repro.xmlio.parser import END, START, tokens
 
 #: Parent sentinel for nodes detached by remove_node (root keeps -1).
 _DETACHED = -2
@@ -67,25 +66,29 @@ class TreeStore(Store):
         self._sequential = True
         self._order = None
         self._stop = None
+        tags, parents, posts = self._tags, self._parents, self._posts
+        attrs, contents, child_lists = self._attrs, self._content, self._children
         stack: list[int] = []
-        for event in iterparse(text):
-            if isinstance(event, StartElement):
-                node = len(self._tags)
-                self._tags.append(sys.intern(event.tag))
-                self._parents.append(stack[-1] if stack else -1)
-                self._posts.append(node)
-                self._attrs.append(dict(event.attributes) if event.attributes else None)
-                self._content.append([])
-                self._children.append([])
-                if stack:
-                    self._content[stack[-1]].append(node)
-                    self._children[stack[-1]].append(node)
+        parent = -1
+        for kind, value, attributes in tokens(text):
+            if kind == START:
+                node = len(tags)
+                tags.append(value)              # interned by the tokenizer
+                parents.append(parent)
+                posts.append(node)
+                attrs.append(dict(attributes) if attributes else None)
+                contents.append([])
+                child_lists.append([])
+                if parent >= 0:
+                    contents[parent].append(node)
+                    child_lists[parent].append(node)
                 stack.append(node)
-            elif isinstance(event, EndElement):
-                node = stack.pop()
-                self._posts[node] = len(self._tags) - 1
+                parent = node
+            elif kind == END:
+                posts[stack.pop()] = len(tags) - 1
+                parent = stack[-1] if stack else -1
             else:
-                self._append_text(stack[-1], event.text)
+                self._append_text(parent, value)
         self.mark_loaded(text)
 
     def _append_text(self, node: int, text: str) -> None:
@@ -102,16 +105,27 @@ class TreeStore(Store):
             for lst in (self._tags, self._parents, self._posts, self._attrs,
                         self._content, self._children)
         )
-        total += sum(8 for _ in self._parents) * 2   # parents + posts payloads
-        for attrs in self._attrs:
-            if attrs:
-                total += sys.getsizeof(attrs)
-                total += sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in attrs.items())
-        for content in self._content:
-            total += sys.getsizeof(content)
-            total += sum(sys.getsizeof(part) for part in content if isinstance(part, str))
+        total += 16 * len(self._parents)             # parents + posts payloads
+        total += self._payload_bytes()
         for children in self._children:
             total += sys.getsizeof(children) + 8 * len(children)
+        return total
+
+    def _payload_bytes(self) -> int:
+        """Attribute dicts and content sequences with the strings they hold,
+        in one flat loop: ``bulkload`` pays this inside every set-up."""
+        getsizeof = sys.getsizeof
+        total = 0
+        for attrs in self._attrs:
+            if attrs:
+                total += getsizeof(attrs)
+                for name, value in attrs.items():
+                    total += getsizeof(name) + getsizeof(value)
+        for content in self._content:
+            total += getsizeof(content)
+            for part in content:
+                if part.__class__ is str:
+                    total += getsizeof(part)
         return total
 
     # -- navigation -----------------------------------------------------------

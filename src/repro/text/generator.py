@@ -66,7 +66,7 @@ class TextGenerator:
 
     def words(self, source: RandomSource, count: int) -> list[str]:
         """``count`` Zipf-distributed words."""
-        return [self._vocabulary.sample(source) for _ in range(count)]
+        return self._vocabulary.sample_run(source, count)[0]
 
     def sentence(self, source: RandomSource, min_words: int = 4, max_words: int = 18) -> str:
         """One space-separated pseudo-sentence (no punctuation, per §4.3)."""

@@ -78,6 +78,13 @@ class Vocabulary:
         """Draw one word according to the Zipf distribution."""
         return self._words[self._distribution.sample(source)]
 
+    def sample_run(
+        self, source: RandomSource, limit: int, stop_probability: float | None = None
+    ) -> tuple[list[str], bool]:
+        """Up to ``limit`` Zipf words drawn as one batch; see
+        :meth:`Distribution.sample_run` for ``stop_probability``."""
+        return self._distribution.sample_run(source, self._words, limit, stop_probability)
+
     def contains(self, word: str) -> bool:
         return word in self._words or word in _word_set(len(self._words))
 

@@ -49,6 +49,8 @@ ANCHOR_WORDS: dict[int, str] = {
 
 _AUCTION_TYPES = ("Regular", "Featured", "Dutch")
 _HAPPINESS_RANGE = (1, 10)
+#: Odds that inline markup (bold/keyword/emph) follows a word of prose.
+_INLINE_PROBABILITY = 0.12
 
 
 @lru_cache(maxsize=1)
@@ -224,7 +226,7 @@ class XMarkGenerator:
             writer.leaf("from", self._text.person_name(source))
             writer.leaf("to", self._text.person_name(source))
             writer.leaf("date", self._text.date(source))
-            self._write_prose_element(writer, "text", source, rich=True)
+            self._write_prose_element(writer, "text", source)
             writer.end()
         writer.end()
         writer.end()
@@ -367,7 +369,7 @@ class XMarkGenerator:
         if source.boolean(parlist_probability):
             self._write_parlist(writer, source, depth=0, deep=deep)
         else:
-            self._write_prose_element(writer, "text", source, rich=True)
+            self._write_prose_element(writer, "text", source)
         writer.end()
 
     def _write_parlist(
@@ -381,8 +383,7 @@ class XMarkGenerator:
                 self._write_parlist(writer, source, depth + 1, deep)
             else:
                 self._write_prose_element(
-                    writer, "text", source, rich=True, force_nested_keyword=deep and depth > 0
-                )
+                    writer, "text", source, force_nested_keyword=deep and depth > 0)
             writer.end()
         writer.end()
 
@@ -391,17 +392,25 @@ class XMarkGenerator:
         writer: XMLWriter,
         tag: str,
         source: RandomSource,
-        rich: bool,
         depth: int = 0,
         force_nested_keyword: bool = False,
     ) -> None:
-        """Mixed-content prose: character data with bold/keyword/emph islands."""
+        """Mixed-content prose: character data with bold/keyword/emph islands.
+
+        Words are drawn and written a run at a time; a run ends where inline
+        markup follows a word (never below two levels of it) or at the
+        element's word count.
+        """
         writer.start(tag)
-        words = source.uniform_int(30, 120) if depth == 0 else source.uniform_int(1, 4)
+        remaining = source.uniform_int(30, 120) if depth == 0 else source.uniform_int(1, 4)
+        inline_probability = _INLINE_PROBABILITY if depth < 2 else None
         emitted_nested = False
-        for position in range(words):
-            writer.text(self._text.vocabulary.sample(source) + " ")
-            if rich and depth < 2 and source.boolean(0.12):
+        while remaining:
+            run, inline_follows = self._text.vocabulary.sample_run(
+                source, remaining, inline_probability)
+            remaining -= len(run)
+            writer.text(" ".join(run) + " ")
+            if inline_follows:
                 inline = source.choice(("bold", "keyword", "emph"))
                 nest_keyword = inline == "emph" and (
                     force_nested_keyword and not emitted_nested or source.boolean(0.5)
@@ -413,9 +422,7 @@ class XMarkGenerator:
                     writer.end()
                     emitted_nested = True
                 else:
-                    self._write_prose_element(
-                        writer, inline, source, rich=True, depth=depth + 1
-                    )
+                    self._write_prose_element(writer, inline, source, depth + 1)
         if force_nested_keyword and not emitted_nested:
             writer.start("emph")
             writer.leaf("keyword", self._text.keyword(source))

@@ -3,8 +3,10 @@
 The paper's tooling assumes three capabilities, all provided here without
 third-party dependencies:
 
-* a **streaming tokenizer** (:func:`iterparse`) in the role of expat — the
-  paper times a bare scan over the benchmark document as the bulkload floor;
+* a **streaming tokenizer** (:func:`~repro.xmlio.parser.tokens`, one regex
+  pass; :func:`iterparse` wraps its tuples into events) in the role of
+  expat — the paper times a bare scan over the benchmark document as the
+  bulkload floor;
 * a **lightweight DOM** (:mod:`repro.xmlio.dom`) used by the main-memory
   stores and the embedded System-G analogue;
 * a **canonical serialization** (:mod:`repro.xmlio.canonical`) addressing the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.errors import XMLSyntaxError
 
 _PREDEFINED = {
@@ -29,12 +31,16 @@ def escape_attribute(value: str) -> str:
     )
 
 
-def resolve_references(value: str, line: int = 0, column: int = 0) -> str:
+def resolve_references(
+    value: str, locate: Callable[[], tuple[int, int]] | None = None
+) -> str:
     """Replace predefined entity and character references in ``value``.
 
     Unknown entity references are an error: the paper's generator never emits
     them (Section 4.4 excludes Entities), so their presence means the input
-    is outside the supported subset.
+    is outside the supported subset.  ``locate`` returns the ``(line,
+    column)`` to report; it is called only to raise, so well-formed input
+    never pays for a position.
     """
     if "&" not in value:
         return value
@@ -48,21 +54,25 @@ def resolve_references(value: str, line: int = 0, column: int = 0) -> str:
         parts.append(value[position:amp])
         end = value.find(";", amp + 1)
         if end < 0:
-            raise XMLSyntaxError("unterminated entity reference", line, column)
+            raise _reference_error("unterminated entity reference", locate)
         name = value[amp + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
+        if name.startswith("#"):
+            digits, base = (name[2:], 16) if name[1:2] in ("x", "X") else (name[1:], 10)
             try:
-                parts.append(chr(int(name[2:], 16)))
+                parts.append(chr(int(digits, base)))
             except ValueError as exc:
-                raise XMLSyntaxError(f"bad character reference &{name};", line, column) from exc
-        elif name.startswith("#"):
-            try:
-                parts.append(chr(int(name[1:])))
-            except ValueError as exc:
-                raise XMLSyntaxError(f"bad character reference &{name};", line, column) from exc
+                raise _reference_error(
+                    f"bad character reference &{name};", locate) from exc
         elif name in _PREDEFINED:
             parts.append(_PREDEFINED[name])
         else:
-            raise XMLSyntaxError(f"unknown entity &{name};", line, column)
+            raise _reference_error(f"unknown entity &{name};", locate)
         position = end + 1
     return "".join(parts)
+
+
+def _reference_error(
+    message: str, locate: Callable[[], tuple[int, int]] | None
+) -> XMLSyntaxError:
+    line, column = locate() if locate is not None else (0, 0)
+    return XMLSyntaxError(message, line, column)

@@ -1,34 +1,69 @@
-"""From-scratch streaming XML parser.
+"""From-scratch streaming XML tokenizer and the parsers built on it.
 
-:func:`iterparse` yields :class:`~repro.xmlio.events.Event` objects from a
-document string in a single left-to-right scan; :func:`parse` builds a DOM
-from those events; :func:`scan` consumes events without materialising
-anything — the role played by expat's bare tokenization pass in the paper's
-Table 1 discussion.
+:func:`tokens` is the one tokenizer: a single module-level regex, applied
+with ``finditer`` over the whole buffer, yields plain ``(kind, name_or_text,
+attributes)`` tuples.  :func:`iterparse` wraps those tuples into
+:class:`~repro.xmlio.events.Event` objects; :func:`parse` builds a DOM;
+:func:`scan` consumes tokens without materialising anything — the role
+played by expat's bare tokenization pass in the paper's Table 1 discussion.
+The bulkloading stores consume :func:`tokens` directly.
 
-The parser enforces well-formedness for the supported subset: matching tags,
-a single root element, unique attributes, no markup outside the root other
-than comments/PIs/DOCTYPE, resolved entity references.
+The tokenizer enforces well-formedness for the supported subset: matching
+tags, a single root element, unique attributes, no markup outside the root
+other than comments/PIs/DOCTYPE, resolved entity references.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Iterator
+from functools import partial
 
 from repro.errors import XMLSyntaxError
-from repro.xmlio.dom import Document, Element, Text
+from repro.xmlio.dom import Document, Element
 from repro.xmlio.escape import resolve_references
 from repro.xmlio.events import Characters, EndElement, Event, StartElement
 
-_NAME_START = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_:"
+#: Token kinds, the first member of every tuple :func:`tokens` yields.
+START, END, TEXT = 0, 1, 2
+
+Token = tuple[int, str, "tuple[tuple[str, str], ...] | None"]
+
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_SPACE = r"[ \t\r\n]"
+_ATTRIBUTE = re.compile(
+    rf"""({_NAME}){_SPACE}*={_SPACE}*(?:"([^<"]*)"|'([^<']*)')""")
+_ATTRIBUTES = rf"""(?:{_SPACE}++{_NAME}{_SPACE}*+={_SPACE}*+(?:"[^<"]*+"|'[^<']*+'))*+"""
+
+# One alternative per construct, most frequent first.  Every character
+# belongs to some alternative — a text run takes anything but "<", and the
+# last alternative takes a "<" that opens no well-formed construct — so
+# consecutive matches tile the buffer, and that last alternative is the only
+# place a syntax error is diagnosed.  The quantifiers inside a tag are
+# possessive: a malformed tag fails in one pass, never by backtracking.
+_TOKEN = re.compile(
+    rf"""([^<]+)"""                                         # 1 text run
+    rf"""|</({_NAME}){_SPACE}*>"""                          # 2 close tag
+    rf"""|<({_NAME})({_ATTRIBUTES}){_SPACE}*(/?)>"""        # 3 open tag, 4 attributes, 5 "/"
+    r"""|<!--(?s:.*?)-->"""                                 # comment
+    r"""|<\?(?s:.*?)\?>"""                                  # processing instruction
+    r"""|<!\[CDATA\[((?s:.*?))\]\]>"""                      # 6 CDATA section
+    r"""|(<!DOCTYPE)[^\[>]*+(?:\[[^\]]*+\][^\[>]*+)*+>"""    # 7 DOCTYPE, internal subset
+    r"""|(<)"""                                             # 8 malformed
 )
-_NAME_CHARS = _NAME_START | frozenset("0123456789.-")
-_WHITESPACE = frozenset(" \t\r\n")
+_TEXT_RUN, _CLOSE, _OPEN, _CDATA, _DOCTYPE, _MALFORMED = 1, 2, 5, 6, 7, 8
+_NAME_AT = re.compile(_NAME)
+_SPACE_AT = re.compile(f"{_SPACE}*")
+_UNTERMINATED = (
+    ("<!--", "comment"),
+    ("<![CDATA[", "CDATA section"),
+    ("<?", "processing instruction"),
+)
 
 
 def _location(text: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of ``offset`` — computed lazily on error."""
+    """1-based (line, column) of ``offset`` — computed only to raise."""
     line = text.count("\n", 0, offset) + 1
     last_newline = text.rfind("\n", 0, offset)
     return line, offset - last_newline
@@ -39,186 +74,160 @@ def _error(text: str, offset: int, message: str) -> XMLSyntaxError:
     return XMLSyntaxError(message, line, column)
 
 
-def _skip_whitespace(text: str, position: int) -> int:
-    while position < len(text) and text[position] in _WHITESPACE:
-        position += 1
-    return position
+def _diagnose(text: str, offset: int) -> XMLSyntaxError:
+    """Why the ``<`` at ``offset`` opens no well-formed construct."""
+    for opener, what in _UNTERMINATED:
+        if text.startswith(opener, offset):
+            return _error(text, offset, f"unterminated {what}")
+    if text.startswith("<!DOCTYPE", offset):
+        return _error(text, len(text) - 1, "unterminated DOCTYPE")
+    if text.startswith("<!", offset):
+        return _error(text, offset, "unsupported markup declaration")
+    closing = text.startswith("</", offset)
+    name = _NAME_AT.match(text, offset + 1 + closing)
+    if name is None:
+        return _error(text, offset + 1 + closing, "expected a name")
+    position = name.end()
+    if closing:
+        return _error(text, position, f"malformed closing tag </{name[0]}")
+    # An open tag: step over the attributes that are fine, name the one
+    # that is not.
+    while True:
+        spaced = _SPACE_AT.match(text, position).end()
+        attribute = _ATTRIBUTE.match(text, spaced)
+        if attribute is None:
+            break
+        if spaced == position:
+            return _error(text, spaced,
+                          f"attribute {attribute[1]!r} must follow whitespace")
+        position = attribute.end()
+    position = spaced
+    if position >= len(text):
+        return _error(text, len(text) - 1, f"unterminated tag <{name[0]}")
+    if text[position] == "/":
+        return _error(text, position, "expected '/>'")
+    attribute = _NAME_AT.match(text, position)
+    if attribute is None:
+        return _error(text, position, "expected a name")
+    position = _SPACE_AT.match(text, attribute.end()).end()
+    if not text.startswith("=", position):
+        return _error(text, position, f"attribute {attribute[0]!r} missing '='")
+    position = _SPACE_AT.match(text, position + 1).end()
+    quote = text[position : position + 1]
+    if quote not in ("'", '"'):
+        return _error(text, position, f"attribute {attribute[0]!r} value must be quoted")
+    if text.find(quote, position + 1) < 0:
+        return _error(text, position,
+                      f"unterminated attribute value for {attribute[0]!r}")
+    return _error(text, position, f"'<' in attribute value for {attribute[0]!r}")
 
 
-def _read_name(text: str, position: int) -> tuple[str, int]:
-    if position >= len(text) or text[position] not in _NAME_START:
-        raise _error(text, position, "expected a name")
-    end = position + 1
-    while end < len(text) and text[end] in _NAME_CHARS:
-        end += 1
-    return text[position:end], end
+def tokens(text: str) -> Iterator[Token]:
+    """Yield ``(kind, name_or_text, attributes)`` for every token of ``text``.
 
+    ``kind`` is :data:`START`, :data:`END` or :data:`TEXT`.  A START carries
+    the tag name and a tuple of ``(name, value)`` pairs; an END (also emitted
+    for a self-closing element) carries the name; a TEXT carries one run of
+    character data or one CDATA section, references resolved.  Names are
+    interned once per parse, so equal names are one object.
+    """
+    stack: list[str] = []
+    interned: dict[str, str] = {}
+    seen_root = False
 
-def _skip_doctype(text: str, position: int) -> int:
-    """Skip a DOCTYPE declaration, including a bracketed internal subset."""
-    depth = 0
-    while position < len(text):
-        char = text[position]
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        elif char == ">" and depth <= 0:
-            return position + 1
-        position += 1
-    raise _error(text, len(text) - 1, "unterminated DOCTYPE")
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        if kind == _TEXT_RUN:
+            run = match[1]
+            if stack:
+                if "&" in run:
+                    run = resolve_references(
+                        run, partial(_location, text, match.start()))
+                yield TEXT, run, None
+            elif run.strip():
+                raise _error(text, match.start(),
+                             "character data outside the root element")
+        elif kind == _CLOSE:
+            name = match[2]
+            if not stack:
+                raise _error(text, match.start(),
+                             f"closing tag </{name}> with no open element")
+            expected = stack.pop()
+            if expected != name:
+                raise _error(
+                    text, match.start(),
+                    f"mismatched closing tag: expected </{expected}>, got </{name}>")
+            yield END, expected, None
+        elif kind == _OPEN:
+            name, raw_attributes, empty = match.group(3, 4, 5)
+            name = interned.get(name) or interned.setdefault(name, sys.intern(name))
+            if not stack:
+                if seen_root:
+                    raise _error(text, match.start(), "multiple root elements")
+                seen_root = True
+            attributes: tuple[tuple[str, str], ...] = ()
+            if raw_attributes:
+                pairs: dict[str, str] = {}
+                for key, double, single in _ATTRIBUTE.findall(raw_attributes):
+                    if key in pairs:
+                        raise _error(text, match.start(),
+                                     f"duplicate attribute {key!r}")
+                    key = interned.get(key) or interned.setdefault(key, sys.intern(key))
+                    value = double or single
+                    if "&" in value:
+                        value = resolve_references(
+                            value, partial(_location, text, match.start()))
+                    pairs[key] = value
+                attributes = tuple(pairs.items())
+            yield START, name, attributes
+            if empty:
+                yield END, name, None
+            else:
+                stack.append(name)
+        elif kind == _CDATA:
+            if not stack:
+                raise _error(text, match.start(), "CDATA outside the root element")
+            yield TEXT, match[6], None
+        elif kind == _DOCTYPE:
+            if seen_root:
+                raise _error(text, match.start(), "DOCTYPE after the root element")
+        elif kind == _MALFORMED:
+            raise _diagnose(text, match.start())
+        # else: a comment or processing instruction, skipped.
+
+    if stack:
+        raise _error(text, len(text) - 1, f"unclosed element <{stack[-1]}>")
+    if not seen_root:
+        raise _error(text, 0, "no root element")
 
 
 def iterparse(text: str) -> Iterator[Event]:
     """Yield streaming events from an XML document string."""
-    position = 0
-    length = len(text)
-    stack: list[str] = []
-    seen_root = False
-
-    while position < length:
-        if text[position] != "<":
-            gap = text.find("<", position)
-            if gap < 0:
-                gap = length
-            raw = text[position:gap]
-            if stack:
-                if "&" in raw:
-                    line, column = _location(text, position)
-                    raw = resolve_references(raw, line, column)
-                yield Characters(raw)
-            elif raw.strip():
-                raise _error(text, position, "character data outside the root element")
-            position = gap
-            continue
-
-        if text.startswith("<!--", position):
-            end = text.find("-->", position + 4)
-            if end < 0:
-                raise _error(text, position, "unterminated comment")
-            position = end + 3
-            continue
-        if text.startswith("<![CDATA[", position):
-            if not stack:
-                raise _error(text, position, "CDATA outside the root element")
-            end = text.find("]]>", position + 9)
-            if end < 0:
-                raise _error(text, position, "unterminated CDATA section")
-            yield Characters(text[position + 9 : end])
-            position = end + 3
-            continue
-        if text.startswith("<?", position):
-            end = text.find("?>", position + 2)
-            if end < 0:
-                raise _error(text, position, "unterminated processing instruction")
-            position = end + 2
-            continue
-        if text.startswith("<!DOCTYPE", position):
-            if seen_root:
-                raise _error(text, position, "DOCTYPE after the root element")
-            position = _skip_doctype(text, position + 9)
-            continue
-        if text.startswith("<!", position):
-            raise _error(text, position, "unsupported markup declaration")
-
-        if text.startswith("</", position):
-            name, after = _read_name(text, position + 2)
-            after = _skip_whitespace(text, after)
-            if after >= length or text[after] != ">":
-                raise _error(text, after, f"malformed closing tag </{name}")
-            if not stack:
-                raise _error(text, position, f"closing tag </{name}> with no open element")
-            expected = stack.pop()
-            if expected != name:
-                raise _error(
-                    text, position,
-                    f"mismatched closing tag: expected </{expected}>, got </{name}>",
-                )
-            yield EndElement(name)
-            position = after + 1
-            continue
-
-        # Opening (or self-closing) tag.
-        if seen_root and not stack:
-            raise _error(text, position, "multiple root elements")
-        name, position = _read_name(text, position + 1)
-        attributes: list[tuple[str, str]] = []
-        seen_names: set[str] = set()
-        while True:
-            position = _skip_whitespace(text, position)
-            if position >= length:
-                raise _error(text, length - 1, f"unterminated tag <{name}")
-            char = text[position]
-            if char == ">":
-                position += 1
-                stack.append(name)
-                seen_root = True
-                yield StartElement(name, tuple(attributes))
-                break
-            if char == "/":
-                if not text.startswith("/>", position):
-                    raise _error(text, position, "expected '/>'")
-                position += 2
-                seen_root = True
-                yield StartElement(name, tuple(attributes))
-                yield EndElement(name)
-                break
-            attr_name, position = _read_name(text, position)
-            if attr_name in seen_names:
-                raise _error(text, position, f"duplicate attribute {attr_name!r}")
-            seen_names.add(attr_name)
-            position = _skip_whitespace(text, position)
-            if position >= length or text[position] != "=":
-                raise _error(text, position, f"attribute {attr_name!r} missing '='")
-            position = _skip_whitespace(text, position + 1)
-            if position >= length or text[position] not in "\"'":
-                raise _error(text, position, f"attribute {attr_name!r} value must be quoted")
-            quote = text[position]
-            end = text.find(quote, position + 1)
-            if end < 0:
-                raise _error(text, position, f"unterminated attribute value for {attr_name!r}")
-            raw_value = text[position + 1 : end]
-            if "<" in raw_value:
-                raise _error(text, position, f"'<' in attribute value for {attr_name!r}")
-            if "&" in raw_value:
-                line, column = _location(text, position)
-                raw_value = resolve_references(raw_value, line, column)
-            attributes.append((attr_name, raw_value))
-            position = end + 1
-
-    if stack:
-        raise _error(text, length - 1, f"unclosed element <{stack[-1]}>")
-    if not seen_root:
-        raise _error(text, 0, "no root element")
+    for kind, value, attributes in tokens(text):
+        if kind == START:
+            yield StartElement(value, attributes)
+        elif kind == END:
+            yield EndElement(value)
+        else:
+            yield Characters(value)
 
 
 def parse(text: str) -> Document:
     """Parse a document string into a DOM tree."""
     document = Document()
     open_elements: list[Element] = []
-    pending_text: list[str] = []
-
-    def flush_text() -> None:
-        if pending_text:
-            combined = "".join(pending_text)
-            pending_text.clear()
-            if open_elements:
-                open_elements[-1].append(Text(combined))
-
-    for event in iterparse(text):
-        if isinstance(event, StartElement):
-            flush_text()
-            element = Element(event.tag, dict(event.attributes))
+    for kind, value, attributes in tokens(text):
+        if kind == START:
+            element = Element(value, dict(attributes))
             if open_elements:
                 open_elements[-1].append(element)
             else:
                 document.set_root(element)
             open_elements.append(element)
-        elif isinstance(event, EndElement):
-            flush_text()
+        elif kind == END:
             open_elements.pop()
         else:
-            pending_text.append(event.text)
+            open_elements[-1].append_text(value)
     return document
 
 
@@ -230,7 +239,7 @@ def scan(text: str) -> int:
     as required by the XML standard and no user-specified semantic actions".
     """
     count = 0
-    for _ in iterparse(text):
+    for _ in tokens(text):
         count += 1
     return count
 

@@ -1,10 +1,14 @@
 """Tests for the document generator: determinism, scaling, validity, split mode."""
 
+import functools
+import hashlib
+import io
 import os
 
 import pytest
 
 from repro.errors import GenerationError
+from repro.rng.distributions import RandomSource
 from repro.schema.auction import REFERENCE_TARGETS, auction_dtd, auction_split_dtd
 from repro.schema.validator import validate
 from repro.xmlgen.cli import main as xmlgen_main
@@ -14,6 +18,7 @@ from repro.xmlgen.counts import (
 )
 from repro.xmlgen.generator import ANCHOR_WORDS, XMarkGenerator, generate_string
 from repro.xmlio.parser import parse
+from repro.xmlio.serialize import XMLWriter
 
 
 class TestConfig:
@@ -233,3 +238,84 @@ class TestCli:
         directory = tmp_path / "split"
         assert xmlgen_main(["-f", "0.0005", "-s", "50", "-d", str(directory)]) == 0
         assert len(list(directory.iterdir())) > 3
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _reference_prose_element(generator, writer, tag, source, depth=0,
+                             force_nested_keyword=False):
+    """The word-at-a-time prose loop the batch kernel replaced: one
+    ``vocabulary.sample`` and one ``boolean(0.12)`` call per word."""
+    sample = generator._text.vocabulary.sample
+    keyword = lambda: " ".join(sample(source) for _ in range(source.uniform_int(1, 3)))
+    writer.start(tag)
+    words = source.uniform_int(30, 120) if depth == 0 else source.uniform_int(1, 4)
+    emitted_nested = False
+    for _ in range(words):
+        writer.text(sample(source) + " ")
+        if depth < 2 and source.boolean(0.12):
+            inline = source.choice(("bold", "keyword", "emph"))
+            if inline == "emph" and (
+                    force_nested_keyword and not emitted_nested or source.boolean(0.5)):
+                writer.start("emph")
+                writer.text(keyword() + " ")
+                writer.leaf("keyword", keyword())
+                writer.end()
+                emitted_nested = True
+            else:
+                _reference_prose_element(generator, writer, inline, source, depth + 1)
+    if force_nested_keyword and not emitted_nested:
+        writer.start("emph")
+        writer.leaf("keyword", keyword())
+        writer.end()
+    writer.end()
+
+
+class TestGoldenDocuments:
+    """The generated text is pinned byte for byte: literal SHA-256 values
+    taken before the prose loop became a batch kernel."""
+
+    @pytest.mark.parametrize("scale,seed,digest", [
+        (0.002, None, "2ddb88daa2f00dd5e1ab1cf94a32edb97c3ab6ca598c35ac25260f421abc460d"),
+        (0.01, None, "74d218fe522dae343d2120f34b8831c98c1166479febfad2b9ab895b5003c70c"),
+        (0.002, 7, "14e98e4f6b0c07707569dd5e5437c296ac50645c10afd8ed67e0a880ce6250aa"),
+    ])
+    def test_document_digest(self, scale, seed, digest):
+        assert _sha256(generate_string(scale, seed)) == digest
+
+    def test_split_chunks_concatenate_to_the_single_document(self, tmp_path):
+        config = GeneratorConfig(scale=0.002, entities_per_file=25)
+        paths = XMarkGenerator(config).write_split(str(tmp_path))
+        entities: dict[str, str] = {}      # container -> its chunks' entities
+        for path in paths:
+            with open(path, encoding="ascii") as handle:
+                declaration, body = handle.read().split("\n", 1)
+            container = body[1 : body.index(">")]
+            inner = body[body.index(">") + 1 : body.rindex("</")]
+            entities[container] = entities.get(container, "") + inner
+        assert _sha256("".join(entities.values())) == (
+            "2d620bbd9ee3b2120bc515d300957a8c0e6309f055869eec980089e0bbee93b7")
+        regions = [name for name, _ in EntityCounts.for_scale(0.002).region_items]
+        wrap = lambda name: f"<{name}>{entities[name]}</{name}>"
+        rebuilt = (declaration + "\n<site><regions>"
+                   + "".join(wrap(region) for region in regions) + "</regions>"
+                   + "".join(wrap(name) for name in entities if name not in regions)
+                   + "</site>")
+        assert rebuilt == generate_string(0.002)
+
+    @pytest.mark.parametrize("depth,force", [(0, False), (0, True), (1, False), (2, False)])
+    def test_prose_kernel_leaves_the_word_at_a_time_state(self, depth, force):
+        generator = XMarkGenerator(GeneratorConfig(scale=0.002))
+        for seed in range(40):
+            outputs, states = [], []
+            for write in (generator._write_prose_element,
+                          functools.partial(_reference_prose_element, generator)):
+                source = RandomSource.from_seed(seed)
+                buffer = io.StringIO()
+                write(XMLWriter(buffer), "text", source, depth, force)
+                outputs.append(buffer.getvalue())
+                states.append(source.core.getstate())
+            assert outputs[0] == outputs[1]
+            assert states[0] == states[1]
