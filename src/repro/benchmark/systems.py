@@ -132,13 +132,17 @@ def make_store(name: str) -> Store:
 
 
 def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
-                recovered=None, tracer=NULL_TRACER) -> tuple[dict, dict, dict, object]:
+                recovered=None, tracer=NULL_TRACER
+                ) -> tuple[dict, dict, dict, object, dict]:
     """The one loader of every connection owner (the embedded Database
     and the QueryService): bulkload one store per system letter and,
     when ``shard_spec`` (a :class:`repro.service.ShardSpec`) asks for
-    one, the sharded deployment with its scatter-gather executor.
+    one, the sharded deployment with its scatter-gather executor
+    installed as the store's exchange.
 
-    Returns ``(stores, load_reports, failed_loads, scatter_executor)``;
+    Returns ``(stores, load_reports, failed_loads, scatter_executor,
+    profiles)`` — ``profiles`` maps every serving name, the shard
+    pseudo-system's included, to the profile its queries compile under;
     a system that fails to load (System G's capacity limit at scale,
     notably) lands in ``failed_loads`` with the failure reason instead of
     raising.  ``recovered`` is a durable reconnect's
@@ -163,9 +167,10 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
             failed[name] = str(exc)
             continue
         stores[name] = store
+    profiles = {name: get_profile(name) for name in stores}
     if shard_spec is None:
-        return stores, reports, failed, None
-    from repro.shard.scatter import ScatterGatherExecutor
+        return stores, reports, failed, None, profiles
+    from repro.shard.scatter import SHARDED_PROFILE, ScatterGatherExecutor
     from repro.shard.store import ShardedStore
     name = shard_spec.name
     sharded = ShardedStore(shard_spec.shards, shard_spec.backends)
@@ -181,11 +186,13 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
             reports[name] = bulkload(sharded, document, name)
         except Exception as exc:
             failed[name] = str(exc)
-            return stores, reports, failed, None
+            return stores, reports, failed, None, profiles
     stores[name] = sharded
-    return stores, reports, failed, ScatterGatherExecutor(
+    profiles[name] = SHARDED_PROFILE
+    sharded.exchange = ScatterGatherExecutor(
         sharded, per_shard_limit=shard_spec.per_shard_limit,
         partial_cache_size=shard_spec.partial_cache_size, tracer=tracer)
+    return stores, reports, failed, sharded.exchange, profiles
 
 
 def get_profile(name: str) -> SystemProfile:

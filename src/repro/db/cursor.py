@@ -4,10 +4,9 @@ A :class:`Cursor` fronts every execution path the facade routes to.  On a
 direct connection it is backed by the evaluator's lazy pipeline
 (:func:`repro.xquery.evaluator.evaluate_stream`): items are produced as
 the plan yields them, so the first row of a large result arrives long
-before the last binding has been evaluated.  Service and scatter-gather
-connections materialize (their caches need complete results) and the
-cursor streams from the finished sequence — same protocol, different
-latency profile.
+before the last binding has been evaluated.  A service connection
+materializes (its caches need complete results) and the cursor streams
+from the finished sequence — same protocol, different latency profile.
 
 Whatever the backing, ``fetchall()`` returns exactly the items the legacy
 ``evaluate()`` would have put in ``QueryResult.items``, in the same
@@ -36,8 +35,8 @@ class Cursor:
     ``execute_seconds`` (the latter 0.0 on streaming cursors, where
     execution happens during fetching), ``plan_cache_hit`` /
     ``result_cache_hit`` (service connections), ``source`` (which path
-    served it: ``direct`` / ``service`` / ``scatter``), and ``streaming``
-    (whether rows are produced lazily).
+    served it: ``direct`` / ``service``), and ``streaming`` (whether rows
+    are produced lazily).
     """
 
     arraysize = 100

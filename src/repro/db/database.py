@@ -7,10 +7,10 @@ to whichever engine the connect options selected:
 * **direct** (the default): each requested system letter is bulkloaded
   into its own store; queries compile per system and execute in-process,
   with cursors streaming straight off the evaluator's lazy pipeline.
-* **scatter** (``shards=N``): the document is additionally partitioned
-  into a :class:`~repro.shard.store.ShardedStore` served by a
-  :class:`~repro.shard.scatter.ScatterGatherExecutor` under the
-  pseudo-system name ``shard_system`` (default ``"S"``).
+  ``shards=N`` additionally partitions the document into a
+  :class:`~repro.shard.store.ShardedStore`, one more system under the
+  pseudo-system name ``shard_system`` (default ``"S"``) whose plans fan
+  out over a :class:`~repro.shard.scatter.ScatterGatherExecutor`.
 * **service** (``service=True``): everything runs through a
   :class:`~repro.service.QueryService` — bounded worker pool, per-system
   admission control, plan and result caches — including the sharded
@@ -28,7 +28,7 @@ import time
 import weakref
 
 from repro.benchmark.queries import query_text as benchmark_query_text
-from repro.benchmark.systems import SYSTEMS, get_profile, load_stores
+from repro.benchmark.systems import SYSTEMS, load_stores
 from repro.db.cursor import Cursor
 from repro.db.session import Session
 from repro.errors import (
@@ -199,12 +199,13 @@ class Database:
                 query_log=query_log,
             )
             self.stores = self.service.stores
+            self.profiles = self.service.profiles
             self.load_reports = self.service.load_reports
             self.failed_loads = self.service.failed_loads
             self._write_path = self.service.write_path
         else:
             (self.stores, self.load_reports, self.failed_loads,
-             self._scatter) = load_stores(
+             self._scatter, self.profiles) = load_stores(
                 document, tuple(systems), spec, recovered=self.recovery,
                 tracer=self.tracer)
             # The degenerate service: the same write path under its own
@@ -384,9 +385,8 @@ class Database:
     # -- execution ------------------------------------------------------------------
 
     def compile(self, system: str, text: str) -> CompiledQuery:
-        """Compile one query against one direct store (prepared queries)."""
-        store = self.store(system)
-        return compile_query(text, store, get_profile(system),
+        """Compile one query against one serving store (prepared queries)."""
+        return compile_query(text, self.store(system), self.profiles[system],
                              tracer=self.tracer)
 
     def explain(self, query: int | str, *, system: str | None = None):
@@ -409,9 +409,8 @@ class Database:
         """Route one query to the connection's engine; returns a cursor.
 
         ``stream=True`` (the default) gives a lazily-produced cursor on
-        direct connections; service and scatter routes materialize (their
-        caches need complete results) and stream from the finished
-        sequence.  ``compiled`` short-circuits compilation (prepared
+        direct connections; a service connection materializes (its caches
+        need complete results) and streams from the finished sequence.  ``compiled`` short-circuits compilation (prepared
         queries).  ``tenant`` labels the connection's ``db.queries_total``
         counter (per-caller accounting; no isolation semantics).
         """
@@ -433,19 +432,6 @@ class Database:
                 result_cache_hit=outcome.result_cache_hit,
                 span=outcome.span,
             )
-        if self._scatter is not None and name == self.shard_system:
-            started = time.perf_counter()
-            outcome = self._scatter.execute(text)
-            elapsed = time.perf_counter() - started
-            result = outcome.result
-            return Cursor(
-                result.items, result.navigator,
-                system=name, query_text=text, streaming=False,
-                source="scatter",
-                execute_seconds=elapsed,
-                plan_cache_hit=outcome.plan_cache_hit,
-                span=outcome.span,
-            )
         store = self.store(name)
         if compiled is not None and compiled.store is not store:
             compiled = None             # superseded by a reload: recompile
@@ -458,7 +444,7 @@ class Database:
             wall0 = time.perf_counter()
             cpu0 = time.process_time()
             if compiled is None:
-                compiled = compile_query(text, store, get_profile(name),
+                compiled = compile_query(text, store, self.profiles[name],
                                          tracer=tracer)
             cpu1 = time.process_time()
             wall1 = time.perf_counter()

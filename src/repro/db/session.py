@@ -73,7 +73,8 @@ class Session:
                 system: str | None = None) -> "PreparedQuery":
         """Compile once, execute many.
 
-        On a direct connection the compiled plan is reused across
+        On a direct connection the compiled plan — the sharded
+        pseudo-system's exchange plan like any other — is reused across
         executions (re-executions report ``plan_cache_hit`` and zero
         compile time); on a service connection the service's own plan
         cache provides the reuse and preparation just pins the text.
@@ -115,13 +116,13 @@ class PreparedQuery:
         self.system = database.resolve_system(system)
         self.query_text = database.query_text(query)
         self._compiled: "CompiledQuery | None" = None
-        if database.service is None and self.system != database.shard_system:
-            # Direct store: compilation is the preparation.
+        if database.service is None:
+            # Direct connection: compilation is the preparation.
             self._compiled = database.compile(self.system, self.query_text)
 
     @property
     def compiled(self) -> "CompiledQuery | None":
-        """The compiled plan (None when a service/scatter engine owns it)."""
+        """The compiled plan (None when a service's plan cache owns it)."""
         return self._compiled
 
     @property

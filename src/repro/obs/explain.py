@@ -7,10 +7,11 @@ questions the paper's per-system analysis asks of every query:
   :class:`~repro.xquery.planner.CompiledQuery` already records every
   access-path / join / range decision (including the est-vs-scan row
   counts that won each probe); EXPLAIN renders them.
-* **How does it route across shards?**  On the sharded pseudo-system
-  the :class:`~repro.shard.scatter.ScatterGatherExecutor` names its
-  distributed plan kind (routed / partial_count / broadcast_join /
-  scatter_flwor / fallback) and the fan-out width.
+* **How does it route across shards?**  On a sharded store the same
+  compiled query carries the planner's exchange (routed / partial_count /
+  broadcast_join / scatter_flwor, or none: fallback); EXPLAIN renders
+  its kind, its fan-out, and — where the shards run the whole query —
+  each shard's own access paths and ranges.
 * **Where will streaming stall?**  A static AST walk predicts the
   evaluator's documented materialization barriers — ``order by``
   FLWORs, self-axis filter steps, index-bounded range FLWORs — so a
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 from repro.xquery import ast
 
-__all__ = ["Explain", "describe_compiled", "explain_query",
-           "predict_barriers"]
+__all__ = ["Explain", "describe_compiled", "describe_exchange",
+           "explain_query", "predict_barriers"]
 
 
 def predict_barriers(query: ast.Query,
@@ -110,6 +111,45 @@ def describe_compiled(compiled) -> dict:
     }
 
 
+def describe_exchange(compiled) -> dict | None:
+    """How one compiled query distributes over its (sharded) store's
+    shards, as plain data; None for a store that is not sharded."""
+    from repro.xquery.planner import compile_shard, exchange_kind
+    store, plan = compiled.store, compiled.exchange
+    shards = getattr(store, "shard_count", None)    # the planner's probe
+    if shards is None:
+        return None
+    ranks = plan.ranks(store) if plan is not None else list(range(shards))
+    out = {"kind": exchange_kind(compiled), "shards": shards,
+           "backends": list(store.backends), "fanout": len(ranks)}
+    if out["kind"] in ("routed", "partial_count"):
+        out["plans"] = [
+            {"shard": rank,
+             **describe_compiled(compile_shard(compiled, rank))}
+            for rank in ranks]
+    return out
+
+
+def _plan_lines(plan: dict, indent: str) -> list[str]:
+    lines = []
+    for access in plan["access_paths"]:
+        detail = " ".join(f"{key}={value}" for key, value in access.items()
+                          if key != "kind")
+        lines.append(f"{indent}access path: {access['kind']} {detail}")
+    if plan["plain_scans"]:
+        lines.append(f"{indent}plain scans: {plan['plain_scans']}")
+    for join in plan["joins"]:
+        index = (f" via {join['index_kind']} index"
+                 if join["index_kind"] else " (per-query build)")
+        lines.append(f"{indent}join: {join['strategy']} on "
+                     f"{join['op']}{index}")
+    for rng in plan["ranges"]:
+        lines.append(f"{indent}range: ${rng['var']} in /{rng['path']} "
+                     f"where {rng['accessor']} {rng['op']} {rng['bound']} "
+                     f"(est {rng['est_rows']} vs scan {rng['scan_rows']})")
+    return lines
+
+
 class Explain:
     """A rendered plan: dict via :meth:`as_dict`, text via ``str()``."""
 
@@ -128,31 +168,17 @@ class Explain:
         shard = data.get("shard")
         if shard is not None:
             lines.append(f"  distributed plan: {shard['kind']} over "
-                         f"{shard['shards']} shard(s) "
+                         f"{shard['fanout']} of {shard['shards']} shard(s) "
                          f"[{'/'.join(shard['backends'])}]")
+            for sub in shard.get("plans", ()):
+                lines.append(f"    shard {sub['shard']}:")
+                lines.extend(_plan_lines(sub, "      "))
         plan = data.get("plan")
         if plan is not None:
             lines.append(f"  optimizer: {plan['optimizer']} "
                          f"(plans considered: {plan['plans_considered']}, "
                          f"metadata accesses: {plan['metadata_accesses']})")
-            for access in plan["access_paths"]:
-                detail = " ".join(f"{key}={value}"
-                                  for key, value in access.items()
-                                  if key != "kind")
-                lines.append(f"  access path: {access['kind']} {detail}")
-            if plan["plain_scans"]:
-                lines.append(f"  plain scans: {plan['plain_scans']}")
-            for join in plan["joins"]:
-                index = (f" via {join['index_kind']} index"
-                         if join["index_kind"] else " (per-query build)")
-                lines.append(f"  join: {join['strategy']} on "
-                             f"{join['op']}{index}")
-            for rng in plan["ranges"]:
-                lines.append(f"  range: ${rng['var']} in /{rng['path']} "
-                             f"where {rng['accessor']} {rng['op']} "
-                             f"{rng['bound']} "
-                             f"(est {rng['est_rows']} vs scan "
-                             f"{rng['scan_rows']})")
+            lines.extend(_plan_lines(plan, "  "))
             for barrier in plan["barriers"]:
                 lines.append(f"  streaming barrier: {barrier}")
             if not plan["barriers"]:
@@ -170,35 +196,19 @@ class Explain:
 
 def explain_query(database, system: str | None, query) -> Explain:
     """Build the EXPLAIN for one query on one connection — no execution,
-    no caches touched (compiles fresh against the live store)."""
-    from repro.benchmark.systems import get_profile
+    no caches touched (compiles fresh against the live store, through
+    the pipeline every execution takes)."""
     from repro.xquery.planner import compile_query
 
     name = database.resolve_system(system)
     text = database.query_text(query)
-    data: dict = {"system": name, "query": text}
-
-    if name == database.shard_system:
-        executor = (database.service._shard_executor
-                    if database.service is not None else database._scatter)
-        sharded = database.store(name)
-        data["mode"] = "scatter"
-        data["shard"] = {
-            "kind": executor.explain(text),
-            "shards": sharded.shard_count,
-            "backends": list(sharded.backends),
-        }
-        compiled = compile_query(text, sharded, _sharded_profile())
-        data["plan"] = describe_compiled(compiled)
-        return Explain(data)
-
-    data["mode"] = "service" if database.service is not None else "direct"
-    store = database.store(name)
-    compiled = compile_query(text, store, get_profile(name))
+    compiled = compile_query(text, database.store(name),
+                             database.profiles[name])
+    data: dict = {"system": name, "query": text,
+                  "mode": "service" if database.service is not None
+                  else "direct"}
+    shard = describe_exchange(compiled)
+    if shard is not None:
+        data["mode"], data["shard"] = "scatter", shard
     data["plan"] = describe_compiled(compiled)
     return Explain(data)
-
-
-def _sharded_profile():
-    from repro.shard.scatter import SHARDED_PROFILE
-    return SHARDED_PROFILE

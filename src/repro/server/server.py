@@ -229,8 +229,8 @@ class XMarkServer:
         ``owned=True`` transfers the connection to the server: it is
         closed when the server stops.  Served databases should be
         *direct* connections (the default ``repro.connect``) so cursors
-        stream off the lazy evaluator; service/scatter connections work
-        too and simply materialize per execution.
+        stream off the lazy evaluator; service connections work too and
+        simply materialize per execution.
         """
         if name in self.documents:
             raise ProtocolError(f"document {name!r} is already served",
@@ -631,9 +631,9 @@ class XMarkServer:
         system, text, _ = self._resolve_query(conn, served, payload)
         compiled = None
         warnings: list[str] = []
-        # The shard pseudo-system and service connections compile inside
-        # their own engines; a prepared id still pins system + bound text.
-        if database.service is None and system != database.shard_system:
+        # A service connection compiles through its own plan cache; a
+        # prepared id still pins system + bound text.
+        if database.service is None:
             compiled = database.compile(system, text)
             warnings = [str(w) for w in getattr(compiled, "warnings", ())]
         query_id = conn.fresh_id("q")

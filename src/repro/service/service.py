@@ -38,8 +38,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
 
 from repro.benchmark.queries import QUERIES
-from repro.benchmark.systems import get_profile, load_stores
-from repro.errors import BenchmarkError, DurabilityError, ShardError
+from repro.benchmark.systems import load_stores
+from repro.errors import BenchmarkError, DurabilityError
 from repro.obs.trace import NULL_TRACER
 from repro.service.cache import PlanCache, ResultCache
 from repro.service.invalidation import (
@@ -66,12 +66,13 @@ class ShardSpec:
     When given to :class:`QueryService`, the service additionally serves a
     pseudo-system (``name``, default ``"S"``) backed by a
     :class:`~repro.shard.store.ShardedStore` over ``shards`` instances of
-    the ``backends`` architectures, executed through a
-    :class:`~repro.shard.scatter.ScatterGatherExecutor`.  Reads hold the
-    system's admission permit like any other system's, scatter subtasks
-    additionally pass per-shard admission (``per_shard_limit``), and
-    commits drain the system's gate with every other system's — the
-    same torn-read guarantee the unsharded systems get.
+    the ``backends`` architectures, whose exchange plans fan out over a
+    :class:`~repro.shard.scatter.ScatterGatherExecutor`.  It is served
+    like any other system — same plan cache, same result cache, same
+    admission permit held per read; scatter subtasks additionally pass
+    per-shard admission (``per_shard_limit``), and commits drain the
+    system's gate with every other system's — the same torn-read
+    guarantee the unsharded systems get.
     """
 
     shards: int = 2
@@ -127,6 +128,8 @@ class QueryService:
         self.tracer = tracer
         self._shard_executor: ScatterGatherExecutor | None = None
         self.stores: dict[str, Store] = {}
+        #: Per serving name, the profile its queries compile under.
+        self.profiles: dict = {}
         self.load_reports: dict[str, BulkloadReport] = {}
         self.failed_loads: dict[str, str] = {}
         # Writers serialize globally on this lock; reloads, checkpoints
@@ -146,7 +149,9 @@ class QueryService:
         self.per_system_limit = limit
         served = systems + ((shard_spec.name,) if shard_spec is not None else ())
         self._admission = {name: threading.BoundedSemaphore(limit) for name in served}
-        self.plan_cache = PlanCache(plan_cache_size)
+        # One cache for every system's plans, the sharded one's included:
+        # ``plan_cache_size`` entries per serving system.
+        self.plan_cache = PlanCache(plan_cache_size * len(served))
         self.result_cache = ResultCache(result_cache_size)
         self.metrics = ServiceMetrics()
         # Structured per-query JSON-lines log (docs/OBSERVABILITY.md);
@@ -176,10 +181,11 @@ class QueryService:
         spec = self.shard_spec
         plain = tuple(name for name in systems
                       if spec is None or name != spec.name)
-        stores, reports, failed, executor = load_stores(
+        stores, reports, failed, executor, profiles = load_stores(
             document, plain, spec, tracer=self.tracer,
             recovered=getattr(self.durability, "recovered", None))
         self.stores.update(stores)
+        self.profiles.update(profiles)
         self.load_reports.update(reports)
         self.failed_loads.update(failed)
         superseded = None
@@ -238,8 +244,8 @@ class QueryService:
                          if name in self.failed_loads]:
                 del self.stores[name]   # the old store must not keep serving
             if superseded is not None:
-                # An in-flight scatter query may still hold the superseded
-                # executor (it grabbed the reference before the swap).
+                # An in-flight query's plan may still be bound to the
+                # superseded executor (it compiled before the swap).
                 # Readers hold one admission permit for their whole
                 # execution, so draining the shard system's gate proves no
                 # such holder remains — only then is close() safe.
@@ -477,22 +483,19 @@ class QueryService:
                 result=cached_result,
             )
 
-        if self.shard_spec is not None and system == self.shard_spec.name:
-            return self._run_sharded(system, text, submitted, started, result_key)
-
         compile_start = time.perf_counter()
         plan_key = PlanCache.key(system, text)
+        profile = self.profiles[system]
         with self.tracer.span("service.plan_cache") as plan_span:
             compiled, plan_hit = self.plan_cache.get_or_compute(
                 plan_key,
-                lambda: compile_query(text, store, get_profile(system),
-                                      tracer=self.tracer),
+                lambda: compile_query(text, store, profile, tracer=self.tracer),
             )
             if compiled.store is not store:
                 # A reload raced this request: the cached plan is bound to the
                 # previous document's store.  Recompile against the current one
                 # so the result always matches the digest in the cache key.
-                compiled = compile_query(text, store, get_profile(system),
+                compiled = compile_query(text, store, profile,
                                          tracer=self.tracer)
                 plan_hit = False
                 self.plan_cache.put(plan_key, compiled)
@@ -509,41 +512,6 @@ class QueryService:
             queue_seconds=started - submitted,
             submitted=submitted, finished=finished,
             plan_cache_hit=plan_hit, result_cache_hit=False,
-            result=result,
-        )
-
-    def _run_sharded(self, system: str, text: str, submitted: float,
-                     started: float, result_key) -> QueryOutcome:
-        """Serve one query through the scatter-gather executor.
-
-        The executor keeps its own distributed-plan and per-shard partial
-        caches (the latter keyed by shard digests — the shard-selective
-        layer); the service-level result cache sits above both, keyed by
-        the sharded store's global digest exactly like every other
-        system's.  A reload swaps the executor; a request that raced the
-        swap retries once on the replacement.
-        """
-        execute_start = time.perf_counter()
-        executor = self._shard_executor
-        try:
-            outcome = executor.execute(text)
-        except (RuntimeError, ShardError):
-            # Executor superseded by a reload: a closed executor raises
-            # ShardError from its own gate, RuntimeError from a pool
-            # already shut down mid-scatter.  Retry once on the current one.
-            executor = self._shard_executor
-            outcome = executor.execute(text)
-        finished = time.perf_counter()
-        result = outcome.result
-        self.result_cache.put(result_key, result)
-        return QueryOutcome(
-            system=system, query_text=text,
-            result_size=len(result),
-            compile_seconds=0.0,
-            execute_seconds=finished - execute_start,
-            queue_seconds=started - submitted,
-            submitted=submitted, finished=finished,
-            plan_cache_hit=outcome.plan_cache_hit, result_cache_hit=False,
             result=result,
         )
 
@@ -661,11 +629,10 @@ class QueryService:
         if self.shard_spec is None or self.shard_spec.name not in self.stores:
             return {}
         sharded: ShardedStore = self.stores[self.shard_spec.name]
-        executor = self._shard_executor
         return {
             "partition": sharded.partition_summary(),
             "shard_digests": [sharded.shard_digest(rank)
                               for rank in range(sharded.shard_count)],
-            "plan_cache": executor.plan_cache.stats.as_dict(),
-            "partial_cache": executor.partial_cache.stats.as_dict(),
+            "plan_cache": self.plan_cache.stats.as_dict(),
+            "partial_cache": sharded.exchange.partial_cache.stats.as_dict(),
         }

@@ -50,6 +50,8 @@ update engine like any other store's.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import ShardError, StorageError
 from repro.index import maintenance
 from repro.shard.partition import (
@@ -109,9 +111,26 @@ class ShardedStore(Store):
             raise ShardError(f"shard_count must be >= 1, got {shard_count}")
         if not backends:
             raise ShardError("need at least one backend architecture")
+        # At call time: repro.benchmark.systems imports the planner,
+        # which this package must stay importable without.
+        from repro.benchmark.systems import get_profile
         self.shard_count = shard_count
         self.backends = tuple(backends[rank % len(backends)]
                               for rank in range(shard_count))
+        #: Per shard, the profile its own plans compile under: the
+        #: backend's optimizer with every secondary-index family on —
+        #: shard-local indexes are part of the sharded subsystem,
+        #: whatever the 2002 profile of the backend.
+        self.shard_profiles = [
+            replace(profile, name=profile.name + "+shard",
+                    use_value_index=True, use_sorted_index=True,
+                    use_path_index=True)
+            for profile in map(get_profile, self.backends)]
+        #: Who runs this store's exchange plans: the deployment's
+        #: :class:`~repro.shard.scatter.ScatterGatherExecutor` (its owner
+        #: installs it), or nobody — the shards then run one after
+        #: another on the calling thread.
+        self.exchange = None
         self.architecture = (
             f"sharded({shard_count} x {'/'.join(self.backends)}) scatter-gather")
         self._shards: list[Store] = []
@@ -239,6 +258,12 @@ class ShardedStore(Store):
 
     def extent_paths(self) -> list[tuple[str, ...]]:
         return list(self._extents)
+
+    def extent_spec(self, path: tuple[str, ...]) -> ExtentSpec | None:
+        """The partitioned extent ``path`` is the container of, if any —
+        what the planner places an exchange by."""
+        extent = self._extents.get(path)
+        return None if extent is None else extent.spec
 
     def extent_members(self, path: tuple[str, ...]) -> list[list[tuple[int, Handle]]]:
         """Per shard: the extent's ``(global_seq, native_handle)`` pairs in

@@ -20,7 +20,8 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.errors import QueryError, TypeCoercionError
-from repro.index.indexes import SortedNumericIndex, ValueIndex
+from repro.index.builder import extract_values
+from repro.index.indexes import SortedNumericIndex, ValueIndex, normalize_key
 from repro.obs.trace import NULL_TRACER
 from repro.storage.dom_store import DomStore
 from repro.xmlio.dom import Element
@@ -213,7 +214,12 @@ class _Runtime:
 def emit_query(compiled: CompiledQuery) -> None:
     """The last pass of ``compile_query``: every AST node becomes one
     closure ``rt -> sequence``; the body's hangs off ``compiled`` as ``run``
-    and, as an iterator over the same items, ``stream``."""
+    and, as an iterator over the same items, ``stream``.  A planned
+    exchange is the whole body: one closure over per-shard programs."""
+    if compiled.exchange is not None:
+        run = compiled.run = _emit_exchange(compiled)
+        compiled.stream = lambda rt: iter(run(rt))
+        return
     emitter = _Emitter(compiled)
     emitter.declare(compiled.query.functions)
     compiled.run, compiled.stream = emitter.emit_both(compiled.query.body, {})
@@ -222,15 +228,189 @@ def emit_query(compiled: CompiledQuery) -> None:
 
 def emit_row_program(compiled: CompiledQuery, variables: tuple[str, ...],
                      where: Expr | None, ret: Expr):
-    """``(where test or None, return closure, runtime)`` over ``variables``
-    held in frame slots ``0..n-1``, which the caller fills per row — how
-    scatter-gather maps a shard's slice of an extent."""
+    """``(where test or None, return closure, frame size)`` over
+    ``variables`` held in frame slots ``0..n-1``, which the caller fills
+    per row — how an exchange maps a shard's slice of an extent."""
     emitter = _Emitter(compiled)
     emitter.slots = len(variables)
     scope = {name: slot for slot, name in enumerate(variables)}
     test = None if where is None else emitter._test(where, scope)
     run = emitter.emit(ret, scope)
-    return test, run, _Runtime(emitter.slots)
+    return test, run, emitter.slots
+
+
+class Exchange:
+    """What an exchange closure asks of whoever runs it.  This one is the
+    caller that brought nothing: the shards run one after another on the
+    calling thread, no partial is kept and nothing is traced.
+    :class:`repro.shard.scatter.ScatterGatherExecutor` is the one with a
+    pool, per-shard gates and a digest-keyed partial cache."""
+
+    tracer = NULL_TRACER
+
+    def scatter(self, sharded, ranks: list[int], fn) -> list:
+        """``fn(rank)`` for each rank, in rank order."""
+        return [fn(rank) for rank in ranks]
+
+    def partial(self, key: tuple, compute) -> tuple[object, bool]:
+        """``(value, was cached)`` of one shard's share of a result."""
+        return compute(), False
+
+    def ensure_indexes(self, sharded, rank: int) -> None:
+        """Rebuild the shard's secondary indexes if writes staled them."""
+        sharded.ensure_shard_indexes(rank)
+
+
+_INLINE = Exchange()
+
+
+def _emit_exchange(compiled: CompiledQuery):
+    """The exchange operator ``rt -> items``: fan the plan's per-shard
+    programs out over its executor and merge what comes back.
+
+    A shard's program is the whole query compiled for the shard's own
+    store (routed, partial count) or the plan's ``where`` / ``return``
+    emitted as a row program over it (scatter FLWOR, broadcast join);
+    each is built when its shard first runs (two first runs racing build
+    the same thing twice, harmlessly) and kept for the life of the plan.
+    Every shard's share is a partial, cached under the shard's digest: a
+    write to one shard leaves the other shards' partials valid.  Which
+    shards run is asked of the plan per execution."""
+    from repro.xquery.planner import compile_shard   # it imports this module
+    plan, sharded = compiled.exchange, compiled.store
+    kind, text = plan.kind, plan.text
+    counted = compiled.query.body.args[0] if kind == "partial_count" else None
+    programs: list = [None] * sharded.shard_count
+
+    def program(ex: Exchange, rank: int):
+        built = programs[rank]
+        if built is None:
+            built = compile_shard(compiled, rank, ex.tracer)
+            if plan.ret is not None:
+                built = emit_row_program(built, (plan.var, plan.let_var),
+                                         plan.where, plan.ret)
+            programs[rank] = built
+        return built
+
+    def whole(ex: Exchange, rank: int):
+        """The whole query on one shard: its count, or its items with the
+        shard's own nodes lifted to the sharded store's handles."""
+        ex.ensure_indexes(sharded, rank)
+        shard = program(ex, rank)
+        if kind == "routed":
+            return [NodeItem((rank, item.handle))
+                    if isinstance(item, NodeItem)
+                    and not isinstance(item.handle, Element) else item
+                    for item in evaluate(shard, ex.tracer).items]
+        pushed = pushdown(ex, shard, rank)
+        return (int(evaluate(shard, ex.tracer).items[0]) if pushed is None
+                else pushed)
+
+    def pushdown(ex: Exchange, shard: CompiledQuery, rank: int):
+        """The partial count by bisection, when provably exact: the shard
+        planned the ``where`` as a sorted-index range, the index's
+        build-time cardinality counters prove every extent node holds
+        exactly one key value, and the ``return`` names that field (with
+        or without its ``text()`` step) or the binding itself — then
+        qualifying index entries and returned items correspond 1:1."""
+        ranged = shard.range_plans.get(id(counted))
+        accessor = plan.ret_accessor
+        if ranged is None or accessor is None or (
+                accessor and accessor != ranged.accessor
+                and accessor + ("text()",) != ranged.accessor):
+            return None
+        store = shard.store
+        index = _field(store, "sorted", ranged.path, ranged.accessor)
+        if index is None or index.nodes_empty or index.nodes_multi:
+            return None
+        store.stats.index_lookups += 1
+        with ex.tracer.span("index.probe", kind="count_pushdown",
+                            shard=rank) as span:
+            count = index.count(ranged.op, ranged.bound)
+            span.set(count=count)
+        return count
+
+    def build(ex: Exchange, rank: int) -> dict:
+        """key -> matching build-side node count, for one shard: straight
+        off its value index's buckets when it has one."""
+        ex.ensure_indexes(sharded, rank)
+        store = sharded.shard_store(rank)
+        index = _field(store, "value", plan.join_extent, plan.join_accessor)
+        if index is not None:
+            store.stats.index_lookups += 1
+            return index.key_counts()
+        counts: dict = {}
+        for _seq, native in sharded.extent_members_of(
+                plan.join_extent[:-1], rank):
+            keys = {normalize_key(value) for value in extract_values(
+                store, native, plan.join_accessor)}
+            keys.discard(None)
+            for key in keys:
+                counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def rows(ex: Exchange, rank: int, table: dict | None = None) -> list:
+        """``(global seq, result items)`` per member of the shard's slice
+        of the outer extent that passes ``where``.  A broadcast join's
+        ``table`` stands in for the let variable, which the return only
+        ever counts."""
+        store = sharded.shard_store(rank)
+        where, ret, size = program(ex, rank)
+        rt, out = _Runtime(size), []
+        for seq, native in sharded.extent_members_of(plan.extent, rank):
+            rt.frame[0] = [NodeItem(native)]
+            if where is not None and not where(rt):
+                continue
+            if table is not None:
+                values = extract_values(store, native, plan.outer_accessor)
+                rt.frame[1] = [0.0] * (
+                    table.get(normalize_key(values[0]), 0) if values else 0)
+            out.append((seq, ret(rt)))
+        return out
+
+    def run(rt):
+        ex = plan.executor or _INLINE
+        tracer, hits, lookups = ex.tracer, 0, 0
+        with tracer.span("scatter.query", query=text, plan=kind) as span:
+            ranks = plan.ranks(sharded)
+
+            def fan(family: str, compute, digest: str | None = None) -> list:
+                """Each rank's partial, over the executor."""
+                nonlocal hits, lookups
+                found = ex.scatter(sharded, ranks, lambda rank: ex.partial(
+                    (rank, digest or sharded.shard_digest(rank), family, text),
+                    lambda: compute(ex, rank)))
+                hits += sum(hit for _value, hit in found)
+                lookups += len(found)
+                return [value for value, _hit in found]
+
+            if kind == "routed":
+                items = fan("routed", whole)[0] if ranks else []
+            elif kind == "partial_count":
+                items = [sum(fan("count", whole))]
+            else:
+                table = None
+                if kind == "broadcast_join":
+                    table = {}
+                    for counts in fan("join-build", build):
+                        for key, count in counts.items():
+                            table[key] = table.get(key, 0) + count
+                # A probe embeds the merged build table: its partial must
+                # go stale with any shard's digest, not just its own.
+                slices = fan("flwor" if table is None else "join-probe",
+                             lambda ex, rank: rows(ex, rank, table),
+                             None if table is None else "|".join(
+                                 sharded.shard_digest(rank) or ""
+                                 for rank in ranks))
+                with tracer.span("scatter.merge") as merge:
+                    merged = sorted(chain.from_iterable(slices),
+                                    key=operator.itemgetter(0))
+                    items = [item for _seq, row in merged for item in row]
+                    merge.set(slices=len(slices), rows=len(items))
+            span.set(shards_used=len(ranks), partial_hits=hits,
+                     partial_misses=lookups - hits, rows=len(items))
+        return items
+    return run
 
 
 class _Emitter:

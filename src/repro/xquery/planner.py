@@ -136,6 +136,53 @@ class JoinPlan:
     index_scale: float = 1.0
 
 
+@dataclass(slots=True)
+class ExchangePlan:
+    """How a query distributes over a sharded store's shards — at most one
+    per query; none leaves it to the compatibility path (the whole stack
+    over the store's virtual document view).
+
+    ``routed``: the query's one absolute path is pinned to a single shard,
+    by descending through a region container (``region``: its items live
+    wholly on the region's home shard) or by an ``[@id = "literal"]`` step
+    on a partitioned extent (``id_value``), and the whole query runs
+    there.  ``partial_count``: ``count()`` over one extent-rooted
+    sequence; every shard counts its own slice and the integers add up
+    (``ret_accessor``: what the counted FLWOR returns per binding, for the
+    sorted-index pushdown).  ``scatter_flwor``: ``where`` / ``ret`` map
+    each shard's slice of the container ``extent``, merged back by global
+    sequence.  ``broadcast_join``: the same map, after the shards' key
+    counts over the build side (``join_extent`` / ``join_accessor``) were
+    merged and handed to it as ``$let_var``, which ``ret`` only counts.
+    """
+
+    kind: str           # "routed" | "partial_count" | "broadcast_join" | "scatter_flwor"
+    text: str = ""                      # keys the per-shard partials
+    executor: object = None             # the store's exchange; None: inline
+    region: str | None = None
+    id_value: str | None = None
+    extent: tuple[str, ...] = ()
+    var: str = ""
+    let_var: str = ""
+    where: Expr | None = None
+    ret: Expr | None = None
+    ret_accessor: tuple[str, ...] | None = None
+    join_extent: tuple[str, ...] = ()
+    join_accessor: tuple[str, ...] = ()
+    outer_accessor: tuple[str, ...] = ()
+
+    def ranks(self, store) -> list[int]:
+        """The shards one execution runs on.  Asked of the store every
+        time: its routing map moves with every commit, and an id no shard
+        owns matches nothing anywhere."""
+        if self.kind != "routed":
+            return list(range(store.shard_count))
+        if self.id_value is None:
+            return [store.region_shard(self.region)]
+        target = store.shard_of_id(self.id_value)
+        return [] if target is None else [target]
+
+
 @dataclass(slots=True, eq=False)
 class CompiledQuery:
     """A query compiled for one (store, profile) pair.
@@ -157,6 +204,7 @@ class CompiledQuery:
     path_plans: dict[int, PathPlan] = field(default_factory=dict)
     join_plans: dict[int, JoinPlan] = field(default_factory=dict)
     range_plans: dict[int, RangePlan] = field(default_factory=dict)
+    exchange: ExchangePlan | None = None
     warnings: list[str] = field(default_factory=list)
     metadata_accesses: int = 0
     plans_considered: int = 0
@@ -168,15 +216,43 @@ class CompiledQuery:
 def compile_query(text: str, store: Store, profile: SystemProfile,
                   tracer=NULL_TRACER) -> CompiledQuery:
     """Full compilation pipeline for one system; emission is its last pass."""
+    return _compile(text, None, store, profile, tracer)
+
+
+def compile_shard(compiled: CompiledQuery, rank: int,
+                  tracer=NULL_TRACER) -> CompiledQuery:
+    """An exchange's program for one shard: the same AST, planned against
+    the shard's own store under its own profile."""
+    sharded = compiled.store
+    return _compile(compiled.exchange.text, compiled.query,
+                    sharded.shard_store(rank), sharded.shard_profiles[rank],
+                    tracer)
+
+
+def exchange_kind(compiled: CompiledQuery) -> str:
+    """How a plan distributes, by name: its exchange's kind, else
+    ``fallback`` (the compatibility path over several shards) or
+    ``single`` (one store: nothing to distribute)."""
+    if compiled.exchange is not None:
+        return compiled.exchange.kind
+    return "fallback" if compiled.store.shard_count > 1 else "single"
+
+
+def _compile(text: str, query: Query | None, store: Store,
+             profile: SystemProfile, tracer) -> CompiledQuery:
     with tracer.span("plan", system=profile.name,
                      optimizer=profile.optimizer) as span:
-        with tracer.span("plan.parse"):
-            query = parse_query(text)
+        if query is None:
+            with tracer.span("plan.parse"):
+                query = parse_query(text)
         compiled = CompiledQuery(query, store, profile)
-        _resolve_paths(compiled)
-        _plan_joins(compiled)
-        _plan_ranges(compiled)
-        _enumerate_plans(compiled)
+        if getattr(store, "shard_count", 1) > 1:
+            compiled.exchange = _plan_exchange(store, query, text)
+        if compiled.exchange is None:   # else the shards plan the body
+            _resolve_paths(compiled)
+            _plan_joins(compiled)
+            _plan_ranges(compiled)
+            _enumerate_plans(compiled)
         _validate_tags(compiled)
         if tracer.enabled:
             _trace_plan_choices(compiled, tracer)
@@ -209,6 +285,9 @@ def _trace_plan_choices(compiled: CompiledQuery, tracer) -> None:
         with tracer.span("plan.range", var=rng.var, op=rng.op,
                          bound=rng.bound, est_rows=rng.est_rows,
                          scan_rows=rng.scan_rows):
+            pass
+    if compiled.exchange is not None:
+        with tracer.span("plan.exchange", kind=compiled.exchange.kind):
             pass
 
 
@@ -643,10 +722,10 @@ def _scaled_var_accessor(expr: Expr, var: str):
     return accessor, 1.0, outer + wrappers
 
 
-def _join_base_extent(join: JoinPlan) -> tuple[str, ...] | None:
-    """The label path of the join's build side when it is a full absolute
-    predicate-free extent (the precondition for index backing)."""
-    base = join.inner_base
+def _full_extent(base: Expr) -> tuple[str, ...] | None:
+    """The label path of a sequence that is one full absolute
+    predicate-free extent (the precondition for index backing, and for
+    mapping it shard by shard)."""
     if not isinstance(base, Path) or not _is_absolute(base):
         return None
     prefix, length = _absolute_prefix(base)
@@ -661,7 +740,7 @@ def _attach_index_backing(compiled: CompiledQuery, join: JoinPlan) -> None:
     indexes = store.indexes
     if indexes is None:
         return
-    extent = _join_base_extent(join)
+    extent = _full_extent(join.inner_base)
     if extent is None:
         return
     if join.strategy == "hash" and profile.use_value_index:
@@ -706,16 +785,11 @@ def _plan_ranges(compiled: CompiledQuery) -> None:
     if not profile.use_sorted_index or indexes is None:
         return
     for node in walk(compiled.query):
-        if not isinstance(node, FLWOR) or node.where is None or node.order:
+        clause = _single_for(node)
+        if clause is None or node.where is None or node.order:
             continue
-        if len(node.clauses) != 1 or not isinstance(node.clauses[0], ForClause):
-            continue
-        clause = node.clauses[0]
-        base = clause.sequence
-        if not isinstance(base, Path) or not _is_absolute(base):
-            continue
-        prefix, length = _absolute_prefix(base)
-        if length != len(base.steps):
+        prefix = _full_extent(clause.sequence)
+        if prefix is None:
             continue
         condition = node.where
         if not isinstance(condition, Comparison):
@@ -744,6 +818,165 @@ def _plan_ranges(compiled: CompiledQuery) -> None:
         compiled.range_plans[id(node)] = RangePlan(
             var=clause.var, path=prefix, accessor=accessor,
             op=op, bound=bound, est_rows=rows, scan_rows=index.extent_size)
+
+
+# -- exchange planning (a sharded store: which shards run what) -------------------------
+
+
+def _single_for(expr: Expr) -> ForClause | None:
+    """The clause of a FLWOR that is exactly one ``for`` over a path."""
+    if isinstance(expr, FLWOR) and len(expr.clauses) == 1:
+        clause = expr.clauses[0]
+        if isinstance(clause, ForClause) and isinstance(clause.sequence, Path):
+            return clause
+    return None
+
+
+def _shard_local(exprs, base: Path | None = None) -> bool:
+    """No absolute path but ``base``: what is left navigates within one
+    entity, on whichever shard holds it."""
+    return all(node is base for expr in exprs if expr is not None
+               for node in walk(expr)
+               if isinstance(node, Path) and _is_absolute(node))
+
+
+def _partitioned(store, extent: tuple[str, ...] | None) -> bool:
+    """Whether a label path names the entities of a partitioned extent."""
+    if not extent:
+        return False
+    spec = store.extent_spec(extent[:-1])
+    return spec is not None and spec.entity_tag == extent[-1]
+
+
+def _count_only_uses(expr: Expr, var: str) -> bool:
+    """True when every reference to ``$var`` is exactly ``count($var)``."""
+    if isinstance(expr, FunctionCall) and expr.name == "count" \
+            and len(expr.args) == 1 and isinstance(expr.args[0], VarRef) \
+            and expr.args[0].name == var:
+        return True
+    if isinstance(expr, VarRef):
+        return expr.name != var
+    return all(_count_only_uses(child, var) for child in _direct_children(expr))
+
+
+def _plan_exchange(store, query: Query, text: str) -> ExchangePlan | None:
+    """The first distributable shape the body matches, if any (declared
+    functions stay on the compatibility path)."""
+    if query.functions:
+        return None
+    for match in (_exchange_routed, _exchange_count, _exchange_join,
+                  _exchange_flwor):
+        plan = match(store, query.body)
+        if plan is not None:
+            plan.text, plan.executor = text, store.exchange
+            return plan
+    return None
+
+
+def _exchange_routed(store, body: Expr) -> ExchangePlan | None:
+    """A path, or one ``for`` over a path, pinned to a single shard: every
+    other shard would contribute nothing."""
+    clause = _single_for(body)
+    base = body if isinstance(body, Path) else clause and clause.sequence
+    if base is None or not _is_absolute(base) \
+            or not _shard_local([body], base):
+        return None
+    prefix: list[str] = []
+    for position, step in enumerate(base.steps):
+        if step.axis != "child" or step.name is None:
+            return None
+        prefix.append(step.name)
+        if not step.predicates:
+            spec = store.extent_spec(tuple(prefix))
+            if spec is not None and spec.home_region is not None \
+                    and position < len(base.steps) - 1:
+                return ExchangePlan("routed", region=spec.home_region)
+            continue
+        # Ids are unique in auction documents: every entity carrying this
+        # one lives on the shard the routing map names.
+        matched = _find_id_predicate(base)
+        if matched is None or matched[0] != position \
+                or len(step.predicates) != 1 \
+                or not _partitioned(store, tuple(prefix)):
+            return None
+        return ExchangePlan("routed", id_value=matched[1])
+    return None
+
+
+def _exchange_count(store, body: Expr) -> ExchangePlan | None:
+    """``count()`` of a path, or of one ``for`` over one, descending
+    strictly into a partitioned extent: per-shard results then partition
+    the whole (the structural layer above extents repeats on every
+    shard)."""
+    if not (isinstance(body, FunctionCall) and body.name == "count"
+            and len(body.args) == 1):
+        return None
+    arg = body.args[0]
+    clause = _single_for(arg)
+    base = arg if isinstance(arg, Path) else clause and clause.sequence
+    extent = _full_extent(base)
+    if extent is None or not _shard_local([arg], base) or not any(
+            store.extent_spec(extent[:depth]) for depth in range(1, len(extent))):
+        return None
+    plan = ExchangePlan("partial_count")
+    if clause is not None:              # a pushdown candidate
+        ret = arg.ret
+        if isinstance(ret, VarRef) and ret.name == clause.var:
+            plan.ret_accessor = ()
+        elif isinstance(ret, Path) and isinstance(ret.root, VarRef) \
+                and ret.root.name == clause.var:
+            plan.ret_accessor = _steps_accessor(ret.steps)
+    return plan
+
+
+def _exchange_join(store, body: Expr) -> ExchangePlan | None:
+    """Q8's shape: a hash-joined correlated let the constructor only
+    ever counts.  The let must bind the matched build rows *themselves*:
+    a computed return (``return $t/bidder``) makes ``count($a)`` count
+    whatever it yields per match, which bucket counts cannot stand in
+    for; and the outer key must be single-valued."""
+    if not isinstance(body, FLWOR) or body.order or len(body.clauses) != 2:
+        return None
+    outer, let = body.clauses
+    if not isinstance(outer, ForClause) or not isinstance(let, LetClause):
+        return None
+    extent = _full_extent(outer.sequence)
+    join = _match_correlated_let(let, {outer.var})
+    if not _partitioned(store, extent) or join is None or join.strategy != "hash":
+        return None
+    build = _full_extent(join.inner_base)
+    inner = _var_accessor(join.inner_key, join.inner_var)
+    outer_key = _var_accessor(join.outer_key, outer.var)
+    inner_ret = let.expr.ret
+    if not (isinstance(inner_ret, VarRef) and inner_ret.name == join.inner_var
+            and _partitioned(store, build)
+            and inner and outer_key and not inner[1] and not outer_key[1]
+            and outer_key[0][-1].startswith("@")
+            and isinstance(body.ret, ElementCtor)
+            and _count_only_uses(body.ret, let.var)
+            and _shard_local([body.ret, body.where])
+            and (body.where is None
+                 or let.var not in _free_variables(body.where))):
+        return None
+    return ExchangePlan(
+        "broadcast_join", extent=extent[:-1], var=outer.var, let_var=let.var,
+        where=body.where, ret=body.ret, join_extent=build,
+        join_accessor=inner[0], outer_accessor=outer_key[0])
+
+
+def _exchange_flwor(store, body: Expr) -> ExchangePlan | None:
+    """One ``for`` over a whole partitioned extent with a shard-local
+    ``where`` and a constructor ``return`` (constructed rows merge
+    cleanly): Q2/Q3/Q4/Q16/Q17."""
+    clause = _single_for(body)
+    if clause is None or body.order or not isinstance(body.ret, ElementCtor):
+        return None
+    extent = _full_extent(clause.sequence)
+    if not _partitioned(store, extent) \
+            or not _shard_local([body.ret, body.where]):
+        return None
+    return ExchangePlan("scatter_flwor", extent=extent[:-1], var=clause.var,
+                        where=body.where, ret=body.ret)
 
 
 # -- plan enumeration (the cost-based systems' search space) ----------------------------

@@ -112,7 +112,7 @@ class TestStreamingParity:
     def test_sharded_matches_unsharded(self, sharded_tiny_db, tiny_text, query):
         session = sharded_tiny_db.session()
         cursor = session.execute(query, system="S")
-        assert cursor.source == "scatter"
+        assert cursor.source == "direct"    # S is one more system
         oracle = session.execute(query, system="F")
         assert cursor.serialize() == oracle.serialize()
 
@@ -238,6 +238,15 @@ class TestPreparedQuery:
     def test_plan_reuse_skips_compilation(self, tiny_db):
         session = tiny_db.session()
         prepared = session.prepare(8, system="B")
+        first = prepared.execute()
+        again = prepared.execute()
+        assert again.plan_cache_hit and again.compile_seconds == 0.0
+        assert first.serialize() == again.serialize()
+
+    def test_sharded_prepared_query_holds_its_plan(self, sharded_tiny_db):
+        prepared = sharded_tiny_db.session().prepare(8, system="S")
+        assert prepared.compiled is not None
+        assert prepared.compiled.exchange.kind == "broadcast_join"
         first = prepared.execute()
         again = prepared.execute()
         assert again.plan_cache_hit and again.compile_seconds == 0.0

@@ -335,8 +335,9 @@ class TestProfileAgainstExecution:
         cursor = traced_sharded_db.session().execute(query, system="S",
                                                      stream=False)
         cursor.fetchall()
-        root = cursor.profile()
-        assert root.name == "scatter.query"
+        # S is one more system: the exchange runs inside the evaluator.
+        assert cursor.profile().name == "query"
+        root = cursor.profile().find("evaluator.eval").find("scatter.query")
         shard_spans = root.find_all("scatter.shard")
         distinct = {s.attrs["shard"] for s in shard_spans}
         assert len(distinct) == root.attrs["shards_used"]
@@ -348,7 +349,7 @@ class TestProfileAgainstExecution:
         cursor = traced_sharded_db.session().execute(1, system="S",
                                                      stream=False)
         cursor.fetchall()
-        root = cursor.profile()
+        root = cursor.profile().find("scatter.query")
         assert root.attrs["plan"] == "routed"
         assert root.attrs["shards_used"] == 1
         assert len({s.attrs["shard"]
@@ -358,7 +359,7 @@ class TestProfileAgainstExecution:
         cursor = traced_sharded_db.session().execute(8, system="S",
                                                      stream=False)
         cursor.fetchall()
-        root = cursor.profile()
+        root = cursor.profile().find("scatter.query")
         assert root.attrs["plan"] == "broadcast_join"
         assert root.attrs["shards_used"] == 2
 
@@ -496,7 +497,7 @@ class TestObsCli:
         assert "scatter.query" in out
         payload = json.loads(report.read_text())
         assert payload["explain"]["shard"]["kind"] == "broadcast_join"
-        assert payload["profile"]["name"] == "scatter.query"
+        assert payload["profile"]["name"] == "query"
 
     def test_stats_command(self, tmp_path, capsys):
         from repro.cli import main

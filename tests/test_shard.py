@@ -236,9 +236,16 @@ class TestShardedUpdates:
 
 
 class TestScatterGather:
+    #: All twenty, recorded on the scatter.py planner before it moved
+    #: into compile_query: a recogniser that stops matching must fail
+    #: here, not silently send a distributed query down the fallback.
     EXPECTED_PLANS = {
-        1: "routed", 2: "scatter_flwor", 5: "partial_count",
-        8: "broadcast_join", 13: "routed", 20: "fallback",
+        1: "routed", 2: "scatter_flwor", 3: "scatter_flwor",
+        4: "scatter_flwor", 5: "partial_count", 6: "fallback",
+        7: "fallback", 8: "broadcast_join", 9: "fallback", 10: "fallback",
+        11: "fallback", 12: "fallback", 13: "routed", 14: "fallback",
+        15: "fallback", 16: "scatter_flwor", 17: "scatter_flwor",
+        18: "fallback", 19: "fallback", 20: "fallback",
     }
 
     @pytest.fixture(scope="class")
@@ -247,8 +254,23 @@ class TestScatterGather:
             yield executor
 
     def test_plan_selection(self, executor):
+        assert sorted(self.EXPECTED_PLANS) == sorted(QUERIES)
         for number, kind in self.EXPECTED_PLANS.items():
             assert executor.explain(query_text(number)) == kind, f"Q{number}"
+
+    def test_the_planner_is_used_through_its_public_names(self):
+        """Shapes are the planner's decisions: the executor neither
+        re-derives them nor reaches into the planner's helpers."""
+        import ast
+        import inspect
+
+        import repro.shard.scatter as scatter
+        imported = [alias.name
+                    for node in ast.walk(ast.parse(inspect.getsource(scatter)))
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "repro.xquery.planner"
+                    for alias in node.names]
+        assert imported and not [n for n in imported if n.startswith("_")]
 
     @pytest.mark.parametrize("number", sorted(QUERIES))
     def test_distributed_results_match_oracle(self, number, executor,
@@ -343,6 +365,41 @@ class TestShardSelectiveInvalidation:
             assert third.partial_misses == 1
             assert third.result.serialize() == first.result.serialize()
             assert sharded.shard_digest(target) is not None
+
+    def test_routes_follow_the_routing_map_across_writes(self, tiny_text):
+        """Placement is read per execution: one executor, reused across
+        ``apply_update``, finds a person registered after its first look
+        and stops finding an item (and its auction) once deleted."""
+        sharded = ShardedStore(2, ("F",))
+        sharded.load(tiny_text)
+        single = make_store("F")
+        single.load(tiny_text)
+        stream = UpdateStream(single)
+        register = stream.next_op("register_person")
+        delete = stream.next_op("delete_item")
+        person = ('for $b in /site/people/person[@id="%s"] '
+                  'return $b/name/text()' % register.person.attributes["id"])
+        items = ['for $i in /site/regions/%s/item[@id="%s"] '
+                 'return $i/name/text()' % (region, delete.item_id)
+                 for region in REGIONS]
+
+        def oracle(query):
+            return evaluate(compile_query(
+                query, single, get_profile("F"))).serialize()
+
+        with ScatterGatherExecutor(sharded) as executor:
+            def distributed(query):
+                outcome = executor.execute(query)
+                assert outcome.plan_kind == "routed"
+                return outcome.result.serialize()
+
+            assert distributed(person) == oracle(person) == ""
+            assert any(distributed(query) for query in items)
+            for op in (register, delete):
+                apply_update(single, op)
+                apply_update(sharded, op)
+            assert distributed(person) == oracle(person) != ""
+            assert [distributed(query) for query in items] == [""] * len(items)
 
     def test_join_probe_partials_cover_every_shard_digest(self, tiny_text):
         """A build-side write on one shard must refresh *all* probe

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.benchmark.queries import query_text
 from repro.errors import BenchmarkError
+from repro.schema.auction import REGIONS
 from repro.service import QueryService, ShardSpec, WorkloadSpec
+from repro.update.stream import UpdateStream
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +86,41 @@ class TestShardedService:
         stats = sharded_service.shard_stats()
         assert stats["partition"]["shards"] == 3
         assert len(stats["shard_digests"]) == 3
-        assert "partial_cache" in stats and "plan_cache" in stats
+        assert stats["partial_cache"]["misses"] >= 3
+        # S plans live in the service's one plan cache, sized per system.
+        assert stats["plan_cache"] == \
+            sharded_service.cache_stats()["plan_cache"]
+        assert sharded_service.plan_cache.capacity == 2 * 128
+
+    @pytest.mark.parametrize("service", [False, True])
+    def test_routes_follow_commits(self, tiny_text, service):
+        """A routed plan outlives the commit that moves its target: the
+        point query for a person registered *after* its first execution
+        answers like D, and a deleted item's routed query comes back
+        empty — on a direct sharded connection and behind the service
+        (whose plan cache keeps the plan across the commit)."""
+        with repro.connect(tiny_text, systems=("D",), shards=2,
+                           service=service) as db:
+            session = db.session()
+            stream = UpdateStream(db.store("D"))
+            register = stream.next_op("register_person")
+            delete = stream.next_op("delete_item")
+            person = ('for $b in /site/people/person[@id="%s"] '
+                      'return $b/name/text()'
+                      % register.person.attributes["id"])
+            items = ['for $i in /site/regions/%s/item[@id="%s"] '
+                     'return $i/name/text()' % (region, delete.item_id)
+                     for region in REGIONS]
+
+            def on(system, query):
+                return session.execute(query, system=system).serialize()
+
+            assert on("S", person) == on("D", person) == ""
+            assert any(on("S", query) for query in items)
+            with session.transaction() as txn:
+                txn.apply(register).apply(delete)
+            assert on("S", person) == on("D", person) != ""
+            assert [on("S", query) for query in items] == [""] * len(items)
 
     def test_unsharded_service_has_no_shard_stats(self, tiny_text):
         with QueryService(tiny_text, ("F",)) as service:
