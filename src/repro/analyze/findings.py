@@ -10,17 +10,12 @@ findings not present in the committed baseline are *new*; the CLI exits
 1 when any exist.  A suppression without a reason is itself reported
 under the ``suppression-hygiene`` meta rule, so every silenced finding
 carries its justification in the source.
-
-The JSON report mirrors the ``benchmarks/_emit.py`` skeleton (one
-record per rule, findings in ``extra_info``) so the bench-report tooling
-can parse lint reports unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,47 +130,26 @@ def partition_new(findings: list[Finding],
 
 
 def build_lint_report(findings: list[Finding], new: list[Finding],
-                      timings: dict[str, float], root: str,
-                      version: str = "1") -> dict:
-    """A findings report in the ``benchmarks/_emit.py`` skeleton.
-
-    One benchmark record per rule; the per-pass wall time fills the
-    stats block so ``tools/check_bench_reports.py`` accepts the shape
-    unchanged, and the findings ride in ``extra_info``.
-    """
-    by_rule: dict[str, list[Finding]] = {}
+                      timings: dict[str, float], root: str) -> dict:
+    """The findings document ``xmark lint --json`` writes: per rule its
+    findings, active / suppressed counts and pass wall time, then the
+    gate's totals (``ok`` is what the exit status reports)."""
+    rules: dict[str, list[Finding]] = {rule: [] for rule in timings}
     for finding in findings:
-        by_rule.setdefault(finding.rule, []).append(finding)
-    for rule in timings:
-        by_rule.setdefault(rule, [])
-    records = []
-    for rule in sorted(by_rule):
-        bucket = by_rule[rule]
-        duration = timings.get(rule, 0.0)
-        records.append({
-            "group": "lint",
-            "name": rule,
-            "fullname": f"lint::{rule}",
-            "params": {},
-            "stats": {"min": duration, "max": duration, "mean": duration,
-                      "stddev": 0.0, "rounds": 1, "iterations": 1},
-            "extra_info": {
+        rules.setdefault(finding.rule, []).append(finding)
+    return {
+        "root": root,
+        "rules": {
+            rule: {
                 "findings": [f.as_dict() for f in bucket],
                 "active": sum(1 for f in bucket if not f.suppressed),
                 "suppressed": sum(1 for f in bucket if f.suppressed),
-            },
-        })
-    return {
-        "machine_info": {"python_version": platform.python_version(),
-                         "machine": platform.machine()},
-        "commit_info": {},
-        "benchmarks": records,
-        "version": version,
-        "config": {"root": root, "rules": sorted(by_rule)},
-        "acceptance": {
-            "ok": not new,
-            "new_findings": len(new),
-            "total_findings": len(findings),
-            "suppressed": sum(1 for f in findings if f.suppressed),
+                "seconds": timings.get(rule, 0.0),
+            }
+            for rule, bucket in sorted(rules.items())
         },
+        "new_findings": len(new),
+        "total_findings": len(findings),
+        "suppressed": sum(1 for f in findings if f.suppressed),
+        "ok": not new,
     }

@@ -120,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of operations to apply (default 10)")
     update.add_argument("--seed", type=int, default=None,
                         help="update stream seed (default: the built-in seed)")
-    update.add_argument("--maintenance", choices=("incremental", "rebuild"),
-                        default="incremental",
-                        help="index maintenance mode (default incremental)")
     update.add_argument("--json", dest="json_path", default=None,
                         help="also write the per-op report to this file")
 
@@ -444,7 +441,7 @@ def _update_report(args) -> int:
         for number in range(args.operations):
             op = stream.next_op()
             stream.note_applied(op)
-            commit = db.apply_transaction([op], maintenance=args.maintenance)
+            commit = db.apply_transaction([op])
             row = {"op": op.token(), "systems": commit["systems"]}
             report.append(row)
             if hasattr(op, "person"):
@@ -456,8 +453,8 @@ def _update_report(args) -> int:
                 for system, cells in row["systems"].items())
             print(f"  #{number + 1:<3d} {shown:<42s} {costs}")
 
-        print(f"applied {len(report)} operation(s) under {args.maintenance} "
-              f"maintenance; digest {db.document_digest()}")
+        print(f"applied {len(report)} operation(s); "
+              f"digest {db.document_digest()}")
         # The digest is a hash chain over (load, op tokens) and cannot detect
         # a store mis-applying an op — serialize and compare the documents.
         if len(stores) > 1:
@@ -469,7 +466,6 @@ def _update_report(args) -> int:
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump({"factor": args.factor, "seed": seed,
-                       "maintenance": args.maintenance,
                        "operations": report}, handle, indent=2)
         print(f"wrote {args.json_path}")
     return 0
@@ -513,8 +509,8 @@ def _shard_report(args) -> int:
     if args.queries:
         oracle = make_store(backends[0])
         oracle.load(text)
-        # Partial caching off: the timed rounds should price distributed
-        # execution, comparable with bench_shard_scaling.py, not LRU hits.
+        # Partial caching off: the timed rounds price distributed
+        # execution (compile + evaluate), not LRU hits.
         with ScatterGatherExecutor(sharded, partial_cache_size=0) as executor:
             for number in args.queries:
                 query = QUERIES[number].text

@@ -484,8 +484,7 @@ class Database:
 
     # -- the write path -------------------------------------------------------------
 
-    def apply_transaction(self, ops: list[UpdateOp], *,
-                          maintenance: str | None = None) -> dict:
+    def apply_transaction(self, ops: list[UpdateOp]) -> dict:
         """Commit a batch of update operations as one unit
         (``kind="txn"``: one digest advance per store, over the batch
         token) through the connection's one write path — the sequence is
@@ -500,7 +499,7 @@ class Database:
         reports how far the batch got.
         """
         self._require_open()
-        return self._write_path.commit(ops, "txn", maintenance=maintenance)
+        return self._write_path.commit(ops, "txn")
 
     def _poison_cursors(self, _old_digests, _changes) -> dict:
         """A direct connection's post-commit invalidation.  A suspended

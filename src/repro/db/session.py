@@ -84,7 +84,7 @@ class Session:
 
     # -- transactions ----------------------------------------------------------------
 
-    def transaction(self, *, maintenance: str | None = None) -> "Transaction":
+    def transaction(self) -> "Transaction":
         """Open a transaction buffering update operations until commit.
 
         Use as a context manager: a clean exit commits the batch
@@ -92,7 +92,7 @@ class Session:
         exception inside the block discards it untouched.
         """
         self._require_open()
-        return Transaction(self, maintenance=maintenance)
+        return Transaction(self)
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -152,10 +152,8 @@ class Transaction:
     ``Database.apply_transaction``).
     """
 
-    def __init__(self, session: Session, *,
-                 maintenance: str | None = None) -> None:
+    def __init__(self, session: Session) -> None:
         self._session = session
-        self._maintenance = maintenance
         self._ops: list[UpdateOp] = []
         self._completed = False
         #: The commit summary (op tokens, per-system costs, new digest).
@@ -204,8 +202,7 @@ class Transaction:
         """Apply the buffered batch; returns the commit summary."""
         self._require_active()
         self._completed = True
-        self.summary = self._session.database.apply_transaction(
-            self._ops, maintenance=self._maintenance)
+        self.summary = self._session.database.apply_transaction(self._ops)
         return self.summary
 
     def rollback(self) -> None:

@@ -22,9 +22,10 @@ container ends (the DTD fixes everything else), so the monotone counter
 continued from the build walk preserves that invariant; the differential
 tests in tests/test_update.py verify it against scratch reloads.
 
-The rebuild alternative (drop + :func:`build_index_set`) stays available
-through ``maintenance_mode="rebuild"`` so the ablation benchmark can price
-both strategies on the same operations.
+The wholesale :func:`rebuild` (drop + :func:`build_index_set`) is what a
+sharded store runs on a dirty shard before its next probe — a delegated
+mutation bypasses the shard's own deltas
+(:meth:`repro.shard.store.ShardedStore.ensure_shard_indexes`).
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def apply_value_change(store, index_set: IndexSet, plan: ValueChangePlan) -> int
 
 
 def rebuild(store) -> IndexSet | None:
-    """The wholesale alternative: reconstruct the entire IndexSet."""
+    """Reconstruct the entire IndexSet (a dirty shard's catch-up)."""
     spec = store.index_spec()
     if spec is None:
         return None

@@ -278,8 +278,7 @@ class RemoteDatabase:
 
     # -- the write path -------------------------------------------------------------
 
-    def apply_transaction(self, ops: list[UpdateOp], *,
-                          maintenance: str | None = None) -> dict:
+    def apply_transaction(self, ops: list[UpdateOp]) -> dict:
         """Ship a buffered batch: ``begin``, one ``txn_op`` each, ``commit``.
 
         The server applies the batch exactly as the embedded facade
@@ -300,11 +299,7 @@ class RemoteDatabase:
             except (XMarkError, OSError):
                 pass
             raise
-        request: dict = {"kind": "commit"}
-        if maintenance is not None:
-            request["maintenance"] = maintenance
-        reply = self._client.request(request)
-        return reply["report"]
+        return self._client.request({"kind": "commit"})["report"]
 
     def checkpoint(self) -> dict:
         """Ask the server to checkpoint the served document's WAL."""

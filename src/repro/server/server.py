@@ -764,9 +764,7 @@ class XMarkServer:
             raise ProtocolError("no open transaction; send 'begin' first",
                                 code="bad_message")
         ops, conn.txn_ops = conn.txn_ops, None
-        maintenance = payload.get("maintenance")
-        report = served.database.apply_transaction(
-            ops, maintenance=maintenance)
+        report = served.database.apply_transaction(ops)
         return {"kind": "committed", "report": report}
 
     def _do_checkpoint(self, conn: _Connection, served: ServedDocument,

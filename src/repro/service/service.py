@@ -323,15 +323,13 @@ class QueryService:
             cells[name] = {"results_kept": kept, "results_dropped": dropped}
         return cells
 
-    def apply_update(self, op: UpdateOp, *,
-                     maintenance: str | None = None) -> dict:
+    def apply_update(self, op: UpdateOp) -> dict:
         """Commit one update operation (WAL ``kind="op"``: the digest
         chains over the op's own token); see :meth:`apply_transaction`."""
         self._require_open()
-        return self.write_path.commit([op], "op", maintenance=maintenance)
+        return self.write_path.commit([op], "op")
 
-    def apply_transaction(self, ops: list[UpdateOp], *,
-                          maintenance: str | None = None) -> dict:
+    def apply_transaction(self, ops: list[UpdateOp]) -> dict:
         """Commit a batch of update operations as one atomic unit
         (:meth:`repro.update.commit.WritePath.commit`, ``kind="txn"``).
 
@@ -343,9 +341,9 @@ class QueryService:
         how far the batch got.
         """
         self._require_open()
-        return self.write_path.commit(ops, "txn", maintenance=maintenance)
+        return self.write_path.commit(ops, "txn")
 
-    def apply_next_update(self, *, maintenance: str | None = None) -> dict:
+    def apply_next_update(self) -> dict:
         """Generate and apply the next operation of the service's
         deterministic update stream (the mixed workload's write slot)."""
         with self._update_lock:
@@ -354,7 +352,7 @@ class QueryService:
                 self._update_stream = UpdateStream(self.stores[first])
             op = self._update_stream.next_op()
             self._update_stream.note_applied(op)
-            return self.apply_update(op, maintenance=maintenance)
+            return self.apply_update(op)
 
     def close(self) -> None:
         # The flag flips under the update lock so concurrent closers agree

@@ -15,9 +15,9 @@ invalidation shard-selective: a write routed to shard 3 advances only
 shard 3's digest, so every other shard's cached partials keep hitting.
 
 A deployment's owner installs its executor as ``sharded.exchange`` and
-compiles through its own plan cache; a bare executor (benchmarks,
-``xmark shard``) runs — and keeps — the plans of its own
-:meth:`~ScatterGatherExecutor.execute` calls and nobody else's.
+compiles through its own plan cache; a bare executor (``xmark shard``,
+the ledger's scatter rung) compiles each
+:meth:`~ScatterGatherExecutor.execute` call afresh.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class ShardedOutcome:
     result: QueryResult
     plan_kind: str                      # routed|partial_count|broadcast_join|scatter_flwor|fallback|single
     shards_used: int
-    plan_cache_hit: bool
     partial_hits: int
     partial_misses: int
 
@@ -61,7 +60,6 @@ class ScatterGatherExecutor(Exchange):
                  max_workers: int | None = None,
                  per_shard_limit: int = 2,
                  partial_cache_size: int = 512,
-                 plan_cache_size: int = 128,
                  tracer=NULL_TRACER) -> None:
         # Imported here, not at module level: repro.service.service imports
         # this module, and importing the service package from our body
@@ -77,8 +75,6 @@ class ScatterGatherExecutor(Exchange):
         self._rebuild_locks = [threading.Lock()
                                for _ in range(sharded.shard_count)]
         self.partial_cache = LRUCache(partial_cache_size)
-        #: The plans of this executor's own :meth:`execute` calls, by text.
-        self._plans = LRUCache(plan_cache_size)
         self._close_lock = threading.Lock()
         self._closed = False
 
@@ -115,20 +111,18 @@ class ScatterGatherExecutor(Exchange):
         return exchange_kind(self._compile(text))
 
     def execute(self, text: str) -> ShardedOutcome:
-        """Compile (once per text), then evaluate."""
+        """Compile, then evaluate."""
         if self._closed:
             raise ShardError("scatter-gather executor is closed")
         stats = self.partial_cache.stats
         hits, misses = stats.hits, stats.misses
-        compiled, plan_hit = self._plans.get_or_compute(
-            text, lambda: self._compile(text))
+        compiled = self._compile(text)
         result = evaluate(compiled, tracer=self.tracer)
         plan = compiled.exchange
         return ShardedOutcome(
             result=result, plan_kind=exchange_kind(compiled),
             shards_used=(len(plan.ranks(self.sharded)) if plan is not None
                          else self.sharded.shard_count),
-            plan_cache_hit=plan_hit,
             partial_hits=stats.hits - hits,
             partial_misses=stats.misses - misses,
         )

@@ -74,11 +74,6 @@ class Store(ABC):
         self.indexes = None             # IndexSet, built at mark_loaded
         self._loaded = False
         self._document_digest: str | None = None
-        #: How the secondary indexes are kept current under document
-        #: mutations: "incremental" applies per-node deltas, "rebuild"
-        #: reconstructs the whole IndexSet after every update (the ablation
-        #: baseline priced by benchmarks/bench_update_maintenance.py).
-        self.index_maintenance: str = "incremental"
 
     # -- lifecycle ---------------------------------------------------------------
 

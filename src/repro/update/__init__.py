@@ -13,12 +13,12 @@ zero writers serves no one.  This package adds the missing dimension:
 * :mod:`repro.update.engine` — applies an operation to any of the seven
   store architectures through the uniform mutation surface
   (:meth:`repro.storage.interface.Store.insert_child` and friends), keeps
-  the secondary indexes current (incrementally or by rebuild, per
-  ``Store.index_maintenance``), chains the document digest, and reports
+  the secondary indexes current by per-node deltas, chains the document
+  digest, and reports
   the change footprint the result cache invalidates by.
 * :mod:`repro.update.stream` — deterministic update generation on the
   benchmark's replayable RNG streams, used by the mixed read/write
-  service workload and the maintenance benchmark.
+  service workload and the ledger's write workloads.
 
 See docs/UPDATES.md for the operation semantics, the per-store mutation
 strategies, and the incremental-maintenance invariants.

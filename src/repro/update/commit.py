@@ -60,8 +60,7 @@ class WritePath:
                     return store.route_op(ops[0])
         return 0
 
-    def commit(self, ops, kind: str, *,
-               maintenance: str | None = None) -> dict:
+    def commit(self, ops, kind: str) -> dict:
         """Commit ``ops`` as one unit; returns ``{ops, systems, digest}``.
 
         ``kind`` is ``"txn"`` (the digest chain advances once over the
@@ -96,8 +95,7 @@ class WritePath:
                     stream=self._stream(ops, kind))
             try:
                 costs, changed, ancestors = apply_transaction_ops(
-                    self.stores, ops, maintenance_mode=maintenance,
-                    tracer=tracer)
+                    self.stores, ops, tracer=tracer)
             except TransactionError:
                 self.invalidate(old_digests, None)
                 raise

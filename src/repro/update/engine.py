@@ -10,13 +10,11 @@ consistent with the physical change:
    the entity's container through the navigation API where it has none;
 2. applies the physical mutations through the store's
    ``insert_child`` / ``remove_node`` / ``set_text`` surface;
-3. maintains the secondary indexes — deltas when the store's
-   ``index_maintenance`` is ``"incremental"`` (an inserted subtree enters
+3. maintains the secondary indexes by deltas (an inserted subtree enters
    each path extent as one run and the field indexes node by node; a
    removal's entries are snapshotted *before* the physical removal,
-   because handles die with their subtree), a wholesale
-   :func:`repro.index.maintenance.rebuild` when it is ``"rebuild"``,
-   nothing when the indexes are dropped;
+   because handles die with their subtree) — nothing when the indexes
+   are dropped;
 4. advances the store's document digest along the operation-token hash
    chain (stores sharing a lineage agree on the digest without comparing
    texts);
@@ -26,8 +24,8 @@ consistent with the physical change:
    invalidation.
 
 Mutation and maintenance wall time are accounted separately
-(``mutate_seconds`` vs ``index_seconds``): that split is exactly what
-benchmarks/bench_update_maintenance.py prices.
+(``mutate_seconds`` vs ``index_seconds``): the ledger's
+``index.maintain_ms_per_op`` is the second one.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ class ChangeSet:
     #: it binds/returns one of these (it consumes the changed subtree).
     ancestor_tags: frozenset[str] = frozenset()
     digest: str | None = None
-    maintenance: str = "none"           # "incremental" | "rebuild" | "none"
+    maintenance: str = "none"           # "incremental" | "none"
     mutate_seconds: float = 0.0
     index_seconds: float = 0.0
     nodes_indexed: int = 0
@@ -114,9 +112,9 @@ def element_tokens(element: Element) -> frozenset[str]:
 class _Application:
     """One operation being applied to one store, with timed bookkeeping."""
 
-    def __init__(self, store: Store, mode: str) -> None:
+    def __init__(self, store: Store) -> None:
         self.store = store
-        self.incremental = mode == "incremental" and store.indexes is not None
+        self.incremental = store.indexes is not None
         self.mutate_seconds = 0.0
         self.index_seconds = 0.0
         self.nodes_indexed = 0
@@ -326,13 +324,9 @@ def _delete_item(app: _Application, op: DeleteItem) -> None:
 
 
 def apply_update(store: Store, op: UpdateOp, *,
-                 maintenance_mode: str | None = None,
                  advance_digest: bool = True,
                  tracer=NULL_TRACER) -> ChangeSet:
     """Apply one operation to one store with full logical bookkeeping.
-
-    ``maintenance_mode`` overrides the store's ``index_maintenance``
-    setting for this call (the benchmark's ablation knob).
 
     ``advance_digest=False`` applies the physical change and the index
     maintenance but leaves the digest chain untouched (the returned
@@ -346,12 +340,10 @@ def apply_update(store: Store, op: UpdateOp, *,
     change-footprint width.
     """
     if not tracer.enabled:
-        return _apply_update(store, op, maintenance_mode=maintenance_mode,
-                             advance_digest=advance_digest)
+        return _apply_update(store, op, advance_digest=advance_digest)
     with tracer.span("update.op", op=op.token(),
                      architecture=store.architecture) as span:
-        changes = _apply_update(store, op, maintenance_mode=maintenance_mode,
-                                advance_digest=advance_digest)
+        changes = _apply_update(store, op, advance_digest=advance_digest)
         span.set(maintenance=changes.maintenance,
                  mutate_ms=round(changes.mutate_seconds * 1000.0, 3),
                  index_ms=round(changes.index_seconds * 1000.0, 3),
@@ -363,13 +355,9 @@ def apply_update(store: Store, op: UpdateOp, *,
 
 
 def _apply_update(store: Store, op: UpdateOp, *,
-                  maintenance_mode: str | None = None,
                   advance_digest: bool = True) -> ChangeSet:
     store.require_loaded()
-    mode = maintenance_mode or store.index_maintenance
-    if mode not in ("incremental", "rebuild"):
-        raise UpdateError(f"unknown maintenance mode {mode!r}")
-    app = _Application(store, mode)
+    app = _Application(store)
     stats = store.stats
     keys_before, splices_before = stats.order_keys, stats.extent_splices
 
@@ -397,22 +385,12 @@ def _apply_update(store: Store, op: UpdateOp, *,
     else:
         raise UpdateError(f"unknown update operation {op!r}")
 
-    rebuilt = "none"
-    if store.indexes is not None:
-        if mode == "rebuild":
-            started = time.perf_counter()
-            maintenance.rebuild(store)
-            app.index_seconds += time.perf_counter() - started
-            rebuilt = "rebuild"
-        elif app.incremental:
-            rebuilt = "incremental"
-
     return ChangeSet(
         op_token=op.token(),
         digest=store.advance_digest(op.token()) if advance_digest else None,
         changed_tokens=frozenset(app.tokens),
         ancestor_tags=frozenset(app.ancestors),
-        maintenance=rebuilt,
+        maintenance="incremental" if app.incremental else "none",
         mutate_seconds=app.mutate_seconds,
         index_seconds=app.index_seconds,
         nodes_indexed=app.nodes_indexed,
@@ -422,7 +400,6 @@ def _apply_update(store: Store, op: UpdateOp, *,
 
 
 def apply_transaction_ops(stores: dict[str, Store], ops, *,
-                          maintenance_mode: str | None = None,
                           tracer=NULL_TRACER,
                           ) -> tuple[dict, frozenset[str], frozenset[str]]:
     """Apply a batch to a set of stores with the digest chain suppressed
@@ -448,9 +425,8 @@ def apply_transaction_ops(stores: dict[str, Store], ops, *,
     try:
         for op in ops:
             for name, store in stores.items():
-                changes = apply_update(store, op,
-                                       maintenance_mode=maintenance_mode,
-                                       advance_digest=False, tracer=tracer)
+                changes = apply_update(store, op, advance_digest=False,
+                                       tracer=tracer)
                 counts[name] += 1
                 changed |= changes.changed_tokens
                 ancestors |= changes.ancestor_tags

@@ -195,26 +195,23 @@ class TestCli:
                          "--package", "repro", "-q"])
         assert code == 0
 
-    def test_json_report_matches_emit_schema(self, tmp_path, capsys):
+    def test_json_report_is_a_findings_document(self, tmp_path, capsys):
         out = tmp_path / "lint-report.json"
         code = cli_main(["lint", "--root", str(SEEDED), "--package",
                          "repro", "-q", "--json", str(out)])
         assert code == 1
         report = json.loads(out.read_text(encoding="utf-8"))
-        # the benchmarks/_emit.py skeleton, record for record
-        assert set(report) >= {"machine_info", "commit_info", "benchmarks",
-                               "version", "config", "acceptance"}
-        names = {rec["name"] for rec in report["benchmarks"]}
-        assert names == {cls.id for cls in ALL_RULES}
-        for rec in report["benchmarks"]:
-            assert set(rec) == {"group", "name", "fullname", "params",
-                                "stats", "extra_info"}
-            stats = rec["stats"]
-            for key in ("min", "max", "mean", "stddev"):
-                assert isinstance(stats[key], float)
-            assert stats["rounds"] == 1 and stats["iterations"] == 1
-        assert report["acceptance"]["ok"] is False
-        assert report["acceptance"]["new_findings"] == 7
+        assert set(report) == {"root", "rules", "new_findings",
+                               "total_findings", "suppressed", "ok"}
+        assert set(report["rules"]) == {cls.id for cls in ALL_RULES}
+        for rule in report["rules"].values():
+            assert set(rule) == {"findings", "active", "suppressed", "seconds"}
+            assert rule["active"] + rule["suppressed"] == len(rule["findings"])
+            assert isinstance(rule["seconds"], float)
+        assert report["ok"] is False
+        assert report["new_findings"] == 7
+        assert report["total_findings"] == sum(
+            len(rule["findings"]) for rule in report["rules"].values())
 
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0

@@ -105,7 +105,7 @@ class TestCli:
         assert "serialized documents identical across systems" in out
         import json
         snapshot = json.loads(report.read_text())
-        assert snapshot["maintenance"] == "incremental"
+        assert set(snapshot) == {"factor", "seed", "operations"}
         assert len(snapshot["operations"]) == 4
         for row in snapshot["operations"]:
             assert set(row["systems"]) == {"D", "G"}

@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.errors import ClosedCursorError, TransactionError
 from repro.server import XMarkServer, connect_url, serve_in_thread
+from repro.server.protocol import encode_op
 from repro.storage.interface import chain_digest
 from repro.storage.wal import DurabilityManager, recover
 from repro.update.ops import (
@@ -140,6 +141,10 @@ def run_path(path: str, text: str, tmp_path) -> dict:
         with open_path(path, text, directory) as (driven, live):
             outcomes = drive(driven, live, steps)
     report = recover(directory)
+    # refused live => refused again at replay, never applied
+    refused = sum(row[0] == "refused" for row in outcomes)
+    assert (report.replayed, report.skipped) == (len(outcomes) - refused,
+                                                 refused)
     return {"outcomes": outcomes, "wal": wal_sequence(directory),
             "recovered_digest": report.digest,
             "recovered_document": report.document}
@@ -168,6 +173,26 @@ class TestCommitContract:
     def test_every_path_writes_the_same_history(self, path, tiny_text,
                                                 tmp_path, reference):
         assert run_path(path, tiny_text, tmp_path) == reference
+
+    def test_a_commit_frame_carries_nothing_but_its_kind(self, tiny_text,
+                                                         tmp_path):
+        """Until PR 20 the frame's ``maintenance`` key reached the engine
+        *after* the WAL append: a bad value refused the commit live and
+        replay, which never saw the key, applied it.  Unknown keys of a
+        frame are ignored (PROTOCOL_VERSION stays 1), this one included."""
+        directory = str(tmp_path / "d")
+        with open_path("wire", tiny_text, directory) as (remote, live):
+            request = remote._client.request
+            request({"kind": "begin"})
+            request({"kind": "txn_op", "op": encode_op(
+                _bid("open_auction0", "person1", 0))})
+            reply = request({"kind": "commit", "maintenance": "bogus"})
+            assert reply["kind"] == "committed"
+            digest = live.document_digest()
+            assert reply["report"]["digest"] == digest
+        report = recover(directory)
+        assert (report.replayed, report.skipped) == (1, 0)
+        assert report.digest == digest
 
     @pytest.mark.parametrize("shards", [None, 2])
     def test_service_commit_rekeys_the_result_cache(self, tiny_text, shards):

@@ -208,6 +208,31 @@ class TestCursor:
         assert cursor.rowcount == len(eager)
         assert cursor.fetchone() is None    # exhausted
 
+    @pytest.mark.parametrize("query", (2, 13, 14, 17))
+    def test_first_row_costs_less_than_the_whole_result(self, small_db, query):
+        """Streaming's first-row win as store accesses, not milliseconds:
+        ``fetchone()`` has touched strictly less of the store than the
+        eager run of the same query, and hands out the same first row."""
+        session = small_db.session()
+        stats = small_db.stores["D"].stats
+
+        def accesses() -> int:
+            return (stats.nodes_visited + stats.index_lookups
+                    + stats.table_lookups)
+
+        start = accesses()
+        eager = session.execute(query, system="D", stream=False)
+        rows = eager.fetchall()
+        eager_cost = accesses() - start
+        start = accesses()
+        cursor = session.execute(query, system="D")
+        first = cursor.fetchone()
+        first_row_cost = accesses() - start
+        cursor.close()
+        assert len(rows) > 1
+        assert cursor.rowtext(first) == eager.rowtext(rows[0])
+        assert 0 < first_row_cost < eager_cost
+
     def test_fetchmany_batches(self, tiny_db):
         session = tiny_db.session()
         total = len(session.execute(17, system="F").fetchall())

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.benchmark.queries import query_text
 from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.index import extract_values, normalize_key
+from repro.obs.trace import Tracer
 from repro.service import QueryService
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import SystemProfile, compile_query
@@ -363,6 +364,42 @@ class TestIndexedExecutionMatchesScan:
         scanned = evaluate(compile_query(query_text(query), store,
                                          _scan_profile(system)))
         assert indexed.serialize() == scanned.serialize()
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    @pytest.mark.parametrize("query", (1, 5))
+    def test_indexes_buy_store_accesses_not_just_time(self, loaded_stores,
+                                                      system, query):
+        """The exact-match and range queries under each system's own
+        profile against its scan-only twin: same answer, and where the
+        profile enables an index, at least one probe and strictly fewer
+        store accesses (every counter the architecture bumps, summed) —
+        ``items_materialized`` cannot carry this: it counts index-window
+        wraps only, so a scan's is zero.  F and G never probe."""
+        store = loaded_stores[system]
+        stats = store.stats
+
+        def accesses() -> int:
+            return (stats.nodes_visited + stats.index_lookups
+                    + stats.table_lookups)
+
+        def run(profile):
+            tracer = Tracer()
+            before = accesses()
+            with tracer.span("run") as root:
+                result = evaluate(compile_query(query_text(query), store,
+                                                profile), tracer=tracer)
+            probes = root.find("evaluator.eval").attrs["index_probes"]
+            return result.serialize(), probes, accesses() - before
+
+        answer, probes, cost = run(get_profile(system))
+        scan_answer, scan_probes, scan_cost = run(_scan_profile(system))
+        assert answer == scan_answer
+        assert scan_probes == 0
+        if system in INDEXED_SYSTEMS:
+            assert probes > 0
+            assert cost < scan_cost
+        else:
+            assert probes == 0 and cost == scan_cost
 
     def test_probes_count_as_index_lookups(self, loaded_stores):
         store = loaded_stores["E"]

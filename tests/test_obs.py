@@ -20,7 +20,7 @@ from repro.errors import BenchmarkError
 from repro.obs import (
     NULL_SPAN, NULL_TRACER, MetricsRegistry, TraceLogWriter, Tracer,
 )
-from repro.obs.trace import TRACE_SCHEMA_VERSION
+from repro.obs.trace import TRACE_SCHEMA_VERSION, Span
 from repro.service.metrics import ServiceMetrics
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import compile_query
@@ -396,6 +396,28 @@ class TestProfileAgainstExecution:
             assert cursor.profile() is None
             assert db.tracer is NULL_TRACER
             assert db.tracer.roots == ()
+
+    def test_untraced_connection_allocates_no_span(self, tiny_text,
+                                                   monkeypatch):
+        """Instrumentation is free when it is off, by count rather than
+        by clock: Q1-Q20, eager and streamed, construct no ``Span``."""
+        made = []
+        init = Span.__init__
+
+        def counting_init(span, name, *args, **kwargs):
+            made.append(name)
+            init(span, name, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        with connect(tiny_text, systems=("D",)) as db:
+            session = db.session()
+            for query in range(1, 21):
+                for stream in (False, True):
+                    session.execute(query, stream=stream).fetchall()
+        assert made == []
+        with connect(tiny_text, systems=("D",), tracing=True) as db:
+            db.session().execute(1).fetchall()
+        assert "evaluator.stream" in made       # the counter does bite
 
     def test_streaming_profile_completes_on_exhaustion(self, traced_db):
         cursor = traced_db.session().execute(2, system="D", stream=True)

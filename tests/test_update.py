@@ -283,27 +283,26 @@ class TestDigestChain:
             "open_auction")[0]
         current = store.children_by_tag(auction, "current")[0]
         value = store.string_value(current)
-        app = _Application(store, "incremental")
+        app = _Application(store)
         path = ("site", "open_auctions", "open_auction", "current")
         assert app.set_text(current, path, value) is False
         assert app.set_text(current, path, value + "1") is True
 
 
 class TestMaintenanceModes:
-    def test_rebuild_mode_reaches_same_state(self, tiny_text):
-        operations = build_script(tiny_text, SCRIPT[:5])
-        incremental = make_store("D")
-        incremental.load(tiny_text)
-        rebuild = make_store("D")
-        rebuild.load(tiny_text)
-        for op in operations:
-            apply_update(incremental, op, maintenance_mode="incremental")
-            changes = apply_update(rebuild, op, maintenance_mode="rebuild")
-            assert changes.maintenance == "rebuild"
-        assert serialize_store(incremental) == serialize_store(rebuild)
-        for query in (1, 2, 5, 8):
-            assert run(incremental, "D", query).canonical() == \
-                run(rebuild, "D", query).canonical()
+    @pytest.mark.parametrize("system", ("D", "B"))
+    def test_single_op_indexes_only_the_touched_subtree(self, tiny_text, system):
+        """Incremental maintenance is cheaper than a rebuild by count, not
+        by clock: one bid indexes its bidder subtree plus the fields that
+        read the rewritten ``current`` — a rebuild walks the document."""
+        store = make_store(system)
+        store.load(tiny_text)
+        op = build_script(tiny_text, ("place_bid",))[0]
+        changes = apply_update(store, op)
+        subtree = sum(1 for _ in op.bidder_element().iter())
+        fields = len(store.indexes.spec.fields)
+        assert subtree <= changes.nodes_indexed <= subtree + fields
+        assert changes.nodes_indexed * 10 < store.indexes.nodes_walked
 
     def test_dropped_indexes_skip_maintenance(self, tiny_text):
         store = make_store("D")
