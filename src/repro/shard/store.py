@@ -511,6 +511,12 @@ class ShardedStore(Store):
         rank, native = node
         return self._shards[rank].build_dom(native)
 
+    def markup(self, node: Handle) -> str:
+        if isinstance(node, _Virtual):
+            return super().markup(node)
+        rank, native = node
+        return self._shards[rank].markup(native)
+
     # -- optional capabilities ------------------------------------------------------
 
     def lookup_id(self, value: str) -> Handle | None:

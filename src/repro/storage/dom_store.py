@@ -17,6 +17,7 @@ from repro.errors import StorageError
 from repro.storage.interface import Store
 from repro.xmlio.dom import Document, Element, Text
 from repro.xmlio.parser import parse
+from repro.xmlio.serialize import serialize
 
 #: Default refusal threshold: G "failed to do so" at scale 1.0; we refuse
 #: anything over ~1/4 of the standard document so the failure is reproducible.
@@ -141,6 +142,9 @@ class DomStore(Store):
 
     def build_dom(self, node: Element) -> Element:
         return node.copy()
+
+    def markup(self, node: Element) -> str:
+        return serialize(node)
 
     # -- mutation: direct DOM pointer splices -----------------------------------
 

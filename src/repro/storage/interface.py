@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.errors import StorageError
 from repro.xmlio.dom import Element
+from repro.xmlio.escape import escape_attribute, escape_text
 
 Handle = Any
 
@@ -180,6 +181,15 @@ class Store(ABC):
         """Child elements with the given tag (default: filter children)."""
         return [child for child in self.children(node) if self.tag(child) == tag]
 
+    def children_by_path(self, node: Handle, names: tuple[str, ...]) -> list[Handle]:
+        """The nodes a run of named child steps reaches from ``node``, in
+        document order (default: one ``children_by_tag`` per step and node)."""
+        found = [node]
+        for name in names:
+            found = [child for parent in found
+                     for child in self.children_by_tag(parent, name)]
+        return found
+
     @abstractmethod
     def descendants_by_tag(self, node: Handle, tag: str) -> list[Handle]:
         """Descendant elements with the given tag, in document order."""
@@ -320,6 +330,25 @@ class Store(ABC):
                 element.append(self.build_dom(part))
         return element
 
+    def markup(self, node: Handle) -> str:
+        """The subtree rooted at ``node`` as XML text, byte for byte
+        ``serialize(self.build_dom(node))`` without building the DOM.
+
+        Like :meth:`build_dom`, the default reads ``tag`` / ``attributes``
+        / ``content`` through the navigation API, so rendering a result
+        costs what the store's physical mapping makes it cost.
+        """
+        tag = self.tag(node)
+        start = "<" + tag + "".join([
+            f' {name}="{escape_attribute(value)}"'
+            for name, value in self.attributes(node).items()])
+        content = self.content(node)
+        if not content:
+            return start + "/>"
+        return "".join([start, ">", *[
+            escape_text(part) if isinstance(part, str) else self.markup(part)
+            for part in content], "</", tag, ">"])
+
 
 def sibling_order_key(store: Store, node: Handle,
                       keys: "OrderKeys | None" = None) -> tuple[int, ...]:
@@ -431,6 +460,5 @@ def store_document_text(store: Store) -> str:
     the store would answer queries over it — the oracle the differential
     update tests load into a fresh store.
     """
-    from repro.xmlio.serialize import serialize
     store.require_loaded()
-    return serialize(store.build_dom(store.root()))
+    return store.markup(store.root())

@@ -74,6 +74,18 @@ class SummaryStore(TreeStore):
             if isinstance(part, int) and tags[part] == tag
         ]
 
+    def children_by_path(self, node: int, names: tuple[str, ...]) -> list[int]:
+        """The whole run of child steps as one scan of content tuples per
+        step, counting a visit per (step, node) as the per-step loop does."""
+        tags, content = self._tags, self._content
+        found, visited = [node], 0
+        for name in names:
+            visited += len(found)
+            found = [part for parent in found for part in content[parent]
+                     if part.__class__ is int and tags[part] == name]
+        self.stats.nodes_visited += visited
+        return found
+
     def size_bytes(self) -> int:
         self.require_loaded()
         # _parents/_posts are packed arrays: getsizeof covers their payload.

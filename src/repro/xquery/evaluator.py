@@ -25,8 +25,8 @@ from repro.index.indexes import SortedNumericIndex, ValueIndex, normalize_key
 from repro.obs.trace import NULL_TRACER
 from repro.storage.dom_store import DomStore
 from repro.xmlio.dom import Element
-from repro.xmlio.serialize import serialize
 from repro.xmlio.canonical import canonicalize
+from repro.xmlio.escape import escape_attribute, escape_text
 from repro.xquery.ast import (
     Arithmetic, BoolOp, Comparison, ContextItem, ElementCtor, Expr, FLWOR,
     ForClause, FunctionCall, IfExpr, LetClause, Literal, Path, Quantified,
@@ -34,7 +34,7 @@ from repro.xquery.ast import (
 )
 from repro.xquery.functions import BUILTINS
 from repro.xquery.sequence import (
-    COMPARATORS, DomNavigation, NodeItem, NodeWindow, Navigator, any_pair,
+    COMPARATORS, DomNavigation, Fragment, NodeItem, NodeWindow, Navigator, any_pair,
     atomic_to_string, atomize, atomize_item, effective_boolean,
     mirror_op, sequence_to_string, to_number, try_number,
 )
@@ -47,15 +47,12 @@ def item_text(item, navigator: Navigator) -> str:
     """One result item as text: markup for nodes, lexical form for atomics.
 
     The single source of row rendering — ``QueryResult.serialize`` and
-    ``Cursor.rowtext`` both delegate here, so they cannot drift apart.
-    Serialising is read-only, so an ``Element`` handle (a constructed row,
-    or System G's own nodes) is rendered in place, never copied first.
+    ``Cursor.rowtext`` both delegate here, so they cannot drift apart.  A
+    constructed row is its markup, returned as is; a store node is
+    rendered by its store.
     """
     if isinstance(item, NodeItem):
-        handle = item.handle
-        if not isinstance(handle, Element):
-            handle = navigator.store.build_dom(handle)
-        return serialize(handle)
+        return navigator.markup(item.handle)
     return atomic_to_string(item)
 
 
@@ -556,15 +553,29 @@ class _Emitter:
         if steps[0].axis == "self" and len(steps) == 1:     # a filter expression
             keep = self._filter(steps[0].predicates, scope, None)
             return lambda rt: keep(rt, rt.frame[slot] if base is None else base(rt))
-        kernels = [self._step(step, scope, self.mixed, False) for step in steps]
+        # A leading run of two or more plain named child steps is one store
+        # call; a lone step gains nothing over its kernel.
+        lead = 0
+        while (lead < len(steps) and steps[lead].axis == "child"
+               and steps[lead].name is not None and not steps[lead].predicates):
+            lead += 1
+        names = tuple(step.name for step in steps[:lead]) if lead > 1 else ()
+        by_path = self.mixed.children_by_path
+        kernels = [self._step(step, scope, self.mixed, False)
+                   for step in steps[len(names):]]
 
         def run(rt):
             items = rt.frame[slot] if base is None else base(rt)
             try:
-                handles = [item.handle for item in items]
+                handles = ([items[0].handle] if len(items) == 1 else
+                           [item.handle for item in items])
             except AttributeError:
                 raise QueryError(
                     "cannot apply a path step to an atomic value") from None
+            if names:
+                handles = (by_path(handles[0], names) if len(handles) == 1 else
+                           [found for handle in handles
+                            for found in by_path(handle, names)])
             for kernel in kernels:
                 handles = kernel(rt, handles)
             return handles if strings else list(map(NodeItem, handles))
@@ -1032,51 +1043,58 @@ class _Emitter:
     # -- constructors ------------------------------------------------------------------------
 
     def _ctor(self, node: ElementCtor, scope):
-        build = self._element(node, scope)
-        return lambda rt: [NodeItem(build(rt))]
+        tag, markup = node.tag, _joined(self._markup(node, scope))
+        return lambda rt: [NodeItem(Fragment(tag, markup(rt)))]
 
-    def _element(self, node: ElementCtor, scope):
-        """``rt -> _Constructed``.  Whitespace-only text is dropped and a
-        nested constructor's element adopted directly, both decided here."""
+    def _markup(self, node: ElementCtor, scope) -> list:
+        """The constructor as markup pieces — a ``str`` is written as is, a
+        closure ``rt -> str`` is called — in one pass over the element and
+        its nested constructors, whose pieces are spliced in.  Literal text
+        and attribute literals are escaped here and whitespace-only text is
+        dropped here; only an element whose content is all enclosed
+        expressions decides ``<a/>`` against ``<a>…</a>`` per row."""
         tag, navigator = node.tag, self.navigator
-        attributes = [(attribute.name, [
-            part if isinstance(part, str) else self.emit(part, scope)
-            for part in attribute.parts]) for attribute in node.attributes]
-        content = []
-        for part in node.content:
-            if isinstance(part, ElementCtor):
-                content.append((None, self._element(part, scope)))
-            elif not isinstance(part, str):
-                content.append((self.emit(part, scope), None))
-            elif part.strip():
-                content.append((part, None))
-
-        def build(rt):
-            element = _Constructed(tag)
-            for name, parts in attributes:
-                element.attributes[name] = "".join([
-                    part if isinstance(part, str)
-                    else sequence_to_string(part(rt), navigator) for part in parts])
-            for part, nested in content:
-                if nested is not None:
-                    element.append(nested(rt))
-                elif isinstance(part, str):
-                    element.append_text(part)
+        pieces: list = ["<" + tag]
+        for attribute in node.attributes:
+            pieces.append(f' {attribute.name}="')
+            for part in attribute.parts:
+                if isinstance(part, str):
+                    pieces.append(escape_attribute(part))
                 else:
-                    previous_atomic = False
-                    for item in part(rt):
-                        if isinstance(item, NodeItem):
-                            child = item.handle
-                            if type(child) is not _Constructed or child.parent is not None:
-                                child = navigator.build_dom(child)
-                            element.append(child)
-                            previous_atomic = False
-                        else:
-                            text = atomic_to_string(item)
-                            element.append_text(" " + text if previous_atomic else text)
-                            previous_atomic = True
-            return element
-        return build
+                    run = self.emit(part, scope)
+                    pieces.append(lambda rt, run=run: escape_attribute(
+                        sequence_to_string(run(rt), navigator)))
+            pieces.append('"')
+        content = [part for part in node.content
+                   if not isinstance(part, str) or part.strip()]
+        if not content:
+            return pieces + ["/>"]
+        render, close = _content_markup(navigator), f"</{tag}>"
+        if not any(isinstance(part, (str, ElementCtor)) for part in content):
+            start, runs = _joined(pieces), [self.emit(part, scope) for part in content]
+
+            if len(runs) == 1:      # an empty sequence adds no content
+                run = runs[0]
+
+                def element(rt):
+                    items = run(rt)
+                    return start(rt) + (">" + render(items) + close if items else "/>")
+            else:
+                def element(rt):
+                    body = [render(items) for run in runs if (items := run(rt))]
+                    return start(rt) + (">" + "".join(body) + close if body else "/>")
+            return [element]
+        pieces.append(">")
+        for part in content:
+            if isinstance(part, str):
+                pieces.append(escape_text(part))
+            elif isinstance(part, ElementCtor):
+                pieces += self._markup(part, scope)
+            else:
+                run = self.emit(part, scope)
+                pieces.append(lambda rt, run=run: render(run(rt)))
+        pieces.append(close)
+        return pieces
 
 
 #: Nodes whose value is statically one boolean: emitted as ``rt -> bool``
@@ -1214,18 +1232,41 @@ def _before(left: list, right: list, navigator: Navigator) -> bool:
     return bool(left and right) and min(left) < max(right)
 
 
-class _Constructed(Element):
-    """An element an element constructor built.
+def _joined(pieces: list):
+    """``rt -> str`` over markup pieces, adjacent literals merged first."""
+    merged: list = []
+    for piece in pieces:
+        if isinstance(piece, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += piece
+        else:
+            merged.append(piece)
+    if len(merged) == 1 and isinstance(merged[0], str):
+        constant = merged[0]
+        return lambda rt: constant
+    return lambda rt: "".join([piece if piece.__class__ is str else piece(rt)
+                               for piece in merged])
 
-    The type is the ownership rule: while a constructed element has no
-    parent, nothing else holds it in a tree, so an enclosing constructor
-    adopts it instead of deep-copying it.  Every other node — one that
-    already has a parent, or a store's own ``Element`` (System G's handles,
-    including its parent-less root) — is copied on embedding; a copy is a
-    plain ``Element``.
-    """
 
-    __slots__ = ()
+def _content_markup(navigator: Navigator):
+    """``items -> str``: an enclosed expression's items as element content,
+    nodes as their markup, atomics escaped and space-separated where
+    adjacent (a lone string, the common ``text()`` case, just escaped)."""
+    markup = navigator.markup
+
+    def render(items) -> str:
+        if items.__class__ is list and len(items) == 1 and items[0].__class__ is str:
+            return escape_text(items[0])
+        out, atomic = [], False
+        for item in items:
+            if isinstance(item, NodeItem):
+                out.append(markup(item.handle))
+                atomic = False
+            else:
+                text = escape_text(atomic_to_string(item))
+                out.append(" " + text if atomic else text)
+                atomic = True
+        return "".join(out)
+    return render
 
 
 def _is_positional(value: list) -> bool:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import QuerySyntaxError
+from repro.errors import QuerySyntaxError, XMLSyntaxError
+from repro.xmlio.escape import resolve_references
 
 # Multi-character symbols first so maximal munch works.
 _SYMBOLS = (
@@ -55,6 +56,15 @@ class Lexer:
     def error(self, message: str, offset: int | None = None) -> QuerySyntaxError:
         line, column = self._location(self.position if offset is None else offset)
         return QuerySyntaxError(message, line, column)
+
+    def resolve(self, literal: str, offset: int) -> str:
+        """``literal`` (read from ``offset``) with its predefined entity and
+        character references replaced, so the serialiser escapes the
+        characters once; a bad reference is a syntax error there."""
+        try:
+            return resolve_references(literal)
+        except XMLSyntaxError as exc:
+            raise self.error(str(exc), offset) from None
 
     # -- token stream ---------------------------------------------------------------
 
@@ -101,7 +111,8 @@ class Lexer:
             if end < 0:
                 raise self.error("unterminated string literal", start)
             self.position = end + 1
-            return Token("string", text[start + 1 : end], line, column)
+            return Token("string", self.resolve(text[start + 1 : end], start),
+                         line, column)
         if char.isdigit():
             end = start
             seen_dot = False
@@ -144,13 +155,13 @@ class Lexer:
     def read_constructor_text(self) -> str:
         """Raw character data inside an element constructor, up to '<' or '{'.
 
-        Doubled ``{{``/``}}`` escape to literal braces.
+        Doubled ``{{``/``}}`` escape to literal braces; references resolve.
         """
         if self._peeked is not None:
             # Rewind the lookahead: content must be read from its raw start.
             self.position = _token_offset(self)
             self._peeked = None
-        text = self.text
+        text, start = self.text, self.position
         parts: list[str] = []
         while self.position < len(text):
             char = text[self.position]
@@ -168,7 +179,7 @@ class Lexer:
                 raise self.error("unescaped '}' in constructor content")
             parts.append(char)
             self.position += 1
-        return "".join(parts)
+        return self.resolve("".join(parts), start)
 
     def at_raw(self, prefix: str) -> bool:
         """Does the raw input (ignoring the token lookahead) start with prefix?"""

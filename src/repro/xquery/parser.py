@@ -381,7 +381,13 @@ class _Parser:
             if self.lexer.at_raw(">"):
                 self.lexer.consume_raw(">")
                 break
-            attributes.append(self._parse_ctor_attribute())
+            offset = self._raw_offset()
+            attribute = self._parse_ctor_attribute()
+            if any(attribute.name == seen.name for seen in attributes):
+                raise self.lexer.error(
+                    f"duplicate attribute {attribute.name!r} in constructor "
+                    f"<{tag}> (XQST0040)", offset)
+            attributes.append(attribute)
         content: list[str | Expr] = []
         while True:
             text = self.lexer.read_constructor_text()
@@ -416,22 +422,26 @@ class _Parser:
         self.lexer.consume_raw(quote)
         parts: list[str | Expr] = []
         buffer: list[str] = []
+        start = self._raw_offset()
+
+        def flush() -> None:
+            if buffer:
+                parts.append(self.lexer.resolve("".join(buffer), start))
+                buffer.clear()
+
         while True:
             if self.lexer.at_raw(quote):
+                flush()
                 self.lexer.consume_raw(quote)
                 break
             if self.lexer.at_raw("{"):
-                if buffer:
-                    parts.append("".join(buffer))
-                    buffer = []
+                flush()
                 self.lexer.consume_raw("{")
                 parts.append(self.parse_expr())
                 self._expect_symbol("}")
+                start = self._raw_offset()
                 continue
-            char = self._raw_char()
-            buffer.append(char)
-        if buffer:
-            parts.append("".join(buffer))
+            buffer.append(self._raw_char())
         return AttributeCtor(name, parts)
 
     # -- raw-mode helpers -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Items are either atomic Python values (``str``/``int``/``float``/``bool``)
 or :class:`NodeItem` wrappers around store handles.  Constructed elements
-(from element constructors) are wrapped the same way with a DOM Element as
-the handle; the :class:`Navigator` dispatches those to direct DOM access.
+(from element constructors) are wrapped the same way with a
+:class:`Fragment` — their markup — as the handle; the :class:`Navigator`
+dispatches those to direct DOM access, which parses the markup once.
 
 Casting follows the paper's experimental setup: "all character data in the
 original document, including references, were stored as strings and cast at
@@ -20,6 +21,39 @@ from repro.errors import TypeCoercionError
 from repro.storage.dom_store import DomStore
 from repro.storage.interface import Store
 from repro.xmlio.dom import Element, Text
+from repro.xmlio.parser import parse
+from repro.xmlio.serialize import serialize
+
+
+class Fragment(Element):
+    """A constructed element: an immutable row of markup.
+
+    An element constructor writes its row's text once (``markup``), and
+    that text is what every consumer reads: ``item_text``, a cursor's
+    ``rowtext``, a wire page, an enclosing constructor (embedding is string
+    concatenation, so a row is never copied, re-parented or mutated and is
+    safe to share from a result cache).  Only a query that navigates into
+    the row reads ``children`` or ``attributes``; the first such read parses
+    the markup, once, into plain ``Element`` children.
+    """
+
+    __slots__ = ("markup",)
+
+    def __init__(self, tag: str, markup: str) -> None:
+        self.tag = tag
+        self.markup = markup
+        self.parent = None
+
+    def __getattr__(self, name: str):
+        """Only reached while a slot is unset: ``children`` and
+        ``attributes`` are filled from the markup on first read."""
+        if name not in ("children", "attributes"):
+            raise AttributeError(name)
+        root = parse(self.markup).root
+        for child in root.children:
+            child.parent = self
+        self.children, self.attributes = root.children, root.attributes
+        return getattr(self, name)
 
 
 class NodeItem:
@@ -115,6 +149,11 @@ class Navigator:
             return handle.find_all(tag)
         return self.store.children_by_tag(handle, tag)
 
+    def children_by_path(self, handle, names: tuple[str, ...]) -> list:
+        if isinstance(handle, Element):
+            return DomNavigation.children_by_path(handle, names)
+        return self.store.children_by_path(handle, names)
+
     def children(self, handle) -> list:
         if isinstance(handle, Element):
             return list(handle.child_elements())
@@ -153,6 +192,15 @@ class Navigator:
             return handle.copy()
         return self.store.build_dom(handle)
 
+    def markup(self, handle) -> str:
+        """A node as XML text: a row's own markup, a node inside a row
+        serialised, or the store's rendering of its own node."""
+        if handle.__class__ is Fragment:
+            return handle.markup
+        if isinstance(handle, Element):
+            return serialize(handle)
+        return self.store.markup(handle)
+
 
 class DomNavigation:
     """The step-navigation half of :class:`Navigator` when every handle is
@@ -169,6 +217,14 @@ class DomNavigation:
     @staticmethod
     def children(element: Element) -> list:
         return list(element.child_elements())
+
+    @staticmethod
+    def children_by_path(element: Element, names: tuple[str, ...]) -> list:
+        found = [element]
+        for name in names:
+            found = [child for parent in found for child in parent.children
+                     if child.tag == name]
+        return found
 
     @staticmethod
     def descendants_by_tag(element: Element, tag: str | None) -> list:

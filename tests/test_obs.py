@@ -22,6 +22,7 @@ from repro.obs import (
 )
 from repro.obs.trace import TRACE_SCHEMA_VERSION, Span
 from repro.service.metrics import ServiceMetrics
+from repro.xmlio.parser import parse
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import compile_query
 
@@ -268,8 +269,8 @@ class TestProfileAgainstExecution:
         with connect(small_text, systems=("D",), tracing=True) as db:
             cursor = db.session().execute(query, system="D", stream=stream)
             rows = cursor.fetchall()
-            counted = sum(int(child.value) for row in rows
-                          for child in row.handle.children)
+            counted = sum(int(parse(cursor.rowtext(row)).root.text_content())
+                          for row in rows)
             span = cursor.profile().find(
                 "evaluator.stream" if stream else "evaluator.eval")
             assert counted > 0

@@ -7,6 +7,9 @@ to the parsed DOM as ground truth.
 
 import pytest
 
+from repro.benchmark.systems import SYSTEMS, make_store
+from repro.shard import ShardedStore
+from repro.update import UpdateStream, apply_update
 from repro.xmlio.canonical import canonicalize
 from repro.xmlio.serialize import serialize
 
@@ -152,3 +155,97 @@ class TestIdLookup:
             return
         handle = store.lookup_id("item0")
         assert store.tag(handle) == "item"
+
+
+# -- the rendering and path surface: markup, children_by_path ---------------------------
+
+#: Seven stores plus a mixed-backend sharded store at 2 and 6 shards.
+SURFACE_STORES = tuple(sorted(SYSTEMS)) + ("S2", "S6")
+SHARD_BACKENDS = ("D", "G", "B", "F", "C", "E", "A")
+#: Every operation kind, applied through the engine: D's appended nodes
+#: leave its arrays non-sequential.
+HISTORY = ("register_person", "place_bid", "close_auction", "delete_item",
+           "place_bid", "register_person")
+
+
+def _store(name: str):
+    if name.startswith("S"):
+        return ShardedStore(int(name[1:]), SHARD_BACKENDS)
+    return make_store(name)
+
+
+@pytest.fixture(scope="module")
+def surface_stores(tiny_text):
+    """``(name, state) -> store`` over the tiny document, as loaded and
+    after :data:`HISTORY`."""
+    reference = make_store("D")
+    reference.load(tiny_text)
+    stream, history = UpdateStream(reference), []
+    for kind in HISTORY:
+        op = stream.next_op(kind)
+        stream.note_applied(op)
+        history.append(op)
+    stores = {}
+    for name in SURFACE_STORES:
+        for state in ("loaded", "updated"):
+            store = stores[name, state] = _store(name)
+            store.load(tiny_text)
+            if state == "updated":
+                for op in history:
+                    apply_update(store, op)
+    return stores
+
+
+def _every_node(store) -> list:
+    nodes, stack = [], [store.root()]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(store.children(node)))
+    return nodes
+
+
+def _visited(store) -> int:
+    """Navigation work on the store and, for a sharded one, its shards."""
+    shards = [store.shard_store(rank) for rank in range(store.shard_count)] \
+        if isinstance(store, ShardedStore) else []
+    return sum(each.stats.nodes_visited for each in [store, *shards])
+
+
+def _paths(store, node) -> list[tuple[str, ...]]:
+    """Names to walk from ``node``: down its first children (up to three
+    steps), onto its last child's tag and then a miss, and a miss alone."""
+    first, current = [], node
+    while len(first) < 3 and (children := store.children(current)):
+        current = children[0]
+        first.append(store.tag(current))
+    paths = [("no-such-tag",)]
+    if first:
+        paths += [tuple(first), (store.tag(store.children(node)[-1]), "no-such-tag")]
+    return paths
+
+
+@pytest.mark.parametrize("state", ["loaded", "updated"])
+@pytest.mark.parametrize("name", SURFACE_STORES)
+class TestRenderingSurface:
+    def test_markup_is_serialized_build_dom(self, surface_stores, name, state):
+        store = surface_stores[name, state]
+        nodes = _every_node(store)
+        assert len(nodes) > 100
+        for node in nodes:
+            assert store.markup(node) == serialize(store.build_dom(node))
+
+    def test_children_by_path_is_chained_children_by_tag(self, surface_stores,
+                                                          name, state):
+        store = surface_stores[name, state]
+        for node in _every_node(store):
+            for names in _paths(store, node):
+                before = _visited(store)
+                found = store.children_by_path(node, names)
+                between = _visited(store)
+                chained = [node]
+                for tag in names:
+                    chained = [child for parent in chained
+                               for child in store.children_by_tag(parent, tag)]
+                assert found == chained
+                assert between - before == _visited(store) - between

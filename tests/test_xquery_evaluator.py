@@ -8,7 +8,7 @@ from repro.errors import QueryError, TypeCoercionError
 from repro.storage.dom_store import DomStore
 from repro.update import serialize_store
 from repro.xmlio.serialize import serialize
-from repro.xquery.evaluator import _Constructed, evaluate, item_text
+from repro.xquery.evaluator import evaluate, item_text
 from repro.xquery.planner import SystemProfile, compile_query
 
 NAIVE = SystemProfile(name="test", optimizer="none", join_rewrite_depth=0,
@@ -204,15 +204,16 @@ class TestConstructors:
 
 
 class TestConstructedNodeOwnership:
-    """A parent-less element the evaluator built is adopted by the
-    enclosing constructor; anything else is copied on embedding."""
+    """A constructed row is immutable markup: embedding it, or a store
+    node, is string concatenation — nothing is adopted, copied or
+    re-parented — and every property is read through ``rowtext``,
+    ``string()`` and ``count()``."""
 
     def test_double_embed_yields_two_nodes(self, store):
         result = run(store, "let $x := <a/> return <r>{$x}{$x}</r>")
         assert result.serialize() == "<r><a/><a/></r>"
-        first, second = result.items[0].handle.children
-        assert first is not second
-        assert first.parent is second.parent is result.items[0].handle
+        assert run(store, "let $x := <a/> let $r := <r>{$x}{$x}</r> "
+                          "return count($r/a)").items == [2]
 
     def test_variable_is_readable_after_its_embed(self, store):
         result = run(store, "let $x := <a><b/></a> "
@@ -220,24 +221,28 @@ class TestConstructedNodeOwnership:
         assert result.serialize() == "<o><r><a><b/></a></r><b/>1</o>"
 
     def test_embedded_row_is_adopted_not_copied(self, store):
-        """The move: the inner row object itself becomes the child."""
-        result = run(store, "let $x := <a><b/></a> return <r>{$x}</r>")
-        (row,) = result.items
-        (child,) = row.handle.children
-        assert type(child) is _Constructed and child.parent is row.handle
+        """The inner row enters the outer one verbatim, and is itself
+        unchanged and still navigable after the embed."""
+        bind = 'let $x := <a k="v">t<b/></a> let $r := <r>{$x}</r> return '
+        answers = [run(store, bind + tail).serialize() for tail in (
+            "$r", "$x", "count($r/a/b)", "string($r/a/@k)", "string($x)")]
+        assert answers == ['<r><a k="v">t<b/></a></r>', '<a k="v">t<b/></a>',
+                           "1", "v", "t"]
 
     def test_store_nodes_are_copied_never_reparented(self, store):
-        """System G's handles are Elements too — including a parent-less
-        root — and must never be adopted out of their document."""
+        """System G's handles are Elements — including a parent-less root —
+        and embedding renders them without touching their document."""
         before = serialize_store(store)
         root = store.root()
         people = root.find("people")
         result = run(store, "<r>{/site}{/site/people}{/site/people/person[1]}</r>")
-        embedded_root, embedded_people, _person = result.items[0].handle.children
-        assert embedded_root is not root and embedded_people is not people
+        assert result.serialize() == "<r>{}{}{}</r>".format(
+            serialize(root), serialize(people), serialize(people.find("person")))
         assert root.parent is None and people.parent is root
-        assert serialize(embedded_root) == serialize(root)
         assert serialize_store(store) == before
+        nested = run(store, "let $r := <r>{/site/people}</r> "
+                            "return count($r/people/person)")
+        assert nested.items == [3] and people.parent is root
 
     def test_rowtext_is_repeatable_and_leaves_the_row_alone(self, store):
         result = run(store, "for $p in /site/people/person "
@@ -246,11 +251,10 @@ class TestConstructedNodeOwnership:
         assert texts == [item_text(item, result.navigator)
                          for item in result.items]
         assert "\n".join(texts) == result.serialize()
-        assert all(item.handle.parent is None for item in result.items)
-        # to_element() re-parents, so it alone still copies
-        wrapper = result.to_element()
-        assert all(child is not item.handle
-                   for child, item in zip(wrapper.children, result.items))
+        assert texts[0] == "<w><n>Ann</n><age>30</age></w>"
+        # canonical() builds a DOM of its own; the rows stay what they were
+        assert result.canonical() and [
+            item_text(item, result.navigator) for item in result.items] == texts
 
     def test_g_answers_survive_embedding_its_own_nodes(self, loaded_stores):
         """Q1-Q20 before == Q1-Q20 after constructors embedded store nodes
@@ -268,7 +272,11 @@ class TestConstructedNodeOwnership:
             g, profile))
         assert len(embed) > 0 and embed.serialize()
         whole = evaluate(compile_query("<all>{/site}</all>", g, profile))
-        assert whole.items[0].handle.children[0] is not g.root()
+        assert whole.serialize() == f"<all>{document}</all>"
+        assert evaluate(compile_query(
+            "let $a := <all>{/site}</all> return count($a/site/people/person)",
+            g, profile)).items == evaluate(compile_query(
+                "count(/site/people/person)", g, profile)).items
         assert g.root().parent is None
         assert serialize_store(g) == document
         assert answers() == before

@@ -206,6 +206,31 @@ class TestParserConstructors:
         node = body("<a>left {{ right }}</a>")
         assert node.content == ["left { right }"]
 
+    def test_references_resolve_at_parse_time(self):
+        """Predefined entity and character references become the
+        characters they name, in content, attribute literals and strings."""
+        node = body('<a b="x&lt;y&#34;">p&amp;q&#x3E;{"1 &lt; 2"}</a>')
+        assert node.attributes[0].parts == ['x<y"']
+        assert node.content[0] == "p&q>"
+        assert node.content[1] == Literal("1 < 2")
+        assert body("'a&amp;b&apos;'") == Literal("a&b'")
+
+    @pytest.mark.parametrize("query, column", [
+        ('"ok" = "&bogus;"', 8), ("<a>x &nope; y</a>", 4),
+        ('<a b="&#xZZ;"/>', 7), ("<a>1 & 2</a>", 4),
+    ])
+    def test_a_bad_reference_is_a_positioned_syntax_error(self, query, column):
+        with pytest.raises(QuerySyntaxError) as excinfo:
+            parse_query(query)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_duplicate_attribute_is_a_static_error(self):
+        """XQST0040: not silently the last value, and never markup with
+        the attribute twice."""
+        with pytest.raises(QuerySyntaxError, match="XQST0040") as excinfo:
+            parse_query('<r><a b="1" c="2" b="{3}"/></r>')
+        assert excinfo.value.column == 19
+
 
 class TestParserFunctions:
     def test_udf_declaration(self):
