@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "per-operation mutation and index-maintenance cost.  "
                     "All chosen systems receive the identical operations; "
                     "with two or more systems the run serializes every "
-                    "document afterwards and exits non-zero if they "
-                    "diverge.")
+                    "document and answers Q1-Q20 on every system "
+                    "afterwards, and exits non-zero if documents or "
+                    "answers diverge.")
     update.add_argument("-f", "--factor", type=float, default=0.005,
                         help="document scaling factor (default 0.005)")
     update.add_argument("-s", "--systems", default="D",
@@ -420,6 +421,7 @@ def _update_report(args) -> int:
     from repro.benchmark.systems import parse_system_letters
     from repro.db import connect
     from repro.errors import BenchmarkError
+    from repro.storage.interface import document_digest
     from repro.update import UpdateStream, serialize_store
     from repro.update.stream import DEFAULT_UPDATE_SEED
 
@@ -463,6 +465,18 @@ def _update_report(args) -> int:
                 print("update: serialized documents diverged", file=sys.stderr)
                 return 1
             print("serialized documents identical across systems")
+            # Serializing walks content and cannot see a wrong document
+            # order; descendant steps and `<<` can.  Compare answers too.
+            diverged = [
+                number for number in sorted(QUERIES)
+                if len({document_digest(db.execute(system, number).serialize())
+                        for system in stores}) != 1]
+            if diverged:
+                print("update: answers diverged on "
+                      + ", ".join(f"Q{number}" for number in diverged),
+                      file=sys.stderr)
+                return 1
+            print(f"Q1-Q{len(QUERIES)} answers identical across systems")
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump({"factor": args.factor, "seed": seed,

@@ -73,9 +73,10 @@ def apply_insertion(store, index_set: IndexSet, node,
     Field entries are per-node deltas under fresh seqs; the path extents
     take the subtree as one run per label path
     (:func:`~repro.storage.interface.splice_subtree`), placed on the
-    store's ``order_key`` — going through ``doc_position`` could force an
-    O(document) rank relabel into the write path, which is exactly the
-    cost incremental maintenance exists to avoid.
+    store's ``order_key`` — on the stores that renumber lazily, going
+    through ``doc_position`` would force an O(document) rank relabel
+    into the write path, which is exactly the cost incremental
+    maintenance exists to avoid.
     """
     started = time.perf_counter()
     fields_at = index_set.fields_at

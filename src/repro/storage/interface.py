@@ -54,6 +54,7 @@ class StoreStats:
     fragments_parsed: int = 0
     order_keys: int = 0                 # document-order keys computed by splices
     extent_splices: int = 0             # runs entered into ordered extents
+    relabels: int = 0                   # exhausted label gaps respaced (D/E/F)
 
     def reset(self) -> None:
         self.nodes_visited = 0
@@ -62,6 +63,7 @@ class StoreStats:
         self.fragments_parsed = 0
         self.order_keys = 0
         self.extent_splices = 0
+        self.relabels = 0
 
 
 class Store(ABC):
@@ -256,29 +258,31 @@ class Store(ABC):
     def order_key(self, node: Handle, keys: "OrderKeys | None" = None):
         """A document-order key that is cheap even mid-write.
 
-        ``doc_position`` may lazily relabel the whole store after a
-        mutation (an O(document) pass); :func:`splice_subtree` instead
-        searches extents on this key, which the default builds from the
-        sibling positions along the root-to-node chain — O(depth) with a
-        native :meth:`sibling_position`, and sharing ancestors' keys
-        through ``keys`` when a splice passes its memo.  Stores whose
-        ``doc_position`` is cheap without relabeling override this to
-        return it directly.
+        On A, B and G ``doc_position`` lazily relabels the whole store
+        after a mutation (an O(document) pass);
+        :func:`splice_subtree` instead searches extents on this key,
+        which the default builds from the sibling positions along the
+        root-to-node chain — O(depth) with a native
+        :meth:`sibling_position`, and sharing ancestors' keys through
+        ``keys`` when a splice passes its memo.  Stores whose
+        ``doc_position`` stays cheap under writes (C's ord tuples, the
+        order labels of D, E and F) override this to return it directly.
         """
         return sibling_order_key(self, node, keys)
 
     def sibling_position(self, node: Handle) -> int | None:
         """A number ordering ``node`` among its siblings, read from the
-        physical mapping without listing them (a ``pos`` column, a content
-        slot); None when the store keeps none, and the splice's memo
+        physical mapping without listing them (A's and B's ``pos``
+        column); None when the store keeps none, and the splice's memo
         numbers ``children(parent)`` once per parent instead."""
         return None
 
     # -- mutation ----------------------------------------------------------------------
     #
     # The physical write surface.  Each architecture implements these with
-    # its own strategy (DOM pointer splice, array append + lazy relabeling,
-    # tuple insert/delete with index touches, schema-directed shredding);
+    # its own strategy (DOM pointer splice, array append + order labels
+    # placed in the gap, tuple insert/delete with index touches,
+    # schema-directed shredding);
     # see docs/UPDATES.md.  They mutate ONLY the physical mapping: callers
     # are responsible for the logical bookkeeping (secondary-index deltas,
     # digest chaining, cache invalidation) — `repro.update.engine` is the

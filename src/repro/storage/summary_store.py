@@ -10,11 +10,17 @@ store drops the redundant child lists, interns tags, and freezes content
 lists into tuples; the structural summary and ID index it adds are smaller
 than what was removed.
 
-Concurrency: every read path (navigation, summary probes, ID lookups) works
-over structures frozen at load time and keeps no shared mutable scratch, so
-the query service may execute plans against one loaded instance from many
-threads.  The ``stats`` counters are the only shared writes; under races
-they can undercount but never affect results.
+Document order is the order label :class:`TreeStore` keeps valid under
+writes: a descendant step is two bisects on the label per matching
+summary extent, before and after updates alike.
+
+Concurrency: every read path (navigation, summary probes, ID lookups)
+only reads — writes, which the service runs with every reader drained,
+are the only thing that changes the arrays, the labels or the extents —
+and keeps no shared mutable scratch, so the query service may execute
+plans against one loaded instance from many threads.  The ``stats``
+counters are the only shared writes; under races they can undercount
+but never affect results.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ class SummaryStore(TreeStore):
     def load(self, text: str) -> None:
         super().load(text)
         # Compact representation: no redundant child lists, frozen content,
-        # packed 64-bit arrays for the structural columns.
+        # packed 64-bit arrays for the structural columns, trimmed to size.
         self._children = []
         self._content = [tuple(parts) for parts in self._content]
         self._summary = StructuralSummary.build(self._tags, self._parents)
@@ -101,45 +107,17 @@ class SummaryStore(TreeStore):
     # -- summary-powered capabilities ---------------------------------------------
 
     def descendants_by_tag(self, node: int, tag: str) -> list[int]:
-        """Resolve via the summary: only matching path extents are touched."""
+        """Resolve via the summary: only matching path extents are touched,
+        each with two bisects on the order label."""
         self.stats.index_lookups += 1
-        summary = self.summary
-        prefix = self._path_of(node)
-        entries = summary.paths_through(prefix, tag)
-        if not entries:
-            return []
-        if not self._sequential:
-            # The summary extents stay current under updates (one run
-            # per path and inserted subtree), but id intervals no longer
-            # encode containment: restrict via the lazy rank labels.
-            self._ensure_order()
-            order = self._order
-            low, high = order[node], self._stop[node]
-            result = sorted(
-                (n for entry in entries for n in entry.nodes
-                 if low < order[n] <= high),
-                key=order.__getitem__)
-            self.stats.nodes_visited += len(result)
-            return result
-        if len(entries) == 1:
-            nodes = entries[0].nodes
-        else:
-            nodes = sorted(n for entry in entries for n in entry.nodes)
-        # Restrict to this subtree's pre-order interval.
-        post = self._posts[node]
-        result = [n for n in nodes if node < n <= post]
-        self.stats.nodes_visited += len(result)
-        return result
-
-    def _path_of(self, node: int) -> tuple[str, ...]:
-        parts: list[str] = []
-        current: int | None = node
-        while current is not None and current >= 0:
-            parts.append(self._tags[current])
-            parent = self._parents[current]
-            current = parent if parent >= 0 else None
-        parts.reverse()
-        return tuple(parts)
+        entries = self.summary.paths_through(self._path_of(node), tag)
+        found: list[int] = []
+        for entry in entries:
+            found += self._window(entry.nodes, node)
+        if len(entries) > 1:
+            found = self._in_document_order(found)
+        self.stats.nodes_visited += len(found)
+        return found
 
     def count_path(self, path: tuple[str, ...]) -> int | None:
         self.stats.index_lookups += 1
@@ -191,12 +169,10 @@ class SummaryStore(TreeStore):
         splice_subtree(self, subtree, self._summary.extent)
 
     def _after_remove(self, removed: list[tuple[int, tuple[str, ...]]]) -> None:
-        for node, path in removed:
-            if self._summary.entry(path) is not None:
-                try:
-                    self._summary.extent(path).remove(node)
-                except ValueError:
-                    pass
+        root = removed[0][0]
+        for path in {path for _node, path in removed}:
+            self._drop_window(self._summary.extent(path), root)
+        for node, _path in removed:
             attrs = self._attrs[node]
             if attrs:
                 identifier = attrs.get("id")

@@ -1,42 +1,71 @@
 """Main-memory tree stores: Systems F (pure traversal) and E (tag index).
 
 Both build a flat array representation straight from the streaming parser —
-nodes are dense pre-order integers, so handles are ints and document order
-is the natural integer order.
+nodes are dense pre-order integers, so handles are ints.
+
+Document order is an integer *label* per node that every write keeps
+valid, so a read takes the same path before and after updates and never
+writes to the store:
+
+* a loaded node's label is its pre-order id ``<< 32`` and is never stored;
+* an inserted subtree takes evenly spaced labels inside the gap between
+  the node before it and the node after it in document order, kept in one
+  packed column for inserted nodes only (``_labels``); when a gap is used
+  up, one walk respaces the inserted labels — loaded labels never move —
+  and ``stats.relabels`` counts it;
+* ``_posts[node]`` is the label of the last node in the subtree, raised
+  on the ancestors an insert extends, so a subtree is the label window
+  ``(label, _posts[node]]``.  A removal leaves a stale maximum, which is
+  still a valid bound.
 
 * :class:`TreeStore` (System F) navigates by walking the tree; it spends
   extra space on materialised per-node child lists — a traversal-speed
   choice that makes it the *largest* database of the main-memory systems,
   matching Table 1 (F: 345 MB vs E: 302 MB vs D: 142 MB).
-* :class:`IndexedTreeStore` (System E) adds an inverted tag index with
-  pre/post containment filtering, accelerating descendant-axis queries
-  without a full structural summary.
+* :class:`IndexedTreeStore` (System E) adds an inverted tag index whose
+  extents are bisected on the labels, accelerating descendant-axis
+  queries without a full structural summary.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 
 from repro.errors import StorageError
-from repro.storage.interface import Store
+from repro.storage.interface import Store, splice_subtree
 from repro.xmlio.dom import Element, Text
 from repro.xmlio.parser import END, START, tokens
 
 #: Parent sentinel for nodes detached by remove_node (root keeps -1).
 _DETACHED = -2
 
+#: A loaded node's label is its pre-order id shifted by this many bits.
+_SHIFT = 32
+
+#: The widest spacing between the labels of an inserted run.
+_STEP = 1 << 16
+
+
+def _element_from(parts, slot: int, step: int) -> int | None:
+    """The first element child id at or past content ``slot``, walking by
+    ``step`` (1: forward, -1: backward); None off the end."""
+    while 0 <= slot < len(parts):
+        if parts[slot].__class__ is int:
+            return parts[slot]
+        slot += step
+    return None
+
 
 class TreeStore(Store):
     """Pure-traversal main-memory store (System F).
 
     Updates: new nodes are *appended* to the flat arrays (handles stay
-    dense ints and existing handles never move), which deliberately breaks
-    the load-time invariant that array position equals pre-order rank.
-    While ``_sequential`` is False the pre/post interval tricks degrade to
-    pointer traversal and document order comes from a lazily recomputed
-    rank labeling (``_ensure_order``) — the classic update tax of a
-    read-optimized clustered layout, paid explicitly instead of hidden.
+    dense ints and existing handles never move) and take order labels in
+    the gap their position leaves.  A descendant step scans the subtree's
+    loaded id range, stepping over removed subtrees (``_holes``), plus the
+    inserted nodes inside its label window (``_inserted``).
     """
 
     architecture = "main memory, pure tree traversal, heuristic optimizer (System F)"
@@ -48,24 +77,25 @@ class TreeStore(Store):
         super().__init__()
         self._tags: list[str] = []
         self._parents: list[int] = []
-        self._posts: list[int] = []
+        self._posts = array("q")                # label of each subtree's last node
         self._attrs: list[dict[str, str] | None] = []
         self._content: list[list] = []          # interleaved int child ids / str runs
         self._children: list[list[int]] = []    # materialised element children
-        self._sequential = True                 # array position == pre-order rank
-        self._order: list[int] | None = None    # lazy doc-order ranks (mutated only)
-        self._stop: list[int] | None = None     # max rank within each subtree
+        self._bulk = 0                          # ids below are loaded, in pre-order
+        self._labels = array("q")               # labels of inserted ids (id - _bulk)
+        self._inserted: list[int] = []          # live inserted ids in document order
+        self._holes: list[tuple[int, int]] = []  # removed loaded id ranges, inclusive
 
     def load(self, text: str) -> None:
         self._tags.clear()
         self._parents.clear()
-        self._posts.clear()
         self._attrs.clear()
         self._content.clear()
         self._children.clear()
-        self._sequential = True
-        self._order = None
-        self._stop = None
+        self._posts = array("q")
+        self._labels = array("q")
+        self._inserted = []
+        self._holes = []
         tags, parents, posts = self._tags, self._parents, self._posts
         attrs, contents, child_lists = self._attrs, self._content, self._children
         stack: list[int] = []
@@ -75,7 +105,7 @@ class TreeStore(Store):
                 node = len(tags)
                 tags.append(value)              # interned by the tokenizer
                 parents.append(parent)
-                posts.append(node)
+                posts.append(0)
                 attrs.append(dict(attributes) if attributes else None)
                 contents.append([])
                 child_lists.append([])
@@ -85,10 +115,11 @@ class TreeStore(Store):
                 stack.append(node)
                 parent = node
             elif kind == END:
-                posts[stack.pop()] = len(tags) - 1
+                posts[stack.pop()] = (len(tags) - 1) << _SHIFT
                 parent = stack[-1] if stack else -1
             else:
                 self._append_text(parent, value)
+        self._bulk = len(tags)
         self.mark_loaded(text)
 
     def _append_text(self, node: int, text: str) -> None:
@@ -100,12 +131,13 @@ class TreeStore(Store):
 
     def size_bytes(self) -> int:
         self.require_loaded()
+        # _posts is a packed array: getsizeof covers its payload.
         total = sum(
             sys.getsizeof(lst)
             for lst in (self._tags, self._parents, self._posts, self._attrs,
                         self._content, self._children)
         )
-        total += 16 * len(self._parents)             # parents + posts payloads
+        total += 8 * len(self._parents)              # parents payload
         total += self._payload_bytes()
         for children in self._children:
             total += sys.getsizeof(children) + 8 * len(children)
@@ -147,29 +179,30 @@ class TreeStore(Store):
         return [child for child in self._children[node] if tags[child] == tag]
 
     def descendants_by_tag(self, node: int, tag: str) -> list[int]:
-        if not self._sequential:
-            return self._descendants_walk(node, tag)
-        # Pre-order ids are contiguous within a subtree: scan [node+1, post].
-        tags = self._tags
-        found = []
-        stop = self._posts[node]
-        self.stats.nodes_visited += max(0, stop - node)
-        for candidate in range(node + 1, stop + 1):
-            if tags[candidate] == tag:
-                found.append(candidate)
-        return found
-
-    def _descendants_walk(self, node: int, tag: str) -> list[int]:
-        """Pointer traversal: id contiguity is gone after a mutation."""
-        tags = self._tags
+        """Scan the subtree's loaded id range, stepping over removed
+        subtrees, then the inserted ids inside its label window."""
+        tags, end = self._tags, self._posts[node]
         found: list[int] = []
-        stack = list(reversed(self._child_ids(node)))
-        while stack:
-            current = stack.pop()
-            self.stats.nodes_visited += 1
-            if tags[current] == tag:
-                found.append(current)
-            stack.extend(reversed(self._child_ids(current)))
+        visited = 0
+        if node < self._bulk:
+            # Loaded ids are contiguous within a subtree: scan (node, end].
+            start, stop = node + 1, (end >> _SHIFT) + 1
+            holes = self._holes
+            at = bisect_left(holes, (start,))
+            while at < len(holes) and holes[at][0] < stop:
+                hole, last = holes[at]
+                found += [c for c in range(start, hole) if tags[c] == tag]
+                visited += hole - start
+                start, at = last + 1, at + 1
+            found += [c for c in range(start, stop) if tags[c] == tag]
+            visited += max(0, stop - start)
+        inserted = self._window(self._inserted, node)
+        if inserted:
+            visited += len(inserted)
+            matches = [c for c in inserted if tags[c] == tag]
+            if matches:
+                found = self._in_document_order(found + matches)
+        self.stats.nodes_visited += visited
         return found
 
     def parent(self, node: int) -> int | None:
@@ -205,19 +238,42 @@ class TreeStore(Store):
         return list(self._content[node])
 
     def doc_position(self, node: int) -> int:
-        if self._sequential:
-            return node
-        self._ensure_order()
-        return self._order[node]
+        """The node's order label."""
+        bulk = self._bulk
+        return node << _SHIFT if node < bulk else self._labels[node - bulk]
 
-    def sibling_position(self, node: int) -> int:
-        """The content slot: one C-level scan of the parent's content."""
-        return self._content[self._parents[node]].index(node)
+    def order_key(self, node: int, keys=None) -> int:
+        return self.doc_position(node)
 
     def node_count(self) -> int:
         return len(self._tags)
 
-    # -- mutation: array appends + lazy rank relabeling ----------------------------
+    # -- document order over label windows ---------------------------------------
+
+    def _window(self, extent, node: int):
+        """The part of a document-ordered id sequence inside ``node``'s
+        subtree: two bisects on the label."""
+        label = self.doc_position
+        return extent[bisect_right(extent, label(node), key=label):
+                      bisect_right(extent, self._posts[node], key=label)]
+
+    def _drop_window(self, extent, node: int) -> None:
+        """Delete ``node``'s subtree, itself included, from a
+        document-ordered id list."""
+        label = self.doc_position
+        del extent[bisect_left(extent, label(node), key=label):
+                   bisect_right(extent, self._posts[node], key=label)]
+
+    def _in_document_order(self, nodes: list[int]) -> list[int]:
+        """Sort ids by label; loaded labels grow with the id, so loaded
+        ids alone sort as plain ints."""
+        if nodes and max(nodes) >= self._bulk:
+            nodes.sort(key=self.doc_position)
+        else:
+            nodes.sort()
+        return nodes
+
+    # -- mutation: array appends + labels placed in the gap -------------------
 
     def _child_ids(self, node: int) -> list[int]:
         """Raw (uncounted) element-child ids, independent of child lists."""
@@ -225,7 +281,7 @@ class TreeStore(Store):
             return self._children[node]
         return [part for part in self._content[node] if isinstance(part, int)]
 
-    def _label_path(self, node: int) -> tuple[str, ...]:
+    def _path_of(self, node: int) -> tuple[str, ...]:
         """Root-to-node tag sequence via the parent chain."""
         parts: list[str] = []
         current = node
@@ -235,34 +291,85 @@ class TreeStore(Store):
         parts.reverse()
         return tuple(parts)
 
-    def _note_mutation(self) -> None:
-        self._sequential = False
-        self._order = None
-        self._stop = None
+    def _label_after(self, node: int) -> int | None:
+        """Label of the first node after ``node``'s subtree in document
+        order — the next sibling of the nearest ancestor-or-self that has
+        one — or None at the document end."""
+        parents = self._parents
+        while True:
+            parent = parents[node]
+            if parent < 0:
+                return None
+            parts = self._content[parent]
+            after = _element_from(parts, parts.index(node) + 1, 1)
+            if after is not None:
+                return self.doc_position(after)
+            node = parent
 
-    def _ensure_order(self) -> None:
-        """Recompute document-order ranks (and per-subtree max rank) from
-        the pointer structure — one O(n) pass per mutation batch, amortised
-        over every order-dependent read until the next write."""
-        if self._order is not None:
+    def _spread(self, run: list[int], low: int, high: int | None) -> bool:
+        """Label a document-ordered run of inserted ids evenly inside
+        ``(low, high)``; False when the gap is too narrow for it."""
+        step = _STEP if high is None else min(_STEP, (high - low) // (len(run) + 1))
+        if step < 1:
+            return False
+        labels, bulk = self._labels, self._bulk
+        for rank, node in enumerate(run, 1):
+            labels[node - bulk] = low + step * rank
+        return True
+
+    def _label_run(self, root: int, run: list[int], slot: int) -> None:
+        """Label an inserted subtree (``run``, pre-order, whose ``_posts``
+        hold the id of each subtree's last node; ``root`` at content
+        ``slot`` of its parent) and raise the subtree ends it extends; an
+        exhausted gap relabels instead."""
+        parents, posts = self._parents, self._posts
+        parent = parents[root]
+        parts = self._content[parent]
+        before = _element_from(parts, slot - 1, -1)
+        after = _element_from(parts, slot + 1, 1)
+        low = self.doc_position(parent) if before is None else posts[before]
+        high = self._label_after(parent) if after is None else self.doc_position(after)
+        if not self._spread(run, low, high):
+            self._relabel()
             return
-        size = len(self._tags)
-        order = [0] * size
-        stop = [0] * size
-        rank = 0
-        stack: list[tuple[int, bool]] = [(0, False)]
+        labels, bulk = self._labels, self._bulk
+        for node in run:
+            posts[node] = labels[posts[node] - bulk]
+        last, node = posts[root], parent
+        while node >= 0 and posts[node] < last:
+            posts[node] = last
+            node = parents[node]
+        inserted = self._inserted
+        at = bisect_right(inserted, low, key=self.doc_position)
+        inserted[at:at] = run
+
+    def _relabel(self) -> None:
+        """Respace every inserted label in one pre-order walk and set every
+        live subtree end exactly; loaded labels never move."""
+        self.stats.relabels += 1
+        order: list[int] = []
+        ends: list[tuple[int, int]] = []        # (node, index of its last node)
+        stack = [0]
         while stack:
-            node, done = stack.pop()
-            if done:
-                stop[node] = rank - 1
+            node = stack.pop()
+            if node < 0:                        # ~node's subtree is complete
+                ends.append((~node, len(order) - 1))
                 continue
-            order[node] = rank
-            rank += 1
-            stack.append((node, True))
-            for child in reversed(self._child_ids(node)):
-                stack.append((child, False))
-        self._order = order
-        self._stop = stop
+            order.append(node)
+            stack.append(~node)
+            stack.extend(reversed(self._child_ids(node)))
+        bulk, run, low = self._bulk, [], 0
+        for node in order:
+            if node < bulk:
+                self._spread(run, low, node << _SHIFT)
+                run, low = [], node << _SHIFT
+            else:
+                run.append(node)
+        self._spread(run, low, None)
+        label, posts = self.doc_position, self._posts
+        for node, last in ends:
+            posts[node] = label(order[last])
+        self._inserted = [node for node in order if node >= bulk]
 
     def _seal_content(self, parts: list):
         """New-node content representation (SummaryStore freezes tuples)."""
@@ -295,14 +402,16 @@ class TreeStore(Store):
     def insert_child(self, parent: int, element: Element,
                      index: int | None = None) -> int:
         self.require_loaded()
+        tags, parents, posts = self._tags, self._parents, self._posts
         new_ids: list[int] = []
 
         def build(elem: Element, parent_id: int) -> int:
-            node_id = len(self._tags)
+            node_id = len(tags)
             new_ids.append(node_id)
-            self._tags.append(sys.intern(elem.tag))
-            self._parents.append(parent_id)
-            self._posts.append(node_id)     # stale by design: _sequential is off
+            tags.append(sys.intern(elem.tag))
+            parents.append(parent_id)
+            posts.append(0)
+            self._labels.append(0)
             self._attrs.append(dict(elem.attributes) if elem.attributes else None)
             parts: list = []
             self._content.append(parts)     # placeholder; sealed below
@@ -320,12 +429,13 @@ class TreeStore(Store):
             if self._maintains_child_lists:
                 self._children[node_id] = [p for p in parts if isinstance(p, int)]
             self._content[node_id] = self._seal_content(parts)
+            posts[node_id] = len(tags) - 1  # the subtree's last id; labelled next
             return node_id
 
         slot = self._content_slot(parent, index)
         root_id = build(element, parent)
         self._splice_content(parent, slot, root_id)
-        self._note_mutation()
+        self._label_run(root_id, new_ids, slot)
         self._after_insert(new_ids)
         return root_id
 
@@ -334,15 +444,26 @@ class TreeStore(Store):
         parent = self._parents[node]
         if parent < 0:
             raise StorageError("cannot remove the document root")
+        tags, bulk = self._tags, self._bulk
         removed: list[tuple[int, tuple[str, ...]]] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            removed.append((current, self._label_path(current)))
-            stack.extend(self._child_ids(current))
+        last_loaded = -1
+        stack = [(node, self._path_of(node))]
+        while stack:                            # pre-order: paths from parents'
+            current, path = stack.pop()
+            removed.append((current, path))
+            if current < bulk:
+                last_loaded = current
+            stack.extend((child, path + (tags[child],))
+                         for child in reversed(self._child_ids(current)))
+        if node < bulk:
+            # Loaded ids of the subtree are [node, last_loaded] less the
+            # holes already inside it, which this one absorbs.
+            holes = self._holes
+            holes[bisect_left(holes, (node,)):
+                  bisect_left(holes, (last_loaded + 1,))] = [(node, last_loaded)]
+        self._drop_window(self._inserted, node)
         self._unsplice_content(parent, node)
         self._parents[node] = _DETACHED
-        self._note_mutation()
         self._after_remove(removed)
 
     def set_text(self, node: int, text: str) -> None:
@@ -370,7 +491,8 @@ class TreeStore(Store):
         self._after_set_attribute(node, name, value)
 
     # Subclass hooks for store-native access structures (E's tag index,
-    # D's structural summary and ID index).
+    # D's structural summary and ID index).  They run after the write, with
+    # the labels of inserted and removed nodes readable.
 
     def _after_insert(self, new_ids: list[int]) -> None:
         pass
@@ -409,21 +531,8 @@ class IndexedTreeStore(TreeStore):
         extent = self._tag_index.get(tag)
         if not extent:
             return []
-        if not self._sequential:
-            # Containment degrades from a bisection to an extent scan over
-            # the lazy rank labels until the store is reloaded (compacted).
-            self._ensure_order()
-            order = self._order
-            low, high = order[node], self._stop[node]
-            result = sorted(
-                (n for n in extent if low < order[n] <= high),
-                key=order.__getitem__)
-            self.stats.nodes_visited += len(result)
-            return result
-        # Extent lists are in pre-order; a subtree is the id range (node, post].
-        start = bisect_right(extent, node)
-        stop = bisect_right(extent, self._posts[node])
-        result = extent[start:stop]
+        # Extents are in document order; a subtree is one label window.
+        result = self._window(extent, node)
         self.stats.nodes_visited += len(result)
         return result
 
@@ -433,25 +542,19 @@ class IndexedTreeStore(TreeStore):
     def all_with_tag(self, tag: str) -> list[int]:
         """The whole extent of one tag (document-ordered)."""
         self.stats.index_lookups += 1
-        extent = list(self._tag_index.get(tag, ()))
-        if not self._sequential:
-            self._ensure_order()
-            extent.sort(key=self._order.__getitem__)
-        return extent
+        return list(self._tag_index.get(tag, ()))
 
-    # -- mutation hooks: the inverted tag index takes per-node deltas ----------
+    # -- mutation hooks: an inserted or removed subtree is one run per tag -----
 
     def _after_insert(self, new_ids: list[int]) -> None:
-        for node in new_ids:
-            self._tag_index.setdefault(self._tags[node], []).append(node)
+        tags, index = self._tags, self._tag_index
+        splice_subtree(self, [(node, tags[node]) for node in new_ids],
+                       lambda tag: index.setdefault(tag, []))
 
     def _after_remove(self, removed: list[tuple[int, tuple[str, ...]]]) -> None:
-        for node, _path in removed:
-            extent = self._tag_index.get(self._tags[node])
-            if extent is not None:
-                try:
-                    extent.remove(node)
-                except ValueError:
-                    pass
-                if not extent:
-                    del self._tag_index[self._tags[node]]
+        root = removed[0][0]
+        for tag in {self._tags[node] for node, _path in removed}:
+            extent = self._tag_index[tag]
+            self._drop_window(extent, root)
+            if not extent:
+                del self._tag_index[tag]

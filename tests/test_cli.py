@@ -103,12 +103,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "applied 4 operation(s)" in out
         assert "serialized documents identical across systems" in out
+        assert "Q1-Q20 answers identical across systems" in out
         import json
         snapshot = json.loads(report.read_text())
         assert set(snapshot) == {"factor", "seed", "operations"}
         assert len(snapshot["operations"]) == 4
         for row in snapshot["operations"]:
             assert set(row["systems"]) == {"D", "G"}
+
+    def test_update_fails_on_answers_the_serialization_cannot_see(
+            self, capsys, monkeypatch):
+        # A descendant step in the wrong order leaves every document
+        # byte-identical; only the answers show it.
+        from repro.storage.summary_store import SummaryStore
+        ordered = SummaryStore.descendants_by_tag
+        monkeypatch.setattr(SummaryStore, "descendants_by_tag",
+                            lambda self, node, tag: ordered(self, node, tag)[::-1])
+        assert main(["update", "-f", "0.0005", "-s", "DG", "-n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "serialized documents identical across systems" in captured.out
+        assert "answers diverged on" in captured.err
 
     def test_update_rejects_unknown_system(self, capsys):
         assert main(["update", "-f", "0.0005", "-s", "DZ"]) == 2

@@ -451,3 +451,50 @@ class TestWriteWorkBound:
         del store.children
         assert 0 < calls <= self.BOUND
         assert store.stats.extent_splices > 0
+
+
+class TestCommitCostsTheNextReadNothing:
+    """Order labels survive a write: after a seeded 300-op history on D, E
+    and F no write had to respace labels, and each descendant step of Q6,
+    Q7, Q14 and Q19 visits no more than the same step on a scratch reload
+    plus the inserted nodes in its window.  Counted, not timed."""
+
+    #: (child path from the root, descendant tag) of each query's steps.
+    STEPS = ((("regions",), "item"),            # Q6, Q19
+             ((), "description"),               # Q7
+             ((), "annotation"),
+             ((), "emailaddress"),
+             ((), "item"))                      # Q14
+
+    @pytest.fixture(scope="class")
+    def history(self):
+        # f=0.005: the smaller documents run out of items to delete.
+        text = generate_string(0.005)
+        reference = make_store("D")
+        reference.load(text)
+        return text, UpdateStream(reference, seed=23).sequence(300)
+
+    @pytest.mark.parametrize("system", ("D", "E", "F"))
+    def test_descendant_steps_after_a_history(self, history, system):
+        text, operations = history
+        store = make_store(system)
+        store.load(text)
+        loaded = store.node_count()             # inserted ids come after these
+        for op in operations:
+            apply_update(store, op)
+        assert store.node_count() > loaded and store.stats.relabels == 0
+        scratch = make_store(system)
+        scratch.load(serialize_store(store))
+        for names, tag in self.STEPS:
+            node = store.children_by_path(store.root(), names)[0]
+            fresh = scratch.children_by_path(scratch.root(), names)[0]
+            before = store.stats.nodes_visited
+            found = store.descendants_by_tag(node, tag)
+            visited = store.stats.nodes_visited - before
+            before = scratch.stats.nodes_visited
+            expected = scratch.descendants_by_tag(fresh, tag)
+            bound = scratch.stats.nodes_visited - before
+            assert expected and [store.markup(n) for n in found] == \
+                [scratch.markup(n) for n in expected], (names, tag)
+            inserted = sum(1 for n in store.descendants(node) if n >= loaded)
+            assert visited <= bound + inserted, (names, tag, visited, bound)

@@ -17,6 +17,11 @@ relational heap), C (DTD-derived inlined schema), D (main-memory +
 structural summary), G (naive DOM).  The conformance suite
 (tests/test_update.py) covers all seven on a fixed script; here the
 *sequences* are adversarial and the properties are structural.
+
+(d) order labels — on the three label-keeping stores (D, E, F), raw
+    ``insert_child`` at any slot, inside inserted subtrees too, and
+    ``remove_node`` keep ``doc_position`` sorting live nodes into
+    pre-order and every descendant step equal to a walk's answer.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.index.spec import VALUE
 from repro.schema.auction import REFERENCE_TARGETS, auction_dtd
 from repro.schema.validator import validate
 from repro.update import UpdateStream, apply_update, serialize_store
+from repro.xmlio.dom import Element
 from repro.xmlio.parser import parse
 
 PROPERTY_SYSTEMS = ("A", "C", "D", "G")
@@ -169,3 +175,93 @@ def test_digest_changes_iff_document_changes(loaded_fresh, kinds):
     # ...and zero applied operations leave the digest untouched.
     untouched = loaded_fresh("G")
     assert untouched.document_digest() == initial
+
+
+LABEL_SYSTEMS = ("D", "E", "F")
+LABEL_TAGS = ("a", "b", "c")
+LABEL_DOCUMENT = ("<a>x<b><c/>y<a><b/><c>z</c></a></b><c><a/><b><c/><a/></b></c>"
+                  "<b><a><c/></a></b><a/></a>")
+
+label_ops = st.lists(
+    st.tuples(st.sampled_from(("insert", "insert", "insert", "remove")),
+              st.integers(0, 10 ** 6),                  # which live node
+              st.sampled_from(("first", "middle", "last")),
+              st.integers(1, 4)),                       # inserted subtree size
+    min_size=1, max_size=25)
+
+
+def labelled_subtree(size: int, seed: int) -> Element:
+    """A pre-order subtree of ``size`` elements: a chain, then siblings."""
+    root = Element(LABEL_TAGS[seed % 3])
+    parent = root
+    for offset in range(1, size):
+        child = parent.append(Element(LABEL_TAGS[(seed + offset) % 3]))
+        if offset % 2:
+            parent = child
+    return root
+
+
+def preorder(store) -> list:
+    order, stack = [], [store.root()]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(store.children(node)))
+    return order
+
+
+def assert_order_labels(store) -> None:
+    order = preorder(store)
+    assert sorted(order, key=store.doc_position) == order
+    size = {}
+    for node in reversed(order):
+        size[node] = 1 + sum(size[child] for child in store.children(node))
+    for at, node in enumerate(order):
+        below = order[at + 1:at + size[node]]
+        for tag in LABEL_TAGS:
+            assert store.descendants_by_tag(node, tag) == [
+                n for n in below if store.tag(n) == tag], (node, tag)
+    if hasattr(store, "all_with_tag"):
+        for tag in LABEL_TAGS:
+            assert store.all_with_tag(tag) == [
+                n for n in order if store.tag(n) == tag]
+
+
+def apply_label_op(store, op) -> None:
+    kind, pick, slot, size = op
+    order = preorder(store)
+    if kind == "remove":
+        if len(order) > 1:
+            store.remove_node(order[1 + pick % (len(order) - 1)])
+        return
+    target = order[pick % len(order)]
+    count = len(store.children(target))
+    index = {"first": 0, "middle": count // 2, "last": None}[slot]
+    store.insert_child(target, labelled_subtree(size, pick), index)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=label_ops)
+@pytest.mark.parametrize("system", LABEL_SYSTEMS)
+def test_order_labels_hold_at_any_insert_position(system, ops):
+    store = make_store(system)
+    store.load(LABEL_DOCUMENT)
+    for op in ops:
+        apply_label_op(store, op)
+        assert_order_labels(store)
+
+
+@pytest.mark.parametrize("system", LABEL_SYSTEMS)
+def test_exhausted_gap_relabels_inserted_nodes_only(system):
+    """Sixty inserts at one slot halve the same gap until it is used up;
+    the respacing moves no loaded label and keeps every invariant."""
+    store = make_store(system)
+    store.load(LABEL_DOCUMENT)
+    loaded = {node: store.doc_position(node) for node in preorder(store)}
+    target = store.children(store.root())[0]
+    for seed in range(60):
+        store.insert_child(target, labelled_subtree(1 + seed % 3, seed), 1)
+    assert store.stats.relabels > 0
+    assert {node: store.doc_position(node) for node in loaded} == loaded
+    assert_order_labels(store)
