@@ -71,7 +71,11 @@ class ValueIndex:
         self._entries += 1
 
     def probe(self, value) -> list[tuple[int, object]]:
-        """Entries whose key equals ``value`` (document order)."""
+        """Entries whose key equals ``value`` (document order).
+
+        The live bucket, not a copy: maintenance edits it in place, so a
+        caller that removes one of these nodes copies it first.
+        """
         key = normalize_key(value)
         if key is None:
             return []

@@ -77,6 +77,11 @@ DEFAULT_AUCTION_SPEC = IndexSpec(
                   ("itemref", "@item"), VALUE),
         *(FieldSpec(("site", "regions", region, "item"), ("@id",), VALUE)
           for region in _REGIONS),
+        # -- update cascades (no query plan probes these two) ----------------
+        FieldSpec(("site", "people", "person", "watches", "watch"),
+                  ("@open_auction",), VALUE),
+        FieldSpec(("site", "open_auctions", "open_auction"),
+                  ("itemref", "@item"), VALUE),
         # -- range / inequality keys (sorted) --------------------------------
         FieldSpec(("site", "closed_auctions", "closed_auction"),
                   ("price", "text()"), SORTED),

@@ -459,18 +459,27 @@ class FragmentStore(Store):
 
     def _content_pos(self, node: Handle, index: int | None) -> int:
         """The pos value for a new child at element ``index``, shifting the
-        pos of every following sibling tuple across all child relations."""
+        pos of every following sibling tuple across all child relations.
+
+        Past the last child (``index`` None or out of range) it is one
+        past the highest pos in the parent-index rows of ``node`` in each
+        child relation, the text relation included: no handle is built,
+        nothing is sorted and no tuple is fetched by ``pre``.
+        """
         path, pre = node
-        children = self.children(node)
+        children = self.children(node) if index is not None else ()
         if index is None or index >= len(children):
-            highest = -1
-            for child in children:
-                highest = max(highest, self._pos_of(child))
+            names = [_table_name(path + (tag,))
+                     for tag in self._children_map.get(path, ())]
             if path in self._text_paths:
-                table = self.catalog.table(_text_table_name(path))
-                index_obj = self.catalog.hash_index(_text_table_name(path), "parent")
-                for row in index_obj.lookup(pre) if index_obj else []:
-                    highest = max(highest, table.get(row, "pos"))
+                names.append(_text_table_name(path))
+            highest = -1
+            for name in names:
+                rows = self.catalog.hash_index(name, "parent").lookup(pre)
+                self.stats.index_lookups += 1
+                if rows:
+                    poss = self.catalog.table(name).column("pos")
+                    highest = max(highest, max(poss[row] for row in rows))
             return highest + 1
         target = self._pos_of(children[index])
         for tag in self._children_map.get(path, ()):

@@ -54,6 +54,12 @@ def _spec_at(spec: EntitySpec, idx_path: tuple[int, ...]) -> ChildSpec:
     return node
 
 
+def _holder(entity: tuple, kind: str, idx_path: tuple[int, ...]) -> tuple:
+    """The handle of the struct (``"s"``) or wrapper (``"w"``) at
+    ``idx_path`` inside ``entity``, or ``entity`` itself for an empty path."""
+    return (kind, entity[1], entity[2], idx_path) if idx_path else entity
+
+
 class _Fragment:
     """One parsed CLOB fragment: pre-order node list for stable handles."""
 
@@ -83,6 +89,9 @@ class SchemaStore(Store):
         self._container_ord: dict[str, int] = {}
         self._id_index: dict[str, tuple] = {}
         self._nested_spec_idx: dict[tuple[str, str], int] = {}
+        #: Nested table -> (handle kind, index path) of what holds its rows
+        #: inside the owner: ("s", ()) is the owner entity itself.
+        self._nested_holder: dict[str, tuple[str, tuple[int, ...]]] = {}
         self._reachable: dict[str, frozenset[str]] = {}
         # Direct table handles for navigation: the catalog (with its counted
         # metadata accesses) is the *compile-time* surface; at run time the
@@ -210,6 +219,7 @@ class SchemaStore(Store):
     def _compute_reachability(self) -> None:
         """Tag sets reachable below each entity table (fragments included)."""
         self._nested_spec_idx.clear()
+        self._nested_holder.clear()
 
         def reach(spec: EntitySpec) -> frozenset[str]:
             tags: set[str] = set()
@@ -229,12 +239,14 @@ class SchemaStore(Store):
                         visit(child.children, path)
                     elif isinstance(child, Nested):
                         self._nested_spec_idx[(spec.table, child.table)] = index
+                        self._nested_holder[child.table] = ("s", base)
                         nested = ENTITY_SPECS[child.table]
                         tags.add(nested.tag)
                         tags.update(reach_cache(nested))
                     elif isinstance(child, Wrapper):
                         tags.add(child.tag)
                         self._nested_spec_idx[(spec.table, child.nested.table)] = index
+                        self._nested_holder[child.nested.table] = ("w", path)
                         nested = ENTITY_SPECS[child.nested.table]
                         tags.add(nested.tag)
                         tags.update(reach_cache(nested))
@@ -668,8 +680,8 @@ class SchemaStore(Store):
             table = node[1]
             table_obj = self._tables[table]
             if table_obj.has_column("parent"):
-                owner_ord = table_obj.get(node[2], "parent")
-                return self._entity_by_ord(owner_ord)
+                owner = self._entity_by_ord(table_obj.get(node[2], "parent"))
+                return _holder(owner, *self._nested_holder[table])
             spec = ENTITY_SPECS[table]
             if spec.table == "item":
                 region = table_obj.get(node[2], "region")
@@ -687,7 +699,7 @@ class SchemaStore(Store):
             element = fragment.nodes[node[2]]
             if element.parent is None:
                 owner = self._frag_owner[node[1]]
-                return self._entity_by_ord(owner[0])
+                return _holder(self._entity_by_ord(owner[0]), "s", owner[1:-1])
             return ("fn", node[1], fragment.index_of[id(element.parent)])
         raise StorageError(f"bad handle {node!r}")
 

@@ -36,6 +36,7 @@ from bisect import bisect_left, bisect_right
 from repro.errors import StorageError
 from repro.storage.interface import Store, splice_subtree
 from repro.xmlio.dom import Element, Text
+from repro.xmlio.escape import escape_attribute, escape_text
 from repro.xmlio.parser import END, START, tokens
 
 #: Parent sentinel for nodes detached by remove_node (root keeps -1).
@@ -236,6 +237,41 @@ class TreeStore(Store):
     def content(self, node: int) -> list:
         self.stats.nodes_visited += 1
         return list(self._content[node])
+
+    def markup(self, node: int) -> str:
+        """The generic :meth:`Store.markup`, byte for byte and visit for
+        visit (one per element), read straight off the arrays: no
+        navigation call and no content copy per node.  Each element is one
+        ``join``: one flat list for the whole document would hold every
+        piece at once, and a checkpoint renders the whole document."""
+        tags, attrs_of, content = self._tags, self._attrs, self._content
+        elements = 0
+
+        def render(node: int) -> str:
+            nonlocal elements
+            elements += 1
+            tag, attrs = tags[node], attrs_of[node]
+            start = "<" + tag
+            if attrs:
+                start += "".join([f' {name}="{escape_attribute(value)}"'
+                                  for name, value in attrs.items()])
+            parts = content[node]
+            if not parts:
+                return start + "/>"
+            pieces = [start, ">"]
+            for part in parts:
+                if part.__class__ is int:
+                    pieces.append(render(part))
+                elif "&" in part or "<" in part or ">" in part:
+                    pieces.append(escape_text(part))
+                else:
+                    pieces.append(part)
+            pieces += ("</", tag, ">")
+            return "".join(pieces)
+
+        text = render(node)
+        self.stats.nodes_visited += elements
+        return text
 
     def doc_position(self, node: int) -> int:
         """The node's order label."""

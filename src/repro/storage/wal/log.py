@@ -55,6 +55,17 @@ class WalScan:
         return self.records[-1].lsn if self.records else None
 
 
+def fsync_directory(directory: str | Path) -> None:
+    """Make ``directory``'s entries durable.  A rename into it, or a file
+    created in it, survives a power cut only once the directory itself is
+    fsynced.  This is not a commit's fsync and is not counted as one."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 def scan_wal(path: str | Path) -> WalScan:
     """Read every intact record of one stream; never raises on torn tails."""
     data = Path(path).read_bytes()
@@ -97,7 +108,10 @@ class WriteAheadLog:
     def _handle(self):
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            created = not self.path.exists()
             self._file = open(self.path, "ab")
+            if created and self.sync_mode != "none":
+                fsync_directory(self.path.parent)
         return self._file
 
     def append(self, record: WalRecord) -> int:
@@ -207,3 +221,4 @@ class WriteAheadLog:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, self.path)
+        fsync_directory(self.path.parent)

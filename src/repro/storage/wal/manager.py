@@ -13,7 +13,12 @@ content digest (the start of the digest chain — a reopened connection
 offering a *different* base document is refused rather than silently
 forked), and the current snapshot.  It is always replaced atomically,
 so recovery sees either the pre- or post-checkpoint root, and both are
-complete.
+complete.  Each rename (snapshot, manifest, compacted stream), the
+``wal/`` and ``snapshots/`` directories and each new stream file (unless
+``sync="none"``) are followed by an fsync of the directory holding the
+new entry: without it a power cut could keep a manifest that names a
+snapshot whose rename was lost, after compaction had dropped the records
+that snapshot covered.
 
 Commit protocol (the WAL invariant): :meth:`DurabilityManager.log_commit`
 appends the record — and, under ``sync="commit"``, fsyncs — *before* the
@@ -48,7 +53,9 @@ from pathlib import Path
 
 from repro.errors import DurabilityError, RecoveryError
 from repro.obs.trace import NULL_TRACER
-from repro.storage.wal.log import WalScan, WriteAheadLog, scan_wal
+from repro.storage.wal.log import (
+    WalScan, WriteAheadLog, fsync_directory, scan_wal,
+)
 from repro.storage.wal.records import KIND_OP, KIND_TXN, WalRecord
 from repro.storage.wal.snapshot import read_snapshot, write_snapshot
 
@@ -63,6 +70,7 @@ def _atomic_write_json(path: Path, document: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
+    fsync_directory(path.parent)
 
 
 class DurabilityManager:
@@ -147,7 +155,9 @@ class DurabilityManager:
             shard_backends = snapshot.get("backends")
         if streams < 1:
             raise DurabilityError(f"streams must be >= 1, got {streams}")
-        self.directory.mkdir(parents=True, exist_ok=True)
+        for subdirectory in ("wal", "snapshots"):
+            (self.directory / subdirectory).mkdir(parents=True, exist_ok=True)
+        fsync_directory(self.directory)
         write_snapshot(self.snapshot_path(snapshot["lsn"]), snapshot)
         self._write_manifest({
             "format": MANIFEST_FORMAT,

@@ -16,7 +16,8 @@ digest-chain value at that point; WAL replay starts after that LSN and
 chains from that digest.
 
 Durability protocol: the JSON document is written to a sibling temp
-file, fsynced, and atomically renamed into place — a crash mid-checkpoint
+file, fsynced, and atomically renamed into place, and then the directory
+is fsynced so the rename itself is durable — a crash mid-checkpoint
 leaves either the previous snapshot or the new one, never a torn file.
 A CRC over the embedded document text(s) guards the content against
 storage-level garbling; :func:`read_snapshot` refuses a snapshot whose
@@ -32,6 +33,7 @@ from pathlib import Path
 
 from repro.errors import RecoveryError
 from repro.storage.interface import store_document_text
+from repro.storage.wal.log import fsync_directory
 
 SNAPSHOT_FORMAT = 1
 
@@ -107,6 +109,7 @@ def write_snapshot(path: str | Path, snapshot: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
+    fsync_directory(path.parent)
 
 
 def read_snapshot(path: str | Path) -> dict:

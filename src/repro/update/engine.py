@@ -8,6 +8,10 @@ consistent with the physical change:
    the same nodes on every architecture): through the store's ID index
    where it has one — a miss there is authoritative — and by a scan of
    the entity's container through the navigation API where it has none;
+   the references a cascade must follow (the watches of a closing
+   auction, the item and auctions a deletion takes with it) come from
+   probes of the secondary value indexes, and from an extent walk only
+   when those were dropped;
 2. applies the physical mutations through the store's
    ``insert_child`` / ``remove_node`` / ``set_text`` surface;
 3. maintains the secondary indexes by deltas (an inserted subtree enters
@@ -36,6 +40,8 @@ from functools import lru_cache
 
 from repro.errors import UpdateError
 from repro.index import maintenance
+from repro.index.builder import extract_values
+from repro.index.indexes import normalize_key
 from repro.obs.trace import NULL_TRACER
 from repro.schema.auction import REGIONS, auction_dtd
 from repro.storage.interface import Store, store_document_text
@@ -223,11 +229,35 @@ _OPEN_PATH = ("site", "open_auctions", "open_auction")
 _CLOSED_PATH = ("site", "closed_auctions", "closed_auction")
 _PERSON_PATH = ("site", "people", "person")
 _WATCH_PATH = ("site", "people", "person", "watches", "watch")
+_ITEM_PATHS = tuple(("site", "regions", region, "item") for region in REGIONS)
+_ITEMREF = ("itemref", "@item")
 
 
-def _find_watches(store: Store, auction_id: str) -> list:
-    """Handles of every ``watch`` referencing ``auction_id``."""
-    return _find_watches_of(store, {auction_id})[auction_id]
+def _where(store: Store, path: tuple[str, ...], accessor: tuple[str, ...],
+           value: str) -> list:
+    """The nodes at ``path`` whose ``accessor`` yields ``value``, in
+    document order: one probe of the store's value index on that field,
+    or a walk over the extent when the store's indexes were dropped.
+
+    The walk also answers a ``value`` that reads as a number (``nan``,
+    ``inf`` and ``infinity`` are XML names too): the index buckets those
+    by the number, where the cascade compares strings.  The probe's list
+    is a copy, because ``ValueIndex.probe`` returns the live bucket, which
+    removing one of these nodes edits in place.
+    """
+    if store.indexes is not None and normalize_key(value) == value:
+        index = store.indexes.value_field(path, accessor)
+        return [handle for _seq, handle in index.probe(value)]
+    return _walk_where(store, path, accessor, value)
+
+
+def _walk_where(store: Store, path: tuple[str, ...], accessor: tuple[str, ...],
+                value: str) -> list:
+    """:func:`_where` by navigation alone: every node of the extent, kept
+    when ``accessor`` yields ``value`` (the reference the probe is tested
+    against)."""
+    return [node for node in store.children_by_path(store.root(), path[1:])
+            if value in extract_values(store, node, accessor)]
 
 
 def _close_auction(app: _Application, op: CloseAuction) -> None:
@@ -257,7 +287,7 @@ def _close_auction(app: _Application, op: CloseAuction) -> None:
         leaf.append_text(text)
     closed.append(annotation)
 
-    watches = _find_watches(store, op.auction_id)
+    watches = _where(store, _WATCH_PATH, ("@open_auction",), op.auction_id)
     root = store.root()
     closed_container = store.children_by_tag(root, "closed_auctions")[0]
     app.insert(closed_container, _CLOSED_PATH[:-1], closed)
@@ -266,61 +296,24 @@ def _close_auction(app: _Application, op: CloseAuction) -> None:
     app.remove(auction, _OPEN_PATH)
 
 
-def _find_watches_of(store: Store, auction_ids: set) -> dict:
-    """``auction id -> watch handles`` for a set of auctions, one walk."""
-    root = store.root()
-    people = store.children_by_tag(root, "people")[0]
-    found: dict = {identifier: [] for identifier in auction_ids}
-    for person in store.children_by_tag(people, "person"):
-        for watches in store.children_by_tag(person, "watches"):
-            for watch in store.children_by_tag(watches, "watch"):
-                target = store.attribute(watch, "open_auction")
-                if target in found:
-                    found[target].append(watch)
-    return found
-
-
 def _delete_item(app: _Application, op: DeleteItem) -> None:
     store = app.store
-    root = store.root()
-    regions = store.children_by_tag(root, "regions")[0]
-    item = None
-    item_path: tuple[str, ...] = ()
-    for region in REGIONS:
-        container = store.children_by_tag(regions, region)
-        for candidate in store.children_by_tag(container[0], "item") if container else ():
-            if store.attribute(candidate, "id") == op.item_id:
-                item = candidate
-                item_path = ("site", "regions", region, "item")
-                break
-        if item is not None:
+    for item_path in _ITEM_PATHS:
+        items = _where(store, item_path, ("@id",), op.item_id)
+        if items:
             break
-    if item is None:
+    else:
         raise UpdateError(f"no item with id {op.item_id!r}")
-
-    open_container = store.children_by_tag(root, "open_auctions")[0]
-    doomed_open = []
-    for auction in store.children_by_tag(open_container, "open_auction"):
-        itemref = store.children_by_tag(auction, "itemref")
-        if itemref and store.attribute(itemref[0], "item") == op.item_id:
-            doomed_open.append(auction)
-    closed_container = store.children_by_tag(root, "closed_auctions")[0]
-    doomed_closed = []
-    for auction in store.children_by_tag(closed_container, "closed_auction"):
-        itemref = store.children_by_tag(auction, "itemref")
-        if itemref and store.attribute(itemref[0], "item") == op.item_id:
-            doomed_closed.append(auction)
-
-    doomed_ids = {store.attribute(auction, "id") for auction in doomed_open}
-    watches_by_auction = (_find_watches_of(store, doomed_ids)
-                          if doomed_open else {})
+    doomed_open = _where(store, _OPEN_PATH, _ITEMREF, op.item_id)
+    doomed_closed = _where(store, _CLOSED_PATH, _ITEMREF, op.item_id)
     for auction in doomed_open:
-        for watch in watches_by_auction.get(store.attribute(auction, "id"), ()):
+        for watch in _where(store, _WATCH_PATH, ("@open_auction",),
+                            store.attribute(auction, "id")):
             app.remove(watch, _WATCH_PATH)
         app.remove(auction, _OPEN_PATH)
     for auction in doomed_closed:
         app.remove(auction, _CLOSED_PATH)
-    app.remove(item, item_path)
+    app.remove(items[0], item_path)
 
 
 def apply_update(store: Store, op: UpdateOp, *,

@@ -26,7 +26,9 @@ The proof obligations, in roughly the order the module asserts them:
 from __future__ import annotations
 
 import json
+import os
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -229,6 +231,57 @@ def test_tampered_snapshot_is_refused(durable_dir, tmp_path):
 def test_recover_refuses_non_durable_directory(tmp_path):
     with pytest.raises(RecoveryError):
         recover(tmp_path)
+
+
+def test_renames_and_new_files_reach_their_directory(history, tmp_path,
+                                                     monkeypatch):
+    """In ``initialize()`` and ``checkpoint()`` every renamed file is
+    fsynced, then renamed, and then its directory is the next thing
+    fsynced; the new ``wal/`` and ``snapshots/`` entries and the first
+    stream file reach their directories the same way."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def identity(path) -> tuple[int, int]:
+        info = os.stat(path)
+        return info.st_dev, info.st_ino
+
+    def fsync(descriptor):
+        info = os.fstat(descriptor)
+        events.append(("fsync", (info.st_dev, info.st_ino)))
+        real_fsync(descriptor)
+
+    def replace(source, target):
+        events.append(("replace", identity(source), Path(target)))
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    directory = tmp_path / "deploy"
+    manager = DurabilityManager(directory, sync="commit")
+    base_digest, base_document = history.states[0]
+    manager.initialize(document_snapshot(0, base_digest, base_document))
+    for index, op in enumerate(history.ops[:3]):
+        manager.log_commit([op], kind="op", prev_digest=history.states[index][0],
+                           digest=history.states[index + 1][0])
+    digest, document = history.states[3]
+    manager.checkpoint(document_snapshot(3, digest, document))
+    manager.close()
+
+    renames = [at for at, event in enumerate(events) if event[0] == "replace"]
+    # Base snapshot, manifest; then snapshot, manifest, compacted stream.
+    assert [events[at][2].name for at in renames] == [
+        "snap-000000000000.json", "MANIFEST.json", "snap-000000000003.json",
+        "MANIFEST.json", "stream-0000.wal"]
+    for at in renames:
+        _, renamed, target = events[at]
+        assert ("fsync", renamed) in events[:at], target
+        following = next(event for event in events[at + 1:] if event[0] == "fsync")
+        assert following == ("fsync", identity(target.parent)), target
+    assert ("fsync", identity(directory)) in events[:renames[0]]
+    # Between set-up and checkpoint: the commits, the first one creating
+    # the stream file.
+    assert ("fsync", identity(directory / "wal")) in events[renames[1]:renames[2]]
 
 
 # -- sharded deployments: per-shard WALs -------------------------------------------

@@ -5,12 +5,19 @@ same queries identically; these tests pin the navigation API of every store
 to the parsed DOM as ground truth.
 """
 
+import types
+
 import pytest
 
 from repro.benchmark.systems import SYSTEMS, make_store
 from repro.shard import ShardedStore
-from repro.update import UpdateStream, apply_update
+from repro.storage.interface import Store
+from repro.update import (
+    CloseAuction, DeleteItem, PlaceBid, RegisterPerson, UpdateStream,
+    apply_update,
+)
 from repro.xmlio.canonical import canonicalize
+from repro.xmlio.dom import Element
 from repro.xmlio.serialize import serialize
 
 
@@ -118,6 +125,19 @@ class TestNavigation:
         store = any_store
         assert store.parent(store.root()) is None
 
+    def test_parent_inverts_children(self, any_store):
+        """Including System C's nested rows and fragments below a struct or
+        wrapper (``profile/interest``, ``watches/watch``,
+        ``annotation/description``): their parent is that struct or
+        wrapper, not the entity that owns the row."""
+        store = any_store
+        stack = [store.root()]
+        while stack:
+            node = stack.pop()
+            for child in store.children(node):
+                assert store.parent(child) == node, (node, child)
+                stack.append(child)
+
     def test_doc_position_orders_bidders(self, any_store, small_document):
         """Q4's << operator depends on bidder order within an auction."""
         store = any_store
@@ -174,10 +194,24 @@ def _store(name: str):
     return make_store(name)
 
 
+def _loaded_and_updated(text: str, history: list) -> dict:
+    """``(name, state) -> store`` of every surface store over ``text``, as
+    loaded and after ``history``."""
+    stores = {}
+    for name in SURFACE_STORES:
+        for state in ("loaded", "updated"):
+            store = stores[name, state] = _store(name)
+            store.load(text)
+            if state == "updated":
+                for op in history:
+                    apply_update(store, op)
+    return stores
+
+
 @pytest.fixture(scope="module")
 def surface_stores(tiny_text):
-    """``(name, state) -> store`` over the tiny document, as loaded and
-    after :data:`HISTORY`."""
+    """The surface stores over the tiny document, as loaded and after
+    :data:`HISTORY`."""
     reference = make_store("D")
     reference.load(tiny_text)
     stream, history = UpdateStream(reference), []
@@ -185,15 +219,7 @@ def surface_stores(tiny_text):
         op = stream.next_op(kind)
         stream.note_applied(op)
         history.append(op)
-    stores = {}
-    for name in SURFACE_STORES:
-        for state in ("loaded", "updated"):
-            store = stores[name, state] = _store(name)
-            store.load(tiny_text)
-            if state == "updated":
-                for op in history:
-                    apply_update(store, op)
-    return stores
+    return _loaded_and_updated(tiny_text, history)
 
 
 def _every_node(store) -> list:
@@ -249,3 +275,106 @@ class TestRenderingSurface:
                                for child in store.children_by_tag(parent, tag)]
                 assert found == chained
                 assert between - before == _visited(store) - between
+
+
+#: A hand-written auction document whose content needs every escape the
+#: serializer writes: ``& < > "`` in text and in attributes, tab and
+#: newline inside attributes, a CDATA section, empty elements and mixed
+#: content.  No whitespace between elements, so every architecture keeps
+#: every text run.
+ESCAPES = "".join((
+    '<site><regions><africa>',
+    '<item id="item0" featured="a &amp; b &lt; c &gt; d &quot;e&quot;&#9;tab&#10;line">',
+    '<location>Tom &amp; Jerry &lt;3 &gt;</location><quantity>1</quantity>',
+    '<name>"quoted" name</name><payment>Cash</payment>',
+    '<description><parlist><listitem><text>mixed <bold>bold &amp; more</bold>',
+    ' tail <emph/> <![CDATA[<raw> & "cdata" ]]>end</text></listitem>',
+    '<listitem><text/></listitem></parlist></description>',
+    '<shipping>s</shipping><incategory category="category0"/><mailbox/></item>',
+    '<item id="item1"><location>X</location><quantity>1</quantity><name>n</name>',
+    '<payment>p</payment><description><text>t</text></description>',
+    '<shipping>s</shipping><incategory category="category0"/><mailbox><mail>',
+    '<from>a &lt;a@x&gt;</from><to>b</to><date>01/01/2000</date>',
+    '<text>hi &amp; bye</text></mail></mailbox></item>',
+    '</africa><asia/><australia/><europe/><namerica/><samerica/></regions>',
+    '<categories><category id="category0"><name>c &amp; c</name>',
+    '<description><text>cat</text></description></category></categories>',
+    '<catgraph><edge from="category0" to="category0"/></catgraph><people>',
+    '<person id="person0"><name>A &amp; B</name><emailaddress>mailto:a@b</emailaddress>',
+    '<profile income="1&lt;2&#9;&#10;"><interest category="category0"/>',
+    '<business>Yes</business></profile>',
+    '<watches><watch open_auction="open_auction0"/></watches></person>',
+    '<person id="person1"><name>C</name><emailaddress>mailto:c@d</emailaddress></person>',
+    '</people><open_auctions><open_auction id="open_auction0"><initial>1.00</initial>',
+    '<bidder><date>01/01/2000</date><time>00:00:00</time>',
+    '<personref person="person1"/><increase>1.00</increase></bidder>',
+    '<current>2.00</current><itemref item="item0"/><seller person="person0"/>',
+    '<annotation><author person="person0"/>',
+    '<description><text>&lt;note&gt; &amp; "x"</text></description>',
+    '<happiness>1</happiness></annotation><quantity>1</quantity><type>Regular</type>',
+    '<interval><start>01/01/2000</start><end>01/01/2001</end></interval>',
+    '</open_auction></open_auctions><closed_auctions><closed_auction>',
+    '<seller person="person1"/><buyer person="person0"/><itemref item="item1"/>',
+    '<price>3.00</price><date>01/01/2000</date><quantity>1</quantity><type>Featured</type>',
+    '<annotation><author person="person1"/>',
+    '<description><text>done &gt; open</text></description>',
+    '<happiness>2</happiness></annotation></closed_auction></closed_auctions></site>',
+))
+
+
+def _escaping_person() -> RegisterPerson:
+    person = Element("person", {"id": "person2"})
+    person.append(Element("name")).append_text('Q & <A> "B"')
+    person.append(Element("emailaddress")).append_text("mailto:q@a")
+    return RegisterPerson(person)
+
+
+@pytest.fixture(scope="module")
+def escape_stores():
+    """The surface stores over :data:`ESCAPES`, as loaded and after a bid,
+    a new person whose name needs escaping, a closing (cascading over a
+    watch) and a deletion (cascading over a closed auction)."""
+    return _loaded_and_updated(ESCAPES, [
+        PlaceBid("open_auction0", "person0", 1.5, "02/01/2000", "01:02:03"),
+        _escaping_person(),
+        CloseAuction("open_auction0", "03/01/2000"),
+        DeleteItem("item1"),
+    ])
+
+
+@pytest.mark.parametrize("state", ["loaded", "updated"])
+class TestRenderingEscapes:
+    @pytest.mark.parametrize("name", SURFACE_STORES)
+    def test_markup_is_serialized_build_dom(self, escape_stores, name, state):
+        store = escape_stores[name, state]
+        for node in _every_node(store):
+            assert store.markup(node) == serialize(store.build_dom(node))
+        text = store.markup(store.root())
+        assert text == escape_stores["G", state].markup(
+            escape_stores["G", state].root())
+        for escaped in ("&amp;", "&lt;", "&gt;", "&quot;", "&#9;", "&#10;",
+                        "&lt;raw&gt; &amp; \"cdata\" end", "<emph/>"):
+            assert escaped in text, escaped
+
+    @pytest.mark.parametrize("name", ("D", "E", "F"))
+    def test_array_markup_visits_like_the_generic_walk(self, escape_stores,
+                                                       name, state):
+        """D, E and F render off their arrays and count one visit per
+        element, as the navigation walk of ``Store.markup`` does."""
+        store = escape_stores[name, state]
+        stats = store.stats
+        for node in _every_node(store):
+            before = stats.nodes_visited
+            own = store.markup(node)
+            own_visits = stats.nodes_visited - before
+            # An instance attribute shadows the override, so the generic
+            # walk's recursion stays generic too.
+            store.markup = types.MethodType(Store.markup, store)
+            try:
+                before = stats.nodes_visited
+                generic = store.markup(node)
+                generic_visits = stats.nodes_visited - before
+            finally:
+                del store.markup
+            assert own == generic
+            assert own_visits == generic_visits

@@ -22,10 +22,15 @@ from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.errors import UpdateError
 from repro.schema.auction import REFERENCE_TARGETS, auction_dtd
 from repro.schema.validator import validate
+from repro.shard import ShardedStore
 from repro.storage.interface import rank_by_walk
 from repro.update import (
     CloseAuction, DeleteItem, PlaceBid, RegisterPerson, UpdateStream,
     apply_update, serialize_store,
+)
+from repro.update.engine import (
+    _CLOSED_PATH, _ITEM_PATHS, _ITEMREF, _OPEN_PATH, _WATCH_PATH, _walk_where,
+    _where,
 )
 from repro.xmlgen.generator import generate_string
 from repro.xmlio.dom import Element
@@ -70,6 +75,12 @@ def updated_stores(text: str, operations: list) -> dict:
 
 def run(store, system: str, query: int):
     return evaluate(compile_query(query_text(query), store, get_profile(system)))
+
+
+@pytest.fixture(scope="module")
+def text_005():
+    """The f=0.005 document: the smaller ones run out of items to delete."""
+    return generate_string(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -467,12 +478,10 @@ class TestCommitCostsTheNextReadNothing:
              ((), "item"))                      # Q14
 
     @pytest.fixture(scope="class")
-    def history(self):
-        # f=0.005: the smaller documents run out of items to delete.
-        text = generate_string(0.005)
+    def history(self, text_005):
         reference = make_store("D")
-        reference.load(text)
-        return text, UpdateStream(reference, seed=23).sequence(300)
+        reference.load(text_005)
+        return text_005, UpdateStream(reference, seed=23).sequence(300)
 
     @pytest.mark.parametrize("system", ("D", "E", "F"))
     def test_descendant_steps_after_a_history(self, history, system):
@@ -498,3 +507,142 @@ class TestCommitCostsTheNextReadNothing:
                 [scratch.markup(n) for n in expected], (names, tag)
             inserted = sum(1 for n in store.descendants(node) if n >= loaded)
             assert visited <= bound + inserted, (names, tag, visited, bound)
+
+
+#: The value fields the cascades probe: who watches an open auction, and
+#: the item and auctions that share an item id.
+WATCH_FIELD = (_WATCH_PATH, ("@open_auction",))
+ITEM_FIELDS = tuple((path, ("@id",)) for path in _ITEM_PATHS) + (
+    (_OPEN_PATH, _ITEMREF), (_CLOSED_PATH, _ITEMREF))
+SHARD_BACKENDS = ("D", "G", "B", "F", "C", "E", "A")
+
+
+def inflated(text: str, copies: int) -> str:
+    """``text`` with every person, item and auction repeated ``copies``
+    more times under fresh ids, the references inside each copy renamed
+    alike: every original entity keeps its content and its referrers, in a
+    document ``copies + 1`` times the size."""
+    def repeated(match: re.Match) -> str:
+        start, body, end = match[1], match[3], match[4]
+        return start + body + "".join(
+            re.sub(r'="(person|item|open_auction)(\d+)"', rf'="\1\2x{copy}"',
+                   body)
+            for copy in range(copies)) + end
+    return re.sub(r"(<(people|open_auctions|closed_auctions|africa|asia"
+                  r"|australia|europe|namerica|samerica)>)(.*?)(</\2>)",
+                  repeated, text, flags=re.S)
+
+
+class TestCascadeTargets:
+    """``close_auction`` and ``delete_item`` find the watches, item and
+    auctions they take with them by value-index probes
+    (``engine._where``), and by walking the extents only on a store whose
+    indexes were dropped."""
+
+    @pytest.fixture(scope="class")
+    def history(self, tiny_text):
+        reference = make_store("D")
+        reference.load(tiny_text)
+        return UpdateStream(reference, seed=11).sequence(40)
+
+    @pytest.mark.parametrize("name", ALL_SYSTEMS + ("S2", "S6"))
+    def test_probes_name_what_the_walk_names(self, tiny_text, history, name):
+        """Every system and a mixed-backend sharded store (its global
+        IndexSet over wrapped handles), after a history."""
+        store = (ShardedStore(int(name[1:]), SHARD_BACKENDS)
+                 if name.startswith("S") else make_store(name))
+        store.load(tiny_text)
+        for op in history:
+            apply_update(store, op)
+        assert store.indexes is not None
+        root = store.root()
+        auctions = [store.attribute(auction, "id") for auction in
+                    store.children_by_path(root, ("open_auctions", "open_auction"))]
+        items = [store.attribute(item, "id") for path in _ITEM_PATHS
+                 for item in store.children_by_path(root, path[1:])]
+        found = 0
+        for (path, accessor), values in ((WATCH_FIELD, auctions),
+                                         *((field, items) for field in ITEM_FIELDS)):
+            for value in values:
+                probed = _where(store, path, accessor, value)
+                assert set(probed) == set(_walk_where(store, path, accessor, value)), \
+                    (path, value)
+                found += len(probed)
+        assert found > len(items)       # watches and referring auctions too
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_dropped_indexes_walk_to_the_same_document(self, tiny_text, system):
+        reference = make_store("D")
+        reference.load(tiny_text)
+        root = reference.root()
+        watched = {reference.attribute(watch, "open_auction") for watch in
+                   reference.children_by_path(root, WATCH_FIELD[0][1:])}
+        open_ids = [reference.attribute(auction, "id") for auction in
+                    reference.children_by_path(root, _OPEN_PATH[1:])
+                    if reference.children_by_tag(auction, "bidder")]
+        closing, doomed = [identifier for identifier in open_ids
+                           if identifier in watched][:2]
+
+        def item_of(auction) -> str:
+            return reference.attribute(
+                reference.children_by_tag(auction, "itemref")[0], "item")
+
+        operations = [
+            CloseAuction(closing, "05/05/2001"),
+            DeleteItem(item_of(reference.lookup_id(doomed))),
+            DeleteItem(item_of(reference.children_by_path(root, _CLOSED_PATH[1:])[0])),
+        ]
+        indexed, walked = make_store(system), make_store(system)
+        indexed.load(tiny_text)
+        walked.load(tiny_text)
+        walked.drop_indexes()
+        for op in operations:
+            assert apply_update(indexed, op).maintenance == "incremental"
+            assert apply_update(walked, op).maintenance == "none"
+        text = serialize_store(indexed)
+        assert serialize_store(walked) == text
+        assert f'open_auction="{closing}"' not in text
+        assert f'open_auction="{doomed}"' not in text
+
+    def test_ids_that_read_as_numbers_are_walked(self, tiny_text):
+        """``nan``, ``inf`` and ``infinity`` are XML names, but the index
+        keys them by the number: ``nan`` not at all, the other two as one."""
+        text = (tiny_text.replace('="item0"', '="nan"')
+                .replace('="item1"', '="inf"').replace('="item2"', '="infinity"'))
+        indexed, walked = make_store("D"), make_store("D")
+        indexed.load(text)
+        walked.load(text)
+        walked.drop_indexes()
+        for op in (DeleteItem("nan"), DeleteItem("inf")):
+            apply_update(indexed, op)
+            apply_update(walked, op)
+        text = serialize_store(indexed)
+        assert serialize_store(walked) == text
+        assert 'id="infinity"' in text and 'id="inf"' not in text
+
+    @pytest.mark.parametrize("system", ("B", "D", "F"))
+    def test_cascade_work_does_not_grow_with_the_document(self, text_005, system):
+        """Counted, not timed: the largest ``nodes_visited + table_lookups``
+        of ten closings and deletions on a document four times the size
+        (the size of f=0.02) is within 1.25x of the same operations on the
+        f=0.005 one.  The larger document repeats every entity under fresh
+        ids, so each operation meets the same targets and cascades in both;
+        walking every person and auction made it 3.4x."""
+        reference = make_store("D")
+        reference.load(text_005)
+        stream, operations = UpdateStream(reference, seed=5), []
+        for kind in ("close_auction", "delete_item") * 5:
+            op = stream.next_op(kind)
+            stream.note_applied(op)
+            operations.append(op)
+        largest = {}
+        for copies in (0, 3):
+            store = make_store(system)
+            store.load(inflated(text_005, copies))
+            stats, work = store.stats, []
+            for op in operations:
+                before = stats.nodes_visited + stats.table_lookups
+                apply_update(store, op)
+                work.append(stats.nodes_visited + stats.table_lookups - before)
+            largest[copies] = max(work)
+        assert largest[3] <= 1.25 * largest[0], largest
