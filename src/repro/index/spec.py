@@ -77,6 +77,10 @@ DEFAULT_AUCTION_SPEC = IndexSpec(
                   ("itemref", "@item"), VALUE),
         *(FieldSpec(("site", "regions", region, "item"), ("@id",), VALUE)
           for region in _REGIONS),
+        # Q10's category join (multi-valued: a person holds one entry per
+        # distinct category among its interests).
+        FieldSpec(("site", "people", "person"),
+                  ("profile", "interest", "@category"), VALUE),
         # -- update cascades (no query plan probes these two) ----------------
         FieldSpec(("site", "people", "person", "watches", "watch"),
                   ("@open_auction",), VALUE),

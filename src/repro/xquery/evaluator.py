@@ -174,14 +174,15 @@ class _Runtime:
     """Everything one execution mutates: the variable frame (the emitter
     resolved every ``$name`` to a slot of it), the context item / position
     / size of the predicate being evaluated, the per-execution join builds
-    and the execution-fact counters (always maintained: integer adds are
-    cheap and make PROFILE exact even across threads, unlike the shared
-    ``store.stats`` totals).  The emitted closures take it as their one
-    argument and keep no state of their own."""
+    and memos, and the execution-fact counters (always maintained: integer
+    adds are cheap and make PROFILE exact even across threads, unlike the
+    shared ``store.stats`` totals).  The emitted closures take it as their
+    one argument and keep no state of their own."""
 
     __slots__ = ("frame", "item", "position", "size", "join_cache", "trace",
                  "index_probes", "index_degrades", "items_materialized",
-                 "join_builds", "join_comparisons", "barriers", "stage_rows")
+                 "join_builds", "join_comparisons", "join_reuses", "barriers",
+                 "stage_rows")
 
     def __init__(self, frame_size: int, trace: bool = False) -> None:
         self.frame: list = [None] * frame_size
@@ -193,16 +194,17 @@ class _Runtime:
         #: Handles an index window wrapped into ``NodeItem``s because a
         #: consumer pulled them (a window nobody reads costs none).
         self.items_materialized = 0
-        #: Per-query join builds made, and (outer binding, build row) pairs
-        #: an nlj probe compared — the paper's quadratic, counted.
-        self.join_builds = self.join_comparisons = 0
+        #: Per-query join builds made, (outer binding, build row) pairs an
+        #: nlj probe compared — the paper's quadratic, counted — and joined
+        #: rows whose return came from the memo instead of being evaluated.
+        self.join_builds = self.join_comparisons = self.join_reuses = 0
         self.barriers = 0
         self.stage_rows: dict[int, int] = {}
 
     def facts(self) -> dict:
         return {name: getattr(self, name) for name in (
             "index_probes", "index_degrades", "items_materialized",
-            "join_builds", "join_comparisons")}
+            "join_builds", "join_comparisons", "join_reuses")}
 
 
 # -- the emit pass ------------------------------------------------------------------
@@ -809,7 +811,14 @@ class _Emitter:
         nothing is built), a private index of the same class otherwise —
         made once per execution: the base is scanned and the inner key
         navigated once per row (entries carry items, not handles; nlj
-        keeps plain ``(key atoms, item)`` rows)."""
+        keeps plain ``(key atoms, item)`` rows).
+
+        The planner guarantees the return reads only the inner variable
+        and what never varies, so a build row's return is the same for
+        every outer binding: it is evaluated once per node per execution
+        and shared after that (constructed rows are immutable).  Atomic
+        rows are evaluated every time: a value is no node identity
+        (``1`` and ``1.0`` are one dict key)."""
         store, navigator = self.store, self.navigator
         strategy, op, cache_key = plan.strategy, plan.op, self.joins
         self.joins += 1
@@ -879,12 +888,26 @@ class _Emitter:
 
         if ret is None:
             return probe                # a window stays a window: count() is O(1)
+        memo_key = self.joins
+        self.joins += 1
 
         def run(rt):
+            memo = rt.join_cache.get(memo_key)
+            if memo is None:
+                memo = rt.join_cache[memo_key] = {}
             out, frame = [], rt.frame
             for item in probe(rt):
-                frame[slot] = [item]
-                out.extend(ret(rt))
+                if item.__class__ is NodeItem:
+                    rows = memo.get(item.handle)
+                    if rows is None:
+                        frame[slot] = [item]
+                        rows = memo[item.handle] = ret(rt)
+                    else:
+                        rt.join_reuses += 1
+                else:
+                    frame[slot] = [item]
+                    rows = ret(rt)
+                out.extend(rows)
             return out
         return run
 

@@ -593,16 +593,32 @@ def _free_variables(expr: Expr) -> set[str]:
     return {node.name for node in walk(expr) if isinstance(node, VarRef)}
 
 
+def _reads_context(expr: Expr) -> bool:
+    """Whether an expression reads the context item, position or size of
+    the predicate it sits in.  A step predicate binds its own context, so
+    what one reads inside it is not the enclosing predicate's."""
+    if isinstance(expr, ContextItem):
+        return True
+    if isinstance(expr, FunctionCall) and expr.name in ("position", "last"):
+        return True
+    if isinstance(expr, Path):
+        return isinstance(expr.root, Expr) and _reads_context(expr.root)
+    return any(_reads_context(child) for child in _direct_children(expr))
+
+
 def _plan_joins(compiled: CompiledQuery) -> None:
     budget = [compiled.profile.join_rewrite_depth]
     _plan_joins_in(compiled, compiled.query.body, set(), budget)
     for function in compiled.query.functions.values():
-        _plan_joins_in(compiled, function.body, set(), budget)
+        _plan_joins_in(compiled, function.body, set(function.params), budget)
 
 
 def _plan_joins_in(compiled: CompiledQuery, expr: Expr, loop_vars: set[str],
                    budget: list[int]) -> None:
-    """Recursive walk tracking which variables vary per iteration."""
+    """Recursive walk tracking which variables vary between two
+    evaluations of the expression: ``for`` and quantified variables, a
+    declared function's parameters, and the lets that read any of them or
+    the context."""
     if isinstance(expr, FLWOR):
         inner_loops = set(loop_vars)
         for clause in expr.clauses:
@@ -618,16 +634,24 @@ def _plan_joins_in(compiled: CompiledQuery, expr: Expr, loop_vars: set[str],
                     compiled.join_plans[id(clause)] = join
                     budget[0] -= 1
                 _plan_joins_in(compiled, clause.expr, inner_loops, budget)
-                # A let variable is loop-varying only when its defining
-                # expression references a loop variable; invariant lets
-                # (Q9's $ca/$ei) stay usable as join build sides.
-                if _free_variables(clause.expr) & inner_loops:
+                # A let variable varies only when its defining expression
+                # reads something that does; invariant lets (Q9's $ca/$ei)
+                # stay usable as join build sides.
+                if _free_variables(clause.expr) & inner_loops \
+                        or _reads_context(clause.expr):
                     inner_loops.add(clause.var)
         if expr.where is not None:
             _plan_joins_in(compiled, expr.where, inner_loops, budget)
         for spec in expr.order:
             _plan_joins_in(compiled, spec.key, inner_loops, budget)
         _plan_joins_in(compiled, expr.ret, inner_loops, budget)
+        return
+    if isinstance(expr, Quantified):
+        inner_loops = set(loop_vars)
+        for binding in expr.bindings:
+            _plan_joins_in(compiled, binding.sequence, inner_loops, budget)
+            inner_loops.add(binding.var)
+        _plan_joins_in(compiled, expr.satisfies, inner_loops, budget)
         return
     for child in _direct_children(expr):
         _plan_joins_in(compiled, child, loop_vars, budget)
@@ -657,12 +681,18 @@ def _direct_children(expr: Expr) -> list[Expr]:
             out.extend(p for p in attribute.parts if isinstance(p, Expr))
         out.extend(p for p in expr.content if isinstance(p, Expr))
         return out
+    if isinstance(expr, FLWOR):
+        return ([c.sequence if isinstance(c, ForClause) else c.expr
+                 for c in expr.clauses]
+                + ([] if expr.where is None else [expr.where])
+                + [spec.key for spec in expr.order] + [expr.ret])
     return []
 
 
 def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | None:
     """Recognise ``let $l := for $i in BASE where K_out(outer) OP K_in($i)
-    return R($i)`` — the decorrelatable shape of Q8–Q12."""
+    return R($i)`` — the decorrelatable shape of Q8–Q12.  ``loop_vars``
+    is everything that varies between two evaluations of the let."""
     flwor = clause.expr
     if not isinstance(flwor, FLWOR) or flwor.order:
         return None
@@ -674,12 +704,10 @@ def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | 
     comparison = flwor.where
     if comparison.op == "<<":
         return None
-    # The base sequence must be loop-invariant.
-    if _free_variables(inner.sequence) & loop_vars:
-        return None
-    # The return may reference the inner variable and invariants, but not
-    # outer loop variables (those would defeat build-side reuse).
-    if _free_variables(flwor.ret) & loop_vars:
+    # The base is built once and the return memoised per build row for the
+    # whole execution: neither may read anything that varies.
+    if (_free_variables(inner.sequence) | _free_variables(flwor.ret)) & loop_vars \
+            or _reads_context(inner.sequence) or _reads_context(flwor.ret):
         return None
     left_vars = _free_variables(comparison.left)
     right_vars = _free_variables(comparison.right)
@@ -693,7 +721,7 @@ def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | 
     else:
         return None
     # The build evaluates the inner key once per row, not once per pair.
-    if _free_variables(inner_key) & loop_vars:
+    if _free_variables(inner_key) & loop_vars or _reads_context(inner_key):
         return None
     strategy = {"=": "hash", "!=": "nlj"}.get(op, "sorted")
     return JoinPlan(strategy, op, var, inner.sequence, inner_key, outer_key)

@@ -301,6 +301,21 @@ class TestScatterGather:
             query, oracle_store, get_profile("F"))).serialize()
         assert executor.execute(query).result.serialize() == expected
 
+    def test_join_whose_rows_a_nested_flwor_reads_is_not_distributed(
+            self, executor, oracle_store):
+        """A constructor that iterates the let's rows in a FLWOR reads
+        more than their count: the broadcast join's bucket counts would
+        stand in for nodes a path step then navigates."""
+        query = (
+            "for $p in /site/people/person "
+            "let $a := for $t in /site/closed_auctions/closed_auction "
+            "where $t/buyer/@person = $p/@id return $t "
+            "return <r>{for $x in $a return $x/price/text()}</r>")
+        assert executor.explain(query) == "fallback"
+        expected = evaluate(compile_query(
+            query, oracle_store, get_profile("F"))).serialize()
+        assert executor.execute(query).result.serialize() == expected
+
     def test_routed_unknown_id_is_empty(self, executor):
         outcome = executor.execute(
             'for $b in document("auction.xml")/site/people/person'

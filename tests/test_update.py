@@ -23,20 +23,22 @@ from repro.errors import UpdateError
 from repro.schema.auction import REFERENCE_TARGETS, auction_dtd
 from repro.schema.validator import validate
 from repro.shard import ShardedStore
+from repro.shard.scatter import SHARDED_PROFILE
 from repro.storage.interface import rank_by_walk
 from repro.update import (
     CloseAuction, DeleteItem, PlaceBid, RegisterPerson, UpdateStream,
     apply_update, serialize_store,
 )
 from repro.update.engine import (
-    _CLOSED_PATH, _ITEM_PATHS, _ITEMREF, _OPEN_PATH, _WATCH_PATH, _walk_where,
-    _where,
+    _CLOSED_PATH, _ITEM_PATHS, _ITEMREF, _OPEN_PATH, _PERSON_PATH, _WATCH_PATH,
+    _walk_where, _where,
 )
 from repro.xmlgen.generator import generate_string
 from repro.xmlio.dom import Element
 from repro.xmlio.parser import parse
-from repro.xquery.evaluator import evaluate
+from repro.xquery.evaluator import QueryResult, _Runtime, evaluate
 from repro.xquery.planner import compile_query
+from repro.xquery.sequence import Navigator
 
 ALL_SYSTEMS = tuple(sorted(SYSTEMS))
 
@@ -646,3 +648,78 @@ class TestCascadeTargets:
                 work.append(stats.nodes_visited + stats.table_lookups - before)
             largest[copies] = max(work)
         assert largest[3] <= 1.25 * largest[0], largest
+
+
+#: Q10's join field: the distinct interest categories of a person.
+CATEGORY_FIELD = (_PERSON_PATH, ("profile", "interest", "@category"))
+
+
+def interested_person(identifier: str, categories: list[str]) -> RegisterPerson:
+    """A person whose profile names ``categories``, repeats included."""
+    person = Element("person", {"id": identifier})
+    person.append(Element("name")).append_text(f"Reader {identifier}")
+    person.append(Element("emailaddress")).append_text(
+        f"mailto:{identifier}@example.org")
+    profile = person.append(Element("profile", {"income": "50000.00"}))
+    for category in categories:
+        profile.append(Element("interest", {"category": category}))
+    profile.append(Element("business")).append_text("No")
+    return RegisterPerson(person)
+
+
+class TestCategoryField:
+    """The category field stays true through a seeded history that
+    registers a person whose interests repeat a category."""
+
+    @pytest.fixture(scope="class")
+    def history(self, tiny_text):
+        reference = make_store("D")
+        reference.load(tiny_text)
+        stream = UpdateStream(reference, seed=3)
+        operations = stream.sequence(20)
+        first, second = stream.category_ids[:2]
+        operations.insert(10, interested_person("person90001", [first, second, first]))
+        return operations
+
+    @staticmethod
+    def updated(name: str, text: str, history: list):
+        store = (ShardedStore(int(name[1:]), SHARD_BACKENDS)
+                 if name.startswith("S") else make_store(name))
+        store.load(text)
+        for op in history:
+            apply_update(store, op)
+        return store
+
+    @pytest.mark.parametrize("name", ("A", "B", "C", "D", "E", "S2", "S6"))
+    def test_probe_names_each_person_once(self, tiny_text, history, name):
+        store = self.updated(name, tiny_text, history)
+        categories = [store.attribute(category, "id") for category in
+                      store.children_by_path(store.root(), ("categories", "category"))]
+        path, accessor = CATEGORY_FIELD
+        (reader,) = _walk_where(store, _PERSON_PATH, ("@id",), "person90001")
+        pairs = 0
+        for category in categories:
+            probed = _where(store, path, accessor, category)
+            assert set(probed) == set(_walk_where(store, path, accessor, category))
+            assert len(probed) == len(set(probed)), category
+            assert (reader in probed) == (category in categories[:2]), category
+            pairs += len(probed)
+        assert pairs > len(categories)
+
+    @pytest.mark.parametrize("name", ("A", "B", "C", "D", "E", "S2", "S6"))
+    def test_q10_answers_as_g(self, tiny_text, history, name):
+        expected = run(self.updated("G", tiny_text, history), "G", 10).serialize()
+        store = self.updated(name, tiny_text, history)
+        profile = SHARDED_PROFILE if name.startswith("S") else get_profile(name)
+        compiled = compile_query(query_text(10), store, profile)
+        assert [plan.index_kind for plan in compiled.join_plans.values()] == ["value"]
+        assert evaluate(compiled).serialize() == expected
+
+    def test_dropped_index_twin_degrades_to_the_same_answer(self, tiny_text, history):
+        indexed, twin = (self.updated("D", tiny_text, history) for _ in range(2))
+        expected = run(indexed, "D", 10).serialize()
+        compiled = compile_query(query_text(10), twin, get_profile("D"))
+        twin.drop_indexes()
+        rt = _Runtime(compiled.frame_size)
+        assert QueryResult(compiled.run(rt), Navigator(twin)).serialize() == expected
+        assert rt.join_builds == 1 and rt.index_degrades > 0
