@@ -2,7 +2,8 @@
 
 Scope: classes that own registered locks, in the concurrency-domain
 packages (service worker pool, scatter-gather pool, wire server, the
-observability sinks they all feed, and the WAL).  In such a class every
+facade and the plan cache they all share, the observability sinks they
+all feed, and the WAL).  In such a class every
 instance attribute is presumed shared, so any write outside the
 constructor-phase methods must happen with one of the class's locks
 held — either lexically, or guaranteed by every in-class caller.
@@ -26,7 +27,7 @@ __all__ = ["SharedStateRule"]
 
 #: Packages whose classes live on more than one thread.
 SCOPE_PREFIXES = ("repro.service", "repro.server", "repro.shard",
-                  "repro.obs", "repro.storage.wal")
+                  "repro.obs", "repro.storage.wal", "repro.db", "repro.cache")
 
 #: Constructor-phase methods: single-threaded by protocol.
 EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "mark_loaded",

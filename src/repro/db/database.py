@@ -16,9 +16,12 @@ to whichever engine the connect options selected:
   admission control, plan and result caches — including the sharded
   pseudo-system when ``shards`` is also given.
 
-Whatever the route, ``Cursor.fetchall()`` returns exactly what the legacy
-entry points returned, and every write goes through the update engine, so
-digests, indexes, and caches stay consistent.  See docs/API.md.
+Whatever the route, plans come from the connection's one
+:class:`~repro.cache.PlanCache` — one plan per query shape, so texts that
+differ only in their literals compile once — ``Cursor.fetchall()``
+returns exactly what the legacy entry points returned, and every write
+goes through the update engine, so digests, indexes, and caches stay
+consistent.  See docs/API.md.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import weakref
 
 from repro.benchmark.queries import query_text as benchmark_query_text
 from repro.benchmark.systems import SYSTEMS, load_stores
+from repro.cache import PlanCache, track
 from repro.db.cursor import Cursor
 from repro.db.session import Session
 from repro.errors import (
@@ -40,7 +44,7 @@ from repro.storage.interface import Store
 from repro.update.commit import WritePath
 from repro.update.ops import UpdateOp
 from repro.xquery.evaluator import evaluate, evaluate_stream
-from repro.xquery.planner import CompiledQuery, compile_query
+from repro.xquery.planner import CompiledQuery
 
 #: Default pseudo-system name of the sharded deployment (mirrors
 #: :class:`repro.service.ShardSpec`).
@@ -72,9 +76,12 @@ def connect(
     ``systems`` names the benchmark architectures to load (A-G);
     ``shards=N`` additionally serves a scatter-gather deployment as
     pseudo-system ``shard_system``; ``service=True`` puts a concurrent
-    query service (admission control + plan/result caches) in front of
-    everything.  The remaining keywords tune the service/scatter layers
-    and are ignored on a plain direct connection.
+    query service (admission control + a result cache) in front of
+    everything.  ``plan_cache_size`` sizes the connection's one plan
+    cache, in query shapes per serving system, on every kind of
+    connection.  ``max_workers``, ``per_system_limit``,
+    ``result_cache_size`` and ``per_shard_limit`` tune the service and
+    scatter layers and are ignored on a plain direct connection.
 
     ``tracing=True`` records a span tree per query/transaction —
     inspect it with ``cursor.profile()`` or ``db.tracer.roots``;
@@ -158,6 +165,8 @@ class Database:
             raise BenchmarkError(f"shards must be positive, got {shards}")
         self.shard_system = shard_system if shards is not None else None
         self._closed = False
+        #: Taken by every direct commit, and by close().
+        self._update_lock = threading.RLock()
         self.service = None
         self._scatter = None
         self._trace_writer = (TraceLogWriter(trace_log)
@@ -203,6 +212,8 @@ class Database:
             self.load_reports = self.service.load_reports
             self.failed_loads = self.service.failed_loads
             self._write_path = self.service.write_path
+            self.plan_cache = self.service.plan_cache
+            self._registry = None
         else:
             (self.stores, self.load_reports, self.failed_loads,
              self._scatter, self.profiles) = load_stores(
@@ -211,14 +222,17 @@ class Database:
             # The degenerate service: the same write path under its own
             # update lock, with no gates to drain and no result cache —
             # a commit only poisons the open streaming cursors.
-            self._update_lock = threading.RLock()
             self._write_path = WritePath(
                 self.stores, self._update_lock, source="direct",
                 tracer=self.tracer, invalidate=self._poison_cursors,
                 durability=self._durability)
+            #: The one plan cache: direct executions, prepared queries
+            #: and a wire server in front all look plans up here.
+            self.plan_cache = PlanCache(
+                plan_cache_size * (len(systems) + (spec is not None)))
+            self._registry = MetricsRegistry()
+            track(self._registry, "plan", self.plan_cache.stats)
         self._serving = tuple(self.stores)
-        self._registry = (MetricsRegistry() if self.service is None
-                          else None)
         if durable is not None:
             self._finish_durable()
 
@@ -306,9 +320,10 @@ class Database:
     def close(self) -> None:
         """Close the connection: the service pool / scatter executor shut
         down, and every session and new cursor refuses further work."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._update_lock:         # concurrent closers: one winner
+            if self._closed:
+                return
+            self._closed = True
         if self.service is not None:
             self.service.close()
         if self._scatter is not None:
@@ -385,9 +400,12 @@ class Database:
     # -- execution ------------------------------------------------------------------
 
     def compile(self, system: str, text: str) -> CompiledQuery:
-        """Compile one query against one serving store (prepared queries)."""
-        return compile_query(text, self.store(system), self.profiles[system],
-                             tracer=self.tracer)
+        """The plan of one query text on one serving system, from the
+        connection's plan cache (compiled there on a miss) — what a
+        prepared query holds.  It serves every text of its shape."""
+        name = self.resolve_system(system)
+        return self.plan_cache.lookup(name, text, self.store(name),
+                                      self.profiles[name], self.tracer)[0]
 
     def explain(self, query: int | str, *, system: str | None = None):
         """Describe how a query would run — plan, indexes, shard route,
@@ -404,15 +422,16 @@ class Database:
 
     def execute(self, system: str | None, query: int | str, *,
                 stream: bool = True,
-                compiled: CompiledQuery | None = None,
                 tenant: str | None = None) -> Cursor:
         """Route one query to the connection's engine; returns a cursor.
 
         ``stream=True`` (the default) gives a lazily-produced cursor on
         direct connections; a service connection materializes (its caches
-        need complete results) and streams from the finished sequence.  ``compiled`` short-circuits compilation (prepared
-        queries).  ``tenant`` labels the connection's ``db.queries_total``
-        counter (per-caller accounting; no isolation semantics).
+        need complete results) and streams from the finished sequence.
+        Either way the plan comes from the connection's plan cache
+        (``cursor.plan_cache_hit``).  ``tenant`` labels the connection's
+        ``db.queries_total`` counter (per-caller accounting; no isolation
+        semantics).
         """
         self._require_open()
         name = self.resolve_system(system)
@@ -433,37 +452,38 @@ class Database:
                 span=outcome.span,
             )
         store = self.store(name)
-        if compiled is not None and compiled.store is not store:
-            compiled = None             # superseded by a reload: recompile
-        plan_reused = compiled is not None
         root = (tracer.begin("query", system=name, source="direct",
-                             query=text, stream=stream,
-                             plan_reused=plan_reused)
+                             query=text, stream=stream)
                 if tracer.enabled else None)
         with tracer.activate(root):
             wall0 = time.perf_counter()
             cpu0 = time.process_time()
-            if compiled is None:
-                compiled = compile_query(text, store, self.profiles[name],
-                                         tracer=tracer)
+            compiled, values, hit = self.plan_cache.lookup(
+                name, text, store, self.profiles[name], tracer)
             cpu1 = time.process_time()
             wall1 = time.perf_counter()
+            if root is not None:
+                root.set(plan_cache_hit=hit)
             if stream:
-                streamed = evaluate_stream(compiled, tracer=tracer)
+                streamed = evaluate_stream(compiled, tracer=tracer,
+                                           values=values)
                 cursor = Cursor(
                     iter(streamed), streamed.navigator,
                     system=name, query_text=text, streaming=True,
                     source="direct",
-                    compile_seconds=0.0 if plan_reused else wall1 - wall0,
-                    compile_cpu_seconds=0.0 if plan_reused else cpu1 - cpu0,
+                    compile_seconds=0.0 if hit else wall1 - wall0,
+                    compile_cpu_seconds=0.0 if hit else cpu1 - cpu0,
                     metadata_accesses=compiled.metadata_accesses,
                     plans_considered=compiled.plans_considered,
-                    plan_cache_hit=plan_reused,
+                    plan_cache_hit=hit,
                     span=root,          # unfinished: the cursor finishes it
                 )
-                self._streaming_cursors.add(cursor)
+                # Under the commit lock: a commit poisons exactly the
+                # cursors registered before it swapped the set.
+                with self._update_lock:
+                    self._streaming_cursors.add(cursor)
                 return cursor
-            result = evaluate(compiled, tracer=tracer)
+            result = evaluate(compiled, tracer=tracer, values=values)
             cpu2 = time.process_time()
             wall2 = time.perf_counter()
         if root is not None:
@@ -472,13 +492,13 @@ class Database:
             result.items, result.navigator,
             system=name, query_text=text, streaming=False,
             source="direct",
-            compile_seconds=0.0 if plan_reused else wall1 - wall0,
-            compile_cpu_seconds=0.0 if plan_reused else cpu1 - cpu0,
+            compile_seconds=0.0 if hit else wall1 - wall0,
+            compile_cpu_seconds=0.0 if hit else cpu1 - cpu0,
             execute_seconds=wall2 - wall1,
             execute_cpu_seconds=cpu2 - cpu1,
             metadata_accesses=compiled.metadata_accesses,
             plans_considered=compiled.plans_considered,
-            plan_cache_hit=plan_reused,
+            plan_cache_hit=hit,
             span=root,
         )
 
@@ -505,11 +525,14 @@ class Database:
         """A direct connection's post-commit invalidation.  A suspended
         streaming pipeline holds pre-commit store handles; resuming it
         over the mutated store could yield rows matching neither
-        document state."""
-        for cursor in list(self._streaming_cursors):
+        document state.  The set is swapped, not cleared after a copy, so
+        a cursor registered meanwhile is never dropped unpoisoned."""
+        with self._update_lock:
+            cursors, self._streaming_cursors = (self._streaming_cursors,
+                                                weakref.WeakSet())
+        for cursor in list(cursors):
             if not cursor._exhausted:
                 cursor.invalidate(
                     "streaming cursor invalidated by a transaction commit "
                     "on this connection; re-execute the query")
-        self._streaming_cursors.clear()
         return {}

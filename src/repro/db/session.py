@@ -1,10 +1,11 @@
 """Sessions, prepared queries, and transactions over a connected Database.
 
 A :class:`Session` is the unit of interaction: it resolves query numbers,
-routes execution through the connection, caches prepared plans, and opens
-transactions.  Sessions are cheap — open one per logical client — and a
-closed session (or a closed database underneath it) refuses further work
-with :class:`~repro.errors.ClosedSessionError`.
+routes execution through the connection, prepares queries (entries of the
+connection's plan cache), and opens transactions.  Sessions are cheap —
+open one per logical client — and a closed session (or a closed database
+underneath it) refuses further work with
+:class:`~repro.errors.ClosedSessionError`.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ class Session:
                 system: str | None = None) -> "PreparedQuery":
         """Compile once, execute many.
 
-        On a direct connection the compiled plan — the sharded
-        pseudo-system's exchange plan like any other — is reused across
-        executions (re-executions report ``plan_cache_hit`` and zero
-        compile time); on a service connection the service's own plan
-        cache provides the reuse and preparation just pins the text.
+        Preparing puts the query's plan — the sharded pseudo-system's
+        exchange plan like any other — in the connection's plan cache,
+        on every kind of connection; re-executions find it there (they
+        report ``plan_cache_hit`` and zero compile time), and so does any
+        text of the same shape.
         """
         self._require_open()
         return PreparedQuery(self, query, system)
@@ -107,7 +108,8 @@ class Session:
 
 
 class PreparedQuery:
-    """A query held ready for repeated execution on one session."""
+    """A query held ready for repeated execution on one session: an entry
+    of the connection's plan cache, put there by preparing."""
 
     def __init__(self, session: Session, query: int | str,
                  system: str | None) -> None:
@@ -115,27 +117,23 @@ class PreparedQuery:
         database = session.database
         self.system = database.resolve_system(system)
         self.query_text = database.query_text(query)
-        self._compiled: "CompiledQuery | None" = None
-        if database.service is None:
-            # Direct connection: compilation is the preparation.
-            self._compiled = database.compile(self.system, self.query_text)
+        self._compiled = database.compile(self.system, self.query_text)
 
     @property
-    def compiled(self) -> "CompiledQuery | None":
-        """The compiled plan (None when a service's plan cache owns it)."""
+    def compiled(self) -> "CompiledQuery":
+        """The plan the connection's cache holds for the query (the
+        server's prepared handle over ``xmark://``)."""
         return self._compiled
 
     @property
     def warnings(self) -> list[str]:
-        """Planner warnings (unknown tags etc.); empty when not compiled
-        locally."""
-        return list(self._compiled.warnings) if self._compiled else []
+        """Planner warnings (unknown tags etc.)."""
+        return list(self._compiled.warnings)
 
     def execute(self, *, stream: bool = True) -> "Cursor":
         self._session._require_open()
         database = self._session.database
         return database.execute(self.system, self.query_text, stream=stream,
-                                compiled=self._compiled,
                                 tenant=self._session.tenant)
 
 

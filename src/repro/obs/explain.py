@@ -16,6 +16,10 @@ questions the paper's per-system analysis asks of every query:
   evaluator's documented materialization barriers — ``order by``
   FLWORs, self-axis filter steps, index-bounded range FLWORs — so a
   cursor consumer knows whether first-row latency will be O(1).
+* **Which texts share the plan?**  Plans are cached per query shape (the
+  text with its literals lifted into slots); EXPLAIN prints the slot
+  count and each slot the plan pinned, with why — a text of the shape
+  with another value there compiles a plan of its own.
 
 PROFILE is the runtime twin: ``cursor.profile()`` returns the recorded
 span tree (see :mod:`repro.obs.trace`); tests assert the two agree.
@@ -24,6 +28,7 @@ span tree (see :mod:`repro.obs.trace`); tests assert the two agree.
 from __future__ import annotations
 
 from repro.xquery import ast
+from repro.xquery.ast import bound_value
 
 __all__ = ["Explain", "describe_compiled", "describe_exchange",
            "explain_query", "predict_barriers"]
@@ -46,10 +51,10 @@ def predict_barriers(query: ast.Query,
     return barriers
 
 
-def _describe_path_plan(plan) -> dict:
+def _describe_path_plan(plan, values: tuple) -> dict:
     out = {"kind": plan.kind}
     if plan.kind == "id_lookup":
-        out["id"] = plan.id_value
+        out["id"] = bound_value(plan.id_literal, values)
     elif plan.kind == "path_index":
         out["prefix"] = "/".join(plan.prefix)
         out["source"] = plan.source
@@ -57,7 +62,7 @@ def _describe_path_plan(plan) -> dict:
         out["prefix"] = "/".join(plan.prefix)
         out["accessor"] = "/".join(plan.accessor)
         if plan.kind == "value_probe":
-            out["value"] = plan.probe_value
+            out["value"] = bound_value(plan.probe_literal, values)
         else:
             out["op"] = plan.op
             out["bound"] = plan.bound
@@ -90,8 +95,10 @@ def _describe_range_plan(plan) -> dict:
 
 
 def describe_compiled(compiled) -> dict:
-    """The planner's decisions for one compiled query, as plain data."""
-    indexed = [_describe_path_plan(plan)
+    """The planner's decisions for one compiled query, as plain data.
+    ``slots`` / ``pinned`` say which texts share the plan: every text of
+    its shape whose values agree on the pinned slots."""
+    indexed = [_describe_path_plan(plan, compiled.values)
                for plan in compiled.path_plans.values()
                if plan.kind != "steps"]
     scans = sum(1 for plan in compiled.path_plans.values()
@@ -106,6 +113,10 @@ def describe_compiled(compiled) -> dict:
                    for plan in compiled.range_plans.values()],
         "plans_considered": compiled.plans_considered,
         "metadata_accesses": compiled.metadata_accesses,
+        "slots": len(compiled.values),
+        "pinned": [{"slot": slot, "value": compiled.values[slot],
+                    "reason": reason}
+                   for slot, reason in sorted(compiled.pinned.items())],
         "warnings": list(compiled.warnings),
         "barriers": predict_barriers(compiled.query, compiled.range_plans),
     }
@@ -119,13 +130,15 @@ def describe_exchange(compiled) -> dict | None:
     shards = getattr(store, "shard_count", None)    # the planner's probe
     if shards is None:
         return None
-    ranks = plan.ranks(store) if plan is not None else list(range(shards))
+    ranks = (plan.ranks(store, compiled.values) if plan is not None
+             else list(range(shards)))
     out = {"kind": exchange_kind(compiled), "shards": shards,
            "backends": list(store.backends), "fanout": len(ranks)}
     if out["kind"] in ("routed", "partial_count"):
         out["plans"] = [
             {"shard": rank,
-             **describe_compiled(compile_shard(compiled, rank))}
+             **describe_compiled(compile_shard(compiled, rank,
+                                               compiled.values))}
             for rank in ranks]
     return out
 
@@ -178,6 +191,9 @@ class Explain:
             lines.append(f"  optimizer: {plan['optimizer']} "
                          f"(plans considered: {plan['plans_considered']}, "
                          f"metadata accesses: {plan['metadata_accesses']})")
+            pinned = ", ".join(f"#{pin['slot']}={pin['value']!r} ({pin['reason']})"
+                               for pin in plan["pinned"]) or "none"
+            lines.append(f"  shape: {plan['slots']} slot(s), pinned: {pinned}")
             lines.extend(_plan_lines(plan, "  "))
             for barrier in plan["barriers"]:
                 lines.append(f"  streaming barrier: {barrier}")

@@ -124,9 +124,10 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value (cache sizes, hit rates, pool depths)."""
+    """Last-written value (cache sizes, hit rates, pool depths), or a
+    live reading of a value kept elsewhere (:meth:`track`)."""
 
-    __slots__ = ("name", "labels", "_lock", "_value")
+    __slots__ = ("name", "labels", "_lock", "_value", "_source")
 
     kind = "gauge"
 
@@ -135,15 +136,25 @@ class Gauge:
         self.labels = labels
         self._lock = threading.Lock()
         self._value = 0.0
+        self._source = None
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
 
+    def track(self, source) -> None:
+        """Read ``source()`` whenever the gauge is read: a counter the
+        hot path keeps without the registry (a cache's hit rate)."""
+        with self._lock:
+            self._source = source
+
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            source = self._source
+            if source is None:
+                return self._value
+        return source()
 
     def export(self) -> float:
         return self.value

@@ -107,17 +107,13 @@ class RemotePrepared:
 class RemoteDatabase:
     """A served document, driven through the embedded API's own classes.
 
-    ``service`` is ``None`` and ``compile()`` goes over the wire, so
-    :class:`~repro.db.session.PreparedQuery` prepares server-side ids;
+    ``compile()`` goes over the wire, so
+    :class:`~repro.db.session.PreparedQuery` prepares server-side;
     ``execute()`` opens a server cursor and returns a real
     :class:`~repro.db.cursor.Cursor` whose iterator pages rows lazily
     with ``fetch`` requests.  A local :class:`MetricsRegistry` keeps the
     client-side ``db.*`` counters the in-process facade would keep.
     """
-
-    #: Session/PreparedQuery test this to decide who compiles; the wire
-    #: server is never a "service" connection from the client's view.
-    service = None
 
     def __init__(self, client: WireClient, *, page_size: int | None = None,
                  url: str | None = None, tracing: bool = False,
@@ -201,7 +197,8 @@ class RemoteDatabase:
     # -- execution ------------------------------------------------------------------
 
     def compile(self, system: str, text: str) -> RemotePrepared:
-        """Prepare server-side; the returned handle rides in ``compiled``."""
+        """Prepare server-side: the plan enters the server connection's
+        plan cache, where executing the same text finds it."""
         self._require_open()
         reply = self._client.request(
             {"kind": "prepare", "system": system, "query": text})
@@ -218,7 +215,7 @@ class RemoteDatabase:
         return Explain(reply["explain"])
 
     def execute(self, system: str | None, query: int | str, *,
-                stream: bool = True, compiled=None,
+                stream: bool = True,
                 tenant: str | None = None) -> Cursor:
         """Open a server cursor and wrap it in a paging local cursor.
 
@@ -226,14 +223,9 @@ class RemoteDatabase:
         pages, which *is* streaming from the client's point of view.
         """
         self._require_open()
-        if isinstance(compiled, RemotePrepared):
-            request = {"kind": "execute", "query_id": compiled.query_id}
-            name = compiled.system
-            text = compiled.query_text
-        else:
-            name = self.resolve_system(system)
-            text = self.query_text(query)
-            request = {"kind": "execute", "system": name, "query": text}
+        name = self.resolve_system(system)
+        text = self.query_text(query)
+        request = {"kind": "execute", "system": name, "query": text}
         request["fetch"] = self.page_size
         labels = {"system": name}
         if tenant is not None:

@@ -37,6 +37,7 @@ does not understand them ignores them.
 from __future__ import annotations
 
 import json
+import math
 import re
 import socket
 import struct
@@ -186,8 +187,11 @@ def bind_params(text: str, params: dict) -> str:
     Placeholders share the query language's variable syntax; only the
     names present in ``params`` are substituted, so a query's own FLWOR
     variables pass through untouched.  Strings become double-quoted
-    literals (embedded quotes are refused — the grammar has no escape),
-    ints and floats become numeric literals.
+    literals that read back as exactly the value (embedded quotes
+    doubled, ``&`` written as a reference), ints and finite floats
+    numeric literals (``repr``: the exponent form is a double literal).
+    The bound text differs from the template only in its literals, so
+    bindings (of one sign) share one plan in the plan cache.
     """
     if not params:
         return text
@@ -203,13 +207,14 @@ def bind_params(text: str, params: dict) -> str:
                 f"parameter ${name} must be a string or number, "
                 f"got {value!r}", code="bad_params")
         if isinstance(value, str):
-            if '"' in value:
-                raise ProtocolError(
-                    f"parameter ${name} contains a double quote; the "
-                    "query grammar has no string escape", code="bad_params")
-            literal = f'"{value}"'
-        elif isinstance(value, (int, float)):
+            literal = '"' + value.replace("&", "&amp;").replace('"', '""') + '"'
+        elif isinstance(value, int) or (isinstance(value, float)
+                                        and math.isfinite(value)):
             literal = repr(value)
+        elif isinstance(value, float):
+            raise ProtocolError(
+                f"parameter ${name} must be a finite number, got {value!r}",
+                code="bad_params")
         else:
             raise ProtocolError(
                 f"parameter ${name} must be a string or number, "
@@ -218,7 +223,7 @@ def bind_params(text: str, params: dict) -> str:
         if not pattern.search(text):
             raise ProtocolError(f"query has no placeholder ${name}",
                                 code="bad_params")
-        text = pattern.sub(literal.replace("\\", "\\\\"), text)
+        text = pattern.sub(lambda _match: literal, text)
     return text
 
 

@@ -140,7 +140,7 @@ class _Connection:
         self.peer = peer
         self.tenant: TenantState | None = None
         self.document: ServedDocument | None = None
-        self.prepared: dict[str, tuple[str, str, object, list[str]]] = {}
+        self.prepared: dict[str, tuple[str, str]] = {}  # id -> (system, text)
         self.cursors: dict[str, _ServerCursor] = {}
         self.txn_ops: list | None = None
         self.next_id = 0
@@ -605,8 +605,9 @@ class XMarkServer:
     # -- offloaded handlers (worker-pool threads) ------------------------------------
 
     def _resolve_query(self, conn: _Connection, served: ServedDocument,
-                       payload: dict) -> tuple[str, str, object]:
-        """``(system, text, compiled)`` for an execute/explain payload."""
+                       payload: dict) -> tuple[str, str]:
+        """``(system, text)`` of an execute/explain/prepare payload: a
+        prepared id's, or the query with its ``params`` written in."""
         database = served.database
         if "query_id" in payload:
             entry = conn.prepared.get(payload["query_id"])
@@ -614,8 +615,7 @@ class XMarkServer:
                 raise ProtocolError(
                     f"unknown query_id {payload['query_id']!r}",
                     code="bad_message")
-            system, text, compiled, _warnings = entry
-            return system, text, compiled
+            return entry
         query = payload.get("query")
         if not isinstance(query, (str, int)) or isinstance(query, bool):
             raise ProtocolError("query must be a string or a benchmark "
@@ -623,32 +623,26 @@ class XMarkServer:
         system = database.resolve_system(payload.get("system"))
         text = database.query_text(query)
         text = protocol.bind_params(text, payload.get("params") or {})
-        return system, text, None
+        return system, text
 
     def _do_prepare(self, conn: _Connection, served: ServedDocument,
                     payload: dict) -> dict:
-        database = served.database
-        system, text, _ = self._resolve_query(conn, served, payload)
-        compiled = None
-        warnings: list[str] = []
-        # A service connection compiles through its own plan cache; a
-        # prepared id still pins system + bound text.
-        if database.service is None:
-            compiled = database.compile(system, text)
-            warnings = [str(w) for w in getattr(compiled, "warnings", ())]
+        """Put the plan in the served database's plan cache, where an
+        execute of the id (or of the same text) finds it."""
+        system, text = self._resolve_query(conn, served, payload)
+        compiled = served.database.compile(system, text)
         query_id = conn.fresh_id("q")
-        conn.prepared[query_id] = (system, text, compiled, warnings)
+        conn.prepared[query_id] = (system, text)
         return {"kind": "prepared", "query_id": query_id, "system": system,
-                "query": text, "warnings": warnings}
+                "query": text, "warnings": list(compiled.warnings)}
 
     def _do_execute(self, conn: _Connection, served: ServedDocument,
                     payload: dict) -> dict:
         started = time.perf_counter()   # before compile: duration_ms covers it
-        system, text, compiled = self._resolve_query(conn, served, payload)
+        system, text = self._resolve_query(conn, served, payload)
         tenant_name = conn.tenant.name
-        cursor = served.database.execute(
-            system, text, stream=True, compiled=compiled,
-            tenant=tenant_name)
+        cursor = served.database.execute(system, text, stream=True,
+                                         tenant=tenant_name)
         self.tenants.open_cursor(conn.tenant)
         self.registry.counter("server.executes_total",
                               tenant=tenant_name).inc()
@@ -774,7 +768,7 @@ class XMarkServer:
 
     def _do_explain(self, conn: _Connection, served: ServedDocument,
                     payload: dict) -> dict:
-        system, text, _ = self._resolve_query(conn, served, payload)
+        system, text = self._resolve_query(conn, served, payload)
         explain = served.database.explain(text, system=system)
         return {"kind": "explained", "system": system,
                 "explain": explain.as_dict()}

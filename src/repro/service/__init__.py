@@ -7,9 +7,9 @@ benchmark leaves out.  This package opens that scenario:
 
 * :class:`~repro.service.service.QueryService` — bounded worker pool with
   per-system admission control; ``submit()`` / ``submit_batch()``.
-* :class:`~repro.service.cache.PlanCache` /
-  :class:`~repro.service.cache.ResultCache` — LRU caches for compiled plans
-  and query results, with hit/miss statistics and digest-based invalidation.
+* :class:`~repro.service.cache.ResultCache` — an LRU cache of query
+  results with hit/miss statistics and digest-based invalidation (plans
+  live in the connection's one :class:`repro.cache.PlanCache`).
 * :class:`~repro.service.workload.WorkloadGenerator` — deterministic
   multi-client query streams (Zipf-skewed popularity, exponential think
   times) seeded through :mod:`repro.rng`.
@@ -19,7 +19,8 @@ benchmark leaves out.  This package opens that scenario:
 See DESIGN.md ("The query service") for the architecture.
 """
 
-from repro.service.cache import CacheStats, LRUCache, PlanCache, ResultCache
+from repro.cache import CacheStats, LRUCache
+from repro.service.cache import ResultCache
 from repro.service.metrics import LatencySummary, ServiceMetrics, percentile
 from repro.service.service import QueryOutcome, QueryService, ShardSpec
 from repro.service.workload import ClientRequest, WorkloadGenerator, WorkloadSpec
@@ -29,7 +30,6 @@ __all__ = [
     "ClientRequest",
     "LRUCache",
     "LatencySummary",
-    "PlanCache",
     "QueryOutcome",
     "QueryService",
     "ResultCache",

@@ -1,159 +1,18 @@
-"""LRU caches for compiled plans and query results.
+"""The query service's result cache.
 
-Two reuse levels with different lifetimes:
-
-* the **plan cache** is keyed on ``(system, query_text)`` — a compiled plan
-  stays valid as long as the store instance it was compiled against, so
-  entries are dropped when the service (re)loads a document;
-* the **result cache** is keyed on ``(system, query_text, document_digest)``
-  — a result is only as durable as the document content itself, so the
-  digest recorded by :meth:`repro.storage.interface.Store.mark_loaded` is
-  part of the key and :meth:`ResultCache.invalidate_document` evicts every
-  entry of a superseded digest.
-
-Both are bounded, thread-safe, and count hits/misses/evictions so the
-benchmark report can show cache effectiveness rather than assert it.
+A result is only as durable as the document content itself, so entries
+are keyed on ``(system, query_text, document_digest)`` — the digest
+recorded by :meth:`repro.storage.interface.Store.mark_loaded` and advanced
+by every commit — and :meth:`ResultCache.invalidate_document` evicts every
+entry of a superseded digest.  Compiled plans live in the connection's one
+:class:`repro.cache.PlanCache`.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Callable
 
-#: Sentinel distinguishing "key absent" from a cached ``None``/falsy value.
-#: A query whose result is legitimately empty must still count as a hit.
-_ABSENT = object()
-
-
-@dataclass(slots=True)
-class CacheStats:
-    """Hit/miss counters for one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.invalidations)
-
-    def since(self, baseline: "CacheStats") -> "CacheStats":
-        """The counter deltas accumulated after ``baseline`` was copied —
-        per-measurement-window statistics on a service-lifetime cache."""
-        return CacheStats(
-            self.hits - baseline.hits,
-            self.misses - baseline.misses,
-            self.evictions - baseline.evictions,
-            self.invalidations - baseline.invalidations,
-        )
-
-
-class LRUCache:
-    """A bounded, thread-safe LRU map with counted lookups.
-
-    ``capacity <= 0`` disables the cache entirely (every lookup is a miss);
-    that is how the service runs its "cache off" ablations without a second
-    code path.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: Hashable) -> tuple[Any, bool]:
-        """``(value, was_hit)`` with the entry moved to most-recently-used.
-
-        The hit flag — not the value — is what distinguishes a cached
-        ``None``/falsy value from an absent key, so callers that may cache
-        falsy values must branch on it rather than on the value.
-        """
-        with self._lock:
-            value = self._entries.get(key, _ABSENT)
-            if value is _ABSENT:
-                self.stats.misses += 1
-                return None, False
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return value, True
-
-    def get(self, key: Hashable) -> Any | None:
-        """The cached value moved to most-recently-used, or None.
-
-        Use :meth:`lookup` where a cached ``None`` must be told apart
-        from a miss.
-        """
-        value, _hit = self.lookup(key)
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> tuple[Any, bool]:
-        """``(value, was_hit)``; computes and stores on a miss.
-
-        ``compute`` runs outside the lock: plan compilation is the expensive
-        part and must not serialize unrelated lookups.  Two threads missing
-        on the same key may both compute; the store is idempotent.
-        """
-        value, hit = self.lookup(key)
-        if hit:
-            return value, True
-        value = compute()
-        self.put(key, value)
-        return value, False
-
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; returns count."""
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
-    def clear(self) -> int:
-        return self.invalidate_where(lambda _key: True)
-
-
-class PlanCache(LRUCache):
-    """Compiled plans keyed on ``(system, query_text)``."""
-
-    @staticmethod
-    def key(system: str, query_text: str) -> tuple[str, str]:
-        return (system, query_text)
+from repro.cache import LRUCache
 
 
 class ResultCache(LRUCache):

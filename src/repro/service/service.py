@@ -8,11 +8,14 @@ serves queries against them from a bounded thread pool:
 * A per-system semaphore provides admission control: at most
   ``per_system_limit`` queries execute on one store simultaneously, so a
   burst against System A cannot starve System D's clients.
-* Compiled plans are reused through a :class:`~repro.service.cache.PlanCache`
-  (keyed on system + query text); results through a
-  :class:`~repro.service.cache.ResultCache` (keyed additionally on the
-  loaded document's content digest, so :meth:`reload_document` invalidates
-  exactly the stale entries).  Secondary indexes are per-document state
+* Compiled plans are reused through a :class:`~repro.cache.PlanCache`
+  (keyed on system + query shape: every text that differs only in its
+  literals shares one plan); results through a
+  :class:`~repro.service.cache.ResultCache` (keyed on system + query text
+  + the loaded document's content digest, so :meth:`reload_document`
+  invalidates exactly the stale entries).  An embedding
+  :class:`repro.db.Database` executes, prepares and serves the wire
+  through this same plan cache.  Secondary indexes are per-document state
   like cached results: a reload drops the superseded stores' index sets in
   the same pass (see :meth:`reload_document`), and :meth:`index_stats`
   reports what the serving stores built.
@@ -39,9 +42,10 @@ from dataclasses import dataclass, replace as dataclass_replace
 
 from repro.benchmark.queries import QUERIES
 from repro.benchmark.systems import load_stores
+from repro.cache import PlanCache, track
 from repro.errors import BenchmarkError, DurabilityError
 from repro.obs.trace import NULL_TRACER
-from repro.service.cache import PlanCache, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.invalidation import (
     affected, footprint_fallbacks, query_footprint,
 )
@@ -56,7 +60,6 @@ from repro.update.engine import ChangeSet
 from repro.update.ops import UpdateOp
 from repro.update.stream import UpdateStream
 from repro.xquery.evaluator import QueryResult, evaluate
-from repro.xquery.planner import CompiledQuery, compile_query
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,6 +157,7 @@ class QueryService:
         self.plan_cache = PlanCache(plan_cache_size * len(served))
         self.result_cache = ResultCache(result_cache_size)
         self.metrics = ServiceMetrics()
+        self._track_caches()
         # Structured per-query JSON-lines log (docs/OBSERVABILITY.md);
         # a path constructs a writer the service owns and closes.
         self._owns_query_log = query_log is not None and not hasattr(
@@ -482,24 +486,15 @@ class QueryService:
             )
 
         compile_start = time.perf_counter()
-        plan_key = PlanCache.key(system, text)
-        profile = self.profiles[system]
         with self.tracer.span("service.plan_cache") as plan_span:
-            compiled, plan_hit = self.plan_cache.get_or_compute(
-                plan_key,
-                lambda: compile_query(text, store, profile, tracer=self.tracer),
-            )
-            if compiled.store is not store:
-                # A reload raced this request: the cached plan is bound to the
-                # previous document's store.  Recompile against the current one
-                # so the result always matches the digest in the cache key.
-                compiled = compile_query(text, store, profile,
-                                         tracer=self.tracer)
-                plan_hit = False
-                self.plan_cache.put(plan_key, compiled)
+            # Only a plan of the current store serves: a reload racing this
+            # request compiles afresh, so the result matches the digest in
+            # the result cache's key.
+            compiled, values, plan_hit = self.plan_cache.lookup(
+                system, text, store, self.profiles[system], self.tracer)
             plan_span.set(hit=plan_hit)
         compile_end = time.perf_counter()
-        result = evaluate(compiled, tracer=self.tracer)
+        result = evaluate(compiled, tracer=self.tracer, values=values)
         finished = time.perf_counter()
         self.result_cache.put(result_key, result)
         return QueryOutcome(
@@ -534,6 +529,7 @@ class QueryService:
             # workload may still be publishing into the old snapshot.
             with self._update_lock:
                 self.metrics = ServiceMetrics()
+                self._track_caches()
         plan_baseline = self.plan_cache.stats.copy()
         result_baseline = self.result_cache.stats.copy()
         streams = generator.streams()
@@ -586,22 +582,15 @@ class QueryService:
         """The service's unified :class:`~repro.obs.metrics.MetricsRegistry`."""
         return self.metrics.registry
 
-    def export_metrics(self, *, as_text: bool = False):
-        """One registry view of everything the service measures.
+    def _track_caches(self) -> None:
+        """The caches' counters as live gauges of the current registry."""
+        track(self.registry, "plan", self.plan_cache.stats)
+        track(self.registry, "result", self.result_cache.stats)
 
-        Refreshes the cache-layer gauges from the live cache counters
-        (those are mutated outside the registry), then returns either the
-        JSON-ready snapshot or the text rendering (``as_text=True``).
-        """
+    def export_metrics(self, *, as_text: bool = False):
+        """One registry view of everything the service measures: the
+        JSON-ready snapshot, or the text rendering (``as_text=True``)."""
         registry = self.registry
-        for cache_name, stats in (("plan", self.plan_cache.stats),
-                                  ("result", self.result_cache.stats)):
-            for field_name in ("hits", "misses", "evictions"):
-                registry.gauge(f"cache.{field_name}",
-                               cache=cache_name).set(getattr(stats,
-                                                             field_name))
-            registry.gauge("cache.hit_rate", cache=cache_name).set(
-                stats.hit_rate)
         registry.gauge("service.updates_applied").set(self.updates_applied)
         registry.gauge("service.footprint_fallbacks").set(
             footprint_fallbacks())

@@ -10,13 +10,14 @@ what is not planning: the bounded worker pool the closure fans out over,
 the per-shard admission semaphores, the locks under which a dirty shard's
 secondary indexes are rebuilt before its next probe, and the cache of
 per-shard partials (counts, build tables, probe slices, routed results).
-Partials are keyed by the **shard digest**, which is what makes
-invalidation shard-selective: a write routed to shard 3 advances only
-shard 3's digest, so every other shard's cached partials keep hitting.
+Partials are keyed by the **shard digest** (and the query's shape and
+bound values), which is what makes invalidation shard-selective: a write
+routed to shard 3 advances only shard 3's digest, so every other shard's
+cached partials keep hitting.
 
 A deployment's owner installs its executor as ``sharded.exchange`` and
-compiles through its own plan cache; a bare executor (``xmark shard``,
-the ledger's scatter rung) compiles each
+compiles through the connection's plan cache; a bare executor (``xmark
+shard``, the ledger's scatter rung) compiles each
 :meth:`~ScatterGatherExecutor.execute` call afresh.
 """
 
@@ -26,6 +27,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.cache import LRUCache
 from repro.errors import ShardError
 from repro.obs.trace import NULL_TRACER
 from repro.shard.store import ShardedStore
@@ -61,10 +63,6 @@ class ScatterGatherExecutor(Exchange):
                  per_shard_limit: int = 2,
                  partial_cache_size: int = 512,
                  tracer=NULL_TRACER) -> None:
-        # Imported here, not at module level: repro.service.service imports
-        # this module, and importing the service package from our body
-        # would close that cycle mid-initialization.
-        from repro.service.cache import LRUCache
         self.sharded = sharded
         self.tracer = tracer
         workers = max_workers or min(8, max(2, sharded.shard_count))
@@ -121,8 +119,8 @@ class ScatterGatherExecutor(Exchange):
         plan = compiled.exchange
         return ShardedOutcome(
             result=result, plan_kind=exchange_kind(compiled),
-            shards_used=(len(plan.ranks(self.sharded)) if plan is not None
-                         else self.sharded.shard_count),
+            shards_used=(len(plan.ranks(self.sharded, compiled.values))
+                         if plan is not None else self.sharded.shard_count),
             partial_hits=stats.hits - hits,
             partial_misses=stats.misses - misses,
         )

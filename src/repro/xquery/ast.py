@@ -13,9 +13,15 @@ class Expr:
 
 @dataclass(slots=True)
 class Literal(Expr):
-    """String or numeric literal."""
+    """String or numeric literal.
+
+    ``slot`` is the literal's slot in its text's shape: a compiled plan
+    reads a slotted literal's value from the execution's bindings
+    (:func:`bound_value`), never from ``value``, which is the text it was
+    compiled from.  None: a literal outside every slot, a constant."""
 
     value: str | float | int
+    slot: int | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
@@ -169,6 +175,11 @@ def is_absolute(path: Path) -> bool:
     root = path.root
     return root is None or (isinstance(root, FunctionCall)
                             and root.name in ("document", "doc"))
+
+
+def bound_value(literal: Literal, values: tuple):
+    """A literal's value in one execution's bindings."""
+    return literal.value if literal.slot is None else values[literal.slot]
 
 
 def walk(node) -> list:

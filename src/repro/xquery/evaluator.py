@@ -30,7 +30,7 @@ from repro.xmlio.escape import escape_attribute, escape_text
 from repro.xquery.ast import (
     Arithmetic, BoolOp, Comparison, ContextItem, ElementCtor, Expr, FLWOR,
     ForClause, FunctionCall, IfExpr, LetClause, Literal, Path, Quantified,
-    Step, Unary, VarRef, is_absolute,
+    Step, Unary, VarRef, bound_value, is_absolute,
 )
 from repro.xquery.functions import BUILTINS
 from repro.xquery.sequence import (
@@ -97,9 +97,15 @@ class QueryResult:
         return canonicalize(self.to_element(), ordered=ordered, strip_whitespace=True)
 
 
-def evaluate(compiled: CompiledQuery, tracer=NULL_TRACER) -> QueryResult:
-    """Execute a compiled query and return its result sequence."""
-    rt = _Runtime(compiled.frame_size, tracer.enabled)
+def evaluate(compiled: CompiledQuery, tracer=NULL_TRACER,
+             values: tuple | None = None) -> QueryResult:
+    """Execute a compiled query and return its result sequence.
+
+    ``values`` binds the plan's slots for a same-shape text (what the
+    plan cache hands out with a shared plan); None: the compiled text's
+    own literals."""
+    rt = _Runtime(compiled.frame_size, tracer.enabled,
+                  compiled.values if values is None else values)
     with tracer.span("evaluator.eval", system=compiled.profile.name) as span:
         items = compiled.run(rt)
         if isinstance(items, NodeWindow):   # aliases live index arrays, and
@@ -136,16 +142,18 @@ class StreamingResult:
         return QueryResult(list(self._iterator), self.navigator)
 
 
-def evaluate_stream(compiled: CompiledQuery, tracer=NULL_TRACER) -> StreamingResult:
+def evaluate_stream(compiled: CompiledQuery, tracer=NULL_TRACER,
+                    values: tuple | None = None) -> StreamingResult:
     """Execute a compiled query, yielding result items lazily.
 
     Plans whose shape admits pipelining (path scans and probes, FLWOR
     without ``order by``) produce their first item after evaluating only
     the bindings before it; everything else transparently materializes
     behind the same iterator.  ``list(evaluate_stream(c))`` equals
-    ``evaluate(c).items`` bit-for-bit.
+    ``evaluate(c).items`` bit-for-bit.  ``values`` as for :func:`evaluate`.
     """
-    rt = _Runtime(compiled.frame_size, tracer.enabled)
+    rt = _Runtime(compiled.frame_size, tracer.enabled,
+                  compiled.values if values is None else values)
     iterator = compiled.stream(rt)
     if tracer.enabled:
         iterator = _traced_stream(iterator, rt, tracer.begin(
@@ -171,21 +179,24 @@ def _traced_stream(iterator, rt: "_Runtime", span):
 
 
 class _Runtime:
-    """Everything one execution mutates: the variable frame (the emitter
-    resolved every ``$name`` to a slot of it), the context item / position
-    / size of the predicate being evaluated, the per-execution join builds
-    and memos, and the execution-fact counters (always maintained: integer
-    adds are cheap and make PROFILE exact even across threads, unlike the
-    shared ``store.stats`` totals).  The emitted closures take it as their
-    one argument and keep no state of their own."""
+    """Everything one execution mutates or binds: the variable frame (the
+    emitter resolved every ``$name`` to a slot of it), the values of the
+    shape's literal slots, the context item / position / size of the
+    predicate being evaluated, the per-execution join builds and memos,
+    and the execution-fact counters (always maintained: integer adds are
+    cheap and make PROFILE exact even across threads, unlike the shared
+    ``store.stats`` totals).  The emitted closures take it as their one
+    argument and keep no state of their own."""
 
-    __slots__ = ("frame", "item", "position", "size", "join_cache", "trace",
-                 "index_probes", "index_degrades", "items_materialized",
+    __slots__ = ("frame", "values", "item", "position", "size", "join_cache",
+                 "trace", "index_probes", "index_degrades", "items_materialized",
                  "join_builds", "join_comparisons", "join_reuses", "barriers",
                  "stage_rows")
 
-    def __init__(self, frame_size: int, trace: bool = False) -> None:
+    def __init__(self, frame_size: int, trace: bool = False,
+                 values: tuple = ()) -> None:
         self.frame: list = [None] * frame_size
+        self.values = values
         self.item: NodeItem | None = None
         self.position = self.size = 0
         self.join_cache: dict[int, object] = {}
@@ -272,38 +283,44 @@ def _emit_exchange(compiled: CompiledQuery):
     emitted as a row program over it (scatter FLWOR, broadcast join);
     each is built when its shard first runs (two first runs racing build
     the same thing twice, harmlessly) and kept for the life of the plan.
-    Every shard's share is a partial, cached under the shard's digest: a
+    Every shard's share is a partial, cached under the shard's digest, the
+    plan's shape and pinned spellings and the execution's bindings: a
     write to one shard leaves the other shards' partials valid.  Which
-    shards run is asked of the plan per execution."""
-    from repro.xquery.planner import compile_shard   # it imports this module
+    shards run is asked of the plan per execution.  A shard's program pins
+    what its own planning read, so a rank keeps a few, one per pinned
+    binding (:func:`repro.xquery.planner.with_variant`)."""
+    from repro.xquery.planner import (   # it imports this module
+        compile_shard, fitting, with_variant)
     plan, sharded = compiled.exchange, compiled.store
-    kind, text = plan.kind, plan.text
+    kind = plan.kind
     counted = compiled.query.body.args[0] if kind == "partial_count" else None
-    programs: list = [None] * sharded.shard_count
+    programs: list[list] = [[] for _ in range(sharded.shard_count)]
 
-    def program(ex: Exchange, rank: int):
-        built = programs[rank]
-        if built is None:
-            built = compile_shard(compiled, rank, ex.tracer)
+    def program(ex: Exchange, rank: int, values: tuple) -> CompiledQuery:
+        """The rank's shard plan for these bindings."""
+        kept = programs[rank]
+        shard = fitting(kept, values)
+        if shard is None:
+            shard = compile_shard(compiled, rank, values, ex.tracer)
             if plan.ret is not None:
-                built = emit_row_program(built, (plan.var, plan.let_var),
-                                         plan.where, plan.ret)
-            programs[rank] = built
-        return built
+                shard.row_program = emit_row_program(
+                    shard, (plan.var, plan.let_var), plan.where, plan.ret)
+            programs[rank] = with_variant(kept, shard)
+        return shard
 
-    def whole(ex: Exchange, rank: int):
+    def whole(ex: Exchange, rank: int, values: tuple):
         """The whole query on one shard: its count, or its items with the
         shard's own nodes lifted to the sharded store's handles."""
         ex.ensure_indexes(sharded, rank)
-        shard = program(ex, rank)
+        shard = program(ex, rank, values)
         if kind == "routed":
             return [NodeItem((rank, item.handle))
                     if isinstance(item, NodeItem)
                     and not isinstance(item.handle, Element) else item
-                    for item in evaluate(shard, ex.tracer).items]
+                    for item in evaluate(shard, ex.tracer, values).items]
         pushed = pushdown(ex, shard, rank)
-        return (int(evaluate(shard, ex.tracer).items[0]) if pushed is None
-                else pushed)
+        return (int(evaluate(shard, ex.tracer, values).items[0])
+                if pushed is None else pushed)
 
     def pushdown(ex: Exchange, shard: CompiledQuery, rank: int):
         """The partial count by bisection, when provably exact: the shard
@@ -329,7 +346,7 @@ def _emit_exchange(compiled: CompiledQuery):
             span.set(count=count)
         return count
 
-    def build(ex: Exchange, rank: int) -> dict:
+    def build(ex: Exchange, rank: int, values: tuple) -> dict:
         """key -> matching build-side node count, for one shard: straight
         off its value index's buckets when it has one."""
         ex.ensure_indexes(sharded, rank)
@@ -348,14 +365,15 @@ def _emit_exchange(compiled: CompiledQuery):
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def rows(ex: Exchange, rank: int, table: dict | None = None) -> list:
+    def rows(ex: Exchange, rank: int, values: tuple,
+             table: dict | None = None) -> list:
         """``(global seq, result items)`` per member of the shard's slice
         of the outer extent that passes ``where``.  A broadcast join's
         ``table`` stands in for the let variable, which the return only
         ever counts."""
         store = sharded.shard_store(rank)
-        where, ret, size = program(ex, rank)
-        rt, out = _Runtime(size), []
+        where, ret, size = program(ex, rank, values).row_program
+        rt, out = _Runtime(size, values=values), []
         for seq, native in sharded.extent_members_of(plan.extent, rank):
             rt.frame[0] = [NodeItem(native)]
             if where is not None and not where(rt):
@@ -367,18 +385,25 @@ def _emit_exchange(compiled: CompiledQuery):
             out.append((seq, ret(rt)))
         return out
 
+    # Plans of one shape whose pinned slots are spelled differently (the
+    # constructor text they write) render different rows from equal
+    # values: a partial is keyed on those spellings too.
+    shape = compiled.shape, tuple(compiled.raws[slot]
+                                  for slot in sorted(compiled.pinned))
+
     def run(rt):
         ex = plan.executor or _INLINE
-        tracer, hits, lookups = ex.tracer, 0, 0
-        with tracer.span("scatter.query", query=text, plan=kind) as span:
-            ranks = plan.ranks(sharded)
+        tracer, hits, lookups, values = ex.tracer, 0, 0, rt.values
+        with tracer.span("scatter.query", plan=kind) as span:
+            ranks = plan.ranks(sharded, values)
 
             def fan(family: str, compute, digest: str | None = None) -> list:
                 """Each rank's partial, over the executor."""
                 nonlocal hits, lookups
                 found = ex.scatter(sharded, ranks, lambda rank: ex.partial(
-                    (rank, digest or sharded.shard_digest(rank), family, text),
-                    lambda: compute(ex, rank)))
+                    (rank, digest or sharded.shard_digest(rank), family,
+                     shape, values),
+                    lambda: compute(ex, rank, values)))
                 hits += sum(hit for _value, hit in found)
                 lookups += len(found)
                 return [value for value, _hit in found]
@@ -397,7 +422,8 @@ def _emit_exchange(compiled: CompiledQuery):
                 # A probe embeds the merged build table: its partial must
                 # go stale with any shard's digest, not just its own.
                 slices = fan("flwor" if table is None else "join-probe",
-                             lambda ex, rank: rows(ex, rank, table),
+                             lambda ex, rank, values: rows(ex, rank, values,
+                                                           table),
                              None if table is None else "|".join(
                                  sharded.shard_digest(rank) or ""
                                  for rank in ranks))
@@ -466,8 +492,10 @@ class _Emitter:
     # -- primaries -----------------------------------------------------------------
 
     def _literal(self, node: Literal, scope):
-        value = node.value
-        return lambda rt: [value]
+        slot, value = node.slot, node.value
+        if slot is None:
+            return lambda rt: [value]
+        return lambda rt: [rt.values[slot]]
 
     def _slot(self, name: str, scope) -> int:
         if name not in scope:
@@ -642,13 +670,14 @@ class _Emitter:
         """``entries -> entries`` under step predicates, position-aware.
         ``wrap`` makes the context item of an entry: ``NodeItem`` for a
         step's raw handles, None for a filter expression's items.  Numeric
-        literals fold to an index (a non-integral one selects nothing); a
-        statically boolean predicate skips the positional test."""
+        literals fold to an index (a non-integral one selects nothing; the
+        slot is pinned); a statically boolean predicate skips the
+        positional test."""
         outer, self.context = self.context, True
         tests = []
         for predicate in predicates:
             if isinstance(predicate, Literal) and isinstance(predicate.value, (int, float)):
-                value = float(predicate.value)
+                value = float(self.compiled.literal(predicate, "position"))
                 tests.append(int(value) if value.is_integer() else 0)
             else:
                 boolean = isinstance(predicate, _BOOLEAN)
@@ -693,10 +722,11 @@ class _Emitter:
         if kind == "id_lookup":
             step, tag = node.steps[plan.id_step], self.native.tag
             keep = self._filter(step.predicates, scope, NodeItem)
+            literal = plan.id_literal
 
             def start(rt):
                 rt.index_probes += 1
-                handle = store.lookup_id(plan.id_value)
+                handle = store.lookup_id(bound_value(literal, rt.values))
                 if handle is None or (step.name is not None
                                       and tag(handle) != step.name):
                     return []
@@ -706,12 +736,14 @@ class _Emitter:
             return (lambda rt: _range_window(rt, store, plan.prefix, plan.accessor,
                                              plan.op, plan.bound)), plan.id_step + 1, True
         if kind == "value_probe":
+            literal = plan.probe_literal
+
             def start(rt):
                 index = _field(store, "value", plan.prefix, plan.accessor)
                 if index is None:
                     return None
                 _count_probe(rt, store)
-                return _window(rt, index.probe(plan.probe_value))
+                return _window(rt, index.probe(bound_value(literal, rt.values)))
             return start, plan.id_step + 1, True
         if kind != "path_index":
             return _unit, 0, False
@@ -933,11 +965,13 @@ class _Emitter:
             isinstance(node, Path) and node.steps[-1].axis in ("attribute", "text"))
 
     def _atoms(self, node: Expr, scope):
-        """``rt -> atomic values`` of a node: a literal is one shared
-        tuple, what is statically atomic is not atomized again."""
+        """``rt -> atomic values`` of a node: a constant literal is one
+        shared tuple, what is statically atomic is not atomized again."""
         if isinstance(node, Literal):
-            atoms = (node.value,)
-            return lambda rt: atoms
+            slot, atoms = node.slot, (node.value,)
+            if slot is None:
+                return lambda rt: atoms
+            return lambda rt: (rt.values[slot],)
         run, navigator = self.emit(node, scope), self.navigator
         return run if self._atomic(node) else lambda rt: atomize(run(rt), navigator)
 
@@ -995,6 +1029,12 @@ class _Emitter:
     def _number(self, node: Expr, scope):
         """``rt -> float | None`` (None: the empty sequence); a sequence of
         several items is a type error, never silently its first item."""
+        if isinstance(node, Literal) and node.slot is not None:
+            # What the atoms path does, unboxed: a numeric slot's values
+            # are all numbers (the type is the shape's).
+            slot = node.slot
+            convert = to_number if type(node.value) is str else float
+            return lambda rt: convert(rt.values[slot])
         if isinstance(node, Literal) and try_number(node.value) is not None:
             constant = try_number(node.value)
             return lambda rt: constant

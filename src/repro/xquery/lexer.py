@@ -1,35 +1,73 @@
-"""Tokenizer for the XQuery subset.
+"""Tokenizer for the XQuery subset, and the shape of a query text.
 
-A hand-written scanner with one twist: element-constructor *content* is not
-tokenized — the parser switches the lexer into raw mode and reads character
-data directly until the next ``<`` or ``{``.  This mirrors how XQuery's
-grammar really interleaves query tokens with XML content.
+The scanner matches one compiled master regular expression per token.
+Element-constructor *content* is not tokenized: the parser switches the
+lexer into raw mode and reads character data directly until the next
+``<`` or ``{``, which mirrors how XQuery's grammar really interleaves
+query tokens with XML content.  Line and column are computed only when
+something asks for them — an error, in practice.
+
+:func:`scan_shape` is the lexer's other face: one pass that lifts every
+string and numeric literal token into a numbered, typed *slot*.  Two texts
+with the same shape differ only in those literals, so a plan compiled for
+one serves the other with its own values bound (see :mod:`repro.cache`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from repro.errors import QuerySyntaxError, XMLSyntaxError
 from repro.xmlio.escape import resolve_references
 
-# Multi-character symbols first so maximal munch works.
-_SYMBOLS = (
-    "<<", ":=", "!=", "<=", ">=", "//",
-    "(", ")", "[", "]", "{", "}", ",", ";", "/", "@", "$", "*", "+", "-",
-    "=", "<", ">", ".",
-)
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_STRING = r""""[^"]*(?:""[^"]*)*"|'[^']*(?:''[^']*)*'"""
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_NAME_CHARS = _NAME_START | frozenset("0123456789-.")
+#: One token (or a run of space and comments) at a position; the
+#: ``comment`` / ``dollar`` alternatives only match what is an error.
+_TOKEN = re.compile(rf"""
+    (?P<space>(?:[ \t\r\n]+|\(:.*?:\))+)
+  | (?P<comment>\(:)
+  | (?P<variable>\${_NAME}(?::{_NAME})?)
+  | (?P<dollar>\$)
+  | (?P<string>{_STRING})
+  | (?P<number>{_NUMBER})
+  | (?P<name>{_NAME}(?::{_NAME})?)
+  | (?P<symbol><<|:=|!=|<=|>=|//|[()\[\]{{}},;/@*+\-=<>.])
+""", re.X | re.S)
+
+#: What a shape scan stops at: literals, and the names and comments whose
+#: digits and quotes are not literals.  Symbols and space sit in between.
+_SHAPE = re.compile(rf"(?P<string>{_STRING})|(?P<number>{_NUMBER})"
+                    rf"|\(:.*?:\)|{_NAME}", re.S)
 
 
-@dataclass(frozen=True, slots=True)
+def location(text: str, offset: int) -> tuple[int, int]:
+    """``(line, column)`` of an offset, both 1-based."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 class Token:
-    kind: str          # "name" | "variable" | "string" | "number" | "symbol" | "eof"
-    value: str
-    line: int
-    column: int
+    """One token; ``slot`` is the shape slot a literal token fills."""
+
+    __slots__ = ("kind", "value", "offset", "text", "slot")
+
+    def __init__(self, kind: str, value: str, offset: int, text: str,
+                 slot: int | None = None) -> None:
+        self.kind = kind        # "name" | "variable" | "string" | "number" | "symbol" | "eof"
+        self.value = value
+        self.offset = offset
+        self.text = text
+        self.slot = slot
+
+    @property
+    def line(self) -> int:
+        return location(self.text, self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return location(self.text, self.offset)[1]
 
     def is_symbol(self, value: str) -> bool:
         return self.kind == "symbol" and self.value == value
@@ -37,24 +75,93 @@ class Token:
     def is_name(self, value: str | None = None) -> bool:
         return self.kind == "name" and (value is None or self.value == value)
 
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.value!r}, {self.offset})"
+
+
+def string_value(raw: str) -> str:
+    """A string literal token's value, quotes off and doubled quotes
+    (XQuery 1.0's escape) undone; references are resolved by the caller."""
+    quote = raw[0]
+    return raw[1:-1].replace(quote + quote, quote)
+
+
+def number_value(raw: str) -> int | float:
+    """An integer literal is an int; a decimal or a double is a float."""
+    return int(raw) if raw.isdigit() else float(raw)
+
+
+class Shape:
+    """A query text with its literals lifted into slots.
+
+    ``key`` is the text with every string and numeric literal replaced by
+    a marker of its type — equal keys mean texts that differ in literal
+    values only.  ``values`` holds the literals, in slot order, as the
+    parser would read them, and ``raws`` as they are written (two
+    spellings of one value are one value, but not one constructor text);
+    ``spans`` maps a literal's offset to ``(slot, end)``, so the parser
+    can tell which tokens are slots.  A text with a literal that does not
+    read (a bad reference) has no slots: its key is the text, and the
+    parser reports the literal where it occurs."""
+
+    __slots__ = ("key", "values", "raws", "spans")
+
+    def __init__(self, key: tuple, values: tuple = (), raws: tuple = (),
+                 spans: dict | None = None) -> None:
+        self.key = key
+        self.values = values
+        self.raws = raws
+        self.spans = spans or {}
+
+
+def scan_shape(text: str) -> Shape:
+    """A text's :class:`Shape`, in one pass over it."""
+    parts: list = []
+    values: list = []
+    raws: list = []
+    spans: dict[int, tuple[int, int]] = {}
+    last = 0
+    for match in _SHAPE.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
+            continue                    # a name or a comment
+        start, end = match.span()
+        raw = match.group()
+        spans[start] = (len(values), end)
+        raws.append(raw)
+        parts.append(text[last:start])
+        if kind == "string":
+            parts.append("s")
+            try:
+                values.append(resolve_references(string_value(raw)))
+            except XMLSyntaxError:
+                return Shape((text,))
+        else:
+            value = number_value(raw)
+            parts.append("i" if type(value) is int else "f")
+            values.append(value)
+        last = end
+    parts.append(text[last:])
+    return Shape(tuple(parts), tuple(values), tuple(raws), spans)
+
 
 class Lexer:
-    """Streaming tokenizer with lookahead and a raw-content mode."""
+    """Streaming tokenizer with lookahead and a raw-content mode.
 
-    def __init__(self, text: str) -> None:
+    ``spans`` (a :class:`Shape`'s) numbers the literal tokens that are
+    shape slots."""
+
+    def __init__(self, text: str, spans: dict | None = None) -> None:
         self.text = text
         self.position = 0
+        self.spans = spans or {}
         self._peeked: Token | None = None
 
     # -- positions ---------------------------------------------------------------
 
-    def _location(self, offset: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, offset) + 1
-        last = self.text.rfind("\n", 0, offset)
-        return line, offset - last
-
     def error(self, message: str, offset: int | None = None) -> QuerySyntaxError:
-        line, column = self._location(self.position if offset is None else offset)
+        line, column = location(self.text,
+                                self.position if offset is None else offset)
         return QuerySyntaxError(message, line, column)
 
     def resolve(self, literal: str, offset: int) -> str:
@@ -78,89 +185,48 @@ class Lexer:
         self._peeked = None
         return token
 
-    def _skip_space(self) -> None:
-        text = self.text
-        while self.position < len(text):
-            char = text[self.position]
-            if char in " \t\r\n":
-                self.position += 1
-            elif text.startswith("(:", self.position):
-                end = text.find(":)", self.position + 2)
-                if end < 0:
-                    raise self.error("unterminated comment '(:'")
-                self.position = end + 2
-            else:
-                return
-
     def _scan(self) -> Token:
-        self._skip_space()
         text = self.text
-        if self.position >= len(text):
-            line, column = self._location(self.position)
-            return Token("eof", "", line, column)
+        match = _TOKEN.match(text, self.position)
+        if match is not None and match.lastgroup == "space":
+            self.position = match.end()
+            match = _TOKEN.match(text, self.position)
         start = self.position
-        line, column = self._location(start)
-        char = text[start]
-
-        if char == "$":
-            self.position += 1
-            name = self._read_name("variable name")
-            return Token("variable", name, line, column)
-        if char in "\"'":
-            end = text.find(char, start + 1)
-            if end < 0:
+        if match is None:
+            if start >= len(text):
+                return Token("eof", "", start, text)
+            if text[start] in "\"'":
                 raise self.error("unterminated string literal", start)
-            self.position = end + 1
-            return Token("string", self.resolve(text[start + 1 : end], start),
-                         line, column)
-        if char.isdigit():
-            end = start
-            seen_dot = False
-            while end < len(text) and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
-                if text[end] == ".":
-                    # "1." followed by a name char is a path step, not a float.
-                    if end + 1 >= len(text) or not text[end + 1].isdigit():
-                        break
-                    seen_dot = True
-                end += 1
-            self.position = end
-            return Token("number", text[start:end], line, column)
-        if char in _NAME_START:
-            name = self._read_name("name")
-            return Token("name", name, line, column)
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, start):
-                self.position = start + len(symbol)
-                return Token("symbol", symbol, line, column)
-        raise self.error(f"unexpected character {char!r}", start)
-
-    def _read_name(self, what: str) -> str:
-        text = self.text
-        start = self.position
-        if start >= len(text) or text[start] not in _NAME_START:
-            raise self.error(f"expected a {what}")
-        end = start + 1
-        while end < len(text) and text[end] in _NAME_CHARS:
-            end += 1
-        # QName with one colon (local:convert).
-        if end < len(text) and text[end] == ":" and end + 1 < len(text) and text[end + 1] in _NAME_START:
-            end += 2
-            while end < len(text) and text[end] in _NAME_CHARS:
-                end += 1
+            raise self.error(f"unexpected character {text[start]!r}", start)
+        kind, end = match.lastgroup, match.end()
+        if kind == "comment":
+            raise self.error("unterminated comment '(:'", start)
+        if kind == "dollar":
+            raise self.error("expected a variable name", start + 1)
         self.position = end
-        return text[start:end]
+        raw = match.group()
+        if kind == "variable":
+            return Token(kind, raw[1:], start, text)
+        if kind == "string" or kind == "number":
+            slot = self.spans.get(start)
+            slot = slot[0] if slot is not None and slot[1] == end else None
+            value = self.resolve(string_value(raw), start) if kind == "string" else raw
+            return Token(kind, value, start, text, slot)
+        return Token(kind, raw, start, text)
 
     # -- raw constructor-content mode ----------------------------------------------
+
+    def _raw_offset(self) -> int:
+        """Where raw reading resumes: a peeked token is read again as raw."""
+        return self._peeked.offset if self._peeked is not None else self.position
 
     def read_constructor_text(self) -> str:
         """Raw character data inside an element constructor, up to '<' or '{'.
 
         Doubled ``{{``/``}}`` escape to literal braces; references resolve.
         """
-        if self._peeked is not None:
-            # Rewind the lookahead: content must be read from its raw start.
-            self.position = _token_offset(self)
-            self._peeked = None
+        self.position = self._raw_offset()
+        self._peeked = None
         text, start = self.text, self.position
         parts: list[str] = []
         while self.position < len(text):
@@ -183,26 +249,11 @@ class Lexer:
 
     def at_raw(self, prefix: str) -> bool:
         """Does the raw input (ignoring the token lookahead) start with prefix?"""
-        offset = _token_offset(self) if self._peeked is not None else self.position
-        return self.text.startswith(prefix, offset)
+        return self.text.startswith(prefix, self._raw_offset())
 
     def consume_raw(self, prefix: str) -> None:
-        offset = _token_offset(self) if self._peeked is not None else self.position
+        offset = self._raw_offset()
         if not self.text.startswith(prefix, offset):
             raise self.error(f"expected {prefix!r}", offset)
         self._peeked = None
         self.position = offset + len(prefix)
-
-
-def _token_offset(lexer: Lexer) -> int:
-    """Byte offset where the peeked token began."""
-    token = lexer._peeked
-    assert token is not None
-    # Recompute: find the offset of (line, column).
-    if token.line == 1:
-        base = 0
-    else:
-        base = 0
-        for _ in range(token.line - 1):
-            base = lexer.text.find("\n", base) + 1
-    return base + token.column - 1

@@ -8,7 +8,7 @@ from repro.xquery.ast import (
     Expr, FLWOR, ForClause, FunctionCall, FunctionDecl, IfExpr, LetClause,
     Literal, OrderSpec, Path, Quantified, Query, Step, Unary, VarRef,
 )
-from repro.xquery.lexer import Lexer, Token
+from repro.xquery.lexer import Lexer, Token, number_value
 
 _KEYWORDS_STOPPING_PATH = frozenset((
     "return", "where", "order", "in", "satisfies", "then", "else",
@@ -19,9 +19,11 @@ _KEYWORDS_STOPPING_PATH = frozenset((
 _COMPARISON_OPS = ("=", "!=", "<=", ">=", "<", ">", "<<")
 
 
-def parse_query(text: str) -> Query:
-    """Parse a complete query (declarations + body)."""
-    parser = _Parser(Lexer(text))
+def parse_query(text: str, spans: dict | None = None) -> Query:
+    """Parse a complete query (declarations + body).  With a shape's
+    ``spans`` (:func:`repro.xquery.lexer.scan_shape`), every literal that
+    is one of its slots carries the slot's number."""
+    parser = _Parser(Lexer(text, spans))
     query = parser.parse_query()
     trailing = parser.lexer.peek()
     if trailing.kind != "eof":
@@ -301,11 +303,10 @@ class _Parser:
             return self._with_primary_predicates(VarRef(token.value))
         if token.kind == "string":
             self.lexer.next()
-            return Literal(token.value)
+            return Literal(token.value, token.slot)
         if token.kind == "number":
             self.lexer.next()
-            value = float(token.value) if "." in token.value else int(token.value)
-            return Literal(value)
+            return Literal(number_value(token.value), token.slot)
         if token.is_symbol("("):
             self.lexer.next()
             inner = self.parse_expr()

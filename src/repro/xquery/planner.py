@@ -34,10 +34,11 @@ from repro.storage.summary_store import SummaryStore
 from repro.xquery.ast import (
     Arithmetic, BoolOp, Comparison, ContextItem, ElementCtor, Expr, FLWOR,
     ForClause, FunctionCall, IfExpr, LetClause, LetClause as _Let, Literal,
-    Path, Quantified, Query, Step, Unary, VarRef, is_absolute as _is_absolute,
-    walk,
+    Path, Quantified, Query, Step, Unary, VarRef, bound_value,
+    is_absolute as _is_absolute, walk,
 )
 from repro.xquery.evaluator import emit_query
+from repro.xquery.lexer import Shape, scan_shape
 from repro.xquery.parser import parse_query
 from repro.xquery.sequence import mirror_op
 
@@ -69,20 +70,21 @@ class PathPlan:
 
     ``value_probe`` / ``range_probe`` resolve a step predicate through a
     secondary index: the extent of ``prefix`` is probed on ``accessor``
-    (equality against ``probe_value``, or ``accessor-value op bound``) and
+    (equality against ``probe_literal``'s bound value, or ``accessor-value
+    op bound``, the bound a pinned slot) and
     evaluation resumes at the step after ``id_step``.  ``est_rows`` vs
     ``scan_rows`` records the cardinality comparison that won the probe —
     the scan-vs-probe cost choice, made from index statistics.
     """
 
     kind: str          # "steps" | "id_lookup" | "path_index" | "value_probe" | "range_probe"
-    id_value: str | None = None
+    id_literal: Literal | None = None   # id_lookup: read at execution
     id_step: int = 0
     prefix: tuple[str, ...] = ()
     prefix_len: int = 0
     source: str = "store"               # path_index backing: "store" | "index"
     accessor: tuple[str, ...] = ()
-    probe_value: object = None          # value_probe: the literal key
+    probe_literal: Literal | None = None    # value_probe: read at execution
     op: str = "="                       # range_probe: accessor-value OP bound
     bound: float = 0.0
     est_rows: int = -1
@@ -145,8 +147,8 @@ class ExchangePlan:
     ``routed``: the query's one absolute path is pinned to a single shard,
     by descending through a region container (``region``: its items live
     wholly on the region's home shard) or by an ``[@id = "literal"]`` step
-    on a partitioned extent (``id_value``), and the whole query runs
-    there.  ``partial_count``: ``count()`` over one extent-rooted
+    on a partitioned extent (``id_literal``, whose bound value picks the
+    shard per execution), and the whole query runs there.  ``partial_count``: ``count()`` over one extent-rooted
     sequence; every shard counts its own slice and the integers add up
     (``ret_accessor``: what the counted FLWOR returns per binding, for the
     sorted-index pushdown).  ``scatter_flwor``: ``where`` / ``ret`` map
@@ -157,10 +159,9 @@ class ExchangePlan:
     """
 
     kind: str           # "routed" | "partial_count" | "broadcast_join" | "scatter_flwor"
-    text: str = ""                      # keys the per-shard partials
     executor: object = None             # the store's exchange; None: inline
     region: str | None = None
-    id_value: str | None = None
+    id_literal: Literal | None = None
     extent: tuple[str, ...] = ()
     var: str = ""
     let_var: str = ""
@@ -171,15 +172,15 @@ class ExchangePlan:
     join_accessor: tuple[str, ...] = ()
     outer_accessor: tuple[str, ...] = ()
 
-    def ranks(self, store) -> list[int]:
-        """The shards one execution runs on.  Asked of the store every
-        time: its routing map moves with every commit, and an id no shard
-        owns matches nothing anywhere."""
+    def ranks(self, store, values: tuple) -> list[int]:
+        """The shards one execution (bound to ``values``) runs on.  Asked
+        of the store every time: its routing map moves with every commit,
+        and an id no shard owns matches nothing anywhere."""
         if self.kind != "routed":
             return list(range(store.shard_count))
-        if self.id_value is None:
+        if self.id_literal is None:
             return [store.region_shard(self.region)]
-        target = store.shard_of_id(self.id_value)
+        target = store.shard_of_id(bound_value(self.id_literal, values))
         return [] if target is None else [target]
 
 
@@ -196,11 +197,27 @@ class CompiledQuery:
     threads at once, as long as the underlying store's read paths are
     thread-safe.  ``eq=False`` keeps instances hashable by identity so
     plans can key caches and sets directly.
+
+    A plan serves every text of its **shape** (``shape``: the text's
+    literals lifted into slots, :func:`repro.xquery.lexer.scan_shape`)
+    whose literals are written as this one's (``raws``) in the slots in
+    ``pinned`` — the ones a plan choice read while compiling (slot ->
+    why) — and only while ``proofs`` hold: the index cardinality counters
+    a choice relied on, checked again on reuse (:meth:`fits`).  ``values`` are the
+    bindings of the text it was compiled from; every other slot is read
+    from the execution's bindings.  (A literal of constructor text is no
+    literal of the query: its slot is pinned, and only its spelling says
+    what the constructor writes.)
     """
 
     query: Query
     store: Store
     profile: SystemProfile
+    shape: tuple | None = None
+    values: tuple = ()
+    raws: tuple = ()
+    pinned: dict[int, str] = field(default_factory=dict)
+    proofs: list[tuple] = field(default_factory=list)
     path_plans: dict[int, PathPlan] = field(default_factory=dict)
     join_plans: dict[int, JoinPlan] = field(default_factory=dict)
     range_plans: dict[int, RangePlan] = field(default_factory=dict)
@@ -211,20 +228,73 @@ class CompiledQuery:
     run: object = None                  # rt -> list (or index window)
     stream: object = None               # rt -> iterator over the same items
     frame_size: int = 0                 # variable slots of the main frame
+    #: A shard's ``(where test, return closure, frame size)`` when its
+    #: exchange maps rows (scatter FLWOR, broadcast join).
+    row_program: tuple | None = None
+
+    def literal(self, node: Literal, reason: str):
+        """A literal's value read while planning: its slot is pinned (a
+        text with another value there needs a plan of its own)."""
+        if node.slot is not None:
+            self.pinned.setdefault(node.slot, reason)
+        return bound_value(node, self.values)
+
+    def fits(self, values: tuple, raws: tuple | None = None) -> bool:
+        """Whether this plan answers for a same-shape text's ``values``
+        (spelled ``raws``): the pinned slots agree — by spelling when it
+        is given — and every proof still holds."""
+        theirs, mine = (values, self.values) if raws is None else (raws, self.raws)
+        for slot in self.pinned:
+            if theirs[slot] != mine[slot]:
+                return False
+        for proof in self.proofs:
+            if not _proof_holds(self.store, proof):
+                return False
+        return True
+
+
+#: Plans kept per query shape, and per shard of an exchange: one per
+#: binding of the slots their choices pinned, newest last.  The ledger's
+#: workloads never keep more than one; two spellings of constructor text,
+#: or two bounds either side of a range probe's threshold, keep two.
+VARIANTS = 4
+
+
+def fitting(plans: list, values: tuple,
+            raws: tuple | None = None) -> CompiledQuery | None:
+    """The first of one shape's ``plans`` that answers for these bindings
+    (:meth:`CompiledQuery.fits`), or None."""
+    for plan in plans:
+        if plan.fits(values, raws):
+            return plan
+    return None
+
+
+def with_variant(plans: list, plan: CompiledQuery) -> list:
+    """``plans`` with ``plan`` newest and the oldest past :data:`VARIANTS`
+    dropped: a new list, so a reader walking the old one needs no lock."""
+    return plans[1 - VARIANTS:] + [plan]
 
 
 def compile_query(text: str, store: Store, profile: SystemProfile,
                   tracer=NULL_TRACER) -> CompiledQuery:
     """Full compilation pipeline for one system; emission is its last pass."""
-    return _compile(text, None, store, profile, tracer)
+    return compile_shaped(text, scan_shape(text), store, profile, tracer)
 
 
-def compile_shard(compiled: CompiledQuery, rank: int,
+def compile_shaped(text: str, shape: Shape, store: Store,
+                   profile: SystemProfile, tracer=NULL_TRACER) -> CompiledQuery:
+    """:func:`compile_query` of a text whose shape is already scanned."""
+    return _compile(text, None, shape, shape.values, store, profile, tracer)
+
+
+def compile_shard(compiled: CompiledQuery, rank: int, values: tuple,
                   tracer=NULL_TRACER) -> CompiledQuery:
-    """An exchange's program for one shard: the same AST, planned against
-    the shard's own store under its own profile."""
+    """An exchange's program for one shard and one execution's bindings:
+    the same AST, planned against the shard's own store under its own
+    profile (what it pins, it pins to ``values``)."""
     sharded = compiled.store
-    return _compile(compiled.exchange.text, compiled.query,
+    return _compile("", compiled.query, None, values,
                     sharded.shard_store(rank), sharded.shard_profiles[rank],
                     tracer)
 
@@ -238,38 +308,47 @@ def exchange_kind(compiled: CompiledQuery) -> str:
     return "fallback" if compiled.store.shard_count > 1 else "single"
 
 
-def _compile(text: str, query: Query | None, store: Store,
-             profile: SystemProfile, tracer) -> CompiledQuery:
+def _compile(text: str, query: Query | None, shape: Shape | None,
+             values: tuple, store: Store, profile: SystemProfile,
+             tracer) -> CompiledQuery:
     with tracer.span("plan", system=profile.name,
                      optimizer=profile.optimizer) as span:
+        compiled = CompiledQuery(query, store, profile, values=values)
         if query is None:
             with tracer.span("plan.parse"):
-                query = parse_query(text)
-        compiled = CompiledQuery(query, store, profile)
+                query = compiled.query = parse_query(text, shape.spans)
+            compiled.shape, compiled.raws = shape.key, shape.raws
+        nodes = walk(query)             # one walk for every pass
+        if shape is not None:
+            claimed = {node.slot for node in nodes if isinstance(node, Literal)}
+            for slot in range(len(values)):  # a slot no literal fills is text
+                if slot not in claimed:
+                    compiled.pinned[slot] = "text, not a literal"
         if getattr(store, "shard_count", 1) > 1:
-            compiled.exchange = _plan_exchange(store, query, text)
+            compiled.exchange = _plan_exchange(store, query)
         if compiled.exchange is None:   # else the shards plan the body
-            _resolve_paths(compiled)
+            _resolve_paths(compiled, nodes)
             _plan_joins(compiled)
-            _plan_ranges(compiled)
-            _enumerate_plans(compiled)
-        _validate_tags(compiled)
+            _plan_ranges(compiled, nodes)
+            _enumerate_plans(compiled, nodes)
+        _validate_tags(compiled, nodes)
         if tracer.enabled:
-            _trace_plan_choices(compiled, tracer)
+            trace_plan_choices(compiled, tracer)
         with tracer.span("plan.emit") as emit_span:
             emit_query(compiled)
             if tracer.enabled:
-                emit_span.set(nodes=len(walk(query)))
+                emit_span.set(nodes=len(nodes))
         span.set(plans_considered=compiled.plans_considered,
                  metadata_accesses=compiled.metadata_accesses,
                  warnings=len(compiled.warnings))
     return compiled
 
 
-def _trace_plan_choices(compiled: CompiledQuery, tracer) -> None:
+def trace_plan_choices(compiled: CompiledQuery, tracer) -> None:
     """One zero-width child span per optimizer decision: the chosen
     access path / join / range, with the est-vs-scan numbers that won
-    the probe-vs-scan cost comparison."""
+    the probe-vs-scan cost comparison (at compile time, and again for a
+    plan the plan cache hands out)."""
     for plan in compiled.path_plans.values():
         if plan.kind == "steps":
             continue
@@ -304,13 +383,13 @@ def _absolute_prefix(path: Path) -> tuple[tuple[str, ...], int]:
     return tuple(tags), len(tags)
 
 
-def _resolve_paths(compiled: CompiledQuery) -> None:
+def _resolve_paths(compiled: CompiledQuery, nodes: list) -> None:
     store = compiled.store
     profile = compiled.profile
     catalog = getattr(store, "catalog", None)
     before = catalog.metadata_accesses if catalog else 0
 
-    for node in walk(compiled.query):
+    for node in nodes:
         if not isinstance(node, Path):
             continue
         plan = PathPlan("steps")
@@ -332,8 +411,8 @@ def _resolve_paths(compiled: CompiledQuery) -> None:
         if profile.use_id_index and store.has_id_index():
             id_step = _find_id_predicate(node)
             if id_step is not None:
-                index, value = id_step
-                plan = PathPlan("id_lookup", id_value=value, id_step=index)
+                index, literal = id_step
+                plan = PathPlan("id_lookup", id_literal=literal, id_step=index)
         # Secondary-index probes: an equality or range predicate on an
         # indexed field of the prefix extent, chosen over the scan when the
         # index's cardinality statistics say the probe reads fewer rows.
@@ -390,25 +469,18 @@ def _resolve_fragment_steps(store: FragmentStore, path: Path) -> None:
             prefixes = new_prefixes
 
 
-def _find_id_predicate(path: Path) -> tuple[int, str] | None:
+def _find_id_predicate(path: Path) -> tuple[int, Literal] | None:
+    """``(step index, id literal)`` of an ``[@id = "literal"]`` step; a
+    literal's type is its shape's, so the test reads no value."""
     for index, step in enumerate(path.steps):
         for predicate in step.predicates:
-            if (
-                isinstance(predicate, Comparison)
-                and predicate.op == "="
-                and isinstance(predicate.right, Literal)
-                and isinstance(predicate.right.value, str)
-                and _is_id_attribute(predicate.left)
-            ):
-                return index, predicate.right.value
-            if (
-                isinstance(predicate, Comparison)
-                and predicate.op == "="
-                and isinstance(predicate.left, Literal)
-                and isinstance(predicate.left.value, str)
-                and _is_id_attribute(predicate.right)
-            ):
-                return index, predicate.left.value
+            if not isinstance(predicate, Comparison) or predicate.op != "=":
+                continue
+            for literal, other in ((predicate.right, predicate.left),
+                                   (predicate.left, predicate.right)):
+                if (isinstance(literal, Literal) and isinstance(literal.value, str)
+                        and _is_id_attribute(other)):
+                    return index, literal
     return None
 
 
@@ -473,6 +545,31 @@ def _strip_cardinality(expr: Expr) -> tuple[Expr, tuple[str, ...]]:
     return expr, tuple(wrappers)
 
 
+def _proven(compiled: CompiledQuery, kind: str, path: tuple[str, ...],
+            accessor: tuple[str, ...], index, wrappers: tuple[str, ...],
+            single_value: bool) -> bool:
+    """:func:`_cardinality_ok`, kept as a proof the plan is reused under:
+    a write can make a field empty or multi-valued on some node, and a
+    plan whose choice it was must not outlive that (:meth:`CompiledQuery.fits`)."""
+    if not _cardinality_ok(index, wrappers, single_value):
+        return False
+    if wrappers or single_value:
+        compiled.proofs.append((kind, path, accessor, wrappers, single_value))
+    return True
+
+
+def _proof_holds(store, proof: tuple) -> bool:
+    """One proof against the store's live indexes.  A field that is gone
+    (indexes dropped) holds: the plan degrades to its scan there."""
+    kind, path, accessor, wrappers, single_value = proof
+    indexes = store.indexes
+    if indexes is None:
+        return True
+    field = indexes.value_field if kind == "value" else indexes.sorted_field
+    index = field(path, accessor)
+    return index is None or _cardinality_ok(index, wrappers, single_value)
+
+
 def _cardinality_ok(index, wrappers: tuple[str, ...], single_value: bool) -> bool:
     """Whether an index probe is observationally equal to evaluating the
     wrapped accessor on every extent node.
@@ -507,16 +604,15 @@ def _var_accessor(expr: Expr, var: str):
     return None if accessor is None else (accessor, wrappers)
 
 
-def _literal_number(value) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    number = float(value)
-    return None if number != number else number
+def _numeric(node: Expr) -> bool:
+    """A numeric literal — by its type alone, which is its shape's."""
+    return isinstance(node, Literal) and type(node.value) in (int, float)
 
 
 def _predicate_key(predicate: Expr):
-    """Match ``accessor OP literal`` (either side); returns the probe triple
-    with the operator normalized so the accessor is on the left."""
+    """Match ``accessor OP literal`` (either side); returns ``(accessor,
+    op, literal)`` with the operator normalized so the accessor is on the
+    left."""
     if not isinstance(predicate, Comparison):
         return None
     sides = (
@@ -529,12 +625,8 @@ def _predicate_key(predicate: Expr):
         accessor = _context_accessor(expr)
         if accessor is None:
             continue
-        if op == "=":
-            return accessor, op, literal.value
-        if op in ("<", "<=", ">", ">="):
-            bound = _literal_number(literal.value)
-            if bound is not None:
-                return accessor, op, bound
+        if op == "=" or (op in ("<", "<=", ">", ">=") and _numeric(literal)):
+            return accessor, op, literal
     return None
 
 
@@ -558,7 +650,7 @@ def _match_probe_plan(compiled: CompiledQuery, path: Path) -> PathPlan | None:
         matched = _predicate_key(step.predicates[0])
         if matched is None:
             return None
-        accessor, op, key = matched
+        accessor, op, literal = matched
         extent = tuple(prefix)
         if op == "=" and profile.use_value_index:
             index = indexes.value_field(extent, accessor)
@@ -570,11 +662,13 @@ def _match_probe_plan(compiled: CompiledQuery, path: Path) -> PathPlan | None:
             return PathPlan(
                 "value_probe", id_step=position, prefix=extent,
                 prefix_len=len(extent), source="index", accessor=accessor,
-                probe_value=key, est_rows=est, scan_rows=index.extent_size)
+                probe_literal=literal, est_rows=est,
+                scan_rows=index.extent_size)
         if op != "=" and profile.use_sorted_index:
             index = indexes.sorted_field(extent, accessor)
             if index is None:
                 return None
+            key = float(compiled.literal(literal, "range probe selectivity"))
             rows = index.count(op, key)
             if index.extent_size and rows >= index.extent_size:
                 return None             # unselective: the probe IS the scan
@@ -727,19 +821,20 @@ def _match_correlated_let(clause: LetClause, loop_vars: set[str]) -> JoinPlan | 
     return JoinPlan(strategy, op, var, inner.sequence, inner_key, outer_key)
 
 
-def _scaled_var_accessor(expr: Expr, var: str):
+def _scaled_var_accessor(compiled: CompiledQuery, expr: Expr, var: str):
     """Match ``$var``-rooted accessors optionally scaled by a positive
-    literal multiplier (Q11/Q12's ``5000 * exactly-one($i/text())``).
+    literal multiplier (Q11/Q12's ``5000 * exactly-one($i/text())``,
+    which folds into the probe: its slot is pinned).
 
     Returns ``(accessor, scale, wrappers)``.
     """
     expr, outer = _strip_cardinality(expr)
     if isinstance(expr, Arithmetic) and expr.op == "*":
         for literal, operand in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(literal, Literal):
-                scale = _literal_number(literal.value)
-                matched = _var_accessor(operand, var)
-                if scale is not None and scale > 0 and matched is not None:
+            matched = _var_accessor(operand, var)
+            if _numeric(literal) and matched is not None:
+                scale = float(compiled.literal(literal, "join scale"))
+                if scale > 0:
                     accessor, wrappers = matched
                     return accessor, scale, outer + wrappers
         return None
@@ -779,13 +874,14 @@ def _attach_index_backing(compiled: CompiledQuery, join: JoinPlan) -> None:
         index = indexes.value_field(extent, accessor)
         if index is None or (index.distinct_keys <= 1 and index.extent_size > 1):
             return                      # degenerate key: build wins
-        if not _cardinality_ok(index, wrappers, bool(wrappers)):
+        if not _proven(compiled, "value", extent, accessor, index, wrappers,
+                       bool(wrappers)):
             return
         join.index_kind = "value"
         join.index_path = extent
         join.index_accessor = accessor
     elif join.strategy == "sorted" and profile.use_sorted_index:
-        scaled = _scaled_var_accessor(join.inner_key, join.inner_var)
+        scaled = _scaled_var_accessor(compiled, join.inner_key, join.inner_var)
         if scaled is None:
             return
         accessor, scale, wrappers = scaled
@@ -793,7 +889,8 @@ def _attach_index_backing(compiled: CompiledQuery, join: JoinPlan) -> None:
         # The index holds one entry per *value*, so a multi-valued node
         # would sit in a window once per qualifying key: only a per-query
         # build, which dedupes by build seq, may serve one.
-        if index is None or not _cardinality_ok(index, wrappers, True):
+        if index is None or not _proven(compiled, "sorted", extent, accessor,
+                                        index, wrappers, True):
             return
         join.index_kind = "sorted"
         join.index_path = extent
@@ -804,7 +901,7 @@ def _attach_index_backing(compiled: CompiledQuery, join: JoinPlan) -> None:
 # -- range planning (FLWOR where-clauses answered from the sorted index) ----------------
 
 
-def _plan_ranges(compiled: CompiledQuery) -> None:
+def _plan_ranges(compiled: CompiledQuery, nodes: list) -> None:
     """Attach a :class:`RangePlan` to every ``for $v in /abs/path where
     $v/acc OP literal`` FLWOR the sorted index covers selectively."""
     profile = compiled.profile
@@ -812,7 +909,7 @@ def _plan_ranges(compiled: CompiledQuery) -> None:
     indexes = store.indexes
     if not profile.use_sorted_index or indexes is None:
         return
-    for node in walk(compiled.query):
+    for node in nodes:
         clause = _single_for(node)
         if clause is None or node.where is None or node.order:
             continue
@@ -827,19 +924,20 @@ def _plan_ranges(compiled: CompiledQuery) -> None:
             (condition.left, condition.right, condition.op),
             (condition.right, condition.left, mirror_op(condition.op)),
         ):
-            if not isinstance(literal, Literal) or op not in ("<", "<=", ">", ">="):
+            if not _numeric(literal) or op not in ("<", "<=", ">", ">="):
                 continue
-            bound = _literal_number(literal.value)
             var_match = _var_accessor(expr, clause.var)
-            if bound is not None and var_match is not None:
-                matched = (var_match[0], var_match[1], op, bound)
+            if var_match is not None:
+                matched = (var_match[0], var_match[1], op, literal)
                 break
         if matched is None:
             continue
-        accessor, wrappers, op, bound = matched
+        accessor, wrappers, op, literal = matched
         index = indexes.sorted_field(prefix, accessor)
-        if index is None or not _cardinality_ok(index, wrappers, bool(wrappers)):
+        if index is None or not _proven(compiled, "sorted", prefix, accessor,
+                                        index, wrappers, bool(wrappers)):
             continue
+        bound = float(compiled.literal(literal, "range selectivity"))
         rows = index.count(op, bound)
         if index.extent_size and rows >= index.extent_size:
             continue                    # every row qualifies: scan is no worse
@@ -887,7 +985,7 @@ def _count_only_uses(expr: Expr, var: str) -> bool:
     return all(_count_only_uses(child, var) for child in _direct_children(expr))
 
 
-def _plan_exchange(store, query: Query, text: str) -> ExchangePlan | None:
+def _plan_exchange(store, query: Query) -> ExchangePlan | None:
     """The first distributable shape the body matches, if any (declared
     functions stay on the compatibility path)."""
     if query.functions:
@@ -896,7 +994,7 @@ def _plan_exchange(store, query: Query, text: str) -> ExchangePlan | None:
                   _exchange_flwor):
         plan = match(store, query.body)
         if plan is not None:
-            plan.text, plan.executor = text, store.exchange
+            plan.executor = store.exchange
             return plan
     return None
 
@@ -927,7 +1025,7 @@ def _exchange_routed(store, body: Expr) -> ExchangePlan | None:
                 or len(step.predicates) != 1 \
                 or not _partitioned(store, tuple(prefix)):
             return None
-        return ExchangePlan("routed", id_value=matched[1])
+        return ExchangePlan("routed", id_literal=matched[1])
     return None
 
 
@@ -1010,7 +1108,7 @@ def _exchange_flwor(store, body: Expr) -> ExchangePlan | None:
 # -- plan enumeration (the cost-based systems' search space) ----------------------------
 
 
-def _enumerate_plans(compiled: CompiledQuery) -> None:
+def _enumerate_plans(compiled: CompiledQuery, nodes: list) -> None:
     """Spend realistic optimization effort per optimizer class.
 
     The candidates are orderings of the query's path expressions (the units
@@ -1019,7 +1117,7 @@ def _enumerate_plans(compiled: CompiledQuery) -> None:
     paper's "too much of its time on optimization"; greedy systems touch
     O(n^2) candidates; heuristic systems O(n).
     """
-    paths = [node for node in walk(compiled.query) if isinstance(node, Path)]
+    paths = [node for node in nodes if isinstance(node, Path)]
     cardinalities = [max(1, 10 * (len(path.steps) + 1)) for path in paths]
     optimizer = compiled.profile.optimizer
     considered = 0
@@ -1049,11 +1147,11 @@ def _enumerate_plans(compiled: CompiledQuery) -> None:
 # -- path validation (the paper's Section 7 usability wish) ------------------------------
 
 
-def _validate_tags(compiled: CompiledQuery) -> None:
+def _validate_tags(compiled: CompiledQuery, nodes: list) -> None:
     known = compiled.store.known_tags()
     if known is None:
         return
-    for node in walk(compiled.query):
+    for node in nodes:
         if isinstance(node, Path):
             for step in node.steps:
                 if step.axis in ("child", "descendant") and step.name is not None:

@@ -44,7 +44,7 @@ class TestSeededFixtures:
 
     def test_gate_fails(self, seeded):
         assert not seeded.ok
-        assert len(seeded.new) == 7
+        assert len(seeded.new) == 8
 
     def test_async_blocking(self, seeded):
         hits = by_rule(seeded, "async-blocking")
@@ -63,8 +63,9 @@ class TestSeededFixtures:
 
     def test_shared_state(self, seeded):
         hits = by_rule(seeded, "shared-state")
-        assert [f.symbol for f in hits] == \
-            ["repro.service.state_bad:Registry.put"]
+        assert sorted(f.symbol for f in hits) == \
+            ["repro.db.cursors_bad:Connection.register",
+             "repro.service.state_bad:Registry.put"]
         # __init__ writes and the locked read stay legal
         assert all(f.line != 8 for f in hits)
 
@@ -154,7 +155,9 @@ class TestRepoClean:
         expected = {
             "repro.service.service:QueryService._update_lock",
             "repro.service.service:QueryService._admission",
-            "repro.service.cache:LRUCache._lock",
+            "repro.cache:LRUCache._lock",
+            "repro.cache:PlanCache._lock",
+            "repro.db.database:Database._update_lock",
             "repro.server.client:WireClient._lock",
             "repro.shard.scatter:ScatterGatherExecutor._gates",
             "repro.shard.scatter:ScatterGatherExecutor._rebuild_locks",
@@ -209,7 +212,7 @@ class TestCli:
             assert rule["active"] + rule["suppressed"] == len(rule["findings"])
             assert isinstance(rule["seconds"], float)
         assert report["ok"] is False
-        assert report["new_findings"] == 7
+        assert report["new_findings"] == 8
         assert report["total_findings"] == sum(
             len(rule["findings"]) for rule in report["rules"].values())
 

@@ -157,7 +157,7 @@ class TestCrossCheck:
         edges = set(cross_check(workload_witness, project)["dynamic_edges"])
         update = "repro.service.service:QueryService._update_lock"
         gates = "repro.service.service:QueryService._admission"
-        cache = "repro.service.cache:LRUCache._lock"
+        cache = "repro.cache:LRUCache._lock"
         assert {(update, gates), (gates, cache)} <= edges
         direct = LockWitness()
         direct.install()

@@ -95,6 +95,16 @@ def probe_count(span) -> int:
     return node.attrs["index_probes"]
 
 
+#: Spans of the planner's phases rather than of its decisions.
+_PLAN_PHASES = {"plan", "plan.parse", "plan.emit", "plan.cache"}
+
+
+def plan_choices(span) -> list[tuple[str, dict]]:
+    """The optimizer decisions a profile shows, compiled or replayed."""
+    return [(node.name, node.attrs) for node in span.walk()
+            if node.name.startswith("plan") and node.name not in _PLAN_PHASES]
+
+
 # -- joined client+server profiles ----------------------------------------------------
 
 
@@ -107,6 +117,7 @@ class TestJoinedRemoteProfiles:
                                               stream=False)
         embedded.fetchall()
         expected = probe_count(embedded.profile())
+        choices = plan_choices(embedded.profile())
 
         cursor = traced_remote.session().execute(query, system="D")
         rows = cursor.fetchall()
@@ -116,8 +127,15 @@ class TestJoinedRemoteProfiles:
         assert root.attrs["source"] == "wire"
         assert root.attrs["trace_id"]
         # The server's subtree came back over the wire and was grafted
-        # under the client root: planner and evaluator both visible.
-        assert root.find("plan") is not None
+        # under the client root: the served execution found the plan the
+        # embedded one put in the shared plan cache, replayed its choices
+        # under ``plan.cache``, and ran its evaluator.
+        served = root.find_all("query")[1]
+        assert served.attrs["plan_cache_hit"] is True
+        assert root.find("plan") is None
+        cached = root.find("plan.cache")
+        assert cached is not None and cached.attrs["hit"] is True
+        assert plan_choices(cached) == choices
         assert probe_count(root) == expected
         assert root.attrs["rows"] == len(rows)
 
@@ -181,11 +199,17 @@ class TestWireTraceContext:
         # server's rate-0 head sampler: the subtree still comes back.
         handle, _, _ = sampled_off_served
         with connect_url(handle.url, tracing=True) as remote:
-            cursor = remote.session().execute(1, system="D")
+            session = remote.session()
+            session.execute(1, system="D").fetchall()  # the plan is cached
+            cursor = session.execute(1, system="D")
             cursor.fetchall()
             root = cursor.profile()
             assert root.children, "server subtree missing from joined tree"
-            assert root.find("plan") is not None
+            assert root.find("evaluator.stream") is not None
+            cached = root.find("plan.cache")
+            assert cached is not None
+            assert [name for name, _attrs in plan_choices(cached)] == \
+                ["plan.access_path"]
 
     def test_explicit_unsampled_context_is_honored(self, sampled_off_served):
         handle, _, _ = sampled_off_served

@@ -121,7 +121,8 @@ class TestProtocolUnits:
 
     def test_bind_params_rejects_bad_values(self):
         for params in ({"bad name": 1}, {"a": True}, {"a": None},
-                       {"a": [1]}, {"a": 'say "hi"'}):
+                       {"a": [1]}, {"a": float("nan")}, {"a": float("inf")},
+                       {"a": float("-inf")}):
             with pytest.raises(ProtocolError) as err:
                 protocol.bind_params("$a $bad $name", params)
             assert err.value.code == "bad_params"
@@ -365,6 +366,27 @@ class TestRemoteQueries:
             'for $p in /site/people/person '
             'where $p/@id = "person0" return $p/name').serialize()
         assert "\n".join(reply["rows"]) == expected
+
+    @pytest.mark.parametrize("value", ['say "hi"', "it's <b> & 'more'",
+                                       1e20, 1e-05, 2.5, 42])
+    def test_params_read_back_as_the_value(self, served, remote, value):
+        """A bound value is the value: quotes are doubled, ``&`` written
+        as a reference and a float keeps its exponent — and the wire
+        answers as the in-process connection does."""
+        _, database, _ = served
+        query = '<r v="{$v}">{$v}</r>'
+        reply = remote._client.request({"kind": "execute", "query": query,
+                                         "params": {"v": value},
+                                         "fetch": True})
+        local = database.session().execute(
+            protocol.bind_params(query, {"v": value})).serialize()
+        assert reply["rows"] == [local]
+        row = parse(local).root
+        assert row.get("v") == row.text_content()
+        if isinstance(value, str):
+            assert row.text_content() == value
+        else:
+            assert float(row.text_content()) == value
 
     def test_unknown_system_typed(self, remote):
         with pytest.raises(UnknownSystemError) as err:

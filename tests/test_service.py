@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.service import (
-    LRUCache, PlanCache, QueryService, ResultCache, ServiceMetrics,
+    LRUCache, QueryService, ResultCache, ServiceMetrics,
     WorkloadGenerator, WorkloadSpec, percentile,
 )
 from repro.service.metrics import LatencySummary
@@ -261,8 +261,11 @@ class TestQueryService:
             assert again.plan_cache_hit and again.compile_seconds == 0.0
             assert again.result_size == first.result_size
             # The cached entry is the very same compiled object.
-            key = PlanCache.key("B", svc._query_text(7))
-            assert svc.plan_cache.get(key) is svc.plan_cache.get(key)
+            text, store = svc._query_text(7), svc.store("B")
+            plan, _values, hit = svc.plan_cache.lookup(
+                "B", text, store, get_profile("B"))
+            assert hit and plan is svc.plan_cache.lookup(
+                "B", text, store, get_profile("B"))[0]
             assert svc.plan_cache.stats.hits >= 1
 
     def test_plan_cache_is_per_system(self, service):
@@ -298,15 +301,16 @@ class TestQueryService:
         with QueryService(small_text, ("D",), max_workers=2) as svc:
             old_store = svc.store("D")
             svc.reload_document(tiny_text)
-            text = svc._query_text(6)
-            # Simulate the race: a late put() lands a plan compiled against
-            # the old store after the reload cleared the cache.
-            stale = compile_query(text, old_store, get_profile("D"))
-            svc.plan_cache.put(PlanCache.key("D", text), stale)
+            text, profile = svc._query_text(6), get_profile("D")
+            # Simulate the race: a lookup still holding the old store
+            # lands its plan after the reload cleared the cache.
+            stale = svc.plan_cache.lookup("D", text, old_store, profile)[0]
+            assert stale.store is old_store
             outcome = svc.execute("D", 6)
             assert not outcome.plan_cache_hit
-            fresh = svc.plan_cache.get(PlanCache.key("D", text))
-            assert fresh is not stale and fresh.store is svc.store("D")
+            fresh, _values, hit = svc.plan_cache.lookup(
+                "D", text, svc.store("D"), profile)
+            assert hit and fresh is not stale and fresh.store is svc.store("D")
             # The served result matches the current document, not the old one.
             direct = evaluate(compile_query(text, svc.store("D"), get_profile("D")))
             assert outcome.result.serialize() == direct.serialize()
