@@ -161,7 +161,13 @@ class DomStore(Store):
         self.require_loaded()
         if node.parent is None:
             raise StorageError("cannot remove the document root")
-        node.parent.children.remove(node)
+        siblings = node.parent.children
+        slot = siblings.index(node)
+        del siblings[slot]
+        # The runs on either side are one text node now.
+        if 0 < slot < len(siblings) and isinstance(siblings[slot - 1], Text) \
+                and isinstance(siblings[slot], Text):
+            siblings[slot - 1].value += siblings.pop(slot).value
         node.parent = None
         self._positions_stale = True
 

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from repro.errors import StorageError
 from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
-from repro.storage.interface import Store, rank_by_walk
+from repro.storage.interface import Store, rank_by_walk, runs_made_adjacent
 from repro.xmlio.dom import Element, Text
 from repro.xmlio.parser import END, START, tokens
 
@@ -542,6 +542,7 @@ class FragmentStore(Store):
         self.require_loaded()
         if len(node[0]) <= 1:
             raise StorageError("cannot remove the document root")
+        parent, removed_pos = self.parent(node), self._pos_of(node)
         doomed = [node]
         stack = list(self.children(node))
         while stack:
@@ -569,7 +570,26 @@ class FragmentStore(Store):
                 text_index = self.catalog.hash_index(text_name, "parent")
                 for text_row in list(text_index.lookup(pre)) if text_index else []:
                     text_index.remove(pre, text_row)
+        self._merge_runs_around(parent, removed_pos)
         self._note_mutation()
+
+    def _merge_runs_around(self, parent: Handle, removed_pos: int) -> None:
+        """Merge the two text runs of ``parent`` that the removal of its
+        child at ``removed_pos`` left side by side."""
+        path, pre = parent
+        if path not in self._text_paths:
+            return
+        text_name = _text_table_name(path)
+        table = self.catalog.table(text_name)
+        text_index = self.catalog.hash_index(text_name, "parent")
+        poss = table.column("pos")
+        merge = runs_made_adjacent(
+            [(poss[row], row) for row in text_index.lookup(pre)],
+            (self._pos_of(child) for child in self.children(parent)), removed_pos)
+        if merge is not None:
+            before, after = merge
+            table.set(before, "value", table.get(before, "value") + table.get(after, "value"))
+            text_index.remove(pre, after)
 
     def set_text(self, node: Handle, text: str) -> None:
         self.require_loaded()

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from repro.errors import StorageError
 from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
-from repro.storage.interface import Store, rank_by_walk
+from repro.storage.interface import Store, rank_by_walk, runs_made_adjacent
 from repro.xmlio.dom import Element, Text
 from repro.xmlio.parser import END, START, tokens
 
@@ -358,7 +358,8 @@ class HeapStore(Store):
         row = self._row_by_pre.get(node)
         if row is None:
             raise StorageError(f"no tuple for handle {node!r}")
-        if self._nodes.get(row, "parent") is None:
+        parent = self._nodes.get(row, "parent")
+        if parent is None:
             raise StorageError("cannot remove the document root")
         doomed = [node]
         stack = list(self.children(node))
@@ -378,6 +379,16 @@ class HeapStore(Store):
                 self._attrs_index.remove(pre, attr_row)
             for text_row in list(self._texts_index.lookup(pre)):
                 self._texts_index.remove(pre, text_row)
+        text_pos, node_pos = self._texts.column("pos"), self._nodes.column("pos")
+        merge = runs_made_adjacent(
+            [(text_pos[text], text) for text in self._texts_index.lookup(parent)],
+            (node_pos[child] for child in self._children_index.lookup(parent)),
+            node_pos[row])
+        if merge is not None:
+            before, after = merge
+            self._texts.set(before, "value", self._texts.get(before, "value")
+                            + self._texts.get(after, "value"))
+            self._texts_index.remove(parent, after)
         self._note_mutation()
 
     def set_text(self, node: int, text: str) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -436,6 +436,26 @@ def splice_subtree(store: Store, subtree: list, extent_of) -> None:
             extent[at:at] = run
     store.stats.order_keys += len(keys)
     store.stats.extent_splices += len(runs)
+
+
+def runs_made_adjacent(texts: list[tuple[int, Any]], elements: Iterable[int],
+                       removed: int) -> tuple[Any, Any] | None:
+    """The two text runs a child's removal leaves side by side, to merge.
+
+    ``texts`` holds a parent's ``(position, row)`` text runs, ``elements``
+    the positions of the element children it keeps (read only when a run
+    lies on each side), and ``removed`` the position of the child just
+    removed.  Returns ``(row before, row after)`` when a run lies on each
+    side of ``removed`` with no element between them, else None — the
+    relational mappings' form of what the array and DOM stores do on
+    their content lists.
+    """
+    before = max((run for run in texts if run[0] < removed), default=None)
+    after = min((run for run in texts if run[0] > removed), default=None)
+    if before is None or after is None or any(
+            before[0] < position < after[0] for position in elements):
+        return None
+    return before[1], after[1]
 
 
 def rank_by_walk(store: Store) -> dict:

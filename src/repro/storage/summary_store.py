@@ -6,9 +6,23 @@ the raw text plus DOM overhead), the fastest bulkload, and near-instant
 regular-path queries thanks to its "detailed structural summary".
 
 Compactness here is real, not claimed: relative to :class:`TreeStore` this
-store drops the redundant child lists, interns tags, and freezes content
-lists into tuples; the structural summary and ID index it adds are smaller
-than what was removed.
+store drops the redundant child lists, interns tags, keeps each node's
+element children as one tuple of ids, and keeps *all* its text in one
+document-ordered string, the heap, instead of one ``str`` object per run;
+the structural summary and ID index it adds are smaller than what was
+removed.
+
+The text heap.  In pre-order the text of a loaded subtree is contiguous,
+so each loaded node has two offsets into the heap, ``_lo`` at its start
+tag and ``_hi`` at its end tag, and its string value is
+``heap[lo:hi]``.  Its own text runs are the heap between its children's
+offsets.  A write (``insert_child``, ``remove_node``, ``set_text``) first
+materialises the content of the node it changes — ids and ``str`` runs —
+into the overlay, writes there, and adds the node and its ancestors to
+the ``_touched`` set; inserted nodes always carry overlay content.  A
+subtree is clean when its root is loaded and not touched, one hash probe,
+and a string value walks only the touched part of a subtree, slicing each
+clean subtree below it.
 
 Document order is the order label :class:`TreeStore` keeps valid under
 writes: a descendant step is two bisects on the label per matching
@@ -30,7 +44,9 @@ from array import array
 
 from repro.storage.interface import splice_subtree
 from repro.storage.structural_summary import StructuralSummary
-from repro.storage.tree_store import TreeStore
+from repro.storage.tree_store import _SHIFT, TreeStore
+from repro.xmlio.escape import escape_attribute, escape_text
+from repro.xmlio.parser import END, START, tokens
 
 
 class SummaryStore(TreeStore):
@@ -42,23 +58,74 @@ class SummaryStore(TreeStore):
         super().__init__()
         self._summary: StructuralSummary | None = None
         self._id_index: dict[str, int] = {}
+        self._heap = ""                 # every loaded text run, in document order
+        self._lo = array("i")           # heap offset of a loaded node's first text
+        self._hi = array("i")           # ... and one past its subtree's last text
+        self._overlay: dict[int, tuple] = {}    # written nodes: ids and str runs
+        self._touched: set[int] = set()  # loaded nodes written, and their ancestors
 
     def load(self, text: str) -> None:
-        super().load(text)
-        # Compact representation: no redundant child lists, frozen content,
-        # packed 64-bit arrays for the structural columns, trimmed to size.
-        self._children = []
-        self._content = [tuple(parts) for parts in self._content]
-        self._summary = StructuralSummary.build(self._tags, self._parents)
+        """One pass over the tokens: child-id tuples, packed columns, the
+        text heap and its offsets, and the ID index."""
+        # The heap is never longer than the document.
+        width = "i" if len(text) < 1 << 31 else "q"
+        tags: list[str] = []
+        parents, posts = array("q"), array("q")
+        lo, hi = array(width), array(width)
+        attrs: list[dict[str, str] | None] = []
+        content: list[tuple[int, ...]] = []
+        id_index: dict[str, int] = {}
+        chunks: list[str] = []
+        size = 0                        # heap length so far
+        stack: list[int] = []
+        kids: list[list[int] | None] = []       # child ids of each open element
+        parent = -1
+        for kind, value, attributes in tokens(text):
+            if kind == START:
+                node = len(tags)
+                tags.append(value)              # interned by the tokenizer
+                parents.append(parent)
+                posts.append(0)
+                lo.append(size)
+                hi.append(size)
+                content.append(())
+                if attributes:
+                    own = dict(attributes)
+                    attrs.append(own)
+                    identifier = own.get("id")
+                    if identifier is not None:
+                        id_index[identifier] = node
+                else:
+                    attrs.append(None)
+                if kids:
+                    siblings = kids[-1]
+                    if siblings is None:
+                        kids[-1] = [node]
+                    else:
+                        siblings.append(node)
+                kids.append(None)
+                stack.append(node)
+                parent = node
+            elif kind == END:
+                node = stack.pop()
+                posts[node] = (len(tags) - 1) << _SHIFT
+                hi[node] = size
+                children = kids.pop()
+                if children is not None:
+                    content[node] = tuple(children)
+                parent = stack[-1] if stack else -1
+            else:
+                chunks.append(value)
+                size += len(value)
+        self._tags, self._parents, self._posts = tags, parents, posts
+        self._attrs, self._content, self._id_index = attrs, content, id_index
+        self._heap, self._lo, self._hi = "".join(chunks), lo, hi
+        self._overlay, self._touched = {}, set()
+        self._labels, self._inserted, self._holes = array("q"), [], []
+        self._bulk = len(tags)
+        self._summary = StructuralSummary.build(tags, parents)
         self._summary.compact()
-        self._parents = array("q", self._parents)
-        self._posts = array("q", self._posts)
-        self._id_index = {}
-        for node, attrs in enumerate(self._attrs):
-            if attrs:
-                identifier = attrs.get("id")
-                if identifier is not None:
-                    self._id_index[identifier] = node
+        self.mark_loaded(text)
 
     @property
     def summary(self) -> StructuralSummary:
@@ -66,42 +133,187 @@ class SummaryStore(TreeStore):
         assert self._summary is not None
         return self._summary
 
-    # -- navigation (children derived from content; no redundant lists) ---------
+    # -- text: heap slices where no write reached, the overlay where one did ---
+
+    def _clean(self, node: int) -> bool:
+        """Whether ``node``'s subtree is as loaded: no write reached it."""
+        return node < self._bulk and node not in self._touched
+
+    def _parts(self, node: int):
+        """The node's content: its overlay, or the heap runs between its
+        children's offsets (empty runs dropped) interleaved with their ids."""
+        parts = self._overlay.get(node)
+        if parts is not None:
+            return parts
+        heap, lo, hi = self._heap, self._lo, self._hi
+        parts = []
+        at = lo[node]
+        for child in self._content[node]:
+            start = lo[child]
+            if start > at:
+                parts.append(heap[at:start])
+            parts.append(child)
+            at = hi[child]
+        end = hi[node]
+        if end > at:
+            parts.append(heap[at:end])
+        return parts
+
+    def child_texts(self, node: int) -> list[str]:
+        self.stats.nodes_visited += 1
+        if not self._content[node] and node not in self._overlay:
+            text = self._heap[self._lo[node]:self._hi[node]]
+            return [text] if text else []
+        return [part for part in self._parts(node) if part.__class__ is str]
+
+    def string_value(self, node: int) -> str:
+        """A slice of the heap per clean subtree; a touched one walks its
+        content, still slicing every clean subtree below it."""
+        if self._clean(node):
+            self.stats.index_lookups += 1
+            return self._heap[self._lo[node]:self._hi[node]]
+        heap, lo, hi = self._heap, self._lo, self._hi
+        texts: list[str] = []
+        stack: list = [node]
+        while stack:
+            current = stack.pop()
+            if current.__class__ is str:
+                texts.append(current)
+            elif self._clean(current):
+                self.stats.index_lookups += 1
+                texts.append(heap[lo[current]:hi[current]])
+            else:
+                self.stats.nodes_visited += 1
+                stack.extend(reversed(self._parts(current)))
+        return "".join(texts)
+
+    def content(self, node: int) -> list:
+        self.stats.nodes_visited += 1
+        return list(self._parts(node))
+
+    def markup(self, node: int) -> str:
+        """:meth:`TreeStore.markup` over the same runs :meth:`_parts`
+        gives, visit for visit.  A clean subtree renders straight from the
+        heap, asking nothing of the overlay; only the touched part of a
+        subtree reads :meth:`_parts`.  When the heap window of the rendered
+        subtree holds nothing to escape, no heap run is searched again."""
+        tags, attrs_of, content = self._tags, self._attrs, self._content
+        heap, lo, hi = self._heap, self._lo, self._hi
+        bulk, touched, parts_of = self._bulk, self._touched, self._parts
+        plain = node < bulk and all(
+            heap.find(char, lo[node], hi[node]) < 0 for char in "&<>")
+        elements = 0
+
+        def text(run: str) -> str:
+            if "&" in run or "<" in run or ">" in run:
+                return escape_text(run)
+            return run
+
+        def start_tag(tag: str, attrs) -> str:
+            return "<" + tag + "".join([f' {name}="{escape_attribute(value)}"'
+                                        for name, value in attrs.items()])
+
+        def render(node: int, at: int) -> str:      # a clean subtree from ``at``
+            nonlocal elements
+            elements += 1
+            tag, attrs = tags[node], attrs_of[node]
+            start = start_tag(tag, attrs) if attrs else "<" + tag
+            children, end = content[node], hi[node]
+            if not children:
+                if at == end:
+                    return start + "/>"
+                run = heap[at:end]
+                return f"{start}>{run if plain else text(run)}</{tag}>"
+            pieces = [start, ">"]
+            for child in children:
+                begin = lo[child]
+                if begin > at:
+                    pieces.append(heap[at:begin] if plain else text(heap[at:begin]))
+                at = hi[child]
+                if content[child]:
+                    pieces.append(render(child, begin))
+                    continue
+                # A leaf, as render would write it, without the call: most
+                # elements are leaves.
+                elements += 1
+                leaf_tag, leaf_attrs = tags[child], attrs_of[child]
+                opening = (start_tag(leaf_tag, leaf_attrs) if leaf_attrs
+                           else "<" + leaf_tag)
+                if begin == at:
+                    pieces.append(opening + "/>")
+                else:
+                    run = heap[begin:at]
+                    pieces.append(f"{opening}>{run if plain else text(run)}</{leaf_tag}>")
+            if end > at:
+                pieces.append(heap[at:end] if plain else text(heap[at:end]))
+            pieces += ("</", tag, ">")
+            return "".join(pieces)
+
+        def render_touched(node: int) -> str:
+            if node < bulk and node not in touched:
+                return render(node, lo[node])
+            nonlocal elements
+            elements += 1
+            tag, attrs = tags[node], attrs_of[node]
+            start = start_tag(tag, attrs) if attrs else "<" + tag
+            parts = parts_of(node)
+            if not parts:
+                return start + "/>"
+            pieces = [start, ">"]
+            for part in parts:
+                if part.__class__ is int:
+                    pieces.append(render_touched(part))
+                else:
+                    pieces.append(text(part))
+            pieces += ("</", tag, ">")
+            return "".join(pieces)
+
+        rendered = render_touched(node)
+        self.stats.nodes_visited += elements
+        return rendered
+
+    # -- navigation: content tuples hold child ids only ---------------------------
 
     def children(self, node: int) -> list[int]:
         self.stats.nodes_visited += 1
-        return [part for part in self._content[node] if isinstance(part, int)]
+        return list(self._content[node])
 
     def children_by_tag(self, node: int, tag: str) -> list[int]:
         self.stats.nodes_visited += 1
         tags = self._tags
-        return [
-            part for part in self._content[node]
-            if isinstance(part, int) and tags[part] == tag
-        ]
+        return [child for child in self._content[node] if tags[child] == tag]
 
     def children_by_path(self, node: int, names: tuple[str, ...]) -> list[int]:
-        """The whole run of child steps as one scan of content tuples per
+        """The whole run of child steps as one scan of child-id tuples per
         step, counting a visit per (step, node) as the per-step loop does."""
         tags, content = self._tags, self._content
         found, visited = [node], 0
         for name in names:
             visited += len(found)
-            found = [part for parent in found for part in content[parent]
-                     if part.__class__ is int and tags[part] == name]
+            found = [child for parent in found for child in content[parent]
+                     if tags[child] == name]
         self.stats.nodes_visited += visited
         return found
 
     def size_bytes(self) -> int:
+        """Every column and the heap (packed: ``getsizeof`` covers their
+        payload), attribute dicts, the non-empty child tuples (a leaf's is
+        the one shared empty tuple), the overlay with its runs and the
+        touched nodes, the summary and the ID index."""
         self.require_loaded()
-        # _parents/_posts are packed arrays: getsizeof covers their payload.
-        total = sum(
-            sys.getsizeof(lst)
-            for lst in (self._tags, self._parents, self._posts, self._attrs, self._content)
-        )
-        total += self._payload_bytes()
+        getsizeof = sys.getsizeof
+        total = sum(getsizeof(part) for part in (
+            self._tags, self._parents, self._posts, self._attrs, self._content,
+            self._heap, self._lo, self._hi, self._labels,
+            self._overlay, self._touched))
+        total += self._attribute_bytes()
+        total += sum(getsizeof(children) for children in self._content if children)
+        for parts in self._overlay.values():
+            total += getsizeof(parts) + sum(
+                getsizeof(part) for part in parts if part.__class__ is str)
+        total += sum(getsizeof(node) for node in self._touched)
         total += self.summary.size_bytes()
-        total += sys.getsizeof(self._id_index) + 16 * len(self._id_index)
+        total += getsizeof(self._id_index) + 16 * len(self._id_index)
         return total
 
     # -- summary-powered capabilities ---------------------------------------------
@@ -137,22 +349,27 @@ class SummaryStore(TreeStore):
     def has_id_index(self) -> bool:
         return True
 
+    # -- mutation hooks: a write materialises the content it changes --------------
+
+    def _child_ids(self, node: int) -> tuple[int, ...]:
+        return self._content[node]
+
+    def _reserve(self) -> None:
+        self._content.append(())
+
+    def _set_content(self, node: int, parts: list, children) -> None:
+        """Write ``node``'s content into the overlay (its child ids into
+        its tuple) and mark a loaded node and its ancestors touched, up to
+        the first one already marked."""
+        self._overlay[node] = tuple(parts)
+        self._content[node] = tuple(children)
+        if node < self._bulk:
+            touched, parents = self._touched, self._parents
+            while node >= 0 and node not in touched:
+                touched.add(node)
+                node = parents[node]
+
     # -- mutation hooks: summary extents and the ID index take deltas ------------
-
-    _maintains_child_lists = False      # children derive from content
-
-    def _seal_content(self, parts: list) -> tuple:
-        return tuple(parts)
-
-    def _splice_content(self, parent: int, slot: int, node_id: int) -> None:
-        parts = list(self._content[parent])
-        parts.insert(slot, node_id)
-        self._content[parent] = tuple(parts)
-
-    def _unsplice_content(self, parent: int, node_id: int) -> None:
-        parts = list(self._content[parent])
-        parts.remove(node_id)
-        self._content[parent] = tuple(parts)
 
     def _after_insert(self, new_ids: list[int]) -> None:
         anchor = self._parents[new_ids[0]]

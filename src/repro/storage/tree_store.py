@@ -49,14 +49,9 @@ _SHIFT = 32
 _STEP = 1 << 16
 
 
-def _element_from(parts, slot: int, step: int) -> int | None:
-    """The first element child id at or past content ``slot``, walking by
-    ``step`` (1: forward, -1: backward); None off the end."""
-    while 0 <= slot < len(parts):
-        if parts[slot].__class__ is int:
-            return parts[slot]
-        slot += step
-    return None
+def _slot_of(parts, index: int) -> int:
+    """The content slot of element child ``index`` in ``parts``."""
+    return [slot for slot, part in enumerate(parts) if part.__class__ is int][index]
 
 
 class TreeStore(Store):
@@ -70,9 +65,6 @@ class TreeStore(Store):
     """
 
     architecture = "main memory, pure tree traversal, heuristic optimizer (System F)"
-
-    #: System D derives children from content and overrides the hooks.
-    _maintains_child_lists = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -119,16 +111,13 @@ class TreeStore(Store):
                 posts[stack.pop()] = (len(tags) - 1) << _SHIFT
                 parent = stack[-1] if stack else -1
             else:
-                self._append_text(parent, value)
+                content = contents[parent]
+                if content and content[-1].__class__ is str:
+                    content[-1] += value
+                else:
+                    content.append(value)
         self._bulk = len(tags)
         self.mark_loaded(text)
-
-    def _append_text(self, node: int, text: str) -> None:
-        content = self._content[node]
-        if content and isinstance(content[-1], str):
-            content[-1] += text
-        else:
-            content.append(text)
 
     def size_bytes(self) -> int:
         self.require_loaded()
@@ -139,14 +128,19 @@ class TreeStore(Store):
                         self._content, self._children)
         )
         total += 8 * len(self._parents)              # parents payload
-        total += self._payload_bytes()
+        total += self._attribute_bytes()
+        getsizeof = sys.getsizeof
+        for content in self._content:
+            total += getsizeof(content)
+            for part in content:
+                if part.__class__ is str:
+                    total += getsizeof(part)
         for children in self._children:
-            total += sys.getsizeof(children) + 8 * len(children)
+            total += getsizeof(children) + 8 * len(children)
         return total
 
-    def _payload_bytes(self) -> int:
-        """Attribute dicts and content sequences with the strings they hold,
-        in one flat loop: ``bulkload`` pays this inside every set-up."""
+    def _attribute_bytes(self) -> int:
+        """Attribute dicts with the strings they hold."""
         getsizeof = sys.getsizeof
         total = 0
         for attrs in self._attrs:
@@ -154,11 +148,6 @@ class TreeStore(Store):
                 total += getsizeof(attrs)
                 for name, value in attrs.items():
                     total += getsizeof(name) + getsizeof(value)
-        for content in self._content:
-            total += getsizeof(content)
-            for part in content:
-                if part.__class__ is str:
-                    total += getsizeof(part)
         return total
 
     # -- navigation -----------------------------------------------------------
@@ -310,12 +299,28 @@ class TreeStore(Store):
         return nodes
 
     # -- mutation: array appends + labels placed in the gap -------------------
+    #
+    # Four hooks are all a write reads or writes of a node's content, so
+    # System D, which keeps its text elsewhere, overrides only them.
 
     def _child_ids(self, node: int) -> list[int]:
-        """Raw (uncounted) element-child ids, independent of child lists."""
-        if self._maintains_child_lists:
-            return self._children[node]
-        return [part for part in self._content[node] if isinstance(part, int)]
+        """Raw (uncounted) element-child ids."""
+        return self._children[node]
+
+    def _parts(self, node: int):
+        """Raw (uncounted) content: child ids and text runs interleaved."""
+        return self._content[node]
+
+    def _reserve(self) -> None:
+        """Room for the content of one more node, set by :meth:`_set_content`."""
+        self._content.append([])
+        self._children.append([])
+
+    def _set_content(self, node: int, parts: list, children) -> None:
+        """Replace ``node``'s content with ``parts``, whose element
+        children are ``children``."""
+        self._content[node] = parts
+        self._children[node] = list(children)
 
     def _path_of(self, node: int) -> tuple[str, ...]:
         """Root-to-node tag sequence via the parent chain."""
@@ -336,10 +341,10 @@ class TreeStore(Store):
             parent = parents[node]
             if parent < 0:
                 return None
-            parts = self._content[parent]
-            after = _element_from(parts, parts.index(node) + 1, 1)
-            if after is not None:
-                return self.doc_position(after)
+            siblings = self._child_ids(parent)
+            after = siblings.index(node) + 1
+            if after < len(siblings):
+                return self.doc_position(siblings[after])
             node = parent
 
     def _spread(self, run: list[int], low: int, high: int | None) -> bool:
@@ -353,18 +358,17 @@ class TreeStore(Store):
             labels[node - bulk] = low + step * rank
         return True
 
-    def _label_run(self, root: int, run: list[int], slot: int) -> None:
+    def _label_run(self, root: int, run: list[int], index: int) -> None:
         """Label an inserted subtree (``run``, pre-order, whose ``_posts``
-        hold the id of each subtree's last node; ``root`` at content
-        ``slot`` of its parent) and raise the subtree ends it extends; an
+        hold the id of each subtree's last node; ``root`` is element child
+        ``index`` of its parent) and raise the subtree ends it extends; an
         exhausted gap relabels instead."""
         parents, posts = self._parents, self._posts
         parent = parents[root]
-        parts = self._content[parent]
-        before = _element_from(parts, slot - 1, -1)
-        after = _element_from(parts, slot + 1, 1)
-        low = self.doc_position(parent) if before is None else posts[before]
-        high = self._label_after(parent) if after is None else self.doc_position(after)
+        siblings = self._child_ids(parent)
+        low = self.doc_position(parent) if index == 0 else posts[siblings[index - 1]]
+        high = (self._label_after(parent) if index + 1 == len(siblings)
+                else self.doc_position(siblings[index + 1]))
         if not self._spread(run, low, high):
             self._relabel()
             return
@@ -407,34 +411,6 @@ class TreeStore(Store):
             posts[node] = label(order[last])
         self._inserted = [node for node in order if node >= bulk]
 
-    def _seal_content(self, parts: list):
-        """New-node content representation (SummaryStore freezes tuples)."""
-        return parts
-
-    def _splice_content(self, parent: int, slot: int, node_id: int) -> None:
-        self._content[parent].insert(slot, node_id)
-        if self._maintains_child_lists:
-            self._children[parent] = [
-                part for part in self._content[parent] if isinstance(part, int)]
-
-    def _unsplice_content(self, parent: int, node_id: int) -> None:
-        self._content[parent].remove(node_id)
-        if self._maintains_child_lists:
-            self._children[parent] = [
-                part for part in self._content[parent] if isinstance(part, int)]
-
-    def _content_slot(self, parent: int, index: int | None) -> int:
-        parts = self._content[parent]
-        if index is None:
-            return len(parts)
-        seen = 0
-        for slot, part in enumerate(parts):
-            if isinstance(part, int):
-                if seen == index:
-                    return slot
-                seen += 1
-        return len(parts)
-
     def insert_child(self, parent: int, element: Element,
                      index: int | None = None) -> int:
         self.require_loaded()
@@ -449,33 +425,38 @@ class TreeStore(Store):
             posts.append(0)
             self._labels.append(0)
             self._attrs.append(dict(elem.attributes) if elem.attributes else None)
+            self._reserve()
             parts: list = []
-            self._content.append(parts)     # placeholder; sealed below
-            if self._maintains_child_lists:
-                self._children.append([])
+            children: list[int] = []
             for child in elem.children:
                 if isinstance(child, Text):
-                    if parts and isinstance(parts[-1], str):
+                    if parts and parts[-1].__class__ is str:
                         parts[-1] += child.value
                     else:
                         parts.append(child.value)
                 else:
-                    child_id = build(child, node_id)
-                    parts.append(child_id)
-            if self._maintains_child_lists:
-                self._children[node_id] = [p for p in parts if isinstance(p, int)]
-            self._content[node_id] = self._seal_content(parts)
+                    children.append(build(child, node_id))
+                    parts.append(children[-1])
+            self._set_content(node_id, parts, children)
             posts[node_id] = len(tags) - 1  # the subtree's last id; labelled next
             return node_id
 
-        slot = self._content_slot(parent, index)
+        siblings = self._child_ids(parent)
         root_id = build(element, parent)
-        self._splice_content(parent, slot, root_id)
-        self._label_run(root_id, new_ids, slot)
+        parts = list(self._parts(parent))
+        if index is None or not 0 <= index < len(siblings):
+            index = len(siblings)
+            parts.append(root_id)
+        else:
+            parts.insert(_slot_of(parts, index), root_id)
+        self._set_content(parent, parts, (*siblings[:index], root_id, *siblings[index:]))
+        self._label_run(root_id, new_ids, index)
         self._after_insert(new_ids)
         return root_id
 
     def remove_node(self, node: int) -> None:
+        """Detach ``node``'s subtree; the text runs before and after it,
+        adjacent now, merge into one run as XQuery Update merges them."""
         self.require_loaded()
         parent = self._parents[node]
         if parent < 0:
@@ -498,7 +479,15 @@ class TreeStore(Store):
             holes[bisect_left(holes, (node,)):
                   bisect_left(holes, (last_loaded + 1,))] = [(node, last_loaded)]
         self._drop_window(self._inserted, node)
-        self._unsplice_content(parent, node)
+        parts = list(self._parts(parent))
+        slot = parts.index(node)
+        del parts[slot]
+        if 0 < slot < len(parts) and parts[slot - 1].__class__ is str \
+                and parts[slot].__class__ is str:
+            parts[slot - 1:slot + 1] = [parts[slot - 1] + parts[slot]]
+        siblings = self._child_ids(parent)
+        at = siblings.index(node)
+        self._set_content(parent, parts, (*siblings[:at], *siblings[at + 1:]))
         self._parents[node] = _DETACHED
         self._after_remove(removed)
 
@@ -506,8 +495,8 @@ class TreeStore(Store):
         self.require_loaded()
         rebuilt: list = []
         placed = False
-        for part in self._content[node]:
-            if isinstance(part, str):
+        for part in self._parts(node):
+            if part.__class__ is str:
                 if text and not placed:
                     rebuilt.append(text)
                     placed = True
@@ -515,7 +504,7 @@ class TreeStore(Store):
                 rebuilt.append(part)
         if text and not placed:
             rebuilt.append(text)
-        self._content[node] = self._seal_content(rebuilt)
+        self._set_content(node, rebuilt, self._child_ids(node))
 
     def set_attribute(self, node: int, name: str, value: str) -> None:
         self.require_loaded()
