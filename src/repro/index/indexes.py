@@ -10,10 +10,45 @@ asking the store for a document position.
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_left, bisect_right, insort
 
 from repro.errors import QueryError
+
+#: ``xs:double``'s lexical space for a finite number: ASCII digits, no
+#: ``_`` separators (Python's ``float()`` accepts both, XQuery neither).
+_DOUBLE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_SPECIAL = {"INF": float("inf"), "-INF": float("-inf"), "NaN": float("nan")}
+_DECIMAL = "0123456789."
+_LEAD = frozenset("0123456789.+-IN \t\n\r")     # how a number may start
+
+
+def cast_double(text: str) -> float | None:
+    """``text`` cast to ``xs:double``, or None outside its lexical space.
+
+    The one string-to-number cast: comparisons, arithmetic and the index
+    keys all call it, so they agree on which strings are numbers.  XML
+    whitespace around the number is allowed; the only non-finite spellings
+    are ``INF``, ``-INF`` and ``NaN``.  A string of ASCII digits and dots
+    (every number in the benchmark's document) is one exactly when
+    ``float()`` parses it.  A string whose first character starts no
+    number — a letter other than ``I`` or ``N``, as in an id like
+    ``person12`` — fails without calling ``float()`` or raising; the rest
+    (a sign, an exponent, surrounding whitespace, ``_``, non-ASCII digits,
+    spellings of infinity or NaN) are matched against the lexical space."""
+    if text and not text.strip(_DECIMAL):
+        try:
+            return float(text)
+        except ValueError:              # "." or "1.2.3": rare
+            return None
+    if text[:1] not in _LEAD:
+        return None
+    text = text.strip(" \t\n\r")
+    special = _SPECIAL.get(text)
+    if special is not None:
+        return special
+    return float(text) if _DOUBLE.fullmatch(text) else None
 
 
 def normalize_key(value) -> float | str | None:
@@ -27,15 +62,14 @@ def normalize_key(value) -> float | str | None:
     NaN never equals anything (including itself) under runtime casting, so
     NaN-casting values return None: not indexable, never probe-able.
     """
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, (int, float)):
-        number = float(value)
-    elif isinstance(value, str):
-        try:
-            number = float(value.strip())
-        except ValueError:
+    if isinstance(value, str):          # document text: the common case
+        number = cast_double(value)
+        if number is None:
             return value
+    elif isinstance(value, bool):
+        return 1.0 if value else 0.0
+    elif isinstance(value, (int, float)):
+        number = float(value)
     else:
         return None
     if number != number:                # NaN

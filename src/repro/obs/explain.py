@@ -16,6 +16,9 @@ questions the paper's per-system analysis asks of every query:
   evaluator's documented materialization barriers — ``order by``
   FLWORs, self-axis filter steps, index-bounded range FLWORs — so a
   cursor consumer knows whether first-row latency will be O(1).
+* **How does each variable navigate?**  ``navigation: store $p; navigator
+  $x`` — a variable the emitter proved holds only store nodes calls the
+  store; any other goes through the type-testing ``Navigator``.
 * **Which texts share the plan?**  Plans are cached per query shape (the
   text with its literals lifted into slots); EXPLAIN prints the slot
   count and each slot the plan pinned, with why — a text of the shape
@@ -119,7 +122,15 @@ def describe_compiled(compiled) -> dict:
                    for slot, reason in sorted(compiled.pinned.items())],
         "warnings": list(compiled.warnings),
         "barriers": predict_barriers(compiled.query, compiled.range_plans),
+        "store_bound": _names(compiled.navigation, True),
+        "navigator": _names(compiled.navigation, False),
     }
+
+
+def _names(navigation: tuple, native: bool) -> list[str]:
+    """The variables with a binding site of one kind, first site first."""
+    return list(dict.fromkeys(name for name, proved in navigation
+                              if proved is native))
 
 
 def describe_exchange(compiled) -> dict | None:
@@ -160,6 +171,12 @@ def _plan_lines(plan: dict, indent: str) -> list[str]:
         lines.append(f"{indent}range: ${rng['var']} in /{rng['path']} "
                      f"where {rng['accessor']} {rng['op']} {rng['bound']} "
                      f"(est {rng['est_rows']} vs scan {rng['scan_rows']})")
+    navigation = "; ".join(
+        kind + "".join(f" ${name}" for name in plan[key])
+        for kind, key in (("store", "store_bound"), ("navigator", "navigator"))
+        if plan[key])
+    if navigation:
+        lines.append(f"{indent}navigation: {navigation}")
     return lines
 
 

@@ -192,6 +192,20 @@ class Store(ABC):
                      for child in self.children_by_tag(parent, name)]
         return found
 
+    def values_by_path(self, node: Handle, names: tuple[str, ...],
+                       attribute: str | None = None) -> list[str]:
+        """The strings a run of named child steps followed by ``text()``
+        (``attribute`` None) or ``@attribute`` reaches from ``node``, in
+        document order, empty text runs dropped (default:
+        :meth:`children_by_path`, then :meth:`child_texts` or
+        :meth:`attribute` per node reached)."""
+        found = self.children_by_path(node, names)
+        if attribute is None:
+            return [text for reached in found
+                    for text in self.child_texts(reached) if text]
+        return [value for reached in found
+                if (value := self.attribute(reached, attribute)) is not None]
+
     @abstractmethod
     def descendants_by_tag(self, node: Handle, tag: str) -> list[Handle]:
         """Descendant elements with the given tag, in document order."""

@@ -295,6 +295,29 @@ class SummaryStore(TreeStore):
         self.stats.nodes_visited += visited
         return found
 
+    def values_by_path(self, node: int, names: tuple[str, ...],
+                       attribute: str | None = None) -> list[str]:
+        """:meth:`Store.values_by_path` in one call, visit for visit: the
+        child steps are :meth:`children_by_path`'s scan, a clean leaf's
+        text is its heap slice and a written node's runs its overlay."""
+        found = self.children_by_path(node, names) if names else [node]
+        if attribute is not None:
+            attrs = self._attrs
+            return [value for reached in found
+                    if (own := attrs[reached])
+                    and (value := own.get(attribute)) is not None]
+        self.stats.nodes_visited += len(found)
+        content, overlay, heap, lo, hi = (
+            self._content, self._overlay, self._heap, self._lo, self._hi)
+        texts: list[str] = []
+        for reached in found:
+            if content[reached] or reached in overlay:
+                texts += [part for part in self._parts(reached)
+                          if part.__class__ is str and part]
+            elif lo[reached] < hi[reached]:
+                texts.append(heap[lo[reached]:hi[reached]])
+        return texts
+
     def size_bytes(self) -> int:
         """Every column and the heap (packed: ``getsizeof`` covers their
         payload), attribute dicts, the non-empty child tuples (a leaf's is

@@ -234,15 +234,18 @@ def emit_query(compiled: CompiledQuery) -> None:
     emitter.declare(compiled.query.functions)
     compiled.run, compiled.stream = emitter.emit_both(compiled.query.body, {})
     compiled.frame_size = emitter.slots
+    compiled.navigation = tuple(emitter.navigation)
 
 
 def emit_row_program(compiled: CompiledQuery, variables: tuple[str, ...],
                      where: Expr | None, ret: Expr):
     """``(where test or None, return closure, frame size)`` over
     ``variables`` held in frame slots ``0..n-1``, which the caller fills
-    per row — how an exchange maps a shard's slice of an extent."""
+    per row — how an exchange maps a shard's slice of an extent.  The
+    first is the extent's member, a node of ``compiled``'s store."""
     emitter = _Emitter(compiled)
     emitter.slots = len(variables)
+    emitter.native_slots = {0}
     scope = {name: slot for slot, name in enumerate(variables)}
     test = None if where is None else emitter._test(where, scope)
     run = emitter.emit(ret, scope)
@@ -456,21 +459,30 @@ class _Emitter:
         self.mixed = DomNavigation if dom else self.navigator
         self.functions: dict[str, list] = {}
         self.slots = 0          # slots handed out in the frame being emitted
+        #: Slots of that frame proved to hold only store nodes.
+        self.native_slots: set[int] = set()
+        #: ``(variable, proved)`` per binding site, in emit order.
+        self.navigation: list[tuple[str, bool]] = []
         self.joins = 0
         self.context = False    # lexically inside a predicate
+        self.context_native = False     # ... whose context items are store nodes
 
     def declare(self, functions: dict) -> None:
         """Each declared function's body, emitted once against a frame
         holding only its parameters (static scoping).  A call site captures
         the function's cell and reads it when called, so the knot is tied
-        lazily and (mutual) recursion works."""
+        lazily and (mutual) recursion works.  A parameter is never proved
+        to hold store nodes: a caller may pass anything."""
         self.functions = {name: [None, 0] for name in functions}
         for name, declared in functions.items():
-            outer, self.slots = self.slots, len(declared.params)
+            outer = self.slots, self.native_slots
+            self.slots, self.native_slots = len(declared.params), set()
+            self.navigation += [(param, False) for param in declared.params]
             cell = self.functions[name]
             cell[0] = self.emit(declared.body, {
                 param: slot for slot, param in enumerate(declared.params)})
-            cell[1], self.slots = self.slots, outer
+            cell[1] = self.slots
+            self.slots, self.native_slots = outer
 
     def emit(self, node: Expr, scope: dict):
         return _EMIT[type(node)](self, node, scope)
@@ -484,10 +496,22 @@ class _Emitter:
         run = self.emit(node, scope)
         return run, lambda rt: iter(run(rt))
 
-    def _bind(self, scope: dict, name: str) -> tuple[dict, int]:
-        """A fresh frame slot for one binding site of ``$name``."""
+    def _bind(self, scope: dict, name: str, native: bool) -> tuple[dict, int]:
+        """A fresh frame slot for one binding site of ``$name``, whose
+        every item is a store node when ``native``."""
+        slot = self.slots
         self.slots += 1
-        return {**scope, name: self.slots - 1}, self.slots - 1
+        if native:
+            self.native_slots.add(slot)
+        self.navigation.append((name, native))
+        return {**scope, name: slot}, slot
+
+    def _proved(self, node: Expr, scope) -> bool:
+        """Whether every item ``node`` can evaluate to is a store node (so
+        its paths may navigate the store without the ``Navigator``)."""
+        return store_bound(node, frozenset(
+            name for name, slot in scope.items() if slot in self.native_slots),
+            self.context_native)
 
     # -- primaries -----------------------------------------------------------------
 
@@ -519,11 +543,11 @@ class _Emitter:
         multi-context descendant step (which dedupes and re-sorts
         globally) lies downstream."""
         steps = node.steps
-        strings = steps[-1].axis in ("attribute", "text")
+        strings = _values(node)
         if not is_absolute(node):
             run = self._relative_path(node, scope, strings)
             return run, lambda rt: iter(run(rt))
-        kernels = [self._step(step, scope, self.native, index == 0)
+        kernels = [self._step(step, scope, True, index == 0)
                    for index, step in enumerate(steps)]
         start, resume, windowed = self._access(
             node, self.compiled.path_plans.get(id(node)), scope)
@@ -574,24 +598,38 @@ class _Emitter:
         return run, stream
 
     def _relative_path(self, node: Path, scope, strings: bool):
+        """Steps from a variable's (or an expression's) items.  A root
+        proved to hold only store nodes navigates the store directly, and
+        a value path from it — plain named child steps, then ``text()`` or
+        ``@name`` — is one ``values_by_path`` call per context node; any
+        other root goes through the type-testing ``Navigator``."""
         steps, root = node.steps, node.root
         slot = base = None
         if isinstance(root, VarRef):    # read the slot, skip the call
             slot = self._slot(root.name, scope)
         else:
             base = self.emit(root, scope)
+        native = self._proved(root, scope)
         if steps[0].axis == "self" and len(steps) == 1:     # a filter expression
-            keep = self._filter(steps[0].predicates, scope, None)
+            keep = self._filter(steps[0].predicates, scope, None, native)
             return lambda rt: keep(rt, rt.frame[slot] if base is None else base(rt))
-        # A leading run of two or more plain named child steps is one store
-        # call; a lone step gains nothing over its kernel.
+        nav = self.native if native else self.mixed
+        # A leading run of plain named child steps is one store call: with
+        # the value step after it on a proved root, or when it is two or
+        # more steps long (a lone step gains nothing over its kernel).
         lead = 0
         while (lead < len(steps) and steps[lead].axis == "child"
                and steps[lead].name is not None and not steps[lead].predicates):
             lead += 1
+        last = steps[-1]
+        if native and lead == len(steps) - 1 and not last.predicates and (
+                last.axis == "text" or last.axis == "attribute" and last.name):
+            return _values_path(slot, base, nav.values_by_path,
+                                tuple(step.name for step in steps[:lead]),
+                                last.name)
         names = tuple(step.name for step in steps[:lead]) if lead > 1 else ()
-        by_path = self.mixed.children_by_path
-        kernels = [self._step(step, scope, self.mixed, False)
+        by_path = nav.children_by_path
+        kernels = [self._step(step, scope, native, False)
                    for step in steps[len(names):]]
 
         def run(rt):
@@ -611,11 +649,13 @@ class _Emitter:
             return handles if strings else list(map(NodeItem, handles))
         return run
 
-    def _step(self, step: Step, scope, nav, at_root: bool):
-        """The batch kernel of one step.  Predicates apply per context
-        node (positions count within one parent's matches); only a
-        descendant step entered by several contexts has to dedupe."""
+    def _step(self, step: Step, scope, native: bool, at_root: bool):
+        """The batch kernel of one step over store handles (``native``)
+        or handles of either kind.  Predicates apply per context node
+        (positions count within one parent's matches); only a descendant
+        step entered by several contexts has to dedupe."""
         axis, name = step.axis, step.name
+        nav = self.native if native else self.mixed
         if axis in ("attribute", "text"):
             if step.predicates:
                 raise QueryError(f"predicates on {axis} steps are not supported")
@@ -636,7 +676,7 @@ class _Emitter:
             return kernel
         if axis not in ("child", "descendant"):
             raise QueryError(f"unsupported step axis {axis!r}")
-        keep = (self._filter(step.predicates, scope, NodeItem)
+        keep = (self._filter(step.predicates, scope, NodeItem, native)
                 if step.predicates else None)
         descendant = axis == "descendant"
         if descendant:
@@ -647,7 +687,7 @@ class _Emitter:
         else:
             expand = nav.children_by_tag
         tag, root_of = nav.tag, self.store.root
-        doc_position = (self.navigator if nav is self.mixed else nav).doc_position
+        doc_position = (nav if nav is self.store else self.navigator).doc_position
 
         def kernel(rt, handles):
             if at_root:
@@ -666,14 +706,15 @@ class _Emitter:
             return keep(rt, found) if keep else found
         return kernel
 
-    def _filter(self, predicates: list[Expr], scope, wrap):
+    def _filter(self, predicates: list[Expr], scope, wrap, native: bool):
         """``entries -> entries`` under step predicates, position-aware.
         ``wrap`` makes the context item of an entry: ``NodeItem`` for a
-        step's raw handles, None for a filter expression's items.  Numeric
-        literals fold to an index (a non-integral one selects nothing; the
-        slot is pinned); a statically boolean predicate skips the
-        positional test."""
-        outer, self.context = self.context, True
+        step's raw handles, None for a filter expression's items; entries
+        are store nodes when ``native``.  Numeric literals fold to an
+        index (a non-integral one selects nothing; the slot is pinned); a
+        statically boolean predicate skips the positional test."""
+        outer = self.context, self.context_native
+        self.context, self.context_native = True, native
         tests = []
         for predicate in predicates:
             if isinstance(predicate, Literal) and isinstance(predicate.value, (int, float)):
@@ -683,7 +724,7 @@ class _Emitter:
                 boolean = isinstance(predicate, _BOOLEAN)
                 tests.append(((self._test if boolean else self.emit)(predicate, scope),
                               boolean))
-        self.context = outer
+        self.context, self.context_native = outer
 
         def keep(rt, entries):
             for test in tests:
@@ -721,7 +762,7 @@ class _Emitter:
         store, kind = self.store, plan.kind if plan is not None else "steps"
         if kind == "id_lookup":
             step, tag = node.steps[plan.id_step], self.native.tag
-            keep = self._filter(step.predicates, scope, NodeItem)
+            keep = self._filter(step.predicates, scope, NodeItem, True)
             literal = plan.id_literal
 
             def start(rt):
@@ -776,11 +817,14 @@ class _Emitter:
                 plan = compiled.join_plans.get(id(clause))
                 value = (self.emit(clause.expr, scope) if plan is None
                          else self._join(clause, plan, scope))
-            elif pipelined and index == 0 and isinstance(clause.sequence, Path):
-                value, first_stream = self._path(clause.sequence, scope, True)
+                native = self._proved(clause.expr, scope)
             else:
-                value = self.emit(clause.sequence, scope)
-            scope, slot = self._bind(scope, clause.var)
+                if pipelined and index == 0 and isinstance(clause.sequence, Path):
+                    value, first_stream = self._path(clause.sequence, scope, True)
+                else:
+                    value = self.emit(clause.sequence, scope)
+                native = self._proved(clause.sequence, scope)
+            scope, slot = self._bind(scope, clause.var, native)
             stages.append((slot, value, isinstance(clause, ForClause)))
         where = None if node.where is None else self._test(node.where, scope)
         if range_plan is not None:      # the probe is the where clause
@@ -856,7 +900,8 @@ class _Emitter:
         self.joins += 1
         base = self.emit(plan.inner_base, scope)
         outer_key = self._atoms(plan.outer_key, scope)
-        inner_scope, slot = self._bind(scope, plan.inner_var)
+        inner_scope, slot = self._bind(scope, plan.inner_var,
+                                       self._proved(plan.inner_base, scope))
         inner_key = self._atoms(plan.inner_key, inner_scope)
         ret = clause.expr.ret
         ret = (None if isinstance(ret, VarRef) and ret.name == plan.inner_var
@@ -961,8 +1006,7 @@ class _Emitter:
         if isinstance(node, FunctionCall):
             return (node.name in ("zero-or-one", "exactly-one") and len(node.args) == 1
                     and node.name not in self.functions and self._atomic(node.args[0]))
-        return isinstance(node, (Literal, Arithmetic, Unary) + _BOOLEAN) or (
-            isinstance(node, Path) and node.steps[-1].axis in ("attribute", "text"))
+        return isinstance(node, (Literal, Arithmetic, Unary) + _BOOLEAN) or _values(node)
 
     def _atoms(self, node: Expr, scope):
         """``rt -> atomic values`` of a node: a constant literal is one
@@ -1007,7 +1051,8 @@ class _Emitter:
         upstream = _unit                # the bindings are a FLWOR's for stages
         for clause in node.bindings:
             sequence = self.emit(clause.sequence, scope)
-            scope, slot = self._bind(scope, clause.var)
+            scope, slot = self._bind(scope, clause.var,
+                                     self._proved(clause.sequence, scope))
             upstream = _bind_stage(upstream, slot, sequence, True)
         satisfies = self._test(node.satisfies, scope)
         some = node.kind == "some"
@@ -1123,6 +1168,10 @@ class _Emitter:
             for part in attribute.parts:
                 if isinstance(part, str):
                     pieces.append(escape_attribute(part))
+                elif _values(part):     # strings already: nothing to atomize
+                    run = self.emit(part, scope)
+                    pieces.append(lambda rt, run=run: escape_attribute(
+                        " ".join(run(rt))))
                 else:
                     run = self.emit(part, scope)
                     pieces.append(lambda rt, run=run: escape_attribute(
@@ -1158,6 +1207,41 @@ class _Emitter:
                 pieces.append(lambda rt, run=run: render(run(rt)))
         pieces.append(close)
         return pieces
+
+
+def _values(node: Expr) -> bool:
+    """Whether ``node`` is a path ending in ``text()`` or ``@name``: its
+    items are strings."""
+    return isinstance(node, Path) and node.steps[-1].axis in ("attribute", "text")
+
+
+def store_bound(node: Expr, names: frozenset, context: bool = False) -> bool:
+    """Whether every item ``node`` can evaluate to is a store node, given
+    the in-scope variables proved so (``names``) and whether the context
+    item is one (``context``).  Conservative: an absolute path, or a path
+    rooted at something proved, whose last step is an element step; a
+    proved variable or context item, or a filter over one; a FLWOR whose
+    ``return`` is proved once its own bindings are decided by these rules.
+    Anything else — constructors, ``if``, function calls and parameters,
+    literals, arithmetic — may hold other items."""
+    if isinstance(node, VarRef):
+        return node.name in names
+    if isinstance(node, ContextItem):
+        return context
+    if isinstance(node, Path):
+        axis = node.steps[-1].axis
+        if axis == "self":              # a filter expression
+            return len(node.steps) == 1 and store_bound(node.root, names, context)
+        return axis in ("child", "descendant") and (
+            is_absolute(node) or store_bound(node.root, names, context))
+    if isinstance(node, FLWOR):
+        for clause in node.clauses:
+            sequence = (clause.sequence if isinstance(clause, ForClause)
+                        else clause.expr)
+            names = (names | {clause.var} if store_bound(sequence, names, context)
+                     else names - {clause.var})
+        return store_bound(node.ret, names, context)
+    return False
 
 
 #: Nodes whose value is statically one boolean: emitted as ``rt -> bool``
@@ -1243,6 +1327,28 @@ def _order_key(values, navigator: Navigator):
 
 def _no_context(rt):
     raise QueryError("no context item")
+
+
+def _values_path(slot: int | None, base, values_by_path, names: tuple,
+                 attribute: str | None):
+    """``rt -> strings`` of a value path from a proved root (frame
+    ``slot``, else ``base``): one store call per context node."""
+    def run(rt):
+        items = rt.frame[slot] if base is None else base(rt)
+        single = len(items) == 1
+        try:
+            if single:
+                handle = items[0].handle
+            else:
+                handles = [item.handle for item in items]
+        except AttributeError:
+            raise QueryError(
+                "cannot apply a path step to an atomic value") from None
+        if single:
+            return values_by_path(handle, names, attribute)
+        return [value for handle in handles
+                for value in values_by_path(handle, names, attribute)]
+    return run
 
 
 def _field(store, kind: str, path, accessor):

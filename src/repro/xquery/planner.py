@@ -228,6 +228,10 @@ class CompiledQuery:
     run: object = None                  # rt -> list (or index window)
     stream: object = None               # rt -> iterator over the same items
     frame_size: int = 0                 # variable slots of the main frame
+    #: ``(variable, store-bound)`` per binding site, in emit order: whether
+    #: the emitter proved the variable holds only store nodes (its paths
+    #: call the store) or not (they go through the ``Navigator``).
+    navigation: tuple = ()
     #: A shard's ``(where test, return closure, frame size)`` when its
     #: exchange maps rows (scatter FLWOR, broadcast join).
     row_program: tuple | None = None

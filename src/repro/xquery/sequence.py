@@ -18,6 +18,7 @@ import math
 import operator
 
 from repro.errors import TypeCoercionError
+from repro.index.indexes import cast_double
 from repro.storage.dom_store import DomStore
 from repro.storage.interface import Store
 from repro.xmlio.dom import Element, Text
@@ -207,8 +208,9 @@ class DomNavigation:
     known to be an ``Element`` (System G, whose constructed nodes are
     Elements too): the plain DOM calls, with no per-call type test.  The
     emitted step kernels bind one of three navigations per path — this
-    one, the store itself (an absolute path never meets a constructed
-    node) or a ``Navigator`` (a variable may hold either kind)."""
+    one, the store itself (an absolute path, or a variable proved to hold
+    only store nodes, never meets a constructed node) or a ``Navigator``
+    (a variable that may hold either kind)."""
 
     tag = staticmethod(Element.tag.__get__)
     children_by_tag = staticmethod(Element.find_all)
@@ -233,6 +235,16 @@ class DomNavigation:
     @staticmethod
     def child_texts(element: Element) -> list[str]:
         return [c.value for c in element.children if isinstance(c, Text)]
+
+    @staticmethod
+    def values_by_path(element: Element, names: tuple[str, ...],
+                       attribute: str | None = None) -> list[str]:
+        found = DomNavigation.children_by_path(element, names)
+        if attribute is None:
+            return [c.value for reached in found for c in reached.children
+                    if isinstance(c, Text) and c.value]
+        return [value for reached in found
+                if (value := reached.attributes.get(attribute)) is not None]
 
 
 # -- atomization -------------------------------------------------------------------
@@ -290,10 +302,7 @@ def effective_boolean(sequence: list) -> bool:
 def try_number(value) -> float | None:
     """Coerce one atomic to float, or None when impossible."""
     if type(value) is str:              # document text: the common case
-        try:
-            return float(value)         # float() strips whitespace itself
-        except ValueError:
-            return None
+        return cast_double(value)
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):

@@ -11,19 +11,22 @@ caught here before it could corrupt a query result.
 
 from __future__ import annotations
 
+import re
+import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.benchmark.queries import query_text
 from repro.benchmark.systems import SYSTEMS, get_profile, make_store
-from repro.index import extract_values, normalize_key
+from repro.index import SortedNumericIndex, ValueIndex, extract_values, normalize_key
+from repro.index.indexes import cast_double
 from repro.obs.trace import Tracer
 from repro.service import QueryService
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import SystemProfile, compile_query
-from repro.xquery.sequence import NodeItem, NodeWindow
+from repro.xquery.sequence import COMPARATORS, NodeItem, NodeWindow, try_number
 
 ALL_SYSTEMS = tuple(sorted(SYSTEMS))
 INDEXED_SYSTEMS = tuple(s for s in ALL_SYSTEMS
@@ -60,6 +63,37 @@ _OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+
+
+#: Blanks XML allows around a number, and blanks only ``float()`` allows.
+_BLANKS = " \t\n\r\x0b\x0c\x1c\xa0 "
+_SPELLINGS = ("INF", "-INF", "+INF", "inf", "Inf", "-inf", "infinity",
+              "Infinity", "NaN", "nan", "NAN", "-NaN", "+nan")
+#: Strings at the edge of ``xs:double``'s lexical space: ASCII and other
+#: digits, ``_``, blanks, signs, exponents and every spelling of infinity
+#: and NaN, loose and composed into numerals.
+LEXICAL_EDGES = st.one_of(
+    st.text(alphabet="0123456789١٢５_.+-eE" + _BLANKS + "INFaifnty",
+            max_size=8),
+    st.builds(lambda lead, sign, body, trail: lead + sign + body + trail,
+              st.text(alphabet=_BLANKS, max_size=2),
+              st.sampled_from(("", "+", "-")),
+              st.one_of(st.sampled_from(_SPELLINGS),
+                        st.from_regex(r"[0-9]{0,3}(\.[0-9]{0,2})?([eE][+-]?[0-9]{1,3})?",
+                                      fullmatch=True),
+                        st.from_regex(r"[0-9]_[0-9]{3}", fullmatch=True)),
+              st.text(alphabet=_BLANKS, max_size=2)),
+    st.sampled_from(("10", "10.0", "1e1", " 10 ", "person1", "abc", "")),
+)
+
+#: The reference: ``xs:double``'s lexical space, XML blanks around it.
+_XS_DOUBLE = re.compile(r"[ \t\n\r]*([+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+                        r"(?:[eE][+-]?[0-9]+)?|-?INF|NaN)[ \t\n\r]*")
+
+
+def reference_cast(text: str) -> float | None:
+    match = _XS_DOUBLE.fullmatch(text)
+    return None if match is None else float(match[1])
 
 
 def _scan_range_matches(store, extent, accessor, op, bound):
@@ -227,6 +261,30 @@ class TestProbeEqualsScan:
             if scale == 1.0 and op != "=":
                 assert index.count(op, bound) == len(expected)
 
+    @given(raws=st.lists(LEXICAL_EDGES, min_size=1, max_size=12),
+           probes=st.lists(LEXICAL_EDGES, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_value_and_sorted_probes_equal_the_comparators(self, raws, probes):
+        """Over strings at the edge of ``xs:double``'s lexical space, a
+        hash probe finds exactly the values the runtime ``=`` matches, and
+        a sorted window exactly those ``<`` / ``>=`` order: the indexes and
+        the comparators cast with one function."""
+        hashed, ordered = ValueIndex(None), SortedNumericIndex(None)
+        for seq, raw in enumerate(raws):
+            hashed.add(raw, seq, seq)
+            ordered.add(raw, seq, seq)
+        ordered.freeze()
+        for probe in probes:
+            assert [seq for seq, _handle in hashed.probe(probe)] == [
+                seq for seq, raw in enumerate(raws) if COMPARATORS["="](raw, probe)]
+            bound = cast_double(probe)
+            if bound is None or bound != bound:
+                continue
+            for op in ("<", ">="):
+                window = ordered.window(op, bound)
+                assert sorted(seq for seq, _handle in ordered.pairs(*window)) == [
+                    seq for seq, raw in enumerate(raws) if COMPARATORS[op](raw, probe)]
+
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_path_extents_return_exact_scan_set(self, store_set, system):
         """Every dictionary-encoded path: extent == navigation walk."""
@@ -250,6 +308,60 @@ class TestProbeEqualsScan:
         # honest empty extent.
         assert indexes.covers_path(("site", "people", "bogus")) is True
         assert indexes.path_extent(("site", "people", "bogus")) == []
+
+
+# -- the one number cast ----------------------------------------------------------------
+
+
+class TestCast:
+    @given(text=LEXICAL_EDGES)
+    @example(text="1_000")
+    @example(text="١٢")
+    @example(text="infinity")
+    @example(text=" -INF\n")
+    @example(text="\x0c12")
+    @example(text="1e400")
+    @settings(max_examples=500, deadline=None)
+    def test_cast_is_xs_double_lexical_space(self, text):
+        """The comparators' cast and the index key agree with a regex of
+        the lexical space on every string: a number there, None (a string
+        key) outside it, and NaN never a key."""
+        expected = reference_cast(text)
+        for cast in (cast_double, try_number):
+            value = cast(text)
+            if expected is None or expected == expected:
+                assert value == expected, (cast, text)
+            else:
+                assert value != value, (cast, text)
+        assert normalize_key(text) == (
+            text if expected is None else expected if expected == expected else None)
+
+    def test_an_id_fails_without_raising(self):
+        """An id, a word, a Python-only spelling: no exception is raised
+        anywhere inside the cast (the cast is a test, not a caught
+        ``ValueError``)."""
+        raised = []
+
+        def watch(frame, event, arg):
+            if event == "exception":
+                raised.append(arg[0])
+            return watch
+
+        for text in ("person1234", "item0", "open_auction7", "abc", "inf",
+                     "nan", "", "1_000", "١٢", " 12 ", "$5"):
+            sys.settrace(watch)
+            try:
+                value, key = try_number(text), normalize_key(text)
+            finally:
+                sys.settrace(None)
+            assert (value, key) == ((12.0, 12.0) if text == " 12 " else (None, text))
+        assert raised == []
+        sys.settrace(watch)
+        try:
+            assert cast_double("1.2.3") is None     # only a numeral can raise
+        finally:
+            sys.settrace(None)
+        assert raised == [ValueError]
 
 
 # -- planner choices ------------------------------------------------------------------

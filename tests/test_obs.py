@@ -23,7 +23,9 @@ from repro.obs import (
 from repro.obs.trace import TRACE_SCHEMA_VERSION, Span
 from repro.service.metrics import ServiceMetrics
 from repro.xmlio.parser import parse
+from repro.xquery.ast import FLWOR, ForClause, Path, walk
 from repro.xquery.evaluator import evaluate
+from repro.xquery.parser import parse_query
 from repro.xquery.planner import compile_query
 
 ALL_SYSTEMS = tuple("ABCDEFG")
@@ -229,6 +231,26 @@ class TestExplain:
         assert explain["shard"]["shards"] == 2
         broadcast = traced_sharded_db.session().explain(8, system="S")
         assert broadcast["shard"]["kind"] == "broadcast_join"
+
+    @pytest.mark.parametrize("query", (8, 9, 10, 11, 12, 19))
+    def test_navigation_names_the_store_bound_variables(self, traced_db, query):
+        """Every ``for`` variable a path binds is store-bound; a ``let``
+        over constructors (Q9's ``$a``, Q10's ``$p``), atomics (Q10's
+        ``$i``, Q19's ``$k``) go through the ``Navigator``."""
+        explain = traced_db.session().explain(query, system="D")
+        plan = explain["plan"]
+        fors = {clause.var for node in walk(parse_query(query_text(query)))
+                if isinstance(node, FLWOR)
+                for clause in node.clauses
+                if isinstance(clause, ForClause) and isinstance(clause.sequence, Path)}
+        assert fors and fors <= set(plan["store_bound"])
+        assert not set(plan["store_bound"]) & set(plan["navigator"])
+        navigator = {9: ["a"], 10: ["i", "p"], 19: ["k"]}.get(query, [])
+        assert sorted(plan["navigator"]) == navigator
+        line = "  navigation: store " + " ".join(f"${name}" for name in plan["store_bound"])
+        if navigator:
+            line += "; navigator " + " ".join(f"${name}" for name in plan["navigator"])
+        assert line in explain.render().splitlines()
 
     def test_explain_does_not_execute(self, traced_db):
         tracer = traced_db.tracer

@@ -103,7 +103,8 @@ class TestComparisonsAndArithmetic:
             run(store, query)
 
     @pytest.mark.parametrize("literal, lexical", [
-        ("nan", "NaN"), ("inf", "INF"), ("-inf", "-INF"), ("1e400", "INF"),
+        ("NaN", "NaN"), ("INF", "INF"), ("-INF", "-INF"), ("1e400", "INF"),
+        (" -1E400\t", "-INF"),
     ])
     def test_non_finite_numbers_render_in_xquery_lexical_form(self, store,
                                                               literal, lexical):
@@ -112,6 +113,15 @@ class TestComparisonsAndArithmetic:
         embedded = run(store, f'<v a="{{number("{literal}")}}">'
                               f'{{number("{literal}")}}</v>')
         assert embedded.serialize() == f'<v a="{lexical}">{lexical}</v>'
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "+INF",
+                                         "Infinity", "1_000", "١٢"])
+    def test_python_only_number_spellings_do_not_cast(self, store, literal):
+        """``float()`` reads these; ``xs:double`` does not."""
+        with pytest.raises(TypeCoercionError, match="cannot cast"):
+            run(store, f'number("{literal}")')
+        assert run(store, f'"{literal}" = "1000"').items == [False]
+        assert run(store, f'"{literal}" > 0').items == [False]
 
     def test_equality_string_vs_number(self, store):
         assert run(store, '"10" = 10').items == [True]
