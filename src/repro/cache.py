@@ -58,19 +58,6 @@ class CacheStats:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    def copy(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.invalidations)
-
-    def since(self, baseline: "CacheStats") -> "CacheStats":
-        """The counter deltas accumulated after ``baseline`` was copied —
-        per-measurement-window statistics on a service-lifetime cache."""
-        return CacheStats(
-            self.hits - baseline.hits,
-            self.misses - baseline.misses,
-            self.evictions - baseline.evictions,
-            self.invalidations - baseline.invalidations,
-        )
-
 
 def track(registry, name: str, stats: CacheStats) -> None:
     """Export one cache's counters as live ``cache.hits`` / ``misses`` /
@@ -250,12 +237,3 @@ class PlanCache:
             if len(texts) >= 8 * self.capacity:
                 del texts[next(iter(texts))]
             texts[text] = shape
-
-    def clear(self) -> int:
-        """Drop every plan (a reload bound them to superseded stores)."""
-        with self._lock:
-            dropped = sum(len(plans) for plans in self._plans.values())
-            self._plans.clear()
-            self._texts.clear()
-            self.stats.invalidations += dropped
-        return dropped

@@ -5,10 +5,9 @@
     xmark query -f 0.005 -q 8 -s D
     xmark bench  -f 0.005 --table 3
     xmark index  -f 0.005 -s BD
-    xmark serve-bench -f 0.005 -s D -c 8 -n 25
     xmark shard  -f 0.005 -n 3 -q 1 -q 8
     xmark trace  -f 0.005 -q 8 -s D
-    xmark stats  -f 0.005 -s D -n 25
+    xmark stats  -f 0.005 -s BD
     xmark recover --dir ./durable
     xmark checkpoint --dir ./durable
     xmark serve  -f 0.005 -s D --port 7720
@@ -124,37 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--json", dest="json_path", default=None,
                         help="also write the per-op report to this file")
 
-    serve = commands.add_parser(
-        "serve-bench",
-        help="run a concurrent multi-client workload through the query service",
-        description="Load the document into the chosen systems, replay a "
-                    "deterministic multi-client workload (Zipf-skewed query "
-                    "popularity, exponential think times) through the "
-                    "QueryService's worker pool, and report throughput, "
-                    "latency percentiles, and cache hit rates.")
-    serve.add_argument("-f", "--factor", type=float, default=0.005,
-                       help="document scaling factor (default 0.005)")
-    serve.add_argument("-s", "--systems", default="D",
-                       help="system letters to serve, e.g. 'D' or 'BD' (default D)")
-    serve.add_argument("-c", "--clients", type=int, default=4,
-                       help="number of concurrent closed-loop clients (default 4)")
-    serve.add_argument("-n", "--requests", type=int, default=25,
-                       help="requests per client (default 25)")
-    serve.add_argument("--workers", type=int, default=8,
-                       help="worker pool size (default 8)")
-    serve.add_argument("--think-ms", type=float, default=2.0,
-                       help="mean client think time in ms (default 2.0)")
-    serve.add_argument("--zipf", type=float, default=1.0,
-                       help="Zipf exponent of query popularity (default 1.0)")
-    serve.add_argument("--seed", type=int, default=None,
-                       help="workload seed (default: the built-in workload seed)")
-    serve.add_argument("--no-plan-cache", action="store_true",
-                       help="disable compiled-plan reuse")
-    serve.add_argument("--no-result-cache", action="store_true",
-                       help="disable result caching")
-    serve.add_argument("--json", dest="json_path", default=None,
-                       help="also write the full metrics snapshot to this file")
-
     shard = commands.add_parser(
         "shard",
         help="partition the document and run scatter-gather queries",
@@ -212,20 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="run a service workload and print the unified metrics registry",
-        description="Replay a small deterministic multi-client workload "
-                    "through the QueryService, then print every metric the "
-                    "unified registry collected — counters, gauges, and "
+        help="answer Q1-Q20 through the query service and print its metrics",
+        description="Answer each of Q1-Q20 once on every requested system "
+                    "through a service connection, then print every metric "
+                    "the unified registry collected — counters, gauges, and "
                     "ring-buffer latency histograms, with per-system "
                     "labels — in the text exposition format.")
     stats.add_argument("-f", "--factor", type=float, default=0.005,
                        help="document scaling factor (default 0.005)")
     stats.add_argument("-s", "--systems", default="D",
                        help="system letters to serve (default D)")
-    stats.add_argument("-c", "--clients", type=int, default=4,
-                       help="number of concurrent clients (default 4)")
-    stats.add_argument("-n", "--requests", type=int, default=25,
-                       help="requests per client (default 25)")
     stats.add_argument("--json", dest="json_path", default=None,
                        help="also write the registry snapshot to this file")
 
@@ -733,89 +697,32 @@ def _trace_command(args) -> int:
 
 
 def _stats_command(args) -> int:
-    """``xmark stats``: a small workload, then the registry's text form."""
+    """``xmark stats``: Q1-Q20 once per system, then the registry's text form."""
     from repro.benchmark.systems import parse_system_letters
+    from repro.db import connect
     from repro.errors import BenchmarkError
-    from repro.service import QueryService, WorkloadSpec
-    from repro.service.workload import DEFAULT_WORKLOAD_SEED
 
     try:
         systems = parse_system_letters(args.systems)
-        spec = WorkloadSpec(
-            clients=args.clients,
-            requests_per_client=args.requests,
-            systems=systems,
-            seed=DEFAULT_WORKLOAD_SEED,
-        )
         text = generate_string(args.factor)
-        with QueryService(text, systems) as service:
+        with connect(text, systems=systems, service=True) as db:
             for system in systems:
-                if system in service.failed_loads:
+                if system in db.failed_loads:
                     print(f"system {system} failed to load: "
-                          f"{service.failed_loads[system]}", file=sys.stderr)
+                          f"{db.failed_loads[system]}", file=sys.stderr)
                     return 1
-            service.run_workload(spec)
-            print(service.export_metrics(as_text=True))
+            session = db.session()
+            for system in systems:
+                for number in sorted(QUERIES):
+                    session.execute(number, system=system).fetchall()
+            print(db.service.export_metrics(as_text=True))
             if args.json_path:
                 with open(args.json_path, "w", encoding="utf-8") as handle:
-                    json.dump(service.export_metrics(), handle, indent=2)
+                    json.dump(db.service.export_metrics(), handle, indent=2)
                 print(f"wrote {args.json_path}")
     except BenchmarkError as exc:
         print(f"stats: {exc}", file=sys.stderr)
         return 2
-    return 0
-
-
-def _serve_bench(args) -> int:
-    from repro.benchmark.systems import parse_system_letters
-    from repro.errors import BenchmarkError
-    from repro.service import QueryService, WorkloadGenerator, WorkloadSpec
-    from repro.service.workload import DEFAULT_WORKLOAD_SEED
-
-    try:
-        systems = parse_system_letters(args.systems)
-        spec = WorkloadSpec(
-            clients=args.clients,
-            requests_per_client=args.requests,
-            systems=systems,
-            zipf_exponent=args.zipf,
-            think_mean_seconds=args.think_ms / 1000.0,
-            seed=args.seed if args.seed is not None else DEFAULT_WORKLOAD_SEED,
-        )
-        generator = WorkloadGenerator(spec)
-        text = generate_string(args.factor)
-        with QueryService(
-            text, systems,
-            max_workers=args.workers,
-            plan_cache_size=0 if args.no_plan_cache else 128,
-            result_cache_size=0 if args.no_result_cache else 1024,
-        ) as service:
-            for system in systems:
-                if system in service.failed_loads:
-                    print(f"system {system} failed to load: "
-                          f"{service.failed_loads[system]}", file=sys.stderr)
-                    return 1
-            snapshot = service.run_workload(generator)
-            registry_text = service.export_metrics(as_text=True)
-    except BenchmarkError as exc:
-        print(f"serve-bench: {exc}", file=sys.stderr)
-        return 2
-    snapshot["workload"] = {
-        "systems": list(systems), "clients": spec.clients,
-        "requests_per_client": spec.requests_per_client,
-        "zipf_exponent": spec.zipf_exponent,
-        "think_mean_ms": args.think_ms, "seed": spec.seed,
-        "popularity_order": list(generator.popularity_order),
-    }
-    print(f"served {snapshot['completed']} queries from {spec.clients} client(s) "
-          f"on {'/'.join(systems)} in {snapshot['elapsed_seconds']:.3f} s "
-          f"({snapshot['throughput_qps']:.1f} qps)")
-    # Everything measured, straight from the unified registry.
-    print(registry_text)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2)
-        print(f"wrote {args.json_path}")
     return 0
 
 
@@ -1071,8 +978,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "update":
         return _update_report(args)
 
-    if args.command == "serve-bench":
-        return _serve_bench(args)
 
     if args.command == "trace":
         return _trace_command(args)

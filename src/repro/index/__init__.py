@@ -23,8 +23,7 @@ purely through the store's own navigation API — so one builder serves all
 seven architectures and the resulting extents are identical across them.
 The planner (:mod:`repro.xquery.planner`) consults the per-field cardinality
 statistics to choose scan vs probe; the evaluator executes the probe
-operators; the service layer drops a store's ``IndexSet`` together with its
-cached results when a document is reloaded.
+operators.
 
 Under document *updates* the set stays current by per-node deltas
 (:mod:`repro.index.maintenance`, driven by :mod:`repro.update.engine`);

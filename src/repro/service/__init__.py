@@ -6,28 +6,25 @@ flags multi-user concurrency and compiled-plan reuse as exactly what such a
 benchmark leaves out.  This package opens that scenario:
 
 * :class:`~repro.service.service.QueryService` — bounded worker pool with
-  per-system admission control; ``submit()`` / ``submit_batch()``.
+  per-system admission control (``submit()`` / ``execute()``), and the
+  one write path its commits take.
 * :class:`~repro.service.cache.ResultCache` — an LRU cache of query
   results with hit/miss statistics and digest-based invalidation (plans
   live in the connection's one :class:`repro.cache.PlanCache`).
-* :class:`~repro.service.workload.WorkloadGenerator` — deterministic
-  multi-client query streams (Zipf-skewed popularity, exponential think
-  times) seeded through :mod:`repro.rng`.
-* :class:`~repro.service.metrics.ServiceMetrics` — throughput and
-  p50/p95/p99 latency collection.
+* :class:`~repro.service.metrics.ServiceMetrics` — p50/p95/p99 latency,
+  compile and queue-wait collection.
 
-See DESIGN.md ("The query service") for the architecture.
+The performance ledger (``benchmarks/ledger/``) is what drives load
+through it; see DESIGN.md ("The query service") for the architecture.
 """
 
 from repro.cache import CacheStats, LRUCache
 from repro.service.cache import ResultCache
 from repro.service.metrics import LatencySummary, ServiceMetrics, percentile
 from repro.service.service import QueryOutcome, QueryService, ShardSpec
-from repro.service.workload import ClientRequest, WorkloadGenerator, WorkloadSpec
 
 __all__ = [
     "CacheStats",
-    "ClientRequest",
     "LRUCache",
     "LatencySummary",
     "QueryOutcome",
@@ -35,7 +32,5 @@ __all__ = [
     "ResultCache",
     "ServiceMetrics",
     "ShardSpec",
-    "WorkloadGenerator",
-    "WorkloadSpec",
     "percentile",
 ]

@@ -1,23 +1,17 @@
-"""Service-side measurement — now a shim over the unified registry.
+"""Service-side measurement over the unified registry.
 
-The public surface (``percentile``, :class:`LatencySummary`,
-:class:`ServiceMetrics`) is unchanged from the original collector, but
-the storage moved to :mod:`repro.obs.metrics`: latency, compile and
-queue-wait samples live in fixed-size ring-buffer histograms instead of
-unbounded lists, so a long-running workload no longer grows memory with
-every query.  Counts (``completed``, cache hits, errors) stay exact —
-they are totals, not samples; percentiles are estimated over the most
-recent ``window`` samples.
+Latency, compile and queue-wait samples live in the fixed-size
+ring-buffer histograms of :mod:`repro.obs.metrics`, so a long-running
+service does not grow memory with every query.  Counts (``completed``,
+cache hits, errors) stay exact — they are totals, not samples;
+percentiles are estimated over the most recent ``window`` samples.
 
 ``ServiceMetrics.registry`` exposes the backing
 :class:`~repro.obs.metrics.MetricsRegistry`, which is how the service's
-numbers reach the shared text/JSON exporters (``xmark stats``,
-``xmark serve-bench``).
+numbers reach the shared text/JSON exporters (``xmark stats``).
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.obs.metrics import LatencySummary, MetricsRegistry, percentile
 
@@ -28,11 +22,8 @@ DEFAULT_WINDOW = 2048
 
 
 class ServiceMetrics:
-    """Thread-safe collector for one service measurement window.
-
-    Compatibility shim: same API and ``snapshot()`` shape as the
-    original list-backed collector, bounded memory underneath.
-    """
+    """Thread-safe collector for every query one service answered,
+    over the bounded histograms of its registry."""
 
     def __init__(self, *, window: int = DEFAULT_WINDOW,
                  registry: MetricsRegistry | None = None) -> None:
@@ -49,10 +40,6 @@ class ServiceMetrics:
             "service.plan_cache_hits_total")
         self._result_hits = self.registry.counter(
             "service.result_cache_hits_total")
-        self._window_gauge = self.registry.gauge("service.window_seconds")
-        self._first_start: float | None = None
-        self._last_finish: float | None = None
-        self._edge_lock = threading.Lock()
 
     def record(self, *, started: float, finished: float,
                compile_seconds: float, queue_seconds: float,
@@ -78,11 +65,6 @@ class ServiceMetrics:
             self.registry.histogram("service.latency_seconds",
                                     window=self._latency.window,
                                     system=system).observe(latency)
-        with self._edge_lock:
-            if self._first_start is None or started < self._first_start:
-                self._first_start = started
-            if self._last_finish is None or finished > self._last_finish:
-                self._last_finish = finished
 
     def record_error(self, system: str | None = None) -> None:
         self._errors.inc()
@@ -93,31 +75,11 @@ class ServiceMetrics:
     def completed(self) -> int:
         return self._completed.value
 
-    def elapsed_seconds(self) -> float:
-        """Width of the window from first submit-start to last finish."""
-        with self._edge_lock:
-            if self._first_start is None or self._last_finish is None:
-                return 0.0
-            return self._last_finish - self._first_start
-
-    def throughput_qps(self) -> float:
-        elapsed = self.elapsed_seconds()
-        return self.completed / elapsed if elapsed > 0 else 0.0
-
-    def latency_summary(self) -> LatencySummary:
-        return self._latency.summary()
-
     def snapshot(self) -> dict:
-        """One JSON-ready dict: qps, latency distribution, cache hit counts."""
-        completed = self.completed
-        elapsed = self.elapsed_seconds()
-        self._window_gauge.set(elapsed)
+        """One JSON-ready dict: latency distributions, cache hit counts."""
         return {
-            "completed": completed,
+            "completed": self.completed,
             "errors": self._errors.value,
-            "elapsed_seconds": round(elapsed, 4),
-            "throughput_qps": (round(completed / elapsed, 2)
-                               if elapsed > 0 else 0.0),
             "latency": self._latency.summary().as_dict(),
             "compile_latency": self._compile.summary().as_dict(),
             "queue_wait": self._queue.summary().as_dict(),

@@ -17,8 +17,8 @@ zero writers serves no one.  This package adds the missing dimension:
   digest, and reports
   the change footprint the result cache invalidates by.
 * :mod:`repro.update.stream` — deterministic update generation on the
-  benchmark's replayable RNG streams, used by the mixed read/write
-  service workload and the ledger's write workloads.
+  benchmark's replayable RNG streams, used by ``xmark update``'s
+  cross-system differential check and the tests' read/write runs.
 
 See docs/UPDATES.md for the operation semantics, the per-store mutation
 strategies, and the incremental-maintenance invariants.

@@ -25,7 +25,7 @@ class WritePath:
     """One owner's write path over its live store map.
 
     ``lock`` is the connection's update lock (an ``RLock``: its owner
-    also holds it around reloads and checkpoints).  ``exclusion()``
+    also holds it around checkpoints).  ``exclusion()``
     returns the context manager that keeps readers off the stores for
     the whole commit — a service drains every admission gate, a direct
     connection has no readers to wait for.  ``invalidate(old_digests,

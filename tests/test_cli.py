@@ -127,21 +127,6 @@ class TestCli:
     def test_update_rejects_unknown_system(self, capsys):
         assert main(["update", "-f", "0.0005", "-s", "DZ"]) == 2
 
-    def test_serve_bench(self, tmp_path, capsys):
-        report = tmp_path / "serve.json"
-        assert main(["serve-bench", "-f", "0.0005", "-s", "D", "-c", "2",
-                     "-n", "4", "--think-ms", "0.5", "--json", str(report)]) == 0
-        out = capsys.readouterr().out
-        assert "qps" in out
-        # stats now print through the unified registry's text exporter
-        assert "service.latency_seconds" in out
-        assert 'service.queries_total{system="D"} 8' in out
-        import json
-        snapshot = json.loads(report.read_text())
-        assert snapshot["completed"] == 8
-        assert snapshot["workload"]["clients"] == 2
-        assert "p99_ms" in snapshot["latency"]
-
     def test_shard_report(self, tmp_path, capsys):
         report = tmp_path / "shard.json"
         assert main(["shard", "-f", "0.0005", "-n", "3", "-b", "F",

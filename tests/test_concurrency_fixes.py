@@ -5,8 +5,9 @@ Each test pins one fix from the shared-state pass's findings:
 * ``QueryService.close`` — the closed latch now flips under the update
   lock, so concurrent closers agree on one winner and the query log is
   closed exactly once;
-* ``QueryService.run_workload`` — the metrics snapshot swap happens
-  under the update lock;
+* ``QueryService.submit`` — a ``close()`` that lands between the open
+  check and the pool hand-off raises the service's typed closed error,
+  not the pool's ``RuntimeError``;
 * ``WireClient.request`` — a truncated reply marks the session closed
   *inside* the request lock, so a racing request can never slip a send
   onto the dead socket between the None reply and the flag flip.
@@ -55,6 +56,20 @@ class TestQueryServiceCloseRace:
         svc.close()
         svc.close()                   # second call is a quiet no-op
 
+    def test_submit_racing_close_gets_a_typed_error(self, small_text,
+                                                    monkeypatch):
+        svc = QueryService(small_text, ("D",), max_workers=1)
+        real_store = svc.store
+
+        def store_then_close(system):
+            store = real_store(system)
+            svc.close()               # lands after submit's open check
+            return store
+
+        monkeypatch.setattr(svc, "store", store_then_close)
+        with pytest.raises(BenchmarkError, match="query service is closed"):
+            svc.submit("D", 1)
+
 
 class TestWireClientTruncatedReply:
     @staticmethod
@@ -89,16 +104,3 @@ class TestWireClientTruncatedReply:
             client.request({"kind": "ping"})
         with pytest.raises(ClosedSessionError):
             client.request({"kind": "ping"})
-
-
-class TestWorkloadMetricsSwap:
-    def test_reset_metrics_still_resets(self, small_text):
-        from repro.service import WorkloadGenerator, WorkloadSpec
-        spec = WorkloadSpec(clients=2, requests_per_client=2,
-                            systems=("D",), think_mean_seconds=0.0)
-        with QueryService(small_text, ("D",), max_workers=2) as svc:
-            first = svc.run_workload(WorkloadGenerator(spec))
-            second = svc.run_workload(WorkloadGenerator(spec))
-        assert first["completed"] == spec.total_requests
-        # a fresh snapshot per run: counts do not accumulate across runs
-        assert second["completed"] == spec.total_requests

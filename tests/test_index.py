@@ -23,7 +23,6 @@ from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.index import SortedNumericIndex, ValueIndex, extract_values, normalize_key
 from repro.index.indexes import cast_double
 from repro.obs.trace import Tracer
-from repro.service import QueryService
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import SystemProfile, compile_query
 from repro.xquery.sequence import COMPARATORS, NodeItem, NodeWindow, try_number
@@ -539,22 +538,24 @@ class TestInvalidation:
         without = {q: evaluate(c).serialize() for q, c in plans.items()}
         assert with_indexes == without
 
-    def test_service_reload_invalidates_indexes_with_results(self, tiny_text,
-                                                             small_text):
+    def test_service_commit_maintains_indexes_with_results(self, tiny_text):
+        """A commit through the service keeps the store's IndexSet (it is
+        maintained by deltas, not dropped), and the served answers match a
+        scan over the updated document."""
+        from repro.service import QueryService
+        from repro.update import RegisterPerson, UpdateStream
+
         with QueryService(tiny_text, ("D",), max_workers=2) as service:
-            first = service.execute("D", 1)
-            old_store = service.stores["D"]
-            old_indexes = old_store.indexes
-            assert old_indexes is not None
-            assert "D" in service.index_stats()
-            service.reload_document(small_text)
-            # Superseded per-document state is gone as one unit: the old
-            # store's indexes and the old digest's cached results.
-            assert old_store.indexes is None
-            assert service.result_cache.stats.invalidations >= 1
-            fresh = service.stores["D"]
-            assert fresh.indexes is not None
-            assert fresh.indexes is not old_indexes
-            again = service.execute("D", 1)
-            assert again.result_cache_hit is False
-            assert len(again.result) == len(first.result)
+            store = service.store("D")
+            indexes = store.indexes
+            assert indexes is not None
+            for query in (1, 5, 8):
+                service.execute("D", query)
+            service.apply_update(
+                RegisterPerson(UpdateStream(store).build_person()))
+            assert store.indexes is indexes
+            for query in (1, 5, 8):
+                scan = compile_query(query_text(query), store,
+                                     _scan_profile("D"))
+                assert service.execute("D", query).result.serialize() == \
+                    evaluate(scan).serialize()

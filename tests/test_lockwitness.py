@@ -11,6 +11,7 @@ live counterpart of the CI lockwitness run over the tier-1 suite.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from repro import connect
 from repro.analyze import Project, cross_check, default_src_root
 from repro.analyze.lockwitness import LockWitness, _WitnessedLock
-from repro.service import QueryService, WorkloadGenerator, WorkloadSpec
+from repro.service import QueryService
+from repro.update import UpdateStream
 
 HERE = Path(__file__).resolve().parent
 
@@ -131,11 +133,22 @@ class TestCrossCheck:
         witness = LockWitness()
         witness.install()
         try:
-            spec = WorkloadSpec(clients=3, requests_per_client=4,
-                                systems=("D",), think_mean_seconds=0.0,
-                                write_ratio=0.25)
             with QueryService(small_text, ("D",), max_workers=4) as svc:
-                svc.run_workload(WorkloadGenerator(spec))
+                stream = UpdateStream(svc.store("D"))
+                draw = threading.Lock()
+
+                def client(rank: int) -> None:
+                    for seq in range(4):
+                        if (rank + seq) % 4 == 0:
+                            with draw:
+                                op = stream.next_op()
+                                stream.note_applied(op)
+                                svc.apply_update(op)
+                        else:
+                            svc.submit("D", (1, 2, 5)[seq % 3]).result()
+
+                with ThreadPoolExecutor(max_workers=3) as clients:
+                    list(clients.map(client, range(3)))
                 svc.submit("D", 1)
         finally:
             witness.uninstall()
@@ -179,6 +192,11 @@ class TestCrossCheck:
         verdict = cross_check(workload_witness, project)
         assert verdict["dynamic_cycles"] == []
         assert verdict["union_cycles"] == []
+        # The commit order the static pass cannot prove (WritePath takes
+        # its lock and exclusion as data) is in the union graph.
+        union = set(verdict["static_edges"]) | set(verdict["dynamic_edges"])
+        assert ("repro.service.service:QueryService._update_lock",
+                "repro.service.service:QueryService._admission") in union
 
     def test_dynamic_sites_join_static_registry(self, workload_witness):
         project = Project.load(default_src_root(), package="repro")

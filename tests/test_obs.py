@@ -547,10 +547,11 @@ class TestObsCli:
     def test_stats_command(self, tmp_path, capsys):
         from repro.cli import main
         report = tmp_path / "stats.json"
-        assert main(["stats", "-f", "0.0005", "-c", "2", "-n", "4",
+        assert main(["stats", "-f", "0.0005", "-s", "BD",
                      "--json", str(report)]) == 0
         out = capsys.readouterr().out
-        assert "service.queries_total" in out
         assert "service.latency_seconds" in out
+        assert 'service.queries_total{system="B"} 20' in out
         snapshot = json.loads(report.read_text())
-        assert snapshot["counters"]["service.queries_total"] == 8
+        assert snapshot["counters"]["service.queries_total"] == 40
+        assert snapshot["counters"]["service.errors_total"] == 0

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.benchmark.queries import query_text
-from repro.benchmark.systems import get_profile
+from repro.benchmark.systems import get_profile, make_store
 from repro.cache import PlanCache
 from repro.errors import QueryError, QuerySyntaxError
 from repro.server import XMarkServer, connect_url, serve_in_thread
@@ -379,6 +379,21 @@ class TestPinned:
         assert len(cache) == 1 and cache.stats.evictions == 1
         assert cache.lookup("D", texts[-1], store, profile)[2]
         assert not cache.lookup("D", texts[0], store, profile)[2]
+
+    def test_a_plan_of_another_store_is_not_served(self, loaded_stores,
+                                                   tiny_text):
+        """A plan is bound to the store it was compiled on: the same
+        system name over another store instance compiles afresh."""
+        profile, cache = get_profile("D"), PlanCache(4)
+        old, new = loaded_stores["D"], make_store("D")
+        new.load(tiny_text)
+        text = query_text(6)
+        stale = cache.lookup("D", text, old, profile)[0]
+        fresh, values, hit = cache.lookup("D", text, new, profile)
+        assert not hit and fresh is not stale and fresh.store is new
+        assert cache.lookup("D", text, new, profile)[0] is fresh
+        assert evaluate(fresh, values=values).serialize() == \
+            evaluate(compile_query(text, new, profile)).serialize()
 
     def test_system_g_still_plans_nothing(self, loaded_stores):
         for number in range(1, 21):

@@ -546,8 +546,6 @@ class TestDurableConnection:
         try:
             assert db2.recovery.replayed == 2
             assert db2.document_digest("F") == digest
-            with pytest.raises(DurabilityError):
-                db2.service.reload_document("<site></site>")
         finally:
             db2.close()
 

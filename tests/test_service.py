@@ -1,26 +1,26 @@
-"""The query service: caching, workload determinism, metrics, concurrency.
+"""The query service: caching, metrics, concurrency, the write path.
 
 Covers the serving layer's contracts:
 
 * plan-cache reuse (the same compiled object, zero recompilation),
-* result-cache invalidation when the document changes,
-* deterministic workload generation under a fixed seed,
+* result-cache invalidation when a commit changes the document,
 * latency-percentile math,
 * thread-safety regression: the same query from 8 threads must return
-  identical results on every store architecture the service targets.
+  identical results on every store architecture the service targets,
+  and many clients submitting and committing at once finish cleanly.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import threading
+import time
 
 import pytest
 
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, XMarkError
 from repro.service import (
-    LRUCache, QueryService, ResultCache, ServiceMetrics,
-    WorkloadGenerator, WorkloadSpec, percentile,
+    LRUCache, QueryService, ResultCache, ServiceMetrics, ShardSpec, percentile,
 )
 from repro.service.metrics import LatencySummary
 from repro.benchmark.queries import QUERIES, query_text
@@ -29,6 +29,10 @@ from repro.xmlgen.config import GeneratorConfig
 from repro.xmlgen.generator import XMarkGenerator
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import compile_query
+
+
+#: Queries that stay interactive on every architecture (no value joins).
+INTERACTIVE = (1, 2, 3, 5, 6, 7, 13, 14, 15, 16, 17, 20)
 
 
 @pytest.fixture(scope="module")
@@ -192,57 +196,64 @@ class TestPercentiles:
         snapshot = metrics.snapshot()
         assert snapshot["completed"] == 10
         assert snapshot["plan_cache_hits"] == 5
-        assert snapshot["elapsed_seconds"] == pytest.approx(9.5)
-        assert snapshot["throughput_qps"] == pytest.approx(10 / 9.5, abs=0.01)
         assert snapshot["latency"]["p50_ms"] == pytest.approx(500.0)
 
 
-class TestWorkloadGenerator:
-    def test_same_seed_identical_stream(self):
-        spec = WorkloadSpec(clients=6, requests_per_client=40, think_mean_seconds=0.001)
-        assert WorkloadGenerator(spec).flat() == WorkloadGenerator(spec).flat()
+class TestServiceMetrics:
+    @staticmethod
+    def _record(metrics, *, queue=0.0, system=None, result_hit=False):
+        metrics.record(started=0.0, finished=1.0, compile_seconds=0.0,
+                       queue_seconds=queue, plan_cache_hit=False,
+                       result_cache_hit=result_hit, system=system)
 
-    def test_different_seed_different_stream(self):
-        base = WorkloadSpec(clients=4, requests_per_client=40)
-        other = WorkloadSpec(clients=4, requests_per_client=40, seed=base.seed + 1)
-        assert WorkloadGenerator(base).flat() != WorkloadGenerator(other).flat()
+    def test_snapshot_reports_queue_wait(self):
+        """The ledger's sharded mix reads ``queue_wait.p50_ms``; the
+        snapshot carries per-query distributions and totals only."""
+        metrics = ServiceMetrics()
+        for queue in (0.1, 0.2, 0.3):
+            self._record(metrics, queue=queue)
+        snapshot = metrics.snapshot()
+        assert snapshot["queue_wait"]["p50_ms"] == pytest.approx(200.0)
+        assert snapshot["queue_wait"]["count"] == 3
+        assert set(snapshot) == {
+            "completed", "errors", "latency", "compile_latency",
+            "queue_wait", "plan_cache_hits", "result_cache_hits"}
 
-    def test_clients_are_independent_streams(self):
-        generator = WorkloadGenerator(WorkloadSpec(clients=2, requests_per_client=50))
-        first, second = generator.streams()
-        assert [r.query for r in first] != [r.query for r in second]
-        # ... but replaying one client alone matches the full generation.
-        assert generator.client_stream(1) == second
+    def test_errors_are_counted_per_system(self):
+        metrics = ServiceMetrics()
+        metrics.record_error(system="D")
+        metrics.record_error(system="D")
+        metrics.record_error()
+        assert metrics.snapshot()["errors"] == 3
+        assert metrics.registry.counter(
+            "service.errors_total", system="D").value == 2
+        assert metrics.completed == 0
 
-    def test_zipf_skew_concentrates_popular_queries(self):
-        spec = WorkloadSpec(clients=8, requests_per_client=100, zipf_exponent=1.0)
-        generator = WorkloadGenerator(spec)
-        histogram = generator.query_histogram()
-        most_popular = generator.popularity_order[0]
-        least_popular = generator.popularity_order[-1]
-        assert histogram[most_popular] > 3 * histogram[least_popular]
-        assert sum(histogram.values()) == spec.total_requests
+    def test_queries_are_labelled_by_system(self):
+        metrics = ServiceMetrics()
+        self._record(metrics, system="B")
+        self._record(metrics, system="B", result_hit=True)
+        self._record(metrics, system="D")
+        registry = metrics.registry
+        assert registry.counter("service.queries_total", system="B").value == 2
+        assert registry.counter("service.queries_total", system="D").value == 1
+        assert registry.histogram("service.latency_seconds",
+                                  system="B").count == 2
+        assert metrics.snapshot()["result_cache_hits"] == 1
 
-    def test_explicit_weights_override_zipf(self):
-        spec = WorkloadSpec(clients=2, requests_per_client=50, queries=(1, 6),
-                            query_weights=(1.0, 0.0))
-        histogram = WorkloadGenerator(spec).query_histogram()
-        assert histogram == {1: 100, 6: 0}
-
-    def test_think_times_follow_mean(self):
-        spec = WorkloadSpec(clients=4, requests_per_client=200,
-                            think_mean_seconds=0.01)
-        thinks = [r.think_seconds for r in WorkloadGenerator(spec).flat()]
-        assert all(t >= 0 for t in thinks)
-        assert sum(thinks) / len(thinks) == pytest.approx(0.01, rel=0.15)
-
-    def test_validation(self):
-        with pytest.raises(BenchmarkError):
-            WorkloadSpec(clients=0)
-        with pytest.raises(BenchmarkError):
-            WorkloadSpec(queries=(999,))
-        with pytest.raises(BenchmarkError):
-            WorkloadSpec(queries=(1, 2), query_weights=(1.0,))
+    def test_percentiles_cover_a_bounded_window(self):
+        """Totals stay exact while the histograms keep only ``window``
+        samples, so a long-running service does not grow with traffic."""
+        metrics = ServiceMetrics(window=4)
+        for _ in range(10):
+            self._record(metrics, system="D")
+        snapshot = metrics.snapshot()
+        assert snapshot["completed"] == 10
+        assert snapshot["latency"]["count"] == 10
+        registry = metrics.registry
+        assert registry.histogram("service.latency_seconds").retained == 4
+        assert registry.histogram("service.latency_seconds",
+                                  system="D").retained == 4
 
 
 class TestQueryService:
@@ -282,52 +293,67 @@ class TestQueryService:
             assert again.execute_seconds == 0.0
             assert again.result is first.result
 
-    def test_result_cache_invalidated_on_document_change(self, small_text, tiny_text):
-        with QueryService(small_text, ("D",), max_workers=2) as svc:
-            before = svc.execute("D", 6)
+    def test_result_cache_invalidated_on_document_change(self, tiny_text):
+        """A commit that changes a query's answer advances the digest and
+        drops the cached result; the compiled plan survives the commit."""
+        from repro.update import RegisterPerson, UpdateStream
+
+        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
+            before = svc.execute("D", PERSON_LISTING)
             digest_before = svc.store("D").document_digest()
-            svc.reload_document(tiny_text)
-            after = svc.execute("D", 6)
+            stream = UpdateStream(svc.store("D"))
+            svc.apply_update(RegisterPerson(stream.build_person()))
+            after = svc.execute("D", PERSON_LISTING)
             assert svc.store("D").document_digest() != digest_before
             assert not after.result_cache_hit, "stale result must not be served"
-            assert not after.plan_cache_hit, "plans are bound to the old store"
-            # Q6 counts items per region: different documents, different counts.
-            assert after.result.serialize() != before.result.serialize()
+            assert after.plan_cache_hit, "plans resolve through the live store"
+            assert len(after.result) == len(before.result) + 1
             assert svc.result_cache.stats.invalidations >= 1
 
-    def test_stale_plan_from_raced_reload_is_recompiled(self, small_text, tiny_text):
-        """A plan bound to a superseded store (a compile racing
-        reload_document) must not be executed or re-cached."""
+    def test_cache_stats_report_both_caches(self, small_text):
         with QueryService(small_text, ("D",), max_workers=2) as svc:
-            old_store = svc.store("D")
-            svc.reload_document(tiny_text)
-            text, profile = svc._query_text(6), get_profile("D")
-            # Simulate the race: a lookup still holding the old store
-            # lands its plan after the reload cleared the cache.
-            stale = svc.plan_cache.lookup("D", text, old_store, profile)[0]
-            assert stale.store is old_store
-            outcome = svc.execute("D", 6)
-            assert not outcome.plan_cache_hit
-            fresh, _values, hit = svc.plan_cache.lookup(
-                "D", text, svc.store("D"), profile)
-            assert hit and fresh is not stale and fresh.store is svc.store("D")
-            # The served result matches the current document, not the old one.
-            direct = evaluate(compile_query(text, svc.store("D"), get_profile("D")))
-            assert outcome.result.serialize() == direct.serialize()
+            svc.execute("D", 1)
+            svc.execute("D", 1)
+            stats = svc.cache_stats()
+        assert set(stats) == {"plan_cache", "result_cache"}
+        assert stats["result_cache"]["hits"] == 1
+        assert stats["result_cache"]["misses"] == 1
+        assert stats["plan_cache"]["misses"] == 1
 
-    def test_workload_snapshot_cache_stats_are_per_window(self, small_text):
-        spec = WorkloadSpec(clients=2, requests_per_client=5, systems=("D",))
-        with QueryService(small_text, ("D",), max_workers=2) as svc:
-            for _ in range(4):
-                svc.execute("D", 1)  # pre-workload traffic must not leak in
-            snapshot = svc.run_workload(spec)
-        cache = snapshot["result_cache"]
-        assert cache["hits"] + cache["misses"] == spec.total_requests
+    def test_export_metrics_text_counts_queries_per_system(self, small_text):
+        with QueryService(small_text, ("B", "D"), max_workers=2) as svc:
+            svc.execute("D", 1)
+            svc.execute("D", 2)
+            svc.execute("B", 1)
+            text = svc.export_metrics(as_text=True)
+            snapshot = svc.export_metrics()
+        assert 'service.queries_total{system="D"} 2' in text
+        assert 'service.queries_total{system="B"} 1' in text
+        assert "service.latency_seconds" in text
+        assert snapshot["counters"]["service.queries_total"] == 3
+        assert snapshot["gauges"]["service.updates_applied"] == 0
 
-    def test_submit_batch(self, service):
-        futures = service.submit_batch([("D", 1), ("D", 5), ("C", 2)])
-        outcomes = [f.result() for f in futures]
-        assert [o.system for o in outcomes] == ["D", "D", "C"]
+    def test_outcome_latency_covers_queue_and_execution(self, service):
+        outcome = service.execute("C", 20)
+        assert outcome.finished >= outcome.submitted
+        assert outcome.queue_seconds >= 0.0
+        assert outcome.latency_seconds >= \
+            outcome.queue_seconds + outcome.execute_seconds
+
+    def test_query_errors_are_counted_and_raised(self, small_text):
+        with QueryService(small_text, ("D",), max_workers=1) as svc:
+            future = svc.submit("D", "for $x in ][ return")
+            with pytest.raises(XMarkError):
+                future.result()
+            snapshot = svc.metrics.snapshot()
+            assert snapshot["errors"] == 1
+            assert snapshot["completed"] == 0
+            assert svc.registry.counter(
+                "service.errors_total", system="D").value == 1
+
+    def test_unknown_query_number_raises(self, service):
+        with pytest.raises(BenchmarkError, match="unknown query number"):
+            service.submit("D", 99)
 
     def test_raw_query_text(self, service):
         outcome = service.execute(
@@ -338,21 +364,126 @@ class TestQueryService:
         with pytest.raises(BenchmarkError, match="unavailable"):
             service.submit("A", 1)
 
-    def test_run_workload_snapshot(self, small_text):
-        spec = WorkloadSpec(clients=3, requests_per_client=5, systems=("D",),
-                            think_mean_seconds=0.0)
-        with QueryService(small_text, ("D",), max_workers=4) as svc:
-            snapshot = svc.run_workload(spec)
-        assert snapshot["completed"] == spec.total_requests
-        assert snapshot["errors"] == 0
-        assert snapshot["throughput_qps"] > 0
-        assert snapshot["latency"]["p95_ms"] >= snapshot["latency"]["p50_ms"]
-
     def test_closed_service_rejects_work(self, small_text):
         svc = QueryService(small_text, ("D",), max_workers=1)
         svc.close()
         with pytest.raises(BenchmarkError, match="closed"):
             svc.submit("D", 1)
+
+    def test_closed_service_rejects_commits(self, tiny_text):
+        from repro.update import RegisterPerson, UpdateStream
+
+        svc = QueryService(tiny_text, ("D",), max_workers=1)
+        op = RegisterPerson(UpdateStream(svc.store("D")).build_person())
+        svc.close()
+        with pytest.raises(BenchmarkError, match="closed"):
+            svc.apply_update(op)
+        with pytest.raises(BenchmarkError, match="closed"):
+            svc.apply_transaction([op])
+        assert svc.updates_applied == 0
+
+    def test_context_exit_closes_the_service(self, tiny_text):
+        with QueryService(tiny_text, ("D",), max_workers=1) as svc:
+            assert svc.execute("D", 1).result_size == 1
+        with pytest.raises(BenchmarkError, match="closed"):
+            svc.execute("D", 1)
+
+    @pytest.mark.parametrize("shard_spec", [None, ShardSpec(shards=2)])
+    def test_limits_are_checked_before_any_load(self, tiny_text, monkeypatch,
+                                                shard_spec):
+        """A bad ``max_workers``/``per_system_limit`` raises before a
+        single store (or a scatter executor) is built."""
+        from repro.service import service as service_module
+
+        loads = []
+        real_load = service_module.load_stores
+
+        def spy(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "load_stores", spy)
+        with pytest.raises(BenchmarkError, match="per_system_limit"):
+            QueryService(tiny_text, ("D",), per_system_limit=0,
+                         shard_spec=shard_spec)
+        with pytest.raises(BenchmarkError, match="max_workers"):
+            QueryService(tiny_text, ("D",), max_workers=0,
+                         shard_spec=shard_spec)
+        assert loads == []
+
+
+class TestAdmission:
+    """The per-system gates: a bound per store, independent stores, and a
+    write that waits for the reads holding them."""
+
+    @staticmethod
+    def _wrap_evaluate(monkeypatch, before):
+        """Run ``before()`` inside every evaluation the service makes."""
+        from repro.service import service as service_module
+
+        real = service_module.evaluate
+
+        def wrapped(*args, **kwargs):
+            before()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "evaluate", wrapped)
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_per_system_limit_bounds_concurrent_executions(
+            self, tiny_text, monkeypatch, limit):
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def hold() -> None:
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            with lock:
+                running[0] -= 1
+
+        self._wrap_evaluate(monkeypatch, hold)
+        with QueryService(tiny_text, ("D",), max_workers=4,
+                          per_system_limit=limit,
+                          result_cache_size=0) as svc:
+            futures = [svc.submit("D", 1) for _ in range(6)]
+            assert all(f.result().result_size == 1 for f in futures)
+        assert peak[0] == limit
+
+    def test_systems_are_admitted_independently(self, tiny_text, monkeypatch):
+        """With one permit per system, a query on C and one on D still run
+        at the same time: the barrier breaks if either waits for the other."""
+        barrier = threading.Barrier(2, timeout=10)
+        self._wrap_evaluate(monkeypatch, barrier.wait)
+        with QueryService(tiny_text, ("C", "D"), max_workers=2,
+                          per_system_limit=1) as svc:
+            on_c, on_d = svc.submit("C", 1), svc.submit("D", 1)
+            assert on_c.result().result_size == on_d.result().result_size == 1
+
+    def test_commit_waits_for_in_flight_reads(self, tiny_text, monkeypatch):
+        from repro.update import RegisterPerson, UpdateStream
+
+        reading, release = threading.Event(), threading.Event()
+
+        def block() -> None:
+            reading.set()
+            assert release.wait(timeout=10)
+
+        self._wrap_evaluate(monkeypatch, block)
+        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
+            op = RegisterPerson(UpdateStream(svc.store("D")).build_person())
+            read = svc.submit("D", PERSON_LISTING)
+            assert reading.wait(timeout=10)
+            writer = threading.Thread(target=svc.apply_update, args=(op,))
+            writer.start()
+            writer.join(timeout=0.2)
+            assert writer.is_alive() and svc.updates_applied == 0
+            release.set()
+            writer.join(timeout=10)
+            assert not writer.is_alive() and svc.updates_applied == 1
+            # the read finished against the document it started on
+            assert len(read.result().result) + 1 == \
+                len(svc.execute("D", PERSON_LISTING).result)
 
 
 class TestConcurrentReads:
@@ -375,12 +506,21 @@ class TestConcurrentReads:
         assert all(s == reference for s in serialized)
 
     def test_mixed_workload_across_systems(self, service):
-        """submit() from many clients against three architectures at once."""
-        spec = WorkloadSpec(clients=8, requests_per_client=6,
-                            systems=("B", "C", "D"), seed=99)
-        snapshot = service.run_workload(spec)
-        assert snapshot["completed"] == spec.total_requests
-        assert snapshot["errors"] == 0
+        """submit() from 8 clients against three architectures at once."""
+        systems = ("B", "C", "D")
+        before = service.metrics.snapshot()
+
+        def client(rank: int) -> None:
+            for seq in range(6):
+                system = systems[(rank + seq) % len(systems)]
+                query = INTERACTIVE[(rank * 6 + seq) % len(INTERACTIVE)]
+                assert service.submit(system, query).result().system == system
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as clients:
+            list(clients.map(client, range(8)))
+        after = service.metrics.snapshot()
+        assert after["completed"] - before["completed"] == 48
+        assert after["errors"] == before["errors"]
 
     def test_fragment_store_string_value_has_no_read_scratch(self, service):
         store = service.store("B")
@@ -398,7 +538,7 @@ return $p/name/text()
 
 
 class TestServiceWritePath:
-    """The write path: exclusion, selective invalidation, reload no-op."""
+    """The write path: exclusion, selective invalidation, mixed clients."""
 
     def test_concurrent_readers_never_observe_a_torn_document(self, tiny_text):
         """8 reader threads against a store taking writes: every observed
@@ -480,75 +620,6 @@ class TestServiceWritePath:
             assert svc.store("C").document_digest() == \
                 svc.store("D").document_digest()
 
-    def test_reload_with_unchanged_content_is_a_noop(self, tiny_text):
-        """Regression: reloading identical content must not drop stores,
-        plans, results, or indexes."""
-        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
-            store_before = svc.store("D")
-            outcome = svc.execute("D", 1)
-            assert not outcome.result_cache_hit
-            indexes_before = store_before.indexes
-            svc.reload_document(tiny_text)
-            assert svc.store("D") is store_before
-            assert store_before.indexes is indexes_before
-            assert svc.execute("D", 1).result_cache_hit
-            assert svc.plan_cache.stats.invalidations == 0
-
-    def test_reload_with_changed_content_still_invalidates(
-            self, tiny_text, small_text):
-        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
-            store_before = svc.store("D")
-            svc.execute("D", 1)
-            svc.reload_document(small_text)
-            assert svc.store("D") is not store_before
-            assert store_before.indexes is None
-            assert not svc.execute("D", 1).result_cache_hit
-
-    def test_reload_under_concurrent_scatter_readers(self, tiny_text,
-                                                     small_text):
-        """Regression: a reload must not close the superseded scatter
-        executor out from under in-flight scatter queries.
-
-        Eight readers hammer the shard pseudo-system while the main
-        thread reloads the document repeatedly; no reader may surface an
-        executor-closed error, and every result must match one of the two
-        documents' correct answers."""
-        from repro.service import ShardSpec
-
-        spec = ShardSpec(shards=2, backends=("F",))
-        with QueryService(tiny_text, ("S",), max_workers=8,
-                          shard_spec=spec, result_cache_size=0) as svc:
-            expected = {
-                svc.execute("S", 1).result.serialize(),
-            }
-            svc.reload_document(small_text)
-            expected.add(svc.execute("S", 1).result.serialize())
-            stop = threading.Event()
-            failures: list[BaseException] = []
-            wrong: list[str] = []
-
-            def read() -> None:
-                while not stop.is_set():
-                    try:
-                        text = svc.execute("S", 1).result.serialize()
-                    except BaseException as exc:
-                        failures.append(exc)
-                        return
-                    if text not in expected:
-                        wrong.append(text)
-                        return
-
-            readers = [threading.Thread(target=read) for _ in range(8)]
-            for thread in readers:
-                thread.start()
-            for document in (tiny_text, small_text, tiny_text):
-                svc.reload_document(document)
-            stop.set()
-            for thread in readers:
-                thread.join()
-            assert not failures, failures[0]
-            assert not wrong
-
     def test_footprint_fallback_is_counted_and_narrow(self, monkeypatch):
         """Regression: only a parse failure may take the broad-footprint
         fallback; walker bugs must surface, and fallbacks are counted."""
@@ -587,28 +658,34 @@ class TestServiceWritePath:
                 invalidation.footprint_fallbacks()
 
     def test_mixed_read_write_workload(self, tiny_text):
-        """A write-ratio workload completes with every update applied and
-        the serving stores still in lockstep."""
-        from repro.update import serialize_store
+        """Clients interleaving reads and commits finish with every commit
+        applied and the serving stores still in lockstep."""
+        from repro.update import UpdateStream, serialize_store
 
-        spec = WorkloadSpec(clients=4, requests_per_client=8,
-                            systems=("C", "D"), write_ratio=0.3,
-                            queries=(1, 2, 5, 17, 20), seed=7)
-        kinds = [request.kind for stream in WorkloadGenerator(spec).streams()
-                 for request in stream]
-        expected_updates = kinds.count("update")
-        assert 0 < expected_updates < len(kinds)
-        with QueryService(tiny_text, ("C", "D"), max_workers=4) as svc:
-            snapshot = svc.run_workload(spec)
-            assert snapshot["updates"]["count"] == expected_updates
-            assert snapshot["completed"] == len(kinds) - expected_updates
-            assert svc.updates_applied == expected_updates
+        systems, queries = ("C", "D"), (1, 2, 5, 17, 20)
+        with QueryService(tiny_text, systems, max_workers=4) as svc:
+            stream = UpdateStream(svc.store("D"))
+            draw = threading.Lock()     # the stream plays the document forward
+
+            def client(rank: int) -> int:
+                commits = 0
+                for seq in range(8):
+                    if (rank + seq) % 3 == 0:
+                        with draw:
+                            op = stream.next_op()
+                            stream.note_applied(op)
+                            svc.apply_update(op)
+                        commits += 1
+                    else:
+                        svc.submit(systems[seq % 2],
+                                   queries[(rank + seq) % len(queries)]).result()
+                return commits
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as clients:
+                commits = sum(clients.map(client, range(4)))
+            assert 0 < commits < 32
+            assert svc.updates_applied == commits
+            assert svc.metrics.completed == 32 - commits
+            assert svc.metrics.snapshot()["errors"] == 0
             assert serialize_store(svc.store("C")) == \
                 serialize_store(svc.store("D"))
-
-    def test_zero_write_ratio_reproduces_read_only_streams(self):
-        read_only = WorkloadSpec(clients=2, requests_per_client=10, seed=3)
-        mixed_off = WorkloadSpec(clients=2, requests_per_client=10, seed=3,
-                                 write_ratio=0.0)
-        assert WorkloadGenerator(read_only).flat() == \
-            WorkloadGenerator(mixed_off).flat()

@@ -8,13 +8,15 @@ distributed plans underneath.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import repro
 from repro.benchmark.queries import query_text
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ShardError
 from repro.schema.auction import REGIONS
-from repro.service import QueryService, ShardSpec, WorkloadSpec
+from repro.service import QueryService, ShardSpec
 from repro.update.stream import UpdateStream
 
 
@@ -54,7 +56,8 @@ class TestShardedService:
     def test_write_path_keeps_the_sharded_lineage(self, tiny_text):
         with QueryService(tiny_text, ("F",),
                           shard_spec=ShardSpec(shards=3)) as service:
-            summary = service.apply_next_update()
+            summary = service.apply_update(
+                UpdateStream(service.store("F")).next_op())
             assert set(summary["systems"]) == {"F", "S"}
             digests = {store.document_digest()
                        for store in service.stores.values()}
@@ -63,33 +66,24 @@ class TestShardedService:
             unsharded = service.execute("F", 8)
             assert sharded.result.serialize() == unsharded.result.serialize()
 
-    def test_reload_swaps_the_sharded_deployment(self, tiny_text, small_text):
-        with QueryService(tiny_text, ("F",),
-                          shard_spec=ShardSpec(shards=2)) as service:
-            before = service.execute("S", 5).result.serialize()
-            first_executor = service._shard_executor
-            service.reload_document(small_text)
-            assert service._shard_executor is not first_executor
-            after = service.execute("S", 5)
-            expected = service.execute("F", 5)
-            assert after.result.serialize() == expected.result.serialize()
-            assert (before == after.result.serialize()) is False
+    def test_clients_can_target_the_shard_system(self, sharded_service):
+        before = sharded_service.metrics.snapshot()
 
-    def test_workload_can_target_the_shard_system(self, sharded_service):
-        snapshot = sharded_service.run_workload(
-            WorkloadSpec(clients=2, requests_per_client=4, systems=("S",)))
-        assert snapshot["completed"] == 8
-        assert snapshot["errors"] == 0
+        def client(_rank: int) -> None:
+            for query in (1, 2, 5, 20):
+                assert sharded_service.submit("S", query).result().system == "S"
 
-    def test_shard_stats_shape(self, sharded_service):
+        with ThreadPoolExecutor(max_workers=2) as clients:
+            list(clients.map(client, range(2)))
+        after = sharded_service.metrics.snapshot()
+        assert after["completed"] - before["completed"] == 8
+        assert after["errors"] == before["errors"]
+
+    def test_partials_and_plans_are_cached_per_system(self, sharded_service):
         sharded_service.execute("S", 5)
-        stats = sharded_service.shard_stats()
-        assert stats["partition"]["shards"] == 3
-        assert len(stats["shard_digests"]) == 3
-        assert stats["partial_cache"]["misses"] >= 3
+        exchange = sharded_service.store("S").exchange
+        assert exchange.partial_cache.stats.misses >= 3
         # S plans live in the service's one plan cache, sized per system.
-        assert stats["plan_cache"] == \
-            sharded_service.cache_stats()["plan_cache"]
         assert sharded_service.plan_cache.capacity == 2 * 128
 
     @pytest.mark.parametrize("service", [False, True])
@@ -122,16 +116,34 @@ class TestShardedService:
             assert on("S", person) == on("D", person) != ""
             assert [on("S", query) for query in items] == [""] * len(items)
 
-    def test_unsharded_service_has_no_shard_stats(self, tiny_text):
+    def test_unsharded_service_has_no_shard_system(self, tiny_text):
         with QueryService(tiny_text, ("F",)) as service:
-            assert service.shard_stats() == {}
+            assert set(service.stores) == {"F"}
+            with pytest.raises(BenchmarkError, match="unavailable"):
+                service.submit("S", 1)
+
+    def test_partition_follows_the_spec(self, sharded_service):
+        sharded = sharded_service.store("S")
+        assert sharded.shard_count == 3
+        assert sharded.partition_summary()["backends"] == ["F"] * 3
+        digests = [sharded.shard_digest(rank) for rank in range(3)]
+        assert all(digests) and len(set(digests)) == 3
+
+    def test_close_shuts_the_scatter_executor(self, tiny_text):
+        service = QueryService(tiny_text, ("F",),
+                               shard_spec=ShardSpec(shards=2))
+        executor = service.store("S").exchange
+        assert executor.execute(query_text(1)).result.serialize() == \
+            service.execute("F", 1).result.serialize()
+        service.close()
+        with pytest.raises(ShardError, match="closed"):
+            executor.execute(query_text(1))
 
     def test_shard_name_collision_is_rejected(self, tiny_text):
         with pytest.raises(BenchmarkError):
             QueryService(tiny_text, ("F",),
                          shard_spec=ShardSpec(shards=2, name="D"))
 
-    def test_index_stats_include_the_global_sharded_set(self, sharded_service):
-        stats = sharded_service.index_stats()
-        assert "S" in stats
-        assert stats["S"]["value"]       # the global IndexSet built at load
+    def test_the_sharded_store_builds_a_global_index_set(self,
+                                                          sharded_service):
+        assert sharded_service.store("S").indexes.summary()["value"]

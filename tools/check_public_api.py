@@ -2,7 +2,7 @@
 """Public-API surface gate: snapshot what the library exports, fail on drift.
 
 Walks the exported surface of ``repro``, ``repro.db``,
-``repro.server``, and ``repro.analyze`` (every
+``repro.server``, ``repro.analyze`` and ``repro.service`` (every
 ``__all__`` name: functions with their signatures, classes with their
 public methods and properties, constants with their types) and compares
 it against the reviewed snapshot in ``docs/PUBLIC_API.txt``.
@@ -26,7 +26,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-MODULES = ("repro", "repro.db", "repro.server", "repro.analyze")
+MODULES = ("repro", "repro.db", "repro.server", "repro.analyze",
+           "repro.service")
 SNAPSHOT = Path(__file__).resolve().parent.parent / "docs" / "PUBLIC_API.txt"
 
 #: Dunder methods that are part of a class's usable surface.
