@@ -17,8 +17,10 @@ questions the paper's per-system analysis asks of every query:
   FLWORs, self-axis filter steps, index-bounded range FLWORs — so a
   cursor consumer knows whether first-row latency will be O(1).
 * **How does each variable navigate?**  ``navigation: store $p; navigator
-  $x`` — a variable the emitter proved holds only store nodes calls the
-  store; any other goes through the type-testing ``Navigator``.
+  $x; twig $p: 3 leaves`` — a variable the emitter proved holds only store
+  nodes calls the store; any other goes through the type-testing
+  ``Navigator``.  A constructor's value paths from one proved variable
+  are one twig, answered in one store call per row and root node.
 * **Which texts share the plan?**  Plans are cached per query shape (the
   text with its literals lifted into slots); EXPLAIN prints the slot
   count and each slot the plan pinned, with why — a text of the shape
@@ -124,6 +126,8 @@ def describe_compiled(compiled) -> dict:
         "barriers": predict_barriers(compiled.query, compiled.range_plans),
         "store_bound": _names(compiled.navigation, True),
         "navigator": _names(compiled.navigation, False),
+        "twigs": [{"var": name, "leaves": leaves}
+                  for name, leaves in compiled.twigs],
     }
 
 
@@ -171,10 +175,13 @@ def _plan_lines(plan: dict, indent: str) -> list[str]:
         lines.append(f"{indent}range: ${rng['var']} in /{rng['path']} "
                      f"where {rng['accessor']} {rng['op']} {rng['bound']} "
                      f"(est {rng['est_rows']} vs scan {rng['scan_rows']})")
-    navigation = "; ".join(
-        kind + "".join(f" ${name}" for name in plan[key])
-        for kind, key in (("store", "store_bound"), ("navigator", "navigator"))
-        if plan[key])
+    navigation = "; ".join([
+        *(kind + "".join(f" ${name}" for name in plan[key])
+          for kind, key in (("store", "store_bound"), ("navigator", "navigator"))
+          if plan[key]),
+        *(f"twig ${twig['var']}: {twig['leaves']} "
+          + ("leaf" if twig["leaves"] == 1 else "leaves")
+          for twig in plan["twigs"])])
     if navigation:
         lines.append(f"{indent}navigation: {navigation}")
     return lines

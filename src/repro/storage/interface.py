@@ -66,6 +66,38 @@ class StoreStats:
         self.relabels = 0
 
 
+class Twig:
+    """Value paths from one node, compiled once into a trie of named child
+    steps for :meth:`Store.values_by_twig`.
+
+    ``paths`` holds each distinct ``(names, attribute)`` value path — a
+    run of child steps, then ``text()`` (``attribute`` None) or
+    ``@attribute`` — in first-seen order; a path's position there is its
+    leaf.  ``root`` is the trie: each branch a ``(text leaf or -1,
+    ((attribute, leaf), ...), {child name: branch} or None)`` tuple, so a
+    walk allocates nothing but the lists it fills.
+    """
+
+    __slots__ = ("paths", "root")
+
+    def __init__(self, paths: Iterable[tuple[tuple[str, ...], str | None]]) -> None:
+        self.paths = tuple(dict.fromkeys(paths))
+        root: list = [-1, [], {}]
+        for leaf, (names, attribute) in enumerate(self.paths):
+            branch = root
+            for name in names:
+                branch = branch[2].setdefault(name, [-1, [], {}])
+            if attribute is None:
+                branch[0] = leaf
+            else:
+                branch[1].append((attribute, leaf))
+
+        def freeze(branch: list) -> tuple:
+            return (branch[0], tuple(branch[1]),
+                    {name: freeze(kid) for name, kid in branch[2].items()} or None)
+        self.root = freeze(root)
+
+
 class Store(ABC):
     """Abstract XML store."""
 
@@ -205,6 +237,13 @@ class Store(ABC):
                     for text in self.child_texts(reached) if text]
         return [value for reached in found
                 if (value := self.attribute(reached, attribute)) is not None]
+
+    def values_by_twig(self, node: Handle, twig: Twig) -> list[list[str]]:
+        """:meth:`values_by_path` for every leaf of ``twig`` from ``node``:
+        one list per leaf, in leaf order (default: one
+        :meth:`values_by_path` call per leaf)."""
+        return [self.values_by_path(node, names, attribute)
+                for names, attribute in twig.paths]
 
     @abstractmethod
     def descendants_by_tag(self, node: Handle, tag: str) -> list[Handle]:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from repro.storage.interface import splice_subtree
+from repro.storage.interface import Twig, splice_subtree
 from repro.storage.structural_summary import StructuralSummary
 from repro.storage.tree_store import _SHIFT, TreeStore
 from repro.xmlio.escape import escape_attribute, escape_text
@@ -317,6 +317,41 @@ class SummaryStore(TreeStore):
             elif lo[reached] < hi[reached]:
                 texts.append(heap[lo[reached]:hi[reached]])
         return texts
+
+    def values_by_twig(self, node: int, twig: Twig) -> list[list[str]]:
+        """:meth:`Store.values_by_twig` in one pass: each trie branch
+        scans its node's child tuple once, however many leaves lie below
+        it, so a shared prefix is visited once, not once per leaf.  Nodes
+        are taken breadth first, which keeps every leaf's nodes in
+        document order; a text leaf reads a clean leaf's heap slice or a
+        written node's overlay runs, as :meth:`values_by_path` does."""
+        tags, content, attrs, overlay, heap, lo, hi = (
+            self._tags, self._content, self._attrs, self._overlay,
+            self._heap, self._lo, self._hi)
+        found: list[list[str]] = [[] for _ in twig.paths]
+        visited = 0
+        pending = [(node, twig.root)]
+        for current, (text, named, kids) in pending:    # grows as it goes
+            if kids is not None:
+                visited += 1
+                for child in content[current]:
+                    branch = kids.get(tags[child])
+                    if branch is not None:
+                        pending.append((child, branch))
+            if text >= 0:
+                visited += 1
+                if content[current] or current in overlay:
+                    found[text] += [part for part in self._parts(current)
+                                    if part.__class__ is str and part]
+                elif lo[current] < hi[current]:
+                    found[text].append(heap[lo[current]:hi[current]])
+            if named and (own := attrs[current]):
+                for attribute, leaf in named:
+                    value = own.get(attribute)
+                    if value is not None:
+                        found[leaf].append(value)
+        self.stats.nodes_visited += visited
+        return found
 
     def size_bytes(self) -> int:
         """Every column and the heap (packed: ``getsizeof`` covers their

@@ -24,6 +24,7 @@ from repro.index.builder import extract_values
 from repro.index.indexes import SortedNumericIndex, ValueIndex, normalize_key
 from repro.obs.trace import NULL_TRACER
 from repro.storage.dom_store import DomStore
+from repro.storage.interface import Twig
 from repro.xmlio.dom import Element
 from repro.xmlio.canonical import canonicalize
 from repro.xmlio.escape import escape_attribute, escape_text
@@ -235,6 +236,7 @@ def emit_query(compiled: CompiledQuery) -> None:
     compiled.run, compiled.stream = emitter.emit_both(compiled.query.body, {})
     compiled.frame_size = emitter.slots
     compiled.navigation = tuple(emitter.navigation)
+    compiled.twigs = tuple(emitter.twigs)
 
 
 def emit_row_program(compiled: CompiledQuery, variables: tuple[str, ...],
@@ -463,6 +465,11 @@ class _Emitter:
         self.native_slots: set[int] = set()
         #: ``(variable, proved)`` per binding site, in emit order.
         self.navigation: list[tuple[str, bool]] = []
+        #: The twigs of the constructor being emitted: root slot ->
+        #: ``(variable, answer slot, {value path: leaf})``.
+        self.twig_roots: dict = {}
+        #: ``(variable, leaf count)`` per twig emitted.
+        self.twigs: list[tuple[str, int]] = []
         self.joins = 0
         self.context = False    # lexically inside a predicate
         self.context_native = False     # ... whose context items are store nodes
@@ -601,8 +608,10 @@ class _Emitter:
         """Steps from a variable's (or an expression's) items.  A root
         proved to hold only store nodes navigates the store directly, and
         a value path from it — plain named child steps, then ``text()`` or
-        ``@name`` — is one ``values_by_path`` call per context node; any
-        other root goes through the type-testing ``Navigator``."""
+        ``@name`` — is one ``values_by_path`` call per context node
+        (an enclosed expression rooted at a variable is a twig leaf
+        instead); any other root goes through the type-testing
+        ``Navigator``."""
         steps, root = node.steps, node.root
         slot = base = None
         if isinstance(root, VarRef):    # read the slot, skip the call
@@ -614,19 +623,15 @@ class _Emitter:
             keep = self._filter(steps[0].predicates, scope, None, native)
             return lambda rt: keep(rt, rt.frame[slot] if base is None else base(rt))
         nav = self.native if native else self.mixed
-        # A leading run of plain named child steps is one store call: with
-        # the value step after it on a proved root, or when it is two or
-        # more steps long (a lone step gains nothing over its kernel).
+        value_path = _value_path(steps)
+        if native and value_path is not None:
+            return _values_path(slot, base, nav.values_by_path, *value_path)
+        # A leading run of plain named child steps is one store call when
+        # it is two or more steps long (a lone step gains nothing over its
+        # kernel).
         lead = 0
-        while (lead < len(steps) and steps[lead].axis == "child"
-               and steps[lead].name is not None and not steps[lead].predicates):
+        while lead < len(steps) and _plain(steps[lead]):
             lead += 1
-        last = steps[-1]
-        if native and lead == len(steps) - 1 and not last.predicates and (
-                last.axis == "text" or last.axis == "attribute" and last.name):
-            return _values_path(slot, base, nav.values_by_path,
-                                tuple(step.name for step in steps[:lead]),
-                                last.name)
         names = tuple(step.name for step in steps[:lead]) if lead > 1 else ()
         by_path = nav.children_by_path
         kernels = [self._step(step, scope, native, False)
@@ -1151,8 +1156,70 @@ class _Emitter:
     # -- constructors ------------------------------------------------------------------------
 
     def _ctor(self, node: ElementCtor, scope):
+        """A constructor row.  Its store-bound value paths are the leaves
+        of one twig per root variable (:meth:`_twig_leaf`), answered
+        first with one store call per root node — ``values_by_twig``, or
+        a one-leaf twig's ``values_by_path`` — into the twig's frame
+        slot; the markup pieces then read their leaves' strings there."""
+        outer, self.twig_roots = self.twig_roots, {}
         tag, markup = node.tag, _joined(self._markup(node, scope))
-        return lambda rt: [NodeItem(Fragment(tag, markup(rt)))]
+        twigs, self.twig_roots = self.twig_roots, outer
+        gathers = []
+        for root, (name, slot, leaves) in twigs.items():
+            self.twigs.append((name, len(leaves)))
+            gathers.append((root, slot, Twig(leaves)))
+        if not gathers:
+            return lambda rt: [NodeItem(Fragment(tag, markup(rt)))]
+        native = self.native
+        if len(gathers) > 1:
+            def ctor_many(rt):
+                frame = rt.frame
+                for root, slot, twig in gathers:
+                    frame[slot] = _twig_answer(native, twig, frame[root])
+                return [NodeItem(Fragment(tag, markup(rt)))]
+            return ctor_many
+        (root, slot, twig), = gathers
+        values_by_path, values_by_twig = native.values_by_path, native.values_by_twig
+        names, attribute = twig.paths[0]
+        single = len(twig.paths) == 1
+
+        def ctor(rt):                   # _twig_answer, inlined for one node
+            frame = rt.frame
+            items = frame[root]
+            if len(items) != 1:
+                frame[slot] = _twig_answer(native, twig, items)
+            elif single:
+                frame[slot] = [values_by_path(items[0].handle, names, attribute)]
+            else:
+                frame[slot] = values_by_twig(items[0].handle, twig)
+            return [NodeItem(Fragment(tag, markup(rt)))]
+        return ctor
+
+    def _twig_leaf(self, part: Expr, scope) -> tuple[int, int] | None:
+        """``(frame slot, leaf)`` of an enclosed expression that is a
+        value path from a store-bound variable: a leaf of that variable's
+        twig in the constructor being emitted, whose strings a row reads
+        at ``rt.frame[slot][leaf]``.  None for anything else — a nested
+        FLWOR, an ``if`` or a function call is not crossed."""
+        if not (isinstance(part, Path) and isinstance(part.root, VarRef)):
+            return None
+        value_path, root = _value_path(part.steps), self._slot(part.root.name, scope)
+        if value_path is None or root not in self.native_slots:
+            return None
+        if root not in self.twig_roots:
+            self.twig_roots[root] = (part.root.name, self.slots, {})
+            self.slots += 1
+        _name, slot, leaves = self.twig_roots[root]
+        return slot, leaves.setdefault(value_path, len(leaves))
+
+    def _enclosed(self, part: Expr, scope):
+        """``rt -> items`` of a constructor's enclosed expression: a twig
+        leaf's strings, or the expression emitted."""
+        leaf = self._twig_leaf(part, scope)
+        if leaf is None:
+            return self.emit(part, scope)
+        slot, index = leaf
+        return lambda rt: rt.frame[slot][index]
 
     def _markup(self, node: ElementCtor, scope) -> list:
         """The constructor as markup pieces — a ``str`` is written as is, a
@@ -1160,7 +1227,10 @@ class _Emitter:
         its nested constructors, whose pieces are spliced in.  Literal text
         and attribute literals are escaped here and whitespace-only text is
         dropped here; only an element whose content is all enclosed
-        expressions decides ``<a/>`` against ``<a>…</a>`` per row."""
+        expressions decides ``<a/>`` against ``<a>…</a>`` per row — on
+        one list's length when that content is one twig leaf.  A value
+        path from a store-bound variable is always a twig leaf
+        (:meth:`_twig_leaf`)."""
         tag, navigator = node.tag, self.navigator
         pieces: list = ["<" + tag]
         for attribute in node.attributes:
@@ -1168,6 +1238,8 @@ class _Emitter:
             for part in attribute.parts:
                 if isinstance(part, str):
                     pieces.append(escape_attribute(part))
+                elif (leaf := self._twig_leaf(part, scope)) is not None:
+                    pieces.append(_leaf_markup(*leaf, escape_attribute))
                 elif _values(part):     # strings already: nothing to atomize
                     run = self.emit(part, scope)
                     pieces.append(lambda rt, run=run: escape_attribute(
@@ -1183,8 +1255,17 @@ class _Emitter:
             return pieces + ["/>"]
         render, close = _content_markup(navigator), f"</{tag}>"
         if not any(isinstance(part, (str, ElementCtor)) for part in content):
-            start, runs = _joined(pieces), [self.emit(part, scope) for part in content]
+            start = _joined(pieces)
+            leaf = self._twig_leaf(content[0], scope) if len(content) == 1 else None
+            if leaf is not None:    # its strings escape as one
+                slot, index = leaf
 
+                def element(rt):
+                    values = rt.frame[slot][index]
+                    return start(rt) + (">" + escape_text(" ".join(values)) + close
+                                        if values else "/>")
+                return [element]
+            runs = [self._enclosed(part, scope) for part in content]
             if len(runs) == 1:      # an empty sequence adds no content
                 run = runs[0]
 
@@ -1202,6 +1283,8 @@ class _Emitter:
                 pieces.append(escape_text(part))
             elif isinstance(part, ElementCtor):
                 pieces += self._markup(part, scope)
+            elif (leaf := self._twig_leaf(part, scope)) is not None:
+                pieces.append(_leaf_markup(*leaf, escape_text))
             else:
                 run = self.emit(part, scope)
                 pieces.append(lambda rt, run=run: render(run(rt)))
@@ -1213,6 +1296,23 @@ def _values(node: Expr) -> bool:
     """Whether ``node`` is a path ending in ``text()`` or ``@name``: its
     items are strings."""
     return isinstance(node, Path) and node.steps[-1].axis in ("attribute", "text")
+
+
+def _plain(step: Step) -> bool:
+    """Whether ``step`` is a named child step without predicates."""
+    return step.axis == "child" and step.name is not None and not step.predicates
+
+
+def _value_path(steps: list[Step]) -> tuple | None:
+    """``(names, attribute)`` when ``steps`` are plain named child steps
+    and then ``text()`` (``attribute`` None) or ``@name``; else None."""
+    last = steps[-1]
+    if last.predicates or not (last.axis == "text" or
+                               last.axis == "attribute" and last.name):
+        return None
+    if not all(_plain(step) for step in steps[:-1]):
+        return None
+    return tuple(step.name for step in steps[:-1]), last.name
 
 
 def store_bound(node: Expr, names: frozenset, context: bool = False) -> bool:
@@ -1349,6 +1449,26 @@ def _values_path(slot: int | None, base, values_by_path, names: tuple,
         return [value for handle in handles
                 for value in values_by_path(handle, names, attribute)]
     return run
+
+
+def _twig_answer(native, twig: Twig, items) -> list[list[str]]:
+    """``twig``'s strings, one list per leaf, for the root nodes
+    ``items``: one store call per node, each leaf's strings concatenated
+    in node order.  A one-leaf twig's call is its ``values_by_path`` —
+    what ``values_by_twig`` answers for one leaf, without the wrapper."""
+    if len(twig.paths) == 1:
+        names, attribute = twig.paths[0]
+        return [[value for item in items
+                 for value in native.values_by_path(item.handle, names, attribute)]]
+    answers = [native.values_by_twig(item.handle, twig) for item in items]
+    return [[value for answer in answers for value in answer[leaf]]
+            for leaf in range(len(twig.paths))]
+
+
+def _leaf_markup(slot: int, leaf: int, escape):
+    """``rt -> str``: a twig leaf's strings as markup, space-separated and
+    escaped as one (escaping never touches the space)."""
+    return lambda rt: escape(" ".join(rt.frame[slot][leaf]))
 
 
 def _field(store, kind: str, path, accessor):

@@ -232,6 +232,9 @@ class CompiledQuery:
     #: the emitter proved the variable holds only store nodes (its paths
     #: call the store) or not (they go through the ``Navigator``).
     navigation: tuple = ()
+    #: ``(root variable, leaf count)`` per constructor twig, in emit order:
+    #: a row answers a twig's value paths in one ``values_by_twig`` call.
+    twigs: tuple = ()
     #: A shard's ``(where test, return closure, frame size)`` when its
     #: exchange maps rows (scatter FLWOR, broadcast join).
     row_program: tuple | None = None

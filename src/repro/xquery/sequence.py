@@ -20,7 +20,7 @@ import operator
 from repro.errors import TypeCoercionError
 from repro.index.indexes import cast_double
 from repro.storage.dom_store import DomStore
-from repro.storage.interface import Store
+from repro.storage.interface import Store, Twig
 from repro.xmlio.dom import Element, Text
 from repro.xmlio.parser import parse
 from repro.xmlio.serialize import serialize
@@ -245,6 +245,11 @@ class DomNavigation:
                     if isinstance(c, Text) and c.value]
         return [value for reached in found
                 if (value := reached.attributes.get(attribute)) is not None]
+
+    @staticmethod
+    def values_by_twig(element: Element, twig: Twig) -> list[list[str]]:
+        return [DomNavigation.values_by_path(element, names, attribute)
+                for names, attribute in twig.paths]
 
 
 # -- atomization -------------------------------------------------------------------

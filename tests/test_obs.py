@@ -250,7 +250,18 @@ class TestExplain:
         line = "  navigation: store " + " ".join(f"${name}" for name in plan["store_bound"])
         if navigator:
             line += "; navigator " + " ".join(f"${name}" for name in plan["navigator"])
+        for twig in plan["twigs"]:
+            line += f"; twig ${twig['var']}: {twig['leaves']} " + (
+                "leaf" if twig["leaves"] == 1 else "leaves")
         assert line in explain.render().splitlines()
+
+    def test_navigation_shows_q10s_twig(self, traced_db):
+        """Q10's eleven value paths from ``$t`` are one twig: one store
+        call per person row."""
+        explain = traced_db.session().explain(10, system="D")
+        assert explain["plan"]["twigs"] == [{"var": "t", "leaves": 11}]
+        assert ("  navigation: store $t; navigator $i $p; twig $t: 11 leaves"
+                in explain.render().splitlines())
 
     def test_explain_does_not_execute(self, traced_db):
         tracer = traced_db.tracer

@@ -21,13 +21,15 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.benchmark.queries import query_text
 from repro.benchmark.systems import SYSTEMS, get_profile, make_store
-from repro.errors import XMarkError
+from repro.errors import QueryError, XMarkError
 from repro.shard import ShardedStore
 from repro.shard.scatter import SHARDED_PROFILE
-from repro.storage.interface import Store
+from repro.storage.interface import Store, Twig
+from repro.update import RegisterPerson, UpdateStream, apply_update
 from repro.xquery import evaluator
-from repro.xquery.evaluator import _Runtime, evaluate, evaluate_stream
+from repro.xquery.evaluator import QueryResult, _Runtime, evaluate, evaluate_stream
 from repro.xquery.planner import compile_query
+from repro.xquery.sequence import DomNavigation, Navigator
 
 from test_joins import SHARD_BACKENDS
 from test_text_heap import MIXED, apply_text_op, preorder, text_ops
@@ -164,6 +166,95 @@ class TestNeverWrong:
             assert dict(compiled.navigation) == {"p": True, "v": False, "w": True}
 
 
+#: Constructor rows with two or more value paths on one store-bound root:
+#: one twig per root, answered once per row.
+TWIG_ROWS = {
+    "nested": ("for $t in /site/people/person return <p><s>"
+               "<a>{$t/profile/age/text()}</a><g>{$t/profile/gender/text()}</g>"
+               "<i>{$t/profile/@income}</i></s><c><n>{$t/name/text()}</n>"
+               "<r>{$t/address/street/text()}</r><v>{$t/address/city/text()}</v>"
+               "</c><e>{$t/emailaddress/text()}</e></p>"),
+    "attribute_template": ("for $t in /site/people/person return "
+                           '<p id="{$t/@id}" n="{$t/name/text()} / {$t/profile/@income}">'
+                           "{$t/address/city/text()}</p>"),
+    "literal_text": ("for $t in /site/people/person return <p>name: "
+                     "{$t/name/text()}, city {$t/address/city/text()}; "
+                     "again {$t/name/text()}</p>"),
+    "missing_step": ("for $t in /site/people/person return <p>"
+                     "<x>{$t/missing/name/text()}</x>{$t/profile/missing/@income}"
+                     "<y>{$t/name/missing/text()}</y>{$t/name/text()}</p>"),
+    "let_many": ("let $t := /site/people/person return "
+                 '<p n="{$t/name/text()}">{$t/profile/@income}'
+                 "<c>{$t/address/city/text()}</c></p>"),
+    "own_text": ("for $t in /site/people/person/name return "
+                 "<p>{$t/text()}|{$t/@id}</p>"),
+    "many_per_step": ("for $t in /site/open_auctions/open_auction return "
+                      "<a>{$t/bidder/increase/text()}<s>{$t/seller/@person}</s>"
+                      "{$t/bidder/personref/@person}</a>"),
+    "two_roots": ("for $t in /site/people/person for $w in $t/watches/watch "
+                  "return <p>{$t/name/text()}{$w/@open_auction}{$t/@id}</p>"),
+    "not_crossed": ("for $t in /site/people/person return <p>{$t/name/text()}"
+                    "{$t/@id}{if ($t/@id) then $t/name/text() else \"none\"}"
+                    "{for $w in $t/watches/watch return "
+                    "<w>{$w/@open_auction}{$t/name/text()}</w>}"
+                    "{string($t/name/text())}</p>"),
+    "q10": query_text(10),
+}
+
+
+class TestTwigRows:
+    """A constructor's value paths from one store-bound variable are the
+    leaves of one twig, answered in one ``values_by_twig`` call per root
+    node; every row equals eager G's, eager and streamed, before and after
+    writes."""
+
+    @pytest.mark.parametrize("name", sorted(TWIG_ROWS))
+    def test_equals_eager_g(self, stores, name, monkeypatch):
+        """Eager G runs the twig too, so its answer is held in turn to the
+        plan that proves nothing: no twig, every path a Navigator's."""
+        text = TWIG_ROWS[name]
+        compiled = compile_query(text, stores["D"], get_profile("D"))
+        assert any(leaves > 1 for _root, leaves in compiled.twigs)
+        expected = assert_everywhere_like_eager_g(stores, text)
+        assert len(expected) > 200
+        monkeypatch.setattr(evaluator, "store_bound", lambda *args: False)
+        plain = compile_query(text, stores["G"], get_profile("G"))
+        assert plain.twigs == ()
+        assert outcome(plain, False) == expected
+
+    def test_leaves_are_counted_per_root(self, stores):
+        twigs = {name: compile_query(TWIG_ROWS[name], stores["D"],
+                                     get_profile("D")).twigs
+                 for name in ("literal_text", "two_roots", "not_crossed", "q10")}
+        assert twigs == {"literal_text": (("t", 2),),
+                         "two_roots": (("t", 2), ("w", 1)),
+                         "not_crossed": (("w", 1), ("t", 1), ("t", 2)),
+                         "q10": (("t", 11),)}
+
+    def test_after_an_update_history(self, small_text, monkeypatch):
+        written = {name: make_store(name) for name in "CDG"}
+        for store in written.values():
+            store.load(small_text)
+        ops = UpdateStream(written["G"], seed=32).sequence(40)
+        assert any(isinstance(op, RegisterPerson) for op in ops)
+        for op in ops:
+            for store in written.values():
+                apply_update(store, op)
+        answers = [assert_everywhere_like_eager_g(written, text)
+                   for text in TWIG_ROWS.values()]
+        monkeypatch.setattr(evaluator, "store_bound", lambda *args: False)
+        assert answers == [outcome(compile_query(text, written["G"], get_profile("G")),
+                                   False) for text in TWIG_ROWS.values()]
+
+    def test_an_atomic_root_still_raises(self, stores):
+        """A variable holding values is never store-bound: its paths go
+        through the ``Navigator`` and fail as they always did."""
+        text = ("for $t in /site/people/person/name/text() "
+                "return <p>{$t/name/text()}{$t/@id}</p>")
+        assert compile_query(text, stores["D"], get_profile("D")).twigs == ()
+        assert assert_everywhere_like_eager_g(stores, text) is QueryError
+
+
 class TestSameWork:
     """One ``values_by_path`` call does what the kernels it replaces did:
     the same strings and the same ``nodes_visited``."""
@@ -219,22 +310,114 @@ class TestSameWork:
             apply_text_op(store, op)
         self.assert_like_the_default(store)
 
+    @staticmethod
+    def twig_of(store, node) -> Twig:
+        """Every value path of up to two child steps below ``node`` (one
+        that reaches nothing too), with ``text()``, a missing attribute and
+        every attribute name found there, the first leaf given twice."""
+        children = store.children(node)[:2]
+        paths = [(), ("missing",), *((store.tag(child),) for child in children),
+                 *((store.tag(child), store.tag(grand)) for child in children
+                   for grand in store.children(child)[:2])]
+        leaves = []
+        for path in paths:
+            attributes = sorted({name for found in store.children_by_path(node, path)
+                                 for name in store.attributes(found)})
+            leaves += [(path, attribute) for attribute in [None, "missing", *attributes]]
+        return Twig([*leaves, leaves[0]])
+
+    def assert_twig_like_the_default(self, store) -> tuple[int, int]:
+        """D's one pass against the interface default's call per leaf,
+        leaf for leaf, visiting no more nodes, on every node's twig (and
+        on its first leaf alone); returns how many leaves were not empty
+        and how many visits the one pass saved."""
+        checked = saved = 0
+        for node in preorder(store):
+            whole = self.twig_of(store, node)
+            for twig in (whole, Twig(whole.paths[:1])):
+                before = store.stats.nodes_visited
+                own = store.values_by_twig(node, twig)
+                visited = store.stats.nodes_visited - before
+                store.values_by_path = types.MethodType(Store.values_by_path, store)
+                store.children_by_path = types.MethodType(Store.children_by_path, store)
+                try:
+                    before = store.stats.nodes_visited
+                    default = Store.values_by_twig(store, node, twig)
+                    default_visited = store.stats.nodes_visited - before
+                finally:
+                    del store.values_by_path, store.children_by_path
+                assert len(own) == len(twig.paths)
+                assert own == default, (node, twig.paths)
+                assert visited <= default_visited, (node, twig.paths)
+                checked += sum(map(bool, own))
+                saved += default_visited - visited
+        return checked, saved
+
+    def test_twig_on_every_node_of_the_tiny_document(self, tiny_text):
+        store = make_store("D")
+        store.load(tiny_text)
+        checked, saved = self.assert_twig_like_the_default(store)
+        assert checked > 1000 and saved > 1000
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=text_ops)
+    def test_twig_after_any_history(self, ops):
+        store = make_store("D")
+        store.load(MIXED)
+        for op in ops:
+            apply_text_op(store, op)
+        self.assert_twig_like_the_default(store)
+
+    def test_dom_twig_is_its_values_by_path_per_leaf(self, tiny_text):
+        """G's navigation answers a twig as the per-leaf calls do, and as
+        D answers it on the same node."""
+        dom, summary = make_store("G"), make_store("D")
+        dom.load(tiny_text)
+        summary.load(tiny_text)
+        for element, node in zip(preorder(dom), preorder(summary), strict=True):
+            twig = self.twig_of(dom, element)
+            answer = DomNavigation.values_by_twig(element, twig)
+            assert answer == [DomNavigation.values_by_path(element, *path)
+                              for path in twig.paths]
+            assert answer == summary.values_by_twig(node, twig)
+
+    #: Q10 on D over the small document: the visits of the plan that
+    #: proves nothing, and of the twig plan, whose one pass per person
+    #: scans ``profile`` and ``address`` once for their seven leaves.
+    Q10_ON_D = (781, 325)
+
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_q1_to_q20_count_what_the_navigator_path_counts(
             self, loaded_stores, system, monkeypatch):
-        """The PROFILE facts and the store's work counters of every
-        benchmark query are those of the plan that proves nothing (every
-        relative path through the ``Navigator`` and its kernels)."""
+        """The answers and PROFILE facts of every benchmark query are
+        those of the plan that proves nothing (every relative path through
+        the ``Navigator`` and its kernels), and so are the store's work
+        counters — except that D's one pass over a twig of two or more
+        leaves visits a shared prefix once, where the default, leaf by
+        leaf, visits it once per leaf.  Q10 is the one query with such a
+        twig."""
         store, profile = loaded_stores[system], get_profile(system)
 
         def counters(number: int) -> tuple:
+            """``((answer, facts, index lookups), nodes visited, the most
+            leaves of any twig)``."""
             compiled = compile_query(query_text(number), store, profile)
             rt = _Runtime(compiled.frame_size, False, compiled.values)
             store.stats.reset()
             items = compiled.run(rt)
-            return (len(items), rt.facts(), store.stats.nodes_visited,
-                    store.stats.index_lookups)
+            visited = store.stats.nodes_visited
+            answer = QueryResult(items, Navigator(store)).serialize()
+            leaves = max((count for _name, count in compiled.twigs), default=0)
+            return (answer, rt.facts(), store.stats.index_lookups), visited, leaves
 
-        proved = [counters(number) for number in range(1, 21)]
+        twig_plan = [counters(number) for number in range(1, 21)]
         monkeypatch.setattr(evaluator, "store_bound", lambda *args: False)
-        assert proved == [counters(number) for number in range(1, 21)]
+        plain = [counters(number) for number in range(1, 21)]
+        assert [row[0] for row in twig_plan] == [row[0] for row in plain]
+        assert [number for number, row in enumerate(twig_plan, 1) if row[2] > 1] == [10]
+        assert not any(row[2] for row in plain)
+        visits = [(row[1], twig_row[1]) for row, twig_row in zip(plain, twig_plan)]
+        if system == "D":
+            assert visits.pop(9) == self.Q10_ON_D
+        assert all(twig == navigator for navigator, twig in visits)
