@@ -31,6 +31,9 @@ class SystemSpec:
     description: str
 
 
+#: The pseudo-system name a sharded deployment serves under.
+SHARD_SYSTEM = "S"
+
 SYSTEMS: dict[str, SystemSpec] = {
     "A": SystemSpec(
         "A", HeapStore,
@@ -137,8 +140,8 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
     """The one loader of every connection owner (the embedded Database
     and the QueryService): bulkload one store per system letter and,
     when ``shard_spec`` (a :class:`repro.service.ShardSpec`) asks for
-    one, the sharded deployment with its scatter-gather executor
-    installed as the store's exchange.
+    one, the sharded deployment, served as :data:`SHARD_SYSTEM`, with its
+    scatter-gather executor installed as the store's exchange.
 
     Returns ``(stores, load_reports, failed_loads, scatter_executor,
     profiles)`` — ``profiles`` maps every serving name, the shard
@@ -152,10 +155,6 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
     of re-partitioning the document.
     """
     from repro.storage.bulkload import BulkloadReport, bulkload
-    if shard_spec is not None and shard_spec.name in SYSTEMS:
-        raise BenchmarkError(
-            f"shard system name {shard_spec.name!r} collides with a "
-            "benchmark system letter")
     stores: dict[str, Store] = {}
     reports: dict = {}
     failed: dict[str, str] = {}
@@ -172,7 +171,7 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
         return stores, reports, failed, None, profiles
     from repro.shard.scatter import SHARDED_PROFILE, ScatterGatherExecutor
     from repro.shard.store import ShardedStore
-    name = shard_spec.name
+    name = SHARD_SYSTEM
     sharded = ShardedStore(shard_spec.shards, shard_spec.backends)
     adopted = getattr(recovered, "sharded_store", None)
     if adopted is not None and adopted.backends == sharded.backends:
@@ -189,9 +188,7 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
             return stores, reports, failed, None, profiles
     stores[name] = sharded
     profiles[name] = SHARDED_PROFILE
-    sharded.exchange = ScatterGatherExecutor(
-        sharded, per_shard_limit=shard_spec.per_shard_limit,
-        partial_cache_size=shard_spec.partial_cache_size, tracer=tracer)
+    sharded.exchange = ScatterGatherExecutor(sharded, tracer=tracer)
     return stores, reports, failed, sharded.exchange, profiles
 
 

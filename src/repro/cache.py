@@ -5,9 +5,9 @@
 * :class:`PlanCache` — compiled plans, one per query **shape**: the text
   with its string and numeric literals lifted into slots
   (:func:`repro.xquery.lexer.scan_shape`).  A connection owns one, sized
-  ``plan_cache_size`` per serving system, and its direct executions,
-  prepared queries, service workers and wire server all look plans up in
-  it.
+  :data:`PLAN_SHAPES_PER_SYSTEM` per serving system, and its direct
+  executions, prepared queries, service workers and wire server all look
+  plans up in it.
 
 Every cache counts hits/misses/evictions so a report can show its
 effectiveness rather than assert it; :func:`track` exports the counters
@@ -25,6 +25,9 @@ from repro.obs.trace import NULL_TRACER
 from repro.xquery.lexer import Shape, scan_shape
 from repro.xquery.planner import (CompiledQuery, compile_shaped, fitting,
                                   trace_plan_choices, with_variant)
+
+#: Query shapes a connection's plan cache holds per serving system.
+PLAN_SHAPES_PER_SYSTEM = 128
 
 #: Sentinel distinguishing "key absent" from a cached ``None``/falsy value.
 #: A query whose result is legitimately empty must still count as a hit.

@@ -26,7 +26,7 @@ guarantees, and the old-to-new migration table.
 """
 
 from repro.db.cursor import Cursor
-from repro.db.database import DEFAULT_SHARD_SYSTEM, Database, connect
+from repro.db.database import Database, connect
 from repro.db.session import PreparedQuery, Session, Transaction
 from repro.update.ops import (
     CloseAuction, DeleteItem, PlaceBid, RegisterPerson, UpdateOp,
@@ -35,7 +35,7 @@ from repro.update.ops import (
 
 __all__ = [
     "connect", "Database", "Session", "PreparedQuery", "Transaction",
-    "Cursor", "DEFAULT_SHARD_SYSTEM",
+    "Cursor",
     "UpdateOp", "RegisterPerson", "PlaceBid", "CloseAuction", "DeleteItem",
     "transaction_token",
 ]

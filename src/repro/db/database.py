@@ -9,8 +9,8 @@ to whichever engine the connect options selected:
   with cursors streaming straight off the evaluator's lazy pipeline.
   ``shards=N`` additionally partitions the document into a
   :class:`~repro.shard.store.ShardedStore`, one more system under the
-  pseudo-system name ``shard_system`` (default ``"S"``) whose plans fan
-  out over a :class:`~repro.shard.scatter.ScatterGatherExecutor`.
+  pseudo-system name ``"S"`` whose plans fan out over a
+  :class:`~repro.shard.scatter.ScatterGatherExecutor`.
 * **service** (``service=True``): everything runs through a
   :class:`~repro.service.QueryService` — bounded worker pool, per-system
   admission control, plan and result caches — including the sharded
@@ -31,8 +31,8 @@ import time
 import weakref
 
 from repro.benchmark.queries import query_text as benchmark_query_text
-from repro.benchmark.systems import SYSTEMS, load_stores
-from repro.cache import PlanCache, track
+from repro.benchmark.systems import SHARD_SYSTEM, SYSTEMS, load_stores
+from repro.cache import PLAN_SHAPES_PER_SYSTEM, PlanCache, track
 from repro.db.cursor import Cursor
 from repro.db.session import Session
 from repro.errors import (
@@ -46,10 +46,6 @@ from repro.update.ops import UpdateOp
 from repro.xquery.evaluator import evaluate, evaluate_stream
 from repro.xquery.planner import CompiledQuery
 
-#: Default pseudo-system name of the sharded deployment (mirrors
-#: :class:`repro.service.ShardSpec`).
-DEFAULT_SHARD_SYSTEM = "S"
-
 
 def connect(
     document: str | None,
@@ -57,31 +53,25 @@ def connect(
     systems: tuple[str, ...] = ("D",),
     shards: int | None = None,
     backends: tuple[str, ...] = ("F",),
-    shard_system: str = DEFAULT_SHARD_SYSTEM,
     service: bool = False,
     max_workers: int = 8,
-    per_system_limit: int | None = None,
-    plan_cache_size: int = 128,
     result_cache_size: int = 1024,
-    per_shard_limit: int = 2,
     tracing: bool = False,
     trace_log: str | None = None,
     query_log: str | None = None,
     durable: str | None = None,
     sync: str = "commit",
-    group_size: int = 8,
 ) -> "Database":
     """Open an embedded database over a generated (or any) XML document.
 
     ``systems`` names the benchmark architectures to load (A-G);
-    ``shards=N`` additionally serves a scatter-gather deployment as
-    pseudo-system ``shard_system``; ``service=True`` puts a concurrent
-    query service (admission control + a result cache) in front of
-    everything.  ``plan_cache_size`` sizes the connection's one plan
-    cache, in query shapes per serving system, on every kind of
-    connection.  ``max_workers``, ``per_system_limit``,
-    ``result_cache_size`` and ``per_shard_limit`` tune the service and
-    scatter layers and are ignored on a plain direct connection.
+    ``shards=N`` additionally serves a scatter-gather deployment of the
+    ``backends`` architectures as pseudo-system ``"S"``;
+    ``service=True`` puts a concurrent query service (admission control
+    + a result cache) in front of everything.  The connection's one plan
+    cache holds 128 query shapes per serving system, on every kind of
+    connection.  ``max_workers`` and ``result_cache_size`` size the
+    service layer and are ignored on a plain direct connection.
 
     ``tracing=True`` records a span tree per query/transaction —
     inspect it with ``cursor.profile()`` or ``db.tracer.roots``;
@@ -94,9 +84,9 @@ def connect(
     direct connection, like the other service-layer keywords.
 
     ``durable=directory`` makes the connection crash-consistent: every
-    commit is logged to a write-ahead log in ``directory`` *before* it
-    applies in memory (``sync`` picks the fsync policy — ``"commit"``,
-    ``"batch"`` with ``group_size``, or ``"none"``).  Reconnecting to an
+    commit is logged and fsynced to a write-ahead log in ``directory``
+    *before* it applies in memory (``sync="commit"``, the only policy, is
+    accepted for callers that name it).  Reconnecting to an
     existing durable directory recovers it first — snapshot load plus
     WAL replay — and serves the recovered state; ``document`` may then
     be ``None``, and when given it must be the deployment's original
@@ -113,24 +103,22 @@ def connect(
     if isinstance(document, str) and document.startswith("xmark://"):
         from repro.server.client import connect_url
         return connect_url(document, tracing=tracing, trace_log=trace_log)
+    if sync != "commit":
+        raise DurabilityError(
+            f"unknown WAL sync mode {sync!r}; every commit is fsynced "
+            "(sync='commit')")
     return Database(
         document,
         systems=tuple(systems),
         shards=shards,
         backends=tuple(backends),
-        shard_system=shard_system,
         service=service,
         max_workers=max_workers,
-        per_system_limit=per_system_limit,
-        plan_cache_size=plan_cache_size,
         result_cache_size=result_cache_size,
-        per_shard_limit=per_shard_limit,
         tracing=tracing,
         trace_log=trace_log,
         query_log=query_log,
         durable=durable,
-        sync=sync,
-        group_size=group_size,
     )
 
 
@@ -144,26 +132,20 @@ class Database:
         systems: tuple[str, ...] = ("D",),
         shards: int | None = None,
         backends: tuple[str, ...] = ("F",),
-        shard_system: str = DEFAULT_SHARD_SYSTEM,
         service: bool = False,
         max_workers: int = 8,
-        per_system_limit: int | None = None,
-        plan_cache_size: int = 128,
         result_cache_size: int = 1024,
-        per_shard_limit: int = 2,
         tracing: bool = False,
         trace_log: str | None = None,
         query_log: str | None = None,
         durable: str | None = None,
-        sync: str = "commit",
-        group_size: int = 8,
     ) -> None:
         for name in systems:
             if name not in SYSTEMS:
                 raise UnknownSystemError(name, tuple(SYSTEMS))
         if shards is not None and shards <= 0:
             raise BenchmarkError(f"shards must be positive, got {shards}")
-        self.shard_system = shard_system if shards is not None else None
+        self.shard_system = SHARD_SYSTEM if shards is not None else None
         self._closed = False
         #: Taken by every direct commit, and by close().
         self._update_lock = threading.RLock()
@@ -180,8 +162,7 @@ class Database:
         self._durability = None
         self.recovery = None            # RecoveryReport when a reconnect replayed
         if durable is not None:
-            document = self._open_durable(durable, document, sync=sync,
-                                          group_size=group_size)
+            document = self._open_durable(durable, document)
         elif document is None:
             raise BenchmarkError(
                 "document may only be omitted when reconnecting to an "
@@ -192,15 +173,12 @@ class Database:
             # On demand: a plain direct connection (and the process
             # serving one) never loads the service/shard packages.
             from repro.service import QueryService, ShardSpec
-        spec = (ShardSpec(shards=shards, backends=tuple(backends),
-                          name=shard_system, per_shard_limit=per_shard_limit)
+        spec = (ShardSpec(shards, tuple(backends))
                 if shards is not None else None)
         if service:
             self.service = QueryService(
                 document, tuple(systems),
                 max_workers=max_workers,
-                per_system_limit=per_system_limit,
-                plan_cache_size=plan_cache_size,
                 result_cache_size=result_cache_size,
                 shard_spec=spec,
                 tracer=self.tracer,
@@ -229,7 +207,7 @@ class Database:
             #: The one plan cache: direct executions, prepared queries
             #: and a wire server in front all look plans up here.
             self.plan_cache = PlanCache(
-                plan_cache_size * (len(systems) + (spec is not None)))
+                PLAN_SHAPES_PER_SYSTEM * (len(systems) + (spec is not None)))
             self._registry = MetricsRegistry()
             track(self._registry, "plan", self.plan_cache.stats)
         self._serving = tuple(self.stores)
@@ -238,13 +216,13 @@ class Database:
 
     # -- durability -----------------------------------------------------------------
 
-    def _open_durable(self, durable, document, *, sync, group_size) -> str:
+    def _open_durable(self, durable, document) -> str:
         """Open the durable directory's manager, recovering an existing
         deployment first; returns the document to load."""
         from repro.storage.interface import document_digest as content_of
         from repro.storage.wal import DurabilityManager, recover
         self._durability = manager = DurabilityManager(
-            durable, sync=sync, group_size=group_size, tracer=self.tracer)
+            durable, tracer=self.tracer)
         if not manager.exists(durable):
             if document is None:
                 raise DurabilityError(

@@ -16,9 +16,8 @@ points:
   dict) and :meth:`MetricsRegistry.render_text` (the one text formatter
   every CLI reports through).
 
-``percentile`` and :class:`LatencySummary` live here (moved from
-``repro.service.metrics``, which re-exports them for compatibility):
-the linear-interpolation estimator is the registry's percentile engine.
+``percentile`` and :class:`LatencySummary` live here: the
+linear-interpolation estimator is the registry's percentile engine.
 """
 
 from __future__ import annotations

@@ -434,32 +434,26 @@ class TraceSampler:
     Head decision: each tenant gets its own :class:`~repro.rng.lcg.Lcg48`
     stream seeded from ``seed`` and a CRC of the tenant name, so the
     kept-set is reproducible across runs and independent of request
-    interleaving between tenants.  ``per_tenant`` overrides the default
-    ``rate`` for named tenants.
+    interleaving between tenants.  Every tenant samples at ``rate``.
 
     Tail decision: :meth:`keep` upgrades an unsampled trace to kept when
     it errored or ran at least ``slow_ms`` — the slow-query rule that
     lets a server trace at ``rate=0.01`` and still capture every outlier.
     """
 
-    __slots__ = ("rate", "per_tenant", "slow_ms", "_seed", "_streams",
-                 "_lock")
+    __slots__ = ("rate", "slow_ms", "_seed", "_streams", "_lock")
 
-    def __init__(self, rate: float = 1.0, *, per_tenant=None,
+    def __init__(self, rate: float = 1.0, *,
                  slow_ms: float | None = None, seed: int = 20020820) -> None:
         self.rate = float(rate)
-        self.per_tenant = dict(per_tenant or {})
         self.slow_ms = slow_ms
         self._seed = int(seed)
         self._streams: dict[str, Lcg48] = {}
         self._lock = threading.Lock()
 
-    def rate_for(self, tenant: str) -> float:
-        return float(self.per_tenant.get(tenant, self.rate))
-
     def sample(self, tenant: str) -> bool:
         """The head decision: trace this request from the start?"""
-        rate = self.rate_for(tenant)
+        rate = self.rate
         if rate >= 1.0:
             return True
         if rate <= 0.0:

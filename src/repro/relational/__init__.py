@@ -2,30 +2,22 @@
 
 Systems A, B and C in the paper are XML stores layered over relational
 technology ("Systems A to C are based on relational technology, come with a
-cost-based query optimizer...").  This package is the substrate those three
-store implementations are built on:
+cost-based query optimizer...").  This package is what those three store
+implementations call:
 
 * :mod:`repro.relational.table` — columnar tables with typed columns;
-* :mod:`repro.relational.index` — hash (equality) and sorted (range) indexes;
-* :mod:`repro.relational.operators` — scan/filter/project/join/sort/group
-  primitives with instrumented tuple counters;
-* :mod:`repro.relational.stats` — per-table statistics used by the
-  cost-based planner (row counts, distinct values, selectivity estimates);
+* :mod:`repro.relational.index` — hash (equality) indexes;
 * :mod:`repro.relational.catalog` — a named collection of tables and their
   indexes; catalog lookups are *counted* because metadata access is one of
   the paper's headline observations (Table 2).
 """
 
 from repro.relational.catalog import Catalog
-from repro.relational.index import HashIndex, SortedIndex
-from repro.relational.operators import (
-    group_aggregate, hash_join, nested_loop_join, select, sort_rows,
-)
+from repro.relational.index import HashIndex
 from repro.relational.table import Column, ColumnType, Table
 
 __all__ = [
     "Table", "Column", "ColumnType",
-    "HashIndex", "SortedIndex",
+    "HashIndex",
     "Catalog",
-    "select", "hash_join", "nested_loop_join", "sort_rows", "group_aggregate",
 ]

@@ -10,22 +10,18 @@ through the catalog for each path step they resolve.
 from __future__ import annotations
 
 from repro.errors import RelationalError
-from repro.relational.index import HashIndex, SortedIndex
-from repro.relational.stats import TableStats
+from repro.relational.index import HashIndex
 from repro.relational.table import Column, Table
 
 
 class Catalog:
-    """Named tables, their indexes, and their statistics."""
+    """Named tables and their hash indexes."""
 
-    __slots__ = ("_tables", "_hash_indexes", "_sorted_indexes", "_stats",
-                 "metadata_accesses")
+    __slots__ = ("_tables", "_hash_indexes", "metadata_accesses")
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._hash_indexes: dict[tuple[str, str], HashIndex] = {}
-        self._sorted_indexes: dict[tuple[str, str], SortedIndex] = {}
-        self._stats: dict[str, TableStats] = {}
         self.metadata_accesses = 0
 
     # -- definition ------------------------------------------------------------
@@ -51,17 +47,6 @@ class Catalog:
             self._hash_indexes[key] = HashIndex(self.table(table_name), column)
         return self._hash_indexes[key]
 
-    def create_sorted_index(self, table_name: str, column: str) -> SortedIndex:
-        key = (table_name, column)
-        if key not in self._sorted_indexes:
-            self._sorted_indexes[key] = SortedIndex(self.table(table_name), column)
-        return self._sorted_indexes[key]
-
-    def analyze(self) -> None:
-        """Gather statistics for every table (run after bulkload)."""
-        for name, table in self._tables.items():
-            self._stats[name] = TableStats.gather(table)
-
     # -- lookup (counted: this is "metadata access") -----------------------------
 
     def table(self, name: str) -> Table:
@@ -78,14 +63,6 @@ class Catalog:
     def hash_index(self, table_name: str, column: str) -> HashIndex | None:
         self.metadata_accesses += 1
         return self._hash_indexes.get((table_name, column))
-
-    def sorted_index(self, table_name: str, column: str) -> SortedIndex | None:
-        self.metadata_accesses += 1
-        return self._sorted_indexes.get((table_name, column))
-
-    def stats(self, table_name: str) -> TableStats | None:
-        self.metadata_accesses += 1
-        return self._stats.get(table_name)
 
     def table_names(self) -> list[str]:
         self.metadata_accesses += 1
@@ -117,5 +94,4 @@ class Catalog:
         # dict/list sizes.
         total += sum(len(ix.table.column(ix.column_name)) * 16
                      for ix in self._hash_indexes.values())
-        total += sum(len(ix) * 24 for ix in self._sorted_indexes.values())
         return total

@@ -1,8 +1,6 @@
-"""Equality and range indexes over table columns."""
+"""Equality indexes over table columns."""
 
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
 
 from repro.relational.table import Table
 
@@ -25,12 +23,6 @@ class HashIndex:
             self._buckets[value] = [row_id]
         else:
             bucket.append(row_id)
-
-    def refresh(self) -> None:
-        """Rebuild after appends (bulkload builds indexes last, like a DBMS)."""
-        self._buckets.clear()
-        for row_id, value in self.table.scan_column(self.column_name):
-            self._insert(value, row_id)
 
     def insert(self, value, row_id: int) -> None:
         """Add one entry (incremental maintenance after a tuple insert)."""
@@ -64,57 +56,3 @@ class HashIndex:
 
     def __len__(self) -> int:
         return len(self._buckets)
-
-    def distinct_values(self) -> int:
-        return len(self._buckets)
-
-
-class SortedIndex:
-    """Range index: sorted (value, row_id) pairs with bisect lookups.
-
-    ``None`` values are excluded (SQL semantics: NULL never matches a range
-    predicate).
-    """
-
-    __slots__ = ("table", "column_name", "_keys", "_rows")
-
-    def __init__(self, table: Table, column_name: str) -> None:
-        self.table = table
-        self.column_name = column_name
-        self._keys: list = []
-        self._rows: list[int] = []
-        self.refresh()
-
-    def refresh(self) -> None:
-        pairs = sorted(
-            (value, row_id)
-            for row_id, value in self.table.scan_column(self.column_name)
-            if value is not None
-        )
-        self._keys = [value for value, _ in pairs]
-        self._rows = [row_id for _, row_id in pairs]
-
-    def range(self, low=None, high=None, inclusive: bool = True) -> list[int]:
-        """Row ids with ``low <= value <= high`` (bounds optional)."""
-        start = 0 if low is None else bisect_left(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif inclusive:
-            stop = bisect_right(self._keys, high)
-        else:
-            stop = bisect_left(self._keys, high)
-        return self._rows[start:stop]
-
-    def count_range(self, low=None, high=None, inclusive: bool = True) -> int:
-        """Cardinality of :meth:`range` without materialising it."""
-        start = 0 if low is None else bisect_left(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif inclusive:
-            stop = bisect_right(self._keys, high)
-        else:
-            stop = bisect_left(self._keys, high)
-        return max(0, stop - start)
-
-    def __len__(self) -> int:
-        return len(self._keys)

@@ -13,7 +13,6 @@ class ColumnType(enum.Enum):
     """Supported column types; XML string data coerces into these at load."""
 
     INT = "int"
-    FLOAT = "float"
     STR = "str"
 
     def coerce(self, value):
@@ -23,8 +22,6 @@ class ColumnType(enum.Enum):
         try:
             if self is ColumnType.INT:
                 return int(value)
-            if self is ColumnType.FLOAT:
-                return float(value)
             return str(value)
         except (TypeError, ValueError) as exc:
             raise RelationalError(f"cannot coerce {value!r} to {self.value}") from exc
@@ -62,10 +59,6 @@ class Table:
 
     def __len__(self) -> int:
         return len(self._data[self.columns[0].name])
-
-    @property
-    def row_count(self) -> int:
-        return len(self)
 
     def has_column(self, name: str) -> bool:
         return name in self._column_index
@@ -111,10 +104,6 @@ class Table:
                 self._data[column_name][row_id] = coerced
                 return
         raise RelationalError(f"table {self.name!r} has no column {column_name!r}")
-
-    def row(self, row_id: int) -> tuple:
-        """One full row as a tuple in declared column order."""
-        return tuple(self._data[column.name][row_id] for column in self.columns)
 
     def rows(self, columns: list[str] | None = None):
         """Iterate rows as tuples (a full scan)."""

@@ -182,11 +182,9 @@ class XMarkServer:
         registry: MetricsRegistry | None = None,
         tracer=NULL_TRACER,
         trace_sample_rate: float = 1.0,
-        tenant_sample_rates: dict[str, float] | None = None,
         slow_trace_ms: float | None = None,
         query_log=None,
         default_quota: TenantQuota | None = None,
-        tenant_quotas: dict[str, TenantQuota] | None = None,
         max_frame: int = protocol.MAX_FRAME,
     ) -> None:
         self.host = host
@@ -200,16 +198,12 @@ class XMarkServer:
         # Head sampling: requests carrying no client trace context roll a
         # deterministic per-tenant die; the slow/error tail rule can still
         # upgrade an unsampled request's span to kept (docs/OBSERVABILITY.md).
-        self.sampler = TraceSampler(trace_sample_rate,
-                                    per_tenant=tenant_sample_rates,
-                                    slow_ms=slow_trace_ms)
+        self.sampler = TraceSampler(trace_sample_rate, slow_ms=slow_trace_ms)
         self._owns_query_log = isinstance(query_log, (str, bytes)) or (
             query_log is not None and not hasattr(query_log, "record"))
         self.query_log = (QueryLogWriter(query_log) if self._owns_query_log
                           else query_log)
-        self.tenants = TenantRegistry(
-            default_quota=default_quota or TenantQuota(),
-            quotas=dict(tenant_quotas or {}))
+        self.tenants = TenantRegistry(default_quota or TenantQuota())
         self.documents: dict[str, ServedDocument] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="xmark-server")

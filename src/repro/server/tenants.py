@@ -47,17 +47,17 @@ class TenantState:
 
 @dataclass(slots=True)
 class TenantRegistry:
-    """All tenants the server has seen, with their quotas and usage."""
+    """All tenants the server has seen, with their usage; every tenant
+    gets ``default_quota``."""
 
     default_quota: TenantQuota = field(default_factory=TenantQuota)
-    quotas: dict[str, TenantQuota] = field(default_factory=dict)
     _tenants: dict[str, TenantState] = field(default_factory=dict)
 
     def state(self, name: str) -> TenantState:
         tenant = self._tenants.get(name)
         if tenant is None:
-            quota = self.quotas.get(name, self.default_quota)
-            tenant = self._tenants[name] = TenantState(name, quota)
+            tenant = self._tenants[name] = TenantState(name,
+                                                       self.default_quota)
         return tenant
 
     def connect(self, name: str) -> TenantState:

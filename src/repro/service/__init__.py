@@ -18,19 +18,14 @@ The performance ledger (``benchmarks/ledger/``) is what drives load
 through it; see DESIGN.md ("The query service") for the architecture.
 """
 
-from repro.cache import CacheStats, LRUCache
 from repro.service.cache import ResultCache
-from repro.service.metrics import LatencySummary, ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics
 from repro.service.service import QueryOutcome, QueryService, ShardSpec
 
 __all__ = [
-    "CacheStats",
-    "LRUCache",
-    "LatencySummary",
     "QueryOutcome",
     "QueryService",
     "ResultCache",
     "ServiceMetrics",
     "ShardSpec",
-    "percentile",
 ]

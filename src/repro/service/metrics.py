@@ -4,7 +4,8 @@ Latency, compile and queue-wait samples live in the fixed-size
 ring-buffer histograms of :mod:`repro.obs.metrics`, so a long-running
 service does not grow memory with every query.  Counts (``completed``,
 cache hits, errors) stay exact — they are totals, not samples;
-percentiles are estimated over the most recent ``window`` samples.
+percentiles are estimated over each histogram's most recent samples
+(the registry's default window).
 
 ``ServiceMetrics.registry`` exposes the backing
 :class:`~repro.obs.metrics.MetricsRegistry`, which is how the service's
@@ -13,27 +14,20 @@ numbers reach the shared text/JSON exporters (``xmark stats``).
 
 from __future__ import annotations
 
-from repro.obs.metrics import LatencySummary, MetricsRegistry, percentile
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["LatencySummary", "ServiceMetrics", "percentile"]
-
-#: Samples each latency histogram retains for percentile estimation.
-DEFAULT_WINDOW = 2048
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:
     """Thread-safe collector for every query one service answered,
     over the bounded histograms of its registry."""
 
-    def __init__(self, *, window: int = DEFAULT_WINDOW,
-                 registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._latency = self.registry.histogram(
-            "service.latency_seconds", window=window)
-        self._compile = self.registry.histogram(
-            "service.compile_seconds", window=window)
-        self._queue = self.registry.histogram(
-            "service.queue_wait_seconds", window=window)
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self._latency = self.registry.histogram("service.latency_seconds")
+        self._compile = self.registry.histogram("service.compile_seconds")
+        self._queue = self.registry.histogram("service.queue_wait_seconds")
         self._completed = self.registry.counter("service.queries_total")
         self._errors = self.registry.counter("service.errors_total")
         self._plan_hits = self.registry.counter(
@@ -63,7 +57,6 @@ class ServiceMetrics:
             self.registry.counter("service.queries_total",
                                   system=system).inc()
             self.registry.histogram("service.latency_seconds",
-                                    window=self._latency.window,
                                     system=system).observe(latency)
 
     def record_error(self, system: str | None = None) -> None:

@@ -6,8 +6,8 @@ serves queries against them from a bounded thread pool:
 * ``submit()`` returns a future; ``execute()`` is the synchronous
   convenience.
 * A per-system semaphore provides admission control: at most
-  ``per_system_limit`` queries execute on one store simultaneously, so a
-  burst against System A cannot starve System D's clients.
+  ``max_workers`` queries execute on one store simultaneously, and a
+  commit drains every system's permits to exclude readers.
 * Compiled plans are reused through a :class:`~repro.cache.PlanCache`
   (keyed on system + query shape: every text that differs only in its
   literals shares one plan); results through a
@@ -37,8 +37,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
 
 from repro.benchmark.queries import QUERIES
-from repro.benchmark.systems import load_stores
-from repro.cache import PlanCache, track
+from repro.benchmark.systems import SHARD_SYSTEM, load_stores
+from repro.cache import PLAN_SHAPES_PER_SYSTEM, PlanCache, track
 from repro.errors import BenchmarkError
 from repro.obs.trace import NULL_TRACER
 from repro.service.cache import ResultCache
@@ -59,22 +59,19 @@ class ShardSpec:
     """Configuration of the service's sharded deployment.
 
     When given to :class:`QueryService`, the service additionally serves a
-    pseudo-system (``name``, default ``"S"``) backed by a
+    pseudo-system (``"S"``) backed by a
     :class:`~repro.shard.store.ShardedStore` over ``shards`` instances of
     the ``backends`` architectures, whose exchange plans fan out over a
     :class:`~repro.shard.scatter.ScatterGatherExecutor`.  It is served
     like any other system — same plan cache, same result cache, same
     admission permit held per read; scatter subtasks additionally pass
-    per-shard admission (``per_shard_limit``), and commits drain the
-    system's gate with every other system's — the same torn-read
-    guarantee the unsharded systems get.
+    per-shard admission, and commits drain the system's gate with every
+    other system's — the same torn-read guarantee the unsharded systems
+    get.
     """
 
     shards: int = 2
     backends: tuple[str, ...] = (DEFAULT_BACKEND,)
-    name: str = "S"
-    per_shard_limit: int = 2
-    partial_cache_size: int = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,8 +106,6 @@ class QueryService:
         systems: tuple[str, ...] = ("D",),
         *,
         max_workers: int = 8,
-        per_system_limit: int | None = None,
-        plan_cache_size: int = 128,
         result_cache_size: int = 1024,
         shard_spec: ShardSpec | None = None,
         tracer=NULL_TRACER,
@@ -119,14 +114,10 @@ class QueryService:
     ) -> None:
         if max_workers <= 0:
             raise BenchmarkError(f"max_workers must be positive, got {max_workers}")
-        limit = per_system_limit if per_system_limit is not None else max_workers
-        if limit <= 0:
-            raise BenchmarkError(f"per_system_limit must be positive, got {limit}")
-        self.per_system_limit = limit
-        self.shard_spec = shard_spec
+        self.max_workers = max_workers
         self.tracer = tracer
         plain = tuple(name for name in systems
-                      if shard_spec is None or name != shard_spec.name)
+                      if shard_spec is None or name != SHARD_SYSTEM)
         (self.stores, self.load_reports, self.failed_loads,
          self._shard_executor, self.profiles) = load_stores(
             document, plain, shard_spec, tracer=tracer,
@@ -141,11 +132,11 @@ class QueryService:
             self.stores, self._update_lock, source="service", tracer=tracer,
             exclusion=self._exclusive, invalidate=self._rekey_results,
             durability=durability)
-        served = systems + ((shard_spec.name,) if shard_spec is not None else ())
-        self._admission = {name: threading.BoundedSemaphore(limit) for name in served}
-        # One cache for every system's plans, the sharded one's included:
-        # ``plan_cache_size`` entries per serving system.
-        self.plan_cache = PlanCache(plan_cache_size * len(served))
+        served = systems + ((SHARD_SYSTEM,) if shard_spec is not None else ())
+        self._admission = {name: threading.BoundedSemaphore(max_workers)
+                           for name in served}
+        # One cache for every system's plans, the sharded one's included.
+        self.plan_cache = PlanCache(PLAN_SHAPES_PER_SYSTEM * len(served))
         self.result_cache = ResultCache(result_cache_size)
         self.metrics = ServiceMetrics()
         track(self.registry, "plan", self.plan_cache.stats)
@@ -188,7 +179,7 @@ class QueryService:
         try:
             for name in tuple(self.stores):
                 gate = self._admission[name]
-                for _ in range(self.per_system_limit):
+                for _ in range(self.max_workers):
                     gate.acquire()
                     held.append(gate)
             yield

@@ -27,6 +27,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.benchmark.systems import SHARD_SYSTEM
 from repro.cache import LRUCache
 from repro.errors import ShardError
 from repro.obs.trace import NULL_TRACER
@@ -38,10 +39,13 @@ from repro.xquery.planner import SystemProfile, compile_query, exchange_kind
 #: secondary indexes serve the compatibility path's probes like any
 #: other architecture's).
 SHARDED_PROFILE = SystemProfile(
-    name="S", optimizer="heuristic", join_rewrite_depth=99,
+    name=SHARD_SYSTEM, optimizer="heuristic", join_rewrite_depth=99,
     inequality_join="nlj", use_id_index=True, use_path_index=True,
     use_value_index=True, use_sorted_index=True,
 )
+
+#: Scatter subtasks one shard runs at a time.
+PER_SHARD_LIMIT = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,16 +63,14 @@ class ScatterGatherExecutor(Exchange):
     """The pool, gates and partial cache of one sharded store."""
 
     def __init__(self, sharded: ShardedStore, *,
-                 max_workers: int | None = None,
-                 per_shard_limit: int = 2,
                  partial_cache_size: int = 512,
                  tracer=NULL_TRACER) -> None:
         self.sharded = sharded
         self.tracer = tracer
-        workers = max_workers or min(8, max(2, sharded.shard_count))
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="xmark-shard")
-        self._gates = [threading.BoundedSemaphore(per_shard_limit)
+            max_workers=min(8, max(2, sharded.shard_count)),
+            thread_name_prefix="xmark-shard")
+        self._gates = [threading.BoundedSemaphore(PER_SHARD_LIMIT)
                        for _ in range(sharded.shard_count)]
         self._rebuild_locks = [threading.Lock()
                                for _ in range(sharded.shard_count)]

@@ -157,7 +157,6 @@ class FragmentStore(Store):
         for path, attr_names in self._attr_map.items():
             for attr in attr_names:
                 self.catalog.create_hash_index(_attr_table_name(path, attr), "parent")
-        self.catalog.analyze()
         # Resolve the text tables below every registered path now: the catalog
         # never changes after load, and precomputing keeps string_value() free
         # of shared mutable scratch, so concurrent readers are safe.

@@ -122,7 +122,6 @@ class HeapStore(Store):
         for row in range(len(attrs)):
             if names[row] == "id":
                 self._id_index[values[row]] = parents[row]
-        self.catalog.analyze()
         self._next_pre = sequence
         self._mutated = False
         self._order = None
@@ -289,7 +288,7 @@ class HeapStore(Store):
             extent.sort(key=self.doc_position)
         return extent
 
-    # -- mutation: tuple inserts/deletes with index and stats touches ------------------
+    # -- mutation: tuple inserts/deletes with index touches ------------------------------
 
     def _note_mutation(self) -> None:
         self._mutated = True

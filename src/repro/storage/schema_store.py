@@ -164,7 +164,6 @@ class SchemaStore(Store):
                         if value is not None:
                             self._id_index[value] = ("e", spec.table, row)
         self._compute_locations()
-        self.catalog.analyze()
         self._next_ord = counter
         self._dead = {}
         self.mark_loaded(text)

@@ -1,17 +1,9 @@
-"""Append-only WAL streams: durable appends, group commit, torn-tail scans.
+"""Append-only WAL streams: durable appends and torn-tail scans.
 
 A :class:`WriteAheadLog` owns one stream file.  ``append()`` writes one
-encoded record and makes it durable according to the sync policy:
-
-* ``"commit"`` (the default) — flush + fsync on every append: a commit
-  that returned is on stable storage.
-* ``"batch"`` — group commit: appends accumulate and one fsync covers
-  the group, forced every ``group_size`` records, on :meth:`sync`, and
-  on :meth:`close`.  The classic latency/durability trade: a crash can
-  lose the unsynced suffix of the group, but never tear the log into an
-  unreadable state (the tail scanner drops a half-record either way).
-* ``"none"`` — no explicit fsync (tests, benchmarks measuring the
-  append path without device latency).
+encoded record, then flushes and fsyncs it: a commit that returned is on
+stable storage.  A crash during the append leaves at most a half-record,
+which the tail scanner drops.
 
 Reading is one function: :func:`scan_wal` returns every intact record
 plus a :class:`WalScan` describing how the file ends.  Recovery treats a
@@ -29,10 +21,6 @@ from pathlib import Path
 from repro.errors import DurabilityError
 from repro.obs.trace import NULL_TRACER
 from repro.storage.wal.records import TAIL_CLEAN, WalRecord, iter_records
-
-#: Valid sync policies, strictest first.
-SYNC_MODES = ("commit", "batch", "none")
-
 
 @dataclass(slots=True)
 class WalScan:
@@ -83,21 +71,12 @@ def scan_wal(path: str | Path) -> WalScan:
 class WriteAheadLog:
     """One append-only, CRC-guarded record stream."""
 
-    def __init__(self, path: str | Path, *, sync: str = "commit",
-                 group_size: int = 8, tracer=NULL_TRACER,
+    def __init__(self, path: str | Path, *, tracer=NULL_TRACER,
                  registry=None, stream: int = 0) -> None:
-        if sync not in SYNC_MODES:
-            raise DurabilityError(
-                f"unknown WAL sync mode {sync!r}; choose from {SYNC_MODES}")
-        if group_size < 1:
-            raise DurabilityError(f"group_size must be >= 1, got {group_size}")
         self.path = Path(path)
-        self.sync_mode = sync
-        self.group_size = group_size
         self.stream = stream
         self._tracer = tracer
         self._registry = registry
-        self._pending = 0               # appends not yet covered by an fsync
         self._file = None
         self.appended_records = 0
         self.appended_bytes = 0
@@ -110,16 +89,15 @@ class WriteAheadLog:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             created = not self.path.exists()
             self._file = open(self.path, "ab")
-            if created and self.sync_mode != "none":
+            if created:
                 fsync_directory(self.path.parent)
         return self._file
 
     def append(self, record: WalRecord) -> int:
-        """Append one record; returns its starting offset.
+        """Append one record and fsync it; returns its starting offset.
 
-        Durability on return is the sync policy's promise: everything up
-        to and including this record under ``"commit"``, possibly less
-        under ``"batch"``/``"none"``.
+        On return everything up to and including this record is on
+        stable storage.
         """
         encoded = record.encode()
         handle = self._handle()
@@ -133,7 +111,6 @@ class WriteAheadLog:
         else:
             offset = handle.tell()
             handle.write(encoded)
-        self._pending += 1
         self.appended_records += 1
         self.appended_bytes += len(encoded)
         if self._registry is not None:
@@ -141,39 +118,23 @@ class WriteAheadLog:
                                    stream=str(self.stream)).inc()
             self._registry.counter("wal.bytes_total",
                                    stream=str(self.stream)).inc(len(encoded))
-        if self.sync_mode == "commit" or (
-                self.sync_mode == "batch" and self._pending >= self.group_size):
-            self.sync()
-        return offset
-
-    def sync(self) -> None:
-        """Force the pending appends to stable storage (one group commit)."""
-        if self._file is None or self._pending == 0:
-            return
-        covered = self._pending
-        tracer = self._tracer
         if tracer.enabled:
-            with tracer.span("wal.fsync", stream=self.stream,
-                             records=covered):
+            with tracer.span("wal.fsync", stream=self.stream):
                 self._fsync()
         else:
             self._fsync()
-        self._pending = 0
         self.fsyncs += 1
         if self._registry is not None:
             self._registry.counter("wal.fsyncs_total",
                                    stream=str(self.stream)).inc()
-            self._registry.histogram("wal.group_commit_records").observe(
-                float(covered))
+        return offset
 
     def _fsync(self) -> None:
         self._file.flush()
-        if self.sync_mode != "none":
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if self._file is not None:
-            self.sync()
             self._file.close()
             self._file = None
 

@@ -14,15 +14,14 @@ offering a *different* base document is refused rather than silently
 forked), and the current snapshot.  It is always replaced atomically,
 so recovery sees either the pre- or post-checkpoint root, and both are
 complete.  Each rename (snapshot, manifest, compacted stream), the
-``wal/`` and ``snapshots/`` directories and each new stream file (unless
-``sync="none"``) are followed by an fsync of the directory holding the
-new entry: without it a power cut could keep a manifest that names a
+``wal/`` and ``snapshots/`` directories and each new stream file are
+followed by an fsync of the directory holding the new entry: without it a power cut could keep a manifest that names a
 snapshot whose rename was lost, after compaction had dropped the records
 that snapshot covered.
 
 Commit protocol (the WAL invariant): :meth:`DurabilityManager.log_commit`
-appends the record — and, under ``sync="commit"``, fsyncs — *before* the
-caller applies the operations in memory.  A crash between the two
+appends and fsyncs the record *before* the caller applies the
+operations in memory.  A crash between the two
 replays the record at recovery; a crash during the append leaves a torn
 tail the scanner drops.  Either way the recovered state is some exact
 prefix of the commit history.
@@ -76,12 +75,9 @@ def _atomic_write_json(path: Path, document: dict) -> None:
 class DurabilityManager:
     """One durable directory's layout, manifest, and WAL streams."""
 
-    def __init__(self, directory: str | Path, *, sync: str = "commit",
-                 group_size: int = 8, tracer=NULL_TRACER,
+    def __init__(self, directory: str | Path, *, tracer=NULL_TRACER,
                  registry=None) -> None:
         self.directory = Path(directory)
-        self.sync_mode = sync
-        self.group_size = group_size
         self.tracer = tracer
         self.registry = registry
         self._streams: list[WriteAheadLog] = []
@@ -189,8 +185,7 @@ class DurabilityManager:
 
     def _open_streams(self, count: int) -> None:
         self._streams = [
-            WriteAheadLog(self.stream_path(index), sync=self.sync_mode,
-                          group_size=self.group_size, tracer=self.tracer,
+            WriteAheadLog(self.stream_path(index), tracer=self.tracer,
                           registry=self.registry, stream=index)
             for index in range(count)
         ]
@@ -234,11 +229,6 @@ class DurabilityManager:
         self._next_lsn += 1
         return record
 
-    def sync(self) -> None:
-        """Force every stream's pending group to stable storage."""
-        for stream in self._streams:
-            stream.sync()
-
     # -- checkpoints --------------------------------------------------------------
 
     def checkpoint(self, snapshot: dict) -> dict:
@@ -254,7 +244,6 @@ class DurabilityManager:
             raise DurabilityError(
                 f"snapshot claims lsn {lsn} but only {self.last_lsn} "
                 "commits were logged")
-        self.sync()
         write_snapshot(self.snapshot_path(lsn), snapshot)
         old_snapshot = self.manifest["snapshot"]
         manifest = dict(self.manifest)

@@ -404,11 +404,11 @@ def _resolve_paths(compiled: CompiledQuery, nodes: list) -> None:
         if isinstance(store, FragmentStore):
             _resolve_fragment_steps(store, node)
         elif isinstance(store, HeapStore):
-            store.catalog.stats("nodes")  # one heap relation, one touch
+            store.catalog.has_table("nodes")  # one heap relation, one touch
         elif isinstance(store, SchemaStore):
             for step in node.steps:
                 if step.name is not None:
-                    store.catalog.stats(step.name)  # schema lookup per step
+                    store.catalog.has_table(step.name)  # schema lookup per step
         elif isinstance(store, SummaryStore):
             prefix, _ = _absolute_prefix(node)
             if prefix:
@@ -1119,8 +1119,8 @@ def _enumerate_plans(compiled: CompiledQuery, nodes: list) -> None:
     """Spend realistic optimization effort per optimizer class.
 
     The candidates are orderings of the query's path expressions (the units
-    a 2002 translator would join); each candidate is costed from table
-    statistics.  The exhaustive System-R enumeration of System A is the
+    a 2002 translator would join); each candidate is costed from a fixed
+    per-path cardinality estimate.  The exhaustive System-R enumeration of System A is the
     paper's "too much of its time on optimization"; greedy systems touch
     O(n^2) candidates; heuristic systems O(n).
     """

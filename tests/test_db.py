@@ -65,6 +65,17 @@ class TestConnect:
         with pytest.raises(BenchmarkError):
             tiny_db.session().execute(1, system="Q")
 
+    def test_plan_cache_holds_128_shapes_per_serving_system(self,
+                                                             tiny_text):
+        with repro.connect(tiny_text, systems=("D", "F"), shards=2) as db:
+            assert db.plan_cache.capacity == 128 * 3
+
+    def test_fixed_settings_are_not_keywords(self, tiny_text):
+        for keyword in ("shard_system", "per_system_limit", "plan_cache_size",
+                        "per_shard_limit", "group_size"):
+            with pytest.raises(TypeError, match=keyword):
+                repro.connect(tiny_text, systems=("F",), **{keyword: 1})
+
     def test_unknown_query_number(self, tiny_db):
         with pytest.raises(BenchmarkError):
             tiny_db.session().execute(99)

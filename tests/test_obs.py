@@ -20,6 +20,7 @@ from repro.errors import BenchmarkError
 from repro.obs import (
     NULL_SPAN, NULL_TRACER, MetricsRegistry, TraceLogWriter, Tracer,
 )
+from repro.obs.metrics import DEFAULT_WINDOW
 from repro.obs.trace import TRACE_SCHEMA_VERSION, Span
 from repro.service.metrics import ServiceMetrics
 from repro.xmlio.parser import parse
@@ -180,14 +181,14 @@ class TestMetricsRegistry:
         assert "lat count=1" in text
 
     def test_service_metrics_shim_is_bounded(self):
-        metrics = ServiceMetrics(window=8)
+        metrics = ServiceMetrics()
         for number in range(50):
             metrics.record(started=0.0, finished=0.001,
                            compile_seconds=0.0001, queue_seconds=0.0,
                            plan_cache_hit=number % 2 == 0,
                            result_cache_hit=False, system="D")
         assert metrics.completed == 50
-        assert metrics._latency.retained == 8
+        assert metrics._latency.window == DEFAULT_WINDOW
         snapshot = metrics.snapshot()
         assert snapshot["completed"] == 50
         assert snapshot["plan_cache_hits"] == 25

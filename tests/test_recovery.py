@@ -86,7 +86,7 @@ def history(tiny_text):
 def durable_dir(history, tmp_path_factory):
     """A pristine single-stream deployment holding the whole history."""
     directory = tmp_path_factory.mktemp("durable") / "deploy"
-    manager = DurabilityManager(directory, sync="commit")
+    manager = DurabilityManager(directory)
     base_digest, base_document = history.states[0]
     manager.initialize(document_snapshot(0, base_digest, base_document))
     for index, op in enumerate(history.ops):
@@ -142,15 +142,15 @@ class TestWalCodec:
                       ops=(DeleteItem("item1"), DeleteItem("item2")),
                       prev_digest="", digest="")
 
-    def test_group_commit_batches_fsyncs(self, tmp_path):
-        log = WriteAheadLog(tmp_path / "s.wal", sync="batch", group_size=4)
+    def test_every_append_is_fsynced(self, tmp_path):
+        log = WriteAheadLog(tmp_path / "s.wal")
         for lsn in range(1, 9):
             log.append(WalRecord(lsn=lsn, kind="op",
                                  ops=(DeleteItem(f"item{lsn}"),),
                                  prev_digest="p", digest="d"))
-        assert log.fsyncs == 2          # two full groups of four
+            assert log.fsyncs == lsn
         log.close()
-        assert log.fsyncs == 2          # nothing pending at close
+        assert log.fsyncs == 8          # close adds none
         scan = scan_wal(tmp_path / "s.wal")
         assert scan.clean and len(scan.records) == 8
 
@@ -258,7 +258,7 @@ def test_renames_and_new_files_reach_their_directory(history, tmp_path,
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     directory = tmp_path / "deploy"
-    manager = DurabilityManager(directory, sync="commit")
+    manager = DurabilityManager(directory)
     base_digest, base_document = history.states[0]
     manager.initialize(document_snapshot(0, base_digest, base_document))
     for index, op in enumerate(history.ops[:3]):
@@ -296,7 +296,7 @@ def sharded_history(tiny_text, tmp_path_factory):
     store = ShardedStore(SHARD_COUNT, SHARD_BACKENDS)
     store.load(tiny_text)
     directory = tmp_path_factory.mktemp("sharded") / "deploy"
-    manager = DurabilityManager(directory, sync="commit")
+    manager = DurabilityManager(directory)
     state = store.partition_state()
     manager.initialize(
         sharded_snapshot(0, store.document_digest(),
@@ -423,6 +423,28 @@ class TestDurableConnection:
             connect(small_text, systems=("F",), durable=str(tmp_path / "d"))
         # the original base document reattaches fine
         connect(tiny_text, systems=("F",), durable=str(tmp_path / "d")).close()
+
+    def test_every_commit_is_one_fsync(self, tiny_text, tmp_path):
+        db = connect(tiny_text, systems=("F",), durable=str(tmp_path / "d"))
+        try:
+            stream = UpdateStream(db.store("F"), seed=5)
+            for _ in range(3):
+                op = stream.next_op()
+                stream.note_applied(op)
+                db.apply_transaction([op])
+            counter = db.registry.counter
+            assert counter("wal.records_total", stream="0").value == 3
+            assert counter("wal.fsyncs_total", stream="0").value == 3
+        finally:
+            db.close()
+
+    def test_unknown_sync_mode_is_refused_before_any_write(self, tiny_text,
+                                                            tmp_path):
+        directory = tmp_path / "d"
+        with pytest.raises(DurabilityError, match="sync"):
+            connect(tiny_text, systems=("F",), durable=str(directory),
+                    sync="bogus")
+        assert not directory.exists() or not any(directory.iterdir())
 
     def test_document_required_without_durable_state(self, tmp_path):
         from repro.errors import BenchmarkError

@@ -1,15 +1,10 @@
-"""Tests for the relational substrate: tables, indexes, operators, catalog."""
+"""Tests for the relational substrate: tables, hash indexes, catalog."""
 
 import pytest
 
 from repro.errors import RelationalError
 from repro.relational.catalog import Catalog
-from repro.relational.index import HashIndex, SortedIndex
-from repro.relational.operators import (
-    OperatorCounters, anti_join, group_aggregate, hash_join, nested_loop_join,
-    project, select, semi_join, sort_rows,
-)
-from repro.relational.stats import TableStats
+from repro.relational.index import HashIndex
 from repro.relational.table import Column, ColumnType, Table
 
 
@@ -31,7 +26,7 @@ class TestTable:
         assert len(table) == 3
         assert table.get(0, "name") == "ann"
         assert table.get(1, "age") is None
-        assert table.row(2) == (3, "cid", 25)
+        assert [table.get(2, c) for c in ("id", "name", "age")] == [3, "cid", 25]
 
     def test_coercion(self):
         table = make_people()
@@ -69,6 +64,35 @@ class TestTable:
     def test_estimated_bytes_positive(self):
         assert make_people().estimated_bytes() > 0
 
+    def test_set_coerces_in_place(self):
+        table = make_people()
+        table.set(1, "age", "41")
+        assert table.get(1, "age") == 41
+        table.set(0, "age", None)
+        assert table.get(0, "age") is None
+        assert len(table) == 3
+
+    def test_set_refuses_null_in_non_null_column(self):
+        table = make_people()
+        with pytest.raises(RelationalError):
+            table.set(0, "name", None)
+        assert table.get(0, "name") == "ann"
+
+    def test_set_unknown_column_rejected(self):
+        with pytest.raises(RelationalError):
+            make_people().set(0, "bogus", 1)
+
+    def test_column_access(self):
+        table = make_people()
+        assert table.has_column("age") and not table.has_column("bogus")
+        assert table.column("id") == [1, 2, 3]
+        with pytest.raises(RelationalError):
+            table.column("bogus")
+
+    def test_scan_column_pairs_row_ids(self):
+        assert list(make_people().scan_column("age")) == [
+            (0, 30), (1, None), (2, 25)]
+
 
 class TestIndexes:
     def test_hash_lookup(self):
@@ -79,91 +103,25 @@ class TestIndexes:
         assert index.unique("ann") == 0
         assert index.unique("zzz") is None
 
-    def test_hash_refresh_after_append(self):
+    def test_hash_maintenance(self):
         table = make_people()
         index = HashIndex(table, "name")
-        table.append(id=4, name="bob", age=1)
-        index.refresh()
+        row = table.append(id=4, name="bob", age=1)
+        index.insert("bob", row)
         assert index.lookup("bob") == [1, 3]
+        index.remove("bob", 1)
+        index.remove("bob", 1)             # a missing entry is ignored
+        assert index.lookup("bob") == [3]
 
-    def test_sorted_range(self):
+    def test_hash_buckets_nulls_and_counts_keys(self):
         table = make_people()
-        index = SortedIndex(table, "age")
-        assert index.range(25, 30) == [2, 0]
-        assert index.range(26, None) == [0]
-        assert index.range(None, 26) == [2]
-        assert index.range(25, 30, inclusive=False) == [2]
-
-    def test_sorted_excludes_nulls(self):
-        table = make_people()
-        index = SortedIndex(table, "age")
+        table.append(id=4, name="dee", age=30)
+        index = HashIndex(table, "age")
+        assert len(index) == 3             # 30, None, 25
+        assert index.lookup(30) == [0, 3]
+        assert index.lookup(None) == [1]
+        index.remove(None, 1)
         assert len(index) == 2
-        assert index.count_range(None, None) == 2
-
-
-class TestOperators:
-    def test_select_and_counters(self):
-        counters = OperatorCounters()
-        rows = [(1,), (2,), (3,)]
-        kept = select(rows, lambda r: r[0] > 1, counters)
-        assert kept == [(2,), (3,)]
-        assert counters.tuples_scanned == 3
-
-    def test_project(self):
-        assert project([(1, "a"), (2, "b")], [1]) == [("a",), ("b",)]
-
-    def test_hash_join_basic(self):
-        left = [(1, "l1"), (2, "l2")]
-        right = [(2, "r2"), (2, "r2b"), (3, "r3")]
-        joined = hash_join(left, right, lambda r: r[0], lambda r: r[0])
-        assert joined == [(2, "l2", 2, "r2"), (2, "l2", 2, "r2b")]
-
-    def test_hash_join_null_keys_never_match(self):
-        joined = hash_join([(None, "x")], [(None, "y")], lambda r: r[0], lambda r: r[0])
-        assert joined == []
-
-    def test_nested_loop_join_counts_pairs(self):
-        counters = OperatorCounters()
-        left = [(i,) for i in range(10)]
-        right = [(j,) for j in range(20)]
-        out = nested_loop_join(left, right, lambda l, r: l[0] > r[0], counters)
-        assert counters.join_pairs_considered == 200
-        assert len(out) == sum(min(i, 20) for i in range(10))
-
-    def test_sort_rows_stable(self):
-        rows = [(2, "a"), (1, "b"), (2, "c")]
-        assert sort_rows(rows, key=lambda r: r[0]) == [(1, "b"), (2, "a"), (2, "c")]
-
-    def test_group_aggregate(self):
-        rows = [("x", 1), ("y", 2), ("x", 3)]
-        groups = group_aggregate(rows, key=lambda r: r[0],
-                                 aggregate=lambda members: sum(m[1] for m in members))
-        assert groups == {"x": 4, "y": 2}
-
-    def test_semi_and_anti_join(self):
-        rows = [(1,), (2,), (3,)]
-        assert semi_join(rows, {2, 3}, lambda r: r[0]) == [(2,), (3,)]
-        assert anti_join(rows, {2, 3}, lambda r: r[0]) == [(1,)]
-
-
-class TestStats:
-    def test_gather_counts(self):
-        stats = TableStats.gather(make_people())
-        assert stats.row_count == 3
-        assert stats.distinct["name"] == 3
-
-    def test_join_cardinality_estimate(self):
-        a = TableStats(1000, {"k": 100})
-        b = TableStats(500, {"k": 50})
-        assert a.join_cardinality(b, "k", "k") == 1000 * 500 / 100
-
-    def test_equality_cardinality(self):
-        stats = TableStats(1000, {"k": 100})
-        assert stats.equality_cardinality("k") == 10
-        assert stats.equality_cardinality("unknown") == 100  # default 0.1
-
-    def test_range_default(self):
-        assert TableStats(300, {}).range_cardinality() == 100
 
 
 class TestCatalog:
@@ -196,25 +154,39 @@ class TestCatalog:
         assert names == ["x/a", "x/b"]
         assert catalog.metadata_accesses - before == 3
 
-    def test_analyze_and_stats(self):
-        catalog = Catalog()
-        table = catalog.create_table("t", [Column("a", ColumnType.INT)])
-        table.append(a=1)
-        table.append(a=2)
-        catalog.analyze()
-        assert catalog.stats("t").row_count == 2
-
     def test_indexes_via_catalog(self):
         catalog = Catalog()
         table = catalog.create_table("t", [Column("a", ColumnType.INT)])
         table.append(a=5)
         hash_ix = catalog.create_hash_index("t", "a")
-        sorted_ix = catalog.create_sorted_index("t", "a")
         assert catalog.hash_index("t", "a") is hash_ix
-        assert catalog.sorted_index("t", "a") is sorted_ix
         assert catalog.hash_index("t", "zz") is None
         assert hash_ix.lookup(5) == [0]
-        assert sorted_ix.range(0, 10) == [0]
+
+    def test_create_hash_index_is_idempotent(self):
+        catalog = Catalog()
+        catalog.create_table("t", [Column("a")])
+        assert catalog.create_hash_index("t", "a") is \
+            catalog.create_hash_index("t", "a")
+
+    def test_table_names_is_one_counted_access(self):
+        catalog = Catalog()
+        for name in ("b", "a"):
+            catalog.create_table(name, [Column("v")])
+        before = catalog.metadata_accesses
+        assert catalog.table_names() == ["a", "b"]
+        assert catalog.table_count() == 2
+        assert catalog.metadata_accesses == before + 1
+
+    def test_estimated_bytes_counts_hash_indexes(self):
+        catalog = Catalog()
+        table = catalog.create_table("t", [Column("a", ColumnType.INT)])
+        for value in range(10):
+            table.append(a=value)
+        bare = catalog.estimated_bytes()
+        assert bare == table.estimated_bytes()
+        catalog.create_hash_index("t", "a")
+        assert catalog.estimated_bytes() == bare + 10 * 16
 
     def test_missing_table_raises(self):
         with pytest.raises(RelationalError):

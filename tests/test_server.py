@@ -194,15 +194,14 @@ class TestTenantRegistry:
             registry.connect("t")
         assert registry.state("t").sessions == 100
 
-    def test_per_tenant_override(self):
-        registry = TenantRegistry(
-            default_quota=TenantQuota(max_sessions=1),
-            quotas={"vip": TenantQuota(max_sessions=3)})
-        registry.connect("vip")
-        registry.connect("vip")
-        registry.connect("plain")
+    def test_every_tenant_gets_the_default_quota(self):
+        quota = TenantQuota(max_sessions=1)
+        registry = TenantRegistry(default_quota=quota)
+        registry.connect("a")
+        registry.connect("b")              # a's session is not b's
         with pytest.raises(TenantQuotaError):
-            registry.connect("plain")
+            registry.connect("a")
+        assert registry.state("a").quota is registry.state("b").quota is quota
 
 
 # -- handshake ------------------------------------------------------------------------

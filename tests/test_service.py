@@ -18,11 +18,12 @@ import time
 
 import pytest
 
+from repro.cache import LRUCache
 from repro.errors import BenchmarkError, XMarkError
-from repro.service import (
-    LRUCache, QueryService, ResultCache, ServiceMetrics, ShardSpec, percentile,
+from repro.obs.metrics import (
+    DEFAULT_WINDOW, LatencySummary, MetricsRegistry, percentile,
 )
-from repro.service.metrics import LatencySummary
+from repro.service import QueryService, ResultCache, ServiceMetrics, ShardSpec
 from repro.benchmark.queries import QUERIES, query_text
 from repro.benchmark.systems import get_profile
 from repro.xmlgen.config import GeneratorConfig
@@ -242,18 +243,25 @@ class TestServiceMetrics:
         assert metrics.snapshot()["result_cache_hits"] == 1
 
     def test_percentiles_cover_a_bounded_window(self):
-        """Totals stay exact while the histograms keep only ``window``
-        samples, so a long-running service does not grow with traffic."""
-        metrics = ServiceMetrics(window=4)
+        """Totals stay exact while a histogram keeps only ``window``
+        samples, so a long-running service does not grow with traffic;
+        the service's histograms take the registry's default window."""
+        labelled = MetricsRegistry().histogram(
+            "service.latency_seconds", window=4, system="D")
+        for _ in range(10):
+            labelled.observe(1.0)
+        assert (labelled.count, labelled.retained) == (10, 4)
+        metrics = ServiceMetrics()
         for _ in range(10):
             self._record(metrics, system="D")
         snapshot = metrics.snapshot()
         assert snapshot["completed"] == 10
         assert snapshot["latency"]["count"] == 10
         registry = metrics.registry
-        assert registry.histogram("service.latency_seconds").retained == 4
+        assert registry.histogram("service.latency_seconds").window == \
+            DEFAULT_WINDOW
         assert registry.histogram("service.latency_seconds",
-                                  system="D").retained == 4
+                                  system="D").window == DEFAULT_WINDOW
 
 
 class TestQueryService:
@@ -391,8 +399,8 @@ class TestQueryService:
     @pytest.mark.parametrize("shard_spec", [None, ShardSpec(shards=2)])
     def test_limits_are_checked_before_any_load(self, tiny_text, monkeypatch,
                                                 shard_spec):
-        """A bad ``max_workers``/``per_system_limit`` raises before a
-        single store (or a scatter executor) is built."""
+        """A bad ``max_workers`` raises before a single store (or a
+        scatter executor) is built."""
         from repro.service import service as service_module
 
         loads = []
@@ -403,9 +411,6 @@ class TestQueryService:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(service_module, "load_stores", spy)
-        with pytest.raises(BenchmarkError, match="per_system_limit"):
-            QueryService(tiny_text, ("D",), per_system_limit=0,
-                         shard_spec=shard_spec)
         with pytest.raises(BenchmarkError, match="max_workers"):
             QueryService(tiny_text, ("D",), max_workers=0,
                          shard_spec=shard_spec)
@@ -430,7 +435,7 @@ class TestAdmission:
         monkeypatch.setattr(service_module, "evaluate", wrapped)
 
     @pytest.mark.parametrize("limit", [1, 2])
-    def test_per_system_limit_bounds_concurrent_executions(
+    def test_max_workers_bounds_concurrent_executions(
             self, tiny_text, monkeypatch, limit):
         lock, running, peak = threading.Lock(), [0], [0]
 
@@ -443,20 +448,18 @@ class TestAdmission:
                 running[0] -= 1
 
         self._wrap_evaluate(monkeypatch, hold)
-        with QueryService(tiny_text, ("D",), max_workers=4,
-                          per_system_limit=limit,
+        with QueryService(tiny_text, ("D",), max_workers=limit,
                           result_cache_size=0) as svc:
             futures = [svc.submit("D", 1) for _ in range(6)]
             assert all(f.result().result_size == 1 for f in futures)
         assert peak[0] == limit
 
     def test_systems_are_admitted_independently(self, tiny_text, monkeypatch):
-        """With one permit per system, a query on C and one on D still run
-        at the same time: the barrier breaks if either waits for the other."""
+        """A query on C and one on D run at the same time: the barrier
+        breaks if either waits for the other."""
         barrier = threading.Barrier(2, timeout=10)
         self._wrap_evaluate(monkeypatch, barrier.wait)
-        with QueryService(tiny_text, ("C", "D"), max_workers=2,
-                          per_system_limit=1) as svc:
+        with QueryService(tiny_text, ("C", "D"), max_workers=2) as svc:
             on_c, on_d = svc.submit("C", 1), svc.submit("D", 1)
             assert on_c.result().result_size == on_d.result().result_size == 1
 

@@ -8,6 +8,8 @@ distributed plans underneath.
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,6 +19,8 @@ from repro.benchmark.queries import query_text
 from repro.errors import BenchmarkError, ShardError
 from repro.schema.auction import REGIONS
 from repro.service import QueryService, ShardSpec
+from repro.shard import ShardedStore
+from repro.shard.scatter import PER_SHARD_LIMIT, ScatterGatherExecutor
 from repro.update.stream import UpdateStream
 
 
@@ -139,10 +143,24 @@ class TestShardedService:
         with pytest.raises(ShardError, match="closed"):
             executor.execute(query_text(1))
 
-    def test_shard_name_collision_is_rejected(self, tiny_text):
-        with pytest.raises(BenchmarkError):
-            QueryService(tiny_text, ("F",),
-                         shard_spec=ShardSpec(shards=2, name="D"))
+    def test_scatter_admits_per_shard_limit_subtasks_per_shard(self):
+        """Four subtasks on one shard with four pool threads free: the
+        shard's gate lets ``PER_SHARD_LIMIT`` of them run at a time."""
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def hold(rank):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            with lock:
+                running[0] -= 1
+            return rank
+
+        sharded = ShardedStore(4, ("F",))
+        with ScatterGatherExecutor(sharded) as executor:
+            assert executor.scatter(sharded, [0, 0, 0, 0], hold) == [0] * 4
+        assert peak[0] == PER_SHARD_LIMIT
 
     def test_the_sharded_store_builds_a_global_index_set(self,
                                                           sharded_service):

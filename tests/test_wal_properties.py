@@ -47,13 +47,13 @@ def _build_deployment(directory: Path, document: str, shards: int,
     if shards == 1:
         store = make_store("F")
         store.load(document)
-        manager = DurabilityManager(directory, sync="commit")
+        manager = DurabilityManager(directory)
         manager.initialize(document_snapshot(
             0, store.document_digest(), document))
     else:
         store = ShardedStore(shards, PROPERTY_BACKENDS)
         store.load(document)
-        manager = DurabilityManager(directory, sync="commit")
+        manager = DurabilityManager(directory)
         state = store.partition_state()
         manager.initialize(
             sharded_snapshot(0, store.document_digest(),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchmark.queries import query_text
-from repro.benchmark.systems import get_profile
+from repro.benchmark.systems import get_profile, make_store
 from repro.xquery.ast import LetClause, walk
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import SystemProfile, compile_query
@@ -100,6 +100,29 @@ class TestJoinPlanning:
         naive = SystemProfile(name="naive", optimizer="none", join_rewrite_depth=0)
         without = evaluate(compile_query(Q11_LIKE, store, naive))
         assert with_join.items == without.items
+
+
+#: Table 2's metadata column: catalog lookups per compiled query, Q1-Q20,
+#: over the tiny document (f=0.001).  D has no catalog.
+METADATA_ACCESSES = {
+    "A": (3, 2, 5, 6, 3, 2, 4, 5, 9, 14, 5, 6, 3, 3, 1, 3, 3, 2, 4, 9),
+    "B": (816, 818, 3257, 2444, 1631, 817, 2440, 1636, 3268, 9768, 1637,
+          2450, 1632, 2440, 11, 1631, 1631, 818, 3256, 832),
+    "C": (5, 5, 11, 10, 5, 3, 4, 10, 18, 30, 10, 12, 6, 4, 12, 14, 5, 4, 6,
+          21),
+    "D": (0,) * 20,
+}
+
+
+@pytest.mark.parametrize("system", sorted(METADATA_ACCESSES))
+def test_metadata_accesses_are_pinned(tiny_text, system):
+    store = make_store(system)
+    store.load(tiny_text)
+    counts = tuple(
+        compile_query(query_text(number), store,
+                      get_profile(system)).metadata_accesses
+        for number in range(1, 21))
+    assert counts == METADATA_ACCESSES[system]
 
 
 class TestCompileEffort:

@@ -4,7 +4,7 @@
 Runs the test suite under a stdlib profile hook (no external coverage
 dependency), counts every ``def`` in ``src/repro`` that executed at least
 once, and compares the percentage against the baseline recorded in
-``docs/COVERAGE.md``.  The gate is *soft*: the job fails only when
+``docs/COVERAGE_BASELINE.txt``.  The gate is *soft*: the job fails only when
 coverage drops more than ``--tolerance`` (default 2.0) percentage points
 below the baseline, so incidental drift is visible without blocking and
 real regressions fail CI.
@@ -12,9 +12,9 @@ real regressions fail CI.
     PYTHONPATH=src python tools/check_function_coverage.py
     python tools/check_function_coverage.py --baseline 85.3 --tolerance 2
 
-The printed ``TOTAL functions ... exercised ... = ...%`` line is the same
-format docs/COVERAGE.md records, so refreshing the baseline is a
-copy-paste of this script's output.
+The printed ``TOTAL functions ... exercised ... = ...%`` line is the
+whole of docs/COVERAGE_BASELINE.txt, so refreshing the baseline is a
+copy of this script's output line.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import threading
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
-BASELINE_DOC = os.path.join(REPO_ROOT, "docs", "COVERAGE.md")
+BASELINE_DOC = os.path.join(REPO_ROOT, "docs", "COVERAGE_BASELINE.txt")
 BASELINE_PATTERN = re.compile(r"TOTAL functions (\d+) exercised (\d+)")
 
 
 def recorded_baseline() -> float:
-    """The baseline percentage recorded in docs/COVERAGE.md."""
+    """The baseline percentage recorded in docs/COVERAGE_BASELINE.txt."""
     with open(BASELINE_DOC, "r", encoding="utf-8") as handle:
         matched = BASELINE_PATTERN.search(handle.read())
     if matched is None:
@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         description="function-exercise coverage soft gate")
     parser.add_argument("--baseline", type=float, default=None,
                         help="baseline percentage (default: parsed from "
-                             "docs/COVERAGE.md)")
+                             "docs/COVERAGE_BASELINE.txt)")
     parser.add_argument("--tolerance", type=float, default=2.0,
                         help="allowed drop below baseline, in points "
                              "(default 2.0)")
