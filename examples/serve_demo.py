@@ -1,9 +1,9 @@
 """The query service answering Q1-Q20 from several threads — via the facade.
 
 Connects with ``service=True``, so the same ``Session.execute`` API now
-routes through the concurrent query service: bounded worker pool,
-per-system admission control, plan and result caches.  Four client
-threads answer every benchmark query on Systems B and D, twice: the
+routes through the concurrent query service: per-system admission
+control, plan and result caches, each query run on the client thread
+that asked for it.  Four client threads answer every benchmark query on Systems B and D, twice: the
 first round compiles and executes, the second is served from the
 result cache.  Then it prints every number the service measured.
 

@@ -1,12 +1,13 @@
 """shared-state: writes to shared instance attributes need their lock.
 
 Scope: classes that own registered locks, in the concurrency-domain
-packages (service worker pool, scatter-gather pool, wire server, the
-facade and the plan cache they all share, the observability sinks they
-all feed, and the WAL).  In such a class every
-instance attribute is presumed shared, so any write outside the
-constructor-phase methods must happen with one of the class's locks
-held — either lexically, or guaranteed by every in-class caller.
+packages (the query service and scatter executor, which any number of
+client threads call, the wire server's pool, the facade and the plan
+cache they all share, the observability sinks they all feed, and the
+WAL).  In such a class every instance attribute is presumed shared, so
+any write outside the constructor-phase methods must happen with one of
+the class's locks held — either lexically, or guaranteed by every
+in-class caller.
 
 The caller-guarantee analysis exempts a private method when each of its
 in-class call sites either already holds a class lock, is itself

@@ -12,9 +12,9 @@ to whichever engine the connect options selected:
   pseudo-system name ``"S"`` whose plans fan out over a
   :class:`~repro.shard.scatter.ScatterGatherExecutor`.
 * **service** (``service=True``): everything runs through a
-  :class:`~repro.service.QueryService` — bounded worker pool, per-system
-  admission control, plan and result caches — including the sharded
-  pseudo-system when ``shards`` is also given.
+  :class:`~repro.service.QueryService` — per-system admission control,
+  plan and result caches, each query run on the caller's thread —
+  including the sharded pseudo-system when ``shards`` is also given.
 
 Whatever the route, plans come from the connection's one
 :class:`~repro.cache.PlanCache` — one plan per query shape, so texts that
@@ -296,8 +296,9 @@ class Database:
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the connection: the service pool / scatter executor shut
-        down, and every session and new cursor refuses further work."""
+        """Close the connection: the service waits for its running reads,
+        the scatter executor shuts, and every session and new cursor
+        refuses further work."""
         with self._update_lock:         # concurrent closers: one winner
             if self._closed:
                 return

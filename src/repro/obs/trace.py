@@ -11,8 +11,8 @@ update engine) feeds while a query runs.  The design constraints:
   ``tracer.enabled`` so the instrumentation costs one attribute read.
 * **Implicit parenting on one thread, explicit across threads.**
   ``tracer.span(name)`` is a context manager that parents under the
-  thread-local current span.  Worker threads (service pool, scatter
-  pool) have an empty stack, so cross-thread children are created with
+  thread-local current span.  Each thread starts with an empty stack,
+  so a child of another thread's span is created with
   ``tracer.begin(name, parent=...)`` and finished manually — the attach
   happens under the tracer lock.
 * **Bounded retention.**  Finished root spans land in a fixed-size
@@ -331,9 +331,8 @@ class Tracer:
 
         Not pushed on any stack — the caller owns its lifetime and must
         call :meth:`Span.finish`.  ``parent`` may name a span owned by
-        another thread (scatter workers attach to the caller's root);
-        when omitted, the creating thread's current span is used, and a
-        span with no parent at all becomes a root.  Under
+        another thread; when omitted, the creating thread's current span
+        is used, and a span with no parent at all becomes a root.  Under
         :meth:`suppressed` the shared :data:`NULL_SPAN` comes back.
         """
         if getattr(self._local, "suppress", 0):

@@ -5,9 +5,9 @@ literature (Darmont's *Database Benchmarks*, Simalango's XML query survey)
 flags multi-user concurrency and compiled-plan reuse as exactly what such a
 benchmark leaves out.  This package opens that scenario:
 
-* :class:`~repro.service.service.QueryService` — bounded worker pool with
-  per-system admission control (``submit()`` / ``execute()``), and the
-  one write path its commits take.
+* :class:`~repro.service.service.QueryService` — ``execute()`` on the
+  caller's thread under per-system admission control, and the one write
+  path its commits take.
 * :class:`~repro.service.cache.ResultCache` — an LRU cache of query
   results with hit/miss statistics and digest-based invalidation (plans
   live in the connection's one :class:`repro.cache.PlanCache`).

@@ -1,13 +1,14 @@
 """The concurrent query service.
 
 One :class:`QueryService` owns a set of loaded stores (Systems A-G) and
-serves queries against them from a bounded thread pool:
+serves queries against them to any number of client threads:
 
-* ``submit()`` returns a future; ``execute()`` is the synchronous
-  convenience.
+* ``execute()`` runs one query on the thread that asked for it — under
+  the GIL a hand-off to a worker pool overlaps nothing, it only queues.
 * A per-system semaphore provides admission control: at most
   ``max_workers`` queries execute on one store simultaneously, and a
-  commit drains every system's permits to exclude readers.
+  commit (or ``close()``) drains every system's permits to exclude
+  readers.
 * Compiled plans are reused through a :class:`~repro.cache.PlanCache`
   (keyed on system + query shape: every text that differs only in its
   literals shares one plan); results through a
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
 
@@ -64,10 +64,9 @@ class ShardSpec:
     the ``backends`` architectures, whose exchange plans fan out over a
     :class:`~repro.shard.scatter.ScatterGatherExecutor`.  It is served
     like any other system — same plan cache, same result cache, same
-    admission permit held per read; scatter subtasks additionally pass
-    per-shard admission, and commits drain the system's gate with every
-    other system's — the same torn-read guarantee the unsharded systems
-    get.
+    admission permit held per read (its shards run one after another
+    under it), and commits drain the system's gate with every other
+    system's — the same torn-read guarantee the unsharded systems get.
     """
 
     shards: int = 2
@@ -123,8 +122,8 @@ class QueryService:
             document, plain, shard_spec, tracer=tracer,
             recovered=getattr(durability, "recovered", None))
         # Writers serialize globally on this lock; checkpoints and close()
-        # take it too.  Lock order: update lock -> admission gates -> cache
-        # lock.
+        # take it too.  Lock order: update lock -> turnstile -> admission
+        # gates -> cache lock.
         self._update_lock = threading.RLock()
         #: The one write path; an embedding Database commits and
         #: checkpoints through this same object.
@@ -135,6 +134,11 @@ class QueryService:
         served = systems + ((SHARD_SYSTEM,) if shard_spec is not None else ())
         self._admission = {name: threading.BoundedSemaphore(max_workers)
                            for name in served}
+        # A writer holds the turnstile while it drains the gates, and a
+        # reader passes it before taking a permit: a reader re-takes its
+        # permit on its own thread, within one GIL slice, so without it
+        # readers in a loop starve the writer on one core.
+        self._turnstile = threading.Lock()
         # One cache for every system's plans, the sharded one's included.
         self.plan_cache = PlanCache(PLAN_SHAPES_PER_SYSTEM * len(served))
         self.result_cache = ResultCache(result_cache_size)
@@ -149,8 +153,6 @@ class QueryService:
             from repro.obs.querylog import QueryLogWriter
             query_log = QueryLogWriter(query_log)
         self.query_log = query_log
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="xmark-query")
         self._closed = False
 
     # -- the write path ------------------------------------------------------------
@@ -177,11 +179,12 @@ class QueryService:
         """
         held = []
         try:
-            for name in tuple(self.stores):
-                gate = self._admission[name]
-                for _ in range(self.max_workers):
-                    gate.acquire()
-                    held.append(gate)
+            with self._turnstile:
+                for name in tuple(self.stores):
+                    gate = self._admission[name]
+                    for _ in range(self.max_workers):
+                        gate.acquire()
+                        held.append(gate)
             yield
         finally:
             for gate in held:
@@ -237,13 +240,15 @@ class QueryService:
 
     def close(self) -> None:
         # The flag flips under the update lock so concurrent closers agree
-        # on exactly one winner; the pool drain stays outside it because
-        # in-flight work may touch the admission gates and caches.
+        # on exactly one winner.  Draining the gates, as a commit does,
+        # waits for the reads already running; a read still queued for its
+        # permit finds the flag set once it gets one.
         with self._update_lock:
             if self._closed:
                 return
             self._closed = True
-        self._pool.shutdown(wait=True)
+            with self._exclusive():
+                pass
         if self._shard_executor is not None:
             self._shard_executor.close()
         if self.query_log is not None and self._owns_query_log:
@@ -276,34 +281,33 @@ class QueryService:
                 raise BenchmarkError(f"unknown query number {query}") from None
         return query
 
-    def submit(self, system: str, query: int | str) -> "Future[QueryOutcome]":
-        """Enqueue one query (a benchmark number or raw XQuery text)."""
+    def execute(self, system: str, query: int | str) -> QueryOutcome:
+        """Serve one query (a benchmark number or raw XQuery text) on the
+        calling thread."""
         self._require_open()
         self.store(system)  # fail fast on unavailable systems
         text = self._query_text(query)
-        submitted = time.perf_counter()
-        try:
-            return self._pool.submit(self._serve, system, text, submitted)
-        except RuntimeError:
-            self._require_open()    # close() shut the pool down meanwhile
-            raise
+        return self._serve(system, text, time.perf_counter())
 
-    def execute(self, system: str, query: int | str) -> QueryOutcome:
-        return self.submit(system, query).result()
-
-    # -- the worker body ------------------------------------------------------------
+    # -- one read ---------------------------------------------------------------------
 
     def _serve(self, system: str, text: str, submitted: float) -> QueryOutcome:
+        """The read under its system's permit, held until its metrics and
+        query-log line are written: a ``close()`` draining the gates waits
+        for all of it."""
         tracer = self.tracer
         root = (tracer.begin("service.query", system=system, query=text)
                 if tracer.enabled else None)
         with tracer.activate(root):
             gate = self._admission[system]
             with tracer.span("service.admission") as admission:
+                with self._turnstile:
+                    pass
                 gate.acquire()
                 started = time.perf_counter()
                 admission.set(queue_ms=round((started - submitted) * 1000.0, 3))
             try:
+                self._require_open()    # close() began while this one queued
                 outcome = self._run_query(system, text, submitted, started)
             except Exception as exc:
                 self.metrics.record_error(system=system)
@@ -316,32 +320,33 @@ class QueryService:
                         duration_ms=round(
                             (time.perf_counter() - submitted) * 1000.0, 3))
                 raise
+            else:
+                self.metrics.record(
+                    started=submitted,
+                    finished=outcome.finished,
+                    compile_seconds=outcome.compile_seconds,
+                    queue_seconds=outcome.queue_seconds,
+                    plan_cache_hit=outcome.plan_cache_hit,
+                    result_cache_hit=outcome.result_cache_hit,
+                    system=system,
+                )
+                if root is not None:
+                    root.set(result_size=outcome.result_size,
+                             plan_cache_hit=outcome.plan_cache_hit,
+                             result_cache_hit=outcome.result_cache_hit).finish()
+                    outcome = dataclass_replace(outcome, span=root)
+                if self.query_log is not None:
+                    self.query_log.record(
+                        source="service", span=root, system=system,
+                        query_text=text, rows=outcome.result_size,
+                        duration_ms=round(
+                            (outcome.finished - outcome.submitted) * 1000.0, 3),
+                        queue_ms=round(outcome.queue_seconds * 1000.0, 3),
+                        plan_cache_hit=outcome.plan_cache_hit,
+                        result_cache_hit=outcome.result_cache_hit)
+                return outcome
             finally:
                 gate.release()
-        self.metrics.record(
-            started=submitted,
-            finished=outcome.finished,
-            compile_seconds=outcome.compile_seconds,
-            queue_seconds=outcome.queue_seconds,
-            plan_cache_hit=outcome.plan_cache_hit,
-            result_cache_hit=outcome.result_cache_hit,
-            system=system,
-        )
-        if root is not None:
-            root.set(result_size=outcome.result_size,
-                     plan_cache_hit=outcome.plan_cache_hit,
-                     result_cache_hit=outcome.result_cache_hit).finish()
-            outcome = dataclass_replace(outcome, span=root)
-        if self.query_log is not None:
-            self.query_log.record(
-                source="service", span=root, system=system,
-                query_text=text, rows=outcome.result_size,
-                duration_ms=round(
-                    (outcome.finished - outcome.submitted) * 1000.0, 3),
-                queue_ms=round(outcome.queue_seconds * 1000.0, 3),
-                plan_cache_hit=outcome.plan_cache_hit,
-                result_cache_hit=outcome.result_cache_hit)
-        return outcome
 
     def _run_query(self, system: str, text: str, submitted: float,
                    started: float) -> QueryOutcome:

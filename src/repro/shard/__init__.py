@@ -1,5 +1,6 @@
 """Sharded document subsystem: partitioning, the sharded store, and the
-parallel scatter-gather execution layer.  See docs/SHARDING.md."""
+scatter-gather execution layer, whose shards run one after another on the
+calling thread.  See docs/SHARDING.md."""
 
 from repro.shard.partition import (
     DocumentPartition, DocumentPartitioner, shard_of_key,

@@ -5,11 +5,13 @@ Which queries distribute, and how, is the planner's decision
 broadcast join, scatter FLWOR — anything else takes the compatibility
 path over the store's virtual document view, so a sharded deployment is
 *never* wrong, only differently fast), and the evaluator emits the plan
-as one exchange closure over per-shard programs.  What is left here is
-what is not planning: the bounded worker pool the closure fans out over,
-the per-shard admission semaphores, the locks under which a dirty shard's
-secondary indexes are rebuilt before its next probe, and the cache of
-per-shard partials (counts, build tables, probe slices, routed results).
+as one exchange closure over per-shard programs, whose shards run one
+after another on the calling thread (:meth:`Exchange.scatter
+<repro.xquery.evaluator.Exchange.scatter>`).  What is left here is what
+is not planning: the locks under which a dirty shard's secondary indexes
+are rebuilt before its next probe (two service threads may reach one
+dirty shard), and the cache of per-shard partials (counts, build tables,
+probe slices, routed results).
 Partials are keyed by the **shard digest** (and the query's shape and
 bound values), which is what makes invalidation shard-selective: a write
 routed to shard 3 advances only shard 3's digest, so every other shard's
@@ -24,7 +26,6 @@ shard``, the ledger's scatter rung) compiles each
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.benchmark.systems import SHARD_SYSTEM
@@ -44,9 +45,6 @@ SHARDED_PROFILE = SystemProfile(
     use_value_index=True, use_sorted_index=True,
 )
 
-#: Scatter subtasks one shard runs at a time.
-PER_SHARD_LIMIT = 2
-
 
 @dataclass(frozen=True, slots=True)
 class ShardedOutcome:
@@ -60,18 +58,13 @@ class ShardedOutcome:
 
 
 class ScatterGatherExecutor(Exchange):
-    """The pool, gates and partial cache of one sharded store."""
+    """The tracer, rebuild locks and partial cache of one sharded store."""
 
     def __init__(self, sharded: ShardedStore, *,
                  partial_cache_size: int = 512,
                  tracer=NULL_TRACER) -> None:
         self.sharded = sharded
         self.tracer = tracer
-        self._pool = ThreadPoolExecutor(
-            max_workers=min(8, max(2, sharded.shard_count)),
-            thread_name_prefix="xmark-shard")
-        self._gates = [threading.BoundedSemaphore(PER_SHARD_LIMIT)
-                       for _ in range(sharded.shard_count)]
         self._rebuild_locks = [threading.Lock()
                                for _ in range(sharded.shard_count)]
         self.partial_cache = LRUCache(partial_cache_size)
@@ -81,13 +74,8 @@ class ScatterGatherExecutor(Exchange):
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        # The flag flips under its lock so concurrent closers agree on one
-        # winner; the pool drains outside it (workers never take it).
         with self._close_lock:
-            if self._closed:
-                return
             self._closed = True
-        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "ScatterGatherExecutor":
         return self
@@ -128,37 +116,6 @@ class ScatterGatherExecutor(Exchange):
         )
 
     # -- what an exchange closure asks for ----------------------------------------------
-
-    def scatter(self, sharded: ShardedStore, ranks: list[int], fn) -> list:
-        """``fn(rank)`` for each rank under the shard's admission gate,
-        results in rank order: on the pool, or — a single rank has
-        nothing to overlap with — right here.
-
-        When tracing, each rank runs under a ``scatter.shard`` span
-        attached to the calling thread's current span — pool threads
-        have no context stack, so the parent is captured here and
-        activated on the worker (nested evaluator/plan spans land under
-        the right shard).
-        """
-        tracer = self.tracer
-        parent = tracer.current() if tracer.enabled else None
-
-        def on_shard(rank: int, **attrs):
-            with self._gates[rank]:
-                if parent is None:
-                    return fn(rank)
-                span = tracer.begin("scatter.shard", parent=parent, shard=rank,
-                                    backend=sharded.backends[rank], **attrs)
-                try:
-                    with tracer.activate(span):
-                        return fn(rank)
-                finally:
-                    span.finish()
-
-        if len(ranks) == 1:
-            return [on_shard(ranks[0], routed=True)]
-        futures = [self._pool.submit(on_shard, rank) for rank in ranks]
-        return [future.result() for future in futures]
 
     def partial(self, key: tuple, compute) -> tuple[object, bool]:
         return self.partial_cache.get_or_compute(key, compute)

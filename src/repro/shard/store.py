@@ -172,39 +172,29 @@ class ShardedStore(Store):
         self._install_partition(partition)
         self.mark_loaded(text)
 
-    def load_partition(self, partition: DocumentPartition, *,
-                       parallel: bool = False) -> None:
+    def load_partition(self, partition: DocumentPartition) -> None:
         """Load from an already-materialized partition (crash recovery).
 
         Skips re-partitioning: the fragments, order seeds, and id map are
         adopted as-is, so the reassembled store is the *exact* pre-crash
-        layout, not merely an equivalent one.  ``parallel=True`` loads
-        the shard fragments concurrently — the recovery-time analogue of
-        the scatter pool.  The caller owns the digest: the loaded flag is
-        set against the empty text (the merged serialization is never
-        materialized here), and recovery immediately restores the
-        checkpointed chain value via :meth:`restore_digest`.
+        layout, not merely an equivalent one.  The caller owns the
+        digest: the loaded flag is set against the empty text (the merged
+        serialization is never materialized here), and recovery
+        immediately restores the checkpointed chain value via
+        :meth:`restore_digest`.
         """
         if partition.shard_count != self.shard_count:
             raise ShardError(
                 f"partition has {partition.shard_count} shards, store wants "
                 f"{self.shard_count}")
-        self._install_partition(partition, parallel=parallel)
+        self._install_partition(partition)
         self.mark_loaded("")
 
-    def _install_partition(self, partition: DocumentPartition, *,
-                           parallel: bool = False) -> None:
+    def _install_partition(self, partition: DocumentPartition) -> None:
         from repro.benchmark.systems import make_store
         shards = [make_store(backend) for backend in self.backends]
-        if parallel and self.shard_count > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=self.shard_count,
-                                    thread_name_prefix="xmark-recover") as pool:
-                list(pool.map(lambda pair: pair[0].load(pair[1]),
-                              zip(shards, partition.shard_texts)))
-        else:
-            for store, fragment in zip(shards, partition.shard_texts):
-                store.load(fragment)
+        for store, fragment in zip(shards, partition.shard_texts):
+            store.load(fragment)
         self._shards = shards
         self._partition = partition
         self._id_map = dict(partition.id_map)

@@ -15,7 +15,7 @@
 3. **Load** — a ``"document"`` snapshot bulkloads into a scratch store
    of the requested backend; a ``"sharded"`` snapshot reassembles the
    exact pre-crash :class:`~repro.shard.store.ShardedStore` from its
-   fragments, shard-parallel.
+   fragments, one after another.
 4. **Replay** — each record is committed through
    :meth:`repro.update.commit.WritePath.commit`, the live write path,
    so the digest chain advances exactly as the original commit did:
@@ -108,8 +108,7 @@ def _merge_streams(scans, snapshot_lsn: int):
     return ordered, len(merged)         # records beyond the first gap
 
 
-def _load_snapshot_store(snapshot: dict, manifest: dict, backend: str,
-                         parallel: bool):
+def _load_snapshot_store(snapshot: dict, manifest: dict, backend: str):
     """A loaded store holding the snapshot state, digest restored."""
     from repro.benchmark.systems import make_store
     if snapshot["kind"] == KIND_SHARDED:
@@ -121,7 +120,7 @@ def _load_snapshot_store(snapshot: dict, manifest: dict, backend: str,
             snapshot["fragments"], snapshot["extent_seqs"],
             snapshot["id_map"])
         store = ShardedStore(partition.shard_count, backends)
-        store.load_partition(partition, parallel=parallel)
+        store.load_partition(partition)
     else:
         store = make_store(backend)
         store.load(snapshot["document"])
@@ -155,15 +154,13 @@ def _replay_record(replay, store, record: WalRecord,
 
 
 def recover(directory, *, backend: str = DEFAULT_REPLAY_BACKEND,
-            parallel: bool = True, tracer=NULL_TRACER,
-            registry=None) -> RecoveryReport:
+            tracer=NULL_TRACER, registry=None) -> RecoveryReport:
     """Rebuild the durable directory's state; see the module docstring.
 
     ``backend`` picks the scratch architecture for replaying a
     ``"document"`` snapshot (any letter works — serializations are
     byte-identical); sharded snapshots replay on the reassembled
-    :class:`~repro.shard.store.ShardedStore` itself, loading fragments
-    in parallel unless ``parallel=False``.
+    :class:`~repro.shard.store.ShardedStore` itself.
     """
     from repro.storage.interface import store_document_text
     from repro.update.commit import WritePath
@@ -173,7 +170,7 @@ def recover(directory, *, backend: str = DEFAULT_REPLAY_BACKEND,
     with tracer.span("recovery.load_snapshot", lsn=snapshot_pointer["lsn"]):
         snapshot = manager.current_snapshot()
         started = time.perf_counter()
-        store = _load_snapshot_store(snapshot, manifest, backend, parallel)
+        store = _load_snapshot_store(snapshot, manifest, backend)
         load_seconds = time.perf_counter() - started
 
     scans = manager.scan_streams()

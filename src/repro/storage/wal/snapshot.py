@@ -8,8 +8,8 @@ Two snapshot kinds cover every deployment:
   system: recovery bulkloads the text into fresh stores.
 * ``"sharded"`` — a :class:`~repro.shard.store.ShardedStore` checkpoint:
   the per-shard fragment serializations plus the global-order seeds and
-  the id routing map.  Recovery reloads the fragments shard-parallel and
-  reassembles the exact pre-crash partition without re-partitioning.
+  the id routing map.  Recovery reloads the fragments one after another
+  and reassembles the exact pre-crash partition without re-partitioning.
 
 Either kind records the ``lsn`` of the last commit it covers and the
 digest-chain value at that point; WAL replay starts after that LSN and

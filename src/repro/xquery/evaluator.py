@@ -259,13 +259,25 @@ class Exchange:
     caller that brought nothing: the shards run one after another on the
     calling thread, no partial is kept and nothing is traced.
     :class:`repro.shard.scatter.ScatterGatherExecutor` is the one with a
-    pool, per-shard gates and a digest-keyed partial cache."""
+    tracer, rebuild locks and a digest-keyed partial cache."""
 
     tracer = NULL_TRACER
 
     def scatter(self, sharded, ranks: list[int], fn) -> list:
-        """``fn(rank)`` for each rank, in rank order."""
-        return [fn(rank) for rank in ranks]
+        """``fn(rank)`` for each rank, in rank order, on the calling thread.
+
+        When tracing, each rank runs under a ``scatter.shard`` span nested
+        in the current one, marked ``routed`` when it runs alone."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return [fn(rank) for rank in ranks]
+        routed = {"routed": True} if len(ranks) == 1 else {}
+        results = []
+        for rank in ranks:
+            with tracer.span("scatter.shard", shard=rank,
+                             backend=sharded.backends[rank], **routed):
+                results.append(fn(rank))
+        return results
 
     def partial(self, key: tuple, compute) -> tuple[object, bool]:
         """``(value, was cached)`` of one shard's share of a result."""

@@ -159,7 +159,6 @@ class TestRepoClean:
             "repro.cache:PlanCache._lock",
             "repro.db.database:Database._update_lock",
             "repro.server.client:WireClient._lock",
-            "repro.shard.scatter:ScatterGatherExecutor._gates",
             "repro.shard.scatter:ScatterGatherExecutor._rebuild_locks",
             "repro.obs.trace:Tracer._lock",
             "repro.obs.metrics:MetricsRegistry._lock",

@@ -5,9 +5,9 @@ Each test pins one fix from the shared-state pass's findings:
 * ``QueryService.close`` — the closed latch now flips under the update
   lock, so concurrent closers agree on one winner and the query log is
   closed exactly once;
-* ``QueryService.submit`` — a ``close()`` that lands between the open
-  check and the pool hand-off raises the service's typed closed error,
-  not the pool's ``RuntimeError``;
+* ``QueryService.execute`` — a ``close()`` that lands between the open
+  check and the admission permit raises the service's typed closed
+  error once the read gets its permit;
 * ``WireClient.request`` — a truncated reply marks the session closed
   *inside* the request lock, so a racing request can never slip a send
   onto the dead socket between the None reply and the flag flip.
@@ -26,16 +26,17 @@ from repro.service import QueryService
 
 
 class TestQueryServiceCloseRace:
-    def test_concurrent_close_single_winner(self, small_text):
-        svc = QueryService(small_text, ("D",), max_workers=2)
+    def test_concurrent_close_single_winner(self, small_text, tmp_path):
+        svc = QueryService(small_text, ("D",), max_workers=2,
+                           query_log=tmp_path / "queries.jsonl")
         closes: list[int] = []
-        real_shutdown = svc._pool.shutdown
+        real_close = svc.query_log.close
 
-        def counting_shutdown(*args, **kwargs):
+        def counting_close():
             closes.append(1)
-            return real_shutdown(*args, **kwargs)
+            return real_close()
 
-        svc._pool.shutdown = counting_shutdown
+        svc.query_log.close = counting_close
         barrier = threading.Barrier(4)
 
         def racer():
@@ -49,26 +50,26 @@ class TestQueryServiceCloseRace:
             t.join()
         assert closes == [1]          # exactly one closer won the latch
         with pytest.raises(BenchmarkError, match="closed"):
-            svc.submit("D", 1)
+            svc.execute("D", 1)
 
     def test_close_remains_idempotent_sequentially(self, small_text):
         svc = QueryService(small_text, ("D",), max_workers=1)
         svc.close()
         svc.close()                   # second call is a quiet no-op
 
-    def test_submit_racing_close_gets_a_typed_error(self, small_text,
-                                                    monkeypatch):
+    def test_execute_racing_close_gets_a_typed_error(self, small_text,
+                                                     monkeypatch):
         svc = QueryService(small_text, ("D",), max_workers=1)
         real_store = svc.store
 
         def store_then_close(system):
             store = real_store(system)
-            svc.close()               # lands after submit's open check
+            svc.close()               # lands after execute's open check
             return store
 
         monkeypatch.setattr(svc, "store", store_then_close)
         with pytest.raises(BenchmarkError, match="query service is closed"):
-            svc.submit("D", 1)
+            svc.execute("D", 1)
 
 
 class TestWireClientTruncatedReply:

@@ -145,11 +145,11 @@ class TestCrossCheck:
                                 stream.note_applied(op)
                                 svc.apply_update(op)
                         else:
-                            svc.submit("D", (1, 2, 5)[seq % 3]).result()
+                            svc.execute("D", (1, 2, 5)[seq % 3])
 
                 with ThreadPoolExecutor(max_workers=3) as clients:
                     list(clients.map(client, range(3)))
-                svc.submit("D", 1)
+                svc.execute("D", 1)
         finally:
             witness.uninstall()
         return witness

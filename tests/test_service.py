@@ -7,12 +7,16 @@ Covers the serving layer's contracts:
 * latency-percentile math,
 * thread-safety regression: the same query from 8 threads must return
   identical results on every store architecture the service targets,
-  and many clients submitting and committing at once finish cleanly.
+  and many clients reading and committing at once finish cleanly,
+* each read runs on the thread that asked for it, and ``close()`` waits
+  for the reads already running.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import json
+import os
 import threading
 import time
 
@@ -350,9 +354,8 @@ class TestQueryService:
 
     def test_query_errors_are_counted_and_raised(self, small_text):
         with QueryService(small_text, ("D",), max_workers=1) as svc:
-            future = svc.submit("D", "for $x in ][ return")
             with pytest.raises(XMarkError):
-                future.result()
+                svc.execute("D", "for $x in ][ return")
             snapshot = svc.metrics.snapshot()
             assert snapshot["errors"] == 1
             assert snapshot["completed"] == 0
@@ -361,7 +364,7 @@ class TestQueryService:
 
     def test_unknown_query_number_raises(self, service):
         with pytest.raises(BenchmarkError, match="unknown query number"):
-            service.submit("D", 99)
+            service.execute("D", 99)
 
     def test_raw_query_text(self, service):
         outcome = service.execute(
@@ -370,13 +373,13 @@ class TestQueryService:
 
     def test_unavailable_system_raises(self, service):
         with pytest.raises(BenchmarkError, match="unavailable"):
-            service.submit("A", 1)
+            service.execute("A", 1)
 
     def test_closed_service_rejects_work(self, small_text):
         svc = QueryService(small_text, ("D",), max_workers=1)
         svc.close()
         with pytest.raises(BenchmarkError, match="closed"):
-            svc.submit("D", 1)
+            svc.execute("D", 1)
 
     def test_closed_service_rejects_commits(self, tiny_text):
         from repro.update import RegisterPerson, UpdateStream
@@ -450,8 +453,10 @@ class TestAdmission:
         self._wrap_evaluate(monkeypatch, hold)
         with QueryService(tiny_text, ("D",), max_workers=limit,
                           result_cache_size=0) as svc:
-            futures = [svc.submit("D", 1) for _ in range(6)]
-            assert all(f.result().result_size == 1 for f in futures)
+            with concurrent.futures.ThreadPoolExecutor(6) as clients:
+                sizes = list(clients.map(
+                    lambda _: svc.execute("D", 1).result_size, range(6)))
+            assert sizes == [1] * 6
         assert peak[0] == limit
 
     def test_systems_are_admitted_independently(self, tiny_text, monkeypatch):
@@ -460,8 +465,11 @@ class TestAdmission:
         barrier = threading.Barrier(2, timeout=10)
         self._wrap_evaluate(monkeypatch, barrier.wait)
         with QueryService(tiny_text, ("C", "D"), max_workers=2) as svc:
-            on_c, on_d = svc.submit("C", 1), svc.submit("D", 1)
-            assert on_c.result().result_size == on_d.result().result_size == 1
+            with concurrent.futures.ThreadPoolExecutor(2) as clients:
+                sizes = list(clients.map(
+                    lambda system: svc.execute(system, 1).result_size,
+                    ("C", "D")))
+            assert sizes == [1, 1]
 
     def test_commit_waits_for_in_flight_reads(self, tiny_text, monkeypatch):
         from repro.update import RegisterPerson, UpdateStream
@@ -473,9 +481,10 @@ class TestAdmission:
             assert release.wait(timeout=10)
 
         self._wrap_evaluate(monkeypatch, block)
-        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
+        with QueryService(tiny_text, ("D",), max_workers=2) as svc, \
+                concurrent.futures.ThreadPoolExecutor(1) as client:
             op = RegisterPerson(UpdateStream(svc.store("D")).build_person())
-            read = svc.submit("D", PERSON_LISTING)
+            read = client.submit(svc.execute, "D", PERSON_LISTING)
             assert reading.wait(timeout=10)
             writer = threading.Thread(target=svc.apply_update, args=(op,))
             writer.start()
@@ -487,6 +496,92 @@ class TestAdmission:
             # the read finished against the document it started on
             assert len(read.result().result) + 1 == \
                 len(svc.execute("D", PERSON_LISTING).result)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_readers_in_a_loop_do_not_starve_commits_on_one_core(
+            self, tiny_text):
+        """A reader re-takes its permit on its own thread within one GIL
+        slice; on one core only the turnstile lets commits drain the
+        gates while readers loop."""
+        from repro.update import RegisterPerson, UpdateStream
+
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})    # inherited by new threads
+        try:
+            with QueryService(tiny_text, ("D",), max_workers=4,
+                              result_cache_size=0) as svc:
+                stream = UpdateStream(svc.store("D"))
+                stop = threading.Event()
+
+                def read_loop() -> None:
+                    while not stop.is_set():
+                        svc.execute("D", PERSON_LISTING)
+
+                def write() -> None:
+                    for _ in range(6):
+                        svc.apply_update(
+                            RegisterPerson(stream.build_person()))
+
+                readers = [threading.Thread(target=read_loop, daemon=True)
+                           for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                writer = threading.Thread(target=write, daemon=True)
+                writer.start()
+                writer.join(timeout=10)
+                committed = svc.updates_applied
+                stop.set()
+                for reader in readers:
+                    reader.join(timeout=10)
+                writer.join(timeout=30)
+            assert committed == 6
+        finally:
+            os.sched_setaffinity(0, cpus)
+
+    def test_reads_run_on_the_calling_thread(self, tiny_text, monkeypatch):
+        """No hand-off: the evaluation of a plain system's read and of
+        the sharded system's runs on the thread that called execute()."""
+        threads = []
+        self._wrap_evaluate(
+            monkeypatch, lambda: threads.append(threading.current_thread()))
+        with QueryService(tiny_text, ("D",), shard_spec=ShardSpec(shards=2),
+                          result_cache_size=0) as svc:
+            assert svc.execute("D", 1).result_size == 1
+            assert svc.execute("S", 1).result_size == 1
+        assert threads == [threading.current_thread()] * 2
+
+    def test_close_waits_for_a_running_read(self, tiny_text, monkeypatch,
+                                            tmp_path):
+        """close() drains the gates: it returns only after the read it
+        found running has finished and written its query-log line."""
+        reading, release = threading.Event(), threading.Event()
+
+        def block() -> None:
+            reading.set()
+            assert release.wait(timeout=10)
+
+        self._wrap_evaluate(monkeypatch, block)
+        log = tmp_path / "queries.jsonl"
+        svc = QueryService(tiny_text, ("D",), max_workers=2, query_log=log)
+        with concurrent.futures.ThreadPoolExecutor(1) as client:
+            read = client.submit(svc.execute, "D", PERSON_LISTING)
+            assert reading.wait(timeout=10)
+            closer = threading.Thread(target=svc.close)
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive() and not read.done()
+            release.set()
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            outcome = read.result(timeout=10)
+        assert outcome.result_size == len(outcome.result) > 0
+        (line,) = log.read_text().splitlines()
+        record = json.loads(line)
+        assert record["rows"] == outcome.result_size
+        assert "error" not in record
+        with pytest.raises(BenchmarkError, match="closed"):
+            svc.execute("D", 1)
 
 
 class TestConcurrentReads:
@@ -509,7 +604,7 @@ class TestConcurrentReads:
         assert all(s == reference for s in serialized)
 
     def test_mixed_workload_across_systems(self, service):
-        """submit() from 8 clients against three architectures at once."""
+        """execute() from 8 clients against three architectures at once."""
         systems = ("B", "C", "D")
         before = service.metrics.snapshot()
 
@@ -517,7 +612,7 @@ class TestConcurrentReads:
             for seq in range(6):
                 system = systems[(rank + seq) % len(systems)]
                 query = INTERACTIVE[(rank * 6 + seq) % len(INTERACTIVE)]
-                assert service.submit(system, query).result().system == system
+                assert service.execute(system, query).system == system
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as clients:
             list(clients.map(client, range(8)))
@@ -680,8 +775,8 @@ class TestServiceWritePath:
                             svc.apply_update(op)
                         commits += 1
                     else:
-                        svc.submit(systems[seq % 2],
-                                   queries[(rank + seq) % len(queries)]).result()
+                        svc.execute(systems[seq % 2],
+                                    queries[(rank + seq) % len(queries)])
                 return commits
 
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as clients:

@@ -9,7 +9,6 @@ distributed plans underneath.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,7 +19,7 @@ from repro.errors import BenchmarkError, ShardError
 from repro.schema.auction import REGIONS
 from repro.service import QueryService, ShardSpec
 from repro.shard import ShardedStore
-from repro.shard.scatter import PER_SHARD_LIMIT, ScatterGatherExecutor
+from repro.shard.scatter import ScatterGatherExecutor
 from repro.update.stream import UpdateStream
 
 
@@ -75,7 +74,7 @@ class TestShardedService:
 
         def client(_rank: int) -> None:
             for query in (1, 2, 5, 20):
-                assert sharded_service.submit("S", query).result().system == "S"
+                assert sharded_service.execute("S", query).system == "S"
 
         with ThreadPoolExecutor(max_workers=2) as clients:
             list(clients.map(client, range(2)))
@@ -124,7 +123,7 @@ class TestShardedService:
         with QueryService(tiny_text, ("F",)) as service:
             assert set(service.stores) == {"F"}
             with pytest.raises(BenchmarkError, match="unavailable"):
-                service.submit("S", 1)
+                service.execute("S", 1)
 
     def test_partition_follows_the_spec(self, sharded_service):
         sharded = sharded_service.store("S")
@@ -143,24 +142,18 @@ class TestShardedService:
         with pytest.raises(ShardError, match="closed"):
             executor.execute(query_text(1))
 
-    def test_scatter_admits_per_shard_limit_subtasks_per_shard(self):
-        """Four subtasks on one shard with four pool threads free: the
-        shard's gate lets ``PER_SHARD_LIMIT`` of them run at a time."""
-        lock, running, peak = threading.Lock(), [0], [0]
+    def test_scatter_runs_on_the_calling_thread_in_rank_order(self):
+        calls = []
 
-        def hold(rank):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            time.sleep(0.05)
-            with lock:
-                running[0] -= 1
+        def record(rank):
+            calls.append((rank, threading.current_thread()))
             return rank
 
-        sharded = ShardedStore(4, ("F",))
+        sharded = ShardedStore(3, ("F",))
         with ScatterGatherExecutor(sharded) as executor:
-            assert executor.scatter(sharded, [0, 0, 0, 0], hold) == [0] * 4
-        assert peak[0] == PER_SHARD_LIMIT
+            assert executor.scatter(sharded, [2, 0, 1], record) == [2, 0, 1]
+        me = threading.current_thread()
+        assert calls == [(2, me), (0, me), (1, me)]
 
     def test_the_sharded_store_builds_a_global_index_set(self,
                                                           sharded_service):
