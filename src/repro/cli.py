@@ -256,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--queue-depth", type=int, default=16,
                            help="admitted requests beyond the pool before "
                                 "server_busy replies (default 16)")
-    serve_cmd.add_argument("--page-size", type=int, default=64,
-                           help="default rows per cursor page (default 64)")
     serve_cmd.add_argument("--durable", default=None,
                            help="write-ahead-log directory (enables "
                                 "checkpoint requests)")
@@ -757,7 +755,6 @@ def _serve_command(args) -> int:
         args.host, args.port,
         max_workers=args.workers,
         queue_depth=args.queue_depth,
-        page_size=args.page_size,
         tracer=database.tracer if args.tracing else NULL_TRACER,
         trace_sample_rate=args.trace_sample_rate,
         slow_trace_ms=args.slow_trace_ms,

@@ -12,15 +12,13 @@ from repro.server.client import (
 )
 from repro.server.protocol import MAX_FRAME, PROTOCOL_VERSION
 from repro.server.server import (
-    DEFAULT_PAGE_SIZE, ServedDocument, ServerHandle, XMarkServer,
-    serve_in_thread,
+    ServedDocument, ServerHandle, XMarkServer, serve_in_thread,
 )
 from repro.server.tenants import (
     DEFAULT_TENANT, TenantQuota, TenantRegistry, TenantState,
 )
 
 __all__ = [
-    "DEFAULT_PAGE_SIZE",
     "DEFAULT_TENANT",
     "MAX_FRAME",
     "PROTOCOL_VERSION",

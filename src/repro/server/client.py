@@ -113,6 +113,11 @@ class RemoteDatabase:
     :class:`~repro.db.cursor.Cursor` whose iterator pages rows lazily
     with ``fetch`` requests.  A local :class:`MetricsRegistry` keeps the
     client-side ``db.*`` counters the in-process facade would keep.
+
+    ``page_size=None`` lets the server size each page by its rowtext
+    (:data:`~repro.server.protocol.PAGE_CHARS`), so a result with up to
+    64 Ki characters of rowtext arrives with the ``execute`` reply; a
+    number caps every page at that many rows.
     """
 
     def __init__(self, client: WireClient, *, page_size: int | None = None,
@@ -123,7 +128,7 @@ class RemoteDatabase:
         self.document = url or welcome.get("document", "")
         self.tenant = welcome.get("tenant")
         self.shard_system = welcome.get("shard_system")
-        self.page_size = page_size or welcome.get("page_size", 64)
+        self.page_size = page_size
         self._serving = tuple(welcome.get("systems", ()))
         self._default = welcome.get("default_system")
         self._registry = MetricsRegistry()
@@ -225,8 +230,8 @@ class RemoteDatabase:
         self._require_open()
         name = self.resolve_system(system)
         text = self.query_text(query)
-        request = {"kind": "execute", "system": name, "query": text}
-        request["fetch"] = self.page_size
+        request = {"kind": "execute", "system": name, "query": text,
+                   "fetch": self.page_size or True}
         labels = {"system": name}
         if tenant is not None:
             labels["tenant"] = tenant
@@ -334,9 +339,10 @@ class _PageIterator:
                 return row
             if self._done or self._closed:
                 raise StopIteration
-            reply = self._database._client.request(
-                {"kind": "fetch", "cursor_id": self._cursor_id,
-                 "n": self._database.page_size})
+            request = {"kind": "fetch", "cursor_id": self._cursor_id}
+            if self._database.page_size:
+                request["n"] = self._database.page_size
+            reply = self._database._client.request(request)
             self._done = reply["done"]
             if self._on_span is not None and reply.get("span"):
                 self._on_span(reply["span"])

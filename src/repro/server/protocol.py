@@ -60,6 +60,13 @@ PROTOCOL_VERSION = 1
 #: is desynchronization or abuse, never a legitimate message.
 MAX_FRAME = 8 * 1024 * 1024
 
+#: Rowtext characters per cursor page (64 Ki), a line break per row
+#: counted; a client's row count ``n`` can only shorten a page.  A page
+#: ends before the row that would overflow it, but holds at least one
+#: row; even at JSON's worst escape (12 bytes for an astral character) a
+#: full page stays far below ``MAX_FRAME``.
+PAGE_CHARS = 64 * 1024
+
 _HEADER = struct.Struct(">I")
 HEADER_SIZE = _HEADER.size
 

@@ -47,9 +47,6 @@ from repro.server.tenants import (
     DEFAULT_TENANT, TenantQuota, TenantRegistry, TenantState,
 )
 
-#: Default rows per ``fetch`` page when the request names no ``n``.
-DEFAULT_PAGE_SIZE = 64
-
 
 class _RWGate:
     """A writer-priority read/write gate confined to one event loop.
@@ -109,7 +106,7 @@ class _ServerCursor:
     """One open cursor on one connection: a db cursor plus paging state."""
 
     __slots__ = ("cursor", "system", "query", "query_ref", "tenant",
-                 "sampled", "started", "rows_sent")
+                 "sampled", "started", "rows_sent", "pages", "carry")
 
     def __init__(self, cursor: Cursor, system: str, query: str, *,
                  query_ref=None, tenant: str | None = None,
@@ -123,12 +120,36 @@ class _ServerCursor:
         self.sampled = sampled          # attach the span tree to replies?
         self.started = started if started is not None else time.perf_counter()
         self.rows_sent = 0
+        self.pages = 0                  # replies that carried a page
+        self.carry: str | None = None   # the row that overflowed a page
 
-    def page(self, n: int) -> tuple[list[str], bool]:
-        """Up to ``n`` rows as rowtext strings, plus the exhausted flag."""
+    def page(self, n: int | None) -> tuple[list[str], bool]:
+        """The next page as rowtext strings, plus the exhausted flag.
+
+        A page holds at most ``n`` rows (``None``: no row cap) and at
+        most :data:`~repro.server.protocol.PAGE_CHARS` characters of
+        rowtext, one line break per row included (so a page of empty
+        rows is bounded too), but always at least one row; the row that
+        would overflow it opens the next page.
+        """
         cursor = self.cursor
-        rows = [cursor.rowtext(item) for item in cursor.fetchmany(n)]
+        rows: list[str] = []
+        chars = 0
+        while len(rows) != n:
+            if self.carry is None:
+                item = cursor.fetchone()
+                if item is None and cursor._exhausted:
+                    break
+                text = cursor.rowtext(item)
+            else:
+                text, self.carry = self.carry, None
+            if rows and chars + len(text) + 1 > protocol.PAGE_CHARS:
+                self.carry = text
+                break
+            rows.append(text)
+            chars += len(text) + 1
         self.rows_sent += len(rows)
+        self.pages += 1
         return rows, cursor._exhausted
 
 
@@ -145,6 +166,7 @@ class _Connection:
         self.txn_ops: list | None = None
         self.next_id = 0
         self.sampled = True             # head decision for the current request
+        self.span = None                # the current request's server.request span
         self.busy = 0                   # server_busy refusals since last log record
 
     def fresh_id(self, prefix: str) -> str:
@@ -178,7 +200,6 @@ class XMarkServer:
         *,
         max_workers: int = 8,
         queue_depth: int = 16,
-        page_size: int = DEFAULT_PAGE_SIZE,
         registry: MetricsRegistry | None = None,
         tracer=NULL_TRACER,
         trace_sample_rate: float = 1.0,
@@ -191,7 +212,6 @@ class XMarkServer:
         self.port = port
         self.max_workers = max_workers
         self.queue_depth = queue_depth
-        self.page_size = page_size
         self.max_frame = max_frame
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
@@ -410,6 +430,7 @@ class XMarkServer:
                 span.set(trace_id=context["trace_id"])
                 if context["parent"]:
                     span.set(parent=context["parent"])
+        conn.span = span
         keep_open = True
         error_code: str | None = None
         try:
@@ -422,7 +443,14 @@ class XMarkServer:
                                     code="bad_message")
             reply = await self._handle(conn, kind, payload)
             reply["id"] = request_id
-            await self._send(conn, writer, reply)
+            try:
+                await self._send(conn, writer, reply)
+            except ProtocolError:
+                # The reply cannot be framed, so its page is lost: drop
+                # the cursor, and a later fetch gets closed_cursor
+                # instead of silently skipping the page.
+                self._drop_cursor(conn, reply.get("cursor_id"))
+                raise
         except XMarkError as exc:
             error_code = protocol.error_code(exc)
             self.registry.counter("server.errors_total",
@@ -556,7 +584,6 @@ class XMarkServer:
             "default_system": database.default_system(),
             "shard_system": database.shard_system,
             "tenant": tenant_name,
-            "page_size": self.page_size,
         }
 
     def _on_stats(self) -> dict:
@@ -673,15 +700,18 @@ class XMarkServer:
                 self._finish_cursor(conn, cursor_id, reply)
         return reply
 
-    def _page_arg(self, value) -> int:
+    @staticmethod
+    def _page_arg(value) -> int | None:
+        """A page's row cap: ``None`` for ``true`` (a page of up to
+        ``PAGE_CHARS`` of rowtext), else the positive row count."""
         if value is True:
-            return self.page_size
+            return None
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             raise ProtocolError(f"fetch size must be a positive integer, "
                                 f"got {value!r}", code="bad_message")
         return value
 
-    def _drop_cursor(self, conn: _Connection, cursor_id: str) -> None:
+    def _drop_cursor(self, conn: _Connection, cursor_id: str | None) -> None:
         held = conn.cursors.pop(cursor_id, None)
         if held is not None:
             self.tenants.close_cursor(conn.tenant)
@@ -705,6 +735,8 @@ class XMarkServer:
                   and span.finished)
         if traced and reply is not None:
             reply["span"] = span.to_dict()
+        if conn.span is not None:
+            conn.span.set(pages=held.pages)
         self._log_query(conn, held, span if traced else None)
 
     def _log_query(self, conn: _Connection, held: _ServerCursor,
@@ -720,7 +752,7 @@ class XMarkServer:
         self.query_log.record(
             source="server", span=span, tenant=held.tenant,
             system=held.system, query=held.query_ref,
-            query_text=held.query, rows=held.rows_sent,
+            query_text=held.query, rows=held.rows_sent, pages=held.pages,
             duration_ms=round(duration_ms, 3), wire_ms=wire_ms,
             plan_cache_hit=cursor.plan_cache_hit,
             result_cache_hit=cursor.result_cache_hit,

@@ -143,3 +143,24 @@ class TestCli:
 
     def test_shard_rejects_unknown_backend(self, capsys):
         assert main(["shard", "-f", "0.0005", "-b", "Z"]) == 2
+
+    def test_serve_has_no_page_size_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--page-size", "8"])
+        assert exit_info.value.code == 2
+        assert "--page-size" in capsys.readouterr().err
+
+    def test_client_prints_the_rows_query_prints(self, tiny_text, capsys):
+        import repro
+        from repro.server import XMarkServer, serve_in_thread
+
+        assert main(["query", "-f", "0.001", "-q", "8", "-s", "D"]) == 0
+        embedded = capsys.readouterr().out
+        server = XMarkServer()
+        server.add_document("auction", repro.connect(tiny_text,
+                                                     systems=("D",)),
+                            owned=True)
+        with serve_in_thread(server) as handle:
+            assert main(["client", handle.url, "-q", "8"]) == 0
+        wire = capsys.readouterr().out
+        assert wire == embedded and wire.count("\n") > 1

@@ -468,6 +468,35 @@ class TestQueryLog:
         assert record["access_paths"]
         assert record["rows"] == cursor.rowcount
 
+    def test_pages_count_a_cursors_round_trips(self, tiny_text, tmp_path):
+        """``pages`` on the log record and on the finishing
+        ``server.request`` span is the number of request/reply pairs
+        the client spent on the cursor's rows."""
+        path = tmp_path / "paged_queries.jsonl"
+        tracer = Tracer()
+        database = repro.connect(tiny_text, systems=("D",))
+        server = XMarkServer(queue_depth=64, tracer=tracer,
+                             query_log=str(path))
+        server.add_document("auction", database, owned=True)
+        round_trips = []
+        with serve_in_thread(server) as handle:
+            for page_size in (None, 4):
+                with connect_url(handle.url, page_size=page_size) as remote:
+                    send = remote._client.request
+                    kinds = []
+                    remote._client.request = lambda payload: (
+                        kinds.append(payload["kind"]) or send(payload))
+                    remote.session().execute(8).fetchall()
+                    round_trips.append(len(kinds))
+        assert round_trips[0] == 1 and round_trips[1] > 2
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert [record["pages"] for record in records] == round_trips
+        finishing = [root.attrs["pages"] for root in tracer.roots
+                     if root.name == "server.request"
+                     and "pages" in root.attrs]
+        assert finishing == round_trips
+
     def test_service_records_queries(self, tiny_text, tmp_path):
         path = tmp_path / "service_queries.jsonl"
         with repro.connect(tiny_text, systems=("D",), service=True,

@@ -445,6 +445,114 @@ class TestRemoteQueries:
             connect_url(handle.url).close()     # slot released
 
 
+# -- byte-sized pages -----------------------------------------------------------------
+
+
+def record_replies(database) -> list[tuple[str, dict]]:
+    """Record ``(request kind, reply)`` for every request ``database``
+    sends from now on."""
+    client = database._client
+    send = client.request
+    replies: list[tuple[str, dict]] = []
+
+    def request(payload: dict) -> dict:
+        reply = send(payload)
+        replies.append((payload["kind"], reply))
+        return reply
+
+    client.request = request
+    return replies
+
+
+class TestBytePages:
+    def test_q1_to_q20_take_one_round_trip_each(self, served, remote):
+        _, database, _ = served
+        local = database.session()
+        session = remote.session()
+        replies = record_replies(remote)
+        for number in range(1, 21):
+            expected = [cursor.rowtext(item) for cursor in
+                        [local.execute(number)] for item in cursor]
+            cursor = session.execute(number)
+            assert [cursor.rowtext(item) for item in cursor] == expected
+            cursor.close()
+            assert [kind for kind, _ in replies] == ["execute"], f"Q{number}"
+            replies.clear()
+
+    def test_large_result_spans_pages_in_order(self, small_text):
+        database = repro.connect(small_text, systems=("D",))
+        server = XMarkServer()
+        server.add_document("auction", database, owned=True)
+        with serve_in_thread(server) as handle, \
+                connect_url(handle.url) as remote:
+            cursor = database.session().execute("//description")
+            expected = [cursor.rowtext(item) for item in cursor]
+            assert sum(map(len, expected)) > protocol.PAGE_CHARS
+            replies = record_replies(remote)
+            cursor = remote.session().execute("//description")
+            assert [cursor.rowtext(item) for item in cursor] == expected
+        pages = [reply["rows"] for _, reply in replies]
+        assert len(pages) >= 2
+        assert [row for page in pages for row in page] == expected
+        for page in pages:
+            assert len(page) == 1 or sum(map(len, page)) <= protocol.PAGE_CHARS
+
+    def test_commit_poisons_a_cursor_between_byte_pages(self, small_text):
+        database = repro.connect(small_text, systems=("D",))
+        server = XMarkServer()
+        server.add_document("auction", database, owned=True)
+        with serve_in_thread(server) as handle, \
+                connect_url(handle.url) as reader, \
+                connect_url(handle.url) as writer:
+            cursor = reader.session().execute("//description")
+            assert cursor.fetchone() is not None    # first page only
+            with writer.session().transaction() as txn:
+                txn.place_bid("open_auction0", "person0", 4.5,
+                              "01/01/2026", "00:00:00")
+            with pytest.raises(ClosedCursorError):
+                cursor.fetchall()
+
+
+class TestUnframableReplies:
+    """A reply too large for a frame is a typed error that takes its
+    cursor with it: no leaked quota slot, no silently skipped page."""
+
+    QUERY = "for $p in /site/people/person return $p"
+
+    def test_unframable_first_page_releases_its_cursor(self, served,
+                                                       monkeypatch):
+        handle, _, server = served
+        database = connect_url(handle.url, tenant="framed", page_size=5)
+        try:
+            limit = server.tenants.state("framed").quota.max_cursors
+            monkeypatch.setattr(protocol, "MAX_FRAME", 400)
+            for _ in range(limit + 1):
+                with pytest.raises(ProtocolError) as err:
+                    database.session().execute(self.QUERY)
+                assert err.value.code == "frame_too_large"
+            assert server.tenants.state("framed").cursors == 0
+            monkeypatch.undo()
+            assert database.session().execute(1).fetchall()
+        finally:
+            database.close()
+
+    def test_unframable_fetch_closes_the_cursor(self, served, monkeypatch):
+        handle, _, _ = served
+        database = connect_url(handle.url, page_size=5)
+        try:
+            cursor = database.session().execute(self.QUERY)
+            assert len(cursor.fetchmany(5)) == 5        # the inline page
+            monkeypatch.setattr(protocol, "MAX_FRAME", 400)
+            with pytest.raises(ProtocolError) as err:
+                cursor.fetchone()
+            assert err.value.code == "frame_too_large"
+            monkeypatch.undo()
+            with pytest.raises(ClosedCursorError):
+                cursor.fetchall()
+        finally:
+            database.close()
+
+
 # -- the write path over the wire -----------------------------------------------------
 
 
