@@ -149,10 +149,12 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
     a system that fails to load (System G's capacity limit at scale,
     notably) lands in ``failed_loads`` with the failure reason instead of
     raising.  ``recovered`` is a durable reconnect's
-    :class:`~repro.storage.wal.RecoveryReport`: when recovery already
-    reassembled the exact pre-crash partition (same placement, same
-    order seeds) in the requested shape, that store is adopted instead
-    of re-partitioning the document.
+    :class:`~repro.storage.wal.RecoveryReport` (``document`` is then the
+    snapshot's state): when recovery already reassembled the exact
+    pre-crash partition (same placement, same order seeds) in the
+    requested shape, that store is adopted instead of re-partitioning
+    the document.  Either way the reconnect replays the WAL suffix over
+    every store this returns.
     """
     from repro.storage.bulkload import BulkloadReport, bulkload
     stores: dict[str, Store] = {}
@@ -178,7 +180,7 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
         sharded = adopted
         reports[name] = BulkloadReport(
             store_name=name,
-            seconds=recovered.load_seconds + recovered.replay_seconds,
+            seconds=recovered.load_seconds,     # the reassembly
             cpu_seconds=0.0, database_bytes=0, document_bytes=len(document))
     else:
         try:

@@ -196,18 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     recover_cmd = commands.add_parser(
         "recover",
         help="recover a durable directory (snapshot load + WAL replay)",
-        description="Rebuild the committed state of a durable deployment "
-                    "(repro.connect(durable=dir)): load the manifest's "
-                    "snapshot, replay the WAL suffix through the update "
-                    "engine, verify the digest chain record by record, and "
-                    "report what was replayed, skipped, and dropped from "
-                    "torn stream tails.")
+        description="Reconnect to a durable deployment "
+                    "(repro.connect(durable=dir)) on System F: load the "
+                    "manifest's snapshot, replay the WAL suffix through the "
+                    "write path, verify the digest chain record by record, "
+                    "truncate torn stream tails, and report what was "
+                    "replayed, skipped, and dropped.")
     recover_cmd.add_argument("--dir", dest="directory", required=True,
                              help="the durable directory to recover")
-    recover_cmd.add_argument("--backend", default="F",
-                             choices=list("ABCDEFG"),
-                             help="scratch architecture for replaying a "
-                                  "document snapshot (default F)")
     recover_cmd.add_argument("--out", default=None,
                              help="write the recovered document to this file")
     recover_cmd.add_argument("--json", dest="json_path", default=None,
@@ -217,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint_cmd = commands.add_parser(
         "checkpoint",
         help="snapshot a durable directory's state and compact its WAL",
-        description="Recover the durable directory, write a fresh snapshot "
-                    "at the last committed LSN, flip the manifest to it, "
-                    "truncate every WAL stream down to the records the "
-                    "snapshot does not cover, and drop the superseded "
-                    "snapshot file.")
+        description="Reconnect to the durable directory in its own shape "
+                    "(sharded when its manifest names shard backends), write "
+                    "a fresh snapshot at the last committed LSN, flip the "
+                    "manifest to it, truncate every WAL stream down to the "
+                    "records the snapshot does not cover, and drop the "
+                    "superseded snapshot file.")
     checkpoint_cmd.add_argument("--dir", dest="directory", required=True,
                                 help="the durable directory to checkpoint")
     checkpoint_cmd.add_argument("--json", dest="json_path", default=None,
@@ -517,56 +514,55 @@ def _shard_report(args) -> int:
 
 
 def _recover_command(args) -> int:
-    """``xmark recover``: offline crash recovery + digest verification."""
+    """``xmark recover``: a durable reconnect on System F + its report."""
+    from repro.db import connect
     from repro.errors import XMarkError
-    from repro.storage.wal import recover
+    from repro.storage.interface import store_document_text
 
     try:
-        report = recover(args.directory, backend=args.backend)
+        db = connect(None, systems=("F",), durable=args.directory)
     except XMarkError as exc:
         print(f"recover: {exc}", file=sys.stderr)
         return 1
-    print(f"recovered {args.directory}")
-    print(f"  snapshot lsn {report.snapshot_lsn} "
-          f"(digest {report.snapshot_digest}), "
-          f"loaded in {report.load_seconds * 1000:.1f} ms")
-    print(f"  replayed {report.replayed} record(s), skipped {report.skipped}, "
-          f"in {report.replay_seconds * 1000:.1f} ms")
-    for stream, tail in sorted(report.torn_tails.items()):
-        print(f"  stream {stream}: dropped a {tail} tail")
-    if report.dropped_after_gap:
-        print(f"  dropped {report.dropped_after_gap} record(s) logged after "
-              "a damaged commit")
-    print(f"  state at lsn {report.last_lsn}, digest {report.digest}"
-          + (" (sharded)" if report.sharded_store is not None else ""))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.document)
-        print(f"wrote recovered document to {args.out}")
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(report.summary(), handle, indent=2)
-        print(f"wrote {args.json_path}")
+    with db:
+        report = db.recovery
+        print(f"recovered {args.directory}")
+        print(f"  snapshot lsn {report.snapshot_lsn} "
+              f"(digest {report.snapshot_digest}), "
+              f"loaded in {report.load_seconds * 1000:.1f} ms")
+        print(f"  replayed {report.replayed} record(s), skipped "
+              f"{report.skipped}, in {report.replay_seconds * 1000:.1f} ms")
+        for stream, tail in sorted(report.torn_tails.items()):
+            print(f"  stream {stream}: dropped a {tail} tail")
+        if report.dropped_after_gap:
+            print(f"  dropped {report.dropped_after_gap} record(s) logged "
+                  "after a damaged commit")
+        print(f"  state at lsn {report.last_lsn}, digest {report.digest}")
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(store_document_text(db.store("F")))
+            print(f"wrote recovered document to {args.out}")
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8") as handle:
+                json.dump(report.summary(), handle, indent=2)
+            print(f"wrote {args.json_path}")
     return 0
 
 
 def _checkpoint_command(args) -> int:
-    """``xmark checkpoint``: offline snapshot + WAL compaction."""
+    """``xmark checkpoint``: a durable reconnect + ``db.checkpoint()``."""
+    from repro.db import connect
     from repro.errors import XMarkError
-    from repro.storage.wal import DurabilityManager, recover
-    from repro.storage.wal.snapshot import document_snapshot, store_snapshot
+    from repro.storage.wal import DurabilityManager
 
     try:
-        report = recover(args.directory)
-        with DurabilityManager(args.directory) as manager:
-            manager.attach(report)
-            if report.sharded_store is not None:
-                snapshot = store_snapshot(report.last_lsn,
-                                          report.sharded_store)
-            else:
-                snapshot = document_snapshot(
-                    report.last_lsn, report.digest, report.document)
-            outcome = manager.checkpoint(snapshot)
+        backends = DurabilityManager.read_manifest(
+            args.directory).get("shard_backends")
+        shape = (dict(systems=(), shards=len(backends),
+                      backends=tuple(backends))
+                 if backends else dict(systems=("F",)))
+        with connect(None, durable=args.directory, **shape) as db:
+            outcome = db.checkpoint()
     except XMarkError as exc:
         print(f"checkpoint: {exc}", file=sys.stderr)
         return 1

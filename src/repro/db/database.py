@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from contextlib import nullcontext
 
 from repro.benchmark.queries import query_text as benchmark_query_text
 from repro.benchmark.systems import SHARD_SYSTEM, SYSTEMS, load_stores
@@ -40,7 +41,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, TraceLogWriter, Tracer
-from repro.storage.interface import Store
+from repro.storage.interface import Store, store_document_text
 from repro.update.commit import WritePath
 from repro.update.ops import UpdateOp
 from repro.xquery.evaluator import evaluate, evaluate_stream
@@ -87,11 +88,11 @@ def connect(
     commit is logged and fsynced to a write-ahead log in ``directory``
     *before* it applies in memory (``sync="commit"``, the only policy, is
     accepted for callers that name it).  Reconnecting to an
-    existing durable directory recovers it first — snapshot load plus
-    WAL replay — and serves the recovered state; ``document`` may then
-    be ``None``, and when given it must be the deployment's original
-    base document (lineages are never silently forked).  See
-    docs/DURABILITY.md.
+    existing durable directory recovers it into the serving stores —
+    each loads the snapshot once, then the WAL replays over them — and
+    serves the recovered state; ``document`` may then be ``None``, and
+    when given it must be the deployment's original base document
+    (lineages are never silently forked).  See docs/DURABILITY.md.
 
     A ``document`` of the form ``xmark://host:port/doc`` connects to a
     running wire server instead (``xmark serve``): the returned
@@ -161,13 +162,13 @@ class Database:
 
         self._durability = None
         self.recovery = None            # RecoveryReport when a reconnect replayed
+        recovery = None
         if durable is not None:
-            document = self._open_durable(durable, document)
+            document, recovery = self._open_durable(durable, document)
         elif document is None:
             raise BenchmarkError(
                 "document may only be omitted when reconnecting to an "
                 "existing durable directory")
-        self.document = document
 
         if service or shards is not None:
             # On demand: a plain direct connection (and the process
@@ -175,52 +176,74 @@ class Database:
             from repro.service import QueryService, ShardSpec
         spec = (ShardSpec(shards, tuple(backends))
                 if shards is not None else None)
-        if service:
-            self.service = QueryService(
-                document, tuple(systems),
-                max_workers=max_workers,
-                result_cache_size=result_cache_size,
-                shard_spec=spec,
-                tracer=self.tracer,
-                durability=self._durability,
-                query_log=query_log,
-            )
-            self.stores = self.service.stores
-            self.profiles = self.service.profiles
-            self.load_reports = self.service.load_reports
-            self.failed_loads = self.service.failed_loads
-            self._write_path = self.service.write_path
-            self.plan_cache = self.service.plan_cache
-            self._registry = None
-        else:
-            (self.stores, self.load_reports, self.failed_loads,
-             self._scatter, self.profiles) = load_stores(
-                document, tuple(systems), spec, recovered=self.recovery,
-                tracer=self.tracer)
-            # The degenerate service: the same write path under its own
-            # update lock, with no gates to drain and no result cache —
-            # a commit only poisons the open streaming cursors.
-            self._write_path = WritePath(
-                self.stores, self._update_lock, source="direct",
-                tracer=self.tracer, invalidate=self._poison_cursors,
-                durability=self._durability)
-            #: The one plan cache: direct executions, prepared queries
-            #: and a wire server in front all look plans up here.
-            self.plan_cache = PlanCache(
-                PLAN_SHAPES_PER_SYSTEM * (len(systems) + (spec is not None)))
-            self._registry = MetricsRegistry()
-            track(self._registry, "plan", self.plan_cache.stats)
+        # A reconnect loads the snapshot's state straight into the
+        # serving stores; the WAL suffix replays over them afterwards.
+        loading = (self.tracer.span("recovery.load_snapshot",
+                                    lsn=self.recovery.snapshot_lsn)
+                   if recovery is not None else nullcontext())
+        started = time.perf_counter()
+        with loading:
+            if recovery is not None:
+                # A sharded snapshot's state is its reassembled store.
+                document = (recovery.document() or store_document_text(
+                    self.recovery.sharded_store))
+            if service:
+                self.service = QueryService(
+                    document, tuple(systems),
+                    max_workers=max_workers,
+                    result_cache_size=result_cache_size,
+                    shard_spec=spec,
+                    tracer=self.tracer,
+                    durability=self._durability,
+                    query_log=query_log,
+                )
+                self.stores = self.service.stores
+                self.profiles = self.service.profiles
+                self.load_reports = self.service.load_reports
+                self.failed_loads = self.service.failed_loads
+                self._write_path = self.service.write_path
+                self.plan_cache = self.service.plan_cache
+                self._registry = None
+            else:
+                (self.stores, self.load_reports, self.failed_loads,
+                 self._scatter, self.profiles) = load_stores(
+                    document, tuple(systems), spec, recovered=self.recovery,
+                    tracer=self.tracer)
+                # The degenerate service: the same write path under its
+                # own update lock, with no gates to drain and no result
+                # cache — a commit only poisons the open streaming
+                # cursors.
+                self._write_path = WritePath(
+                    self.stores, self._update_lock, source="direct",
+                    tracer=self.tracer, invalidate=self._poison_cursors,
+                    durability=self._durability)
+                #: The one plan cache: direct executions, prepared
+                #: queries and a wire server in front all look plans up
+                #: here.
+                self.plan_cache = PlanCache(
+                    PLAN_SHAPES_PER_SYSTEM * (len(systems) + (spec is not None)))
+                self._registry = MetricsRegistry()
+                track(self._registry, "plan", self.plan_cache.stats)
+        #: The text the stores loaded (a reconnect's: the snapshot's).
+        self.document = document
         self._serving = tuple(self.stores)
         if durable is not None:
-            self._finish_durable()
+            try:
+                self._finish_durable(recovery,
+                                     time.perf_counter() - started)
+            except BaseException:
+                self.close()
+                raise
 
     # -- durability -----------------------------------------------------------------
 
-    def _open_durable(self, durable, document) -> str:
-        """Open the durable directory's manager, recovering an existing
-        deployment first; returns the document to load."""
+    def _open_durable(self, durable, document):
+        """Open the durable directory's manager.  Returns the document to
+        load and, for an existing deployment, its :class:`Recovery`
+        (read, not yet applied) — after refusing a forked lineage,
+        before anything loads."""
         from repro.storage.interface import document_digest as content_of
-        from repro.storage.wal import DurabilityManager, recover
+        from repro.storage.wal import DurabilityManager, Recovery
         self._durability = manager = DurabilityManager(
             durable, tracer=self.tracer)
         if not manager.exists(durable):
@@ -228,32 +251,33 @@ class Database:
                 raise DurabilityError(
                     f"{durable} holds no durable deployment; a document is "
                     "required to create one")
-            return document
-        self.recovery = report = recover(durable, tracer=self.tracer)
+            return document, None
         base_digest = manager.manifest["base_digest"]
         if document is not None and content_of(document) != base_digest:
             raise DurabilityError(
                 f"{durable} was created from a different base document "
                 f"(base digest {base_digest}); refusing to fork the lineage")
-        manager.attach(report)
-        return report.document
+        recovery = Recovery(manager)
+        # The loader adopts the sharded store the snapshot reassembles.
+        self.recovery = manager.recovered = recovery.report
+        return None, recovery
 
-    def _finish_durable(self) -> None:
-        """After the stores are serving: write a fresh durable
-        directory's base snapshot, or restore the recovered digest chain."""
+    def _finish_durable(self, recovery, load_seconds: float) -> None:
+        """After the stores loaded: write a fresh durable directory's base
+        snapshot, or replay a reconnect's WAL suffix over the serving
+        stores and reattach its streams."""
         manager = self._durability
-        if self.recovery is None:
-            if not self.stores:
-                raise DurabilityError(
-                    "no system loaded successfully; cannot create a "
-                    "durable deployment")
+        if not self.stores:
+            raise DurabilityError(
+                "no system loaded successfully; cannot serve "
+                f"{manager.directory}")
+        if recovery is None:
             manager.initialize(self._snapshot(0, self.document))
         else:
-            # Reconnect: freshly loaded stores carry the recovered
-            # document's *content* digest; the lineage continues from the
-            # recovered *chain* value.
-            for store in self.stores.values():
-                store.restore_digest(self.recovery.digest)
+            self.recovery.load_seconds = load_seconds
+            recovery.replay(self.stores, tracer=self.tracer)
+            self.recovery.count(self.registry)
+            manager.attach(self.recovery)
         manager.bind_registry(self.registry)
 
     @property

@@ -180,12 +180,12 @@ class Store(ABC):
     def restore_digest(self, digest: str | None) -> None:
         """Adopt a recovered digest-chain value.
 
-        After crash recovery the store holds the recovered *content* (it
-        was bulkloaded from the recovered serialization), but its digest
-        is the content digest of that text, not the operation hash chain
-        the pre-crash lineage carried.  Recovery restores the chain value
-        here so caches, result keys, and digest-equality proofs line up
-        with the never-crashed oracle.
+        A durable reconnect bulkloads the snapshot's text, so the store's
+        digest is the content digest of that text, not the operation
+        hash chain the pre-crash lineage carried.  Recovery restores the
+        snapshot's chain value here before it replays the WAL, so the
+        replayed chain, caches, result keys, and digest-equality proofs
+        line up with the never-crashed oracle.
         """
         self._document_digest = digest
 

@@ -19,20 +19,22 @@ physical pages:
 * :mod:`repro.storage.wal.manager` — the on-disk directory layout
   (manifest, WAL streams, snapshots) and the commit protocol: append +
   fsync *before* the in-memory apply.
-* :mod:`repro.storage.wal.recovery` — load snapshot, replay the WAL
-  suffix through the real update engine, verify the recovered digest
-  chain against the recorded one.
+* :mod:`repro.storage.wal.recovery` — read the snapshot and the merged
+  WAL suffix; a durable reconnect loads the snapshot's state into its
+  serving stores and replays the suffix over them through the real
+  write path, verifying the digest chain against the recorded one.
 
 The correctness contract is proved by ``tests/test_recovery.py``: a
-crash at *any* byte of the WAL leaves a prefix that recovers to a store
-whose digest, serialization, and query results are bit-identical to a
-never-crashed oracle at that prefix.  See docs/DURABILITY.md.
+crash at *any* byte of the WAL leaves a prefix that a reconnect
+recovers to stores whose digest, serialization, and query results are
+bit-identical to a never-crashed oracle at that prefix.  See
+docs/DURABILITY.md.
 """
 
 from repro.storage.wal.log import WalScan, WriteAheadLog, scan_wal
 from repro.storage.wal.manager import DurabilityManager
 from repro.storage.wal.records import WalRecord, decode_op, encode_op
-from repro.storage.wal.recovery import RecoveryReport, recover
+from repro.storage.wal.recovery import Recovery, RecoveryReport
 from repro.storage.wal.snapshot import read_snapshot, write_snapshot
 
 __all__ = [
@@ -40,5 +42,5 @@ __all__ = [
     "WriteAheadLog", "WalScan", "scan_wal",
     "write_snapshot", "read_snapshot",
     "DurabilityManager",
-    "recover", "RecoveryReport",
+    "Recovery", "RecoveryReport",
 ]

@@ -83,7 +83,9 @@ class DurabilityManager:
         self._streams: list[WriteAheadLog] = []
         self._manifest: dict | None = None
         self._next_lsn = 1
-        self.recovered = None           # RecoveryReport, set by attach()
+        #: A reconnect's RecoveryReport, set before the serving stores
+        #: load: the loader adopts the sharded store it reassembled.
+        self.recovered = None
         self._closed = False
 
     # -- layout ------------------------------------------------------------------
@@ -168,19 +170,16 @@ class DurabilityManager:
         self._next_lsn = snapshot["lsn"] + 1
 
     def attach(self, report) -> None:
-        """Bind to an existing directory after recovery scanned it.
+        """Bind to an existing directory after recovery replayed it.
 
         Repairs every stream's torn tail (recovery already proved the
         valid prefix is the whole usable history) so appends never land
-        after garbage, then continues the LSN sequence.  The report
-        stays on :attr:`recovered`: the connection's loader adopts the
-        sharded store recovery reassembled.
+        after garbage, then continues the LSN sequence.
         """
         streams = self.manifest["streams"]
         self._open_streams(streams)
         for stream in self._streams:
             stream.repair()
-        self.recovered = report
         self._next_lsn = report.last_lsn + 1
 
     def _open_streams(self, count: int) -> None:

@@ -23,6 +23,7 @@ surviving global commit prefix.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,3 +127,14 @@ def apply_crash(path: str | Path, point: CrashPoint) -> None:
     """Damage one WAL stream file in place."""
     path = Path(path)
     path.write_bytes(point.apply(path.read_bytes()))
+
+
+def reconnect(image: str | Path, copy: str | Path, **options):
+    """A durable reconnect (``repro.connect(None, durable=...)``) on a
+    copy of the deployment ``image``: a reconnect truncates torn tails,
+    so the image itself stays as the crash left it.  ``options`` are
+    connect's; ``systems`` defaults to ``("F",)``."""
+    from repro.db import connect
+    shutil.copytree(image, copy)
+    options.setdefault("systems", ("F",))
+    return connect(None, durable=str(copy), **options)

@@ -21,12 +21,13 @@ from contextlib import contextmanager
 
 import pytest
 
+import faultinject
 import repro
 from repro.errors import ClosedCursorError, TransactionError
 from repro.server import XMarkServer, connect_url, serve_in_thread
 from repro.server.protocol import encode_op
-from repro.storage.interface import chain_digest
-from repro.storage.wal import DurabilityManager, recover
+from repro.storage.interface import chain_digest, store_document_text
+from repro.storage.wal import DurabilityManager
 from repro.update.ops import (
     CloseAuction, DeleteItem, PlaceBid, RegisterPerson, transaction_token,
 )
@@ -64,17 +65,19 @@ def wal_sequence(directory) -> list[tuple]:
     return [(r.kind, r.prev_digest, r.digest) for r in records]
 
 
+#: Each path's connect options (the wire serves a direct connection).
+OPTIONS = {"direct": dict(systems=("D", "F")),
+           "service": dict(systems=("D", "F"), service=True),
+           "sharded-service": dict(systems=("D",), shards=2, service=True),
+           "wire": dict(systems=("D", "F")),
+           "recovered": dict(systems=("D", "F"))}
+
+
 @contextmanager
 def open_path(path: str, text: str, directory: str):
     """``(driven, live)``: the connection the test writes through and
     the in-process :class:`repro.Database` that holds the stores."""
-    options = {"direct": dict(systems=("D", "F")),
-               "service": dict(systems=("D", "F"), service=True),
-               "sharded-service": dict(systems=("D",), shards=2,
-                                       service=True),
-               "wire": dict(systems=("D", "F")),
-               "recovered": dict(systems=("D", "F"))}[path]
-    live = repro.connect(text, durable=directory, **options)
+    live = repro.connect(text, durable=directory, **OPTIONS[path])
     if path != "wire":
         with live:
             yield live, live
@@ -140,14 +143,21 @@ def run_path(path: str, text: str, tmp_path) -> dict:
     else:
         with open_path(path, text, directory) as (driven, live):
             outcomes = drive(driven, live, steps)
-    report = recover(directory)
-    # refused live => refused again at replay, never applied
-    refused = sum(row[0] == "refused" for row in outcomes)
-    assert (report.replayed, report.skipped) == (len(outcomes) - refused,
-                                                 refused)
+    # a reconnect in the path's own shape, on a copy of its directory
+    with faultinject.reconnect(directory, tmp_path / "recovery",
+                               **OPTIONS[path]) as recovered:
+        report = recovered.recovery
+        # refused live => refused again at replay, never applied
+        refused = sum(row[0] == "refused" for row in outcomes)
+        assert (report.replayed, report.skipped) == (len(outcomes) - refused,
+                                                     refused)
+        assert {store.document_digest()
+                for store in recovered.stores.values()} == {report.digest}
+        document = store_document_text(
+            recovered.store(recovered.default_system()))
     return {"outcomes": outcomes, "wal": wal_sequence(directory),
             "recovered_digest": report.digest,
-            "recovered_document": report.document}
+            "recovered_document": document}
 
 
 @pytest.fixture(scope="module")
@@ -190,9 +200,11 @@ class TestCommitContract:
             assert reply["kind"] == "committed"
             digest = live.document_digest()
             assert reply["report"]["digest"] == digest
-        report = recover(directory)
-        assert (report.replayed, report.skipped) == (1, 0)
-        assert report.digest == digest
+        with faultinject.reconnect(directory, tmp_path / "image",
+                                   **OPTIONS["wire"]) as recovered:
+            report = recovered.recovery
+            assert (report.replayed, report.skipped) == (1, 0)
+            assert report.digest == digest
 
     @pytest.mark.parametrize("shards", [None, 2])
     def test_service_commit_rekeys_the_result_cache(self, tiny_text, shards):
@@ -253,9 +265,13 @@ class TestOpCommits:
         assert by_lsn[1] == (stream, "op")
         assert by_lsn[2][1] == "op"
         assert by_lsn[3] == (0, "txn")
-        report = recover(directory)
-        assert (report.replayed, report.skipped) == (2, 1)
-        assert report.digest == live
+        with faultinject.reconnect(directory, tmp_path / "image",
+                                   systems=("F",), shards=3,
+                                   service=True) as recovered:
+            report = recovered.recovery
+            assert (report.replayed, report.skipped) == (2, 1)
+            assert report.digest == live
+            assert recovered.store("S") is report.sharded_store
 
 
 class TestDirectWritersSerialize:
@@ -322,10 +338,11 @@ class TestDirectWritersSerialize:
         assert db.durability.last_lsn == total
         db.close()
 
-        report = recover(directory)
-        assert report.last_lsn == total
-        assert not report.torn_tails and report.dropped_after_gap == 0
-        # a dense suffix behind the last checkpoint, one unbroken chain
-        assert report.replayed == total - report.snapshot_lsn
-        assert report.skipped == 0
-        assert report.digest == live
+        with faultinject.reconnect(directory, tmp_path / "image") as recovered:
+            report = recovered.recovery
+            assert report.last_lsn == total
+            assert not report.torn_tails and report.dropped_after_gap == 0
+            # a dense suffix behind the last checkpoint, one unbroken chain
+            assert report.replayed == total - report.snapshot_lsn
+            assert report.skipped == 0
+            assert report.digest == live

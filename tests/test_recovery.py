@@ -16,11 +16,16 @@ The proof obligations, in roughly the order the module asserts them:
   the global history at that commit and counts the records stranded in
   the other streams.
 * **The facade** — ``repro.connect(durable=dir)`` logs every commit
-  before applying it, reconnects by recovering, refuses forked base
-  documents, checkpoints through ``Database.checkpoint`` and the
-  ``xmark recover`` / ``xmark checkpoint`` commands, and mirrors
+  before applying it, reconnects by loading the snapshot into its
+  serving stores (each once) and replaying the WAL over them, refuses
+  forked base documents, checkpoints through ``Database.checkpoint`` and
+  the ``xmark recover`` / ``xmark checkpoint`` commands, and mirrors
   deterministic failures (refused ops, aborted transactions) exactly
   through replay.
+
+Every recovery here is a durable reconnect, on a copy of the crash image
+where the image is shared (``faultinject.reconnect``): a reconnect
+truncates torn tails.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from types import SimpleNamespace
 import pytest
 
 import faultinject
+import repro.benchmark.systems as systems_module
 from repro.benchmark.queries import QUERIES, query_text
 from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.db import connect
@@ -44,7 +50,7 @@ from repro.shard.store import ShardedStore
 from repro.storage.interface import chain_digest, store_document_text
 from repro.storage.wal import (
     DurabilityManager, WalRecord, WriteAheadLog, decode_op, encode_op,
-    recover, scan_wal,
+    scan_wal,
 )
 from repro.storage.wal.snapshot import (
     document_snapshot, read_snapshot, sharded_snapshot, write_snapshot,
@@ -170,21 +176,23 @@ class TestWalCodec:
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_clean_recovery_matches_oracle_everywhere(
-        system, durable_dir, history, oracle_results):
-    """Replay on each of the seven architectures: digest chain,
-    serialization, and all twenty query results equal the oracle."""
-    report = recover(durable_dir, backend=system)
-    digest, document = history.states[-1]
-    assert report.replayed == len(history.ops)
-    assert report.skipped == 0 and not report.torn_tails
-    assert report.digest == digest
-    assert report.document == document
-    store = make_store(system)
-    store.load(report.document)
-    for number in sorted(QUERIES):
-        result = evaluate(compile_query(
-            query_text(number), store, get_profile(system))).serialize()
-        assert result == oracle_results[number], f"Q{number} diverged"
+        system, durable_dir, history, oracle_results, tmp_path):
+    """Replay on each of the seven architectures' serving stores: digest
+    chain, serialization, and all twenty query results equal the oracle."""
+    with faultinject.reconnect(durable_dir, tmp_path / "image",
+                               systems=(system,)) as db:
+        report = db.recovery
+        digest, document = history.states[-1]
+        assert report.replayed == len(history.ops)
+        assert report.skipped == 0 and not report.torn_tails
+        assert report.digest == digest
+        assert db.document_digest(system) == digest
+        store = db.store(system)
+        assert store_document_text(store) == document
+        for number in sorted(QUERIES):
+            result = evaluate(compile_query(
+                query_text(number), store, get_profile(system))).serialize()
+            assert result == oracle_results[number], f"Q{number} diverged"
 
 
 # -- the crash matrix --------------------------------------------------------------
@@ -204,12 +212,14 @@ def test_crash_matrix_every_boundary_and_offset_class(
         shutil.copytree(durable_dir, crashed)
         faultinject.apply_crash(
             crashed / "wal" / "stream-0000.wal", point)
-        report = recover(crashed)
+        with connect(None, systems=("F",), durable=str(crashed)) as db:
+            report = db.recovery
+            document_text = store_document_text(db.store("F"))
         digest, document = history.states[point.survivors]
         where = f"{point.label}@{point.offset}"
         assert report.replayed == point.survivors, where
         assert report.digest == digest, where
-        assert report.document == document, where
+        assert document_text == document, where
         if point.label == faultinject.BOUNDARY:
             assert not report.torn_tails, where
         else:
@@ -225,12 +235,12 @@ def test_tampered_snapshot_is_refused(durable_dir, tmp_path):
     payload["document"] = payload["document"].replace("person0", "personX", 1)
     snapshot.write_text(json.dumps(payload))
     with pytest.raises(RecoveryError):
-        recover(crashed)
+        connect(None, systems=("F",), durable=str(crashed))
 
 
 def test_recover_refuses_non_durable_directory(tmp_path):
-    with pytest.raises(RecoveryError):
-        recover(tmp_path)
+    with pytest.raises(DurabilityError):
+        connect(None, systems=("F",), durable=str(tmp_path))
 
 
 def test_renames_and_new_files_reach_their_directory(history, tmp_path,
@@ -323,18 +333,23 @@ def sharded_history(tiny_text, tmp_path_factory):
                            store=store)
 
 
-def test_sharded_clean_recovery_reassembles_the_partition(sharded_history):
-    report = recover(sharded_history.directory)
-    digest, document = sharded_history.states[-1]
-    assert report.digest == digest
-    assert report.document == document
-    recovered = report.sharded_store
-    assert recovered is not None
-    assert recovered.shard_count == SHARD_COUNT
-    assert store_document_text(recovered) == document
-    # the reassembled partition places every entity where the live one did
-    assert (recovered.partition_state()
-            == sharded_history.store.partition_state())
+def test_sharded_clean_recovery_reassembles_the_partition(sharded_history,
+                                                          tmp_path):
+    with faultinject.reconnect(sharded_history.directory, tmp_path / "image",
+                               systems=(), shards=SHARD_COUNT,
+                               backends=SHARD_BACKENDS) as db:
+        report = db.recovery
+        digest, document = sharded_history.states[-1]
+        assert report.digest == digest
+        assert store_document_text(db.store("S")) == document
+        recovered = report.sharded_store
+        assert recovered is not None and recovered is db.store("S")
+        assert recovered.shard_count == SHARD_COUNT
+        assert store_document_text(recovered) == document
+        # the reassembled partition places every entity where the live
+        # one did
+        assert (recovered.partition_state()
+                == sharded_history.store.partition_state())
 
 
 def test_sharded_crash_in_any_stream_cuts_the_merged_history(
@@ -366,12 +381,16 @@ def test_sharded_crash_in_any_stream_cuts_the_merged_history(
             shutil.copytree(sharded_history.directory, crashed)
             faultinject.apply_crash(
                 crashed / "wal" / f"stream-{index:04d}.wal", point)
-            report = recover(crashed)
+            with connect(None, systems=(), shards=SHARD_COUNT,
+                         backends=SHARD_BACKENDS,
+                         durable=str(crashed)) as db:
+                report = db.recovery
+                document_text = store_document_text(db.store("S"))
             cut = lsns[-1]              # first missing commit
             digest, document = sharded_history.states[cut - 1]
             where = f"stream {index} {point.label}"
             assert report.digest == digest, where
-            assert report.document == document, where
+            assert document_text == document, where
             assert report.sharded_store is not None, where
             stranded = sum(1 for lsn in all_lsns if lsn > cut) - (
                 sum(1 for lsn in lsns if lsn > cut))
@@ -467,10 +486,11 @@ class TestDurableConnection:
         digest = db.document_digest("F")
         db.close()
 
-        report = recover(tmp_path / "d")
-        assert report.snapshot_lsn == 4
-        assert report.replayed == 1     # only the post-checkpoint commit
-        assert report.digest == digest
+        with faultinject.reconnect(tmp_path / "d", tmp_path / "image") as db2:
+            report = db2.recovery
+            assert report.snapshot_lsn == 4
+            assert report.replayed == 1     # only the post-checkpoint commit
+            assert report.digest == digest
 
     def test_checkpoint_requires_durability(self, tiny_text):
         db = connect(tiny_text, systems=("F",))
@@ -493,10 +513,11 @@ class TestDurableConnection:
         document = store_document_text(db.store("F"))
         db.close()
 
-        report = recover(tmp_path / "d")
-        assert report.skipped == 1 and report.replayed == 0
-        assert report.digest == digest
-        assert report.document == document
+        with faultinject.reconnect(tmp_path / "d", tmp_path / "image") as db2:
+            report = db2.recovery
+            assert report.skipped == 1 and report.replayed == 0
+            assert report.digest == digest
+            assert store_document_text(db2.store("F")) == document
 
     def test_torn_tail_is_repaired_on_reconnect(self, tiny_text, tmp_path):
         db = connect(tiny_text, systems=("F",), durable=str(tmp_path / "d"))
@@ -521,9 +542,9 @@ class TestDurableConnection:
             digest = db2.document_digest("F")
         finally:
             db2.close()
-        report = recover(tmp_path / "d")
-        assert not report.torn_tails
-        assert report.digest == digest
+        with faultinject.reconnect(tmp_path / "d", tmp_path / "image") as db3:
+            assert not db3.recovery.torn_tails
+            assert db3.recovery.digest == digest
 
     def test_sharded_connection_adopts_recovered_partition(
             self, tiny_text, tmp_path):
@@ -583,6 +604,126 @@ class TestDurableConnection:
         assert counters.get('wal.fsyncs_total{stream="0"}') == 1
 
 
+# -- a reconnect replays into its serving stores ------------------------------------
+
+
+def _commit(db, system: str, count: int, *, seed: int) -> None:
+    stream = UpdateStream(db.store(system), seed=seed)
+    for _ in range(count):
+        op = stream.next_op()
+        stream.note_applied(op)
+        db.apply_transaction([op])
+
+
+class TestReplayIntoServingStores:
+    @pytest.mark.parametrize("service", [False, True],
+                             ids=["direct", "service"])
+    def test_recovery_counters_reach_the_registry(self, tiny_text, tmp_path,
+                                                  service):
+        with connect(tiny_text, systems=("F",),
+                     durable=str(tmp_path / "d")) as db:
+            _commit(db, "F", 3, seed=5)
+        with connect(None, systems=("F",), service=service,
+                     durable=str(tmp_path / "d")) as db2:
+            counters = db2.registry.snapshot()["counters"]
+        assert counters["recovery.runs_total"] == 1
+        assert counters["recovery.records_replayed"] == 3
+        assert counters["recovery.records_skipped"] == 0
+
+    def test_every_serving_store_replays_a_refused_transaction(
+            self, tiny_text, tmp_path):
+        """D and B replay one history, a transaction refused part-way
+        included: both end on the live digest and serialization."""
+        with connect(tiny_text, systems=("D", "B"),
+                     durable=str(tmp_path / "d")) as live:
+            _commit(live, "D", 2, seed=11)
+            good = UpdateStream(live.store("D"), seed=12).next_op()
+            with pytest.raises(TransactionError):
+                live.apply_transaction([good, DeleteItem("no-such-item")])
+            _commit(live, "D", 2, seed=13)
+            digest = live.document_digest("D")
+            documents = {name: store_document_text(live.store(name))
+                         for name in ("D", "B")}
+            # every commit is fsynced: a copy now is a crash image
+            shutil.copytree(tmp_path / "d", tmp_path / "image")
+        with connect(None, systems=("D", "B"),
+                     durable=str(tmp_path / "image")) as db:
+            assert db.recovery.skipped == 1 and db.recovery.replayed == 4
+            for name in ("D", "B"):
+                assert db.document_digest(name) == digest, name
+                assert (store_document_text(db.store(name))
+                        == documents[name]), name
+
+    def test_sharded_reconnect_replays_beside_a_plain_system(
+            self, tiny_text, tmp_path):
+        """A ``systems=("D",), shards=2`` crash image reconnects in the
+        same shape: S is the reassembled store, and D and S both replay
+        to the live digest and answers."""
+        shape = dict(systems=("D",), shards=2)
+        with connect(tiny_text, durable=str(tmp_path / "d"), **shape) as live:
+            _commit(live, "D", 4, seed=7)
+            shutil.copytree(tmp_path / "d", tmp_path / "image")
+            with connect(None, durable=str(tmp_path / "image"),
+                         **shape) as db:
+                assert db.recovery.replayed == 4
+                assert db.store("S") is db.recovery.sharded_store
+                for name in ("D", "S"):
+                    assert (db.document_digest(name)
+                            == live.document_digest(name)), name
+                    for number in (1, 5, 8, 13, 20):
+                        assert (db.execute(name, number, stream=False)
+                                .serialize()
+                                == live.execute(name, number, stream=False)
+                                .serialize()), f"{name} Q{number}"
+
+    def test_a_reconnect_loads_each_serving_system_once(
+            self, tiny_text, tmp_path, monkeypatch):
+        with connect(tiny_text, systems=("D",),
+                     durable=str(tmp_path / "d")) as db:
+            _commit(db, "D", 3, seed=5)
+            digest = db.document_digest()
+        made = []
+        real_make_store = systems_module.make_store
+
+        def counting_make_store(name):
+            store = real_make_store(name)
+            loads = []
+            real_load = store.load
+
+            def load(text):
+                loads.append(name)
+                return real_load(text)
+
+            store.load = load
+            made.append((name, loads))
+            return store
+
+        monkeypatch.setattr(systems_module, "make_store", counting_make_store)
+        with connect(None, systems=("D",), durable=str(tmp_path / "d")) as db2:
+            assert db2.document_digest() == digest
+        assert made == [("D", ["D"])]
+
+    @pytest.mark.parametrize("forged", ["prev_digest", "digest"])
+    def test_a_broken_digest_chain_is_refused(self, history, tmp_path,
+                                              forged):
+        manager = DurabilityManager(tmp_path / "d")
+        base_digest, base_document = history.states[0]
+        manager.initialize(document_snapshot(0, base_digest, base_document))
+        chain = {"prev_digest": base_digest, "digest": history.states[1][0]}
+        chain[forged] = "forged"
+        manager.log_commit([history.ops[0]], kind="op", **chain)
+        manager.close()
+        where = "before" if forged == "prev_digest" else "after"
+        with pytest.raises(RecoveryError, match=f"broken {where} LSN 1"):
+            connect(None, systems=("D", "F"), durable=str(tmp_path / "d"))
+
+    def test_a_reconnect_serving_nothing_is_refused(self, tiny_text,
+                                                    tmp_path):
+        connect(tiny_text, systems=("F",), durable=str(tmp_path / "d")).close()
+        with pytest.raises(DurabilityError, match="no system loaded"):
+            connect(None, systems=(), durable=str(tmp_path / "d"))
+
+
 # -- the CLI -----------------------------------------------------------------------
 
 
@@ -608,8 +749,33 @@ def test_cli_recover_and_checkpoint(tiny_text, tmp_path, capsys):
     assert main(["checkpoint", "--dir", str(tmp_path / "d"),
                  "--json", str(tmp_path / "cp.json")]) == 0
     assert json.loads((tmp_path / "cp.json").read_text())["lsn"] == 2
-    report = recover(tmp_path / "d")
-    assert report.snapshot_lsn == 2 and report.replayed == 0
-    assert report.digest == digest
+    with faultinject.reconnect(tmp_path / "d", tmp_path / "image") as db2:
+        report = db2.recovery
+        assert report.snapshot_lsn == 2 and report.replayed == 0
+        assert report.digest == digest
 
     assert main(["recover", "--dir", str(tmp_path / "nowhere")]) == 1
+
+
+def test_cli_recover_has_no_backend_flag(tmp_path):
+    from repro.cli import main
+    with pytest.raises(SystemExit):
+        main(["recover", "--dir", str(tmp_path), "--backend", "B"])
+
+
+def test_cli_checkpoint_keeps_a_sharded_deployment_sharded(tiny_text,
+                                                           tmp_path):
+    from repro.cli import main
+    directory = tmp_path / "d"
+    with connect(tiny_text, systems=(), shards=2,
+                 durable=str(directory)) as db:
+        _commit(db, "S", 3, seed=9)
+        digest = db.document_digest("S")
+    assert main(["checkpoint", "--dir", str(directory)]) == 0
+    manager = DurabilityManager(directory)
+    assert manager.current_snapshot()["kind"] == "sharded"
+    assert manager.current_snapshot()["lsn"] == 3
+    with connect(None, systems=(), shards=2, durable=str(directory)) as db2:
+        assert db2.store("S") is db2.recovery.sharded_store
+        assert db2.recovery.replayed == 0
+        assert db2.document_digest("S") == digest

@@ -1,12 +1,13 @@
 """Property-based durability invariants (hypothesis).
 
 Random operation sequences × random crash points × shard counts 1/2/6:
-whatever commit history is logged and wherever the crash lands,
-``recover(snapshot + WAL suffix)`` must produce *exactly* the surviving
-commit prefix of a never-crashed oracle — equal digest-chain value,
-bit-identical serialization, and identical benchmark query results (a
-rotating subset per example; the fixed matrix in tests/test_recovery.py
-runs all twenty).
+whatever commit history is logged and wherever the crash lands, a
+durable reconnect (snapshot + WAL suffix replayed into its serving
+stores, in the deployment's own shape) must produce *exactly* the
+surviving commit prefix of a never-crashed oracle — equal digest-chain
+value, bit-identical serialization, and identical benchmark query
+results (a rotating subset per example; the fixed matrix in
+tests/test_recovery.py runs all twenty).
 
 The crash point is drawn over every enumerated damage point of every
 WAL stream (record boundaries plus the mid-record offset classes of
@@ -29,7 +30,8 @@ from repro.benchmark.queries import QUERIES, query_text
 from repro.benchmark.systems import get_profile, make_store
 from repro.shard.store import ShardedStore
 from repro.storage.interface import chain_digest, store_document_text
-from repro.storage.wal import DurabilityManager, recover, scan_wal
+from repro.db import connect
+from repro.storage.wal import DurabilityManager, scan_wal
 from repro.storage.wal.snapshot import document_snapshot, sharded_snapshot
 from repro.update.engine import apply_update
 from repro.update.stream import UpdateStream
@@ -78,6 +80,15 @@ def _build_deployment(directory: Path, document: str, shards: int,
     return states
 
 
+def _reconnect(directory: Path, shards: int):
+    """A durable reconnect in the deployment's shape; returns it and the
+    name of the system serving the recovered state."""
+    if shards == 1:
+        return connect(None, systems=("F",), durable=str(directory)), "F"
+    return connect(None, systems=(), shards=shards,
+                   backends=PROPERTY_BACKENDS, durable=str(directory)), "S"
+
+
 def _enumerate_crashes(directory: Path, shards: int):
     """Every (stream file, crash point, global cut LSN) triple."""
     crashes = []
@@ -108,28 +119,29 @@ def test_recovery_always_yields_the_surviving_prefix(
         path, point, cut_lsn = crashes[crash_choice % len(crashes)]
         faultinject.apply_crash(path, point)
 
-        report = recover(deploy)
         digest, document = states[cut_lsn - 1]
         where = f"{path.name} {point.label}@{point.offset} cut={cut_lsn}"
-        # 1. prefix exactness: digest chain and serialization
-        assert report.digest == digest, where
-        assert report.document == document, where
-        assert report.last_lsn == cut_lsn - 1, where
-        # 2. the recovered digest is verifiable state, not bookkeeping:
-        #    query results equal the oracle prefix (rotating subset)
         numbers = sorted(QUERIES)
         chosen = [numbers[(seed + offset) % len(numbers)]
                   for offset in (0, 7, 13)]
         oracle = make_store("F")
         oracle.load(document)
-        recovered = make_store("F")
-        recovered.load(report.document)
-        for number in set(chosen):
-            expected = evaluate(compile_query(
-                query_text(number), oracle, get_profile("F"))).serialize()
-            got = evaluate(compile_query(
-                query_text(number), recovered, get_profile("F"))).serialize()
-            assert got == expected, f"Q{number} diverged after {where}"
+        db, system = _reconnect(deploy, shards)
+        with db:
+            report = db.recovery
+            # 1. prefix exactness: digest chain and serialization
+            assert report.digest == digest, where
+            assert db.document_digest(system) == digest, where
+            assert store_document_text(db.store(system)) == document, where
+            assert report.last_lsn == cut_lsn - 1, where
+            # 2. the recovered digest is verifiable state, not
+            #    bookkeeping: the serving store's query results equal the
+            #    oracle prefix (rotating subset)
+            for number in set(chosen):
+                expected = evaluate(compile_query(
+                    query_text(number), oracle, get_profile("F"))).serialize()
+                got = db.execute(system, number, stream=False).serialize()
+                assert got == expected, f"Q{number} diverged after {where}"
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -145,14 +157,16 @@ def test_clean_recovery_is_exact(tiny_text, shards, n_ops, seed):
     try:
         deploy = workdir / "deploy"
         states = _build_deployment(deploy, tiny_text, shards, n_ops, seed)
-        report = recover(deploy)
-        digest, document = states[-1]
-        assert report.replayed == n_ops
-        assert report.skipped == 0 and not report.torn_tails
-        assert report.digest == digest
-        assert report.document == document
-        if shards > 1:
-            assert report.sharded_store is not None
-            assert store_document_text(report.sharded_store) == document
+        db, system = _reconnect(deploy, shards)
+        with db:
+            report = db.recovery
+            digest, document = states[-1]
+            assert report.replayed == n_ops
+            assert report.skipped == 0 and not report.torn_tails
+            assert report.digest == digest
+            assert store_document_text(db.store(system)) == document
+            if shards > 1:
+                assert report.sharded_store is not None
+                assert store_document_text(report.sharded_store) == document
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
