@@ -134,13 +134,14 @@ def make_store(name: str) -> Store:
         raise BenchmarkError(f"unknown system {name!r}; choose from A-G") from None
 
 
-def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
-                recovered=None, tracer=NULL_TRACER
+def load_stores(document: str, systems: tuple[str, ...],
+                shards: int | None = None, backends: tuple[str, ...] = ("F",),
+                *, recovered=None, tracer=NULL_TRACER
                 ) -> tuple[dict, dict, dict, object, dict]:
-    """The one loader of every connection owner (the embedded Database
-    and the QueryService): bulkload one store per system letter and,
-    when ``shard_spec`` (a :class:`repro.service.ShardSpec`) asks for
-    one, the sharded deployment, served as :data:`SHARD_SYSTEM`, with its
+    """The loader of a connection (:class:`repro.db.Database`, its one
+    caller): bulkload one store per system letter and, when ``shards``
+    is given, a sharded deployment of ``shards`` instances of the
+    ``backends`` architectures, served as :data:`SHARD_SYSTEM`, with its
     scatter-gather executor installed as the store's exchange.
 
     Returns ``(stores, load_reports, failed_loads, scatter_executor,
@@ -169,12 +170,12 @@ def load_stores(document: str, systems: tuple[str, ...], shard_spec=None, *,
             continue
         stores[name] = store
     profiles = {name: get_profile(name) for name in stores}
-    if shard_spec is None:
+    if shards is None:
         return stores, reports, failed, None, profiles
     from repro.shard.scatter import SHARDED_PROFILE, ScatterGatherExecutor
     from repro.shard.store import ShardedStore
     name = SHARD_SYSTEM
-    sharded = ShardedStore(shard_spec.shards, shard_spec.backends)
+    sharded = ShardedStore(shards, backends)
     adopted = getattr(recovered, "sharded_store", None)
     if adopted is not None and adopted.backends == sharded.backends:
         sharded = adopted

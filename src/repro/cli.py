@@ -532,11 +532,8 @@ def _recover_command(args) -> int:
               f"loaded in {report.load_seconds * 1000:.1f} ms")
         print(f"  replayed {report.replayed} record(s), skipped "
               f"{report.skipped}, in {report.replay_seconds * 1000:.1f} ms")
-        for stream, tail in sorted(report.torn_tails.items()):
-            print(f"  stream {stream}: dropped a {tail} tail")
-        if report.dropped_after_gap:
-            print(f"  dropped {report.dropped_after_gap} record(s) logged "
-                  "after a damaged commit")
+        if report.torn_tail is not None:
+            print(f"  dropped a {report.torn_tail} tail")
         print(f"  state at lsn {report.last_lsn}, digest {report.digest}")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

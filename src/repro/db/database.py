@@ -11,17 +11,19 @@ to whichever engine the connect options selected:
   :class:`~repro.shard.store.ShardedStore`, one more system under the
   pseudo-system name ``"S"`` whose plans fan out over a
   :class:`~repro.shard.scatter.ScatterGatherExecutor`.
-* **service** (``service=True``): everything runs through a
-  :class:`~repro.service.QueryService` — per-system admission control,
-  plan and result caches, each query run on the caller's thread —
-  including the sharded pseudo-system when ``shards`` is also given.
+* **service** (``service=True``): queries run through a
+  :class:`~repro.service.QueryService` over the same stores — per-system
+  admission control and a result cache, each query run on the caller's
+  thread — including the sharded pseudo-system when ``shards`` is also
+  given.
 
-Whatever the route, plans come from the connection's one
-:class:`~repro.cache.PlanCache` — one plan per query shape, so texts that
-differ only in their literals compile once — ``Cursor.fetchall()``
-returns exactly what the legacy entry points returned, and every write
-goes through the update engine, so digests, indexes, and caches stay
-consistent.  See docs/API.md.
+Whatever the route, the connection owns the stores, the update lock,
+the one :class:`~repro.update.commit.WritePath` every commit takes, the
+metrics registry and the one :class:`~repro.cache.PlanCache` — one plan
+per query shape, so texts that differ only in their literals compile
+once.  ``Cursor.fetchall()`` returns exactly what the legacy entry
+points returned, and every write goes through the update engine, so
+digests, indexes, and caches stay consistent.  See docs/API.md.
 """
 
 from __future__ import annotations
@@ -146,9 +148,13 @@ class Database:
                 raise UnknownSystemError(name, tuple(SYSTEMS))
         if shards is not None and shards <= 0:
             raise BenchmarkError(f"shards must be positive, got {shards}")
+        if service and max_workers <= 0:
+            raise BenchmarkError(
+                f"max_workers must be positive, got {max_workers}")
         self.shard_system = SHARD_SYSTEM if shards is not None else None
         self._closed = False
-        #: Taken by every direct commit, and by close().
+        #: The write path's lock: every commit, checkpoint and close()
+        #: holds it.
         self._update_lock = threading.RLock()
         self.service = None
         self._scatter = None
@@ -156,6 +162,9 @@ class Database:
                               if tracing and trace_log else None)
         self.tracer = (Tracer(on_root=self._trace_writer)
                        if tracing else NULL_TRACER)
+        #: Unified metrics: ``db.*``, the caches' gauges, ``wal.*``,
+        #: ``recovery.*`` and a service's ``service.*``.
+        self.registry = MetricsRegistry()
         #: Live streaming cursors, poisoned when a transaction commits
         #: (their suspended pipelines hold pre-commit store handles).
         self._streaming_cursors: "weakref.WeakSet[Cursor]" = weakref.WeakSet()
@@ -170,12 +179,6 @@ class Database:
                 "document may only be omitted when reconnecting to an "
                 "existing durable directory")
 
-        if service or shards is not None:
-            # On demand: a plain direct connection (and the process
-            # serving one) never loads the service/shard packages.
-            from repro.service import QueryService, ShardSpec
-        spec = (ShardSpec(shards, tuple(backends))
-                if shards is not None else None)
         # A reconnect loads the snapshot's state straight into the
         # serving stores; the WAL suffix replays over them afterwards.
         loading = (self.tracer.span("recovery.load_snapshot",
@@ -187,43 +190,37 @@ class Database:
                 # A sharded snapshot's state is its reassembled store.
                 document = (recovery.document() or store_document_text(
                     self.recovery.sharded_store))
-            if service:
-                self.service = QueryService(
-                    document, tuple(systems),
-                    max_workers=max_workers,
-                    result_cache_size=result_cache_size,
-                    shard_spec=spec,
-                    tracer=self.tracer,
-                    durability=self._durability,
-                    query_log=query_log,
-                )
-                self.stores = self.service.stores
-                self.profiles = self.service.profiles
-                self.load_reports = self.service.load_reports
-                self.failed_loads = self.service.failed_loads
-                self._write_path = self.service.write_path
-                self.plan_cache = self.service.plan_cache
-                self._registry = None
-            else:
-                (self.stores, self.load_reports, self.failed_loads,
-                 self._scatter, self.profiles) = load_stores(
-                    document, tuple(systems), spec, recovered=self.recovery,
-                    tracer=self.tracer)
-                # The degenerate service: the same write path under its
-                # own update lock, with no gates to drain and no result
-                # cache — a commit only poisons the open streaming
-                # cursors.
-                self._write_path = WritePath(
-                    self.stores, self._update_lock, source="direct",
-                    tracer=self.tracer, invalidate=self._poison_cursors,
-                    durability=self._durability)
-                #: The one plan cache: direct executions, prepared
-                #: queries and a wire server in front all look plans up
-                #: here.
-                self.plan_cache = PlanCache(
-                    PLAN_SHAPES_PER_SYSTEM * (len(systems) + (spec is not None)))
-                self._registry = MetricsRegistry()
-                track(self._registry, "plan", self.plan_cache.stats)
+            (self.stores, self.load_reports, self.failed_loads,
+             self._scatter, self.profiles) = load_stores(
+                document, tuple(systems), shards, tuple(backends),
+                recovered=self.recovery, tracer=self.tracer)
+        #: The one plan cache: direct executions, prepared queries, the
+        #: service and a wire server in front all look plans up here.
+        self.plan_cache = PlanCache(
+            PLAN_SHAPES_PER_SYSTEM * (len(systems) + (shards is not None)))
+        track(self.registry, "plan", self.plan_cache.stats)
+        if service:
+            # On demand: a plain direct connection (and the process
+            # serving one) never loads the service package.
+            from repro.service import QueryService
+            self.service = QueryService(
+                self, max_workers=max_workers,
+                result_cache_size=result_cache_size, query_log=query_log)
+        #: The one write path.  A service's admission gates are its
+        #: reader exclusion and its result cache is what a commit
+        #: re-keys; a direct connection has no readers to wait for and
+        #: poisons its streaming cursors.
+        if self.service is None:
+            self._write_path = WritePath(
+                self.stores, self._update_lock, source="direct",
+                tracer=self.tracer, invalidate=self._poison_cursors,
+                durability=self._durability)
+        else:
+            self._write_path = WritePath(
+                self.stores, self._update_lock, source="service",
+                tracer=self.tracer, exclusion=self.service._exclusive,
+                invalidate=self.service._rekey_results,
+                durability=self._durability)
         #: The text the stores loaded (a reconnect's: the snapshot's).
         self.document = document
         self._serving = tuple(self.stores)
@@ -245,7 +242,7 @@ class Database:
         from repro.storage.interface import document_digest as content_of
         from repro.storage.wal import DurabilityManager, Recovery
         self._durability = manager = DurabilityManager(
-            durable, tracer=self.tracer)
+            durable, tracer=self.tracer, registry=self.registry)
         if not manager.exists(durable):
             if document is None:
                 raise DurabilityError(
@@ -259,13 +256,13 @@ class Database:
                 f"(base digest {base_digest}); refusing to fork the lineage")
         recovery = Recovery(manager)
         # The loader adopts the sharded store the snapshot reassembles.
-        self.recovery = manager.recovered = recovery.report
+        self.recovery = recovery.report
         return None, recovery
 
     def _finish_durable(self, recovery, load_seconds: float) -> None:
         """After the stores loaded: write a fresh durable directory's base
         snapshot, or replay a reconnect's WAL suffix over the serving
-        stores and reattach its streams."""
+        stores and reattach its WAL."""
         manager = self._durability
         if not self.stores:
             raise DurabilityError(
@@ -278,7 +275,6 @@ class Database:
             recovery.replay(self.stores, tracer=self.tracer)
             self.recovery.count(self.registry)
             manager.attach(self.recovery)
-        manager.bind_registry(self.registry)
 
     @property
     def durability(self):
@@ -303,15 +299,16 @@ class Database:
         Holds the connection's update lock — the one every commit takes —
         so the LSN and the store state it snapshots describe the same
         commit; readers are unaffected.  Writes a snapshot at the last
-        logged LSN, flips the manifest to it, truncates every stream
-        down to the records the snapshot does not cover, and drops the
+        logged LSN, flips the manifest to it, truncates the WAL down to
+        the records the snapshot does not cover, and drops the
         superseded snapshot.  Returns the manager's compaction report.
         """
-        self._require_open()
-        if self._durability is None:
-            raise DurabilityError(
-                "connection is not durable; connect(durable=<dir>) first")
         with self._write_path.lock:
+            # Under the lock: a close() that won it refuses this one.
+            self._require_open()
+            if self._durability is None:
+                raise DurabilityError(
+                    "connection is not durable; connect(durable=<dir>) first")
             report = self._durability.checkpoint(
                 self._snapshot(self._durability.last_lsn))
         self.registry.counter("db.checkpoints_total").inc()
@@ -321,20 +318,22 @@ class Database:
 
     def close(self) -> None:
         """Close the connection: the service waits for its running reads,
-        the scatter executor shuts, and every session and new cursor
-        refuses further work."""
-        with self._update_lock:         # concurrent closers: one winner
+        the WAL and the scatter executor shut, and every session and new
+        cursor refuses further work."""
+        # The write path's lock: one closer wins, a commit in flight
+        # finishes first, and one that waited for the lock is refused.
+        with self._update_lock:
             if self._closed:
                 return
             self._closed = True
-        if self.service is not None:
-            self.service.close()
+            if self.service is not None:
+                self.service.close()
+            if self._durability is not None:
+                self._durability.close()
         if self._scatter is not None:
             self._scatter.close()
         if self._trace_writer is not None:
             self._trace_writer.close()
-        if self._durability is not None:
-            self._durability.close()
 
     def __enter__(self) -> "Database":
         return self
@@ -355,14 +354,6 @@ class Database:
         return Session(self, tenant)
 
     # -- introspection --------------------------------------------------------------
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """Unified metrics: the service's registry when one is serving,
-        a connection-local one otherwise (``db.*`` counters land here)."""
-        if self.service is not None:
-            return self.service.registry
-        return self._registry
 
     @property
     def systems(self) -> tuple[str, ...]:
@@ -508,9 +499,9 @@ class Database:
     # -- the write path -------------------------------------------------------------
 
     def apply_transaction(self, ops: list[UpdateOp]) -> dict:
-        """Commit a batch of update operations as one unit
-        (``kind="txn"``: one digest advance per store, over the batch
-        token) through the connection's one write path — the sequence is
+        """Commit a batch of update operations as one unit (one digest
+        advance per store, over the batch token) through the
+        connection's one write path — the sequence is
         :meth:`repro.update.commit.WritePath.commit`'s.
 
         A service connection drains every system's admission gate for
@@ -521,15 +512,19 @@ class Database:
         applied operations, and a :class:`~repro.errors.TransactionError`
         reports how far the batch got.
         """
-        self._require_open()
-        return self._write_path.commit(ops, "txn")
+        with self._write_path.lock:
+            # Under the lock: a close() that won it refuses this commit.
+            self._require_open()
+            return self._write_path.commit(ops)
 
     def _poison_cursors(self, _old_digests, _changes) -> dict:
-        """A direct connection's post-commit invalidation.  A suspended
-        streaming pipeline holds pre-commit store handles; resuming it
-        over the mutated store could yield rows matching neither
-        document state.  The set is swapped, not cleared after a copy, so
-        a cursor registered meanwhile is never dropped unpoisoned."""
+        """A direct connection's post-commit invalidation (a service
+        connection's cursors are materialized; its result cache is
+        re-keyed instead).  A suspended streaming pipeline holds
+        pre-commit store handles; resuming it over the mutated store
+        could yield rows matching neither document state.  The set is
+        swapped, not cleared after a copy, so a cursor registered
+        meanwhile is never dropped unpoisoned."""
         with self._update_lock:
             cursors, self._streaming_cursors = (self._streaming_cursors,
                                                 weakref.WeakSet())

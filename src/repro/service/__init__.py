@@ -6,8 +6,10 @@ flags multi-user concurrency and compiled-plan reuse as exactly what such a
 benchmark leaves out.  This package opens that scenario:
 
 * :class:`~repro.service.service.QueryService` — ``execute()`` on the
-  caller's thread under per-system admission control, and the one write
-  path its commits take.
+  caller's thread under per-system admission control, over the stores,
+  plan cache and write path of the connection that built it
+  (``repro.connect(..., service=True)``); its gates are that write
+  path's reader exclusion and its result cache that path's invalidation.
 * :class:`~repro.service.cache.ResultCache` — an LRU cache of query
   results with hit/miss statistics and digest-based invalidation (plans
   live in the connection's one :class:`repro.cache.PlanCache`).
@@ -20,12 +22,11 @@ through it; see DESIGN.md ("The query service") for the architecture.
 
 from repro.service.cache import ResultCache
 from repro.service.metrics import ServiceMetrics
-from repro.service.service import QueryOutcome, QueryService, ShardSpec
+from repro.service.service import QueryOutcome, QueryService
 
 __all__ = [
     "QueryOutcome",
     "QueryService",
     "ResultCache",
     "ServiceMetrics",
-    "ShardSpec",
 ]

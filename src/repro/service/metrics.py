@@ -7,24 +7,22 @@ cache hits, errors) stay exact — they are totals, not samples;
 percentiles are estimated over each histogram's most recent samples
 (the registry's default window).
 
-``ServiceMetrics.registry`` exposes the backing
-:class:`~repro.obs.metrics.MetricsRegistry`, which is how the service's
-numbers reach the shared text/JSON exporters (``xmark stats``).
+The backing :class:`~repro.obs.metrics.MetricsRegistry` is the
+connection's (``db.registry``), which is how the service's numbers reach
+the shared text/JSON exporters (``xmark stats``).
 """
 
 from __future__ import annotations
-
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:
     """Thread-safe collector for every query one service answered,
-    over the bounded histograms of its registry."""
+    over the bounded histograms of ``registry``."""
 
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
+    def __init__(self, registry) -> None:
+        self.registry = registry
         self._latency = self.registry.histogram("service.latency_seconds")
         self._compile = self.registry.histogram("service.compile_seconds")
         self._queue = self.registry.histogram("service.queue_wait_seconds")

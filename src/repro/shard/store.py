@@ -56,7 +56,7 @@ from repro.errors import ShardError, StorageError
 from repro.index import maintenance
 from repro.shard.partition import (
     EXTENT_SPECS, DocumentPartition, DocumentPartitioner, ExtentSpec,
-    route_entity, shard_of_key,
+    route_entity,
 )
 from repro.storage.interface import Handle, Store
 from repro.xmlio.dom import Element
@@ -291,7 +291,7 @@ class ShardedStore(Store):
         summary["backends"] = list(self.backends)
         return summary
 
-    # -- durability (checkpoints, per-shard WAL routing) ---------------------------
+    # -- durability (checkpoints) ------------------------------------------------
 
     def partition_state(self) -> dict:
         """The *current* partition metadata, JSON-ready (checkpointing).
@@ -315,30 +315,6 @@ class ShardedStore(Store):
         navigation API (each is a complete loadable ``site`` document)."""
         from repro.storage.interface import store_document_text
         return [store_document_text(store) for store in self._shards]
-
-    def route_op(self, op) -> int:
-        """The primary shard of one typed update operation — the WAL
-        stream its commit record belongs to.
-
-        Routing mirrors the partition policies and is resolvable *before*
-        the op applies: a new person hashes by its own id, bids and
-        closings follow the open auction, a retirement follows the item.
-        Cascades may touch other shards; recovery replays the logical op
-        through the whole store, so one stream per commit suffices.
-        """
-        from repro.update.ops import (
-            CloseAuction, DeleteItem, PlaceBid, RegisterPerson,
-        )
-        if isinstance(op, RegisterPerson):
-            return shard_of_key(op.person.attributes.get("id", ""),
-                                self.shard_count)
-        if isinstance(op, (PlaceBid, CloseAuction)):
-            target = self.shard_of_id(op.auction_id)
-        elif isinstance(op, DeleteItem):
-            target = self.shard_of_id(op.item_id)
-        else:
-            target = None
-        return target if target is not None else 0
 
     # -- internal helpers --------------------------------------------------------
 

@@ -6,21 +6,20 @@ update operations (the same value objects the update engine applies), not
 physical pages:
 
 * :mod:`repro.storage.wal.records` — the binary record codec:
-  length-prefixed, per-record CRC, typed payloads (single ops and
-  transaction batches) carrying the digest chain values the store had
-  before and will have after the commit.
-* :mod:`repro.storage.wal.log` — append-only WAL streams with
-  fsync-on-commit and a batched group-commit option, plus the torn-tail
-  scanner recovery reads with.
+  length-prefixed, per-record CRC, typed payloads (one commit's batch
+  of operations) carrying the digest chain values the store had before
+  and will have after the commit.
+* :mod:`repro.storage.wal.log` — the append-only WAL file with
+  fsync-on-commit, plus the torn-tail scanner recovery reads with.
 * :mod:`repro.storage.wal.snapshot` — checkpoints: the store's
   serialization (byte-identical across all seven architectures, which is
   what lets one snapshot serve any of them) or, for a sharded
   deployment, the per-shard fragments with their order seeds.
 * :mod:`repro.storage.wal.manager` — the on-disk directory layout
-  (manifest, WAL streams, snapshots) and the commit protocol: append +
+  (manifest, the one WAL file, snapshots) and the commit protocol: append +
   fsync *before* the in-memory apply.
-* :mod:`repro.storage.wal.recovery` — read the snapshot and the merged
-  WAL suffix; a durable reconnect loads the snapshot's state into its
+* :mod:`repro.storage.wal.recovery` — read the snapshot and the WAL
+  suffix; a durable reconnect loads the snapshot's state into its
   serving stores and replays the suffix over them through the real
   write path, verifying the digest chain against the recorded one.
 

@@ -1,6 +1,6 @@
-"""Append-only WAL streams: durable appends and torn-tail scans.
+"""The append-only WAL file: durable appends and torn-tail scans.
 
-A :class:`WriteAheadLog` owns one stream file.  ``append()`` writes one
+A :class:`WriteAheadLog` owns a deployment's one WAL file.  ``append()`` writes one
 encoded record, then flushes and fsyncs it: a commit that returned is on
 stable storage.  A crash during the append leaves at most a half-record,
 which the tail scanner drops.
@@ -8,7 +8,7 @@ which the tail scanner drops.
 Reading is one function: :func:`scan_wal` returns every intact record
 plus a :class:`WalScan` describing how the file ends.  Recovery treats a
 non-clean tail as a crash artifact — :meth:`WriteAheadLog.repair`
-truncates the file back to its valid prefix before the stream accepts
+truncates the file back to its valid prefix before the log accepts
 new appends, so a recovered database never writes after garbage.
 """
 
@@ -22,15 +22,21 @@ from repro.errors import DurabilityError
 from repro.obs.trace import NULL_TRACER
 from repro.storage.wal.records import TAIL_CLEAN, WalRecord, iter_records
 
+#: The ``stream`` label of every ``wal.*`` counter.  A deployment has one
+#: WAL file; the label stays because the performance ledger reads the
+#: counters by these names.
+STREAM_LABEL = "0"
+
+
 @dataclass(slots=True)
 class WalScan:
-    """What one pass over a WAL stream found."""
+    """What one pass over a WAL file found."""
 
     path: str
     records: list[WalRecord] = field(default_factory=list)
     #: TAIL_* constant: how the byte stream ended.
     tail: str = TAIL_CLEAN
-    #: File offset up to which the stream is intact (== file size iff clean).
+    #: File offset up to which the file is intact (== file size iff clean).
     valid_bytes: int = 0
     #: Bytes dropped after the valid prefix (0 iff clean).
     torn_bytes: int = 0
@@ -55,7 +61,7 @@ def fsync_directory(directory: str | Path) -> None:
 
 
 def scan_wal(path: str | Path) -> WalScan:
-    """Read every intact record of one stream; never raises on torn tails."""
+    """Read every intact record of a WAL file; never raises on torn tails."""
     data = Path(path).read_bytes()
     scan = WalScan(path=str(path))
     for offset, item in iter_records(data):
@@ -69,12 +75,11 @@ def scan_wal(path: str | Path) -> WalScan:
 
 
 class WriteAheadLog:
-    """One append-only, CRC-guarded record stream."""
+    """One append-only, CRC-guarded record file."""
 
     def __init__(self, path: str | Path, *, tracer=NULL_TRACER,
-                 registry=None, stream: int = 0) -> None:
+                 registry=None) -> None:
         self.path = Path(path)
-        self.stream = stream
         self._tracer = tracer
         self._registry = registry
         self._file = None
@@ -103,8 +108,7 @@ class WriteAheadLog:
         handle = self._handle()
         tracer = self._tracer
         if tracer.enabled:
-            with tracer.span("wal.append", stream=self.stream,
-                             lsn=record.lsn, kind=record.kind,
+            with tracer.span("wal.append", lsn=record.lsn,
                              bytes=len(encoded)):
                 offset = handle.tell()
                 handle.write(encoded)
@@ -115,18 +119,18 @@ class WriteAheadLog:
         self.appended_bytes += len(encoded)
         if self._registry is not None:
             self._registry.counter("wal.records_total",
-                                   stream=str(self.stream)).inc()
+                                   stream=STREAM_LABEL).inc()
             self._registry.counter("wal.bytes_total",
-                                   stream=str(self.stream)).inc(len(encoded))
+                                   stream=STREAM_LABEL).inc(len(encoded))
         if tracer.enabled:
-            with tracer.span("wal.fsync", stream=self.stream):
+            with tracer.span("wal.fsync"):
                 self._fsync()
         else:
             self._fsync()
         self.fsyncs += 1
         if self._registry is not None:
             self._registry.counter("wal.fsyncs_total",
-                                   stream=str(self.stream)).inc()
+                                   stream=STREAM_LABEL).inc()
         return offset
 
     def _fsync(self) -> None:
@@ -147,14 +151,14 @@ class WriteAheadLog:
     # -- recovery-side maintenance ------------------------------------------------
 
     def repair(self) -> WalScan:
-        """Drop a torn tail so the stream is clean for new appends.
+        """Drop a torn tail so the file is clean for new appends.
 
         Returns the scan (with the pre-repair tail classification);
         truncation happens only when the scan found damage, and the
         truncated file is fsynced before returning.
         """
         if self._file is not None:
-            raise DurabilityError("repair an unopened stream, not a live one")
+            raise DurabilityError("repair an unopened log, not a live one")
         if not self.path.exists():
             return WalScan(path=str(self.path))
         scan = scan_wal(self.path)
@@ -166,14 +170,14 @@ class WriteAheadLog:
         return scan
 
     def rewrite(self, records: list[WalRecord]) -> None:
-        """Atomically replace the stream's contents (checkpoint compaction).
+        """Atomically replace the log's contents (checkpoint compaction).
 
         The surviving records are written to a sibling temp file, fsynced,
-        and renamed over the stream — a crash anywhere leaves either the
-        old complete stream or the new complete stream, both consistent.
+        and renamed over the log — a crash anywhere leaves either the
+        old complete log or the new complete log, both consistent.
         """
         if self._file is not None:
-            raise DurabilityError("rewrite an unopened stream, not a live one")
+            raise DurabilityError("rewrite an unopened log, not a live one")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         temp = self.path.with_suffix(".compact")
         with open(temp, "wb") as handle:

@@ -1,43 +1,37 @@
-"""The durable directory: manifest, WAL streams, snapshots, commit protocol.
+"""The durable directory: manifest, the WAL, snapshots, commit protocol.
 
 On disk::
 
     <dir>/
       MANIFEST.json            # deployment shape + current snapshot pointer
-      wal/stream-0000.wal      # one stream per shard (one for unsharded)
+      wal/stream-0000.wal      # the one WAL file, sharded or not
       snapshots/snap-<lsn>.json
 
-The manifest is the recovery root: it names the stream count, the shard
-backends (``null`` for unsharded deployments), the base document's
-content digest (the start of the digest chain — a reopened connection
-offering a *different* base document is refused rather than silently
-forked), and the current snapshot.  It is always replaced atomically,
-so recovery sees either the pre- or post-checkpoint root, and both are
-complete.  Each rename (snapshot, manifest, compacted stream), the
-``wal/`` and ``snapshots/`` directories and each new stream file are
-followed by an fsync of the directory holding the new entry: without it a power cut could keep a manifest that names a
-snapshot whose rename was lost, after compaction had dropped the records
-that snapshot covered.
+The manifest is the recovery root: it names the shard backends
+(``null`` for unsharded deployments), the base document's content
+digest (the start of the digest chain — a reopened connection offering
+a *different* base document is refused rather than silently forked),
+and the current snapshot.  It is always replaced atomically, so
+recovery sees either the pre- or post-checkpoint root, and both are
+complete.  Each rename (snapshot, manifest, compacted WAL), the
+``wal/`` and ``snapshots/`` directories and a new WAL file are followed
+by an fsync of the directory holding the new entry: without it a power
+cut could keep a manifest that names a snapshot whose rename was lost,
+after compaction had dropped the records that snapshot covered.
+A directory of another :data:`MANIFEST_FORMAT` (format 1 kept one WAL
+file per shard) is refused with :class:`~repro.errors.RecoveryError`.
 
 Commit protocol (the WAL invariant): :meth:`DurabilityManager.log_commit`
 appends and fsyncs the record *before* the caller applies the
 operations in memory.  A crash between the two
 replays the record at recovery; a crash during the append leaves a torn
 tail the scanner drops.  Either way the recovered state is some exact
-prefix of the commit history.
-
-Per-shard streams: a sharded deployment routes each single-op commit to
-its primary shard's stream (the shard its target entity lives on);
-transaction batches and unsharded deployments use stream 0.  LSNs are
-global across streams — every writer holds the connection's update lock
-around :meth:`log_commit` (:mod:`repro.update.commit`), which is what
-makes the unlocked LSN counter here safe —
-so recovery merges the streams back into one totally-ordered logical
-log and a torn tail in any stream cuts the merged history at exactly
-that commit.
+prefix of the commit history.  Every writer holds the connection's
+update lock around :meth:`log_commit` (:mod:`repro.update.commit`),
+which is what makes the unlocked LSN counter here safe.
 
 Checkpoints: :meth:`checkpoint` durably writes a new snapshot, points
-the manifest at it, then compacts every stream down to the records the
+the manifest at it, then compacts the WAL down to the records the
 snapshot does not cover and deletes superseded snapshot files.  A crash
 anywhere in that sequence recovers: the manifest flip is the commit
 point, and compaction only removes what the flipped manifest proves
@@ -55,10 +49,10 @@ from repro.obs.trace import NULL_TRACER
 from repro.storage.wal.log import (
     WalScan, WriteAheadLog, fsync_directory, scan_wal,
 )
-from repro.storage.wal.records import KIND_OP, KIND_TXN, WalRecord
+from repro.storage.wal.records import WalRecord
 from repro.storage.wal.snapshot import read_snapshot, write_snapshot
 
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 MANIFEST_NAME = "MANIFEST.json"
 
 
@@ -73,19 +67,15 @@ def _atomic_write_json(path: Path, document: dict) -> None:
 
 
 class DurabilityManager:
-    """One durable directory's layout, manifest, and WAL streams."""
+    """One durable directory's layout, manifest, and WAL."""
 
     def __init__(self, directory: str | Path, *, tracer=NULL_TRACER,
                  registry=None) -> None:
         self.directory = Path(directory)
-        self.tracer = tracer
-        self.registry = registry
-        self._streams: list[WriteAheadLog] = []
+        self._wal = WriteAheadLog(self.wal_path, tracer=tracer,
+                                  registry=registry)
         self._manifest: dict | None = None
         self._next_lsn = 1
-        #: A reconnect's RecoveryReport, set before the serving stores
-        #: load: the loader adopts the sharded store it reassembled.
-        self.recovered = None
         self._closed = False
 
     # -- layout ------------------------------------------------------------------
@@ -99,8 +89,9 @@ class DurabilityManager:
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
 
-    def stream_path(self, stream: int) -> Path:
-        return self.directory / "wal" / f"stream-{stream:04d}.wal"
+    @property
+    def wal_path(self) -> Path:
+        return self.directory / "wal" / "stream-0000.wal"
 
     def snapshot_path(self, lsn: int) -> Path:
         return self.directory / "snapshots" / f"snap-{lsn:012d}.json"
@@ -136,102 +127,62 @@ class DurabilityManager:
 
     # -- creation ----------------------------------------------------------------
 
-    def initialize(self, snapshot: dict, *, streams: int | None = None,
-                   shard_backends: list[str] | None = None) -> None:
+    def initialize(self, snapshot: dict) -> None:
         """Create a fresh durable directory around a base snapshot.
 
         The base snapshot is the loaded document at LSN 0: recovery of a
-        never-written deployment is just a snapshot load.  A sharded
-        snapshot implies one stream per shard unless told otherwise.
+        never-written deployment is just a snapshot load.
         """
         if self.exists(self.directory):
             raise DurabilityError(
                 f"{self.directory} already holds a durable deployment")
-        if streams is None:
-            streams = snapshot.get("shard_count", 1)
-        if shard_backends is None:
-            shard_backends = snapshot.get("backends")
-        if streams < 1:
-            raise DurabilityError(f"streams must be >= 1, got {streams}")
         for subdirectory in ("wal", "snapshots"):
             (self.directory / subdirectory).mkdir(parents=True, exist_ok=True)
         fsync_directory(self.directory)
         write_snapshot(self.snapshot_path(snapshot["lsn"]), snapshot)
         self._write_manifest({
             "format": MANIFEST_FORMAT,
-            "streams": streams,
             "base_digest": snapshot["digest"],
-            "shard_backends": shard_backends,
+            "shard_backends": snapshot.get("backends"),
             "snapshot": {"lsn": snapshot["lsn"],
                          "digest": snapshot["digest"],
                          "file": self.snapshot_path(snapshot["lsn"]).name},
         })
-        self._open_streams(streams)
         self._next_lsn = snapshot["lsn"] + 1
 
     def attach(self, report) -> None:
         """Bind to an existing directory after recovery replayed it.
 
-        Repairs every stream's torn tail (recovery already proved the
-        valid prefix is the whole usable history) so appends never land
-        after garbage, then continues the LSN sequence.
+        Repairs the WAL's torn tail (recovery already proved the valid
+        prefix is the whole usable history) so appends never land after
+        garbage, then continues the LSN sequence.
         """
-        streams = self.manifest["streams"]
-        self._open_streams(streams)
-        for stream in self._streams:
-            stream.repair()
+        self._wal.repair()
         self._next_lsn = report.last_lsn + 1
 
-    def _open_streams(self, count: int) -> None:
-        self._streams = [
-            WriteAheadLog(self.stream_path(index), tracer=self.tracer,
-                          registry=self.registry, stream=index)
-            for index in range(count)
-        ]
-
-    def bind_registry(self, registry) -> None:
-        """Late-bind the metrics registry (connections build it after the
-        durable directory is opened)."""
-        self.registry = registry
-        for stream in self._streams:
-            stream._registry = registry
-
     # -- the commit path ---------------------------------------------------------
-
-    @property
-    def stream_count(self) -> int:
-        return len(self._streams)
 
     @property
     def last_lsn(self) -> int:
         return self._next_lsn - 1
 
-    def log_commit(self, ops, *, kind: str, prev_digest: str, digest: str,
-                   stream: int = 0) -> WalRecord:
+    def log_commit(self, ops, *, prev_digest: str, digest: str) -> WalRecord:
         """Make one commit durable *before* it is applied in memory.
 
-        ``kind`` is ``"op"`` (digest advances over the op token) or
-        ``"txn"`` (one advance over the batch token) — it must match how
-        the caller will advance the digest, because recovery re-derives
-        the chain from exactly this record.
+        ``prev_digest`` and ``digest`` are the chain values around the
+        commit; recovery re-derives the chain and checks it against them.
         """
         self._require_open()
-        if kind not in (KIND_OP, KIND_TXN):
-            raise DurabilityError(f"unknown commit kind {kind!r}")
-        if not 0 <= stream < len(self._streams):
-            raise DurabilityError(
-                f"stream {stream} out of range (deployment has "
-                f"{len(self._streams)})")
-        record = WalRecord(lsn=self._next_lsn, kind=kind, ops=tuple(ops),
+        record = WalRecord(lsn=self._next_lsn, ops=tuple(ops),
                            prev_digest=prev_digest, digest=digest)
-        self._streams[stream].append(record)
+        self._wal.append(record)
         self._next_lsn += 1
         return record
 
     # -- checkpoints --------------------------------------------------------------
 
     def checkpoint(self, snapshot: dict) -> dict:
-        """Install a new snapshot and compact the WAL streams behind it.
+        """Install a new snapshot and compact the WAL behind it.
 
         ``snapshot`` must carry ``lsn`` (the last commit it covers —
         normally :attr:`last_lsn`) and ``digest`` (the chain value
@@ -249,14 +200,12 @@ class DurabilityManager:
         manifest["snapshot"] = {"lsn": lsn, "digest": snapshot["digest"],
                                 "file": self.snapshot_path(lsn).name}
         self._write_manifest(manifest)     # <- the checkpoint commit point
-        dropped = 0
-        for stream in self._streams:
-            stream.close()
-            scan = stream.repair()
-            kept = [record for record in scan.records if record.lsn > lsn]
-            if len(kept) != len(scan.records):
-                dropped += len(scan.records) - len(kept)
-                stream.rewrite(kept)
+        self._wal.close()
+        scan = self._wal.repair()
+        kept = [record for record in scan.records if record.lsn > lsn]
+        dropped = len(scan.records) - len(kept)
+        if dropped:
+            self._wal.rewrite(kept)
         if old_snapshot["file"] != manifest["snapshot"]["file"]:
             old_path = self.directory / "snapshots" / old_snapshot["file"]
             old_path.unlink(missing_ok=True)
@@ -270,15 +219,10 @@ class DurabilityManager:
 
     # -- reading -----------------------------------------------------------------
 
-    def scan_streams(self) -> list[WalScan]:
-        """Scan every stream file (used offline by recovery and tools)."""
-        streams = self.manifest["streams"]
-        scans = []
-        for index in range(streams):
-            path = self.stream_path(index)
-            scans.append(scan_wal(path) if path.exists()
-                         else WalScan(path=str(path)))
-        return scans
+    def scan(self) -> WalScan:
+        """Scan the WAL file (used offline by recovery and tools)."""
+        path = self.wal_path
+        return scan_wal(path) if path.exists() else WalScan(path=str(path))
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -289,8 +233,7 @@ class DurabilityManager:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            for stream in self._streams:
-                stream.close()
+            self._wal.close()
 
     def __enter__(self) -> "DurabilityManager":
         return self

@@ -17,10 +17,11 @@ magic as *bad magic*).  Whatever the class, the scanner never yields the
 damaged record or anything after it: a half-record is dropped, never
 applied.
 
-The payload is the *logical* commit::
+The payload is the *logical* commit — one batch of operations, over
+whose token the digest chain advances once::
 
-    {"lsn": 7, "kind": "op" | "txn", "ops": [...],
-     "prev": "<digest before>", "digest": "<digest after>"}
+    {"lsn": 7, "ops": [...], "prev": "<digest before>",
+     "digest": "<digest after>"}
 
 ``prev``/``digest`` are the store's operation-hash-chain values around
 the commit (see :func:`repro.storage.interface.chain_digest`); recovery
@@ -53,12 +54,6 @@ MAGIC = b"XWAL"
 
 _HEADER = struct.Struct("<4sII")        # magic, payload length, payload crc32
 HEADER_SIZE = _HEADER.size
-
-#: Record kinds: a single operation (digest advances over the op token)
-#: vs a transaction batch (one digest advance over the batch token).
-KIND_OP = "op"
-KIND_TXN = "txn"
-
 
 # -- operation encoding ----------------------------------------------------------
 
@@ -101,26 +96,16 @@ def decode_op(encoded: dict) -> UpdateOp:
 
 @dataclass(frozen=True, slots=True)
 class WalRecord:
-    """One logical commit: a single op or a transaction batch."""
+    """One logical commit: a batch of operations."""
 
     lsn: int
-    kind: str                           # KIND_OP | KIND_TXN
     ops: tuple[UpdateOp, ...]
     prev_digest: str
     digest: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_OP, KIND_TXN):
-            raise DurabilityError(f"unknown WAL record kind {self.kind!r}")
-        if self.kind == KIND_OP and len(self.ops) != 1:
-            raise DurabilityError(
-                f"an '{KIND_OP}' record carries exactly one operation, "
-                f"got {len(self.ops)}")
-
     def encode(self) -> bytes:
         payload = json.dumps(
-            {"lsn": self.lsn, "kind": self.kind,
-             "ops": [encode_op(op) for op in self.ops],
+            {"lsn": self.lsn, "ops": [encode_op(op) for op in self.ops],
              "prev": self.prev_digest, "digest": self.digest},
             separators=(",", ":"), ensure_ascii=False).encode("utf-8")
         return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
@@ -130,7 +115,6 @@ class WalRecord:
         document = json.loads(payload.decode("utf-8"))
         return cls(
             lsn=document["lsn"],
-            kind=document["kind"],
             ops=tuple(decode_op(op) for op in document["ops"]),
             prev_digest=document["prev"],
             digest=document["digest"],
@@ -152,7 +136,7 @@ def iter_records(data: bytes):
 
     The scanner is strictly prefix-consistent: the first damaged record
     ends the scan, whatever follows it.  A record that decodes but whose
-    payload is semantically broken (unknown kind, unparseable subtree)
+    payload is semantically broken (unknown operation, unparseable subtree)
     raises :class:`~repro.errors.DurabilityError` — that is corruption
     the CRC says did not happen on the wire, so it is never silently
     dropped.

@@ -1,4 +1,4 @@
-"""Crash recovery: snapshot read + WAL-suffix merge + verified replay.
+"""Crash recovery: snapshot read + WAL suffix + verified replay.
 
 A durable reconnect (``repro.connect(None, durable=dir)``) recovers
 straight into the stores it will serve; nothing here builds a store of
@@ -6,12 +6,9 @@ its own.
 
 1. **Read** — :class:`Recovery` reads the manifest (atomically replaced,
    so always whole), the snapshot it points at (checksummed; a snapshot
-   that fails its CRC is refused) and every WAL stream, dropping torn
-   tails.  The surviving records of all streams merge by LSN into one
-   totally-ordered logical log, cut at the first missing LSN: a commit
-   that is not durable invalidates everything logged after it (with
-   serial writers that only happens when a *middle* of a stream was
-   damaged — a tail torn by a crash is always the globally last commit).
+   that fails its CRC is refused) and the WAL, dropping a torn tail.
+   The records after the snapshot must number on from its LSN without
+   a gap; a log out of sequence is a :class:`~repro.errors.RecoveryError`.
 2. **Load** — the serving stores load the snapshot's state: a
    ``"document"`` snapshot's text (:meth:`Recovery.document`), or, for
    a ``"sharded"`` snapshot, the exact pre-crash
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RecoveryError, TransactionError
 from repro.obs.trace import NULL_TRACER
@@ -52,11 +49,8 @@ class RecoveryReport:
     last_lsn: int                       # last commit in the recovered state
     replayed: int = 0                   # records applied
     skipped: int = 0                    # records whose apply no-opped again
-    #: stream index -> tail classification, for streams that did not end
-    #: cleanly (see records.TAIL_*).
-    torn_tails: dict[int, str] = field(default_factory=dict)
-    #: records dropped because an earlier LSN was missing (mid-log damage).
-    dropped_after_gap: int = 0
+    #: how the WAL ended when it did not end cleanly (records.TAIL_*).
+    torn_tail: str | None = None
     #: the serving stores' load from the snapshot; while they load, the
     #: sharded reassembly's share (the adopted store's load report).
     load_seconds: float = 0.0
@@ -73,8 +67,7 @@ class RecoveryReport:
             "last_lsn": self.last_lsn,
             "replayed": self.replayed,
             "skipped": self.skipped,
-            "torn_tails": {str(k): v for k, v in self.torn_tails.items()},
-            "dropped_after_gap": self.dropped_after_gap,
+            "torn_tail": self.torn_tail,
             "load_seconds": round(self.load_seconds, 6),
             "replay_seconds": round(self.replay_seconds, 6),
             "sharded": self.sharded_store is not None,
@@ -85,35 +78,27 @@ class RecoveryReport:
         registry.counter("recovery.runs_total").inc()
         registry.counter("recovery.records_replayed").inc(self.replayed)
         registry.counter("recovery.records_skipped").inc(self.skipped)
-        registry.counter("recovery.torn_tails").inc(len(self.torn_tails))
-        registry.counter("recovery.dropped_after_gap").inc(
-            self.dropped_after_gap)
+        registry.counter("recovery.torn_tails").inc(self.torn_tail is not None)
 
 
-def _merge_streams(scans, snapshot_lsn: int):
-    """Merge per-stream records into one contiguous LSN-ordered history."""
-    merged: dict[int, WalRecord] = {}
-    for scan in scans:
-        for record in scan.records:
-            if record.lsn <= snapshot_lsn:
-                continue
-            if record.lsn in merged:
-                raise RecoveryError(
-                    f"duplicate LSN {record.lsn} across WAL streams")
-            merged[record.lsn] = record
-    ordered: list[WalRecord] = []
-    expected = snapshot_lsn + 1
-    while expected in merged:
-        ordered.append(merged.pop(expected))
-        expected += 1
-    return ordered, len(merged)         # records beyond the first gap
+def _suffix(records, snapshot_lsn: int) -> list[WalRecord]:
+    """The records the snapshot does not cover, checked to number on
+    from it (a compacted WAL starts after the snapshot; one that was
+    not compacted yet still holds records it covers)."""
+    suffix = [record for record in records if record.lsn > snapshot_lsn]
+    for expected, record in enumerate(suffix, snapshot_lsn + 1):
+        if record.lsn != expected:
+            raise RecoveryError(
+                f"WAL out of sequence: LSN {record.lsn} where {expected} "
+                "was due")
+    return suffix
 
 
 def _replay_record(replay, record: WalRecord,
                    report: RecoveryReport) -> None:
     _check_chain(replay.stores, record.prev_digest, f"before LSN {record.lsn}")
     try:
-        replay.commit(list(record.ops), record.kind)
+        replay.commit(list(record.ops))
     except TransactionError:
         # Logged, then refused in memory at the same deterministic point
         # (duplicate id, missing target): the engine re-chained the
@@ -135,13 +120,13 @@ def _check_chain(stores: dict, digest: str, where: str) -> None:
 
 
 class Recovery:
-    """A durable directory's snapshot, merged WAL suffix and report,
-    read before anything loads."""
+    """A durable directory's snapshot, WAL suffix and report, read
+    before anything loads."""
 
     def __init__(self, manager) -> None:
         self.snapshot = snapshot = manager.current_snapshot()
-        scans = manager.scan_streams()
-        self.records, beyond_gap = _merge_streams(scans, snapshot["lsn"])
+        scan = manager.scan()
+        self.records = _suffix(scan.records, snapshot["lsn"])
         self.report = RecoveryReport(
             directory=str(manager.directory),
             digest=snapshot["digest"],
@@ -149,9 +134,7 @@ class Recovery:
             snapshot_digest=snapshot["digest"],
             last_lsn=(self.records[-1].lsn if self.records
                       else snapshot["lsn"]),
-            torn_tails={index: scan.tail for index, scan in enumerate(scans)
-                        if not scan.clean},
-            dropped_after_gap=beyond_gap,
+            torn_tail=None if scan.clean else scan.tail,
         )
 
     def document(self) -> str | None:
@@ -190,7 +173,7 @@ class Recovery:
                 _replay_record(replay, record, report)
             report.replay_seconds = time.perf_counter() - started
             span.set(replayed=report.replayed, skipped=report.skipped,
-                     torn_streams=len(report.torn_tails))
+                     torn_tail=report.torn_tail)
         report.digest = next(iter(stores.values())).document_digest()
         if report.sharded_store not in stores.values():
             report.sharded_store = None     # reassembled, not adopted

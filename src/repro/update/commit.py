@@ -1,13 +1,11 @@
 """The one write path: log, apply, advance, invalidate — under one lock.
 
-Every commit a connection issues (a facade transaction, the service's
-single-op and batch writes, the wire server's ``commit``) is one call of
-:meth:`WritePath.commit`, and crash recovery replays each WAL record
-through the same method.  docs/UPDATES.md §5 walks through the
-sequence.  What differs between callers is data, not code: ``kind``
-(which token the digest chain advances over; the WAL record carries it
-so replay re-derives the same chain), the reader exclusion and the
-invalidation — see DESIGN.md, "One write path".
+Every commit a connection issues (a session transaction,
+``Database.apply_transaction``, the wire server's ``commit``) is one
+call of :meth:`WritePath.commit`, and crash recovery replays each WAL
+record through the same method.  docs/UPDATES.md §5 walks through the
+sequence.  What differs between callers is data, not code: the reader
+exclusion and the invalidation — see DESIGN.md, "One write path".
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ class WritePath:
     """One owner's write path over its live store map.
 
     ``lock`` is the connection's update lock (an ``RLock``: its owner
-    also holds it around checkpoints).  ``exclusion()``
+    also holds it around checkpoints and close).  ``exclusion()``
     returns the context manager that keeps readers off the stores for
     the whole commit — a service drains every admission gate, a direct
     connection has no readers to wait for.  ``invalidate(old_digests,
@@ -50,21 +48,10 @@ class WritePath:
         self.durability = durability
         self.commits = 0                # successful commits
 
-    def _stream(self, ops, kind: str) -> int:
-        """A single-op commit on a per-shard durable deployment logs to
-        its primary shard's WAL stream; every other commit to stream 0."""
-        if kind == "op":
-            for store in self.stores.values():
-                if (getattr(store, "shard_count", None)
-                        == self.durability.stream_count):
-                    return store.route_op(ops[0])
-        return 0
-
-    def commit(self, ops, kind: str) -> dict:
+    def commit(self, ops) -> dict:
         """Commit ``ops`` as one unit; returns ``{ops, systems, digest}``.
 
-        ``kind`` is ``"txn"`` (the digest chain advances once over the
-        batch token) or ``"op"`` (over the single op's own token).  No
+        The digest chain advances once, over the batch token.  No
         rollback: when an operation is refused the applied prefix stays,
         each store's digest is re-chained over exactly its applied
         operations (so lineages remain truthful), and
@@ -74,12 +61,12 @@ class WritePath:
         if not ops:
             return {"ops": [], "systems": {}, "digest": None}
         tracer = self.tracer
-        token = transaction_token(ops) if kind == "txn" else ops[0].token()
+        token = transaction_token(ops)
         # Writers serialize on the update lock for the whole commit: LSNs
         # stay dense, the digest chain never forks, and a checkpoint
         # holding it sees one commit-consistent state.
-        with tracer.span("txn.commit", source=self.source, kind=kind,
-                         ops=len(ops), systems=len(self.stores)) as root, \
+        with tracer.span("txn.commit", source=self.source, ops=len(ops),
+                         systems=len(self.stores)) as root, \
                 self.lock, ExitStack() as held:
             with tracer.span("commit.gates"):
                 held.enter_context(self.exclusion())
@@ -90,9 +77,7 @@ class WritePath:
                 # crash in between replays the commit.
                 prev = next(iter(old_digests.values()))
                 self.durability.log_commit(
-                    ops, kind=kind, prev_digest=prev,
-                    digest=chain_digest(prev, token),
-                    stream=self._stream(ops, kind))
+                    ops, prev_digest=prev, digest=chain_digest(prev, token))
             try:
                 costs, changed, ancestors = apply_transaction_ops(
                     self.stores, ops, tracer=tracer)

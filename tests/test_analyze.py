@@ -153,7 +153,7 @@ class TestRepoClean:
     def test_lock_registry_harvests_known_sites(self):
         project = Project.load(default_src_root(), package="repro")
         expected = {
-            "repro.service.service:QueryService._update_lock",
+            "repro.service.service:QueryService._turnstile",
             "repro.service.service:QueryService._admission",
             "repro.cache:LRUCache._lock",
             "repro.cache:PlanCache._lock",
@@ -167,8 +167,7 @@ class TestRepoClean:
         }
         assert expected <= set(project.locks)
         assert project.locks[
-            "repro.service.service:QueryService._update_lock"].kind == \
-            "RLock"
+            "repro.db.database:Database._update_lock"].kind == "RLock"
         assert project.locks[
             "repro.service.service:QueryService._admission"].collection
 
@@ -176,7 +175,7 @@ class TestRepoClean:
         project = Project.load(default_src_root(), package="repro")
         edges = build_lock_graph(project)
         assert find_lock_cycles(edges) == []
-        # The service's update lock -> admission gates order is taken only
+        # The update lock -> admission gates order is taken only
         # through repro.update.commit.WritePath, whose lock and exclusion
         # are data the static pass cannot follow: tests/test_lockwitness.py
         # asserts that edge on cross_check's union graph instead.

@@ -4,11 +4,11 @@ Every path a write can take — a direct connection, a service
 connection, a sharded service, the wire, a connection recovered from a
 crash image — ends in one function (``repro.update.commit``).  These
 tests drive the *same* update history down each path and require the
-same digest chain, the same WAL ``(kind, prev, digest)`` sequence, the
-same report shape, poisoned streaming cursors and a re-keyed (not
-flushed) result cache; then that the single-op ``kind="op"`` commit
-differs from a transaction only in its data; then that concurrent
-writers and a checkpoint on a direct durable connection serialize.
+same digest chain, the same WAL ``(prev, digest)`` sequence, the same
+report shape, poisoned streaming cursors and a re-keyed (not flushed)
+result cache; then that a single operation commits as a one-op batch
+on a sharded service connection; then that concurrent writers and a
+checkpoint on a direct durable connection serialize.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.errors import ClosedCursorError, TransactionError
 from repro.server import XMarkServer, connect_url, serve_in_thread
 from repro.server.protocol import encode_op
 from repro.storage.interface import chain_digest, store_document_text
-from repro.storage.wal import DurabilityManager
+from repro.storage.wal import DurabilityManager, scan_wal
 from repro.update.ops import (
     CloseAuction, DeleteItem, PlaceBid, RegisterPerson, transaction_token,
 )
@@ -57,12 +57,10 @@ def history() -> list[list]:
 
 
 def wal_sequence(directory) -> list[tuple]:
-    """Every WAL record of every stream, merged by LSN."""
-    records = sorted((record for scan in
-                      DurabilityManager(directory).scan_streams()
-                      for record in scan.records), key=lambda r: r.lsn)
+    """Every record of the deployment's one WAL file, in LSN order."""
+    records = DurabilityManager(directory).scan().records
     assert [r.lsn for r in records] == list(range(1, len(records) + 1))
-    return [(r.kind, r.prev_digest, r.digest) for r in records]
+    return [(r.prev_digest, r.digest) for r in records]
 
 
 #: Each path's connect options (the wire serves a direct connection).
@@ -176,7 +174,7 @@ class TestCommitContract:
         assert digests[3] == digests[2]         # refused outright: no-op
         assert len(set(digests)) == 4
         # every commit was logged before it applied, refused ones included
-        assert [kind for kind, _, _ in reference["wal"]] == ["txn"] * 5
+        assert len(reference["wal"]) == 5
         assert reference["recovered_digest"] == digests[-1]
 
     @pytest.mark.parametrize("path", PATHS[1:])
@@ -224,47 +222,41 @@ class TestCommitContract:
                 assert not session.execute(2, system=system).result_cache_hit
 
 
-class TestOpCommits:
-    """``kind="op"`` (``QueryService.apply_update``) is the same commit
-    with different data: the op's own token on the chain, its primary
-    shard's WAL stream."""
+class TestSingleOpCommits:
+    """One operation commits as a one-op batch: the batch token on the
+    chain, the connection's one WAL, on a sharded service too."""
 
-    def test_op_commit_differs_only_in_token_and_stream(self, tiny_text,
-                                                        tmp_path):
+    def test_a_single_op_commits_as_a_one_op_batch(self, tiny_text,
+                                                   tmp_path):
         directory = str(tmp_path / "d")
         db = repro.connect(tiny_text, systems=("F",), shards=3, service=True,
                            durable=directory)
         try:
-            sharded = db.store("S")
             op = _bid("open_auction0", "person1", 0)
-            stream = sharded.route_op(op)
             prev = db.document_digest()
-            report = db.service.apply_update(op)
+            report = db.apply_transaction([op])
             assert set(report) == {"ops", "systems", "digest"}
             assert set(report["systems"]) == {"F", "S"}
-            assert report["digest"] == chain_digest(prev, op.token())
-            assert db.service.updates_applied == 1
+            assert report["digest"] == chain_digest(
+                prev, transaction_token([op]))
 
             with pytest.raises(TransactionError) as refused:
-                db.service.apply_update(DeleteItem("no-such-item"))
+                db.apply_transaction([DeleteItem("no-such-item")])
             assert refused.value.applied == 0
             assert db.document_digest() == report["digest"]
-            assert db.service.updates_applied == 1
 
-            batch = [_bid("open_auction0", "person2", 1)]
+            batch = [_bid("open_auction0", "person2", 1),
+                     _bid("open_auction1", "person2", 2)]
             committed = db.apply_transaction(batch)
             assert committed["digest"] == chain_digest(
                 report["digest"], transaction_token(batch))
             live = db.document_digest()
         finally:
             db.close()
-        scans = DurabilityManager(directory).scan_streams()
-        by_lsn = {record.lsn: (index, record.kind)
-                  for index, scan in enumerate(scans)
-                  for record in scan.records}
-        assert by_lsn[1] == (stream, "op")
-        assert by_lsn[2][1] == "op"
-        assert by_lsn[3] == (0, "txn")
+        records = scan_wal(tmp_path / "d" / "wal" / "stream-0000.wal").records
+        assert [[op.token() for op in record.ops] for record in records] == [
+            [op.token()], [DeleteItem("no-such-item").token()],
+            [op.token() for op in batch]]
         with faultinject.reconnect(directory, tmp_path / "image",
                                    systems=("F",), shards=3,
                                    service=True) as recovered:
@@ -341,7 +333,8 @@ class TestDirectWritersSerialize:
         with faultinject.reconnect(directory, tmp_path / "image") as recovered:
             report = recovered.recovery
             assert report.last_lsn == total
-            assert not report.torn_tails and report.dropped_after_gap == 0
+            # (a WAL out of sequence would have refused the reconnect)
+            assert report.torn_tail is None
             # a dense suffix behind the last checkpoint, one unbroken chain
             assert report.replayed == total - report.snapshot_lsn
             assert report.skipped == 0

@@ -2,11 +2,11 @@
 
 Each test pins one fix from the shared-state pass's findings:
 
-* ``QueryService.close`` — the closed latch now flips under the update
-  lock, so concurrent closers agree on one winner and the query log is
-  closed exactly once;
+* ``Database.close`` on a service connection — the closed latch flips
+  under the update lock, so concurrent closers agree on one winner and
+  the query log is closed exactly once;
 * ``QueryService.execute`` — a ``close()`` that lands between the open
-  check and the admission permit raises the service's typed closed
+  check and the admission permit raises the connection's typed closed
   error once the read gets its permit;
 * ``WireClient.request`` — a truncated reply marks the session closed
   *inside* the request lock, so a racing request can never slip a send
@@ -19,29 +19,29 @@ import threading
 
 import pytest
 
-from repro.errors import BenchmarkError, ClosedSessionError, ProtocolError
+from repro.db import connect
+from repro.errors import ClosedSessionError, ProtocolError
 from repro.server import client as client_mod
 from repro.server.client import WireClient
-from repro.service import QueryService
 
 
 class TestQueryServiceCloseRace:
     def test_concurrent_close_single_winner(self, small_text, tmp_path):
-        svc = QueryService(small_text, ("D",), max_workers=2,
-                           query_log=tmp_path / "queries.jsonl")
+        db = connect(small_text, systems=("D",), service=True, max_workers=2,
+                     query_log=tmp_path / "queries.jsonl")
         closes: list[int] = []
-        real_close = svc.query_log.close
+        real_close = db.service.query_log.close
 
         def counting_close():
             closes.append(1)
             return real_close()
 
-        svc.query_log.close = counting_close
+        db.service.query_log.close = counting_close
         barrier = threading.Barrier(4)
 
         def racer():
             barrier.wait()
-            svc.close()
+            db.close()
 
         threads = [threading.Thread(target=racer) for _ in range(4)]
         for t in threads:
@@ -49,27 +49,28 @@ class TestQueryServiceCloseRace:
         for t in threads:
             t.join()
         assert closes == [1]          # exactly one closer won the latch
-        with pytest.raises(BenchmarkError, match="closed"):
-            svc.execute("D", 1)
+        with pytest.raises(ClosedSessionError, match="closed"):
+            db.service.execute("D", 1)
 
     def test_close_remains_idempotent_sequentially(self, small_text):
-        svc = QueryService(small_text, ("D",), max_workers=1)
-        svc.close()
-        svc.close()                   # second call is a quiet no-op
+        db = connect(small_text, systems=("D",), service=True, max_workers=1)
+        db.close()
+        db.close()                    # second call is a quiet no-op
 
     def test_execute_racing_close_gets_a_typed_error(self, small_text,
                                                      monkeypatch):
-        svc = QueryService(small_text, ("D",), max_workers=1)
-        real_store = svc.store
+        db = connect(small_text, systems=("D",), service=True, max_workers=1)
+        real_store = db.store
 
         def store_then_close(system):
             store = real_store(system)
-            svc.close()               # lands after execute's open check
+            db.close()                # lands after execute's open check
             return store
 
-        monkeypatch.setattr(svc, "store", store_then_close)
-        with pytest.raises(BenchmarkError, match="query service is closed"):
-            svc.execute("D", 1)
+        monkeypatch.setattr(db, "store", store_then_close)
+        with pytest.raises(ClosedSessionError,
+                           match="database connection is closed"):
+            db.service.execute("D", 1)
 
 
 class TestWireClientTruncatedReply:

@@ -10,6 +10,12 @@ pseudo-system.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import threading
+
 import pytest
 
 import repro
@@ -85,6 +91,74 @@ class TestConnect:
         db.close()
         with pytest.raises(ClosedSessionError):
             db.session()
+
+    def test_a_direct_connection_loads_no_serving_package(self, tmp_path):
+        """``connect(doc)`` serving a query imports neither the service,
+        the shards nor the wire server (a fresh interpreter, so no other
+        test's imports count)."""
+        script = (
+            "import json, sys, repro\n"
+            "doc = repro.generate_string(0.0005)\n"
+            "repro.connect(doc).session().execute(1).fetchall()\n"
+            "print(json.dumps([name for name in sys.modules\n"
+            "                  if name.startswith('repro.')]))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(repro.__path__[0]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=tmp_path,
+            capture_output=True, text=True, check=True, timeout=120).stdout
+        packages = {name.split(".")[1] for name in json.loads(loaded)}
+        assert {"db", "storage"} <= packages
+        assert not {"service", "shard", "server"} & packages, packages
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["direct", "durable"])
+    def test_a_commit_racing_close_is_refused(self, tiny_text, tmp_path,
+                                              durable):
+        """A commit that reaches the write-path lock only after close()
+        returned is refused with the connection's closed error and
+        changes no store."""
+        db = repro.connect(tiny_text, systems=("D", "F"),
+                           durable=str(tmp_path / "d") if durable else None)
+        digests = {name: store.document_digest()
+                   for name, store in db.stores.items()}
+        closed = threading.Event()
+
+        class LateLock:
+            """The write-path lock, taken only once close() returned."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                assert closed.wait(timeout=10)
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self.lock.__exit__(*exc_info)
+
+        db._write_path.lock = LateLock(db._write_path.lock)
+        outcome = []
+
+        def commit():
+            try:
+                db.apply_transaction([PlaceBid(
+                    "open_auction0", "person1", 4.0, "05/24/2000",
+                    "11:00:00")])
+            except Exception as exc:    # asserted below
+                outcome.append(exc)
+            else:
+                outcome.append(None)
+
+        writer = threading.Thread(target=commit)
+        writer.start()
+        db.close()
+        closed.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert isinstance(outcome[0], ClosedSessionError), outcome
+        assert {name: store.document_digest()
+                for name, store in db.stores.items()} == digests
 
     def test_closed_session_refuses_queries(self, tiny_db):
         session = tiny_db.session()

@@ -542,17 +542,19 @@ class TestInvalidation:
         """A commit through the service keeps the store's IndexSet (it is
         maintained by deltas, not dropped), and the served answers match a
         scan over the updated document."""
-        from repro.service import QueryService
+        from repro.db import connect
         from repro.update import RegisterPerson, UpdateStream
 
-        with QueryService(tiny_text, ("D",), max_workers=2) as service:
-            store = service.store("D")
+        with connect(tiny_text, systems=("D",), service=True,
+                     max_workers=2) as db:
+            service = db.service
+            store = db.store("D")
             indexes = store.indexes
             assert indexes is not None
             for query in (1, 5, 8):
                 service.execute("D", query)
-            service.apply_update(
-                RegisterPerson(UpdateStream(store).build_person()))
+            db.apply_transaction(
+                [RegisterPerson(UpdateStream(store).build_person())])
             assert store.indexes is indexes
             for query in (1, 5, 8):
                 scan = compile_query(query_text(query), store,

@@ -19,7 +19,6 @@ import pytest
 from repro import connect
 from repro.analyze import Project, cross_check, default_src_root
 from repro.analyze.lockwitness import LockWitness, _WitnessedLock
-from repro.service import QueryService
 from repro.update import UpdateStream
 
 HERE = Path(__file__).resolve().parent
@@ -133,8 +132,10 @@ class TestCrossCheck:
         witness = LockWitness()
         witness.install()
         try:
-            with QueryService(small_text, ("D",), max_workers=4) as svc:
-                stream = UpdateStream(svc.store("D"))
+            with connect(small_text, systems=("D",), service=True,
+                         max_workers=4) as db:
+                svc = db.service
+                stream = UpdateStream(db.store("D"))
                 draw = threading.Lock()
 
                 def client(rank: int) -> None:
@@ -143,7 +144,7 @@ class TestCrossCheck:
                             with draw:
                                 op = stream.next_op()
                                 stream.note_applied(op)
-                                svc.apply_update(op)
+                                db.apply_transaction([op])
                         else:
                             svc.execute("D", (1, 2, 5)[seq % 3])
 
@@ -163,12 +164,13 @@ class TestCrossCheck:
         assert any("service/service.py" in s for s in sites)
 
     def test_commit_lock_order(self, workload_witness, small_text):
-        """One write path, one order: update lock -> admission gates ->
-        cache lock on a service; a direct connection's commit holds only
-        its update lock (above the leaf metrics locks)."""
+        """One write path, one order: the connection's update lock ->
+        admission gates -> cache lock on a service; a direct connection's
+        commit holds only its update lock (above the leaf metrics
+        locks)."""
         project = Project.load(default_src_root(), package="repro")
         edges = set(cross_check(workload_witness, project)["dynamic_edges"])
-        update = "repro.service.service:QueryService._update_lock"
+        update = "repro.db.database:Database._update_lock"
         gates = "repro.service.service:QueryService._admission"
         cache = "repro.cache:LRUCache._lock"
         assert {(update, gates), (gates, cache)} <= edges
@@ -195,7 +197,7 @@ class TestCrossCheck:
         # The commit order the static pass cannot prove (WritePath takes
         # its lock and exclusion as data) is in the union graph.
         union = set(verdict["static_edges"]) | set(verdict["dynamic_edges"])
-        assert ("repro.service.service:QueryService._update_lock",
+        assert ("repro.db.database:Database._update_lock",
                 "repro.service.service:QueryService._admission") in union
 
     def test_dynamic_sites_join_static_registry(self, workload_witness):

@@ -11,10 +11,10 @@ The proof obligations, in roughly the order the module asserts them:
   magic/length/crc/payload), recovery yields *exactly* the surviving
   commit prefix: a half-record is dropped, never applied, and nothing
   logged after damage survives.
-* **Sharded deployments** — a 6-shard store with per-shard WAL streams
-  recovers through the merged LSN order; damage in any one stream cuts
-  the global history at that commit and counts the records stranded in
-  the other streams.
+* **Sharded deployments** — a 6-shard store logs to the one WAL file an
+  unsharded one does, and damage at any point of it cuts the history at
+  exactly the damaged commit; a 2- and a 6-shard connection write that
+  one file, and a directory of the old per-shard layout is refused.
 * **The facade** — ``repro.connect(durable=dir)`` logs every commit
   before applying it, reconnects by loading the snapshot into its
   serving stores (each once) and replaying the WAL over them, refuses
@@ -56,7 +56,9 @@ from repro.storage.wal.snapshot import (
     document_snapshot, read_snapshot, sharded_snapshot, write_snapshot,
 )
 from repro.update.engine import apply_update
-from repro.update.ops import CloseAuction, DeleteItem, PlaceBid, RegisterPerson
+from repro.update.ops import (
+    CloseAuction, DeleteItem, PlaceBid, RegisterPerson, transaction_token,
+)
 from repro.update.stream import UpdateStream
 from repro.xmlio.parser import parse
 from repro.xquery.evaluator import evaluate
@@ -65,15 +67,22 @@ from repro.xquery.planner import compile_query
 OPS_IN_HISTORY = 8
 
 
+def _commit_one(store, op) -> None:
+    """Apply ``op`` as a one-op commit: the digest advances once, over
+    the batch token, as a connection's write path advances it."""
+    apply_update(store, op, advance_digest=False)
+    store.advance_digest(transaction_token([op]))
+
+
 def _oracle_history(store, *, seed: int, count: int = OPS_IN_HISTORY):
-    """Apply ``count`` generated ops; record state after every prefix."""
+    """Commit ``count`` generated ops; record state after every prefix."""
     stream = UpdateStream(store, seed=seed)
     ops = []
     states = [(store.document_digest(), store_document_text(store))]
     for _ in range(count):
         op = stream.next_op()
         stream.note_applied(op)
-        apply_update(store, op)
+        _commit_one(store, op)
         ops.append(op)
         states.append((store.document_digest(), store_document_text(store)))
     return ops, states
@@ -90,14 +99,13 @@ def history(tiny_text):
 
 @pytest.fixture(scope="module")
 def durable_dir(history, tmp_path_factory):
-    """A pristine single-stream deployment holding the whole history."""
+    """A pristine deployment holding the whole history."""
     directory = tmp_path_factory.mktemp("durable") / "deploy"
     manager = DurabilityManager(directory)
     base_digest, base_document = history.states[0]
     manager.initialize(document_snapshot(0, base_digest, base_document))
     for index, op in enumerate(history.ops):
-        manager.log_commit([op], kind="op",
-                           prev_digest=history.states[index][0],
+        manager.log_commit([op], prev_digest=history.states[index][0],
                            digest=history.states[index + 1][0])
     manager.close()
     return directory
@@ -134,7 +142,7 @@ class TestWalCodec:
             assert decode_op(encode_op(op)).token() == op.token()
 
     def test_record_encode_decode(self):
-        record = WalRecord(lsn=9, kind="txn",
+        record = WalRecord(lsn=9,
                            ops=(DeleteItem("item1"), DeleteItem("item2")),
                            prev_digest="aa", digest="bb")
         (offset, decoded), (end, tail) = list(
@@ -142,17 +150,10 @@ class TestWalCodec:
         assert offset == 0 and decoded == record
         assert tail == "clean" and end == len(record.encode())
 
-    def test_op_record_carries_exactly_one_op(self):
-        with pytest.raises(DurabilityError):
-            WalRecord(lsn=1, kind="op",
-                      ops=(DeleteItem("item1"), DeleteItem("item2")),
-                      prev_digest="", digest="")
-
     def test_every_append_is_fsynced(self, tmp_path):
         log = WriteAheadLog(tmp_path / "s.wal")
         for lsn in range(1, 9):
-            log.append(WalRecord(lsn=lsn, kind="op",
-                                 ops=(DeleteItem(f"item{lsn}"),),
+            log.append(WalRecord(lsn=lsn, ops=(DeleteItem(f"item{lsn}"),),
                                  prev_digest="p", digest="d"))
             assert log.fsyncs == lsn
         log.close()
@@ -184,7 +185,7 @@ def test_clean_recovery_matches_oracle_everywhere(
         report = db.recovery
         digest, document = history.states[-1]
         assert report.replayed == len(history.ops)
-        assert report.skipped == 0 and not report.torn_tails
+        assert report.skipped == 0 and report.torn_tail is None
         assert report.digest == digest
         assert db.document_digest(system) == digest
         store = db.store(system)
@@ -221,9 +222,9 @@ def test_crash_matrix_every_boundary_and_offset_class(
         assert report.digest == digest, where
         assert document_text == document, where
         if point.label == faultinject.BOUNDARY:
-            assert not report.torn_tails, where
+            assert report.torn_tail is None, where
         else:
-            assert (report.torn_tails[0]
+            assert (report.torn_tail
                     in faultinject.EXPECTED_TAILS[point.label]), where
 
 
@@ -248,7 +249,7 @@ def test_renames_and_new_files_reach_their_directory(history, tmp_path,
     """In ``initialize()`` and ``checkpoint()`` every renamed file is
     fsynced, then renamed, and then its directory is the next thing
     fsynced; the new ``wal/`` and ``snapshots/`` entries and the first
-    stream file reach their directories the same way."""
+    WAL file reach their directories the same way."""
     events = []
     real_fsync, real_replace = os.fsync, os.replace
 
@@ -272,14 +273,14 @@ def test_renames_and_new_files_reach_their_directory(history, tmp_path,
     base_digest, base_document = history.states[0]
     manager.initialize(document_snapshot(0, base_digest, base_document))
     for index, op in enumerate(history.ops[:3]):
-        manager.log_commit([op], kind="op", prev_digest=history.states[index][0],
+        manager.log_commit([op], prev_digest=history.states[index][0],
                            digest=history.states[index + 1][0])
     digest, document = history.states[3]
     manager.checkpoint(document_snapshot(3, digest, document))
     manager.close()
 
     renames = [at for at, event in enumerate(events) if event[0] == "replace"]
-    # Base snapshot, manifest; then snapshot, manifest, compacted stream.
+    # Base snapshot, manifest; then snapshot, manifest, compacted WAL.
     assert [events[at][2].name for at in renames] == [
         "snap-000000000000.json", "MANIFEST.json", "snap-000000000003.json",
         "MANIFEST.json", "stream-0000.wal"]
@@ -290,11 +291,11 @@ def test_renames_and_new_files_reach_their_directory(history, tmp_path,
         assert following == ("fsync", identity(target.parent)), target
     assert ("fsync", identity(directory)) in events[:renames[0]]
     # Between set-up and checkpoint: the commits, the first one creating
-    # the stream file.
+    # the WAL file.
     assert ("fsync", identity(directory / "wal")) in events[renames[1]:renames[2]]
 
 
-# -- sharded deployments: per-shard WALs -------------------------------------------
+# -- sharded deployments: the one WAL ---------------------------------------------
 
 SHARD_COUNT = 6
 SHARD_BACKENDS = ("F", "A", "D")
@@ -302,7 +303,7 @@ SHARD_BACKENDS = ("F", "A", "D")
 
 @pytest.fixture(scope="module")
 def sharded_history(tiny_text, tmp_path_factory):
-    """A 6-shard deployment: per-shard streams, commits routed by shard."""
+    """A 6-shard deployment whose commits all log to the one WAL."""
     store = ShardedStore(SHARD_COUNT, SHARD_BACKENDS)
     store.load(tiny_text)
     directory = tmp_path_factory.mktemp("sharded") / "deploy"
@@ -313,20 +314,16 @@ def sharded_history(tiny_text, tmp_path_factory):
                          backends=list(store.backends),
                          fragments=store.shard_fragment_texts(),
                          extent_seqs=state["extent_seqs"],
-                         id_map=state["id_map"]),
-        streams=SHARD_COUNT, shard_backends=list(store.backends))
+                         id_map=state["id_map"]))
     stream = UpdateStream(store, seed=829)
     states = [(store.document_digest(), store_document_text(store))]
-    routes = []
     for _ in range(10):
         op = stream.next_op()
         stream.note_applied(op)
         prev = store.document_digest()
-        digest = chain_digest(prev, op.token())
-        routes.append(manager.log_commit(
-            [op], kind="op", prev_digest=prev, digest=digest,
-            stream=store.route_op(op)).lsn)
-        apply_update(store, op)
+        manager.log_commit([op], prev_digest=prev,
+                           digest=chain_digest(prev, transaction_token([op])))
+        _commit_one(store, op)
         states.append((store.document_digest(), store_document_text(store)))
     manager.close()
     return SimpleNamespace(directory=directory, states=states,
@@ -352,49 +349,94 @@ def test_sharded_clean_recovery_reassembles_the_partition(sharded_history,
                 == sharded_history.store.partition_state())
 
 
-def test_sharded_crash_in_any_stream_cuts_the_merged_history(
+def test_sharded_crash_matrix_every_boundary_and_offset_class(
         sharded_history, tmp_path):
-    """Damage each non-empty stream's last record: the global history is
-    cut at that commit, and later commits stranded in *other* streams
-    are dropped and counted."""
+    """Damage the sharded deployment's one WAL at every enumerated
+    point: the reconnect reassembles the partition and replays exactly
+    the surviving prefix."""
     wal_dir = sharded_history.directory / "wal"
-    lsns_by_stream = {
-        index: [record.lsn for record in
-                scan_wal(wal_dir / f"stream-{index:04d}.wal").records]
-        for index in range(SHARD_COUNT)
-        if (wal_dir / f"stream-{index:04d}.wal").exists()
-    }
-    assert len(lsns_by_stream) > 1, "history never crossed shards"
-    all_lsns = sorted(lsn for lsns in lsns_by_stream.values()
-                      for lsn in lsns)
-    assert all_lsns == list(range(1, 11))
-    for index, lsns in lsns_by_stream.items():
-        stream_file = wal_dir / f"stream-{index:04d}.wal"
-        points = faultinject.crash_points(stream_file.read_bytes())
-        last = [point for point in points
-                if point.record_lsn == lsns[-1]
-                and point.label in (faultinject.BOUNDARY,
-                                    faultinject.MID_PAYLOAD,
-                                    faultinject.GARBLED_CRC)]
-        for point in last:
-            crashed = tmp_path / f"s{index}-{point.label}"
-            shutil.copytree(sharded_history.directory, crashed)
-            faultinject.apply_crash(
-                crashed / "wal" / f"stream-{index:04d}.wal", point)
-            with connect(None, systems=(), shards=SHARD_COUNT,
-                         backends=SHARD_BACKENDS,
-                         durable=str(crashed)) as db:
-                report = db.recovery
-                document_text = store_document_text(db.store("S"))
-            cut = lsns[-1]              # first missing commit
-            digest, document = sharded_history.states[cut - 1]
-            where = f"stream {index} {point.label}"
-            assert report.digest == digest, where
-            assert document_text == document, where
-            assert report.sharded_store is not None, where
-            stranded = sum(1 for lsn in all_lsns if lsn > cut) - (
-                sum(1 for lsn in lsns if lsn > cut))
-            assert report.dropped_after_gap == stranded, where
+    assert [path.name for path in wal_dir.iterdir()] == ["stream-0000.wal"]
+    stream_file = wal_dir / "stream-0000.wal"
+    assert [record.lsn for record in scan_wal(stream_file).records] == \
+        list(range(1, 11))
+    points = faultinject.crash_points(stream_file.read_bytes())
+    labels = {point.label for point in points}
+    assert labels == set(faultinject.EXPECTED_TAILS)
+    assert len(points) == len(labels) * 10
+    for point in points:
+        crashed = tmp_path / f"{point.label}-{point.offset}"
+        shutil.copytree(sharded_history.directory, crashed)
+        faultinject.apply_crash(crashed / "wal" / "stream-0000.wal", point)
+        with connect(None, systems=(), shards=SHARD_COUNT,
+                     backends=SHARD_BACKENDS, durable=str(crashed)) as db:
+            report = db.recovery
+            document_text = store_document_text(db.store("S"))
+        shutil.rmtree(crashed)
+        digest, document = sharded_history.states[point.survivors]
+        where = f"{point.label}@{point.offset}"
+        assert report.replayed == point.survivors, where
+        assert report.last_lsn == point.survivors, where
+        assert report.digest == digest, where
+        assert document_text == document, where
+        assert report.sharded_store is not None, where
+        if point.label == faultinject.BOUNDARY:
+            assert report.torn_tail is None, where
+        else:
+            assert (report.torn_tail
+                    in faultinject.EXPECTED_TAILS[point.label]), where
+
+
+@pytest.mark.parametrize("shards", [2, 6])
+def test_a_sharded_deployment_writes_one_wal_file(tiny_text, tmp_path,
+                                                  shards):
+    """Commits on a service connection, a checkpoint, a reconnect and
+    more commits: one WAL file throughout, and a manifest that names no
+    stream count."""
+    directory = tmp_path / "d"
+    with connect(tiny_text, systems=("F",), shards=shards, service=True,
+                 durable=str(directory)) as db:
+        _commit(db, "S", 4, seed=shards)
+        db.checkpoint()
+        _commit(db, "S", 2, seed=shards + 1)
+        digest = db.document_digest()
+    with connect(None, systems=("F",), shards=shards,
+                 durable=str(directory)) as db2:
+        assert db2.recovery.replayed == 2
+        assert db2.document_digest() == digest
+        _commit(db2, "S", 3, seed=shards + 2)
+    assert [path.name for path in (directory / "wal").iterdir()] == [
+        "stream-0000.wal"]
+    manifest = DurabilityManager.read_manifest(directory)
+    assert manifest["format"] == 2 and "streams" not in manifest
+    assert len(scan_wal(directory / "wal" / "stream-0000.wal").records) == 5
+
+
+def test_a_wal_out_of_sequence_is_refused(history, tmp_path):
+    """Records after the snapshot must number on from it: a repeated
+    LSN (an append whose fsync failed, then the next commit) refuses the
+    reconnect instead of replaying either record."""
+    manager = DurabilityManager(tmp_path / "d")
+    base_digest, base_document = history.states[0]
+    manager.initialize(document_snapshot(0, base_digest, base_document))
+    manager.close()
+    with WriteAheadLog(manager.wal_path) as log:
+        for op in history.ops[:2]:
+            log.append(WalRecord(lsn=1, ops=(op,), prev_digest=base_digest,
+                                 digest=history.states[1][0]))
+    with pytest.raises(RecoveryError, match="LSN 1 where 2 was due"):
+        connect(None, systems=("F",), durable=str(tmp_path / "d"))
+
+
+def test_a_format_1_directory_is_refused(tiny_text, tmp_path):
+    """Format 1 kept one WAL file per shard; its directories are refused
+    with the typed recovery error, before anything loads."""
+    directory = tmp_path / "d"
+    connect(tiny_text, systems=("F",), durable=str(directory)).close()
+    manifest = json.loads((directory / "MANIFEST.json").read_text())
+    manifest.update(format=1, streams=1)
+    (directory / "MANIFEST.json").write_text(json.dumps(manifest))
+    with pytest.raises(RecoveryError, match="unsupported format 1"):
+        connect(None, systems=("F",), durable=str(directory))
 
 
 # -- the facade: connect(durable=...) ----------------------------------------------
@@ -534,7 +576,7 @@ class TestDurableConnection:
         db2 = connect(None, systems=("F",), durable=str(tmp_path / "d"))
         try:
             assert db2.recovery.replayed == 1
-            assert db2.recovery.torn_tails == {0: "torn-payload"}
+            assert db2.recovery.torn_tail == "torn-payload"
             # the tail was truncated; new commits append after clean bytes
             stream2 = UpdateStream(db2.store("F"), seed=99)
             op = stream2.next_op()
@@ -543,14 +585,13 @@ class TestDurableConnection:
         finally:
             db2.close()
         with faultinject.reconnect(tmp_path / "d", tmp_path / "image") as db3:
-            assert not db3.recovery.torn_tails
+            assert db3.recovery.torn_tail is None
             assert db3.recovery.digest == digest
 
     def test_sharded_connection_adopts_recovered_partition(
             self, tiny_text, tmp_path):
         db = connect(tiny_text, systems=(), shards=3, backends=("F", "A"),
                      durable=str(tmp_path / "d"))
-        assert db.durability.stream_count == 3
         stream = UpdateStream(db.store("S"), seed=7)
         for _ in range(4):
             op = stream.next_op()
@@ -574,15 +615,17 @@ class TestDurableConnection:
     def test_service_connection_logs_and_recovers(self, tiny_text, tmp_path):
         db = connect(tiny_text, systems=("F",), service=True,
                      durable=str(tmp_path / "d"))
-        assert db.service.durability is db.durability
         stream = UpdateStream(db.store("F"), seed=7)
         op = stream.next_op()
         stream.note_applied(op)
-        db.service.apply_update(op)     # kind "op": per-op digest advance
+        db.apply_transaction([op])
         op2 = stream.next_op()
-        db.apply_transaction([op2])     # kind "txn": batch digest advance
+        db.session().transaction().apply(op2).commit()
         digest = db.document_digest("F")
         db.close()
+        records = scan_wal(tmp_path / "d" / "wal" / "stream-0000.wal").records
+        assert [r.ops[0].token() for r in records] == [op.token(),
+                                                        op2.token()]
 
         db2 = connect(None, systems=("F",), service=True,
                       durable=str(tmp_path / "d"))
@@ -711,7 +754,7 @@ class TestReplayIntoServingStores:
         manager.initialize(document_snapshot(0, base_digest, base_document))
         chain = {"prev_digest": base_digest, "digest": history.states[1][0]}
         chain[forged] = "forged"
-        manager.log_commit([history.ops[0]], kind="op", **chain)
+        manager.log_commit([history.ops[0]], **chain)
         manager.close()
         where = "before" if forged == "prev_digest" else "after"
         with pytest.raises(RecoveryError, match=f"broken {where} LSN 1"):

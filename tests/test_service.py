@@ -10,6 +10,10 @@ Covers the serving layer's contracts:
   and many clients reading and committing at once finish cleanly,
 * each read runs on the thread that asked for it, and ``close()`` waits
   for the reads already running.
+
+Every service here is the one a connection builds
+(``repro.connect(..., service=True)``); commits go through the
+connection's ``apply_transaction``.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ import time
 import pytest
 
 from repro.cache import LRUCache
-from repro.errors import BenchmarkError, XMarkError
+from repro.db import connect
+from repro.errors import (
+    BenchmarkError, ClosedSessionError, UnknownSystemError, XMarkError,
+)
 from repro.obs.metrics import (
     DEFAULT_WINDOW, LatencySummary, MetricsRegistry, percentile,
 )
-from repro.service import QueryService, ResultCache, ServiceMetrics, ShardSpec
+from repro.service import ResultCache, ServiceMetrics
 from repro.benchmark.queries import QUERIES, query_text
 from repro.benchmark.systems import get_profile
 from repro.xmlgen.config import GeneratorConfig
@@ -40,10 +47,25 @@ from repro.xquery.planner import compile_query
 INTERACTIVE = (1, 2, 3, 5, 6, 7, 13, 14, 15, 16, 17, 20)
 
 
+def serve(text: str, systems: tuple[str, ...], **options):
+    """A service connection over ``systems``."""
+    return connect(text, systems=systems, service=True, **options)
+
+
+def commits(db) -> int:
+    """How many commits the connection's write path applied."""
+    return db.service.export_metrics()["gauges"]["service.updates_applied"]
+
+
 @pytest.fixture(scope="module")
-def service(small_text):
-    with QueryService(small_text, ("B", "C", "D"), max_workers=8) as svc:
-        yield svc
+def service_db(small_text):
+    with serve(small_text, ("B", "C", "D"), max_workers=8) as db:
+        yield db
+
+
+@pytest.fixture(scope="module")
+def service(service_db):
+    return service_db.service
 
 
 class TestLRUCache:
@@ -193,7 +215,7 @@ class TestPercentiles:
         assert summary.maximum == pytest.approx(0.1)
 
     def test_metrics_snapshot(self):
-        metrics = ServiceMetrics()
+        metrics = ServiceMetrics(MetricsRegistry())
         for i in range(10):
             metrics.record(started=float(i), finished=float(i) + 0.5,
                            compile_seconds=0.1, queue_seconds=0.0,
@@ -214,7 +236,7 @@ class TestServiceMetrics:
     def test_snapshot_reports_queue_wait(self):
         """The ledger's sharded mix reads ``queue_wait.p50_ms``; the
         snapshot carries per-query distributions and totals only."""
-        metrics = ServiceMetrics()
+        metrics = ServiceMetrics(MetricsRegistry())
         for queue in (0.1, 0.2, 0.3):
             self._record(metrics, queue=queue)
         snapshot = metrics.snapshot()
@@ -225,7 +247,7 @@ class TestServiceMetrics:
             "queue_wait", "plan_cache_hits", "result_cache_hits"}
 
     def test_errors_are_counted_per_system(self):
-        metrics = ServiceMetrics()
+        metrics = ServiceMetrics(MetricsRegistry())
         metrics.record_error(system="D")
         metrics.record_error(system="D")
         metrics.record_error()
@@ -235,7 +257,7 @@ class TestServiceMetrics:
         assert metrics.completed == 0
 
     def test_queries_are_labelled_by_system(self):
-        metrics = ServiceMetrics()
+        metrics = ServiceMetrics(MetricsRegistry())
         self._record(metrics, system="B")
         self._record(metrics, system="B", result_hit=True)
         self._record(metrics, system="D")
@@ -255,7 +277,7 @@ class TestServiceMetrics:
         for _ in range(10):
             labelled.observe(1.0)
         assert (labelled.count, labelled.retained) == (10, 4)
-        metrics = ServiceMetrics()
+        metrics = ServiceMetrics(MetricsRegistry())
         for _ in range(10):
             self._record(metrics, system="D")
         snapshot = metrics.snapshot()
@@ -276,20 +298,21 @@ class TestQueryService:
         assert outcome.latency_seconds > 0
 
     def test_plan_cache_reuse(self, small_text):
-        with QueryService(small_text, ("B",), max_workers=2,
-                          result_cache_size=0) as svc:
+        with serve(small_text, ("B",), max_workers=2,
+                   result_cache_size=0) as db:
+            svc = db.service
             first = svc.execute("B", 7)
             again = svc.execute("B", 7)
             assert not first.plan_cache_hit and first.compile_seconds > 0
             assert again.plan_cache_hit and again.compile_seconds == 0.0
             assert again.result_size == first.result_size
             # The cached entry is the very same compiled object.
-            text, store = svc._query_text(7), svc.store("B")
-            plan, _values, hit = svc.plan_cache.lookup(
+            text, store = db.query_text(7), db.store("B")
+            plan, _values, hit = db.plan_cache.lookup(
                 "B", text, store, get_profile("B"))
-            assert hit and plan is svc.plan_cache.lookup(
+            assert hit and plan is db.plan_cache.lookup(
                 "B", text, store, get_profile("B"))[0]
-            assert svc.plan_cache.stats.hits >= 1
+            assert db.plan_cache.stats.hits >= 1
 
     def test_plan_cache_is_per_system(self, service):
         service.execute("D", 5)
@@ -297,7 +320,8 @@ class TestQueryService:
         assert not outcome.plan_cache_hit
 
     def test_result_cache_hit_skips_execution(self, small_text):
-        with QueryService(small_text, ("D",), max_workers=2) as svc:
+        with serve(small_text, ("D",), max_workers=2) as db:
+            svc = db.service
             first = svc.execute("D", 2)
             again = svc.execute("D", 2)
             assert not first.result_cache_hit
@@ -310,20 +334,22 @@ class TestQueryService:
         drops the cached result; the compiled plan survives the commit."""
         from repro.update import RegisterPerson, UpdateStream
 
-        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
+        with serve(tiny_text, ("D",), max_workers=2) as db:
+            svc = db.service
             before = svc.execute("D", PERSON_LISTING)
-            digest_before = svc.store("D").document_digest()
-            stream = UpdateStream(svc.store("D"))
-            svc.apply_update(RegisterPerson(stream.build_person()))
+            digest_before = db.store("D").document_digest()
+            stream = UpdateStream(db.store("D"))
+            db.apply_transaction([RegisterPerson(stream.build_person())])
             after = svc.execute("D", PERSON_LISTING)
-            assert svc.store("D").document_digest() != digest_before
+            assert db.store("D").document_digest() != digest_before
             assert not after.result_cache_hit, "stale result must not be served"
             assert after.plan_cache_hit, "plans resolve through the live store"
             assert len(after.result) == len(before.result) + 1
             assert svc.result_cache.stats.invalidations >= 1
 
     def test_cache_stats_report_both_caches(self, small_text):
-        with QueryService(small_text, ("D",), max_workers=2) as svc:
+        with serve(small_text, ("D",), max_workers=2) as db:
+            svc = db.service
             svc.execute("D", 1)
             svc.execute("D", 1)
             stats = svc.cache_stats()
@@ -333,7 +359,8 @@ class TestQueryService:
         assert stats["plan_cache"]["misses"] == 1
 
     def test_export_metrics_text_counts_queries_per_system(self, small_text):
-        with QueryService(small_text, ("B", "D"), max_workers=2) as svc:
+        with serve(small_text, ("B", "D"), max_workers=2) as db:
+            svc = db.service
             svc.execute("D", 1)
             svc.execute("D", 2)
             svc.execute("B", 1)
@@ -353,13 +380,14 @@ class TestQueryService:
             outcome.queue_seconds + outcome.execute_seconds
 
     def test_query_errors_are_counted_and_raised(self, small_text):
-        with QueryService(small_text, ("D",), max_workers=1) as svc:
+        with serve(small_text, ("D",), max_workers=1) as db:
+            svc = db.service
             with pytest.raises(XMarkError):
                 svc.execute("D", "for $x in ][ return")
             snapshot = svc.metrics.snapshot()
             assert snapshot["errors"] == 1
             assert snapshot["completed"] == 0
-            assert svc.registry.counter(
+            assert db.registry.counter(
                 "service.errors_total", system="D").value == 1
 
     def test_unknown_query_number_raises(self, service):
@@ -372,51 +400,51 @@ class TestQueryService:
         assert outcome.result_size > 0
 
     def test_unavailable_system_raises(self, service):
-        with pytest.raises(BenchmarkError, match="unavailable"):
+        with pytest.raises(UnknownSystemError, match="unknown system 'A'"):
             service.execute("A", 1)
 
     def test_closed_service_rejects_work(self, small_text):
-        svc = QueryService(small_text, ("D",), max_workers=1)
-        svc.close()
-        with pytest.raises(BenchmarkError, match="closed"):
+        db = serve(small_text, ("D",), max_workers=1)
+        svc = db.service
+        db.close()
+        with pytest.raises(ClosedSessionError, match="closed"):
             svc.execute("D", 1)
 
     def test_closed_service_rejects_commits(self, tiny_text):
         from repro.update import RegisterPerson, UpdateStream
 
-        svc = QueryService(tiny_text, ("D",), max_workers=1)
-        op = RegisterPerson(UpdateStream(svc.store("D")).build_person())
-        svc.close()
-        with pytest.raises(BenchmarkError, match="closed"):
-            svc.apply_update(op)
-        with pytest.raises(BenchmarkError, match="closed"):
-            svc.apply_transaction([op])
-        assert svc.updates_applied == 0
+        db = serve(tiny_text, ("D",), max_workers=1)
+        op = RegisterPerson(UpdateStream(db.store("D")).build_person())
+        digest = db.document_digest()
+        db.close()
+        with pytest.raises(ClosedSessionError, match="closed"):
+            db.apply_transaction([op])
+        assert commits(db) == 0 and db.document_digest() == digest
 
     def test_context_exit_closes_the_service(self, tiny_text):
-        with QueryService(tiny_text, ("D",), max_workers=1) as svc:
+        with serve(tiny_text, ("D",), max_workers=1) as db:
+            svc = db.service
             assert svc.execute("D", 1).result_size == 1
-        with pytest.raises(BenchmarkError, match="closed"):
+        with pytest.raises(ClosedSessionError, match="closed"):
             svc.execute("D", 1)
 
-    @pytest.mark.parametrize("shard_spec", [None, ShardSpec(shards=2)])
+    @pytest.mark.parametrize("shards", [None, 2])
     def test_limits_are_checked_before_any_load(self, tiny_text, monkeypatch,
-                                                shard_spec):
+                                                shards):
         """A bad ``max_workers`` raises before a single store (or a
         scatter executor) is built."""
-        from repro.service import service as service_module
+        from repro.db import database as database_module
 
         loads = []
-        real_load = service_module.load_stores
+        real_load = database_module.load_stores
 
         def spy(*args, **kwargs):
             loads.append(args)
             return real_load(*args, **kwargs)
 
-        monkeypatch.setattr(service_module, "load_stores", spy)
+        monkeypatch.setattr(database_module, "load_stores", spy)
         with pytest.raises(BenchmarkError, match="max_workers"):
-            QueryService(tiny_text, ("D",), max_workers=0,
-                         shard_spec=shard_spec)
+            serve(tiny_text, ("D",), max_workers=0, shards=shards)
         assert loads == []
 
 
@@ -451,8 +479,9 @@ class TestAdmission:
                 running[0] -= 1
 
         self._wrap_evaluate(monkeypatch, hold)
-        with QueryService(tiny_text, ("D",), max_workers=limit,
-                          result_cache_size=0) as svc:
+        with serve(tiny_text, ("D",), max_workers=limit,
+                   result_cache_size=0) as db:
+            svc = db.service
             with concurrent.futures.ThreadPoolExecutor(6) as clients:
                 sizes = list(clients.map(
                     lambda _: svc.execute("D", 1).result_size, range(6)))
@@ -464,7 +493,8 @@ class TestAdmission:
         breaks if either waits for the other."""
         barrier = threading.Barrier(2, timeout=10)
         self._wrap_evaluate(monkeypatch, barrier.wait)
-        with QueryService(tiny_text, ("C", "D"), max_workers=2) as svc:
+        with serve(tiny_text, ("C", "D"), max_workers=2) as db:
+            svc = db.service
             with concurrent.futures.ThreadPoolExecutor(2) as clients:
                 sizes = list(clients.map(
                     lambda system: svc.execute(system, 1).result_size,
@@ -481,18 +511,20 @@ class TestAdmission:
             assert release.wait(timeout=10)
 
         self._wrap_evaluate(monkeypatch, block)
-        with QueryService(tiny_text, ("D",), max_workers=2) as svc, \
+        with serve(tiny_text, ("D",), max_workers=2) as db, \
                 concurrent.futures.ThreadPoolExecutor(1) as client:
-            op = RegisterPerson(UpdateStream(svc.store("D")).build_person())
+            svc = db.service
+            op = RegisterPerson(UpdateStream(db.store("D")).build_person())
             read = client.submit(svc.execute, "D", PERSON_LISTING)
             assert reading.wait(timeout=10)
-            writer = threading.Thread(target=svc.apply_update, args=(op,))
+            writer = threading.Thread(target=db.apply_transaction,
+                                      args=([op],))
             writer.start()
             writer.join(timeout=0.2)
-            assert writer.is_alive() and svc.updates_applied == 0
+            assert writer.is_alive() and commits(db) == 0
             release.set()
             writer.join(timeout=10)
-            assert not writer.is_alive() and svc.updates_applied == 1
+            assert not writer.is_alive() and commits(db) == 1
             # the read finished against the document it started on
             assert len(read.result().result) + 1 == \
                 len(svc.execute("D", PERSON_LISTING).result)
@@ -509,9 +541,10 @@ class TestAdmission:
         cpus = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(cpus)})    # inherited by new threads
         try:
-            with QueryService(tiny_text, ("D",), max_workers=4,
-                              result_cache_size=0) as svc:
-                stream = UpdateStream(svc.store("D"))
+            with serve(tiny_text, ("D",), max_workers=4,
+                       result_cache_size=0) as db:
+                svc = db.service
+                stream = UpdateStream(db.store("D"))
                 stop = threading.Event()
 
                 def read_loop() -> None:
@@ -520,8 +553,8 @@ class TestAdmission:
 
                 def write() -> None:
                     for _ in range(6):
-                        svc.apply_update(
-                            RegisterPerson(stream.build_person()))
+                        db.apply_transaction(
+                            [RegisterPerson(stream.build_person())])
 
                 readers = [threading.Thread(target=read_loop, daemon=True)
                            for _ in range(4)]
@@ -530,7 +563,7 @@ class TestAdmission:
                 writer = threading.Thread(target=write, daemon=True)
                 writer.start()
                 writer.join(timeout=10)
-                committed = svc.updates_applied
+                committed = commits(db)
                 stop.set()
                 for reader in readers:
                     reader.join(timeout=10)
@@ -545,8 +578,8 @@ class TestAdmission:
         threads = []
         self._wrap_evaluate(
             monkeypatch, lambda: threads.append(threading.current_thread()))
-        with QueryService(tiny_text, ("D",), shard_spec=ShardSpec(shards=2),
-                          result_cache_size=0) as svc:
+        with serve(tiny_text, ("D",), shards=2, result_cache_size=0) as db:
+            svc = db.service
             assert svc.execute("D", 1).result_size == 1
             assert svc.execute("S", 1).result_size == 1
         assert threads == [threading.current_thread()] * 2
@@ -563,11 +596,12 @@ class TestAdmission:
 
         self._wrap_evaluate(monkeypatch, block)
         log = tmp_path / "queries.jsonl"
-        svc = QueryService(tiny_text, ("D",), max_workers=2, query_log=log)
+        db = serve(tiny_text, ("D",), max_workers=2, query_log=log)
+        svc = db.service
         with concurrent.futures.ThreadPoolExecutor(1) as client:
             read = client.submit(svc.execute, "D", PERSON_LISTING)
             assert reading.wait(timeout=10)
-            closer = threading.Thread(target=svc.close)
+            closer = threading.Thread(target=db.close)
             closer.start()
             closer.join(timeout=0.2)
             assert closer.is_alive() and not read.done()
@@ -580,7 +614,7 @@ class TestAdmission:
         record = json.loads(line)
         assert record["rows"] == outcome.result_size
         assert "error" not in record
-        with pytest.raises(BenchmarkError, match="closed"):
+        with pytest.raises(ClosedSessionError, match="closed"):
             svc.execute("D", 1)
 
 
@@ -591,9 +625,9 @@ class TestConcurrentReads:
     QUERY_BY_SYSTEM = {"B": 13, "C": 14, "D": 10}  # reconstruction + full text
 
     @pytest.mark.parametrize("system", sorted(QUERY_BY_SYSTEM))
-    def test_same_query_from_8_threads(self, service, system):
+    def test_same_query_from_8_threads(self, service_db, system):
         query = self.QUERY_BY_SYSTEM[system]
-        store = service.store(system)
+        store = service_db.store(system)
         profile = get_profile(system)
         compiled = compile_query(query_text(query), store, profile)
         reference = evaluate(compiled).serialize()
@@ -620,8 +654,9 @@ class TestConcurrentReads:
         assert after["completed"] - before["completed"] == 48
         assert after["errors"] == before["errors"]
 
-    def test_fragment_store_string_value_has_no_read_scratch(self, service):
-        store = service.store("B")
+    def test_fragment_store_string_value_has_no_read_scratch(self,
+                                                             service_db):
+        store = service_db.store("B")
         scratch_before = dict(store._text_tables_below)
         root = store.root()
         store.string_value(root)
@@ -645,9 +680,10 @@ class TestServiceWritePath:
         never a half-spliced state."""
         from repro.update import RegisterPerson, UpdateStream
 
-        with QueryService(tiny_text, ("D",), max_workers=8,
-                          result_cache_size=0) as svc:
-            store = svc.store("D")
+        with serve(tiny_text, ("D",), max_workers=8,
+                   result_cache_size=0) as db:
+            svc = db.service
+            store = db.store("D")
             stream = UpdateStream(store)
             base_count = len(store.children_by_tag(
                 store.children_by_tag(store.root(), "people")[0], "person"))
@@ -671,7 +707,7 @@ class TestServiceWritePath:
             for reader in readers:
                 reader.start()
             for _ in range(updates):
-                svc.apply_update(RegisterPerson(stream.build_person()))
+                db.apply_transaction([RegisterPerson(stream.build_person())])
             stop.set()
             for reader in readers:
                 reader.join(timeout=30)
@@ -684,12 +720,14 @@ class TestServiceWritePath:
         open-auction results cached under the advanced digest."""
         from repro.update import RegisterPerson, UpdateStream
 
-        with QueryService(tiny_text, ("D",), max_workers=2) as svc:
-            stream = UpdateStream(svc.store("D"))
+        with serve(tiny_text, ("D",), max_workers=2) as db:
+            svc = db.service
+            stream = UpdateStream(db.store("D"))
             svc.execute("D", 1)     # person exact-match
             svc.execute("D", 2)     # open-auction ordered access
             svc.execute("D", 5)     # closed-auction range
-            summary = svc.apply_update(RegisterPerson(stream.build_person()))
+            summary = db.apply_transaction(
+                [RegisterPerson(stream.build_person())])
             cell = summary["systems"]["D"]
             assert cell["results_kept"] >= 2, cell
             assert cell["results_dropped"] >= 1, cell
@@ -708,15 +746,16 @@ class TestServiceWritePath:
         untouched entries."""
         from repro.update import RegisterPerson, UpdateStream
 
-        with QueryService(tiny_text, ("C", "D"), max_workers=2) as svc:
-            stream = UpdateStream(svc.store("D"))
+        with serve(tiny_text, ("C", "D"), max_workers=2) as db:
+            svc = db.service
+            stream = UpdateStream(db.store("D"))
             svc.execute("C", 2)
             svc.execute("D", 2)
-            svc.apply_update(RegisterPerson(stream.build_person()))
+            db.apply_transaction([RegisterPerson(stream.build_person())])
             assert svc.execute("C", 2).result_cache_hit
             assert svc.execute("D", 2).result_cache_hit
-            assert svc.store("C").document_digest() == \
-                svc.store("D").document_digest()
+            assert db.store("C").document_digest() == \
+                db.store("D").document_digest()
 
     def test_footprint_fallback_is_counted_and_narrow(self, monkeypatch):
         """Regression: only a parse failure may take the broad-footprint
@@ -750,8 +789,8 @@ class TestServiceWritePath:
     def test_footprint_fallback_gauge_exported(self, tiny_text):
         from repro.service import invalidation
 
-        with QueryService(tiny_text, ("D",), max_workers=1) as svc:
-            snapshot = svc.export_metrics()
+        with serve(tiny_text, ("D",), max_workers=1) as db:
+            snapshot = db.service.export_metrics()
             assert snapshot["gauges"]["service.footprint_fallbacks"] == \
                 invalidation.footprint_fallbacks()
 
@@ -761,29 +800,30 @@ class TestServiceWritePath:
         from repro.update import UpdateStream, serialize_store
 
         systems, queries = ("C", "D"), (1, 2, 5, 17, 20)
-        with QueryService(tiny_text, systems, max_workers=4) as svc:
-            stream = UpdateStream(svc.store("D"))
+        with serve(tiny_text, systems, max_workers=4) as db:
+            svc = db.service
+            stream = UpdateStream(db.store("D"))
             draw = threading.Lock()     # the stream plays the document forward
 
             def client(rank: int) -> int:
-                commits = 0
+                applied = 0
                 for seq in range(8):
                     if (rank + seq) % 3 == 0:
                         with draw:
                             op = stream.next_op()
                             stream.note_applied(op)
-                            svc.apply_update(op)
-                        commits += 1
+                            db.apply_transaction([op])
+                        applied += 1
                     else:
                         svc.execute(systems[seq % 2],
                                     queries[(rank + seq) % len(queries)])
-                return commits
+                return applied
 
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as clients:
-                commits = sum(clients.map(client, range(4)))
-            assert 0 < commits < 32
-            assert svc.updates_applied == commits
-            assert svc.metrics.completed == 32 - commits
+                committed = sum(clients.map(client, range(4)))
+            assert 0 < committed < 32
+            assert commits(db) == committed
+            assert svc.metrics.completed == 32 - committed
             assert svc.metrics.snapshot()["errors"] == 0
-            assert serialize_store(svc.store("C")) == \
-                serialize_store(svc.store("D"))
+            assert serialize_store(db.store("C")) == \
+                serialize_store(db.store("D"))

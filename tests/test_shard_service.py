@@ -15,27 +15,29 @@ import pytest
 
 import repro
 from repro.benchmark.queries import query_text
-from repro.errors import BenchmarkError, ShardError
+from repro.errors import ShardError, UnknownSystemError
 from repro.schema.auction import REGIONS
-from repro.service import QueryService, ShardSpec
 from repro.shard import ShardedStore
 from repro.shard.scatter import ScatterGatherExecutor
 from repro.update.stream import UpdateStream
 
 
 @pytest.fixture(scope="module")
-def sharded_service(tiny_text):
-    with QueryService(
-        tiny_text, ("F",),
-        shard_spec=ShardSpec(shards=3, backends=("F",)),
-    ) as service:
-        yield service
+def sharded_db(tiny_text):
+    with repro.connect(tiny_text, systems=("F",), shards=3, backends=("F",),
+                       service=True) as db:
+        yield db
+
+
+@pytest.fixture(scope="module")
+def sharded_service(sharded_db):
+    return sharded_db.service
 
 
 class TestShardedService:
-    def test_serves_the_shard_system(self, sharded_service):
-        assert "S" in sharded_service.stores
-        assert "S" in sharded_service.load_reports
+    def test_serves_the_shard_system(self, sharded_db, sharded_service):
+        assert "S" in sharded_db.stores
+        assert "S" in sharded_db.load_reports
         outcome = sharded_service.execute("S", 1)
         assert outcome.system == "S"
         assert outcome.result_size == 1
@@ -48,8 +50,9 @@ class TestShardedService:
         assert sharded.result.serialize() == unsharded.result.serialize()
 
     def test_result_cache_serves_repeats(self, tiny_text):
-        with QueryService(tiny_text, ("F",),
-                          shard_spec=ShardSpec(shards=2)) as service:
+        with repro.connect(tiny_text, systems=("F",), shards=2,
+                           service=True) as db:
+            service = db.service
             first = service.execute("S", 5)
             again = service.execute("S", 5)
             assert not first.result_cache_hit
@@ -57,13 +60,14 @@ class TestShardedService:
             assert again.result.serialize() == first.result.serialize()
 
     def test_write_path_keeps_the_sharded_lineage(self, tiny_text):
-        with QueryService(tiny_text, ("F",),
-                          shard_spec=ShardSpec(shards=3)) as service:
-            summary = service.apply_update(
-                UpdateStream(service.store("F")).next_op())
+        with repro.connect(tiny_text, systems=("F",), shards=3,
+                           service=True) as db:
+            service = db.service
+            summary = db.apply_transaction(
+                [UpdateStream(db.store("F")).next_op()])
             assert set(summary["systems"]) == {"F", "S"}
             digests = {store.document_digest()
-                       for store in service.stores.values()}
+                       for store in db.stores.values()}
             assert len(digests) == 1     # same op chain, same digest
             sharded = service.execute("S", 8)
             unsharded = service.execute("F", 8)
@@ -82,12 +86,13 @@ class TestShardedService:
         assert after["completed"] - before["completed"] == 8
         assert after["errors"] == before["errors"]
 
-    def test_partials_and_plans_are_cached_per_system(self, sharded_service):
+    def test_partials_and_plans_are_cached_per_system(self, sharded_db,
+                                                      sharded_service):
         sharded_service.execute("S", 5)
-        exchange = sharded_service.store("S").exchange
+        exchange = sharded_db.store("S").exchange
         assert exchange.partial_cache.stats.misses >= 3
-        # S plans live in the service's one plan cache, sized per system.
-        assert sharded_service.plan_cache.capacity == 2 * 128
+        # S plans live in the connection's one plan cache, sized per system.
+        assert sharded_db.plan_cache.capacity == 2 * 128
 
     @pytest.mark.parametrize("service", [False, True])
     def test_routes_follow_commits(self, tiny_text, service):
@@ -120,25 +125,24 @@ class TestShardedService:
             assert [on("S", query) for query in items] == [""] * len(items)
 
     def test_unsharded_service_has_no_shard_system(self, tiny_text):
-        with QueryService(tiny_text, ("F",)) as service:
-            assert set(service.stores) == {"F"}
-            with pytest.raises(BenchmarkError, match="unavailable"):
-                service.execute("S", 1)
+        with repro.connect(tiny_text, systems=("F",), service=True) as db:
+            assert set(db.stores) == {"F"}
+            with pytest.raises(UnknownSystemError, match="unknown system 'S'"):
+                db.service.execute("S", 1)
 
-    def test_partition_follows_the_spec(self, sharded_service):
-        sharded = sharded_service.store("S")
+    def test_partition_follows_the_spec(self, sharded_db):
+        sharded = sharded_db.store("S")
         assert sharded.shard_count == 3
         assert sharded.partition_summary()["backends"] == ["F"] * 3
         digests = [sharded.shard_digest(rank) for rank in range(3)]
         assert all(digests) and len(set(digests)) == 3
 
     def test_close_shuts_the_scatter_executor(self, tiny_text):
-        service = QueryService(tiny_text, ("F",),
-                               shard_spec=ShardSpec(shards=2))
-        executor = service.store("S").exchange
+        db = repro.connect(tiny_text, systems=("F",), shards=2, service=True)
+        executor = db.store("S").exchange
         assert executor.execute(query_text(1)).result.serialize() == \
-            service.execute("F", 1).result.serialize()
-        service.close()
+            db.service.execute("F", 1).result.serialize()
+        db.close()
         with pytest.raises(ShardError, match="closed"):
             executor.execute(query_text(1))
 
@@ -155,6 +159,5 @@ class TestShardedService:
         me = threading.current_thread()
         assert calls == [(2, me), (0, me), (1, me)]
 
-    def test_the_sharded_store_builds_a_global_index_set(self,
-                                                          sharded_service):
-        assert sharded_service.store("S").indexes.summary()["value"]
+    def test_the_sharded_store_builds_a_global_index_set(self, sharded_db):
+        assert sharded_db.store("S").indexes.summary()["value"]

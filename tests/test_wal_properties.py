@@ -9,9 +9,9 @@ value, bit-identical serialization, and identical benchmark query
 results (a rotating subset per example; the fixed matrix in
 tests/test_recovery.py runs all twenty).
 
-The crash point is drawn over every enumerated damage point of every
-WAL stream (record boundaries plus the mid-record offset classes of
-tests/faultinject.py), so shrinking walks the damage toward the start
+The crash point is drawn over every enumerated damage point of the
+deployment's one WAL file (record boundaries plus the mid-record offset
+classes of tests/faultinject.py), so shrinking walks the damage toward the start
 of the log — the smallest failing example is "crash in the very first
 commit", the easiest to debug.
 """
@@ -34,6 +34,7 @@ from repro.db import connect
 from repro.storage.wal import DurabilityManager, scan_wal
 from repro.storage.wal.snapshot import document_snapshot, sharded_snapshot
 from repro.update.engine import apply_update
+from repro.update.ops import transaction_token
 from repro.update.stream import UpdateStream
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import compile_query
@@ -44,8 +45,8 @@ PROPERTY_BACKENDS = ("F", "A")
 
 def _build_deployment(directory: Path, document: str, shards: int,
                       n_ops: int, seed: int):
-    """Log a random history; return per-prefix oracle states and the
-    per-stream LSN layout."""
+    """Log a random history of one-op commits; return per-prefix oracle
+    states."""
     if shards == 1:
         store = make_store("F")
         store.load(document)
@@ -62,19 +63,18 @@ def _build_deployment(directory: Path, document: str, shards: int,
                              backends=list(store.backends),
                              fragments=store.shard_fragment_texts(),
                              extent_seqs=state["extent_seqs"],
-                             id_map=state["id_map"]),
-            streams=shards, shard_backends=list(store.backends))
+                             id_map=state["id_map"]))
     stream = UpdateStream(store, seed=seed)
     states = [(store.document_digest(), store_document_text(store))]
     for _ in range(n_ops):
         op = stream.next_op()
         stream.note_applied(op)
         prev = store.document_digest()
-        manager.log_commit(
-            [op], kind="op", prev_digest=prev,
-            digest=chain_digest(prev, op.token()),
-            stream=store.route_op(op) if shards > 1 else 0)
-        apply_update(store, op)
+        token = transaction_token([op])
+        manager.log_commit([op], prev_digest=prev,
+                           digest=chain_digest(prev, token))
+        apply_update(store, op, advance_digest=False)
+        store.advance_digest(token)
         states.append((store.document_digest(), store_document_text(store)))
     manager.close()
     return states
@@ -89,17 +89,12 @@ def _reconnect(directory: Path, shards: int):
                    backends=PROPERTY_BACKENDS, durable=str(directory)), "S"
 
 
-def _enumerate_crashes(directory: Path, shards: int):
-    """Every (stream file, crash point, global cut LSN) triple."""
-    crashes = []
-    for index in range(shards):
-        path = directory / "wal" / f"stream-{index:04d}.wal"
-        if not path.exists():
-            continue
-        lsns = [record.lsn for record in scan_wal(path).records]
-        for point in faultinject.crash_points(path.read_bytes()):
-            crashes.append((path, point, lsns[point.survivors]))
-    return crashes
+def _enumerate_crashes(directory: Path):
+    """Every (WAL file, crash point, cut LSN) triple."""
+    path = directory / "wal" / "stream-0000.wal"
+    lsns = [record.lsn for record in scan_wal(path).records]
+    return [(path, point, lsns[point.survivors])
+            for point in faultinject.crash_points(path.read_bytes())]
 
 
 @settings(max_examples=12, deadline=None,
@@ -114,7 +109,7 @@ def test_recovery_always_yields_the_surviving_prefix(
     try:
         deploy = workdir / "deploy"
         states = _build_deployment(deploy, tiny_text, shards, n_ops, seed)
-        crashes = _enumerate_crashes(deploy, shards)
+        crashes = _enumerate_crashes(deploy)
         assert crashes, "a non-empty history always has crash points"
         path, point, cut_lsn = crashes[crash_choice % len(crashes)]
         faultinject.apply_crash(path, point)
@@ -162,7 +157,7 @@ def test_clean_recovery_is_exact(tiny_text, shards, n_ops, seed):
             report = db.recovery
             digest, document = states[-1]
             assert report.replayed == n_ops
-            assert report.skipped == 0 and not report.torn_tails
+            assert report.skipped == 0 and report.torn_tail is None
             assert report.digest == digest
             assert store_document_text(db.store(system)) == document
             if shards > 1:
