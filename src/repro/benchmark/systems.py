@@ -136,8 +136,7 @@ def make_store(name: str) -> Store:
 
 def load_stores(document: str, systems: tuple[str, ...],
                 shards: int | None = None, backends: tuple[str, ...] = ("F",),
-                *, recovered=None, tracer=NULL_TRACER
-                ) -> tuple[dict, dict, dict, object, dict]:
+                *, tracer=NULL_TRACER) -> tuple[dict, dict, dict, object, dict]:
     """The loader of a connection (:class:`repro.db.Database`, its one
     caller): bulkload one store per system letter and, when ``shards``
     is given, a sharded deployment of ``shards`` instances of the
@@ -149,15 +148,10 @@ def load_stores(document: str, systems: tuple[str, ...],
     pseudo-system's included, to the profile its queries compile under;
     a system that fails to load (System G's capacity limit at scale,
     notably) lands in ``failed_loads`` with the failure reason instead of
-    raising.  ``recovered`` is a durable reconnect's
-    :class:`~repro.storage.wal.RecoveryReport` (``document`` is then the
-    snapshot's state): when recovery already reassembled the exact
-    pre-crash partition (same placement, same order seeds) in the
-    requested shape, that store is adopted instead of re-partitioning
-    the document.  Either way the reconnect replays the WAL suffix over
-    every store this returns.
+    raising.  A durable reconnect calls this with its snapshot's text,
+    exactly as a cold connect does with the base document.
     """
-    from repro.storage.bulkload import BulkloadReport, bulkload
+    from repro.storage.bulkload import bulkload
     stores: dict[str, Store] = {}
     reports: dict = {}
     failed: dict[str, str] = {}
@@ -176,19 +170,11 @@ def load_stores(document: str, systems: tuple[str, ...],
     from repro.shard.store import ShardedStore
     name = SHARD_SYSTEM
     sharded = ShardedStore(shards, backends)
-    adopted = getattr(recovered, "sharded_store", None)
-    if adopted is not None and adopted.backends == sharded.backends:
-        sharded = adopted
-        reports[name] = BulkloadReport(
-            store_name=name,
-            seconds=recovered.load_seconds,     # the reassembly
-            cpu_seconds=0.0, database_bytes=0, document_bytes=len(document))
-    else:
-        try:
-            reports[name] = bulkload(sharded, document, name)
-        except Exception as exc:
-            failed[name] = str(exc)
-            return stores, reports, failed, None, profiles
+    try:
+        reports[name] = bulkload(sharded, document, name)
+    except Exception as exc:
+        failed[name] = str(exc)
+        return stores, reports, failed, None, profiles
     stores[name] = sharded
     profiles[name] = SHARDED_PROFILE
     sharded.exchange = ScatterGatherExecutor(sharded, tracer=tracer)

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(repro.connect(durable=dir)) on System F: load the "
                     "manifest's snapshot, replay the WAL suffix through the "
                     "write path, verify the digest chain record by record, "
-                    "truncate torn stream tails, and report what was "
+                    "truncate a torn WAL tail, and report what was "
                     "replayed, skipped, and dropped.")
     recover_cmd.add_argument("--dir", dest="directory", required=True,
                              help="the durable directory to recover")
@@ -213,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint_cmd = commands.add_parser(
         "checkpoint",
         help="snapshot a durable directory's state and compact its WAL",
-        description="Reconnect to the durable directory in its own shape "
-                    "(sharded when its manifest names shard backends), write "
-                    "a fresh snapshot at the last committed LSN, flip the "
-                    "manifest to it, truncate every WAL stream down to the "
-                    "records the snapshot does not cover, and drop the "
-                    "superseded snapshot file.")
+        description="Reconnect to the durable directory on System F "
+                    "(repro.connect(durable=dir)), write a fresh snapshot "
+                    "of its document at the last committed LSN, flip the "
+                    "manifest to it, truncate the WAL down to the records "
+                    "the snapshot does not cover, and drop the superseded "
+                    "snapshot file.")
     checkpoint_cmd.add_argument("--dir", dest="directory", required=True,
                                 help="the durable directory to checkpoint")
     checkpoint_cmd.add_argument("--json", dest="json_path", default=None,
@@ -547,18 +547,13 @@ def _recover_command(args) -> int:
 
 
 def _checkpoint_command(args) -> int:
-    """``xmark checkpoint``: a durable reconnect + ``db.checkpoint()``."""
+    """``xmark checkpoint``: a durable reconnect on System F +
+    ``db.checkpoint()``."""
     from repro.db import connect
     from repro.errors import XMarkError
-    from repro.storage.wal import DurabilityManager
 
     try:
-        backends = DurabilityManager.read_manifest(
-            args.directory).get("shard_backends")
-        shape = (dict(systems=(), shards=len(backends),
-                      backends=tuple(backends))
-                 if backends else dict(systems=("F",)))
-        with connect(None, durable=args.directory, **shape) as db:
+        with connect(None, systems=("F",), durable=args.directory) as db:
             outcome = db.checkpoint()
     except XMarkError as exc:
         print(f"checkpoint: {exc}", file=sys.stderr)

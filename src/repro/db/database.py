@@ -43,7 +43,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, TraceLogWriter, Tracer
-from repro.storage.interface import Store, store_document_text
+from repro.storage.interface import Store
 from repro.update.commit import WritePath
 from repro.update.ops import UpdateOp
 from repro.xquery.evaluator import evaluate, evaluate_stream
@@ -83,8 +83,9 @@ def connect(
     one attribute read per instrumentation point.  ``query_log`` makes
     a service connection (``service=True``) append one flat JSON record
     per completed query — the structured workload log the tuning
-    advisor ingests (docs/OBSERVABILITY.md); it is ignored on a plain
-    direct connection, like the other service-layer keywords.
+    advisor ingests (docs/OBSERVABILITY.md); a direct connection refuses
+    it with :class:`~repro.errors.BenchmarkError`, since no log would be
+    written.
 
     ``durable=directory`` makes the connection crash-consistent: every
     commit is logged and fsynced to a write-ahead log in ``directory``
@@ -151,6 +152,9 @@ class Database:
         if service and max_workers <= 0:
             raise BenchmarkError(
                 f"max_workers must be positive, got {max_workers}")
+        if query_log is not None and not service:
+            raise BenchmarkError(
+                "query_log needs a service connection (service=True)")
         self.shard_system = SHARD_SYSTEM if shards is not None else None
         self._closed = False
         #: The write path's lock: every commit, checkpoint and close()
@@ -179,21 +183,17 @@ class Database:
                 "document may only be omitted when reconnecting to an "
                 "existing durable directory")
 
-        # A reconnect loads the snapshot's state straight into the
-        # serving stores; the WAL suffix replays over them afterwards.
+        # A reconnect loads the snapshot's text as a cold connect loads
+        # its document; the WAL suffix replays over the stores afterwards.
         loading = (self.tracer.span("recovery.load_snapshot",
                                     lsn=self.recovery.snapshot_lsn)
                    if recovery is not None else nullcontext())
         started = time.perf_counter()
         with loading:
-            if recovery is not None:
-                # A sharded snapshot's state is its reassembled store.
-                document = (recovery.document() or store_document_text(
-                    self.recovery.sharded_store))
             (self.stores, self.load_reports, self.failed_loads,
              self._scatter, self.profiles) = load_stores(
                 document, tuple(systems), shards, tuple(backends),
-                recovered=self.recovery, tracer=self.tracer)
+                tracer=self.tracer)
         #: The one plan cache: direct executions, prepared queries, the
         #: service and a wire server in front all look plans up here.
         self.plan_cache = PlanCache(
@@ -255,9 +255,8 @@ class Database:
                 f"{durable} was created from a different base document "
                 f"(base digest {base_digest}); refusing to fork the lineage")
         recovery = Recovery(manager)
-        # The loader adopts the sharded store the snapshot reassembles.
         self.recovery = recovery.report
-        return None, recovery
+        return recovery.document(), recovery
 
     def _finish_durable(self, recovery, load_seconds: float) -> None:
         """After the stores loaded: write a fresh durable directory's base
@@ -283,15 +282,12 @@ class Database:
         return self._durability
 
     def _snapshot(self, lsn: int, document: str | None = None) -> dict:
-        """The serving state as of commit ``lsn``: the sharded store's
-        partition when there is one, the default system's serialization
-        otherwise.  Caller holds the update lock (or is still
-        constructing)."""
+        """The serving state as of commit ``lsn``: the default system's
+        serialization, which every shape loads.  Caller holds the
+        update lock (or is still constructing)."""
         from repro.storage.wal.snapshot import store_snapshot
-        store = self.stores.get(self.shard_system)
-        if store is None:
-            store = self.store(self.default_system())
-        return store_snapshot(lsn, store, document)
+        return store_snapshot(lsn, self.store(self.default_system()),
+                              document)
 
     def checkpoint(self) -> dict:
         """Snapshot the current committed state and compact the WAL.

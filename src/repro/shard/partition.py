@@ -135,37 +135,6 @@ class DocumentPartition:
         }
 
 
-def restore_partition(fragments: list[str],
-                      extent_seqs: dict[str, list[list[int]]],
-                      id_map: dict[str, list]) -> DocumentPartition:
-    """Reassemble a :class:`DocumentPartition` from checkpointed state.
-
-    The inverse of what a sharded snapshot persists
-    (:func:`repro.storage.wal.snapshot.sharded_snapshot`): fragment
-    texts, per-extent global-order seeds keyed by ``"/".join(path)``,
-    and the id routing map with list-encoded values.  Used by crash
-    recovery to reload the exact pre-crash partition — same shard
-    placement, same order seeds — without re-partitioning.
-    """
-    shard_count = len(fragments)
-    extents: dict[tuple[str, ...], ExtentAssignment] = {}
-    for spec in EXTENT_SPECS:
-        seqs = extent_seqs.get("/".join(spec.path))
-        if seqs is None or len(seqs) != shard_count:
-            raise ShardError(
-                f"checkpointed partition lacks seeds for /{'/'.join(spec.path)}")
-        seqs = [list(shard_seqs) for shard_seqs in seqs]
-        extents[spec.path] = ExtentAssignment(
-            spec, seqs, total=sum(len(shard_seqs) for shard_seqs in seqs))
-    return DocumentPartition(
-        shard_count=shard_count,
-        shard_texts=list(fragments),
-        extents=extents,
-        id_map={identifier: (entry[0], tuple(entry[1].split("/")))
-                for identifier, entry in id_map.items()},
-    )
-
-
 class DocumentPartitioner:
     """Split one auction document into ``shard_count`` loadable fragments."""
 

@@ -173,15 +173,12 @@ class ShardedStore(Store):
         self.mark_loaded(text)
 
     def load_partition(self, partition: DocumentPartition) -> None:
-        """Load from an already-materialized partition (crash recovery).
+        """Load the shards from an already-materialized partition.
 
-        Skips re-partitioning: the fragments, order seeds, and id map are
-        adopted as-is, so the reassembled store is the *exact* pre-crash
-        layout, not merely an equivalent one.  The caller owns the
-        digest: the loaded flag is set against the empty text (the merged
-        serialization is never materialized here), and recovery
-        immediately restores the checkpointed chain value via
-        :meth:`restore_digest`.
+        :meth:`load` is partitioning followed by this, split so the two
+        can be timed apart.  The caller owns the digest: the loaded flag
+        is set against the empty text (the merged serialization is never
+        materialized here).
         """
         if partition.shard_count != self.shard_count:
             raise ShardError(
@@ -290,31 +287,6 @@ class ShardedStore(Store):
         summary = self._partition.summary() if self._partition else {}
         summary["backends"] = list(self.backends)
         return summary
-
-    # -- durability (checkpoints) ------------------------------------------------
-
-    def partition_state(self) -> dict:
-        """The *current* partition metadata, JSON-ready (checkpointing).
-
-        Seqs are read from the live extents (they evolve with inserts and
-        removals), not from the load-time partition; together with
-        :meth:`shard_fragment_texts` this is everything
-        :func:`repro.shard.partition.restore_partition` needs to
-        reassemble the exact layout.
-        """
-        return {
-            "extent_seqs": {"/".join(path): [list(seqs)
-                                             for seqs in extent.seqs]
-                            for path, extent in self._extents.items()},
-            "id_map": {identifier: [rank, "/".join(path)]
-                       for identifier, (rank, path) in self._id_map.items()},
-        }
-
-    def shard_fragment_texts(self) -> list[str]:
-        """Every shard's current fragment, serialized through its own
-        navigation API (each is a complete loadable ``site`` document)."""
-        from repro.storage.interface import store_document_text
-        return [store_document_text(store) for store in self._shards]
 
     # -- internal helpers --------------------------------------------------------
 

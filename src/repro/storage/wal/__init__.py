@@ -13,15 +13,15 @@ physical pages:
   fsync-on-commit, plus the torn-tail scanner recovery reads with.
 * :mod:`repro.storage.wal.snapshot` — checkpoints: the store's
   serialization (byte-identical across all seven architectures, which is
-  what lets one snapshot serve any of them) or, for a sharded
-  deployment, the per-shard fragments with their order seeds.
+  what lets one snapshot serve any deployment, sharded or not).
 * :mod:`repro.storage.wal.manager` — the on-disk directory layout
   (manifest, the one WAL file, snapshots) and the commit protocol: append +
   fsync *before* the in-memory apply.
 * :mod:`repro.storage.wal.recovery` — read the snapshot and the WAL
-  suffix; a durable reconnect loads the snapshot's state into its
-  serving stores and replays the suffix over them through the real
-  write path, verifying the digest chain against the recorded one.
+  suffix; a durable reconnect loads the snapshot's text into its
+  serving stores as a cold connect would and replays the suffix over
+  them through the real write path, verifying the digest chain against
+  the recorded one.
 
 The correctness contract is proved by ``tests/test_recovery.py``: a
 crash at *any* byte of the WAL leaves a prefix that a reconnect

@@ -3,15 +3,15 @@
 On disk::
 
     <dir>/
-      MANIFEST.json            # deployment shape + current snapshot pointer
+      MANIFEST.json            # base digest + current snapshot pointer
       wal/stream-0000.wal      # the one WAL file, sharded or not
       snapshots/snap-<lsn>.json
 
-The manifest is the recovery root: it names the shard backends
-(``null`` for unsharded deployments), the base document's content
-digest (the start of the digest chain — a reopened connection offering
-a *different* base document is refused rather than silently forked),
-and the current snapshot.  It is always replaced atomically, so
+The manifest is the recovery root: it names the base document's
+content digest (the start of the digest chain — a reopened connection
+offering a *different* base document is refused rather than silently
+forked) and the current snapshot; it holds nothing of the deployment's
+shape, which each connection names for itself.  It is always replaced atomically, so
 recovery sees either the pre- or post-checkpoint root, and both are
 complete.  Each rename (snapshot, manifest, compacted WAL), the
 ``wal/`` and ``snapshots/`` directories and a new WAL file are followed
@@ -143,7 +143,6 @@ class DurabilityManager:
         self._write_manifest({
             "format": MANIFEST_FORMAT,
             "base_digest": snapshot["digest"],
-            "shard_backends": snapshot.get("backends"),
             "snapshot": {"lsn": snapshot["lsn"],
                          "digest": snapshot["digest"],
                          "file": self.snapshot_path(snapshot["lsn"]).name},

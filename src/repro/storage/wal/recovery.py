@@ -9,12 +9,9 @@ its own.
    that fails its CRC is refused) and the WAL, dropping a torn tail.
    The records after the snapshot must number on from its LSN without
    a gap; a log out of sequence is a :class:`~repro.errors.RecoveryError`.
-2. **Load** — the serving stores load the snapshot's state: a
-   ``"document"`` snapshot's text (:meth:`Recovery.document`), or, for
-   a ``"sharded"`` snapshot, the exact pre-crash
-   :class:`~repro.shard.store.ShardedStore` it reassembles, which a
-   sharded connection of the same shape adopts instead of
-   re-partitioning (any other system loads that store's text).
+2. **Load** — the serving stores load the snapshot's text
+   (:meth:`Recovery.document`) through the loader a cold connect uses;
+   a sharded one re-partitions it.
 3. **Replay** — :meth:`Recovery.replay` commits each record through
    :meth:`repro.update.commit.WritePath.commit` over the serving stores,
    so the digest chain advances exactly as the original commit did.
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 from repro.errors import RecoveryError, TransactionError
 from repro.obs.trace import NULL_TRACER
 from repro.storage.wal.records import WalRecord
-from repro.storage.wal.snapshot import KIND_SHARDED
 
 
 @dataclass(slots=True)
@@ -51,12 +47,9 @@ class RecoveryReport:
     skipped: int = 0                    # records whose apply no-opped again
     #: how the WAL ended when it did not end cleanly (records.TAIL_*).
     torn_tail: str | None = None
-    #: the serving stores' load from the snapshot; while they load, the
-    #: sharded reassembly's share (the adopted store's load report).
+    #: the serving stores' load from the snapshot.
     load_seconds: float = 0.0
     replay_seconds: float = 0.0
-    #: the reassembled sharded store (sharded snapshots only).
-    sharded_store: object = None
 
     def summary(self) -> dict:
         """JSON-ready view (CLI, benchmarks)."""
@@ -70,7 +63,6 @@ class RecoveryReport:
             "torn_tail": self.torn_tail,
             "load_seconds": round(self.load_seconds, 6),
             "replay_seconds": round(self.replay_seconds, 6),
-            "sharded": self.sharded_store is not None,
         }
 
     def count(self, registry) -> None:
@@ -137,25 +129,9 @@ class Recovery:
             torn_tail=None if scan.clean else scan.tail,
         )
 
-    def document(self) -> str | None:
-        """A ``"document"`` snapshot's text.  A sharded snapshot has
-        none: its exact pre-crash store is reassembled into
-        :attr:`RecoveryReport.sharded_store` instead, for the
-        connection's loader to adopt."""
-        snapshot = self.snapshot
-        if snapshot["kind"] != KIND_SHARDED:
-            return snapshot["document"]
-        from repro.shard.partition import restore_partition
-        from repro.shard.store import ShardedStore
-        started = time.perf_counter()
-        partition = restore_partition(
-            snapshot["fragments"], snapshot["extent_seqs"],
-            snapshot["id_map"])
-        store = ShardedStore(partition.shard_count, snapshot["backends"])
-        store.load_partition(partition)
-        self.report.sharded_store = store
-        self.report.load_seconds = time.perf_counter() - started
-        return None
+    def document(self) -> str:
+        """The snapshot's text, for the serving stores to load."""
+        return self.snapshot["document"]
 
     def replay(self, stores: dict, *, tracer=NULL_TRACER) -> None:
         """Replay the WAL suffix over ``stores``, loaded at the
@@ -175,5 +151,3 @@ class Recovery:
             span.set(replayed=report.replayed, skipped=report.skipped,
                      torn_tail=report.torn_tail)
         report.digest = next(iter(stores.values())).document_digest()
-        if report.sharded_store not in stores.values():
-            report.sharded_store = None     # reassembled, not adopted

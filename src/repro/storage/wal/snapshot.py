@@ -1,17 +1,12 @@
 """Checkpoint snapshots: a store's state as one durable, checksummed file.
 
-Two snapshot kinds cover every deployment:
+A snapshot is one ``"document"``: the store's serialization (via the
+navigation API, so byte-identical across all seven architectures — the
+conformance suite's proven property).  One snapshot therefore restores
+*any* deployment: a reconnect loads the text exactly as a cold connect
+does, a sharded one re-partitioning it.
 
-* ``"document"`` — the store's serialization (via the navigation API, so
-  byte-identical across all seven architectures — the conformance suite's
-  proven property).  One snapshot therefore restores *any* requested
-  system: recovery bulkloads the text into fresh stores.
-* ``"sharded"`` — a :class:`~repro.shard.store.ShardedStore` checkpoint:
-  the per-shard fragment serializations plus the global-order seeds and
-  the id routing map.  Recovery reloads the fragments one after another
-  and reassembles the exact pre-crash partition without re-partitioning.
-
-Either kind records the ``lsn`` of the last commit it covers and the
+It records the ``lsn`` of the last commit it covers and the
 digest-chain value at that point; WAL replay starts after that LSN and
 chains from that digest.
 
@@ -19,7 +14,7 @@ Durability protocol: the JSON document is written to a sibling temp
 file, fsynced, and atomically renamed into place, and then the directory
 is fsynced so the rename itself is durable — a crash mid-checkpoint
 leaves either the previous snapshot or the new one, never a torn file.
-A CRC over the embedded document text(s) guards the content against
+A CRC over the embedded document text guards the content against
 storage-level garbling; :func:`read_snapshot` refuses a snapshot whose
 checksum disagrees (:class:`~repro.errors.RecoveryError`).
 """
@@ -38,18 +33,11 @@ from repro.storage.wal.log import fsync_directory
 SNAPSHOT_FORMAT = 1
 
 KIND_DOCUMENT = "document"
-KIND_SHARDED = "sharded"
 
 
 def _content_crc(snapshot: dict) -> int:
-    """CRC over the text payloads (the parts JSON decoding cannot verify)."""
-    crc = 0
-    if snapshot["kind"] == KIND_DOCUMENT:
-        crc = zlib.crc32(snapshot["document"].encode("utf-8"))
-    else:
-        for fragment in snapshot["fragments"]:
-            crc = zlib.crc32(fragment.encode("utf-8"), crc)
-    return crc
+    """CRC over the text payload (the part JSON decoding cannot verify)."""
+    return zlib.crc32(snapshot["document"].encode("utf-8"))
 
 
 def document_snapshot(lsn: int, digest: str, document: str) -> dict:
@@ -58,44 +46,17 @@ def document_snapshot(lsn: int, digest: str, document: str) -> dict:
             "lsn": lsn, "digest": digest, "document": document}
 
 
-def sharded_snapshot(lsn: int, digest: str, *, backends: list[str],
-                     fragments: list[str],
-                     extent_seqs: dict[str, list[list[int]]],
-                     id_map: dict[str, list]) -> dict:
-    """A ``"sharded"``-kind snapshot payload.
-
-    ``extent_seqs`` maps ``"/".join(extent path)`` to the per-shard
-    ascending global-sequence lists; ``id_map`` maps entity id to
-    ``[shard, "/".join(extent path)]`` — exactly the state
-    :meth:`repro.shard.store.ShardedStore.partition_state` exports.
-    """
-    return {"format": SNAPSHOT_FORMAT, "kind": KIND_SHARDED,
-            "lsn": lsn, "digest": digest,
-            "shard_count": len(fragments), "backends": list(backends),
-            "fragments": list(fragments), "extent_seqs": extent_seqs,
-            "id_map": id_map}
-
-
 def store_snapshot(lsn: int, store, document: str | None = None) -> dict:
     """The one snapshot builder: ``store``'s state as of commit ``lsn``.
 
-    A sharded store (anything exporting ``partition_state``) yields a
-    ``"sharded"`` payload, any other store a ``"document"`` payload of
-    its serialization; ``document`` short-circuits the serialization
-    when the caller already holds the text (a fresh deployment's base
-    snapshot).  Callers hold the connection's update lock, so ``lsn``,
-    digest and content describe the same commit.
+    ``document`` short-circuits the serialization when the caller
+    already holds the text (a fresh deployment's base snapshot).
+    Callers hold the connection's update lock, so ``lsn``, digest and
+    content describe the same commit.
     """
-    digest = store.document_digest()
-    if hasattr(store, "partition_state"):
-        state = store.partition_state()
-        return sharded_snapshot(
-            lsn, digest, backends=list(store.backends),
-            fragments=store.shard_fragment_texts(),
-            extent_seqs=state["extent_seqs"], id_map=state["id_map"])
     if document is None:
         document = store_document_text(store)
-    return document_snapshot(lsn, digest, document)
+    return document_snapshot(lsn, store.document_digest(), document)
 
 
 def write_snapshot(path: str | Path, snapshot: dict) -> None:
@@ -126,7 +87,7 @@ def read_snapshot(path: str | Path) -> dict:
         raise RecoveryError(
             f"snapshot {path} has unsupported format "
             f"{snapshot.get('format')!r}")
-    if snapshot.get("kind") not in (KIND_DOCUMENT, KIND_SHARDED):
+    if snapshot.get("kind") != KIND_DOCUMENT:
         raise RecoveryError(
             f"snapshot {path} has unknown kind {snapshot.get('kind')!r}")
     if snapshot.get("crc") != _content_crc(snapshot):

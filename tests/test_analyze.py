@@ -215,3 +215,19 @@ class TestCli:
         out = capsys.readouterr().out
         for cls in ALL_RULES:
             assert cls.id in out
+
+
+# -- the public-API gate -----------------------------------------------------------
+
+
+def test_the_public_api_surface_names_no_checkout_path():
+    """``tools/check_public_api.py`` must read the same surface in every
+    checkout: a default argument holding the repository's own path (the
+    lock witness's source root) renders as a placeholder."""
+    import importlib.util
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "check_public_api", root / "tools" / "check_public_api.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert not [line for line in gate.surface() if str(root) in line]

@@ -263,7 +263,7 @@ class TestSingleOpCommits:
             report = recovered.recovery
             assert (report.replayed, report.skipped) == (2, 1)
             assert report.digest == live
-            assert recovered.store("S") is report.sharded_store
+            assert recovered.document_digest("S") == live
 
 
 class TestDirectWritersSerialize:

@@ -82,6 +82,25 @@ class TestConnect:
             with pytest.raises(TypeError, match=keyword):
                 repro.connect(tiny_text, systems=("F",), **{keyword: 1})
 
+    def test_a_query_log_without_a_service_is_refused(
+            self, tiny_text, tmp_path, monkeypatch):
+        """Only a service writes the query log: a direct connection
+        asking for one is refused before any store loads."""
+        from repro.db import database as database_module
+
+        loads = []
+        real_load = database_module.load_stores
+
+        def spy(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(database_module, "load_stores", spy)
+        log = tmp_path / "queries.jsonl"
+        with pytest.raises(BenchmarkError, match="query_log"):
+            repro.connect(tiny_text, systems=("D",), query_log=str(log))
+        assert loads == [] and not log.exists()
+
     def test_unknown_query_number(self, tiny_db):
         with pytest.raises(BenchmarkError):
             tiny_db.session().execute(99)

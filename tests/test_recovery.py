@@ -12,9 +12,12 @@ The proof obligations, in roughly the order the module asserts them:
   commit prefix: a half-record is dropped, never applied, and nothing
   logged after damage survives.
 * **Sharded deployments** — a 6-shard store logs to the one WAL file an
-  unsharded one does, and damage at any point of it cuts the history at
-  exactly the damaged commit; a 2- and a 6-shard connection write that
-  one file, and a directory of the old per-shard layout is refused.
+  unsharded one does and snapshots one document, and damage at any
+  point of the WAL cuts the history at exactly the damaged commit; a
+  reconnect re-partitions the snapshot to the live placement; a 2- and
+  a 6-shard connection write that one file, and a directory of the old
+  per-shard layout, or a snapshot of the retired sharded kind, is
+  refused.
 * **The facade** — ``repro.connect(durable=dir)`` logs every commit
   before applying it, reconnects by loading the snapshot into its
   serving stores (each once) and replaying the WAL over them, refuses
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,7 +57,7 @@ from repro.storage.wal import (
     scan_wal,
 )
 from repro.storage.wal.snapshot import (
-    document_snapshot, read_snapshot, sharded_snapshot, write_snapshot,
+    document_snapshot, read_snapshot, write_snapshot,
 )
 from repro.update.engine import apply_update
 from repro.update.ops import (
@@ -308,13 +312,8 @@ def sharded_history(tiny_text, tmp_path_factory):
     store.load(tiny_text)
     directory = tmp_path_factory.mktemp("sharded") / "deploy"
     manager = DurabilityManager(directory)
-    state = store.partition_state()
     manager.initialize(
-        sharded_snapshot(0, store.document_digest(),
-                         backends=list(store.backends),
-                         fragments=store.shard_fragment_texts(),
-                         extent_seqs=state["extent_seqs"],
-                         id_map=state["id_map"]))
+        document_snapshot(0, store.document_digest(), tiny_text))
     stream = UpdateStream(store, seed=829)
     states = [(store.document_digest(), store_document_text(store))]
     for _ in range(10):
@@ -330,23 +329,29 @@ def sharded_history(tiny_text, tmp_path_factory):
                            store=store)
 
 
-def test_sharded_clean_recovery_reassembles_the_partition(sharded_history,
-                                                          tmp_path):
+def test_sharded_clean_recovery_repartitions_to_the_live_placement(
+        sharded_history, tmp_path):
     with faultinject.reconnect(sharded_history.directory, tmp_path / "image",
                                systems=(), shards=SHARD_COUNT,
                                backends=SHARD_BACKENDS) as db:
         report = db.recovery
         digest, document = sharded_history.states[-1]
         assert report.digest == digest
-        assert store_document_text(db.store("S")) == document
-        recovered = report.sharded_store
-        assert recovered is not None and recovered is db.store("S")
+        recovered, live = db.store("S"), sharded_history.store
         assert recovered.shard_count == SHARD_COUNT
         assert store_document_text(recovered) == document
-        # the reassembled partition places every entity where the live
-        # one did
-        assert (recovered.partition_state()
-                == sharded_history.store.partition_state())
+        # re-partitioning the snapshot's text places every entity where
+        # the live store did: every shard's fragment and every id's route
+        for rank in range(SHARD_COUNT):
+            assert (store_document_text(recovered.shard_store(rank))
+                    == store_document_text(live.shard_store(rank))), rank
+        identifiers = [element.attributes["id"]
+                       for element in parse(document).root.iter()
+                       if "id" in element.attributes]
+        assert identifiers
+        for identifier in identifiers:
+            assert (recovered.shard_of_id(identifier)
+                    == live.shard_of_id(identifier)), identifier
 
 
 def test_sharded_crash_matrix_every_boundary_and_offset_class(
@@ -378,7 +383,6 @@ def test_sharded_crash_matrix_every_boundary_and_offset_class(
         assert report.last_lsn == point.survivors, where
         assert report.digest == digest, where
         assert document_text == document, where
-        assert report.sharded_store is not None, where
         if point.label == faultinject.BOUNDARY:
             assert report.torn_tail is None, where
         else:
@@ -425,6 +429,22 @@ def test_a_wal_out_of_sequence_is_refused(history, tmp_path):
                                  digest=history.states[1][0]))
     with pytest.raises(RecoveryError, match="LSN 1 where 2 was due"):
         connect(None, systems=("F",), durable=str(tmp_path / "d"))
+
+
+def test_a_sharded_kind_snapshot_is_refused(tiny_text, tmp_path):
+    """Every snapshot is a document; one of the retired ``"sharded"``
+    kind (checksummed as that kind was) is refused by name."""
+    directory = tmp_path / "d"
+    connect(tiny_text, systems=("F",), durable=str(directory)).close()
+    pointer = DurabilityManager.read_manifest(directory)["snapshot"]
+    path = directory / "snapshots" / pointer["file"]
+    path.write_text(json.dumps({
+        "format": 1, "kind": "sharded", "lsn": 0,
+        "digest": pointer["digest"], "shard_count": 1, "backends": ["F"],
+        "fragments": [tiny_text], "extent_seqs": {}, "id_map": {},
+        "crc": zlib.crc32(tiny_text.encode("utf-8"))}))
+    with pytest.raises(RecoveryError, match="kind 'sharded'"):
+        connect(None, systems=("F",), durable=str(directory))
 
 
 def test_a_format_1_directory_is_refused(tiny_text, tmp_path):
@@ -588,7 +608,7 @@ class TestDurableConnection:
             assert db3.recovery.torn_tail is None
             assert db3.recovery.digest == digest
 
-    def test_sharded_connection_adopts_recovered_partition(
+    def test_sharded_connection_recovers_by_repartitioning(
             self, tiny_text, tmp_path):
         db = connect(tiny_text, systems=(), shards=3, backends=("F", "A"),
                      durable=str(tmp_path / "d"))
@@ -599,16 +619,15 @@ class TestDurableConnection:
             db.apply_transaction([op])
         digest = db.document_digest("S")
         document = store_document_text(db.store("S"))
+        answer = db.execute("S", 13, stream=False).serialize()
         db.close()
 
         db2 = connect(None, systems=(), shards=3, backends=("F", "A"),
                       durable=str(tmp_path / "d"))
         try:
-            assert db2.store("S") is db2.recovery.sharded_store
             assert db2.document_digest("S") == digest
             assert store_document_text(db2.store("S")) == document
-            rows = db2.execute("S", 13, stream=False).fetchall()
-            assert rows is not None
+            assert db2.execute("S", 13, stream=False).serialize() == answer
         finally:
             db2.close()
 
@@ -700,8 +719,8 @@ class TestReplayIntoServingStores:
     def test_sharded_reconnect_replays_beside_a_plain_system(
             self, tiny_text, tmp_path):
         """A ``systems=("D",), shards=2`` crash image reconnects in the
-        same shape: S is the reassembled store, and D and S both replay
-        to the live digest and answers."""
+        same shape: S re-partitions the snapshot, and D and S both
+        replay to the live digest and answers."""
         shape = dict(systems=("D",), shards=2)
         with connect(tiny_text, durable=str(tmp_path / "d"), **shape) as live:
             _commit(live, "D", 4, seed=7)
@@ -709,7 +728,6 @@ class TestReplayIntoServingStores:
             with connect(None, durable=str(tmp_path / "image"),
                          **shape) as db:
                 assert db.recovery.replayed == 4
-                assert db.store("S") is db.recovery.sharded_store
                 for name in ("D", "S"):
                     assert (db.document_digest(name)
                             == live.document_digest(name)), name
@@ -721,10 +739,14 @@ class TestReplayIntoServingStores:
 
     def test_a_reconnect_loads_each_serving_system_once(
             self, tiny_text, tmp_path, monkeypatch):
-        with connect(tiny_text, systems=("D",),
-                     durable=str(tmp_path / "d")) as db:
-            _commit(db, "D", 3, seed=5)
-            digest = db.document_digest()
+        """Also when the deployment was sharded: a plain reconnect loads
+        the snapshot's document and builds no shard store."""
+        digests = {}
+        for shards in (None, 2):
+            with connect(tiny_text, systems=("D",), shards=shards,
+                         durable=str(tmp_path / f"d-{shards}")) as db:
+                _commit(db, "D", 3, seed=5)
+                digests[shards] = db.document_digest()
         made = []
         real_make_store = systems_module.make_store
 
@@ -742,9 +764,12 @@ class TestReplayIntoServingStores:
             return store
 
         monkeypatch.setattr(systems_module, "make_store", counting_make_store)
-        with connect(None, systems=("D",), durable=str(tmp_path / "d")) as db2:
-            assert db2.document_digest() == digest
-        assert made == [("D", ["D"])]
+        for shards, digest in digests.items():
+            made.clear()
+            with connect(None, systems=("D",),
+                         durable=str(tmp_path / f"d-{shards}")) as db2:
+                assert db2.document_digest() == digest
+            assert made == [("D", ["D"])], shards
 
     @pytest.mark.parametrize("forged", ["prev_digest", "digest"])
     def test_a_broken_digest_chain_is_refused(self, history, tmp_path,
@@ -806,19 +831,24 @@ def test_cli_recover_has_no_backend_flag(tmp_path):
         main(["recover", "--dir", str(tmp_path), "--backend", "B"])
 
 
-def test_cli_checkpoint_keeps_a_sharded_deployment_sharded(tiny_text,
-                                                           tmp_path):
+def test_cli_checkpoint_of_a_sharded_deployment_reconnects_sharded(
+        tiny_text, tmp_path):
+    """``xmark checkpoint`` snapshots the document on System F; the
+    deployment reconnects sharded from it, at the same state."""
     from repro.cli import main
     directory = tmp_path / "d"
     with connect(tiny_text, systems=(), shards=2,
                  durable=str(directory)) as db:
         _commit(db, "S", 3, seed=9)
         digest = db.document_digest("S")
+        document = store_document_text(db.store("S"))
+        answer = db.execute("S", 8, stream=False).serialize()
     assert main(["checkpoint", "--dir", str(directory)]) == 0
     manager = DurabilityManager(directory)
-    assert manager.current_snapshot()["kind"] == "sharded"
+    assert manager.current_snapshot()["kind"] == "document"
     assert manager.current_snapshot()["lsn"] == 3
     with connect(None, systems=(), shards=2, durable=str(directory)) as db2:
-        assert db2.store("S") is db2.recovery.sharded_store
         assert db2.recovery.replayed == 0
         assert db2.document_digest("S") == digest
+        assert store_document_text(db2.store("S")) == document
+        assert db2.execute("S", 8, stream=False).serialize() == answer

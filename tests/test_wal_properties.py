@@ -32,7 +32,7 @@ from repro.shard.store import ShardedStore
 from repro.storage.interface import chain_digest, store_document_text
 from repro.db import connect
 from repro.storage.wal import DurabilityManager, scan_wal
-from repro.storage.wal.snapshot import document_snapshot, sharded_snapshot
+from repro.storage.wal.snapshot import document_snapshot
 from repro.update.engine import apply_update
 from repro.update.ops import transaction_token
 from repro.update.stream import UpdateStream
@@ -47,23 +47,12 @@ def _build_deployment(directory: Path, document: str, shards: int,
                       n_ops: int, seed: int):
     """Log a random history of one-op commits; return per-prefix oracle
     states."""
-    if shards == 1:
-        store = make_store("F")
-        store.load(document)
-        manager = DurabilityManager(directory)
-        manager.initialize(document_snapshot(
-            0, store.document_digest(), document))
-    else:
-        store = ShardedStore(shards, PROPERTY_BACKENDS)
-        store.load(document)
-        manager = DurabilityManager(directory)
-        state = store.partition_state()
-        manager.initialize(
-            sharded_snapshot(0, store.document_digest(),
-                             backends=list(store.backends),
-                             fragments=store.shard_fragment_texts(),
-                             extent_seqs=state["extent_seqs"],
-                             id_map=state["id_map"]))
+    store = (make_store("F") if shards == 1
+             else ShardedStore(shards, PROPERTY_BACKENDS))
+    store.load(document)
+    manager = DurabilityManager(directory)
+    manager.initialize(document_snapshot(
+        0, store.document_digest(), document))
     stream = UpdateStream(store, seed=seed)
     states = [(store.document_digest(), store_document_text(store))]
     for _ in range(n_ops):
@@ -160,8 +149,5 @@ def test_clean_recovery_is_exact(tiny_text, shards, n_ops, seed):
             assert report.skipped == 0 and report.torn_tail is None
             assert report.digest == digest
             assert store_document_text(db.store(system)) == document
-            if shards > 1:
-                assert report.sharded_store is not None
-                assert store_document_text(report.sharded_store) == document
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

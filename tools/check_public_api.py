@@ -24,11 +24,12 @@ import inspect
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 MODULES = ("repro", "repro.db", "repro.server", "repro.analyze",
            "repro.service")
-SNAPSHOT = Path(__file__).resolve().parent.parent / "docs" / "PUBLIC_API.txt"
+SNAPSHOT = ROOT / "docs" / "PUBLIC_API.txt"
 
 #: Dunder methods that are part of a class's usable surface.
 _DUNDER_SURFACE = frozenset((
@@ -38,10 +39,14 @@ _DUNDER_SURFACE = frozenset((
 
 
 def _signature(obj) -> str:
+    """``obj``'s signature, with the checkout's root (in a default such
+    as a source path) rendered as ``<repo>``: the snapshot must read the
+    same wherever the repository is checked out."""
     try:
-        return str(inspect.signature(obj))
+        signature = str(inspect.signature(obj))
     except (TypeError, ValueError):
         return "(...)"
+    return signature.replace(str(ROOT), "<repo>")
 
 
 def _class_lines(qualified: str, cls: type) -> list[str]:
