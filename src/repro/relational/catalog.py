@@ -41,6 +41,11 @@ class Catalog:
             return existing
         return self.create_table(name, columns)
 
+    def seal(self) -> None:
+        """End a bulk load: seal every table (see :meth:`Table.seal`)."""
+        for table in self._tables.values():
+            table.seal()
+
     def create_hash_index(self, table_name: str, column: str) -> HashIndex:
         key = (table_name, column)
         if key not in self._hash_indexes:

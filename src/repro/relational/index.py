@@ -13,20 +13,25 @@ class HashIndex:
     def __init__(self, table: Table, column_name: str) -> None:
         self.table = table
         self.column_name = column_name
-        self._buckets: dict = {}
-        for row_id, value in table.scan_column(column_name):
-            self._insert(value, row_id)
+        # Built from the column in one pass.  A new bucket is a one-item
+        # list literal: most keys (pre, an attribute's parent) occur once,
+        # and an appended-to empty list would reserve room for four.
+        buckets: dict = {}
+        for row_id, value in enumerate(table.column(column_name)):
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = [row_id]
+            else:
+                bucket.append(row_id)
+        self._buckets = buckets
 
-    def _insert(self, value, row_id: int) -> None:
+    def insert(self, value, row_id: int) -> None:
+        """Add one entry (incremental maintenance after a tuple insert)."""
         bucket = self._buckets.get(value)
         if bucket is None:
             self._buckets[value] = [row_id]
         else:
             bucket.append(row_id)
-
-    def insert(self, value, row_id: int) -> None:
-        """Add one entry (incremental maintenance after a tuple insert)."""
-        self._insert(value, row_id)
 
     def remove(self, value, row_id: int) -> None:
         """Drop one entry (incremental maintenance after a tuple delete).

@@ -1,12 +1,29 @@
-"""Columnar tables with typed columns."""
+"""Columnar tables with typed columns.
+
+A non-null INT column is an ``array('q')``: eight bytes a cell, and a value
+outside 64 bits has no place in it.  STR columns and nullable INT columns
+are lists (a nullable cell reads back as None).
+
+A bulk load appends raw values to the column buffers of :meth:`Table.buffers`
+and calls :meth:`Table.seal` once: no kwargs dict per row and no coercion per
+cell.  The seal checks and coerces each column in one pass — building the
+array is the INT check — and only a column that fails the check is coerced a
+cell at a time, so a bad value still raises the typed
+:class:`~repro.errors.RelationalError`.  :meth:`Table.append` and
+:meth:`Table.set` (the write path after the load) coerce every value and
+write into the same arrays.
+"""
 
 from __future__ import annotations
 
 import enum
 import sys
+from array import array
 from dataclasses import dataclass
 
 from repro.errors import RelationalError
+
+_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class ColumnType(enum.Enum):
@@ -16,12 +33,18 @@ class ColumnType(enum.Enum):
     STR = "str"
 
     def coerce(self, value):
-        """Coerce a raw (string) value into this type; None passes through."""
+        """Coerce a raw (string) value into this type; None passes through.
+
+        An INT must fit in 64 signed bits, the width of an array column.
+        """
         if value is None:
             return None
         try:
             if self is ColumnType.INT:
-                return int(value)
+                result = int(value)
+                if not _INT_MIN <= result <= _INT_MAX:
+                    raise RelationalError(f"{value!r} does not fit a 64-bit int column")
+                return result
             return str(value)
         except (TypeError, ValueError) as exc:
             raise RelationalError(f"cannot coerce {value!r} to {self.value}") from exc
@@ -35,16 +58,20 @@ class Column:
     type: ColumnType = ColumnType.STR
     nullable: bool = True
 
+    @property
+    def is_array(self) -> bool:
+        """Stored as ``array('q')`` (a non-null INT column) rather than a list."""
+        return self.type is ColumnType.INT and not self.nullable
+
 
 class Table:
     """A named, columnar, append-only table.
 
-    Storage is one Python list per column — the closest honest analogue of a
-    column-oriented relational heap in pure Python.  Row ids are dense
-    integers (the append order), used as join keys and index payloads.
+    Row ids are dense integers (the append order), used as join keys and
+    index payloads.
     """
 
-    __slots__ = ("name", "columns", "_data", "_column_index")
+    __slots__ = ("name", "columns", "_data", "_column_index", "_staged")
 
     def __init__(self, name: str, columns: list[Column]) -> None:
         if not columns:
@@ -54,8 +81,10 @@ class Table:
             raise RelationalError(f"table {name!r} has duplicate column names")
         self.name = name
         self.columns = list(columns)
-        self._data: dict[str, list] = {column.name: [] for column in columns}
+        self._data: dict[str, array | list] = {
+            column.name: array("q") if column.is_array else [] for column in columns}
         self._column_index = {column.name: i for i, column in enumerate(columns)}
+        self._staged: list[list] | None = None
 
     def __len__(self) -> int:
         return len(self._data[self.columns[0].name])
@@ -63,30 +92,111 @@ class Table:
     def has_column(self, name: str) -> bool:
         return name in self._column_index
 
-    def column(self, name: str) -> list:
-        """Direct (read) access to a column's value list."""
+    def column(self, name: str) -> array | list:
+        """Direct (read) access to a column's values."""
         try:
             return self._data[name]
         except KeyError:
             raise RelationalError(f"table {self.name!r} has no column {name!r}") from None
 
-    def append(self, **values) -> int:
-        """Append one row; unspecified nullable columns become None."""
-        row_id = len(self)
-        for column in self.columns:
-            if column.name in values:
-                value = column.type.coerce(values.pop(column.name))
-            elif column.nullable:
-                value = None
-            else:
-                raise RelationalError(
-                    f"table {self.name!r}: missing value for non-null column {column.name!r}"
-                )
-            self._data[column.name].append(value)
-        if values:
+    # -- bulk load ------------------------------------------------------------------
+
+    def buffers(self) -> list[list]:
+        """Raw column buffers for a bulk load, one list per column in column
+        order: append one value to each per row, then :meth:`seal`.
+
+        Staged rows are invisible (and :meth:`append` and :meth:`set` are
+        refused) until the seal.  The buffers belong to the table after it.
+        """
+        if self._staged is None:
+            self._staged = [[] for _ in self.columns]
+        return self._staged
+
+    def seal(self) -> None:
+        """Check and coerce each staged column once and append it to the table.
+
+        All or nothing: a column that fails its check raises
+        :class:`RelationalError` and leaves the table as it was before the
+        load.
+        """
+        staged, self._staged = self._staged, None
+        if staged is None:
+            return
+        lengths = {len(values) for values in staged}
+        if len(lengths) != 1:
             raise RelationalError(
-                f"table {self.name!r}: unknown columns {sorted(values)}"
-            )
+                f"table {self.name!r}: staged columns differ in length {sorted(lengths)}")
+        for index, column in enumerate(self.columns):
+            # In place, so each raw buffer is freed as soon as it is typed.
+            staged[index] = self._checked(column, staged[index])
+        for column, values in zip(self.columns, staged):
+            stored = self._data[column.name]
+            if stored:
+                stored.extend(values)
+            else:
+                self._data[column.name] = values
+
+    def _checked(self, column: Column, values: list) -> array | list:
+        """One staged column in its stored form: one pass when every value
+        already has the column's type, a coercion per cell when not."""
+        try:
+            if column.is_array:
+                try:
+                    return array("q", values)
+                except TypeError:
+                    return array("q", [self._coerced(column, value) for value in values])
+            exact = {int} if column.type is ColumnType.INT else {str}
+            if column.nullable:
+                exact.add(type(None))
+            if not set(map(type, values)) <= exact:
+                return [self._coerced(column, value) for value in values]
+            if column.type is ColumnType.INT:
+                array("q", filter(None, values))        # the 64-bit check
+            return values
+        except OverflowError as exc:
+            raise RelationalError(
+                f"table {self.name!r}: column {column.name!r} holds an int "
+                f"outside 64 bits") from exc
+
+    def _coerced(self, column: Column, value):
+        coerced = column.type.coerce(value)
+        if coerced is None and not column.nullable:
+            raise RelationalError(
+                f"table {self.name!r}: column {column.name!r} is not nullable")
+        return coerced
+
+    # -- tuple writes -----------------------------------------------------------------
+
+    def _loading(self) -> RelationalError:
+        return RelationalError(f"table {self.name!r} is loading; seal() it first")
+
+    def append(self, **values) -> int:
+        """Append one row; unspecified nullable columns become None.
+
+        A bad value leaves the table as it was: the columns already grown
+        for this row are cut back before the error propagates."""
+        if self._staged is not None:
+            raise self._loading()
+        row_id = len(self)
+        data = self._data
+        try:
+            for column in self.columns:
+                name = column.name
+                if name in values:
+                    value = self._coerced(column, values.pop(name))
+                elif column.nullable:
+                    value = None
+                else:
+                    raise RelationalError(
+                        f"table {self.name!r}: missing value for non-null column {name!r}")
+                data[name].append(value)
+            if values:
+                raise RelationalError(
+                    f"table {self.name!r}: unknown columns {sorted(values)}")
+        except RelationalError:
+            for stored in data.values():
+                del stored[row_id:]
+            raise
         return row_id
 
     def get(self, row_id: int, column: str):
@@ -95,15 +205,12 @@ class Table:
 
     def set(self, row_id: int, column_name: str, value) -> None:
         """Update one cell in place (a tuple update; coerced like append)."""
-        for column in self.columns:
-            if column.name == column_name:
-                coerced = column.type.coerce(value)
-                if coerced is None and not column.nullable:
-                    raise RelationalError(
-                        f"table {self.name!r}: column {column_name!r} is not nullable")
-                self._data[column_name][row_id] = coerced
-                return
-        raise RelationalError(f"table {self.name!r} has no column {column_name!r}")
+        if self._staged is not None:
+            raise self._loading()
+        index = self._column_index.get(column_name)
+        if index is None:
+            raise RelationalError(f"table {self.name!r} has no column {column_name!r}")
+        self._data[column_name][row_id] = self._coerced(self.columns[index], value)
 
     def rows(self, columns: list[str] | None = None):
         """Iterate rows as tuples (a full scan)."""
@@ -111,16 +218,13 @@ class Table:
         streams = [self._data[name] for name in names]
         return zip(*streams) if streams else iter(())
 
-    def scan_column(self, column: str):
-        """Iterate (row_id, value) for one column."""
-        return enumerate(self.column(column))
-
     def estimated_bytes(self) -> int:
-        """Rough in-memory footprint (used for the Table 1 size report)."""
+        """Rough in-memory footprint (used for the Table 1 size report): an
+        array column is one object, a list column one more per non-null cell."""
+        getsizeof = sys.getsizeof
         total = 0
         for values in self._data.values():
-            total += sys.getsizeof(values)
-            for value in values:
-                if value is not None:
-                    total += sys.getsizeof(value)
+            total += getsizeof(values)
+            if isinstance(values, list):
+                total += sum(map(getsizeof, values)) - values.count(None) * getsizeof(None)
         return total

@@ -67,6 +67,19 @@ _ATTR_COLUMNS = [
 ]
 
 
+class _PathLoad:
+    """One distinct path's column buffers while a document loads."""
+
+    __slots__ = ("path", "columns", "texts", "children", "attrs")
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.columns: list[list] | None = None      # the element table's
+        self.texts: list[list] | None = None        # the #text table's
+        self.children: dict[str, _PathLoad] = {}
+        self.attrs: dict[str, list[list]] = {}
+
+
 class FragmentStore(Store):
     """One relation per distinct path (System B)."""
 
@@ -90,63 +103,70 @@ class FragmentStore(Store):
     # -- bulkload -----------------------------------------------------------------
 
     def load(self, text: str) -> None:
-        self.catalog = Catalog()
+        self.catalog = catalog = Catalog()
         self._children_map = {}
         self._text_paths = set()
         self._attr_map = {}
         self._paths_by_tag = {}
-        self._id_index = {}
+        self._id_index = id_index = {}
         self._text_tables_below = {}
 
-        elem_columns = _ELEM_COLUMNS
-        text_columns = _TEXT_COLUMNS
-        attr_columns = _ATTR_COLUMNS
-
         sequence = 0
-        stack: list[tuple[Path, int, int]] = []  # (path, pre, next slot)
+        # One frame per open element: [path buffers, pre, next slot, row].
+        stack: list[list] = []
+        top = _PathLoad(())                     # the document node's children
 
         for kind, value, attributes in tokens(text):
             if kind == START:
-                parent_path = stack[-1][0] if stack else ()
-                path = parent_path + (value,)
-                pre = sequence
-                sequence += 1
-                parent_pre = stack[-1][1] if stack else None
-                slot = 0
                 if stack:
-                    slot = stack[-1][2]
-                    stack[-1] = (stack[-1][0], stack[-1][1], slot + 1)
-                if path not in self._children_map:
-                    self._register_path(path, parent_path)
-                table = self.catalog.ensure_table(_table_name(path), elem_columns)
-                table.append(pre=pre, post=pre, parent=parent_pre, pos=slot)
+                    frame = stack[-1]
+                    parent, parent_pre, slot = frame[0], frame[1], frame[2]
+                    frame[2] = slot + 1
+                else:
+                    parent, parent_pre, slot = top, None, 0
+                current = parent.children.get(value)
+                if current is None:
+                    current = parent.children[value] = _PathLoad(parent.path + (value,))
+                    self._register_path(current.path, parent.path)
+                    current.columns = catalog.create_table(
+                        _table_name(current.path), _ELEM_COLUMNS).buffers()
+                pres, posts, parents, poss = current.columns
+                row = len(pres)
+                pres.append(sequence)
+                posts.append(sequence)
+                parents.append(parent_pre)
+                poss.append(slot)
                 for name, attribute in attributes:
-                    attr_table = self.catalog.ensure_table(
-                        _attr_table_name(path, name), attr_columns)
-                    if name not in self._attr_map.setdefault(path, []):
-                        self._attr_map[path].append(name)
-                    attr_table.append(parent=pre, value=attribute)
+                    attr_columns = current.attrs.get(name)
+                    if attr_columns is None:
+                        attr_columns = current.attrs[name] = catalog.create_table(
+                            _attr_table_name(current.path, name), _ATTR_COLUMNS).buffers()
+                        self._attr_map.setdefault(current.path, []).append(name)
+                    attr_columns[0].append(sequence)
+                    attr_columns[1].append(attribute)
                     if name == "id":
-                        self._id_index[attribute] = (path, pre)
-                stack.append((path, pre, 0))
+                        id_index[attribute] = (current.path, sequence)
+                stack.append([current, sequence, 0, row])
+                sequence += 1
             elif kind == END:
-                path, pre, _ = stack.pop()
-                table = self.catalog.ensure_table(_table_name(path), elem_columns)
-                # Patch post: the row for `pre` is the one whose pre == pre.
-                pres = table.column("pre")
-                # Rows are appended in pre order; find via bisect.
-                row = bisect_left(pres, pre)
-                table.column("post")[row] = sequence - 1
+                current, _, _, row = stack.pop()
+                current.columns[1][row] = sequence - 1
             else:
-                path, parent_pre, slot = stack[-1]
-                stack[-1] = (path, parent_pre, slot + 1)
-                text_table = self.catalog.ensure_table(
-                    _text_table_name(path), text_columns)
-                self._text_paths.add(path)
-                text_table.append(pre=sequence, parent=parent_pre, pos=slot,
-                                  value=value)
+                frame = stack[-1]
+                current, slot = frame[0], frame[2]
+                frame[2] = slot + 1
+                text_columns = current.texts
+                if text_columns is None:
+                    text_columns = current.texts = catalog.create_table(
+                        _text_table_name(current.path), _TEXT_COLUMNS).buffers()
+                    self._text_paths.add(current.path)
+                text_columns[0].append(sequence)
+                text_columns[1].append(frame[1])
+                text_columns[2].append(slot)
+                text_columns[3].append(value)
                 sequence += 1
 
+        catalog.seal()
         # Build parent indexes on every element and text table.
         for path in self._children_map:
             name = _table_name(path)

@@ -77,55 +77,67 @@ class HeapStore(Store):
             Column("value", _STR, nullable=False),
         ])
 
-        sequence = 0
-        stack: list[tuple[int, int]] = []  # (pre, next child slot)
-        pre_row: dict[int, int] = {}
-        post_patch: list[tuple[int, int]] = []
-
-        for kind, value, attributes in tokens(text):
-            if kind == START:
-                pre = sequence
-                sequence += 1
-                parent_pre, slot = (stack[-1] if stack else (None, 0))
-                if stack:
-                    stack[-1] = (stack[-1][0], stack[-1][1] + 1)
-                row = nodes.append(pre=pre, post=pre, parent=parent_pre,
-                                   tag=value, pos=slot)
-                pre_row[pre] = row
-                for name, attribute in attributes:
-                    attrs.append(parent=pre, name=name, value=attribute)
-                stack.append((pre, 0))
-            elif kind == END:
-                pre, _ = stack.pop()
-                post_patch.append((pre_row[pre], sequence - 1))
-            else:
-                parent_pre, slot = stack[-1]
-                stack[-1] = (parent_pre, slot + 1)
-                texts.append(pre=sequence, parent=parent_pre, pos=slot,
-                             value=value)
-                sequence += 1
-
-        post_column = nodes.column("post")
-        for row, post in post_patch:
-            post_column[row] = post
-
+        sequence, id_index = self._stage(text, nodes, texts, attrs)
+        self.catalog.seal()
         self._nodes, self._texts, self._attrs = nodes, texts, attrs
-        self._row_by_pre = pre_row
+        self._row_by_pre = dict(zip(nodes.column("pre"), range(len(nodes))))
         self._children_index = self.catalog.create_hash_index("nodes", "parent")
         self._texts_index = self.catalog.create_hash_index("texts", "parent")
         self._attrs_index = self.catalog.create_hash_index("attrs", "parent")
         self._tag_index = self.catalog.create_hash_index("nodes", "tag")
-        self._id_index = {}
-        values = attrs.column("value")
-        names = attrs.column("name")
-        parents = attrs.column("parent")
-        for row in range(len(attrs)):
-            if names[row] == "id":
-                self._id_index[values[row]] = parents[row]
+        self._id_index = id_index
         self._next_pre = sequence
         self._mutated = False
         self._order = None
         self.mark_loaded(text)
+
+    @staticmethod
+    def _stage(text: str, nodes, texts, attrs) -> tuple[int, dict[str, int]]:
+        """Tokenize ``text`` into the three tables' load buffers; return the
+        next free pre and the ID index.  Apart from :meth:`load` so that no
+        local still holds a raw buffer when the seal types and frees it."""
+        node_pres, node_posts, node_parents, node_tags, node_poss = nodes.buffers()
+        text_pres, text_parents, text_poss, text_values = texts.buffers()
+        attr_parents, attr_names, attr_values = attrs.buffers()
+        id_index: dict[str, int] = {}
+
+        sequence = 0
+        # One frame per open element: [pre, next child slot, row].
+        stack: list[list[int]] = []
+
+        for kind, value, attributes in tokens(text):
+            if kind == START:
+                if stack:
+                    frame = stack[-1]
+                    parent_pre, slot = frame[0], frame[1]
+                    frame[1] = slot + 1
+                else:
+                    parent_pre, slot = None, 0
+                stack.append([sequence, 0, len(node_pres)])
+                node_pres.append(sequence)
+                node_posts.append(sequence)
+                node_parents.append(parent_pre)
+                node_tags.append(value)
+                node_poss.append(slot)
+                for name, attribute in attributes:
+                    attr_parents.append(sequence)
+                    attr_names.append(name)
+                    attr_values.append(attribute)
+                    if name == "id":
+                        id_index[attribute] = sequence
+                sequence += 1
+            elif kind == END:
+                node_posts[stack.pop()[2]] = sequence - 1
+            else:
+                frame = stack[-1]
+                slot = frame[1]
+                frame[1] = slot + 1
+                text_pres.append(sequence)
+                text_parents.append(frame[0])
+                text_poss.append(slot)
+                text_values.append(value)
+                sequence += 1
+        return sequence, id_index
 
     def size_bytes(self) -> int:
         self.require_loaded()

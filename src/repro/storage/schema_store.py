@@ -118,6 +118,11 @@ class SchemaStore(Store):
         self._id_index = {}
         self._make_tables()
         self._compute_reachability()
+        bulk: dict[str, list[tuple[str, list]]] = {}
+        for spec in ENTITY_SPECS.values():
+            table = self.catalog.table(spec.table)
+            bulk[spec.table] = list(zip(
+                [column.name for column in table.columns], table.buffers()))
 
         counter = 0
 
@@ -136,7 +141,7 @@ class SchemaStore(Store):
                 continue
             for item in region.find_all("item"):
                 self._shred_entity(item, ENTITY_SPECS["item"], next_ord,
-                                   extra={"region": region_tag})
+                                   extra={"region": region_tag}, bulk=bulk)
         for container, entity_tag in (
             ("categories", "category"), ("catgraph", "edge"), ("people", "person"),
             ("open_auctions", "open_auction"), ("closed_auctions", "closed_auction"),
@@ -146,8 +151,9 @@ class SchemaStore(Store):
             if holder is None:
                 continue
             for element in holder.find_all(entity_tag):
-                self._shred_entity(element, ENTITY_SPECS[entity_tag], next_ord)
+                self._shred_entity(element, ENTITY_SPECS[entity_tag], next_ord, bulk=bulk)
 
+        self.catalog.seal()
         for spec in ENTITY_SPECS.values():
             table = self.catalog.table(spec.table)
             self._tables[spec.table] = table
@@ -268,7 +274,11 @@ class SchemaStore(Store):
 
     def _shred_entity(self, element: Element, spec: EntitySpec, next_ord,
                       extra: dict | None = None,
-                      parent_ord: int | None = None, pos: int | None = None) -> int:
+                      parent_ord: int | None = None, pos: int | None = None,
+                      bulk: dict[str, list[tuple[str, list]]] | None = None) -> int:
+        """Shred one entity and its nested sets.  With ``bulk`` (table name ->
+        (column, buffer) pairs, the bulkload) each row goes to the column
+        buffers; without it, through :meth:`Table.append`."""
         ord_value = next_ord()
         values: dict = {"ord": ord_value}
         if parent_ord is not None:
@@ -321,11 +331,14 @@ class SchemaStore(Store):
                             pending_nested.append((child.nested, occurrence))
 
         walk(spec.children, element, ())
-        table = self.catalog.table(spec.table)
-        table.append(**values)
+        if bulk is None:
+            self.catalog.table(spec.table).append(**values)
+        else:
+            for column, buffer in bulk[spec.table]:
+                buffer.append(values.get(column))
         for slot, (nested, occurrence) in enumerate(pending_nested):
             self._shred_entity(occurrence, ENTITY_SPECS[nested.table], next_ord,
-                               parent_ord=ord_value, pos=slot)
+                               parent_ord=ord_value, pos=slot, bulk=bulk)
         return ord_value
 
     def _store_fragment(self, node: Element, owner_ord: int,

@@ -1,6 +1,10 @@
 """Tests for the relational substrate: tables, hash indexes, catalog."""
 
+import sys
+from array import array
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RelationalError
 from repro.relational.catalog import Catalog
@@ -85,13 +89,184 @@ class TestTable:
     def test_column_access(self):
         table = make_people()
         assert table.has_column("age") and not table.has_column("bogus")
-        assert table.column("id") == [1, 2, 3]
+        assert table.column("id") == array("q", [1, 2, 3])
+        assert table.column("age") == [30, None, 25]
         with pytest.raises(RelationalError):
             table.column("bogus")
 
     def test_scan_column_pairs_row_ids(self):
-        assert list(make_people().scan_column("age")) == [
+        assert list(enumerate(make_people().column("age"))) == [
             (0, 30), (1, None), (2, 25)]
+
+
+def bulk_people(rows) -> Table:
+    """``make_people``'s schema, loaded through the buffers and one seal."""
+    table = Table("people", make_people().columns)
+    for buffer, values in zip(table.buffers(), zip(*rows)):
+        buffer.extend(values)
+    table.seal()
+    return table
+
+
+class TestBulkLoad:
+    def test_seal_stores_non_null_ints_as_arrays(self):
+        table = bulk_people([(1, "ann", 30), (2, "bob", None)])
+        assert len(table) == 2
+        assert table.column("id") == array("q", [1, 2])
+        assert table.column("age") == [30, None]          # nullable: a list
+        assert table.column("name") == ["ann", "bob"]
+
+    def test_seal_coerces_a_column_that_fails_the_check(self):
+        table = bulk_people([("7", "ann", "30"), (8, 9, None)])
+        assert list(table.rows()) == [(7, "ann", 30), (8, "9", None)]
+        assert isinstance(table.column("id"), array)
+
+    @pytest.mark.parametrize("rows", [
+        [(1, "ann", 30), ("x", "bob", 1)],                # not an int
+        [(1, "ann", 30), (None, "bob", 1)],               # null in non-null
+        [(1, None, 30)],                                  # null in non-null STR
+        [(1 << 63, "ann", 30)],                           # outside 64 bits
+        [(1, "ann", -(1 << 63) - 1)],                     # nullable, too
+    ])
+    def test_seal_refuses_bad_columns_all_or_nothing(self, rows):
+        table = make_people()
+        for buffer, values in zip(table.buffers(), zip(*rows)):
+            buffer.extend(values)
+        with pytest.raises(RelationalError):
+            table.seal()
+        assert list(table.rows()) == list(make_people().rows())
+        table.append(id=4, name="dee")                    # sealed again
+
+    def test_seal_refuses_ragged_buffers(self):
+        table = Table("t", [Column("a", ColumnType.INT, nullable=False), Column("b")])
+        table.buffers()[0].append(1)
+        with pytest.raises(RelationalError):
+            table.seal()
+        assert len(table) == 0
+
+    def test_writes_refused_while_loading(self):
+        table = make_people()
+        table.buffers()
+        with pytest.raises(RelationalError):
+            table.append(id=4, name="dee")
+        with pytest.raises(RelationalError):
+            table.set(0, "name", "eve")
+        table.seal()
+        assert table.append(id=4, name="dee") == 3
+
+    def test_seal_appends_after_existing_rows(self):
+        table = make_people()
+        table.buffers()[0].append(4)
+        table.buffers()[1].append("dee")
+        table.buffers()[2].append(None)
+        table.seal()
+        assert table.column("id") == array("q", [1, 2, 3, 4])
+
+    def test_array_column_costs_one_object(self):
+        table = Table("t", [Column("a", ColumnType.INT, nullable=False)])
+        table.buffers()[0].extend(range(1000))
+        table.seal()
+        assert table.estimated_bytes() == sys.getsizeof(table.column("a"))
+
+
+class TestTypedErrors:
+    """The array columns raise the table's own error, never a leaked
+    TypeError or OverflowError."""
+
+    def test_set_non_int_on_sealed_array_column(self):
+        table = bulk_people([(1, "ann", 30)])
+        with pytest.raises(RelationalError):
+            table.set(0, "id", "x")
+        assert table.get(0, "id") == 1
+
+    def test_append_null_into_non_null_int(self):
+        table = make_people()
+        with pytest.raises(RelationalError):
+            table.append(id=None, name="x")
+        assert len(table) == 3
+
+    def test_failed_append_leaves_no_ragged_columns(self):
+        table = make_people()
+        for bad in ({"id": 4, "name": None}, {"id": 4, "name": "x", "age": "y"},
+                    {"id": 4, "name": "x", "bogus": 1}):
+            with pytest.raises(RelationalError):
+                table.append(**bad)
+        assert [len(table.column(c.name)) for c in table.columns] == [3, 3, 3]
+        assert table.append(id=4, name="dee") == 3
+
+    @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, str(1 << 64)])
+    def test_int_outside_64_bits_refused(self, value):
+        table = make_people()
+        with pytest.raises(RelationalError):
+            table.append(id=value, name="x")
+        with pytest.raises(RelationalError):
+            table.set(0, "id", value)
+        with pytest.raises(RelationalError):
+            table.set(0, "age", value)                    # a nullable list column
+        assert list(table.rows()) == list(make_people().rows())
+
+    def test_64_bit_bounds_are_stored(self):
+        table = make_people()
+        row = table.append(id=(1 << 63) - 1, name="x", age=-(1 << 63))
+        assert table.get(row, "id") == (1 << 63) - 1
+        assert table.get(row, "age") == -(1 << 63)
+
+
+_MODEL_COLUMNS = [
+    Column("pre", ColumnType.INT, nullable=False),
+    Column("parent", ColumnType.INT),
+    Column("tag", ColumnType.STR, nullable=False),
+    Column("note", ColumnType.STR),
+]
+_int64 = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+def _cell(column: Column):
+    """(raw value, the value the table must hold) for one column."""
+    if column.type is ColumnType.INT:
+        value = st.one_of(_int64.map(lambda v: (v, v)),
+                          _int64.map(lambda v: (str(v), v)))
+    else:
+        value = st.text(max_size=4).map(lambda v: (v, v))
+    return st.one_of(st.just((None, None)), value) if column.nullable else value
+
+
+_model_rows = st.fixed_dictionaries({c.name: _cell(c) for c in _MODEL_COLUMNS})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bulk_seal_then_writes_match_a_row_model(data):
+    """Random bulk rows, one seal, then random appends and sets: the table
+    reads back as a list-of-dicts model, and every non-null INT column is
+    still an ``array('q')``."""
+    table = Table("t", _MODEL_COLUMNS)
+    model: list[dict] = []
+    buffers = table.buffers()
+    for row in data.draw(st.lists(_model_rows, max_size=12)):
+        for column, buffer in zip(_MODEL_COLUMNS, buffers):
+            buffer.append(row[column.name][0])
+        model.append({name: cell[1] for name, cell in row.items()})
+    table.seal()
+    for _ in range(data.draw(st.integers(0, 12))):
+        if model and data.draw(st.booleans()):
+            row_id = data.draw(st.integers(0, len(model) - 1))
+            column = data.draw(st.sampled_from(_MODEL_COLUMNS))
+            raw, held = data.draw(_cell(column))
+            table.set(row_id, column.name, raw)
+            model[row_id][column.name] = held
+        else:
+            row = data.draw(_model_rows)
+            assert table.append(**{name: cell[0] for name, cell in row.items()}) == len(model)
+            model.append({name: cell[1] for name, cell in row.items()})
+    names = [column.name for column in _MODEL_COLUMNS]
+    assert [dict(zip(names, row)) for row in table.rows()] == model
+    for column in _MODEL_COLUMNS:
+        stored = table.column(column.name)
+        if column.type is ColumnType.INT and not column.nullable:
+            assert isinstance(stored, array) and stored.typecode == "q"
+        else:
+            assert isinstance(stored, list)
 
 
 class TestIndexes:

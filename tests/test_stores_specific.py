@@ -1,8 +1,11 @@
 """Architecture-specific behaviour of each store."""
 
+import re
+
 import pytest
 
 from repro.errors import StorageError
+from repro.relational.table import Column, ColumnType
 from repro.storage.bulkload import bulkload, scan_baseline
 from repro.storage.dom_store import DomStore
 from repro.storage.fragment_store import FragmentStore
@@ -227,6 +230,20 @@ class TestBulkload:
         assert time_d < time_b
 
 
+_ESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+
+
+def _read_cell(column: Column, field: str):
+    """One .tbl field as the table holds it: ``\\N`` is None, an INT column
+    reads as a plain decimal int, anything else unescapes to a str."""
+    if field == "\\N":
+        return None
+    if column.type is ColumnType.INT:
+        assert re.fullmatch(r"-?[0-9]+", field), field
+        return int(field)
+    return re.sub(r"\\.", lambda match: _ESCAPES[match.group()], field)
+
+
 class TestShred:
     @pytest.mark.parametrize("mapping,min_files", [
         ("edge", 3), ("path", 50), ("schema", 11),
@@ -240,6 +257,29 @@ class TestShred:
     def test_shred_rejects_unknown_mapping(self, tiny_text, tmp_path):
         with pytest.raises(StorageError):
             shred_to_files(tiny_text, str(tmp_path), "bogus")
+
+    @pytest.mark.parametrize("mapping,store_class", [
+        ("edge", HeapStore), ("path", FragmentStore), ("schema", SchemaStore),
+    ])
+    def test_tbl_files_read_back_as_the_tables(self, tiny_text, tmp_path,
+                                               mapping, store_class):
+        # The paper's section 7 flat-file format: a "# col..." header, then
+        # one tab-separated line per row, \N for NULL, backslash escapes.
+        files = shred_to_files(tiny_text, str(tmp_path / mapping), mapping)
+        store = store_class()
+        store.load(tiny_text)
+        names = store.catalog.table_names()
+        assert len(files) == len(names)
+        for name, path in zip(names, files):
+            table = store.catalog.table(name)
+            with open(path, encoding="ascii") as handle:
+                header = handle.readline()
+                lines = handle.read().split("\n")[:-1]
+            assert header == "# " + "\t".join(c.name for c in table.columns) + "\n"
+            rows = [tuple(_read_cell(column, field)
+                          for column, field in zip(table.columns, line.split("\t")))
+                    for line in lines]
+            assert rows == list(table.rows()), name
 
     def test_edge_shred_row_count(self, tiny_text, tmp_path, tiny_document):
         files = shred_to_files(tiny_text, str(tmp_path / "edge"), "edge")
