@@ -38,7 +38,9 @@ def bench_table3_shape(benchmark, runner, runner_4x):
 
     def run():
         grid = ms(runner.run_matrix(SYSTEMS, TABLE3_QUERIES, repeats=2))
-        # The join cells are a few ms now: best of 5, at both scales.
+        # The sub-millisecond cells the orderings read (Q1, Q6, Q7) and the
+        # join cells, a few ms now, are best of 5; the joins at both scales.
+        grid.update(ms(runner.run_matrix(SYSTEMS, (1, 6, 7), repeats=5)))
         joins = [ms(each.run_matrix(SYSTEMS, (11, 12), repeats=5))
                  for each in (runner, runner_4x)]
         grid.update(joins[0])

@@ -1,4 +1,4 @@
-"""A catalog of tables and indexes, with counted metadata accesses.
+"""A catalog of tables, with counted metadata accesses.
 
 Table 2 of the paper traces compile-time cost back to metadata volume:
 System A (one big heap) touches little metadata per query, System B (a table
@@ -10,18 +10,16 @@ through the catalog for each path step they resolve.
 from __future__ import annotations
 
 from repro.errors import RelationalError
-from repro.relational.index import HashIndex
 from repro.relational.table import Column, Table
 
 
 class Catalog:
-    """Named tables and their hash indexes."""
+    """Named tables (each keeps its own indexes)."""
 
-    __slots__ = ("_tables", "_hash_indexes", "metadata_accesses")
+    __slots__ = ("_tables", "metadata_accesses")
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._hash_indexes: dict[tuple[str, str], HashIndex] = {}
         self.metadata_accesses = 0
 
     # -- definition ------------------------------------------------------------
@@ -46,12 +44,6 @@ class Catalog:
         for table in self._tables.values():
             table.seal()
 
-    def create_hash_index(self, table_name: str, column: str) -> HashIndex:
-        key = (table_name, column)
-        if key not in self._hash_indexes:
-            self._hash_indexes[key] = HashIndex(self.table(table_name), column)
-        return self._hash_indexes[key]
-
     # -- lookup (counted: this is "metadata access") -----------------------------
 
     def table(self, name: str) -> Table:
@@ -64,10 +56,6 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         self.metadata_accesses += 1
         return name in self._tables
-
-    def hash_index(self, table_name: str, column: str) -> HashIndex | None:
-        self.metadata_accesses += 1
-        return self._hash_indexes.get((table_name, column))
 
     def table_names(self) -> list[str]:
         self.metadata_accesses += 1
@@ -94,9 +82,4 @@ class Catalog:
         return len(self._tables)
 
     def estimated_bytes(self) -> int:
-        total = sum(table.estimated_bytes() for table in self._tables.values())
-        # Indexes cost real space in every DBMS; approximate with the payload
-        # dict/list sizes.
-        total += sum(len(ix.table.column(ix.column_name)) * 16
-                     for ix in self._hash_indexes.values())
-        return total
+        return sum(table.estimated_bytes() for table in self._tables.values())

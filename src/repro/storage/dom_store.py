@@ -160,6 +160,8 @@ class DomStore(Store):
     def remove_node(self, node: Element) -> None:
         self.require_loaded()
         if node.parent is None:
+            if node is not self._document.root:
+                raise StorageError(f"node <{node.tag}> was already removed")
             raise StorageError("cannot remove the document root")
         siblings = node.parent.children
         slot = siblings.index(node)

@@ -50,19 +50,19 @@ def _attr_table_name(path: Path, attr: str) -> str:
 
 
 _ELEM_COLUMNS = [
-    Column("pre", _INT, nullable=False),
+    Column("pre", _INT, nullable=False, key=True),
     Column("post", _INT, nullable=False),
-    Column("parent", _INT),
+    Column("parent", _INT, indexed=True),
     Column("pos", _INT, nullable=False),
 ]
 _TEXT_COLUMNS = [
     Column("pre", _INT, nullable=False),
-    Column("parent", _INT, nullable=False),
+    Column("parent", _INT, nullable=False, indexed=True),
     Column("pos", _INT, nullable=False),
     Column("value", _STR, nullable=False),
 ]
 _ATTR_COLUMNS = [
-    Column("parent", _INT, nullable=False),
+    Column("parent", _INT, nullable=False, indexed=True),
     Column("value", _STR, nullable=False),
 ]
 
@@ -98,7 +98,6 @@ class FragmentStore(Store):
         self._next_pre = 0                      # pre allocator for inserted tuples
         self._mutated = False                   # pre order == doc order until then
         self._order: dict[Handle, int] | None = None
-        self._dead_rows: dict[str, set[int]] = {}
 
     # -- bulkload -----------------------------------------------------------------
 
@@ -167,16 +166,6 @@ class FragmentStore(Store):
                 sequence += 1
 
         catalog.seal()
-        # Build parent indexes on every element and text table.
-        for path in self._children_map:
-            name = _table_name(path)
-            self.catalog.create_hash_index(name, "parent")
-            self.catalog.create_hash_index(name, "pre")
-        for path in self._text_paths:
-            self.catalog.create_hash_index(_text_table_name(path), "parent")
-        for path, attr_names in self._attr_map.items():
-            for attr in attr_names:
-                self.catalog.create_hash_index(_attr_table_name(path, attr), "parent")
         # Resolve the text tables below every registered path now: the catalog
         # never changes after load, and precomputing keeps string_value() free
         # of shared mutable scratch, so concurrent readers are safe.
@@ -191,7 +180,6 @@ class FragmentStore(Store):
         self._next_pre = sequence
         self._mutated = False
         self._order = None
-        self._dead_rows = {}
         self.mark_loaded(text)
 
     def _register_path(self, path: Path, parent_path: Path) -> None:
@@ -235,18 +223,14 @@ class FragmentStore(Store):
     def tag(self, node: Handle) -> str:
         return node[0][-1]
 
-    def _rows_for_parent(self, child_path: Path, parent_pre: int) -> list[int]:
-        index = self.catalog.hash_index(_table_name(child_path), "parent")
-        self.stats.index_lookups += 1
-        return index.lookup(parent_pre) if index else []
-
     def children(self, node: Handle) -> list[Handle]:
         path, pre = node
         merged: list[tuple[int, Handle]] = []
         for tag in self._children_map.get(path, ()):
             child_path = path + (tag,)
             table = self.catalog.table(_table_name(child_path))
-            rows = self._rows_for_parent(child_path, pre)
+            self.stats.index_lookups += 1
+            rows = table.lookup("parent", pre)
             self.stats.table_lookups += len(rows)
             pres = table.column("pre")
             poss = table.column("pos")
@@ -260,7 +244,8 @@ class FragmentStore(Store):
         if not self.catalog.has_table(_table_name(child_path)):
             return []
         table = self.catalog.table(_table_name(child_path))
-        rows = self._rows_for_parent(child_path, pre)
+        self.stats.index_lookups += 1
+        rows = table.lookup("parent", pre)
         self.stats.table_lookups += len(rows)
         pres = table.column("pre")
         if self._mutated:
@@ -297,11 +282,10 @@ class FragmentStore(Store):
 
     def _row_of(self, node: Handle) -> int:
         path, pre = node
-        index = self.catalog.hash_index(_table_name(path), "pre")
         self.stats.index_lookups += 1
-        row = index.unique(pre)
+        row = self.catalog.table(_table_name(path)).row_of(pre)
         if row is None:
-            raise StorageError(f"no row for handle {node!r}")
+            raise StorageError(f"no live row for handle {node!r}")
         return row
 
     def _post_of(self, node: Handle) -> int:
@@ -321,14 +305,13 @@ class FragmentStore(Store):
         path, pre = node
         if name not in self._attr_map.get(path, ()):
             return None
-        table_name = _attr_table_name(path, name)
-        index = self.catalog.hash_index(table_name, "parent")
+        table = self.catalog.table(_attr_table_name(path, name))
         self.stats.index_lookups += 1
-        rows = index.lookup(pre) if index else []
+        rows = table.lookup("parent", pre)
         if not rows:
             return None
         self.stats.table_lookups += 1
-        return self.catalog.table(table_name).get(rows[0], "value")
+        return table.get(rows[0], "value")
 
     def attributes(self, node: Handle) -> dict[str, str]:
         path, _ = node
@@ -343,12 +326,11 @@ class FragmentStore(Store):
         path, pre = node
         if path not in self._text_paths:
             return []
-        table_name = _text_table_name(path)
-        index = self.catalog.hash_index(table_name, "parent")
+        table = self.catalog.table(_text_table_name(path))
         self.stats.index_lookups += 1
-        rows = sorted(index.lookup(pre)) if index else []
+        rows = table.lookup("parent", pre)
         self.stats.table_lookups += len(rows)
-        values = self.catalog.table(table_name).column("value")
+        values = table.column("value")
         return [values[row] for row in rows]
 
     def string_value(self, node: Handle) -> str:
@@ -386,11 +368,9 @@ class FragmentStore(Store):
             (self._pos_of(child), child) for child in self.children(node)
         ]
         if path in self._text_paths:
-            table_name = _text_table_name(path)
-            index = self.catalog.hash_index(table_name, "parent")
+            table = self.catalog.table(_text_table_name(path))
             self.stats.index_lookups += 1
-            rows = index.lookup(pre) if index else []
-            table = self.catalog.table(table_name)
+            rows = table.lookup("parent", pre)
             poss = table.column("pos")
             values = table.column("value")
             merged.extend((poss[row], values[row]) for row in rows)
@@ -427,9 +407,7 @@ class FragmentStore(Store):
         table = self.catalog.table(name)
         pres = table.column("pre")
         self.stats.table_lookups += len(pres)
-        dead = self._dead_rows.get(name)
-        handles = [(path, pre) for row, pre in enumerate(pres)
-                   if not dead or row not in dead]
+        handles = [(path, pres[row]) for row in table.live_rows()]
         if self._mutated:
             handles.sort(key=self.doc_position)
         return handles
@@ -448,8 +426,6 @@ class FragmentStore(Store):
         if not self.catalog.has_table(name):
             self.catalog.ensure_table(name, _ELEM_COLUMNS)
             self._register_path(path, parent_path)
-            self.catalog.create_hash_index(name, "parent")
-            self.catalog.create_hash_index(name, "pre")
             self._text_tables_below.setdefault(path, [])
         return self.catalog.table(name)
 
@@ -457,7 +433,6 @@ class FragmentStore(Store):
         name = _text_table_name(path)
         if not self.catalog.has_table(name):
             self.catalog.ensure_table(name, _TEXT_COLUMNS)
-            self.catalog.create_hash_index(name, "parent")
             self._text_paths.add(path)
             for depth in range(1, len(path) + 1):
                 prefix = path[:depth]
@@ -471,7 +446,6 @@ class FragmentStore(Store):
         name = _attr_table_name(path, attr)
         if not self.catalog.has_table(name):
             self.catalog.ensure_table(name, _ATTR_COLUMNS)
-            self.catalog.create_hash_index(name, "parent")
         if attr not in self._attr_map.setdefault(path, []):
             self._attr_map[path].append(attr)
         return self.catalog.table(name)
@@ -494,25 +468,20 @@ class FragmentStore(Store):
                 names.append(_text_table_name(path))
             highest = -1
             for name in names:
-                rows = self.catalog.hash_index(name, "parent").lookup(pre)
+                table = self.catalog.table(name)
+                rows = table.lookup("parent", pre)
                 self.stats.index_lookups += 1
                 if rows:
-                    poss = self.catalog.table(name).column("pos")
+                    poss = table.column("pos")
                     highest = max(highest, max(poss[row] for row in rows))
             return highest + 1
         target = self._pos_of(children[index])
-        for tag in self._children_map.get(path, ()):
-            child_path = path + (tag,)
-            table = self.catalog.table(_table_name(child_path))
-            index_obj = self.catalog.hash_index(_table_name(child_path), "parent")
-            for row in index_obj.lookup(pre) if index_obj else []:
-                pos = table.get(row, "pos")
-                if pos >= target:
-                    table.set(row, "pos", pos + 1)
+        names = [_table_name(path + (tag,)) for tag in self._children_map.get(path, ())]
         if path in self._text_paths:
-            table = self.catalog.table(_text_table_name(path))
-            index_obj = self.catalog.hash_index(_text_table_name(path), "parent")
-            for row in index_obj.lookup(pre) if index_obj else []:
+            names.append(_text_table_name(path))
+        for name in names:
+            table = self.catalog.table(name)
+            for row in table.lookup("parent", pre):
                 pos = table.get(row, "pos")
                 if pos >= target:
                     table.set(row, "pos", pos + 1)
@@ -532,14 +501,9 @@ class FragmentStore(Store):
         table = self._ensure_elem_table(path, parent_path)
         pre = self._next_pre
         self._next_pre += 1
-        row = table.append(pre=pre, post=pre, parent=parent_pre, pos=pos)
-        self.catalog.hash_index(_table_name(path), "parent").insert(parent_pre, row)
-        self.catalog.hash_index(_table_name(path), "pre").insert(pre, row)
+        table.append(pre=pre, post=pre, parent=parent_pre, pos=pos)
         for name, value in element.attributes.items():
-            attr_table = self._ensure_attr_table(path, name)
-            attr_row = attr_table.append(parent=pre, value=value)
-            self.catalog.hash_index(_attr_table_name(path, name), "parent").insert(
-                pre, attr_row)
+            self._ensure_attr_table(path, name).append(parent=pre, value=value)
             if name == "id":
                 self._id_index[value] = (path, pre)
         slot = 0
@@ -548,10 +512,8 @@ class FragmentStore(Store):
                 text_table = self._ensure_text_table(path)
                 text_pre = self._next_pre
                 self._next_pre += 1
-                text_row = text_table.append(pre=text_pre, parent=pre, pos=slot,
-                                             value=child.value)
-                self.catalog.hash_index(_text_table_name(path), "parent").insert(
-                    pre, text_row)
+                text_table.append(pre=text_pre, parent=pre, pos=slot,
+                                  value=child.value)
             else:
                 self._insert_subtree(child, path, pre, slot)
             slot += 1
@@ -561,6 +523,8 @@ class FragmentStore(Store):
         self.require_loaded()
         if len(node[0]) <= 1:
             raise StorageError("cannot remove the document root")
+        if self.catalog.table(_table_name(node[0])).row_of(node[1]) is None:
+            raise StorageError(f"node {node!r} was already removed")
         parent, removed_pos = self.parent(node), self._pos_of(node)
         doomed = [node]
         stack = list(self.children(node))
@@ -569,26 +533,19 @@ class FragmentStore(Store):
             doomed.append(current)
             stack.extend(self.children(current))
         for path, pre in doomed:
-            name = _table_name(path)
-            table = self.catalog.table(name)
-            row = self.catalog.hash_index(name, "pre").unique(pre)
-            self.catalog.hash_index(name, "pre").remove(pre, row)
-            self.catalog.hash_index(name, "parent").remove(
-                table.get(row, "parent"), row)
-            self._dead_rows.setdefault(name, set()).add(row)
+            table = self.catalog.table(_table_name(path))
+            table.delete(table.row_of(pre))
             for attr in self._attr_map.get(path, ()):
-                attr_name = _attr_table_name(path, attr)
-                attr_index = self.catalog.hash_index(attr_name, "parent")
-                for attr_row in list(attr_index.lookup(pre)) if attr_index else []:
-                    value = self.catalog.table(attr_name).get(attr_row, "value")
+                attr_table = self.catalog.table(_attr_table_name(path, attr))
+                for attr_row in list(attr_table.lookup("parent", pre)):
+                    value = attr_table.get(attr_row, "value")
                     if attr == "id" and self._id_index.get(value) == (path, pre):
                         del self._id_index[value]
-                    attr_index.remove(pre, attr_row)
+                    attr_table.delete(attr_row)
             if path in self._text_paths:
-                text_name = _text_table_name(path)
-                text_index = self.catalog.hash_index(text_name, "parent")
-                for text_row in list(text_index.lookup(pre)) if text_index else []:
-                    text_index.remove(pre, text_row)
+                text_table = self.catalog.table(_text_table_name(path))
+                for text_row in list(text_table.lookup("parent", pre)):
+                    text_table.delete(text_row)
         self._merge_runs_around(parent, removed_pos)
         self._note_mutation()
 
@@ -598,27 +555,22 @@ class FragmentStore(Store):
         path, pre = parent
         if path not in self._text_paths:
             return
-        text_name = _text_table_name(path)
-        table = self.catalog.table(text_name)
-        text_index = self.catalog.hash_index(text_name, "parent")
+        table = self.catalog.table(_text_table_name(path))
         poss = table.column("pos")
         merge = runs_made_adjacent(
-            [(poss[row], row) for row in text_index.lookup(pre)],
+            [(poss[row], row) for row in table.lookup("parent", pre)],
             (self._pos_of(child) for child in self.children(parent)), removed_pos)
         if merge is not None:
             before, after = merge
             table.set(before, "value", table.get(before, "value") + table.get(after, "value"))
-            text_index.remove(pre, after)
+            table.delete(after)
 
     def set_text(self, node: Handle, text: str) -> None:
         self.require_loaded()
         path, pre = node
         if path in self._text_paths:
-            text_name = _text_table_name(path)
-            table = self.catalog.table(text_name)
-            text_index = self.catalog.hash_index(text_name, "parent")
-            rows = sorted(text_index.lookup(pre),
-                          key=table.column("pos").__getitem__) if text_index else []
+            table = self.catalog.table(_text_table_name(path))
+            rows = sorted(table.lookup("parent", pre), key=table.column("pos").__getitem__)
         else:
             rows = []
         if rows:
@@ -628,28 +580,24 @@ class FragmentStore(Store):
             else:
                 extra = rows
             for row in extra:
-                text_index.remove(pre, row)
+                table.delete(row)
         elif text:
             pos = self._content_pos(node, None)
             table = self._ensure_text_table(path)
             text_pre = self._next_pre
             self._next_pre += 1
-            row = table.append(pre=text_pre, parent=pre, pos=pos, value=text)
-            self.catalog.hash_index(_text_table_name(path), "parent").insert(pre, row)
+            table.append(pre=text_pre, parent=pre, pos=pos, value=text)
         self._note_mutation()
 
     def set_attribute(self, node: Handle, name: str, value: str) -> None:
         self.require_loaded()
         path, pre = node
         table = self._ensure_attr_table(path, name)
-        attr_index = self.catalog.hash_index(_attr_table_name(path, name), "parent")
-        rows = attr_index.lookup(pre) if attr_index else []
+        rows = table.lookup("parent", pre)
         if rows:
             table.set(rows[0], "value", value)
         else:
-            row = table.append(parent=pre, value=value)
-            self.catalog.hash_index(_attr_table_name(path, name), "parent").insert(
-                pre, row)
+            table.append(parent=pre, value=value)
         if name == "id":
             self._id_index[value] = (path, pre)
         self._note_mutation()

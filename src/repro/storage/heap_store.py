@@ -44,12 +44,7 @@ class HeapStore(Store):
         self._nodes = None
         self._texts = None
         self._attrs = None
-        self._children_index = None
-        self._texts_index = None
-        self._attrs_index = None
-        self._tag_index = None
         self._id_index: dict[str, int] = {}
-        self._row_by_pre: dict[int, int] = {}
         self._next_pre = 0                      # pre allocator for inserted tuples
         self._mutated = False                   # pre order == doc order until then
         self._order: dict[int, int] | None = None
@@ -59,20 +54,20 @@ class HeapStore(Store):
     def load(self, text: str) -> None:
         self.catalog = Catalog()
         nodes = self.catalog.create_table("nodes", [
-            Column("pre", _INT, nullable=False),
+            Column("pre", _INT, nullable=False, key=True),
             Column("post", _INT, nullable=False),
-            Column("parent", _INT),
-            Column("tag", _STR, nullable=False),
+            Column("parent", _INT, indexed=True),
+            Column("tag", _STR, nullable=False, indexed=True),
             Column("pos", _INT, nullable=False),
         ])
         texts = self.catalog.create_table("texts", [
             Column("pre", _INT, nullable=False),
-            Column("parent", _INT, nullable=False),
+            Column("parent", _INT, nullable=False, indexed=True),
             Column("pos", _INT, nullable=False),
             Column("value", _STR, nullable=False),
         ])
         attrs = self.catalog.create_table("attrs", [
-            Column("parent", _INT, nullable=False),
+            Column("parent", _INT, nullable=False, indexed=True),
             Column("name", _STR, nullable=False),
             Column("value", _STR, nullable=False),
         ])
@@ -80,11 +75,6 @@ class HeapStore(Store):
         sequence, id_index = self._stage(text, nodes, texts, attrs)
         self.catalog.seal()
         self._nodes, self._texts, self._attrs = nodes, texts, attrs
-        self._row_by_pre = dict(zip(nodes.column("pre"), range(len(nodes))))
-        self._children_index = self.catalog.create_hash_index("nodes", "parent")
-        self._texts_index = self.catalog.create_hash_index("texts", "parent")
-        self._attrs_index = self.catalog.create_hash_index("attrs", "parent")
-        self._tag_index = self.catalog.create_hash_index("nodes", "tag")
         self._id_index = id_index
         self._next_pre = sequence
         self._mutated = False
@@ -151,11 +141,17 @@ class HeapStore(Store):
 
     def tag(self, node: int) -> str:
         self.stats.table_lookups += 1
-        return self._nodes.get(self._row_by_pre[node], "tag")
+        return self._nodes.get(self._row(node), "tag")
+
+    def _row(self, node: int) -> int:
+        row = self._nodes.row_of(node)
+        if row is None:
+            raise StorageError(f"no live tuple for handle {node!r}")
+        return row
 
     def children(self, node: int) -> list[int]:
         self.stats.index_lookups += 1
-        rows = self._children_index.lookup(node)
+        rows = self._nodes.lookup("parent", node)
         self.stats.table_lookups += len(rows)
         pres = self._nodes.column("pre")
         if self._mutated:
@@ -167,7 +163,7 @@ class HeapStore(Store):
 
     def children_by_tag(self, node: int, tag: str) -> list[int]:
         self.stats.index_lookups += 1
-        rows = self._children_index.lookup(node)
+        rows = self._nodes.lookup("parent", node)
         self.stats.table_lookups += len(rows)
         pres = self._nodes.column("pre")
         tags = self._nodes.column("tag")
@@ -184,28 +180,28 @@ class HeapStore(Store):
             stack = list(reversed(self.children(node)))
             while stack:
                 current = stack.pop()
-                if tags[self._row_by_pre[current]] == tag:
+                if tags[self._row(current)] == tag:
                     found.append(current)
                 stack.extend(reversed(self.children(current)))
             return found
         # B-tree on (tag, pre): probe the tag extent, bisect the pre interval.
         self.stats.index_lookups += 1
-        rows = self._tag_index.lookup(tag)
+        rows = self._nodes.lookup("tag", tag)
         pres = self._nodes.column("pre")
         extent = [pres[row] for row in rows]  # ascending: heap is in doc order
         self.stats.table_lookups += len(extent)
-        post = self._nodes.get(self._row_by_pre[node], "post")
+        post = self._nodes.get(self._row(node), "post")
         start = bisect_right(extent, node)
         stop = bisect_right(extent, post)
         return extent[start:stop]
 
     def parent(self, node: int) -> int | None:
         self.stats.table_lookups += 1
-        return self._nodes.get(self._row_by_pre[node], "parent")
+        return self._nodes.get(self._row(node), "parent")
 
     def attribute(self, node: int, name: str) -> str | None:
         self.stats.index_lookups += 1
-        rows = self._attrs_index.lookup(node)
+        rows = self._attrs.lookup("parent", node)
         self.stats.table_lookups += len(rows)
         names = self._attrs.column("name")
         values = self._attrs.column("value")
@@ -216,7 +212,7 @@ class HeapStore(Store):
 
     def attributes(self, node: int) -> dict[str, str]:
         self.stats.index_lookups += 1
-        rows = self._attrs_index.lookup(node)
+        rows = self._attrs.lookup("parent", node)
         self.stats.table_lookups += len(rows)
         names = self._attrs.column("name")
         values = self._attrs.column("value")
@@ -224,7 +220,7 @@ class HeapStore(Store):
 
     def child_texts(self, node: int) -> list[str]:
         self.stats.index_lookups += 1
-        rows = self._texts_index.lookup(node)
+        rows = self._texts.lookup("parent", node)
         self.stats.table_lookups += len(rows)
         values = self._texts.column("value")
         return [values[row] for row in rows]
@@ -246,7 +242,7 @@ class HeapStore(Store):
         # Texts are stored in document order: bisect the subtree interval.
         self.stats.index_lookups += 1
         text_pres = self._texts.column("pre")
-        post = self._nodes.get(self._row_by_pre[node], "post")
+        post = self._nodes.get(self._row(node), "post")
         start = bisect_left(text_pres, node)
         stop = bisect_right(text_pres, post)
         values = self._texts.column("value")
@@ -255,8 +251,8 @@ class HeapStore(Store):
 
     def content(self, node: int) -> list:
         self.stats.index_lookups += 2
-        child_rows = self._children_index.lookup(node)
-        text_rows = self._texts_index.lookup(node)
+        child_rows = self._nodes.lookup("parent", node)
+        text_rows = self._texts.lookup("parent", node)
         self.stats.table_lookups += len(child_rows) + len(text_rows)
         pres = self._nodes.column("pre")
         node_pos = self._nodes.column("pos")
@@ -277,7 +273,7 @@ class HeapStore(Store):
         return self._order[node]
 
     def sibling_position(self, node: int) -> int:
-        return self._nodes.get(self._row_by_pre[node], "pos")
+        return self._nodes.get(self._row(node), "pos")
 
     # -- capabilities ------------------------------------------------------------------
 
@@ -292,7 +288,7 @@ class HeapStore(Store):
         """Whole extent of one tag (ascending pre) — the relational access
         path for unrooted element scans."""
         self.stats.index_lookups += 1
-        rows = self._tag_index.lookup(tag)
+        rows = self._nodes.lookup("tag", tag)
         pres = self._nodes.column("pre")
         self.stats.table_lookups += len(rows)
         extent = [pres[row] for row in rows]
@@ -309,10 +305,10 @@ class HeapStore(Store):
     def _content_pos(self, parent: int, index: int | None) -> int:
         """The pos value for a new child at element ``index``, shifting the
         pos of every following sibling tuple (elements and text runs) up."""
-        child_rows = sorted(self._children_index.lookup(parent),
+        child_rows = sorted(self._nodes.lookup("parent", parent),
                             key=self._nodes.column("pos").__getitem__)
         if index is None or index >= len(child_rows):
-            text_rows = self._texts_index.lookup(parent)
+            text_rows = self._texts.lookup("parent", parent)
             highest = -1
             for row in child_rows:
                 highest = max(highest, self._nodes.get(row, "pos"))
@@ -320,11 +316,11 @@ class HeapStore(Store):
                 highest = max(highest, self._texts.get(row, "pos"))
             return highest + 1
         target = self._nodes.get(child_rows[index], "pos")
-        for row in self._children_index.lookup(parent):
+        for row in self._nodes.lookup("parent", parent):
             pos = self._nodes.get(row, "pos")
             if pos >= target:
                 self._nodes.set(row, "pos", pos + 1)
-        for row in self._texts_index.lookup(parent):
+        for row in self._texts.lookup("parent", parent):
             pos = self._texts.get(row, "pos")
             if pos >= target:
                 self._texts.set(row, "pos", pos + 1)
@@ -341,14 +337,10 @@ class HeapStore(Store):
     def _insert_subtree(self, element: Element, parent_pre: int, pos: int) -> int:
         pre = self._next_pre
         self._next_pre += 1
-        row = self._nodes.append(pre=pre, post=pre, parent=parent_pre,
-                                 tag=element.tag, pos=pos)
-        self._row_by_pre[pre] = row
-        self._children_index.insert(parent_pre, row)
-        self._tag_index.insert(element.tag, row)
+        self._nodes.append(pre=pre, post=pre, parent=parent_pre,
+                           tag=element.tag, pos=pos)
         for name, value in element.attributes.items():
-            attr_row = self._attrs.append(parent=pre, name=name, value=value)
-            self._attrs_index.insert(pre, attr_row)
+            self._attrs.append(parent=pre, name=name, value=value)
             if name == "id":
                 self._id_index[value] = pre
         slot = 0
@@ -356,9 +348,8 @@ class HeapStore(Store):
             if isinstance(child, Text):
                 text_pre = self._next_pre
                 self._next_pre += 1
-                text_row = self._texts.append(pre=text_pre, parent=pre,
-                                              pos=slot, value=child.value)
-                self._texts_index.insert(pre, text_row)
+                self._texts.append(pre=text_pre, parent=pre,
+                                   pos=slot, value=child.value)
             else:
                 self._insert_subtree(child, pre, slot)
             slot += 1
@@ -366,9 +357,9 @@ class HeapStore(Store):
 
     def remove_node(self, node: int) -> None:
         self.require_loaded()
-        row = self._row_by_pre.get(node)
+        row = self._nodes.row_of(node)
         if row is None:
-            raise StorageError(f"no tuple for handle {node!r}")
+            raise StorageError(f"node {node!r} was already removed")
         parent = self._nodes.get(row, "parent")
         if parent is None:
             raise StorageError("cannot remove the document root")
@@ -381,30 +372,28 @@ class HeapStore(Store):
         names = self._attrs.column("name")
         values = self._attrs.column("value")
         for pre in doomed:
-            node_row = self._row_by_pre.pop(pre)
-            self._children_index.remove(self._nodes.get(node_row, "parent"), node_row)
-            self._tag_index.remove(self._nodes.get(node_row, "tag"), node_row)
-            for attr_row in list(self._attrs_index.lookup(pre)):
+            self._nodes.delete(self._nodes.row_of(pre))
+            for attr_row in list(self._attrs.lookup("parent", pre)):
                 if names[attr_row] == "id" and self._id_index.get(values[attr_row]) == pre:
                     del self._id_index[values[attr_row]]
-                self._attrs_index.remove(pre, attr_row)
-            for text_row in list(self._texts_index.lookup(pre)):
-                self._texts_index.remove(pre, text_row)
+                self._attrs.delete(attr_row)
+            for text_row in list(self._texts.lookup("parent", pre)):
+                self._texts.delete(text_row)
         text_pos, node_pos = self._texts.column("pos"), self._nodes.column("pos")
         merge = runs_made_adjacent(
-            [(text_pos[text], text) for text in self._texts_index.lookup(parent)],
-            (node_pos[child] for child in self._children_index.lookup(parent)),
+            [(text_pos[text], text) for text in self._texts.lookup("parent", parent)],
+            (node_pos[child] for child in self._nodes.lookup("parent", parent)),
             node_pos[row])
         if merge is not None:
             before, after = merge
             self._texts.set(before, "value", self._texts.get(before, "value")
                             + self._texts.get(after, "value"))
-            self._texts_index.remove(parent, after)
+            self._texts.delete(after)
         self._note_mutation()
 
     def set_text(self, node: int, text: str) -> None:
         self.require_loaded()
-        text_rows = sorted(self._texts_index.lookup(node),
+        text_rows = sorted(self._texts.lookup("parent", node),
                            key=self._texts.column("pos").__getitem__)
         if text_rows:
             if text:
@@ -413,24 +402,22 @@ class HeapStore(Store):
             else:
                 extra = text_rows
             for row in extra:
-                self._texts_index.remove(node, row)
+                self._texts.delete(row)
         elif text:
             pos = self._content_pos(node, None)
             text_pre = self._next_pre
             self._next_pre += 1
-            row = self._texts.append(pre=text_pre, parent=node, pos=pos, value=text)
-            self._texts_index.insert(node, row)
+            self._texts.append(pre=text_pre, parent=node, pos=pos, value=text)
         self._note_mutation()
 
     def set_attribute(self, node: int, name: str, value: str) -> None:
         self.require_loaded()
         names = self._attrs.column("name")
-        for row in self._attrs_index.lookup(node):
+        for row in self._attrs.lookup("parent", node):
             if names[row] == name:
                 self._attrs.set(row, "value", value)
                 break
         else:
-            row = self._attrs.append(parent=node, name=name, value=value)
-            self._attrs_index.insert(node, row)
+            self._attrs.append(parent=node, name=name, value=value)
         if name == "id":
             self._id_index[value] = node

@@ -356,7 +356,8 @@ class Store(ABC):
         """Detach the subtree rooted at ``node`` from the document.
 
         Handles into the removed subtree become invalid; removing the
-        document root is an error.
+        document root is an error, and so is removing a node a second time
+        (a ``StorageError`` saying it was already removed).
         """
         raise StorageError(f"{type(self).__name__} does not support remove_node")
 

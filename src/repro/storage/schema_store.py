@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 import threading
 
-from repro.errors import StorageError
+from repro.errors import RelationalError, StorageError
 from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
 from repro.storage.interface import Store
@@ -97,11 +97,9 @@ class SchemaStore(Store):
         # metadata accesses) is the *compile-time* surface; at run time the
         # executor works from resolved plans, like a real DBMS.
         self._tables: dict[str, object] = {}
-        self._parent_indexes: dict[str, object] = {}
         self._locations: dict[str, list[tuple]] = {}
         self._child_maps: dict[tuple, dict] = {}
         self._next_ord = 0                      # ord allocator for inserted entities
-        self._dead: dict[str, set[int]] = {}    # tombstoned rows per table
 
     # ------------------------------------------------------------------ load --
 
@@ -154,24 +152,10 @@ class SchemaStore(Store):
                 self._shred_entity(element, ENTITY_SPECS[entity_tag], next_ord, bulk=bulk)
 
         self.catalog.seal()
-        for spec in ENTITY_SPECS.values():
-            table = self.catalog.table(spec.table)
-            self._tables[spec.table] = table
-            if table.has_column("parent"):
-                self._parent_indexes[spec.table] = self.catalog.create_hash_index(
-                    spec.table, "parent")
-            if table.has_column("region"):
-                self.catalog.create_hash_index(spec.table, "region")
-            self.catalog.create_hash_index(spec.table, "ord")
-            for attr, column in spec.attr_columns:
-                if attr == "id":
-                    values = table.column(column)
-                    for row, value in enumerate(values):
-                        if value is not None:
-                            self._id_index[value] = ("e", spec.table, row)
+        self._tables = {spec.table: self.catalog.table(spec.table)
+                        for spec in ENTITY_SPECS.values()}
         self._compute_locations()
         self._next_ord = counter
-        self._dead = {}
         self.mark_loaded(text)
 
     def _compute_locations(self) -> None:
@@ -206,9 +190,9 @@ class SchemaStore(Store):
 
     def _make_tables(self) -> None:
         for spec in ENTITY_SPECS.values():
-            columns = [Column("ord", _INT, nullable=False)]
+            columns = [Column("ord", _INT, nullable=False, key=True)]
             if spec.table in self._nested_tables():
-                columns.append(Column("parent", _INT, nullable=False))
+                columns.append(Column("parent", _INT, nullable=False, indexed=True))
                 columns.append(Column("pos", _INT, nullable=False))
             for name in spec.iter_columns():
                 if name.endswith("_present"):
@@ -276,9 +260,10 @@ class SchemaStore(Store):
                       extra: dict | None = None,
                       parent_ord: int | None = None, pos: int | None = None,
                       bulk: dict[str, list[tuple[str, list]]] | None = None) -> int:
-        """Shred one entity and its nested sets.  With ``bulk`` (table name ->
-        (column, buffer) pairs, the bulkload) each row goes to the column
-        buffers; without it, through :meth:`Table.append`."""
+        """Shred one entity and its nested sets; return its ord.  With
+        ``bulk`` (table name -> (column, buffer) pairs, the bulkload) each
+        row goes to the column buffers; without it, through
+        :meth:`Table.append`.  Either way its ID is indexed by row."""
         ord_value = next_ord()
         values: dict = {"ord": ord_value}
         if parent_ord is not None:
@@ -332,10 +317,15 @@ class SchemaStore(Store):
 
         walk(spec.children, element, ())
         if bulk is None:
-            self.catalog.table(spec.table).append(**values)
+            row = self.catalog.table(spec.table).append(**values)
         else:
-            for column, buffer in bulk[spec.table]:
+            columns = bulk[spec.table]
+            row = len(columns[0][1])
+            for column, buffer in columns:
                 buffer.append(values.get(column))
+        for attr, column in spec.attr_columns:
+            if attr == "id" and values[column] is not None:
+                self._id_index[values[column]] = ("e", spec.table, row)
         for slot, (nested, occurrence) in enumerate(pending_nested):
             self._shred_entity(occurrence, ENTITY_SPECS[nested.table], next_ord,
                                parent_ord=ord_value, pos=slot, bulk=bulk)
@@ -396,27 +386,19 @@ class SchemaStore(Store):
             return self._fragment(node[1]).nodes[node[2]].tag
         raise StorageError(f"bad handle {node!r}")
 
-    def _live_rows(self, table_name: str):
-        dead = self._dead.get(table_name)
-        size = len(self._tables[table_name])
-        if not dead:
-            return range(size)
-        return (row for row in range(size) if row not in dead)
-
     def _table_rows(self, table_name: str, region: str | None) -> list[int]:
         table = self._tables[table_name]
         self.stats.table_lookups += len(table)
         if region is None:
-            return list(self._live_rows(table_name))
+            return list(table.live_rows())
         regions = table.column("region")
-        return [row for row in self._live_rows(table_name) if regions[row] == region]
+        return [row for row in table.live_rows() if regions[row] == region]
 
     def _nested_rows(self, table_name: str, owner_ord: int) -> list[int]:
-        index = self._parent_indexes[table_name]
         self.stats.index_lookups += 1
-        rows = index.lookup(owner_ord)
+        rows = self._tables[table_name].lookup("parent", owner_ord)
         self.stats.table_lookups += len(rows)
-        return sorted(rows)
+        return list(rows)
 
     def children(self, node) -> list:
         kind = node[0]
@@ -613,7 +595,7 @@ class SchemaStore(Store):
             if region is not None and not (kind == "row" and table_name == "item"):
                 return None
             table = self._tables[table_name]
-            rows = self._live_rows(table_name)
+            rows = table.live_rows()
             self.stats.table_lookups += len(table)
             if region is not None:
                 regions = table.column("region")
@@ -716,12 +698,10 @@ class SchemaStore(Store):
         raise StorageError(f"bad handle {node!r}")
 
     def _entity_by_ord(self, ord_value: int):
-        for spec in ENTITY_SPECS.values():
-            index = self.catalog.hash_index(spec.table, "ord")
-            if index:
-                row = index.unique(ord_value)
-                if row is not None:
-                    return ("e", spec.table, row)
+        for name, table in self._tables.items():
+            row = table.row_of(ord_value)
+            if row is not None:
+                return ("e", name, row)
         return None
 
     def attribute(self, node, name: str) -> str | None:
@@ -903,33 +883,8 @@ class SchemaStore(Store):
         self._next_ord += 1
         return self._next_ord
 
-    def _index_new_rows(self, snapshot: dict[str, int]) -> None:
-        """Register every row appended since ``snapshot`` with the table's
-        hash indexes and the ID index (the per-tuple index touches)."""
-        for table_name, old_size in snapshot.items():
-            table = self._tables[table_name]
-            if len(table) == old_size:
-                continue
-            spec = ENTITY_SPECS[table_name]
-            ord_index = self.catalog.hash_index(table_name, "ord")
-            parent_index = self._parent_indexes.get(table_name)
-            region_index = (self.catalog.hash_index(table_name, "region")
-                            if table.has_column("region") else None)
-            for row in range(old_size, len(table)):
-                ord_index.insert(table.get(row, "ord"), row)
-                if parent_index is not None:
-                    parent_index.insert(table.get(row, "parent"), row)
-                if region_index is not None:
-                    region_index.insert(table.get(row, "region"), row)
-                for attr, column in spec.attr_columns:
-                    if attr == "id":
-                        value = table.get(row, column)
-                        if value is not None:
-                            self._id_index[value] = ("e", table_name, row)
-
     def insert_child(self, parent, element, index: int | None = None):
         self.require_loaded()
-        snapshot = {name: len(table) for name, table in self._tables.items()}
         kind = parent[0]
         if kind == "t":
             entry = CONTAINER_CONTENTS.get(parent[1])
@@ -939,8 +894,8 @@ class SchemaStore(Store):
                     f"under <{parent[1]}>")
             table_name = entry[0]
             extra = {"region": parent[1]} if entry[1] else None
-            self._shred_entity(element, ENTITY_SPECS[table_name],
-                               self._allocate_ord, extra=extra)
+            ord_value = self._shred_entity(element, ENTITY_SPECS[table_name],
+                                           self._allocate_ord, extra=extra)
         elif kind in ("e", "w"):
             if kind == "w":
                 spec = _spec_at(ENTITY_SPECS[parent[1]], parent[3])
@@ -958,18 +913,17 @@ class SchemaStore(Store):
                     f"<{ENTITY_SPECS[nested.table].tag}>")
             owner_ord = self._ord_of(parent[1], parent[2])
             existing = self._nested_rows(nested.table, owner_ord)
-            table = self._tables[nested.table]
+            table_name = nested.table
+            table = self._tables[table_name]
             next_pos = (max(table.get(row, "pos") for row in existing) + 1
                         if existing else 0)
-            self._shred_entity(element, ENTITY_SPECS[nested.table],
-                               self._allocate_ord,
-                               parent_ord=owner_ord, pos=next_pos)
+            ord_value = self._shred_entity(element, ENTITY_SPECS[table_name],
+                                           self._allocate_ord,
+                                           parent_ord=owner_ord, pos=next_pos)
         else:
             raise StorageError(
                 f"the inlined schema cannot insert under handle {parent!r}")
-        self._index_new_rows(snapshot)
-        root_table = (entry[0] if kind == "t" else nested.table)
-        return ("e", root_table, snapshot[root_table])
+        return ("e", table_name, self._tables[table_name].row_of(ord_value))
 
     def _nested_tables_of(self, table_name: str) -> list[str]:
         return [nested for owner, nested in self._nested_spec_idx
@@ -991,23 +945,16 @@ class SchemaStore(Store):
                              for nested_row in self._nested_rows(nested, owner_ord))
         for table_name, row in doomed:
             table = self._tables[table_name]
-            spec = ENTITY_SPECS[table_name]
-            self.catalog.hash_index(table_name, "ord").remove(
-                table.get(row, "ord"), row)
-            parent_index = self._parent_indexes.get(table_name)
-            if parent_index is not None:
-                parent_index.remove(table.get(row, "parent"), row)
-            if table.has_column("region"):
-                region_index = self.catalog.hash_index(table_name, "region")
-                if region_index is not None:
-                    region_index.remove(table.get(row, "region"), row)
-            for attr, column in spec.attr_columns:
+            try:
+                table.delete(row)
+            except RelationalError as exc:
+                raise StorageError(f"node {node!r} was already removed") from exc
+            for attr, column in ENTITY_SPECS[table_name].attr_columns:
                 if attr == "id":
                     value = table.get(row, column)
                     if value is not None and \
                             self._id_index.get(value) == ("e", table_name, row):
                         del self._id_index[value]
-            self._dead.setdefault(table_name, set()).add(row)
 
     def set_text(self, node, text: str) -> None:
         self.require_loaded()

@@ -459,6 +459,8 @@ class TreeStore(Store):
         adjacent now, merge into one run as XQuery Update merges them."""
         self.require_loaded()
         parent = self._parents[node]
+        if parent == _DETACHED:
+            raise StorageError(f"node {node!r} was already removed")
         if parent < 0:
             raise StorageError("cannot remove the document root")
         tags, bulk = self._tags, self._bulk

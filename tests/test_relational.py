@@ -1,4 +1,5 @@
-"""Tests for the relational substrate: tables, hash indexes, catalog."""
+"""Tests for the relational substrate: tables (with their hash indexes, key
+column and deleted rows) and the catalog."""
 
 import sys
 from array import array
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RelationalError
 from repro.relational.catalog import Catalog
-from repro.relational.index import HashIndex
 from repro.relational.table import Column, ColumnType, Table
 
 
@@ -269,34 +269,163 @@ def test_bulk_seal_then_writes_match_a_row_model(data):
             assert isinstance(stored, list)
 
 
+def make_indexed_people() -> Table:
+    """:func:`make_people` with ``id`` as the key and ``name`` and ``age``
+    indexed."""
+    table = Table("people", [
+        Column("id", ColumnType.INT, nullable=False, key=True),
+        Column("name", ColumnType.STR, nullable=False, indexed=True),
+        Column("age", ColumnType.INT, indexed=True),
+    ])
+    table.append(id=1, name="ann", age=30)
+    table.append(id=2, name="bob", age=None)
+    table.append(id=3, name="cid", age=25)
+    return table
+
+
+def rebuilt_index(table: Table, column: str) -> dict:
+    """The index ``column`` would have if built from the live rows alone."""
+    values = table.column(column)
+    index: dict = {}
+    for row in table.live_rows():
+        index.setdefault(values[row], []).append(row)
+    return index
+
+
 class TestIndexes:
     def test_hash_lookup(self):
-        table = make_people()
-        index = HashIndex(table, "name")
-        assert index.lookup("bob") == [1]
-        assert index.lookup("zzz") == []
-        assert index.unique("ann") == 0
-        assert index.unique("zzz") is None
+        table = make_indexed_people()
+        assert table.lookup("name", "bob") == [1]
+        assert table.lookup("name", "zzz") == []
+        assert table.row_of(1) == 0
+        assert table.row_of(99) is None
+        with pytest.raises(RelationalError):
+            table.lookup("id", 1)              # the key is bisected, not hashed
 
     def test_hash_maintenance(self):
-        table = make_people()
-        index = HashIndex(table, "name")
+        table = make_indexed_people()
         row = table.append(id=4, name="bob", age=1)
-        index.insert("bob", row)
-        assert index.lookup("bob") == [1, 3]
-        index.remove("bob", 1)
-        index.remove("bob", 1)             # a missing entry is ignored
-        assert index.lookup("bob") == [3]
+        assert table.lookup("name", "bob") == [1, row]
+        table.delete(1)
+        assert table.lookup("name", "bob") == [3]
+        with pytest.raises(RelationalError, match="already deleted"):
+            table.delete(1)                    # a dead row is refused
+        assert table.lookup("name", "bob") == [3]
 
     def test_hash_buckets_nulls_and_counts_keys(self):
-        table = make_people()
+        table = make_indexed_people()
         table.append(id=4, name="dee", age=30)
-        index = HashIndex(table, "age")
-        assert len(index) == 3             # 30, None, 25
-        assert index.lookup(30) == [0, 3]
-        assert index.lookup(None) == [1]
-        index.remove(None, 1)
+        index = table.index("age")
+        assert len(index) == 3                 # 30, None, 25
+        assert table.lookup("age", 30) == [0, 3]
+        assert table.lookup("age", None) == [1]
+        table.delete(1)
         assert len(index) == 2
+        assert table.lookup("age", None) == []
+
+    def test_seal_builds_each_index_in_one_pass(self):
+        table = Table("t", [Column("k", ColumnType.INT, nullable=False, key=True),
+                            Column("g", ColumnType.INT, nullable=False, indexed=True)])
+        keys, groups = table.buffers()
+        for k in range(10):
+            keys.append(k * 2)
+            groups.append(k % 3)
+        table.seal()
+        assert table.lookup("g", 0) == [0, 3, 6, 9]
+        assert table.index("g") == rebuilt_index(table, "g")
+        assert [table.row_of(k) for k in (0, 1, 18, 19)] == [0, None, 9, None]
+        keys, groups = table.buffers()
+        keys.append(20)
+        groups.append(0)
+        table.seal()                           # a second load indexes its rows only
+        assert table.lookup("g", 0) == [0, 3, 6, 9, 10]
+        assert table.row_of(20) == 10
+
+    def test_indexed_and_key_columns_are_not_set(self):
+        table = make_indexed_people()
+        for column, value in (("id", 7), ("name", "eve"), ("age", 1)):
+            with pytest.raises(RelationalError, match="indexed"):
+                table.set(0, column, value)
+        assert table.get(0, "name") == "ann"
+
+
+class TestKeyAndTombstones:
+    def test_a_dead_key_is_absent(self):
+        table = make_indexed_people()
+        table.delete(1)
+        assert table.row_of(2) is None
+        assert table.get(1, "name") == "bob"   # cells stay readable by row id
+        assert list(table.live_rows()) == [0, 2]
+        assert len(table) == 3
+
+    def test_append_refuses_a_key_that_does_not_ascend(self):
+        table = make_indexed_people()
+        for key in (3, 1):
+            with pytest.raises(RelationalError, match="ascend"):
+                table.append(id=key, name="dup", age=1)
+        assert len(table) == 3
+        assert table.lookup("name", "dup") == []
+        assert table.append(id=10, name="dup", age=1) == 3
+
+    @pytest.mark.parametrize("keys", [[1, 1], [2, 1], [5]])
+    def test_seal_refuses_a_key_that_does_not_ascend(self, keys):
+        table = Table("t", [Column("k", ColumnType.INT, nullable=False, key=True),
+                            Column("v", ColumnType.STR, indexed=True)])
+        table.append(k=5, v="x")
+        staged_keys, values = table.buffers()
+        for key in keys:
+            staged_keys.append(key)
+            values.append("y")
+        with pytest.raises(RelationalError, match="ascend"):
+            table.seal()
+        assert list(table.column("k")) == [5]
+        assert table.lookup("v", "y") == []
+
+    @pytest.mark.parametrize("columns", [
+        [Column("k", ColumnType.STR, key=True)],
+        [Column("k", ColumnType.INT, key=True)],
+        [Column("a", ColumnType.INT, nullable=False, key=True),
+         Column("b", ColumnType.INT, nullable=False, key=True)],
+    ])
+    def test_a_key_is_one_non_null_int_column(self, columns):
+        with pytest.raises(RelationalError, match="key"):
+            Table("t", columns)
+
+    def test_row_of_needs_a_key(self):
+        with pytest.raises(RelationalError, match="no key"):
+            make_people().row_of(1)
+
+    def test_delete_out_of_range_refused(self):
+        table = make_indexed_people()
+        for row in (-1, 3):
+            with pytest.raises(RelationalError):
+                table.delete(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_indexes_and_keys_track_appends_and_deletes(data):
+    """Random appends and deletes: every index equals one rebuilt from the
+    live rows, and ``row_of`` finds exactly the live keys."""
+    table = Table("t", [Column("k", ColumnType.INT, nullable=False, key=True),
+                        Column("g", ColumnType.INT, indexed=True),
+                        Column("s", ColumnType.STR, nullable=False, indexed=True)])
+    key = 0
+    for _ in range(data.draw(st.integers(0, 30))):
+        live = list(table.live_rows())
+        if live and data.draw(st.booleans()):
+            table.delete(data.draw(st.sampled_from(live)))
+        else:
+            key += data.draw(st.integers(1, 3))
+            table.append(k=key, g=data.draw(st.one_of(st.none(), st.integers(0, 3))),
+                         s=data.draw(st.sampled_from("xyz")))
+        for column in ("g", "s"):
+            assert table.index(column) == rebuilt_index(table, column)
+    keys = table.column("k")
+    live = set(table.live_rows())
+    for row, value in enumerate(keys):
+        assert table.row_of(value) == (row if row in live else None)
+    assert table.row_of(key + 1) is None
 
 
 class TestCatalog:
@@ -331,18 +460,22 @@ class TestCatalog:
 
     def test_indexes_via_catalog(self):
         catalog = Catalog()
-        table = catalog.create_table("t", [Column("a", ColumnType.INT)])
+        table = catalog.create_table("t", [Column("a", ColumnType.INT, indexed=True)])
         table.append(a=5)
-        hash_ix = catalog.create_hash_index("t", "a")
-        assert catalog.hash_index("t", "a") is hash_ix
-        assert catalog.hash_index("t", "zz") is None
-        assert hash_ix.lookup(5) == [0]
+        assert catalog.table("t").index("a") is table.index("a")
+        with pytest.raises(RelationalError):
+            table.index("zz")
+        assert catalog.table("t").lookup("a", 5) == [0]
 
-    def test_create_hash_index_is_idempotent(self):
+    def test_an_index_is_declared_once(self):
         catalog = Catalog()
-        catalog.create_table("t", [Column("a")])
-        assert catalog.create_hash_index("t", "a") is \
-            catalog.create_hash_index("t", "a")
+        table = catalog.ensure_table("t", [Column("a", indexed=True)])
+        index = table.index("a")
+        assert catalog.ensure_table("t", [Column("a")]).index("a") is index
+        table.buffers()[0].extend(["x", "y", "x"])
+        catalog.seal()
+        assert table.index("a") is index
+        assert index == {"x": [0, 2], "y": [1]}
 
     def test_table_names_is_one_counted_access(self):
         catalog = Catalog()
@@ -355,13 +488,14 @@ class TestCatalog:
 
     def test_estimated_bytes_counts_hash_indexes(self):
         catalog = Catalog()
-        table = catalog.create_table("t", [Column("a", ColumnType.INT)])
+        bare = catalog.create_table("bare", [Column("a", ColumnType.INT)])
+        indexed = catalog.create_table("indexed", [Column("a", ColumnType.INT, indexed=True)])
         for value in range(10):
-            table.append(a=value)
-        bare = catalog.estimated_bytes()
-        assert bare == table.estimated_bytes()
-        catalog.create_hash_index("t", "a")
-        assert catalog.estimated_bytes() == bare + 10 * 16
+            bare.append(a=value)
+            indexed.append(a=value)
+        assert indexed.estimated_bytes() == bare.estimated_bytes() + 10 * 16
+        assert catalog.estimated_bytes() == \
+            bare.estimated_bytes() + indexed.estimated_bytes()
 
     def test_missing_table_raises(self):
         with pytest.raises(RelationalError):

@@ -10,6 +10,7 @@ import types
 import pytest
 
 from repro.benchmark.systems import SYSTEMS, make_store
+from repro.errors import StorageError
 from repro.shard import ShardedStore
 from repro.storage.interface import Store
 from repro.update import (
@@ -175,6 +176,24 @@ class TestIdLookup:
             return
         handle = store.lookup_id("item0")
         assert store.tag(handle) == "item"
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_removing_a_node_twice_is_refused(tiny_text, system):
+    """Every store refuses a second ``remove_node`` of the same node with a
+    ``StorageError`` saying so, and the document is left as the first
+    removal left it."""
+    store = make_store(system)
+    store.load(tiny_text)
+    people = store.children_by_tag(store.root(), "people")[0]
+    person = store.children_by_tag(people, "person")[0]
+    store.remove_node(person)
+    after_first = serialize(store.build_dom(store.root()))
+    with pytest.raises(StorageError, match="already removed"):
+        store.remove_node(person)
+    assert serialize(store.build_dom(store.root())) == after_first
+    with pytest.raises(StorageError):
+        store.remove_node(store.root())
 
 
 # -- the rendering and path surface: markup, children_by_path ---------------------------

@@ -1,9 +1,12 @@
 """Architecture-specific behaviour of each store."""
 
 import re
+from bisect import bisect_left
 
 import pytest
 
+from repro.benchmark.queries import QUERIES, query_text
+from repro.benchmark.systems import get_profile, make_store
 from repro.errors import StorageError
 from repro.relational.table import Column, ColumnType
 from repro.storage.bulkload import bulkload, scan_baseline
@@ -15,6 +18,9 @@ from repro.storage.shred import shred_to_files
 from repro.storage.structural_summary import StructuralSummary
 from repro.storage.summary_store import SummaryStore
 from repro.storage.tree_store import IndexedTreeStore, TreeStore
+from repro.update import UpdateStream, apply_update
+from repro.xquery.evaluator import evaluate
+from repro.xquery.planner import compile_query
 
 
 class TestHeapStore:
@@ -123,6 +129,101 @@ class TestSchemaStore:
         descriptions = store.descendants_by_tag(store.root(), "description")
         expected = sum(1 for _ in small_document.root.iter("description"))
         assert len(descriptions) == expected
+
+
+# -- A-C after update histories: the tables' own indexes and tombstones ----------
+
+RELATIONAL = ("A", "B", "C")
+
+
+@pytest.fixture(scope="module", params=(1, 2, 3), ids=lambda seed: f"seed{seed}")
+def relational_history(request, small_text):
+    """D, A, B and C over the f=0.002 document after one 300-operation
+    :class:`UpdateStream` history."""
+    reference = make_store("D")
+    reference.load(small_text)
+    operations = UpdateStream(reference, seed=request.param).sequence(300)
+    stores = {}
+    for system in ("D",) + RELATIONAL:
+        store = stores[system] = make_store(system)
+        store.load(small_text)
+        for op in operations:
+            apply_update(store, op)
+    return stores
+
+
+def _tables(store):
+    return [store.catalog.table(name) for name in store.catalog.table_names()]
+
+
+def _walk(store) -> list:
+    nodes, stack = [], [store.root()]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(store.children(node))
+    return nodes
+
+
+def _row(system: str, store, node):
+    """``(table, row id)`` of an element handle, or None for a handle no
+    table row stands for (C's containers, structs, leaves and fragments)."""
+    if system == "A":
+        table = store.catalog.table("nodes")
+        return table, bisect_left(table.column("pre"), node)
+    if system == "B":
+        table = store.catalog.table("/".join(node[0]))
+        return table, bisect_left(table.column("pre"), node[1])
+    return (store.catalog.table(node[1]), node[2]) if node[0] == "e" else None
+
+
+@pytest.mark.parametrize("system", RELATIONAL)
+class TestRelationalHistories:
+    def test_every_key_column_ascends(self, relational_history, system):
+        for table in _tables(relational_history[system]):
+            for column in table.columns:
+                if column.key:
+                    values = table.column(column.name)
+                    assert all(a < b for a, b in zip(values, values[1:])), table.name
+
+    def test_every_index_equals_a_rebuild_from_the_live_rows(
+            self, relational_history, system):
+        indexed = 0
+        for table in _tables(relational_history[system]):
+            for column in table.columns:
+                if column.indexed:
+                    values = table.column(column.name)
+                    rebuilt: dict = {}
+                    for row in table.live_rows():
+                        rebuilt.setdefault(values[row], []).append(row)
+                    assert table.index(column.name) == rebuilt, table.name
+                    indexed += 1
+        assert indexed
+
+    def test_no_dead_row_is_reachable(self, relational_history, system):
+        store = relational_history[system]
+        rows = [_row(system, store, node) for node in _walk(store)]
+        rows = [row for row in rows if row is not None]
+        live = {table.name: set(table.live_rows()) for table in _tables(store)}
+        assert all(row in live[table.name] for table, row in rows)
+        # ... and every live row is reached: the walk and the tables agree.
+        element_tables = [table for table in _tables(store)
+                          if "#" not in table.name and "@" not in table.name
+                          and table.name not in ("texts", "attrs")]
+        assert len(rows) == sum(len(list(table.live_rows())) for table in element_tables)
+        assert len(rows) < sum(map(len, element_tables))    # the history deleted
+        for table in element_tables if system == "B" else ():
+            path = tuple(table.name.split("/"))
+            for handle in store.nodes_at_path(path):
+                assert table.row_of(handle[1]) is not None
+
+    def test_queries_match_d(self, relational_history, system):
+        store, reference = relational_history[system], relational_history["D"]
+        for number in sorted(QUERIES):
+            answer = evaluate(compile_query(query_text(number), store, get_profile(system)))
+            expected = evaluate(compile_query(query_text(number), reference,
+                                              get_profile("D")))
+            assert answer.canonical() == expected.canonical(), f"Q{number}"
 
 
 class TestSummaryStore:
