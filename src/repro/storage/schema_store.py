@@ -27,8 +27,9 @@ from repro.storage.schema_spec import (
     CONTAINER_CONTENTS, ENTITY_SPECS, TABLE_OF_TAG,
     ChildSpec, EntitySpec, FragLeaf, Leaf, Nested, RefLeaf, Struct, Wrapper,
 )
-from repro.xmlio.dom import Document, Element, Text
-from repro.xmlio.parser import parse
+from repro.xmlio.dom import Element, Text
+from repro.xmlio.escape import escape_attribute, escape_text
+from repro.xmlio.parser import END, START, parse, tokens
 from repro.xmlio.serialize import serialize
 
 _INT = ColumnType.INT
@@ -58,6 +59,69 @@ def _holder(entity: tuple, kind: str, idx_path: tuple[int, ...]) -> tuple:
     """The handle of the struct (``"s"``) or wrapper (``"w"``) at
     ``idx_path`` inside ``entity``, or ``entity`` itself for an empty path."""
     return (kind, entity[1], entity[2], idx_path) if idx_path else entity
+
+
+#: (parent tag, tag) of every element the schema stores as a CLOB.
+_FRAGMENT_ROOTS = frozenset(
+    (holder.tag, child.tag)
+    for spec in ENTITY_SPECS.values()
+    for holder in (spec, *(child for child in spec.children if isinstance(child, Struct)))
+    for child in holder.children if isinstance(child, FragLeaf))
+
+
+class _Clob(Element):
+    """A CLOB fragment root as the load reads it: its markup and string
+    value, captured from the token stream, and no subtree."""
+
+    __slots__ = ("xml", "text")
+
+
+def _open_tag(name: str, attributes: tuple[tuple[str, str], ...]) -> str:
+    return "<" + name + "".join(
+        f' {key}="{escape_attribute(value)}"' for key, value in attributes)
+
+
+def _parse_capturing_clobs(text: str) -> Element:
+    """Parse ``text`` into a DOM whose CLOB fragment roots are :class:`_Clob`
+    leaves.  A fragment's markup is what ``serialize`` gives for its
+    subtree and its text what ``text_content`` gives, but the subtree is
+    never built nor walked twice."""
+    top = Element("")               # the root's parent: every START has one
+    open_elements = [top]
+    clob = None
+    for kind, value, attributes in tokens(text):
+        if clob is not None:
+            # Inside a fragment: ``unclosed`` is the last open tag still
+            # lacking its ">", ``depth`` the fragment's open elements.
+            if kind == END:
+                markup.append("/>" if unclosed else f"</{value}>")
+                unclosed, depth = False, depth - 1
+                if not depth:
+                    clob.xml, clob.text = "".join(markup), "".join(string)
+                    clob = None
+                continue
+            if unclosed:
+                markup.append(">")
+            unclosed = kind == START
+            if unclosed:
+                markup.append(_open_tag(value, attributes))
+                depth += 1
+            else:
+                markup.append(escape_text(value))
+                string.append(value)
+        elif kind == START:
+            parent = open_elements[-1]
+            if (parent.tag, value) in _FRAGMENT_ROOTS:
+                clob = parent.append(_Clob(value, dict(attributes)))
+                markup, string = [_open_tag(value, attributes)], []
+                unclosed, depth = True, 1
+            else:
+                open_elements.append(parent.append(Element(value, dict(attributes))))
+        elif kind == END:
+            open_elements.pop()
+        else:
+            open_elements[-1].append_text(value)
+    return top.children[0]
 
 
 class _Fragment:
@@ -104,9 +168,8 @@ class SchemaStore(Store):
     # ------------------------------------------------------------------ load --
 
     def load(self, text: str) -> None:
-        document = parse(text)
-        root = document.root
-        if root is None or root.tag != "site":
+        root = _parse_capturing_clobs(text)
+        if root.tag != "site":
             raise StorageError("schema store requires an auction 'site' document")
         self.catalog = Catalog()
         self._frag_xml, self._frag_text = [], []
@@ -334,8 +397,12 @@ class SchemaStore(Store):
     def _store_fragment(self, node: Element, owner_ord: int,
                         idx_path: tuple[int, ...]) -> int:
         frag_id = len(self._frag_xml)
-        self._frag_xml.append(serialize(node))
-        self._frag_text.append(node.text_content())
+        if isinstance(node, _Clob):
+            self._frag_xml.append(node.xml)
+            self._frag_text.append(node.text)
+        else:
+            self._frag_xml.append(serialize(node))
+            self._frag_text.append(node.text_content())
         self._frag_tag.append(node.tag)
         self._frag_owner.append((owner_ord,) + idx_path)
         return frag_id

@@ -2,6 +2,7 @@
 
 import re
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
@@ -13,12 +14,14 @@ from repro.storage.bulkload import bulkload, scan_baseline
 from repro.storage.dom_store import DomStore
 from repro.storage.fragment_store import FragmentStore
 from repro.storage.heap_store import HeapStore
-from repro.storage.schema_store import SchemaStore
+from repro.storage.schema_store import _FRAGMENT_ROOTS, SchemaStore
 from repro.storage.shred import shred_to_files
 from repro.storage.structural_summary import StructuralSummary
 from repro.storage.summary_store import SummaryStore
 from repro.storage.tree_store import IndexedTreeStore, TreeStore
 from repro.update import UpdateStream, apply_update
+from repro.xmlio.parser import parse
+from repro.xmlio.serialize import serialize
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import compile_query
 
@@ -118,6 +121,23 @@ class TestSchemaStore:
         description = store.children_by_tag(item, "description")[0]
         store.children(description)  # forces a CLOB parse
         assert store.stats.fragments_parsed >= 1
+
+    def test_clobs_read_at_load_are_the_serialized_subtrees(self, small_text):
+        # The load captures each CLOB from the token stream; it must be the
+        # markup and string value the parsed subtree serializes to, with
+        # references, an empty CDATA section, attributes and empty elements.
+        odd = ('<description lang="a&amp;b"><![CDATA[]]><text>x &lt; y &amp; z'
+               '<bold/><emph></emph> &#65;</text><parlist/></description>')
+        text = re.sub("<description>.*?</description>", odd, small_text,
+                      count=1, flags=re.S)
+        store = SchemaStore()
+        store.load(text)
+        roots = [node for parent in parse(text).root.iter() for node in parent.children
+                 if (parent.tag, node.tag) in _FRAGMENT_ROOTS]
+        assert ('<description lang="a&amp;b"><text>x &lt; y &amp; z<bold/><emph/> A'
+                '</text><parlist/></description>') in store._frag_xml
+        assert Counter(zip(store._frag_xml, store._frag_text)) == Counter(
+            (serialize(node), node.text_content()) for node in roots)
 
     def test_rejects_non_auction_document(self):
         store = SchemaStore()
