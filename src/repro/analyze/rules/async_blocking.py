@@ -10,7 +10,7 @@ flagged when the event loop itself would execute it.
 
 ``asyncio`` primitives (``asyncio.Condition``, ``StreamWriter.write``)
 never appear in the lock registry or the blocking-call table, so the
-server's ``_RWGate`` and reply writes stay legal.
+server's reply writes stay legal.
 """
 
 from __future__ import annotations

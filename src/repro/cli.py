@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace through an N-shard scatter-gather "
                             "deployment instead of system -s")
     trace.add_argument("--service", action="store_true",
-                       help="route through the query service (admission, "
-                            "plan/result caches) instead of direct execution")
+                       help="route through the query service (result "
+                            "cache) instead of direct execution")
     trace.add_argument("--log", dest="trace_log", default=None,
                        help="append the finished span tree to this "
                             "JSON-lines workload log")

@@ -16,6 +16,7 @@ order — laziness changes *when* work happens, never *what* comes out.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import nullcontext
 
 from repro.errors import ClosedCursorError
 from repro.xquery.evaluator import QueryResult, item_text
@@ -36,7 +37,8 @@ class Cursor:
     execution happens during fetching), ``plan_cache_hit`` /
     ``result_cache_hit`` (service connections), ``source`` (which path
     served it: ``direct`` / ``service``), and ``streaming`` (whether rows
-    are produced lazily).
+    are produced lazily).  A streaming cursor's fetch call holds the
+    connection's read side (``reading``); a commit poisons it (``stale``).
     """
 
     arraysize = 100
@@ -59,8 +61,13 @@ class Cursor:
         plan_cache_hit: bool = False,
         result_cache_hit: bool = False,
         span=None,
+        reading=nullcontext,
+        stale=None,
     ) -> None:
         self._iterator = iter(items)
+        self._reading = reading
+        #: True once a commit ran since a streaming cursor opened.
+        self._stale = stale
         self.navigator = navigator
         self.system = system
         self.query_text = query_text
@@ -87,13 +94,18 @@ class Cursor:
     # -- fetching -----------------------------------------------------------------
 
     def _require_open(self) -> None:
+        if (self._stale is not None and not self._exhausted
+                and not self._closed and self._stale()):
+            self.invalidate(
+                "streaming cursor invalidated by a transaction commit "
+                "on this connection; re-execute the query")
         if self._closed:
             raise ClosedCursorError(
                 self._invalid_reason or "cannot fetch from a closed cursor")
 
-    def fetchone(self):
-        """The next result item, or None when the sequence is exhausted."""
-        self._require_open()
+    def _next(self):
+        """The next item, or None once ``_exhausted``; the caller holds
+        the read side and checked :meth:`_require_open` under it."""
         try:
             item = next(self._iterator)
         except StopIteration:
@@ -103,21 +115,8 @@ class Cursor:
         self.rowcount += 1
         return item
 
-    def fetchmany(self, size: int | None = None) -> list:
-        """Up to ``size`` further items (default :attr:`arraysize`)."""
-        self._require_open()
-        count = self.arraysize if size is None else size
-        out = []
-        for _ in range(count):
-            item = self.fetchone()
-            if item is None and self._exhausted:
-                break
-            out.append(item)
-        return out
-
-    def fetchall(self) -> list:
-        """Every remaining item — bit-identical to the eager evaluator's
-        ``QueryResult.items`` when fetched from a fresh cursor."""
+    def _rest(self) -> list:
+        """Every remaining item; the caller holds the read side."""
         self._require_open()
         out = list(self._iterator)
         self.rowcount += len(out)
@@ -125,12 +124,33 @@ class Cursor:
         self._finish_span()
         return out
 
+    def fetchone(self):
+        """The next result item, or None when the sequence is exhausted."""
+        with self._reading():
+            self._require_open()
+            return self._next()
+
+    def fetchmany(self, size: int | None = None) -> list:
+        """Up to ``size`` further items (default :attr:`arraysize`)."""
+        count = self.arraysize if size is None else size
+        out = []
+        with self._reading():
+            self._require_open()
+            for _ in range(count):
+                item = self._next()
+                if item is None and self._exhausted:
+                    break
+                out.append(item)
+        return out
+
+    def fetchall(self) -> list:
+        """Every remaining item — bit-identical to the eager evaluator's
+        ``QueryResult.items`` when fetched from a fresh cursor."""
+        with self._reading():
+            return self._rest()
+
     def __iter__(self):
-        while True:
-            item = self.fetchone()
-            if item is None and self._exhausted:
-                return
-            yield item
+        return self
 
     def __next__(self):
         item = self.fetchone()
@@ -146,7 +166,8 @@ class Cursor:
 
     def serialize(self) -> str:
         """Every remaining row, one line each (``QueryResult.serialize``)."""
-        return "\n".join(self.rowtext(item) for item in self.fetchall())
+        with self._reading():
+            return "\n".join(self.rowtext(item) for item in self._rest())
 
     def result(self) -> QueryResult:
         """The remaining items materialized as a legacy
@@ -185,10 +206,8 @@ class Cursor:
 
     def invalidate(self, reason: str) -> None:
         """Poison the cursor: further fetches raise ``ClosedCursorError``
-        with ``reason``.  The connection calls this on every open
-        streaming cursor when a transaction commits — a suspended lazy
-        pipeline resumed over a mutated store could otherwise return rows
-        matching neither the pre- nor the post-commit document."""
+        with ``reason`` (a streaming cursor's first fetch after a commit:
+        its pipeline would read neither document state)."""
         self._invalid_reason = reason
         self.close()
 

@@ -12,14 +12,14 @@ to whichever engine the connect options selected:
   pseudo-system name ``"S"`` whose plans fan out over a
   :class:`~repro.shard.scatter.ScatterGatherExecutor`.
 * **service** (``service=True``): queries run through a
-  :class:`~repro.service.QueryService` over the same stores — per-system
-  admission control and a result cache, each query run on the caller's
-  thread — including the sharded pseudo-system when ``shards`` is also
-  given.
+  :class:`~repro.service.QueryService` over the same stores — a result
+  cache, each query run on the caller's thread — including the sharded
+  pseudo-system when ``shards`` is also given.
 
 Whatever the route, the connection owns the stores, the update lock,
-the one :class:`~repro.update.commit.WritePath` every commit takes, the
-metrics registry and the one :class:`~repro.cache.PlanCache` — one plan
+the one :class:`ReadWriteLock` that keeps readers off a commit, the one
+:class:`~repro.update.commit.WritePath` every commit takes, the metrics
+registry and the one :class:`~repro.cache.PlanCache` — one plan
 per query shape, so texts that differ only in their literals compile
 once.  ``Cursor.fetchall()`` returns exactly what the legacy entry
 points returned, and every write goes through the update engine, so
@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from repro.benchmark.queries import query_text as benchmark_query_text
 from repro.benchmark.systems import SHARD_SYSTEM, SYSTEMS, load_stores
@@ -70,11 +69,12 @@ def connect(
     ``systems`` names the benchmark architectures to load (A-G);
     ``shards=N`` additionally serves a scatter-gather deployment of the
     ``backends`` architectures as pseudo-system ``"S"``;
-    ``service=True`` puts a concurrent query service (admission control
-    + a result cache) in front of everything.  The connection's one plan
-    cache holds 128 query shapes per serving system, on every kind of
-    connection.  ``max_workers`` and ``result_cache_size`` size the
-    service layer and are ignored on a plain direct connection.
+    ``service=True`` puts a concurrent query service (a result cache) in
+    front of everything.  The connection's one plan cache holds 128
+    query shapes per serving system, on every kind of connection.
+    ``max_workers`` caps the reads one connection runs at once (every
+    kind of connection); ``result_cache_size`` sizes the service's cache
+    and is ignored on a plain direct connection.
 
     ``tracing=True`` records a span tree per query/transaction —
     inspect it with ``cursor.profile()`` or ``db.tracer.roots``;
@@ -126,6 +126,62 @@ def connect(
     )
 
 
+class ReadWriteLock:
+    """The connection's reader/writer exclusion, confined to threads:
+    at most ``max_readers`` readers or one writer, a queued writer first.
+
+    A reader holds the read side for one bounded piece of work (a query,
+    a compile, one fetch call), never twice on one thread: the inner read
+    would wait for a queued writer, the writer for the outer read.  A
+    writer waits for running reads, then holds the mutex for its turn.
+    """
+
+    def __init__(self, max_readers: int) -> None:
+        self.max_readers = max_readers
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
+        self._readers = 0
+        self._writers = 0               # queued, waiting for reads to drain
+
+    def acquire_read(self) -> None:
+        with self._mutex:
+            while self._writers or self._readers >= self.max_readers:
+                self._cond.wait()
+            self._readers += 1
+
+    def release_read(self) -> None:
+        with self._mutex:
+            self._readers -= 1
+            # a queued writer once the reads drained; readers at the cap
+            if (self._writers and not self._readers
+                    or self._readers == self.max_readers - 1):
+                self._cond.notify_all()
+
+    def read(self) -> "ReadWriteLock":
+        """The read side: the lock's own ``with`` (no generator's cost)."""
+        return self
+
+    def __enter__(self) -> None:
+        self.acquire_read()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release_read()
+
+    @contextmanager
+    def write(self):
+        with self._mutex:
+            self._writers += 1
+            try:
+                while self._readers:
+                    self._cond.wait()
+            finally:
+                self._writers -= 1
+            try:
+                yield
+            finally:
+                self._cond.notify_all()
+
+
 class Database:
     """A connected embedded database; open sessions with :meth:`session`."""
 
@@ -149,7 +205,7 @@ class Database:
                 raise UnknownSystemError(name, tuple(SYSTEMS))
         if shards is not None and shards <= 0:
             raise BenchmarkError(f"shards must be positive, got {shards}")
-        if service and max_workers <= 0:
+        if max_workers <= 0:
             raise BenchmarkError(
                 f"max_workers must be positive, got {max_workers}")
         if query_log is not None and not service:
@@ -160,6 +216,9 @@ class Database:
         #: The write path's lock: every commit, checkpoint and close()
         #: holds it.
         self._update_lock = threading.RLock()
+        #: Every read takes its read side; every commit and close() its
+        #: write side, inside the update lock.
+        self.rwlock = ReadWriteLock(max_workers)
         self.service = None
         self._scatter = None
         self._trace_writer = (TraceLogWriter(trace_log)
@@ -169,9 +228,6 @@ class Database:
         #: Unified metrics: ``db.*``, the caches' gauges, ``wal.*``,
         #: ``recovery.*`` and a service's ``service.*``.
         self.registry = MetricsRegistry()
-        #: Live streaming cursors, poisoned when a transaction commits
-        #: (their suspended pipelines hold pre-commit store handles).
-        self._streaming_cursors: "weakref.WeakSet[Cursor]" = weakref.WeakSet()
 
         self._durability = None
         self.recovery = None            # RecoveryReport when a reconnect replayed
@@ -204,23 +260,17 @@ class Database:
             # serving one) never loads the service package.
             from repro.service import QueryService
             self.service = QueryService(
-                self, max_workers=max_workers,
-                result_cache_size=result_cache_size, query_log=query_log)
-        #: The one write path.  A service's admission gates are its
-        #: reader exclusion and its result cache is what a commit
-        #: re-keys; a direct connection has no readers to wait for and
-        #: poisons its streaming cursors.
-        if self.service is None:
-            self._write_path = WritePath(
-                self.stores, self._update_lock, source="direct",
-                tracer=self.tracer, invalidate=self._poison_cursors,
-                durability=self._durability)
-        else:
-            self._write_path = WritePath(
-                self.stores, self._update_lock, source="service",
-                tracer=self.tracer, exclusion=self.service._exclusive,
-                invalidate=self.service._rekey_results,
-                durability=self._durability)
+                self, result_cache_size=result_cache_size,
+                query_log=query_log)
+        #: The one write path, behind the write side.  The only per-kind
+        #: choice: a service re-keys its result cache after a commit.
+        self._write_path = WritePath(
+            self.stores, self._update_lock,
+            source="direct" if self.service is None else "service",
+            tracer=self.tracer, exclusion=self.rwlock.write,
+            invalidate=(self.service._rekey_results if self.service
+                        else lambda _old_digests, _changes: {}),
+            durability=self._durability)
         #: The text the stores loaded (a reconnect's: the snapshot's).
         self.document = document
         self._serving = tuple(self.stores)
@@ -294,10 +344,11 @@ class Database:
 
         Holds the connection's update lock — the one every commit takes —
         so the LSN and the store state it snapshots describe the same
-        commit; readers are unaffected.  Writes a snapshot at the last
-        logged LSN, flips the manifest to it, truncates the WAL down to
-        the records the snapshot does not cover, and drops the
-        superseded snapshot.  Returns the manager's compaction report.
+        commit; it only reads the stores, so readers run on.  Writes a
+        snapshot at the last logged LSN, flips the manifest to it,
+        truncates the WAL down to the records the snapshot does not
+        cover, and drops the superseded snapshot.  Returns the manager's
+        compaction report.
         """
         with self._write_path.lock:
             # Under the lock: a close() that won it refuses this one.
@@ -313,19 +364,22 @@ class Database:
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the connection: the service waits for its running reads,
-        the WAL and the scatter executor shut, and every session and new
-        cursor refuses further work."""
+        """Close the connection: running reads finish, the WAL and the
+        scatter executor shut, and every session and new cursor refuses
+        further work."""
         # The write path's lock: one closer wins, a commit in flight
         # finishes first, and one that waited for the lock is refused.
+        # The write side waits for running reads; a read that queued
+        # behind it finds the connection closed.
         with self._update_lock:
             if self._closed:
                 return
             self._closed = True
-            if self.service is not None:
-                self.service.close()
-            if self._durability is not None:
-                self._durability.close()
+            with self.rwlock.write():
+                if self.service is not None:
+                    self.service.close()
+                if self._durability is not None:
+                    self._durability.close()
         if self._scatter is not None:
             self._scatter.close()
         if self._trace_writer is not None:
@@ -379,7 +433,8 @@ class Database:
 
     def document_digest(self, system: str | None = None) -> str | None:
         """The current document digest of one serving system."""
-        return self.store(self.resolve_system(system)).document_digest()
+        with self.rwlock.read():
+            return self.store(self.resolve_system(system)).document_digest()
 
     def query_text(self, query: int | str) -> str:
         """Resolve a benchmark query number (or pass raw XQuery through)."""
@@ -394,21 +449,31 @@ class Database:
         connection's plan cache (compiled there on a miss) — what a
         prepared query holds.  It serves every text of its shape."""
         name = self.resolve_system(system)
-        return self.plan_cache.lookup(name, text, self.store(name),
-                                      self.profiles[name], self.tracer)[0]
+        with self.rwlock.read():
+            self._require_open()
+            return self.plan_cache.lookup(name, text, self.store(name),
+                                          self.profiles[name], self.tracer)[0]
 
     def explain(self, query: int | str, *, system: str | None = None):
         """Describe how a query would run — plan, indexes, shard route,
         streaming barriers — without executing it."""
         from repro.obs.explain import explain_query
-        self._require_open()
-        return explain_query(self, self.resolve_system(system), query)
+        name = self.resolve_system(system)
+        with self.rwlock.read():
+            self._require_open()
+            return explain_query(self, name, query)
 
-    def _count_query(self, system: str, tenant: str | None) -> None:
-        labels = {"system": system}
-        if tenant is not None:
-            labels["tenant"] = tenant
+    def _admit(self, system: str | None, query: int | str,
+               tenant: str | None) -> tuple[str, str]:
+        """``(system, text)`` of one execution, counted in
+        ``db.queries_total`` (per ``tenant`` when given)."""
+        self._require_open()
+        name = self.resolve_system(system)
+        text = self.query_text(query)
+        labels = {"system": name} if tenant is None else {
+            "system": name, "tenant": tenant}
         self.registry.counter("db.queries_total", **labels).inc()
+        return name, text
 
     def execute(self, system: str | None, query: int | str, *,
                 stream: bool = True,
@@ -416,32 +481,51 @@ class Database:
         """Route one query to the connection's engine; returns a cursor.
 
         ``stream=True`` (the default) gives a lazily-produced cursor on
-        direct connections; a service connection materializes (its caches
-        need complete results) and streams from the finished sequence.
+        direct connections, which takes the read side once per fetch
+        call; a service connection materializes (its caches need
+        complete results) and streams from the finished sequence.
         Either way the plan comes from the connection's plan cache
         (``cursor.plan_cache_hit``).  ``tenant`` labels the connection's
         ``db.queries_total`` counter (per-caller accounting; no isolation
         semantics).
         """
-        self._require_open()
-        name = self.resolve_system(system)
-        text = self.query_text(query)
-        self._count_query(name, tenant)
-        tracer = self.tracer
+        name, text = self._admit(system, query, tenant)
         if self.service is not None:
-            outcome = self.service.execute(name, text)
-            result = outcome.result
-            return Cursor(
-                result.items, result.navigator,
-                system=name, query_text=text, streaming=False,
-                source="service",
-                compile_seconds=outcome.compile_seconds,
-                execute_seconds=outcome.execute_seconds,
-                plan_cache_hit=outcome.plan_cache_hit,
-                result_cache_hit=outcome.result_cache_hit,
-                span=outcome.span,
-            )
+            return self._served(name, text)
+        with self.rwlock.read():
+            return self._run(name, text, stream)
+
+    @contextmanager
+    def _paging(self, system: str | None, query: int | str,
+                tenant: str | None):
+        """A streaming execution whose ``with`` block (which must not take
+        the read side again) shares its read side: the wire server reads
+        a first page there, so no commit poisons the cursor before it.
+        A service's materialized cursor is read under a read of its own."""
+        name, text = self._admit(system, query, tenant)
+        served = self._served(name, text) if self.service is not None else None
+        with self.rwlock.read():
+            yield served if served is not None else self._run(name, text, True)
+
+    def _served(self, name: str, text: str) -> Cursor:
+        """One execution through the service (which takes the read side)."""
+        outcome = self.service.execute(name, text)
+        return Cursor(
+            outcome.result.items, outcome.result.navigator,
+            system=name, query_text=text, streaming=False,
+            source="service",
+            compile_seconds=outcome.compile_seconds,
+            execute_seconds=outcome.execute_seconds,
+            plan_cache_hit=outcome.plan_cache_hit,
+            result_cache_hit=outcome.result_cache_hit,
+            span=outcome.span,
+        )
+
+    def _run(self, name: str, text: str, stream: bool) -> Cursor:
+        """One direct execution; the caller holds the read side."""
+        self._require_open()            # a close() that ran while this queued
         store = self.store(name)
+        tracer = self.tracer
         root = (tracer.begin("query", system=name, source="direct",
                              query=text, stream=stream)
                 if tracer.enabled else None)
@@ -455,6 +539,9 @@ class Database:
             if root is not None:
                 root.set(plan_cache_hit=hit)
             if stream:
+                # After a commit the suspended pipeline would hold
+                # pre-commit handles: the cursor refuses to go on.
+                opened = self._write_path.writes
                 streamed = evaluate_stream(compiled, tracer=tracer,
                                            values=values)
                 cursor = Cursor(
@@ -467,11 +554,9 @@ class Database:
                     plans_considered=compiled.plans_considered,
                     plan_cache_hit=hit,
                     span=root,          # unfinished: the cursor finishes it
+                    reading=self.rwlock.read,
+                    stale=lambda: self._write_path.writes != opened,
                 )
-                # Under the commit lock: a commit poisons exactly the
-                # cursors registered before it swapped the set.
-                with self._update_lock:
-                    self._streaming_cursors.add(cursor)
                 return cursor
             result = evaluate(compiled, tracer=tracer, values=values)
             cpu2 = time.process_time()
@@ -500,9 +585,9 @@ class Database:
         connection's one write path — the sequence is
         :meth:`repro.update.commit.WritePath.commit`'s.
 
-        A service connection drains every system's admission gate for
-        the whole batch (readers never observe an intermediate document)
-        and re-keys its result cache; a direct connection poisons its
+        The commit holds the connection's write side for the whole batch
+        (readers never observe an intermediate document); a service
+        connection re-keys its result cache, a direct one poisons its
         open streaming cursors.  There is no rollback: on failure the
         committed prefix stays applied, digests advance over exactly the
         applied operations, and a :class:`~repro.errors.TransactionError`
@@ -512,21 +597,3 @@ class Database:
             # Under the lock: a close() that won it refuses this commit.
             self._require_open()
             return self._write_path.commit(ops)
-
-    def _poison_cursors(self, _old_digests, _changes) -> dict:
-        """A direct connection's post-commit invalidation (a service
-        connection's cursors are materialized; its result cache is
-        re-keyed instead).  A suspended streaming pipeline holds
-        pre-commit store handles; resuming it over the mutated store
-        could yield rows matching neither document state.  The set is
-        swapped, not cleared after a copy, so a cursor registered
-        meanwhile is never dropped unpoisoned."""
-        with self._update_lock:
-            cursors, self._streaming_cursors = (self._streaming_cursors,
-                                                weakref.WeakSet())
-        for cursor in list(cursors):
-            if not cursor._exhausted:
-                cursor.invalidate(
-                    "streaming cursor invalidated by a transaction commit "
-                    "on this connection; re-execute the query")
-        return {}

@@ -143,8 +143,8 @@ class Transaction:
     Operations queue locally until :meth:`commit` (or a clean ``with``
     exit); nothing touches the stores before that.  Commit applies the
     whole batch through the update engine with a single digest advance
-    and — on service connections — one path-selective invalidation pass
-    under drained admission gates.  There is no rollback of applied
+    under the connection's write side and — on service connections — one
+    path-selective invalidation pass.  There is no rollback of applied
     operations: a mid-batch failure keeps the committed prefix and raises
     :class:`~repro.errors.TransactionError` (see
     ``Database.apply_transaction``).

@@ -16,12 +16,12 @@ Three mechanisms keep a saturated server honest:
 * **tenant quotas** — sessions, in-flight requests, and open cursors are
   bounded per tenant (:mod:`repro.server.tenants`), so one client cannot
   starve the rest;
-* **a per-document read/write gate** — commits and checkpoints wait for
-  in-flight reads to drain and exclude new ones (writer priority), so a
-  suspended streaming cursor is never resumed over a mutating store.
-  The database additionally poisons open streaming cursors at commit, so
-  a later ``fetch`` on a pre-commit cursor gets a typed ``closed_cursor``
-  error rather than rows matching neither document state.
+* **the served connection's reader/writer lock** — on its worker
+  thread a read (an execution with its first page, one page) holds the
+  read side and a commit the write side, so no page is read off a
+  mutating store; a commit poisons open streaming cursors, so a later
+  ``fetch`` on one gets a typed ``closed_cursor`` error rather than
+  rows matching neither document state.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import threading
 import time
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import __version__
 from repro.db.cursor import Cursor
@@ -48,58 +48,13 @@ from repro.server.tenants import (
 )
 
 
-class _RWGate:
-    """A writer-priority read/write gate confined to one event loop.
-
-    Readers (query execution, page fetches) share; a writer (commit,
-    checkpoint) waits for in-flight readers to drain and excludes new
-    ones.  Waiting writers take priority — a steady read stream cannot
-    starve a commit.  Every reader job terminates (a page fetch pulls a
-    bounded number of rows), so writer waits are finite by construction.
-    """
-
-    def __init__(self) -> None:
-        self._cond = asyncio.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    async def acquire_read(self) -> None:
-        async with self._cond:
-            while self._writer or self._writers_waiting:
-                await self._cond.wait()
-            self._readers += 1
-
-    async def release_read(self) -> None:
-        async with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    async def acquire_write(self) -> None:
-        async with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    await self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-
-    async def release_write(self) -> None:
-        async with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
 @dataclass(slots=True)
 class ServedDocument:
-    """One document the server exposes: a database plus its write gate."""
+    """One document the server exposes: a named database."""
 
     name: str
     database: Database
     owned: bool = False                 # close the database on server stop?
-    gate: _RWGate = field(default_factory=_RWGate)
 
 
 class _ServerCursor:
@@ -130,14 +85,16 @@ class _ServerCursor:
         most :data:`~repro.server.protocol.PAGE_CHARS` characters of
         rowtext, one line break per row included (so a page of empty
         rows is bounded too), but always at least one row; the row that
-        would overflow it opens the next page.
+        would overflow it opens the next page.  The caller holds the
+        read side, once for the whole page.
         """
         cursor = self.cursor
+        cursor._require_open()
         rows: list[str] = []
         chars = 0
         while len(rows) != n:
             if self.carry is None:
-                item = cursor.fetchone()
+                item = cursor._next()
                 if item is None and cursor._exhausted:
                     break
                 text = cursor.rowtext(item)
@@ -179,9 +136,6 @@ class _Connection:
 _HEAVY_KINDS = frozenset(
     {"execute", "fetch", "prepare", "commit", "checkpoint", "explain",
      "digest"})
-
-#: Writers: exclusive on the document gate.
-_WRITE_KINDS = frozenset({"commit", "checkpoint"})
 
 
 class XMarkServer:
@@ -227,7 +181,7 @@ class XMarkServer:
         self.documents: dict[str, ServedDocument] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="xmark-server")
-        self._active = 0                # admitted (running or gate-waiting)
+        self._active = 0                # admitted (queued or running)
         self._connections = 0
         self._next_conn = 0
         self._server: asyncio.base_events.Server | None = None
@@ -296,10 +250,9 @@ class XMarkServer:
 
         Once ``max_workers + queue_depth`` requests are admitted, the
         next one is refused with ``server_busy`` immediately — the typed
-        reply, never an unbounded queue, never a hang.  Gate waits
-        happen *before* admission, so a commit draining readers cannot
-        eat the queue; those waits are bounded by the per-tenant session
-        quota (one in-flight request per connection).
+        reply, never an unbounded queue, never a hang.  Admitted, a request
+        waits on its worker thread for the connection's reader/writer lock,
+        whose holders each do bounded work (one page, one commit).
         """
         if self._active >= self.max_workers + self.queue_depth:
             self.registry.counter("server.busy_total").inc()
@@ -516,7 +469,6 @@ class XMarkServer:
             raise ProtocolError(f"unknown message kind {kind!r}",
                                 code="bad_message")
         served = conn.document
-        gate = served.gate
         handler = {
             "prepare": self._do_prepare,
             "execute": self._do_execute,
@@ -538,17 +490,7 @@ class XMarkServer:
             def run():
                 with db_tracer.suppressed():
                     return handler(conn, served, payload)
-        if kind in _WRITE_KINDS:
-            await gate.acquire_write()
-            try:
-                return await self._offload(conn, run)
-            finally:
-                await gate.release_write()
-        await gate.acquire_read()
-        try:
-            return await self._offload(conn, run)
-        finally:
-            await gate.release_read()
+        return await self._offload(conn, run)
 
     def _on_hello(self, conn: _Connection, payload: dict) -> dict:
         if conn.document is not None:
@@ -662,42 +604,44 @@ class XMarkServer:
         started = time.perf_counter()   # before compile: duration_ms covers it
         system, text = self._resolve_query(conn, served, payload)
         tenant_name = conn.tenant.name
-        cursor = served.database.execute(system, text, stream=True,
-                                         tenant=tenant_name)
-        self.tenants.open_cursor(conn.tenant)
-        self.registry.counter("server.executes_total",
-                              tenant=tenant_name).inc()
-        if cursor.plan_cache_hit:
-            self.registry.counter("server.plan_cache_hits_total",
-                                  tenant=tenant_name).inc()
-        if cursor.result_cache_hit:
-            self.registry.counter("server.result_cache_hits_total",
-                                  tenant=tenant_name).inc()
-        held = _ServerCursor(cursor, system, text,
-                             query_ref=payload.get("query",
-                                                   payload.get("query_id")),
-                             tenant=tenant_name, sampled=conn.sampled,
-                             started=started)
-        cursor_id = conn.fresh_id("c")
-        conn.cursors[cursor_id] = held
-        reply = {
-            "kind": "cursor", "cursor_id": cursor_id, "system": system,
-            "query": text,
-            "stats": {
-                "source": cursor.source,
-                "streaming": cursor.streaming,
-                "compile_seconds": cursor.compile_seconds,
-                "plan_cache_hit": cursor.plan_cache_hit,
-                "result_cache_hit": cursor.result_cache_hit,
-            },
-        }
         first_page = payload.get("fetch")
-        if first_page:
-            rows, done = held.page(self._page_arg(first_page))
-            reply["rows"] = rows
-            reply["done"] = done
-            if done:
-                self._finish_cursor(conn, cursor_id, reply)
+        size = self._page_arg(first_page) if first_page else None
+        # The execution and its first page under one read: no commit
+        # poisons the cursor before it sent a row.
+        with served.database._paging(system, text, tenant_name) as cursor:
+            self.tenants.open_cursor(conn.tenant)
+            self.registry.counter("server.executes_total",
+                                  tenant=tenant_name).inc()
+            if cursor.plan_cache_hit:
+                self.registry.counter("server.plan_cache_hits_total",
+                                      tenant=tenant_name).inc()
+            if cursor.result_cache_hit:
+                self.registry.counter("server.result_cache_hits_total",
+                                      tenant=tenant_name).inc()
+            held = _ServerCursor(cursor, system, text,
+                                 query_ref=payload.get(
+                                     "query", payload.get("query_id")),
+                                 tenant=tenant_name, sampled=conn.sampled,
+                                 started=started)
+            cursor_id = conn.fresh_id("c")
+            conn.cursors[cursor_id] = held
+            reply = {
+                "kind": "cursor", "cursor_id": cursor_id, "system": system,
+                "query": text,
+                "stats": {
+                    "source": cursor.source,
+                    "streaming": cursor.streaming,
+                    "compile_seconds": cursor.compile_seconds,
+                    "plan_cache_hit": cursor.plan_cache_hit,
+                    "result_cache_hit": cursor.result_cache_hit,
+                },
+            }
+            if first_page:
+                rows, done = held.page(size)
+                reply["rows"] = rows
+                reply["done"] = done
+                if done:
+                    self._finish_cursor(conn, cursor_id, reply)
         return reply
 
     @staticmethod
@@ -765,8 +709,10 @@ class XMarkServer:
         if held is None:
             raise ClosedCursorError(
                 f"unknown or closed cursor {cursor_id!r}")
+        size = self._page_arg(payload.get("n", True))
         try:
-            rows, done = held.page(self._page_arg(payload.get("n", True)))
+            with served.database.rwlock.read():
+                rows, done = held.page(size)
         except ClosedCursorError:
             # Poisoned by a commit while suspended: drop the server-side
             # entry, then surface the typed error to the client.

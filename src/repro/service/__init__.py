@@ -6,10 +6,10 @@ flags multi-user concurrency and compiled-plan reuse as exactly what such a
 benchmark leaves out.  This package opens that scenario:
 
 * :class:`~repro.service.service.QueryService` — ``execute()`` on the
-  caller's thread under per-system admission control, over the stores,
+  caller's thread under the connection's read side, over the stores,
   plan cache and write path of the connection that built it
-  (``repro.connect(..., service=True)``); its gates are that write
-  path's reader exclusion and its result cache that path's invalidation.
+  (``repro.connect(..., service=True)``); its result cache is that
+  path's invalidation.
 * :class:`~repro.service.cache.ResultCache` — an LRU cache of query
   results with hit/miss statistics and digest-based invalidation (plans
   live in the connection's one :class:`repro.cache.PlanCache`).

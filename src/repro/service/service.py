@@ -6,11 +6,9 @@ many client threads needs; the connection keeps its stores, update
 lock, plan cache, metrics registry and its one write path:
 
 * ``execute()`` runs one query on the thread that asked for it — under
-  the GIL a hand-off to a worker pool overlaps nothing, it only queues.
-* A per-system semaphore provides admission control: at most
-  ``max_workers`` queries execute on one store simultaneously, and a
-  commit (or ``close()``) drains every system's permits to exclude
-  readers — the gates are the write path's reader exclusion.
+  the GIL a hand-off to a worker pool overlaps nothing, it only queues —
+  under the read side of the connection's reader/writer lock, which
+  caps the reads running at once and keeps them off a commit.
 * Results are reused through a :class:`~repro.service.cache.ResultCache`
   (keyed on system + query text + the loaded document's content digest,
   so a commit re-keys exactly the entries its changes cannot affect —
@@ -30,9 +28,7 @@ the evaluator creates per call and hands to the plan's emitted closures.
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
 
 from repro.cache import track
@@ -71,20 +67,10 @@ class QueryOutcome:
 class QueryService:
     """Multi-user query serving over one connection's stores."""
 
-    def __init__(self, database, *, max_workers: int = 8,
-                 result_cache_size: int = 1024, query_log=None) -> None:
+    def __init__(self, database, *, result_cache_size: int = 1024,
+                 query_log=None) -> None:
         self._database = database
-        self.max_workers = max_workers
         self.tracer = database.tracer
-        # A commit holds the connection's update lock, then the turnstile,
-        # then every gate; a read takes a gate, then the cache locks.
-        self._admission = {name: threading.BoundedSemaphore(max_workers)
-                           for name in database.stores}
-        # A writer holds the turnstile while it drains the gates, and a
-        # reader passes it before taking a permit: a reader re-takes its
-        # permit on its own thread, within one GIL slice, so without it
-        # readers in a loop starve the writer on one core.
-        self._turnstile = threading.Lock()
         self.result_cache = ResultCache(result_cache_size)
         self.metrics = ServiceMetrics(database.registry)
         track(database.registry, "result", self.result_cache.stats)
@@ -97,29 +83,7 @@ class QueryService:
             query_log = QueryLogWriter(query_log)
         self.query_log = query_log
 
-    # -- the write path's exclusion and invalidation --------------------------------
-
-    @contextmanager
-    def _exclusive(self):
-        """Drain and hold every admission permit of every serving system
-        (the write path's reader exclusion).
-
-        Readers hold one permit for the duration of their execution, so
-        holding all of them is a write lock: the writer waits for
-        in-flight reads, and no reader observes a half-applied document
-        or two systems at different versions.
-        """
-        held = []
-        try:
-            with self._turnstile:
-                for gate in self._admission.values():
-                    for _ in range(self.max_workers):
-                        gate.acquire()
-                        held.append(gate)
-            yield
-        finally:
-            for gate in held:
-                gate.release()
+    # -- the write path's invalidation ----------------------------------------------
 
     def _rekey_results(self, old_digests: dict[str, str],
                        changes: ChangeSet | None) -> dict[str, dict]:
@@ -150,12 +114,8 @@ class QueryService:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Wait for the reads already running, then close the query log.
-        The connection's ``close()`` calls this under its update lock,
-        after it refused new work: a read still queued for its permit
-        finds the connection closed once it gets one."""
-        with self._exclusive():
-            pass
+        """Close an owned query log (``db.close()`` calls this under the
+        write side: running reads have finished)."""
         if self._owns_query_log:
             self.query_log.close()
 
@@ -174,18 +134,16 @@ class QueryService:
 
     def _serve(self, system: str, store, text: str,
                submitted: float) -> QueryOutcome:
-        """The read under its system's permit, held until its metrics and
-        query-log line are written: a ``close()`` draining the gates waits
-        for all of it."""
+        """The read under the connection's read side, held until its
+        metrics and query-log line are written: a ``close()`` waits for
+        all of it."""
         tracer = self.tracer
+        rwlock = self._database.rwlock
         root = (tracer.begin("service.query", system=system, query=text)
                 if tracer.enabled else None)
         with tracer.activate(root):
-            gate = self._admission[system]
             with tracer.span("service.admission") as admission:
-                with self._turnstile:
-                    pass
-                gate.acquire()
+                rwlock.acquire_read()
                 started = time.perf_counter()
                 admission.set(queue_ms=round((started - submitted) * 1000.0, 3))
             try:
@@ -230,7 +188,7 @@ class QueryService:
                         result_cache_hit=outcome.result_cache_hit)
                 return outcome
             finally:
-                gate.release()
+                rwlock.release_read()
 
     def _run_query(self, system: str, store, text: str, submitted: float,
                    started: float) -> QueryOutcome:

@@ -4,8 +4,8 @@ Every commit a connection issues (a session transaction,
 ``Database.apply_transaction``, the wire server's ``commit``) is one
 call of :meth:`WritePath.commit`, and crash recovery replays each WAL
 record through the same method.  docs/UPDATES.md §5 walks through the
-sequence.  What differs between callers is data, not code: the reader
-exclusion and the invalidation — see DESIGN.md, "One write path".
+sequence.  What differs between callers is data, not code: the
+invalidation — see DESIGN.md, "One write path".
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class WritePath:
     ``lock`` is the connection's update lock (an ``RLock``: its owner
     also holds it around checkpoints and close).  ``exclusion()``
     returns the context manager that keeps readers off the stores for
-    the whole commit — a service drains every admission gate, a direct
-    connection has no readers to wait for.  ``invalidate(old_digests,
+    the whole commit: the connection's ``rwlock.write`` (none in
+    recovery, which serves no reader yet).  ``invalidate(old_digests,
     changes)`` runs after the apply, still under the lock and the
     exclusion, and returns extra per-system report cells; ``changes`` is
     ``None`` when the commit was refused part-way (a prefix is applied:
@@ -47,6 +47,9 @@ class WritePath:
         #: logs to first (``None``: not durable).
         self.durability = durability
         self.commits = 0                # successful commits
+        #: Commits that reached the stores, refused ones included: a
+        #: streaming cursor opened before the last one is stale.
+        self.writes = 0
 
     def commit(self, ops) -> dict:
         """Commit ``ops`` as one unit; returns ``{ops, systems, digest}``.
@@ -78,6 +81,7 @@ class WritePath:
                 prev = next(iter(old_digests.values()))
                 self.durability.log_commit(
                     ops, prev_digest=prev, digest=chain_digest(prev, token))
+            self.writes += 1
             try:
                 costs, changed, ancestors = apply_transaction_ops(
                     self.stores, ops, tracer=tracer)

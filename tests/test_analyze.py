@@ -153,8 +153,7 @@ class TestRepoClean:
     def test_lock_registry_harvests_known_sites(self):
         project = Project.load(default_src_root(), package="repro")
         expected = {
-            "repro.service.service:QueryService._turnstile",
-            "repro.service.service:QueryService._admission",
+            "repro.db.database:ReadWriteLock._mutex",
             "repro.cache:LRUCache._lock",
             "repro.cache:PlanCache._lock",
             "repro.db.database:Database._update_lock",
@@ -168,17 +167,22 @@ class TestRepoClean:
         assert expected <= set(project.locks)
         assert project.locks[
             "repro.db.database:Database._update_lock"].kind == "RLock"
-        assert project.locks[
-            "repro.service.service:QueryService._admission"].collection
+        connection = project.locks["repro.db.database:ReadWriteLock._mutex"]
+        assert connection.kind == "Lock" and not connection.collection
+        assert not any(lock.startswith("repro.service.service:")
+                       for lock in project.locks)
 
     def test_static_lock_graph_is_acyclic(self):
         project = Project.load(default_src_root(), package="repro")
         edges = build_lock_graph(project)
         assert find_lock_cycles(edges) == []
-        # The update lock -> admission gates order is taken only
+        # Database.close() takes the update lock, then the connection
+        # lock's write side, lexically; a commit takes the same order
         # through repro.update.commit.WritePath, whose lock and exclusion
-        # are data the static pass cannot follow: tests/test_lockwitness.py
-        # asserts that edge on cross_check's union graph instead.
+        # are data the static pass cannot follow (tests/test_lockwitness.py
+        # asserts it on cross_check's union graph).
+        assert ("repro.db.database:Database._update_lock",
+                "repro.db.database:ReadWriteLock._mutex") in edges
 
 
 class TestCli:

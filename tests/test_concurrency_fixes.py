@@ -6,8 +6,8 @@ Each test pins one fix from the shared-state pass's findings:
   under the update lock, so concurrent closers agree on one winner and
   the query log is closed exactly once;
 * ``QueryService.execute`` — a ``close()`` that lands between the open
-  check and the admission permit raises the connection's typed closed
-  error once the read gets its permit;
+  check and the connection's read side raises the connection's typed
+  closed error once the read gets it;
 * ``WireClient.request`` — a truncated reply marks the session closed
   *inside* the request lock, so a racing request can never slip a send
   onto the dead socket between the None reply and the flag flip.

@@ -156,24 +156,24 @@ class TestCrossCheck:
         return witness
 
     def test_workload_recorded_real_edges(self, workload_witness):
-        # the admission gate is held around every query; the caches are
-        # taken inside it — the witness must have seen that order live
+        # a commit holds the connection lock's mutex while it re-keys the
+        # result cache — the witness must have seen that order live
         edges = workload_witness.edges()
         assert edges, "witness recorded no ordering edges at all"
         sites = {site for pair in edges for site in pair}
-        assert any("service/service.py" in s for s in sites)
+        assert any("db/database.py" in s for s in sites)
 
     def test_commit_lock_order(self, workload_witness, small_text):
         """One write path, one order: the connection's update lock ->
-        admission gates -> cache lock on a service; a direct connection's
-        commit holds only its update lock (above the leaf metrics
-        locks)."""
+        connection lock -> cache lock on a service; a direct connection's
+        commit holds its update lock, then the connection lock (above
+        the leaf metrics locks)."""
         project = Project.load(default_src_root(), package="repro")
         edges = set(cross_check(workload_witness, project)["dynamic_edges"])
         update = "repro.db.database:Database._update_lock"
-        gates = "repro.service.service:QueryService._admission"
+        connection = "repro.db.database:ReadWriteLock._mutex"
         cache = "repro.cache:LRUCache._lock"
-        assert {(update, gates), (gates, cache)} <= edges
+        assert {(update, connection), (connection, cache)} <= edges
         direct = LockWitness()
         direct.install()
         try:
@@ -183,8 +183,9 @@ class TestCrossCheck:
                                   "05/24/2000", "11:00:00")
         finally:
             direct.uninstall()
-        held = {a for a, _ in cross_check(direct, project)["dynamic_edges"]}
-        assert held <= {"repro.db.database:Database._update_lock"}
+        direct_edges = set(cross_check(direct, project)["dynamic_edges"])
+        assert (update, connection) in direct_edges
+        assert {a for a, _ in direct_edges} <= {update, connection}
 
     def test_no_dynamic_cycles(self, workload_witness):
         assert workload_witness.cycles() == []
@@ -194,11 +195,12 @@ class TestCrossCheck:
         verdict = cross_check(workload_witness, project)
         assert verdict["dynamic_cycles"] == []
         assert verdict["union_cycles"] == []
-        # The commit order the static pass cannot prove (WritePath takes
-        # its lock and exclusion as data) is in the union graph.
+        # The commit order (WritePath takes its lock and exclusion as
+        # data) is in the union graph, down to the cache lock.
         union = set(verdict["static_edges"]) | set(verdict["dynamic_edges"])
-        assert ("repro.db.database:Database._update_lock",
-                "repro.service.service:QueryService._admission") in union
+        connection = "repro.db.database:ReadWriteLock._mutex"
+        assert {("repro.db.database:Database._update_lock", connection),
+                (connection, "repro.cache:LRUCache._lock")} <= union
 
     def test_dynamic_sites_join_static_registry(self, workload_witness):
         project = Project.load(default_src_root(), package="repro")

@@ -429,10 +429,12 @@ class TestQueryService:
             svc.execute("D", 1)
 
     @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize("service", [True, False],
+                             ids=["service", "direct"])
     def test_limits_are_checked_before_any_load(self, tiny_text, monkeypatch,
-                                                shards):
+                                                shards, service):
         """A bad ``max_workers`` raises before a single store (or a
-        scatter executor) is built."""
+        scatter executor) is built, on every kind of connection."""
         from repro.db import database as database_module
 
         loads = []
@@ -444,13 +446,14 @@ class TestQueryService:
 
         monkeypatch.setattr(database_module, "load_stores", spy)
         with pytest.raises(BenchmarkError, match="max_workers"):
-            serve(tiny_text, ("D",), max_workers=0, shards=shards)
+            connect(tiny_text, systems=("D",), service=service,
+                    max_workers=0, shards=shards)
         assert loads == []
 
 
 class TestAdmission:
-    """The per-system gates: a bound per store, independent stores, and a
-    write that waits for the reads holding them."""
+    """The connection's read side: a bound on running reads, systems read
+    side by side, and a write that waits for the reads holding it."""
 
     @staticmethod
     def _wrap_evaluate(monkeypatch, before):
@@ -533,9 +536,9 @@ class TestAdmission:
                         reason="needs CPU affinity")
     def test_readers_in_a_loop_do_not_starve_commits_on_one_core(
             self, tiny_text):
-        """A reader re-takes its permit on its own thread within one GIL
-        slice; on one core only the turnstile lets commits drain the
-        gates while readers loop."""
+        """A reader re-takes the read side on its own thread within one
+        GIL slice; on one core only writer priority lets commits drain
+        the reads while readers loop."""
         from repro.update import RegisterPerson, UpdateStream
 
         cpus = os.sched_getaffinity(0)
@@ -586,7 +589,7 @@ class TestAdmission:
 
     def test_close_waits_for_a_running_read(self, tiny_text, monkeypatch,
                                             tmp_path):
-        """close() drains the gates: it returns only after the read it
+        """close() takes the write side: it returns only after the read it
         found running has finished and written its query-log line."""
         reading, release = threading.Event(), threading.Event()
 

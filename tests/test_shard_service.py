@@ -1,6 +1,6 @@
 """The sharded deployment behind the query service.
 
-The service serves the sharded store as one more system: same admission,
+The service serves the sharded store as one more system: same read side,
 same result-cache keying (on the sharded store's global digest chain),
 same write path through the update engine — plus the executor's
 distributed plans underneath.
