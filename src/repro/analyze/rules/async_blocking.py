@@ -8,6 +8,10 @@ fold them into the enclosing coroutine's timeline, which is exactly the
 "routed through the worker pool" escape hatch: a blocking call is only
 flagged when the event loop itself would execute it.
 
+An executor's ``.shutdown()`` on an attribute (``self._pool.shutdown``)
+blocks too unless it passes ``wait=False``: it joins every worker, and a
+worker stuck on a read holds the loop with it.
+
 ``asyncio`` primitives (``asyncio.Condition``, ``StreamWriter.write``)
 never appear in the lock registry or the blocking-call table, so the
 server's reply writes stay legal.
@@ -15,6 +19,7 @@ server's reply writes stay legal.
 
 from __future__ import annotations
 
+import ast
 from typing import Iterable
 
 from ..findings import Finding
@@ -35,6 +40,19 @@ BLOCKING_CALLS = frozenset({
 })
 
 
+def _joins_workers(call: ast.Call) -> bool:
+    """Whether ``call`` is ``<obj>.<attr>.shutdown(...)`` that waits: its
+    ``wait`` argument is ``True`` or left to the executor's default."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "shutdown"
+            and isinstance(func.value, ast.Attribute)):
+        return False
+    wait = next((keyword.value for keyword in call.keywords
+                 if keyword.arg == "wait"),
+                call.args[0] if call.args else None)
+    return wait is None or (isinstance(wait, ast.Constant) and wait.value is True)
+
+
 class AsyncBlockingRule(Rule):
     id = "async-blocking"
     title = "no blocking calls inside async def bodies"
@@ -52,6 +70,12 @@ class AsyncBlockingRule(Rule):
                         f"blocking call {resolved}() inside async def "
                         f"{summary.name}; route it through the worker "
                         "pool (run_in_executor)")
+                elif _joins_workers(call.node):
+                    yield self.finding(
+                        module, call.line, summary.qualname,
+                        f"{call.name}() joins the executor's workers inside "
+                        f"async def {summary.name}; shut down with "
+                        "wait=False and await the work still running")
             for lock_id, line, _held in summary.acquisitions:
                 yield self.finding(
                     module, line, summary.qualname,

@@ -145,6 +145,20 @@ class ServerBusyError(ServerError):
     """
 
 
+class ServerStopError(ServerError):
+    """``XMarkServer.stop`` gave up waiting for requests still running.
+
+    ``workers`` names the worker threads busy at the deadline.  The
+    server accepts nothing more and its queued requests are cancelled,
+    but the databases it owns stay open: closing one would wait on the
+    same stuck read.  Calling ``stop`` again waits again.
+    """
+
+    def __init__(self, message: str, workers: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.workers = tuple(workers)
+
+
 class TenantQuotaError(ServerError):
     """A per-tenant quota was exceeded (sessions, in-flight requests,
     or open cursors)."""

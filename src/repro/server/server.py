@@ -30,14 +30,15 @@ import asyncio
 import threading
 import time
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro import __version__
 from repro.db.cursor import Cursor
 from repro.db.database import Database
 from repro.errors import (
-    ClosedCursorError, ProtocolError, ServerBusyError, XMarkError,
+    ClosedCursorError, ProtocolError, ServerBusyError, ServerStopError,
+    XMarkError,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import QueryLogWriter
@@ -182,6 +183,11 @@ class XMarkServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="xmark-server")
         self._active = 0                # admitted (queued or running)
+        #: Submitted and not yet done (a worker drops its own), and the
+        #: names of the worker threads running one right now.
+        self._inflight: set[Future] = set()
+        self._busy: set[str] = set()
+        self._closed = False
         self._connections = 0
         self._next_conn = 0
         self._server: asyncio.base_events.Server | None = None
@@ -226,15 +232,38 @@ class XMarkServer:
         assert self._stopped is not None, "server not started"
         await self._stopped.wait()
 
-    async def stop(self) -> None:
-        """Stop accepting, close the pool, close owned databases."""
-        if self._closing:
+    async def stop(self, timeout: float | None = None) -> None:
+        """Stop accepting, cancel queued requests, wait for the running
+        ones, then close owned databases and the owned query log.
+
+        The wait is on the event loop, not a blocking join, and lasts at
+        most ``timeout`` seconds (None: until they finish).  At the
+        deadline it raises :class:`ServerStopError` naming the busy
+        workers and leaves the owned databases open: closing one would
+        wait on the same stuck read.  A later call waits again."""
+        if not self._closing:
+            self._closing = True
+            if self._server is not None:
+                # Stop listening, but do not await ``wait_closed()``: from
+                # Python 3.12.1 on it waits, unbounded, for every client
+                # connection to close.  Handlers of connections still open
+                # are cancelled when the loop ends (``serve_in_thread``).
+                self._server.close()
+            self._pool.shutdown(wait=False, cancel_futures=True)
+        running = [asyncio.wrap_future(future)
+                   for future in list(self._inflight) if not future.done()]
+        if running:
+            _done, pending = await asyncio.wait(running, timeout=timeout)
+            if pending:
+                for waiter in pending:  # the workers run on regardless
+                    waiter.cancel()
+                busy = tuple(sorted(self._busy))
+                raise ServerStopError(
+                    f"{len(pending)} request(s) still running after "
+                    f"{timeout} s on {', '.join(busy) or 'the pool'}", busy)
+        if self._closed:
             return
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._pool.shutdown(wait=True)
+        self._closed = True
         for served in self.documents.values():
             if served.owned:
                 served.database.close()
@@ -253,7 +282,11 @@ class XMarkServer:
         reply, never an unbounded queue, never a hang.  Admitted, a request
         waits on its worker thread for the connection's reader/writer lock,
         whose holders each do bounded work (one page, one commit).
+        Once :meth:`stop` has begun, a request not yet running is refused
+        with :class:`ServerStopError`.
         """
+        if self._closing:
+            raise ServerStopError("server is stopping; request not run")
         if self._active >= self.max_workers + self.queue_depth:
             self.registry.counter("server.busy_total").inc()
             self.registry.counter(
@@ -270,13 +303,31 @@ class XMarkServer:
         self._active += 1
         self.registry.gauge("server.active_requests").set(self._active)
         try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._pool, fn)
+            future = self._pool.submit(self._work, fn)
+            self._inflight.add(future)
+            future.add_done_callback(self._inflight.discard)
+            try:
+                return await asyncio.wrap_future(future)
+            except asyncio.CancelledError:
+                # ``stop`` cancelled the queued request, not this task.
+                if not future.cancelled() or asyncio.current_task().cancelling():
+                    raise
+                raise ServerStopError(
+                    "server stopped before the request ran") from None
         finally:
             self._active -= 1
             self.registry.gauge("server.active_requests").set(self._active)
             if tenant is not None:
                 self.tenants.end_request(tenant)
+
+    def _work(self, fn):
+        """Run ``fn`` on a worker thread, named busy while it runs."""
+        worker = threading.current_thread().name
+        self._busy.add(worker)
+        try:
+            return fn()
+        finally:
+            self._busy.discard(worker)
 
     # -- the connection loop --------------------------------------------------------
 
@@ -755,6 +806,11 @@ class XMarkServer:
 # -- running in a thread ---------------------------------------------------------------
 
 
+#: How much longer than its own timeout :meth:`ServerHandle.stop` waits
+#: for the server's answer, so the server's typed failure arrives first.
+_STOP_GRACE = 1.0
+
+
 @dataclass
 class ServerHandle:
     """A running server on a daemon thread: address plus a stop switch."""
@@ -777,11 +833,14 @@ class ServerHandle:
         return f"xmark://{self.host}:{self.port}/{name}"
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop the server and join its thread (idempotent)."""
+        """Stop the server and join its thread (idempotent).  Requests
+        still running after ``timeout`` seconds raise
+        :class:`ServerStopError` and leave the thread serving nothing; a
+        later call waits again."""
         if not self.thread.is_alive():
             return
         asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop).result(timeout)
+            self.server.stop(timeout), self.loop).result(timeout + _STOP_GRACE)
         self.thread.join(timeout)
 
     def __enter__(self) -> "ServerHandle":

@@ -58,7 +58,7 @@ from repro.shard.partition import (
     EXTENT_SPECS, DocumentPartition, DocumentPartitioner, ExtentSpec,
     route_entity,
 )
-from repro.storage.interface import Handle, Store
+from repro.storage.interface import Handle, Store, rekey_id
 from repro.xmlio.dom import Element
 
 #: Default backend architecture for shards (System F: main-memory tree).
@@ -535,7 +535,14 @@ class ShardedStore(Store):
         if isinstance(node, _Virtual):
             raise StorageError("virtual containers carry no attributes")
         rank, native = node
-        self._shards[rank].set_attribute(native, name, value)
+        store = self._shards[rank]
+        # An entity's @id is a routing key: the map follows its change.
+        extent = (self._container_extent[rank].get(store.parent(native))
+                  if name == "id" else None)
+        old = store.attribute(native, "id") if extent is not None else None
+        store.set_attribute(native, name, value)
+        if extent is not None:
+            rekey_id(self._id_map, old or None, value, (rank, extent.spec.path))
         self._touch_shard(rank, f"att:{name}")
 
     def _touch_shard(self, rank: int, token: str) -> None:

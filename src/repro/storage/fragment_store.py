@@ -26,7 +26,8 @@ from bisect import bisect_left, bisect_right
 from repro.errors import StorageError
 from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
-from repro.storage.interface import Store, rank_by_walk, runs_made_adjacent
+from repro.storage.interface import (
+    Store, rank_by_walk, rekey_id, runs_made_adjacent)
 from repro.xmlio.dom import Element, Text
 from repro.xmlio.parser import END, START, tokens
 
@@ -593,11 +594,12 @@ class FragmentStore(Store):
         self.require_loaded()
         path, pre = node
         table = self._ensure_attr_table(path, name)
-        rows = table.lookup("parent", pre)
+        rows, old = table.lookup("parent", pre), None
         if rows:
+            old = table.get(rows[0], "value")
             table.set(rows[0], "value", value)
         else:
             table.append(parent=pre, value=value)
         if name == "id":
-            self._id_index[value] = (path, pre)
+            rekey_id(self._id_index, old, value, (path, pre))
         self._note_mutation()

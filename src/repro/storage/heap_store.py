@@ -25,7 +25,8 @@ from bisect import bisect_left, bisect_right
 from repro.errors import StorageError
 from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
-from repro.storage.interface import Store, rank_by_walk, runs_made_adjacent
+from repro.storage.interface import (
+    Store, rank_by_walk, rekey_id, runs_made_adjacent)
 from repro.xmlio.dom import Element, Text
 from repro.xmlio.parser import END, START, tokens
 
@@ -412,12 +413,13 @@ class HeapStore(Store):
 
     def set_attribute(self, node: int, name: str, value: str) -> None:
         self.require_loaded()
-        names = self._attrs.column("name")
+        names, old = self._attrs.column("name"), None
         for row in self._attrs.lookup("parent", node):
             if names[row] == name:
+                old = self._attrs.get(row, "value")
                 self._attrs.set(row, "value", value)
                 break
         else:
             self._attrs.append(parent=node, name=name, value=value)
         if name == "id":
-            self._id_index[value] = node
+            rekey_id(self._id_index, old, value, node)

@@ -249,6 +249,15 @@ class Store(ABC):
     def descendants_by_tag(self, node: Handle, tag: str) -> list[Handle]:
         """Descendant elements with the given tag, in document order."""
 
+    def count_descendants(self, node: Handle, tag: str) -> int:
+        """How many descendant elements have the given tag: always
+        ``len(descendants_by_tag(node, tag))``, and by default exactly that
+        call, so a store counts through its own access path (a scan, a tag
+        extent) and its work counters move as that call moves them.  An
+        override may count without listing the nodes, but must answer the
+        same number before and after any write."""
+        return len(self.descendants_by_tag(node, tag))
+
     def descendants(self, node: Handle) -> Iterator[Handle]:
         """All descendant elements in document order (generic walk)."""
         stack = list(reversed(self.children(node)))
@@ -460,6 +469,15 @@ class OrderKeys:
                 child: index
                 for index, child in enumerate(self._store.children(parent))}
         return positions
+
+
+def rekey_id(index: dict, old: str | None, new: str, handle: Handle) -> None:
+    """``handle``'s ``@id`` changed from ``old`` (None: it had none) to
+    ``new``: ``index`` drops ``old`` when that still names ``handle``, and
+    names ``handle`` under ``new``."""
+    if old is not None and index.get(old) == handle:
+        del index[old]
+    index[new] = handle
 
 
 def splice_subtree(store: Store, subtree: list, extent_of) -> None:

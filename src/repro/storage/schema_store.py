@@ -22,7 +22,7 @@ import threading
 from repro.errors import RelationalError, StorageError
 from repro.relational.catalog import Catalog
 from repro.relational.table import Column, ColumnType
-from repro.storage.interface import Store
+from repro.storage.interface import Store, rekey_id
 from repro.storage.schema_spec import (
     CONTAINER_CONTENTS, ENTITY_SPECS, TABLE_OF_TAG,
     ChildSpec, EntitySpec, FragLeaf, Leaf, Nested, RefLeaf, Struct, Wrapper,
@@ -1046,9 +1046,11 @@ class SchemaStore(Store):
                 f"the inlined schema cannot set attributes on {node!r}")
         for attr, column in attr_columns:
             if attr == name:
-                self._tables[node[1]].set(node[2], column, value)
+                table = self._tables[node[1]]
+                old = table.get(node[2], column)
+                table.set(node[2], column, value)
                 if kind == "e" and attr == "id":
-                    self._id_index[value] = ("e", node[1], node[2])
+                    rekey_id(self._id_index, old, value, ("e", node[1], node[2]))
                 return
         raise StorageError(
             f"the derived schema has no column for @{name} on {self.tag(node)!r}")

@@ -87,11 +87,9 @@ class StructuralSummary:
     def paths_through(self, prefix: tuple[str, ...], tag: str) -> list[PathEntry]:
         """Entries ending in ``tag`` that strictly extend ``prefix`` —
         resolves a descendant step without touching the document."""
-        candidates = self._by_tag.get(tag, ())
-        return [
-            entry for entry in candidates
-            if len(entry.path) > len(prefix) and entry.path[: len(prefix)] == prefix
-        ]
+        depth = len(prefix)
+        return [entry for entry in self._by_tag.get(tag, ())
+                if len(entry.path) > depth and entry.path[:depth] == prefix]
 
     def paths_ending_in(self, tag: str) -> list[PathEntry]:
         return list(self._by_tag.get(tag, ()))

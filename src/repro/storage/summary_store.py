@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_right
 
-from repro.storage.interface import Twig, splice_subtree
+from repro.storage.interface import Twig, rekey_id, splice_subtree
 from repro.storage.structural_summary import StructuralSummary
 from repro.storage.tree_store import _SHIFT, TreeStore
 from repro.xmlio.escape import escape_attribute, escape_text
@@ -389,6 +390,24 @@ class SummaryStore(TreeStore):
         self.stats.nodes_visited += len(found)
         return found
 
+    def count_descendants(self, node: int, tag: str) -> int:
+        """The summary's count, listing no node: the sizes of the extents
+        below ``node``'s path when ``node`` is the only node at it, else
+        two bisects on the label per extent, as :meth:`_window` makes
+        them.  A tag absent below the path matches no extent: 0 at once."""
+        self.stats.index_lookups += 1
+        summary, path = self.summary, self._path_of(node)
+        entries = summary.paths_through(path, tag)
+        if not entries:
+            return 0
+        if summary.count(path) == 1:
+            return sum([len(entry.nodes) for entry in entries])
+        label = self.doc_position
+        low, high = label(node), self._posts[node]
+        return sum(bisect_right(entry.nodes, high, key=label)
+                   - bisect_right(entry.nodes, low, key=label)
+                   for entry in entries)
+
     def count_path(self, path: tuple[str, ...]) -> int | None:
         self.stats.index_lookups += 1
         return self.summary.count(path)
@@ -454,6 +473,7 @@ class SummaryStore(TreeStore):
                 if identifier is not None and self._id_index.get(identifier) == node:
                     del self._id_index[identifier]
 
-    def _after_set_attribute(self, node: int, name: str, value: str) -> None:
+    def _after_set_attribute(self, node: int, name: str, value: str,
+                             old: str | None) -> None:
         if name == "id":
-            self._id_index[value] = node
+            rekey_id(self._id_index, old, value, node)

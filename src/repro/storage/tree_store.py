@@ -514,8 +514,9 @@ class TreeStore(Store):
         if attrs is None:
             attrs = {}
             self._attrs[node] = attrs
+        old = attrs.get(name)
         attrs[name] = value
-        self._after_set_attribute(node, name, value)
+        self._after_set_attribute(node, name, value, old)
 
     # Subclass hooks for store-native access structures (E's tag index,
     # D's structural summary and ID index).  They run after the write, with
@@ -527,7 +528,8 @@ class TreeStore(Store):
     def _after_remove(self, removed: list[tuple[int, tuple[str, ...]]]) -> None:
         pass
 
-    def _after_set_attribute(self, node: int, name: str, value: str) -> None:
+    def _after_set_attribute(self, node: int, name: str, value: str,
+                             old: str | None) -> None:
         pass
 
 

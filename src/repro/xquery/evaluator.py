@@ -554,19 +554,25 @@ class _Emitter:
 
     # -- paths ----------------------------------------------------------------------
 
-    def _path(self, node: Path, scope, streamed: bool = False):
+    def _path(self, node: Path, scope, streamed: bool = False,
+              counted: bool = False):
         """One batch kernel per step (``handles -> handles``), chained
         after the handles the access plan starts from.  Returns ``(run,
         stream)``; the streamed form applies the same kernels per context
         of the planned extent, and falls back to one batch when a
         multi-context descendant step (which dedupes and re-sorts
-        globally) lies downstream."""
+        globally) lies downstream.  ``counted``: the consumer reads only
+        the result's length or truth, so ``run`` gives the raw handles, as
+        a value path gives its strings, and the last step counts (see
+        :meth:`_step`)."""
         steps = node.steps
-        strings = _values(node)
+        strings = counted or _values(node)
         if not is_absolute(node):
-            run = self._relative_path(node, scope, strings)
+            run = self._relative_path(node, scope, strings, counted)
             return run, lambda rt: iter(run(rt))
-        kernels = [self._step(step, scope, True, index == 0)
+        last = len(steps) - 1
+        kernels = [self._step(step, scope, True, index == 0,
+                              counted and index == last)
                    for index, step in enumerate(steps)]
         start, resume, windowed = self._access(
             node, self.compiled.path_plans.get(id(node)), scope)
@@ -582,7 +588,7 @@ class _Emitter:
                 if windowed:
                     found = found.raw()
             else:                       # the plan answered the last step
-                return found if windowed else list(map(NodeItem, found))
+                return found if windowed or strings else list(map(NodeItem, found))
             for kernel in chain:
                 found = kernel(rt, found)
             return found if strings else list(map(NodeItem, found))
@@ -616,7 +622,8 @@ class _Emitter:
                 yield from advance(rt, found, first)
         return run, stream
 
-    def _relative_path(self, node: Path, scope, strings: bool):
+    def _relative_path(self, node: Path, scope, strings: bool,
+                       counted: bool = False):
         """Steps from a variable's (or an expression's) items.  A root
         proved to hold only store nodes navigates the store directly, and
         a value path from it — plain named child steps, then ``text()`` or
@@ -646,8 +653,10 @@ class _Emitter:
             lead += 1
         names = tuple(step.name for step in steps[:lead]) if lead > 1 else ()
         by_path = nav.children_by_path
-        kernels = [self._step(step, scope, native, False)
-                   for step in steps[len(names):]]
+        last = len(steps) - 1
+        kernels = [self._step(step, scope, native, False,
+                              counted and index == last)
+                   for index, step in enumerate(steps[len(names):], len(names))]
 
         def run(rt):
             items = rt.frame[slot] if base is None else base(rt)
@@ -666,11 +675,15 @@ class _Emitter:
             return handles if strings else list(map(NodeItem, handles))
         return run
 
-    def _step(self, step: Step, scope, native: bool, at_root: bool):
+    def _step(self, step: Step, scope, native: bool, at_root: bool,
+              counted: bool = False):
         """The batch kernel of one step over store handles (``native``)
         or handles of either kind.  Predicates apply per context node
         (positions count within one parent's matches); only a descendant
-        step entered by several contexts has to dedupe."""
+        step entered by several contexts has to dedupe.  A ``counted``
+        step's output is read only for its length or truth: a descendant
+        step then dedupes without sorting, and without predicates it asks
+        the store to count (``range(n)`` stands in for the n nodes)."""
         axis, name = step.axis, step.name
         nav = self.native if native else self.mixed
         if axis in ("attribute", "text"):
@@ -719,9 +732,23 @@ class _Emitter:
                 for handle in handles:
                     found = expand(handle, name)
                     out += keep(rt, found) if keep else found
-                return _dedupe(out, doc_position) if descendant and out else out
+                if descendant and out:
+                    return set(out) if counted else _dedupe(out, doc_position)
+                return out
             return keep(rt, found) if keep else found
-        return kernel
+        if not (counted and descendant and keep is None):
+            return kernel
+        count = nav.count_descendants
+
+        def counter(rt, handles):
+            if at_root:
+                root = root_of()
+                return range((name is None or tag(root) == name)
+                             + count(root, name))
+            if len(handles) == 1:
+                return range(count(handles[0], name))
+            return kernel(rt, handles)
+        return counter
 
     def _filter(self, predicates: list[Expr], scope, wrap, native: bool):
         """``entries -> entries`` under step predicates, position-aware.
@@ -779,7 +806,10 @@ class _Emitter:
         store, kind = self.store, plan.kind if plan is not None else "steps"
         if kind == "id_lookup":
             step, tag = node.steps[plan.id_step], self.native.tag
-            keep = self._filter(step.predicates, scope, NodeItem, True)
+            # The ID index holds exactly the current ``@id`` values, so
+            # the probe answers the id predicate; other predicates filter.
+            keep = (self._filter(step.predicates, scope, NodeItem, True)
+                    if len(step.predicates) > 1 else None)
             literal = plan.id_literal
 
             def start(rt):
@@ -788,7 +818,7 @@ class _Emitter:
                 if handle is None or (step.name is not None
                                       and tag(handle) != step.name):
                     return []
-                return keep(rt, [handle])
+                return keep(rt, [handle]) if keep else [handle]
             return start, plan.id_step + 1, False
         if kind == "range_probe":       # the probe answers the step predicate
             return (lambda rt: _range_window(rt, store, plan.prefix, plan.accessor,
@@ -1130,9 +1160,16 @@ class _Emitter:
     # -- functions -----------------------------------------------------------------------
 
     def _call(self, node: FunctionCall, scope):
+        """A call site.  ``count``, ``exists`` and ``empty`` of a node path
+        read the length or truth of its raw handles: no ``NodeItem`` is
+        made for a node that is only counted."""
         name = node.name
-        args = [self.emit(argument, scope) for argument in node.args]
         cell = self.functions.get(name)
+        if cell is None and name in _SIZED and len(node.args) == 1 \
+                and isinstance(node.args[0], Path) and not _values(node.args[0]):
+            args = [self._path(node.args[0], scope, counted=True)[0]]
+        else:
+            args = [self.emit(argument, scope) for argument in node.args]
         if cell is not None:
             arity = len(self.compiled.query.functions[name].params)
             if len(args) != arity:
@@ -1359,6 +1396,8 @@ def store_bound(node: Expr, names: frozenset, context: bool = False) -> bool:
 #: Nodes whose value is statically one boolean: emitted as ``rt -> bool``
 #: tests, wrapped in a list only where a sequence is asked for.
 _BOOLEAN = (Comparison, BoolOp, Quantified)
+#: Built-ins that read only their argument's length or truth.
+_SIZED = frozenset({"count", "exists", "empty"})
 _TESTS = {Comparison: _Emitter._comparison, BoolOp: _Emitter._boolop,
           Quantified: _Emitter._quantified}
 

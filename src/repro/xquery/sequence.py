@@ -165,6 +165,11 @@ class Navigator:
             return list(handle.descendants(tag))
         return self.store.descendants_by_tag(handle, tag)
 
+    def count_descendants(self, handle, tag: str) -> int:
+        if isinstance(handle, Element):
+            return len(list(handle.descendants(tag)))
+        return self.store.count_descendants(handle, tag)
+
     def attribute(self, handle, name: str) -> str | None:
         if isinstance(handle, Element):
             return handle.attributes.get(name)
@@ -231,6 +236,10 @@ class DomNavigation:
     @staticmethod
     def descendants_by_tag(element: Element, tag: str | None) -> list:
         return list(element.descendants(tag))
+
+    @staticmethod
+    def count_descendants(element: Element, tag: str | None) -> int:
+        return len(list(element.descendants(tag)))
 
     @staticmethod
     def child_texts(element: Element) -> list[str]:

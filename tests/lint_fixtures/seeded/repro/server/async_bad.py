@@ -18,3 +18,8 @@ async def routed(request, loop, pool):
         with _flush_lock:
             return request
     return await loop.run_in_executor(pool, flush)
+
+
+class Server:
+    async def stop(self):
+        self._pool.shutdown(wait=True)  # async-blocking: joins the workers on the loop

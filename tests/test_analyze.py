@@ -44,13 +44,15 @@ class TestSeededFixtures:
 
     def test_gate_fails(self, seeded):
         assert not seeded.ok
-        assert len(seeded.new) == 8
+        assert len(seeded.new) == 9
 
     def test_async_blocking(self, seeded):
         hits = by_rule(seeded, "async-blocking")
         messages = [f.message for f in hits]
         assert any("time.sleep" in m for m in messages)
         assert any("_flush_lock" in m for m in messages)
+        assert any("self._pool.shutdown() joins the executor's workers" in m
+                   for m in messages)
         # the nested def routed through the pool must stay legal
         assert all("routed" not in f.symbol for f in hits)
 
@@ -210,7 +212,7 @@ class TestCli:
             assert rule["active"] + rule["suppressed"] == len(rule["findings"])
             assert isinstance(rule["seconds"], float)
         assert report["ok"] is False
-        assert report["new_findings"] == 8
+        assert report["new_findings"] == 9
         assert report["total_findings"] == sum(
             len(rule["findings"]) for rule in report["rules"].values())
 

@@ -10,18 +10,22 @@ and the served state survive untouched.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import struct
+import sys
 import threading
+import time
 
 import pytest
 
 import repro
 from repro.errors import (
-    ClosedCursorError, ProtocolError, QueryError, QuerySyntaxError,
-    ServerBusyError, TenantQuotaError, TransactionError, TypeCoercionError,
-    UnknownSystemError,
+    ClosedCursorError, ClosedSessionError, ProtocolError, QueryError,
+    QuerySyntaxError, ServerBusyError, ServerError, ServerStopError,
+    TenantQuotaError,
+    TransactionError, TypeCoercionError, UnknownSystemError, XMarkError,
 )
 from repro.server import (
     PROTOCOL_VERSION, RemotePrepared, TenantQuota, TenantRegistry,
@@ -699,6 +703,120 @@ class TestBackpressure:
         assert not failures, failures
         assert len(outcomes) == 60
         assert outcomes.count("served") >= 1
+
+
+class TestStop:
+    def test_a_busy_worker_bounds_stop_with_a_typed_error(self, tiny_text):
+        """One worker parked on an Event: ``stop`` cancels the request
+        queued behind it, gives up at its timeout with a typed error that
+        names the worker, and leaves the owned database open; once the
+        worker is released, stopping again closes everything."""
+        database = repro.connect(tiny_text, systems=("D",))
+        parked, release = threading.Event(), threading.Event()
+        digest = database.document_digest
+
+        def stuck(system=None):
+            parked.set()
+            assert release.wait(30.0)
+            return digest(system)
+        database.document_digest = stuck
+        server = XMarkServer(max_workers=1, queue_depth=4)
+        server.add_document("auction", database, owned=True)
+        handle = serve_in_thread(server)
+        outcomes: dict[str, object] = {}
+
+        def client(name: str) -> None:
+            remote = connect_url(handle.url)
+            try:
+                outcomes[name] = remote.document_digest("D")
+            except (XMarkError, OSError) as exc:
+                outcomes[name] = exc
+            finally:
+                remote.close()
+
+        first = threading.Thread(target=client, args=("parked",))
+        first.start()
+        assert parked.wait(10.0)
+        queued = threading.Thread(target=client, args=("queued",))
+        queued.start()
+        for _ in range(1000):           # admitted behind the parked one
+            if server._active == 2:
+                break
+            time.sleep(0.01)
+        assert server._active == 2
+        try:
+            with pytest.raises(ServerStopError) as failure:
+                handle.stop(timeout=0.3)
+            assert failure.value.workers == ("xmark-server_0",)
+            assert "xmark-server_0" in str(failure.value)
+            database.session()          # still open
+            queued.join(10.0)
+            assert isinstance(outcomes["queued"], ServerError)
+            assert "stopped before the request ran" in str(outcomes["queued"])
+        finally:
+            release.set()
+            first.join(10.0)
+            handle.stop(timeout=10.0)
+        assert not handle.thread.is_alive()
+        assert outcomes["parked"] == digest("D")
+        with pytest.raises(ClosedSessionError):
+            database.session()
+
+    def test_an_open_client_connection_does_not_hold_stop(self, tiny_text):
+        """From Python 3.12.1 on, ``Server.wait_closed()`` waits for every
+        client connection to close.  ``stop`` must not wait on it: with a
+        client still connected and ``wait_closed`` made to never return,
+        ``stop`` still returns and the serving thread ends."""
+        database = repro.connect(tiny_text, systems=("D",))
+        server = XMarkServer(max_workers=1)
+        server.add_document("auction", database, owned=True)
+        handle = serve_in_thread(server)
+
+        async def never() -> None:
+            await asyncio.Event().wait()
+        server._server.wait_closed = never
+        remote = connect_url(handle.url)
+        try:
+            assert remote.document_digest("D") == database.document_digest("D")
+            handle.stop(timeout=2.0)
+            assert not handle.thread.is_alive()
+            with pytest.raises(ClosedSessionError):
+                database.session()
+        finally:
+            remote.close()
+
+    def test_stop_after_a_request_storm_leaves_no_worker_marked(self, tiny_text):
+        """More clients than workers and cores, with a short switch
+        interval: every request is answered, and ``stop`` then finds no
+        request in flight and no worker marked busy."""
+        database = repro.connect(tiny_text, systems=("D",))
+        server = XMarkServer(max_workers=3, queue_depth=64)
+        server.add_document("auction", database, owned=True)
+        handle = serve_in_thread(server)
+        failures: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client() -> None:
+                try:
+                    with connect_url(handle.url) as remote:
+                        for _ in range(20):
+                            remote.document_digest("D")
+                except BaseException as exc:
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            handle.stop(timeout=10.0)
+        assert not failures, failures
+        assert not handle.thread.is_alive()
+        assert not server._inflight and not server._busy
 
 
 # -- observability --------------------------------------------------------------------

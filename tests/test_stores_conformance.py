@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from repro.benchmark.systems import SYSTEMS, make_store
+from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.errors import StorageError
 from repro.shard import ShardedStore
 from repro.storage.interface import Store
@@ -20,6 +20,8 @@ from repro.update import (
 from repro.xmlio.canonical import canonicalize
 from repro.xmlio.dom import Element
 from repro.xmlio.serialize import serialize
+from repro.xquery.evaluator import evaluate
+from repro.xquery.planner import compile_query
 
 
 def _oracle_person(document, index=0):
@@ -176,6 +178,46 @@ class TestIdLookup:
             return
         handle = store.lookup_id("item0")
         assert store.tag(handle) == "item"
+
+
+#: The systems whose stores keep an ID index, and a sharded store, whose
+#: routing map is one.
+ID_INDEXED = tuple(name for name in sorted(SYSTEMS)
+                   if make_store(name).has_id_index()) + ("S2",)
+
+
+@pytest.mark.parametrize("system", ID_INDEXED)
+def test_lookup_id_follows_an_id_change(tiny_text, system):
+    """A changed ``@id`` moves the node's ID index entry: the new value
+    finds the node and the old one finds nothing."""
+    store = _store(system)
+    store.load(tiny_text)
+    handle = store.lookup_id("person0")
+    store.set_attribute(handle, "id", "personX")
+    assert store.lookup_id("person0") is None
+    assert store.lookup_id("personX") == handle
+    assert store.attribute(handle, "id") == "personX"
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_an_id_lookup_follows_an_id_change(tiny_text, system):
+    """Q1's shape after ``person0`` is renamed: the old id finds nothing
+    and the new one finds the person, whether the plan probes the ID
+    index (A–D) or scans.  A bare store write maintains the store's own
+    ID index but not the secondary indexes (the update engine does
+    that), so those are dropped first."""
+    store = make_store(system)
+    store.load(tiny_text)
+    store.drop_indexes()
+    people = store.children_by_tag(store.root(), "people")[0]
+    person = store.children_by_tag(people, "person")[0]
+    name = store.child_texts(store.children_by_tag(person, "name")[0])
+    store.set_attribute(person, "id", "personX")
+    answers = [evaluate(compile_query(
+        'for $b in document("auction.xml")/site/people/person'
+        f'[@id = "{value}"] return $b/name/text()',
+        store, get_profile(system))).serialize() for value in ("person0", "personX")]
+    assert answers == ["", "".join(name)]
 
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
