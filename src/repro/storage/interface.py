@@ -27,9 +27,18 @@ from repro.xmlio.escape import escape_attribute, escape_text
 Handle = Any
 
 
+#: Code points of a document encoded at a time by :func:`document_digest`.
+DIGEST_SLICE = 1 << 20
+
+
 def document_digest(text: str) -> str:
-    """Content digest of a document (cache keys, invalidation)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    """Content digest of a document (cache keys, invalidation): the
+    SHA-256 of its UTF-8 encoding, fed one slice of code points at a time
+    so that no encoded copy of the whole document is made."""
+    digest = hashlib.sha256()
+    for start in range(0, len(text), DIGEST_SLICE):
+        digest.update(text[start:start + DIGEST_SLICE].encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def chain_digest(previous: str | None, op_token: str) -> str:

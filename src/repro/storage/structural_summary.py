@@ -10,13 +10,17 @@ The summary maps every distinct root-to-element path to its *extent*: the
 document-ordered list of nodes with that path.  It doubles as the catalogue
 behind the Section 7 suggestion of warning about path expressions that
 contain non-existing tags.
+
+:meth:`SummaryStore.load` builds it in its own token pass, registering
+each path at its first node; writes register new paths through
+:meth:`StructuralSummary.extent`.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -24,7 +28,7 @@ class PathEntry:
     """One distinct path: its extent and pre-computed cardinality."""
 
     path: tuple[str, ...]
-    nodes: list[int] = field(default_factory=list)
+    nodes: list[int] | array     # a write's list, or a compacted array
 
     @property
     def count(self) -> int:
@@ -34,27 +38,26 @@ class PathEntry:
 class StructuralSummary:
     """DataGuide over a tree store's node arrays."""
 
-    __slots__ = ("_entries", "_by_tag", "_tags")
+    __slots__ = ("_entries", "_by_tag", "_tags", "_through")
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, ...], PathEntry] = {}
         self._by_tag: dict[str, list[PathEntry]] = {}
         self._tags: set[str] = set()
+        # paths_through's answers, dropped whenever a path is registered
+        self._through: dict[tuple[tuple[str, ...], str], list[PathEntry]] = {}
 
-    @classmethod
-    def build(cls, tags: list[str], parents: list[int]) -> "StructuralSummary":
-        """Build from parallel pre-order tag/parent arrays in one pass."""
-        summary = cls()
-        paths: list[tuple[str, ...]] = [()] * len(tags)
-        for node, tag in enumerate(tags):
-            parent = parents[node]
-            path = (paths[parent] + (tag,)) if parent >= 0 else (tag,)
-            paths[node] = path
-            summary.add(path, node)
-        return summary
+    def register(self, path: tuple[str, ...], nodes: list[int] | array) -> PathEntry:
+        """Enter ``path``, not yet in the summary, with the extent ``nodes``.
 
-    def add(self, path: tuple[str, ...], node: int) -> None:
-        self.extent(path).append(node)
+        Entries keep the order they were registered in: a load registers
+        each path at its first node in pre-order."""
+        entry = PathEntry(path, nodes)
+        self._entries[path] = entry
+        self._by_tag.setdefault(path[-1], []).append(entry)
+        self._tags.add(path[-1])
+        self._through.clear()
+        return entry
 
     def extent(self, path: tuple[str, ...]) -> list[int]:
         """The live extent of ``path`` as a list a write may edit: the
@@ -62,10 +65,7 @@ class StructuralSummary:
         thawed on its first write."""
         entry = self._entries.get(path)
         if entry is None:
-            entry = PathEntry(path)
-            self._entries[path] = entry
-            self._by_tag.setdefault(path[-1], []).append(entry)
-            self._tags.add(path[-1])
+            entry = self.register(path, [])
         elif not isinstance(entry.nodes, list):
             entry.nodes = list(entry.nodes)
         return entry.nodes
@@ -86,10 +86,18 @@ class StructuralSummary:
 
     def paths_through(self, prefix: tuple[str, ...], tag: str) -> list[PathEntry]:
         """Entries ending in ``tag`` that strictly extend ``prefix`` —
-        resolves a descendant step without touching the document."""
-        depth = len(prefix)
-        return [entry for entry in self._by_tag.get(tag, ())
+        resolves a descendant step without touching the document.
+
+        The answer is kept until a path is registered, and the same list
+        is returned on every call: a caller must not change it."""
+        key = (prefix, tag)
+        found = self._through.get(key)
+        if found is None:
+            depth = len(prefix)
+            found = self._through[key] = [
+                entry for entry in self._by_tag.get(tag, ())
                 if len(entry.path) > depth and entry.path[:depth] == prefix]
+        return found
 
     def paths_ending_in(self, tag: str) -> list[PathEntry]:
         return list(self._by_tag.get(tag, ()))
@@ -109,7 +117,8 @@ class StructuralSummary:
 
         This is System D's compactness story made real: after bulkload the
         extents are immutable, so a packed array (8 bytes/node, no per-item
-        object overhead) replaces the build-time list.
+        object overhead) replaces the build-time extent; a copy, so an
+        array the load grew by appending is exactly sized.
         """
         for entry in self._entries.values():
             entry.nodes = array("q", entry.nodes)

@@ -39,6 +39,7 @@ but never affect results.
 
 from __future__ import annotations
 
+import io
 import sys
 from array import array
 from bisect import bisect_right
@@ -67,7 +68,13 @@ class SummaryStore(TreeStore):
 
     def load(self, text: str) -> None:
         """One pass over the tokens: child-id tuples, packed columns, the
-        text heap and its offsets, and the ID index."""
+        text heap and its offsets, the structural summary and the ID index.
+
+        The load keeps only what it stores: each text run is written into
+        the one heap buffer, and each element's id is appended to its
+        path's extent, found under its parent's path in a trie that lives
+        only as long as this call — a path tuple is made once per distinct
+        path, not once per node."""
         # The heap is never longer than the document.
         width = "i" if len(text) < 1 << 31 else "q"
         tags: list[str] = []
@@ -76,10 +83,15 @@ class SummaryStore(TreeStore):
         attrs: list[dict[str, str] | None] = []
         content: list[tuple[int, ...]] = []
         id_index: dict[str, int] = {}
-        chunks: list[str] = []
+        summary = StructuralSummary()
+        heap = io.StringIO()
+        write = heap.write
         size = 0                        # heap length so far
         stack: list[int] = []
         kids: list[list[int] | None] = []       # child ids of each open element
+        # Each open element's path: (its extent, its child paths by tag, the
+        # path); the bottom one stands for the paths of no element.
+        steps: list[tuple] = [(None, {}, ())]
         parent = -1
         for kind, value, attributes in tokens(text):
             if kind == START:
@@ -105,10 +117,19 @@ class SummaryStore(TreeStore):
                     else:
                         siblings.append(node)
                 kids.append(None)
+                below = steps[-1][1]
+                step = below.get(value)
+                if step is None:
+                    path, extent = steps[-1][2] + (value,), array("q")
+                    summary.register(path, extent)
+                    step = below[value] = (extent, {}, path)
+                step[0].append(node)
+                steps.append(step)
                 stack.append(node)
                 parent = node
             elif kind == END:
                 node = stack.pop()
+                steps.pop()
                 posts[node] = (len(tags) - 1) << _SHIFT
                 hi[node] = size
                 children = kids.pop()
@@ -116,16 +137,16 @@ class SummaryStore(TreeStore):
                     content[node] = tuple(children)
                 parent = stack[-1] if stack else -1
             else:
-                chunks.append(value)
-                size += len(value)
+                size += write(value)
         self._tags, self._parents, self._posts = tags, parents, posts
         self._attrs, self._content, self._id_index = attrs, content, id_index
-        self._heap, self._lo, self._hi = "".join(chunks), lo, hi
+        self._heap, self._lo, self._hi = heap.getvalue(), lo, hi
+        heap.close()        # some versions keep a copy after getvalue()
         self._overlay, self._touched = {}, set()
         self._labels, self._inserted, self._holes = array("q"), [], []
         self._bulk = len(tags)
-        self._summary = StructuralSummary.build(tags, parents)
-        self._summary.compact()
+        summary.compact()
+        self._summary = summary
         self.mark_loaded(text)
 
     @property

@@ -1,8 +1,13 @@
 """Architecture-specific behaviour of each store."""
 
+import gc
 import re
+import sys
+import tracemalloc
+from array import array
 from bisect import bisect_left
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 
@@ -14,12 +19,14 @@ from repro.storage.bulkload import bulkload, scan_baseline
 from repro.storage.dom_store import DomStore
 from repro.storage.fragment_store import FragmentStore
 from repro.storage.heap_store import HeapStore
+from repro.storage.interface import DIGEST_SLICE, document_digest
 from repro.storage.schema_store import _FRAGMENT_ROOTS, SchemaStore
 from repro.storage.shred import shred_to_files
 from repro.storage.structural_summary import StructuralSummary
 from repro.storage.summary_store import SummaryStore
 from repro.storage.tree_store import IndexedTreeStore, TreeStore
 from repro.update import UpdateStream, apply_update
+from repro.xmlgen.generator import generate_string
 from repro.xmlio.parser import parse
 from repro.xmlio.serialize import serialize
 from repro.xquery.evaluator import evaluate
@@ -275,17 +282,122 @@ class TestSummaryStore:
         assert loaded_stores["D"].size_bytes() < loaded_stores["E"].size_bytes()
 
 
+def _two_pass_summary(tags, parents) -> StructuralSummary:
+    """The summary as D's load once built it, in a second pass over its
+    arrays: one path tuple per node, list extents, then ``compact()``."""
+    summary = StructuralSummary()
+    paths: list[tuple[str, ...]] = [()] * len(tags)
+    for node, tag in enumerate(tags):
+        parent = parents[node]
+        path = paths[node] = (paths[parent] + (tag,)) if parent >= 0 else (tag,)
+        summary.extent(path).append(node)
+    summary.compact()
+    return summary
+
+
+def _summary_state(summary: StructuralSummary):
+    """Every entry's path and extent in registration order, the entries
+    ending in each tag in ``_by_tag`` order, and the path count."""
+    entries = [(entry.path, list(entry.nodes))
+               for entry in summary._entries.values()]
+    by_tag = [(tag, [entry.path for entry in found])
+              for tag, found in summary._by_tag.items()]
+    return entries, by_tag, summary.path_count()
+
+
+@pytest.fixture(scope="module")
+def medium_text() -> str:
+    return generate_string(0.005)
+
+
 class TestStructuralSummary:
-    def test_build_from_arrays(self):
-        tags = ["a", "b", "c", "b"]
-        parents = [-1, 0, 1, 0]
-        summary = StructuralSummary.build(tags, parents)
+    def test_load_builds_the_summary(self):
+        store = SummaryStore()
+        store.load("<a><b><c/></b><b/></a>")
+        summary = store.summary
         assert summary.count(("a",)) == 1
         assert summary.count(("a", "b")) == 2
         assert summary.count(("a", "b", "c")) == 1
-        assert summary.nodes(("a", "b")) == [1, 3]
+        assert list(summary.nodes(("a", "b"))) == [1, 3]
         assert summary.path_count() == 3
         assert summary.has_tag("c") and not summary.has_tag("z")
+        # Compacted: packed and exactly sized, as a fresh copy is.
+        extent = summary.nodes(("a", "b"))
+        assert isinstance(extent, array)
+        assert sys.getsizeof(extent) == sys.getsizeof(array("q", extent))
+
+    def test_load_equals_the_two_pass_build(self, medium_text):
+        store = SummaryStore()
+        store.load(medium_text)
+        reference = _two_pass_summary(store._tags, store._parents)
+        assert _summary_state(store.summary) == _summary_state(reference)
+        assert store.summary.size_bytes() == reference.size_bytes()
+
+    def test_load_equals_the_two_pass_build_after_a_history(self, medium_text):
+        store, reference = SummaryStore(), SummaryStore()
+        store.load(medium_text)
+        reference.load(medium_text)
+        reference._summary = _two_pass_summary(reference._tags, reference._parents)
+        operations = UpdateStream(store, seed=7).sequence(300)
+        for op in operations:
+            apply_update(store, op)
+            apply_update(reference, op)
+        assert _summary_state(store.summary) == _summary_state(reference.summary)
+
+    def test_paths_through_is_dropped_when_a_path_is_registered(self):
+        summary = StructuralSummary()
+        summary.extent(("a", "b")).append(1)
+        first = summary.paths_through(("a",), "b")
+        assert [entry.path for entry in first] == [("a", "b")]
+        assert summary.paths_through(("a",), "b") is first
+        summary.extent(("a", "b")).append(2)          # no new path: kept
+        assert summary.paths_through(("a",), "b") is first
+        summary.extent(("a", "c", "b")).append(3)
+        assert [entry.path for entry in summary.paths_through(("a",), "b")] == [
+            ("a", "b"), ("a", "c", "b")]
+
+
+class TestLoadMemory:
+    def test_summary_store_load_keeps_what_it_stores(self):
+        """D's load needs little more memory than it keeps: no chunk list
+        beside the heap, no per-node path tuples, no encoded copy of the
+        document for its digest.  What it keeps is no more than with the
+        summary built in a second pass over the arrays."""
+        text = generate_string(0.05)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            store = SummaryStore()
+            store.load(text)
+            gc.collect()
+            loaded, peak = tracemalloc.get_traced_memory()
+            store._summary = _two_pass_summary(store._tags, store._parents)
+            gc.collect()
+            reference = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        retained = loaded - start
+        assert peak - start <= 1.3 * retained, (peak - start, retained)
+        assert retained <= 1.01 * (reference - start), (retained, reference - start)
+
+
+class TestDocumentDigest:
+    @pytest.mark.parametrize("text", [
+        "",
+        "<a>short, under one slice: \u00e9\u20ac\U0001F600</a>",
+        "x" * (DIGEST_SLICE - 1) + "\u00e9" + "y" * 5,
+        "x" * (DIGEST_SLICE - 1) + "\U0001F600\u20ac" + "y" * DIGEST_SLICE,
+        "\u20ac" * (2 * DIGEST_SLICE + 3),
+    ], ids=["empty", "short", "two-byte-at-boundary", "four-byte-at-boundary",
+            "three-byte-slices"])
+    def test_sliced_digest_is_the_whole_text_digest(self, text):
+        assert document_digest(text) == sha256(text.encode()).hexdigest()[:16]
+
+    def test_ascii_document(self, small_text):
+        assert small_text.isascii()
+        assert document_digest(small_text) == sha256(
+            small_text.encode()).hexdigest()[:16]
 
 
 class TestTreeStores:
