@@ -495,17 +495,20 @@ class Database:
         with self.rwlock.read():
             return self._run(name, text, stream)
 
-    @contextmanager
-    def _paging(self, system: str | None, query: int | str,
-                tenant: str | None):
-        """A streaming execution whose ``with`` block (which must not take
-        the read side again) shares its read side: the wire server reads
-        a first page there, so no commit poisons the cursor before it.
-        A service's materialized cursor is read under a read of its own."""
+    def _first_page(self, system: str | None, query: int | str,
+                    tenant: str | None, read):
+        """``read(cursor)`` of one streaming execution, under the read side
+        the execution took (``read`` must not take it again): the wire
+        server reads a first page there, so no commit poisons the cursor
+        before it.  A service's materialized cursor is read under a read
+        of its own."""
         name, text = self._admit(system, query, tenant)
-        served = self._served(name, text) if self.service is not None else None
+        if self.service is not None:
+            cursor = self._served(name, text)
+            with self.rwlock.read():
+                return read(cursor)
         with self.rwlock.read():
-            yield served if served is not None else self._run(name, text, True)
+            return read(self._run(name, text, True))
 
     def _served(self, name: str, text: str) -> Cursor:
         """One execution through the service (which takes the read side)."""

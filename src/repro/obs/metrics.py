@@ -264,9 +264,15 @@ class MetricsRegistry:
     def __init__(self, *, histogram_window: int = DEFAULT_WINDOW) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple, object] = {}
+        #: ``(kind, name, *labels in call order)`` -> metric: a repeated
+        #: lookup is one probe, without the lock or a sorted label key.
+        #: Read lock-free (a dict probe is atomic); written under the lock.
+        self._memo: dict[tuple, object] = {}
         self.histogram_window = histogram_window
 
-    def _get_or_create(self, kind: str, name: str, labels: dict, factory):
+    def _create(self, kind: str, name: str, labels: dict, factory):
+        """The slow path of a lookup the memo missed: get or create the
+        metric under the lock, refuse a kind conflict, memoise it."""
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
@@ -276,20 +282,30 @@ class MetricsRegistry:
                 raise BenchmarkError(
                     f"metric {name!r} already registered as {metric.kind}, "
                     f"requested {kind}")
+            self._memo[(kind, name, *labels.items())] = metric
             return metric
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get_or_create("counter", name, labels, Counter)
+        metric = self._memo.get(("counter", name, *labels.items()))
+        if metric is None:
+            metric = self._create("counter", name, labels, Counter)
+        return metric
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get_or_create("gauge", name, labels, Gauge)
+        metric = self._memo.get(("gauge", name, *labels.items()))
+        if metric is None:
+            metric = self._create("gauge", name, labels, Gauge)
+        return metric
 
     def histogram(self, name: str, window: int | None = None,
                   **labels) -> Histogram:
-        size = self.histogram_window if window is None else window
-        return self._get_or_create(
-            "histogram", name, labels,
-            lambda metric_name, key: Histogram(metric_name, key, size))
+        metric = self._memo.get(("histogram", name, *labels.items()))
+        if metric is None:
+            size = self.histogram_window if window is None else window
+            metric = self._create(
+                "histogram", name, labels,
+                lambda metric_name, key: Histogram(metric_name, key, size))
+        return metric
 
     def metrics(self) -> list:
         """Every registered metric, sorted by rendered name."""

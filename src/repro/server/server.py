@@ -5,7 +5,7 @@ the length-prefixed JSON protocol of :mod:`repro.server.protocol`.  Each
 accepted connection handshakes onto one served document as one tenant,
 then issues requests strictly in order; the event loop interleaves
 connections while each connection's blocking work (query evaluation,
-page fetches, commits) runs on a bounded worker pool.
+page fetches, commits) runs on a bounded set of worker threads.
 
 Three mechanisms keep a saturated server honest:
 
@@ -27,20 +27,20 @@ Three mechanisms keep a saturated server honest:
 from __future__ import annotations
 
 import asyncio
+import queue
 import threading
 import time
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro import __version__
 from repro.db.cursor import Cursor
 from repro.db.database import Database
 from repro.errors import (
-    ClosedCursorError, ProtocolError, ServerBusyError, ServerStopError,
-    XMarkError,
+    ClosedCursorError, ProtocolError, ServerBusyError, ServerError,
+    ServerStopError, XMarkError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.querylog import QueryLogWriter
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, TraceSampler
 from repro.server import protocol
@@ -64,17 +64,16 @@ class _ServerCursor:
     __slots__ = ("cursor", "system", "query", "query_ref", "tenant",
                  "sampled", "started", "rows_sent", "pages", "carry")
 
-    def __init__(self, cursor: Cursor, system: str, query: str, *,
-                 query_ref=None, tenant: str | None = None,
-                 sampled: bool = True,
-                 started: float | None = None) -> None:
+    def __init__(self, cursor: Cursor, system: str, query: str,
+                 query_ref, tenant: str, sampled: bool,
+                 started: float) -> None:
         self.cursor = cursor
         self.system = system
         self.query = query
         self.query_ref = query_ref      # the number/id the client sent
         self.tenant = tenant
         self.sampled = sampled          # attach the span tree to replies?
-        self.started = started if started is not None else time.perf_counter()
+        self.started = started          # perf_counter() at the request
         self.rows_sent = 0
         self.pages = 0                  # replies that carried a page
         self.carry: str | None = None   # the row that overflowed a page
@@ -114,9 +113,10 @@ class _ServerCursor:
 class _Connection:
     """Per-connection state: identity, prepared queries, cursors, txn."""
 
-    def __init__(self, conn_id: int, peer: str) -> None:
+    def __init__(self, conn_id: int, peer: str, meters: _Meters) -> None:
         self.conn_id = conn_id
         self.peer = peer
+        self.meters = meters            # the tenant label's metric handles
         self.tenant: TenantState | None = None
         self.document: ServedDocument | None = None
         self.prepared: dict[str, tuple[str, str]] = {}  # id -> (system, text)
@@ -132,11 +132,52 @@ class _Connection:
         return f"{prefix}{self.conn_id}.{self.next_id}"
 
 
-#: Request kinds whose work is offloaded to the worker pool (and which
-#: therefore count toward backpressure and the tenant in-flight quota).
-_HEAVY_KINDS = frozenset(
-    {"execute", "fetch", "prepare", "commit", "checkpoint", "explain",
-     "digest"})
+class _Meters:
+    """The hot path's metric handles for one tenant label (``None``:
+    before the handshake).  Each is looked up in the registry at its
+    first use, so a series appears when it is first counted, as it would
+    with a lookup per request, and is held from then on."""
+
+    #: attribute -> (kind, metric name, labels: "tenant" always carries
+    #: the tenant label, "peer" only once handshaken, "none" never).
+    _SPECS = {
+        "bytes_in": ("counter", "net.bytes_in_total", "peer"),
+        "bytes_out": ("counter", "net.bytes_out_total", "peer"),
+        "request_ms": ("histogram", "server.request_ms", "tenant"),
+        "all_request_ms": ("histogram", "server.request_ms", "none"),
+        "active": ("gauge", "server.active_requests", "none"),
+        "executes": ("counter", "server.executes_total", "tenant"),
+        "plan_hits": ("counter", "server.plan_cache_hits_total", "tenant"),
+        "result_hits": ("counter", "server.result_cache_hits_total",
+                        "tenant"),
+    }
+
+    def __init__(self, registry: MetricsRegistry, tenant: str | None) -> None:
+        self.registry = registry
+        self.tenant = tenant
+        self.label = tenant if tenant is not None else "-"
+        self._requests: dict[str, Counter] = {}
+
+    def __getattr__(self, attr: str):
+        try:
+            kind, name, labelled = self._SPECS[attr]
+        except KeyError:
+            raise AttributeError(attr) from None
+        if labelled == "tenant" or (labelled == "peer"
+                                    and self.tenant is not None):
+            labels = {"tenant": self.label}
+        else:
+            labels = {}
+        metric = getattr(self.registry, kind)(name, **labels)
+        setattr(self, attr, metric)
+        return metric
+
+    def requests(self, kind: str) -> Counter:
+        counter = self._requests.get(kind)
+        if counter is None:
+            counter = self._requests[kind] = self.registry.counter(
+                "server.requests_total", kind=kind, tenant=self.label)
+        return counter
 
 
 class XMarkServer:
@@ -163,6 +204,9 @@ class XMarkServer:
         default_quota: TenantQuota | None = None,
         max_frame: int = protocol.MAX_FRAME,
     ) -> None:
+        if max_workers <= 0:
+            raise ServerError(
+                f"max_workers must be positive, got {max_workers}")
         self.host = host
         self.port = port
         self.max_workers = max_workers
@@ -180,15 +224,34 @@ class XMarkServer:
                           else query_log)
         self.tenants = TenantRegistry(default_quota or TenantQuota())
         self.documents: dict[str, ServedDocument] = {}
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="xmark-server")
+        self._meters: dict[str | None, _Meters] = {}
+        #: Heavy request kinds and their handlers, run on a worker thread
+        #: (they count toward backpressure and the tenant in-flight quota).
+        self._heavy = {
+            "prepare": self._do_prepare,
+            "execute": self._do_execute,
+            "fetch": self._do_fetch,
+            "commit": self._do_commit,
+            "checkpoint": self._do_checkpoint,
+            "explain": self._do_explain,
+            "digest": self._do_digest,
+        }
         self._active = 0                # admitted (queued or running)
-        #: Submitted and not yet done (a worker drops its own), and the
-        #: names of the worker threads running one right now.
-        self._inflight: set[Future] = set()
-        self._busy: set[str] = set()
+        # The hand-off: the loop puts a request's future on ``_jobs`` and
+        # its work in ``_queued``; a worker claims the work with one
+        # ``dict.pop`` (``stop`` races it with another), runs it, and
+        # resolves the future with one ``call_soon_threadsafe``.
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._queued: dict[asyncio.Future, object] = {}
+        #: Claimed and not yet resolved on the loop: future -> the name of
+        #: the worker thread that claimed it.
+        self._running: dict[asyncio.Future, str] = {}
+        self._workers: list[threading.Thread] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
-        self._connections = 0
+        #: Open connections: the handler task of each, with its streams.
+        self._open: dict[asyncio.Task, tuple[asyncio.StreamReader,
+                                             asyncio.StreamWriter]] = {}
         self._next_conn = 0
         self._server: asyncio.base_events.Server | None = None
         self._stopped: asyncio.Event | None = None
@@ -219,6 +282,7 @@ class XMarkServer:
         """Bind and start accepting (idempotent; call inside the loop)."""
         if self._server is not None:
             return
+        self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
@@ -233,37 +297,44 @@ class XMarkServer:
         await self._stopped.wait()
 
     async def stop(self, timeout: float | None = None) -> None:
-        """Stop accepting, cancel queued requests, wait for the running
-        ones, then close owned databases and the owned query log.
+        """Stop accepting, refuse queued requests, wait for the running
+        ones, end the open connections, then close owned databases and
+        the owned query log.
 
         The wait is on the event loop, not a blocking join, and lasts at
         most ``timeout`` seconds (None: until they finish).  At the
         deadline it raises :class:`ServerStopError` naming the busy
         workers and leaves the owned databases open: closing one would
-        wait on the same stuck read.  A later call waits again."""
+        wait on the same stuck read.  A later call waits again.  Every
+        worker thread exits once it is idle."""
         if not self._closing:
             self._closing = True
             if self._server is not None:
                 # Stop listening, but do not await ``wait_closed()``: from
                 # Python 3.12.1 on it waits, unbounded, for every client
-                # connection to close.  Handlers of connections still open
-                # are cancelled when the loop ends (``serve_in_thread``).
+                # connection to close.  The connections end below.
                 self._server.close()
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        running = [asyncio.wrap_future(future)
-                   for future in list(self._inflight) if not future.done()]
+            for future in list(self._queued):
+                if (self._queued.pop(future, None) is not None
+                        and not future.done()):
+                    future.set_exception(ServerStopError(
+                        "server stopped before the request ran"))
+            for _ in self._workers:
+                self._jobs.put(None)    # each worker exits at its next job
+        running = [future for future in list(self._running)
+                   if not future.done()]
         if running:
             _done, pending = await asyncio.wait(running, timeout=timeout)
             if pending:
-                for waiter in pending:  # the workers run on regardless
-                    waiter.cancel()
-                busy = tuple(sorted(self._busy))
+                busy = tuple(sorted({self._running.get(future, "?")
+                                     for future in pending}))
                 raise ServerStopError(
                     f"{len(pending)} request(s) still running after "
-                    f"{timeout} s on {', '.join(busy) or 'the pool'}", busy)
+                    f"{timeout} s on {', '.join(busy)}", busy)
         if self._closed:
             return
         self._closed = True
+        await self._end_connections(timeout)
         for served in self.documents.values():
             if served.owned:
                 served.database.close()
@@ -272,10 +343,36 @@ class XMarkServer:
         if self._stopped is not None:
             self._stopped.set()
 
+    async def _end_connections(self, timeout: float | None) -> None:
+        """End every open connection so that its handler returns by
+        itself: stop reading and feed its reader end-of-stream, so the
+        handler answers what it already read, then sees a clean EOF and
+        closes.  Wait at most ``timeout`` (None: ``_STOP_GRACE``) for the
+        handlers, then abort the transports of those left (clients that
+        stopped reading their replies).  The loop's end must not cancel
+        a handler: Python 3.11's stream callback logs that as an error."""
+        for reader, writer in self._open.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        if not self._open:
+            return
+        grace = _STOP_GRACE if timeout is None else timeout
+        _done, pending = await asyncio.wait(list(self._open), timeout=grace)
+        for task in pending:
+            self._open[task][1].transport.abort()
+        if pending:
+            await asyncio.wait(pending)
+
+    def _join_workers(self, timeout: float | None = None) -> None:
+        """Block until every worker thread has exited (after :meth:`stop`;
+        never on the event loop)."""
+        for worker in self._workers:
+            worker.join(timeout)
+
     # -- backpressure ---------------------------------------------------------------
 
     async def _offload(self, conn: _Connection, fn):
-        """Run ``fn`` on the worker pool under admission control.
+        """Run ``fn`` on a worker thread under admission control.
 
         Once ``max_workers + queue_depth`` requests are admitted, the
         next one is refused with ``server_busy`` immediately — the typed
@@ -301,43 +398,74 @@ class XMarkServer:
         if tenant is not None:
             self.tenants.begin_request(tenant)
         self._active += 1
-        self.registry.gauge("server.active_requests").set(self._active)
+        active = conn.meters.active
+        active.set(self._active)
         try:
-            future = self._pool.submit(self._work, fn)
-            self._inflight.add(future)
-            future.add_done_callback(self._inflight.discard)
+            if len(self._workers) < min(self._active, self.max_workers):
+                self._start_worker()
+            future = self._loop.create_future()
+            self._queued[future] = fn
+            self._jobs.put(future)
             try:
-                return await asyncio.wrap_future(future)
+                return await future
             except asyncio.CancelledError:
-                # ``stop`` cancelled the queued request, not this task.
-                if not future.cancelled() or asyncio.current_task().cancelling():
-                    raise
-                raise ServerStopError(
-                    "server stopped before the request ran") from None
+                self._queued.pop(future, None)  # not run if not yet claimed
+                raise
         finally:
             self._active -= 1
-            self.registry.gauge("server.active_requests").set(self._active)
+            active.set(self._active)
             if tenant is not None:
                 self.tenants.end_request(tenant)
 
-    def _work(self, fn):
-        """Run ``fn`` on a worker thread, named busy while it runs."""
-        worker = threading.current_thread().name
-        self._busy.add(worker)
-        try:
-            return fn()
-        finally:
-            self._busy.discard(worker)
+    def _start_worker(self) -> None:
+        worker = threading.Thread(
+            target=self._work, name=f"xmark-server_{len(self._workers)}",
+            daemon=True)
+        self._workers.append(worker)
+        worker.start()
+
+    def _work(self) -> None:
+        """A worker thread: claim each queued request, run it, and hand
+        its outcome back to the loop; exit at ``None``."""
+        name = threading.current_thread().name
+        jobs, queued, running = self._jobs, self._queued, self._running
+        resolve = self._loop.call_soon_threadsafe
+        while (future := jobs.get()) is not None:
+            # Marked running before the claim, so ``stop`` never finds a
+            # claimed request in neither place.
+            running[future] = name
+            fn = queued.pop(future, None)
+            if fn is None:              # stop() or a cancellation took it
+                running.pop(future, None)
+                continue
+            try:
+                result = fn()
+            except BaseException as exc:
+                resolve(self._resolve, future, None, exc)
+            else:
+                resolve(self._resolve, future, result, None)
+
+    def _resolve(self, future: asyncio.Future, result, error) -> None:
+        """On the loop: a worker's outcome settles the request's future."""
+        self._running.pop(future, None)
+        if future.done():               # the request was cancelled meanwhile
+            return
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
 
     # -- the connection loop --------------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._next_conn += 1
-        conn = _Connection(self._next_conn, self._peer_name(writer))
-        self._connections += 1
+        conn = _Connection(self._next_conn, self._peer_name(writer),
+                           self._meters_for(None))
+        task = asyncio.current_task()
+        self._open[task] = (reader, writer)
         self.registry.counter("server.accepts_total").inc()
-        self.registry.gauge("server.connections").set(self._connections)
+        self.registry.gauge("server.connections").set(len(self._open))
         span = (self.tracer.begin("server.accept", peer=conn.peer)
                 if self.tracer.enabled else None)
         try:
@@ -346,8 +474,8 @@ class XMarkServer:
             pass                        # peer vanished; nothing to reply to
         finally:
             self._release_connection(conn)
-            self._connections -= 1
-            self.registry.gauge("server.connections").set(self._connections)
+            del self._open[task]
+            self.registry.gauge("server.connections").set(len(self._open))
             if span is not None:
                 span.set(tenant=(conn.tenant.name if conn.tenant else None))
                 span.finish()
@@ -369,6 +497,12 @@ class XMarkServer:
             self.tenants.disconnect(conn.tenant)
         conn.cursors.clear()
 
+    def _meters_for(self, tenant: str | None) -> _Meters:
+        meters = self._meters.get(tenant)
+        if meters is None:
+            meters = self._meters[tenant] = _Meters(self.registry, tenant)
+        return meters
+
     @staticmethod
     def _peer_name(writer: asyncio.StreamWriter) -> str:
         peer = writer.get_extra_info("peername")
@@ -377,8 +511,7 @@ class XMarkServer:
     async def _send(self, conn: _Connection, writer: asyncio.StreamWriter,
                     payload: dict) -> None:
         data = protocol.encode_frame(payload)
-        labels = {"tenant": conn.tenant.name} if conn.tenant else {}
-        self.registry.counter("net.bytes_out_total", **labels).inc(len(data))
+        conn.meters.bytes_out.inc(len(data))
         writer.write(data)
         await writer.drain()
 
@@ -405,8 +538,7 @@ class XMarkServer:
                 continue
             if payload is None:
                 return                  # clean EOF at a frame boundary
-            labels = {"tenant": conn.tenant.name} if conn.tenant else {}
-            self.registry.counter("net.bytes_in_total", **labels).inc(nbytes)
+            conn.meters.bytes_in.inc(nbytes)
             if not await self._dispatch(conn, writer, payload):
                 return
 
@@ -417,9 +549,9 @@ class XMarkServer:
         kind = payload["kind"]
         request_id = payload.get("id")
         started = time.perf_counter()
-        tenant_label = conn.tenant.name if conn.tenant else "-"
-        self.registry.counter("server.requests_total", kind=kind,
-                              tenant=tenant_label).inc()
+        meters = conn.meters            # the handshake swaps it: keep this one
+        tenant_label = meters.label
+        meters.requests(kind).inc()
         # Head sampling: the client's trace context wins (one trace is
         # never half-kept across the wire); context-free requests roll
         # the deterministic per-tenant die.
@@ -477,9 +609,8 @@ class XMarkServer:
             elapsed = time.perf_counter() - started
             elapsed_ms = elapsed * 1000.0
             # Histograms take seconds; the exporter renders *_ms fields.
-            self.registry.histogram("server.request_ms").observe(elapsed)
-            self.registry.histogram("server.request_ms",
-                                    tenant=tenant_label).observe(elapsed)
+            meters.all_request_ms.observe(elapsed)
+            meters.request_ms.observe(elapsed)
             if span is not None:
                 # Tail rule: errors and slow requests are always kept,
                 # whatever the head decision said.
@@ -516,19 +647,11 @@ class XMarkServer:
             return self._on_txn_op(conn, payload)
         if kind == "rollback":
             return self._on_rollback(conn)
-        if kind not in _HEAVY_KINDS:
+        handler = self._heavy.get(kind)
+        if handler is None:
             raise ProtocolError(f"unknown message kind {kind!r}",
                                 code="bad_message")
         served = conn.document
-        handler = {
-            "prepare": self._do_prepare,
-            "execute": self._do_execute,
-            "fetch": self._do_fetch,
-            "commit": self._do_commit,
-            "checkpoint": self._do_checkpoint,
-            "explain": self._do_explain,
-            "digest": self._do_digest,
-        }[kind]
         db_tracer = served.database.tracer
         if conn.sampled or not db_tracer.enabled:
             def run():
@@ -537,7 +660,7 @@ class XMarkServer:
             # Unsampled request: the served database's instrumentation is
             # shared by every connection, so switch it off for exactly
             # this execution via thread-local suppression — the handler
-            # runs wholly on one worker-pool thread.
+            # runs wholly on one worker thread.
             def run():
                 with db_tracer.suppressed():
                     return handler(conn, served, payload)
@@ -566,6 +689,7 @@ class XMarkServer:
             raise ProtocolError("tenant must be a string",
                                 code="bad_message")
         conn.tenant = self.tenants.connect(tenant_name)
+        conn.meters = self._meters_for(tenant_name)
         conn.document = served
         database = served.database
         return {
@@ -582,7 +706,7 @@ class XMarkServer:
     def _on_stats(self) -> dict:
         return {
             "kind": "stats",
-            "connections": self._connections,
+            "connections": len(self._open),
             "active_requests": self._active,
             "documents": sorted(self.documents),
             "tenants": self.tenants.snapshot(),
@@ -616,7 +740,7 @@ class XMarkServer:
         conn.txn_ops = None
         return {"kind": "txn", "state": "aborted", "discarded": discarded}
 
-    # -- offloaded handlers (worker-pool threads) ------------------------------------
+    # -- offloaded handlers (worker threads) ----------------------------------------
 
     def _resolve_query(self, conn: _Connection, served: ServedDocument,
                        payload: dict) -> tuple[str, str]:
@@ -654,26 +778,21 @@ class XMarkServer:
                     payload: dict) -> dict:
         started = time.perf_counter()   # before compile: duration_ms covers it
         system, text = self._resolve_query(conn, served, payload)
-        tenant_name = conn.tenant.name
         first_page = payload.get("fetch")
         size = self._page_arg(first_page) if first_page else None
-        # The execution and its first page under one read: no commit
-        # poisons the cursor before it sent a row.
-        with served.database._paging(system, text, tenant_name) as cursor:
-            self.tenants.open_cursor(conn.tenant)
-            self.registry.counter("server.executes_total",
-                                  tenant=tenant_name).inc()
+        tenant = conn.tenant
+
+        def opened(cursor: Cursor) -> dict:
+            self.tenants.open_cursor(tenant)
+            meters = conn.meters
+            meters.executes.inc()
             if cursor.plan_cache_hit:
-                self.registry.counter("server.plan_cache_hits_total",
-                                      tenant=tenant_name).inc()
+                meters.plan_hits.inc()
             if cursor.result_cache_hit:
-                self.registry.counter("server.result_cache_hits_total",
-                                      tenant=tenant_name).inc()
+                meters.result_hits.inc()
             held = _ServerCursor(cursor, system, text,
-                                 query_ref=payload.get(
-                                     "query", payload.get("query_id")),
-                                 tenant=tenant_name, sampled=conn.sampled,
-                                 started=started)
+                                 payload.get("query", payload.get("query_id")),
+                                 tenant.name, conn.sampled, started)
             cursor_id = conn.fresh_id("c")
             conn.cursors[cursor_id] = held
             reply = {
@@ -693,7 +812,11 @@ class XMarkServer:
                 reply["done"] = done
                 if done:
                     self._finish_cursor(conn, cursor_id, reply)
-        return reply
+            return reply
+
+        # The execution and its first page under one read: no commit
+        # poisons the cursor before it sent a row.
+        return served.database._first_page(system, text, tenant.name, opened)
 
     @staticmethod
     def _page_arg(value) -> int | None:
@@ -877,8 +1000,8 @@ def serve_in_thread(server: XMarkServer) -> ServerHandle:
 
         try:
             loop.run_until_complete(_main())
-            # Connections the clients never closed still own handler
-            # tasks; cancel them so the loop shuts down quietly.
+            # ``stop`` ended every connection; a handler that did not
+            # return within its timeout is cancelled so the loop can end.
             pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
             for task in pending:
                 task.cancel()
@@ -887,6 +1010,7 @@ def serve_in_thread(server: XMarkServer) -> ServerHandle:
                     asyncio.gather(*pending, return_exceptions=True))
         finally:
             loop.close()
+            server._join_workers()
 
     thread = threading.Thread(target=_run, name="xmark-serve", daemon=True)
     thread.start()

@@ -155,6 +155,55 @@ class TestMetricsRegistry:
         with pytest.raises(BenchmarkError):
             registry.histogram("latency")
 
+    def test_label_order_finds_the_same_metric(self):
+        registry = MetricsRegistry()
+        first = registry.counter("x", a="1", b="2")
+        assert registry.counter("x", b="2", a="1") is first
+        assert registry.counter("x", a="1", b="2") is first
+        first.inc()
+        assert registry.snapshot()["counters"] == {'x{a="1",b="2"}': 1}
+
+    def test_a_memoised_name_still_refuses_another_kind(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("latency")
+        assert registry.counter("latency") is counter     # memoised
+        for _ in range(2):
+            with pytest.raises(BenchmarkError):
+                registry.histogram("latency")
+            with pytest.raises(BenchmarkError):
+                registry.gauge("latency")
+        assert registry.counter("latency") is counter
+
+    def test_snapshot_after_lookups_from_eight_threads(self):
+        """Threads racing through lookups in both label orders, of all
+        three kinds, leave one series each with every increment in it."""
+        def lookups(registry: MetricsRegistry, worker: int) -> None:
+            for number in range(300):
+                tenant = f"t{number % 3}"
+                if number % 2:
+                    counter = registry.counter("requests", kind="execute",
+                                               tenant=tenant)
+                else:
+                    counter = registry.counter("requests", tenant=tenant,
+                                               kind="execute")
+                counter.inc()
+                registry.histogram("ms", tenant=tenant).observe(0.001)
+                registry.gauge("active", worker=str(worker)).set(number)
+
+        expected = MetricsRegistry()
+        for worker in range(8):
+            lookups(expected, worker)
+        registry = MetricsRegistry()
+        threads = [threading.Thread(target=lookups, args=(registry, worker))
+                   for worker in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert registry.snapshot() == expected.snapshot()
+        assert registry.snapshot()["counters"][
+            'requests{kind="execute",tenant="t0"}'] == 8 * 100
+
     def test_histogram_ring_bounds_memory(self):
         registry = MetricsRegistry()
         hist = registry.histogram("lat", window=4)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import struct
 import sys
@@ -24,12 +25,12 @@ import repro
 from repro.errors import (
     ClosedCursorError, ClosedSessionError, ProtocolError, QueryError,
     QuerySyntaxError, ServerBusyError, ServerError, ServerStopError,
-    TenantQuotaError,
+    StorageError, TenantQuotaError,
     TransactionError, TypeCoercionError, UnknownSystemError, XMarkError,
 )
 from repro.server import (
     PROTOCOL_VERSION, RemotePrepared, TenantQuota, TenantRegistry,
-    XMarkServer, connect_url, parse_url, serve_in_thread,
+    WireClient, XMarkServer, connect_url, parse_url, serve_in_thread,
 )
 from repro.server import protocol
 from repro.update.ops import CloseAuction, DeleteItem, PlaceBid, RegisterPerson
@@ -785,10 +786,87 @@ class TestStop:
         finally:
             remote.close()
 
+    def test_stopping_with_a_client_connected_logs_no_asyncio_error(
+            self, tiny_text, caplog):
+        """``stop`` ends the connections still open, so their handlers
+        return: the loop's end no longer cancels them, which Python
+        3.11's stream callback logged as an error with a traceback."""
+        database = repro.connect(tiny_text, systems=("D",))
+        server = XMarkServer(max_workers=1)
+        server.add_document("auction", database, owned=True)
+        handle = serve_in_thread(server)
+        client = WireClient(handle.host, handle.port)
+        try:
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                assert client.request({"kind": "ping"})["kind"] == "pong"
+                handle.stop(timeout=5.0)
+            assert not handle.thread.is_alive()
+            assert [record for record in caplog.records
+                    if record.name.startswith("asyncio")] == []
+            with pytest.raises((ProtocolError, OSError)):
+                client.request({"kind": "ping"})    # the server hung up
+        finally:
+            client.close()
+
+    def test_no_worker_thread_outlives_stop(self, tiny_text):
+        def workers() -> set[threading.Thread]:
+            return {thread for thread in threading.enumerate()
+                    if thread.name.startswith("xmark-server_")}
+        others = workers()              # other tests' servers
+        database = repro.connect(tiny_text, systems=("D",))
+        server = XMarkServer(max_workers=3)
+        server.add_document("auction", database, owned=True)
+        handle = serve_in_thread(server)
+        remotes = [connect_url(handle.url) for _ in range(3)]
+        try:
+            threads = [threading.Thread(
+                target=lambda r=remote: [r.document_digest("D")
+                                         for _ in range(10)])
+                for remote in remotes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert workers() - others
+        finally:
+            handle.stop(timeout=10.0)
+            for remote in remotes:
+                remote.close()
+        assert workers() - others == set()
+
+    def test_a_handler_error_reaches_its_client_typed(self, tiny_text):
+        """An error raised on a worker thread comes back as the typed
+        reply it always was: a library error under its own code, any
+        other exception as ``internal``; the connection survives."""
+        database = repro.connect(tiny_text, systems=("D",))
+        digest = database.document_digest
+        raised = iter([StorageError("disk on fire"), KeyError("boom")])
+
+        def failing(system=None):
+            raise next(raised)
+        database.document_digest = failing
+        server = XMarkServer(max_workers=1)
+        server.add_document("auction", database, owned=True)
+        with serve_in_thread(server) as handle:
+            remote = connect_url(handle.url)
+            try:
+                with pytest.raises(StorageError, match="disk on fire"):
+                    remote.document_digest("D")
+                with pytest.raises(ServerError, match=r"\[internal\]"):
+                    remote.document_digest("D")
+                database.document_digest = digest
+                assert remote.document_digest("D") == digest("D")
+            finally:
+                remote.close()
+        errors = server.registry.snapshot()["counters"]
+        assert errors['server.errors_total{code="storage"}'] == 1
+        assert errors['server.errors_total{code="internal"}'] == 1
+
     def test_stop_after_a_request_storm_leaves_no_worker_marked(self, tiny_text):
         """More clients than workers and cores, with a short switch
         interval: every request is answered, and ``stop`` then finds no
-        request in flight and no worker marked busy."""
+        request queued or running."""
         database = repro.connect(tiny_text, systems=("D",))
         server = XMarkServer(max_workers=3, queue_depth=64)
         server.add_document("auction", database, owned=True)
@@ -816,7 +894,7 @@ class TestStop:
             handle.stop(timeout=10.0)
         assert not failures, failures
         assert not handle.thread.is_alive()
-        assert not server._inflight and not server._busy
+        assert not server._queued and not server._running
 
 
 # -- observability --------------------------------------------------------------------
