@@ -366,7 +366,9 @@ def _index_report(args) -> int:
             print(f"  sorted  {entry['field']:55s} entries={entry['entries']:<6d} "
                   f"range={span}")
         paths = summary["paths"]
-        if paths:
+        if store.native_path_extents:
+            print("  paths   path extents: native (no secondary path index)")
+        elif paths:
             print(f"  paths   {paths['distinct_paths']} distinct label paths over "
                   f"{paths['nodes']} nodes")
     if args.json_path:

@@ -13,8 +13,10 @@ processing survey) catalogs the same three families this package provides:
 * :class:`~repro.index.indexes.SortedNumericIndex` — sorted ``(key, node)``
   pairs for range and inequality predicates, probed by bisection.
 * :class:`~repro.index.indexes.PathIndex` — dictionary-encoded label paths
-  mapped to node-id lists: the structural summary generalized to *every*
-  store architecture, not just System D's.
+  mapped to node-id lists: the structural summary generalized to the
+  stores that lack one.  B (one table per path) and D (its summary)
+  answer every path extent natively and the planner reads that first,
+  so they build no path index; A, C, E, F, G and the sharded store do.
 
 Indexes are declared by an :class:`~repro.index.spec.IndexSpec` (what to
 index, like ``CREATE INDEX`` statements) and built by

@@ -88,9 +88,11 @@ class IndexSet:
     def covers_path(self, path: tuple[str, ...]) -> bool:
         """Whether the path index is authoritative for ``path``.
 
-        Paths running *through* a stop tag were never walked: for those the
-        index cannot distinguish "empty extent" from "not indexed", so the
-        planner must fall back to navigation.
+        False everywhere on a set built without one (a store whose
+        ``nodes_at_path`` serves every path natively, which the planner
+        asks first).  Paths running *through* a stop tag were never
+        walked: for those the index cannot distinguish "empty extent"
+        from "not indexed", so the planner must fall back to navigation.
         """
         if self.paths is None:
             return False

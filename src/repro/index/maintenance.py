@@ -70,8 +70,9 @@ def apply_insertion(store, index_set: IndexSet, node,
                     path: tuple[str, ...]) -> int:
     """Index an inserted subtree; returns nodes walked.
 
-    Field entries are per-node deltas under fresh seqs; the path extents
-    take the subtree as one run per label path
+    Field entries are per-node deltas under fresh seqs; the path extents,
+    on a set that has a path index, take the subtree as one run per label
+    path
     (:func:`~repro.storage.interface.splice_subtree`), placed on the
     store's ``order_key`` — on the stores that renumber lazily, going
     through ``doc_position`` would force an O(document) rank relabel

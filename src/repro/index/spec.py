@@ -25,7 +25,7 @@ structured indexing to full-text indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 VALUE = "value"
 SORTED = "sorted"
@@ -55,6 +55,9 @@ class IndexSpec:
 
     fields: tuple[FieldSpec, ...]
     stop_tags: frozenset[str]
+    #: Whether the build walk fills a :class:`~repro.index.indexes.PathIndex`
+    #: (and every write splices into it); off where the store answers
+    #: every path extent natively, so no plan would ever read it.
     build_path_index: bool = True
 
 
@@ -95,3 +98,8 @@ DEFAULT_AUCTION_SPEC = IndexSpec(
     ),
     stop_tags=AUCTION_STOP_TAGS,
 )
+
+#: The auction spec without the generic path index: what a store whose
+#: ``nodes_at_path`` answers every absolute path itself (B's per-path
+#: tables, D's summary) builds, since plans read that extent first.
+NATIVE_PATHS_AUCTION_SPEC = replace(DEFAULT_AUCTION_SPEC, build_path_index=False)

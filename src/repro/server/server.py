@@ -486,16 +486,20 @@ class XMarkServer:
                 pass
 
     def _release_connection(self, conn: _Connection) -> None:
-        for held in conn.cursors.values():
+        # Pop each cursor: a worker finishing one at stop() pops it itself,
+        # and whoever pops a cursor releases its slot, exactly once.
+        while conn.cursors:
+            try:
+                _cursor_id, held = conn.cursors.popitem()
+            except KeyError:            # a worker took the last one
+                break
+            self.tenants.close_cursor(conn.tenant)
             try:
                 held.cursor.close()
             except XMarkError:
                 pass
         if conn.tenant is not None:
-            for _ in conn.cursors:
-                self.tenants.close_cursor(conn.tenant)
             self.tenants.disconnect(conn.tenant)
-        conn.cursors.clear()
 
     def _meters_for(self, tenant: str | None) -> _Meters:
         meters = self._meters.get(tenant)
@@ -807,7 +811,13 @@ class XMarkServer:
                 },
             }
             if first_page:
-                rows, done = held.page(size)
+                try:
+                    rows, done = held.page(size)
+                except BaseException:
+                    # The error is the reply: no cursor id goes out, so
+                    # none may stay open holding a quota slot.
+                    self._drop_cursor(conn, cursor_id)
+                    raise
                 reply["rows"] = rows
                 reply["done"] = done
                 if done:

@@ -85,6 +85,7 @@ class FragmentStore(Store):
     """One relation per distinct path (System B)."""
 
     architecture = "relational, one table per distinct path (System B)"
+    native_path_extents = True          # a path's extent is its table
 
     def __init__(self) -> None:
         super().__init__()

@@ -112,6 +112,11 @@ class Store(ABC):
 
     #: Human-readable architecture description (shown in reports).
     architecture: str = "abstract"
+    #: Whether :meth:`nodes_at_path` answers every absolute child path
+    #: from the store's own structures (never None).  The planner reads
+    #: that extent before the secondary path index, so such a store
+    #: builds none (:meth:`index_spec`).
+    native_path_extents: bool = False
 
     def __init__(self) -> None:
         self.stats = StoreStats()
@@ -131,17 +136,23 @@ class Store(ABC):
         The default is the benchmark's auction spec
         (:data:`repro.index.spec.DEFAULT_AUCTION_SPEC`); on non-auction
         documents its fields simply index empty extents, and the generic
-        path index still covers every walked label path.
+        path index covers every walked label path.  A store with
+        :attr:`native_path_extents` gets the spec without the path index
+        (:data:`~repro.index.spec.NATIVE_PATHS_AUCTION_SPEC`): its own
+        extents serve every path plan, so a second copy would only be
+        maintained, never read.
 
-        The build is deliberately uniform across all seven systems even
-        though the scan-only profiles (F, G) never probe: *use* is the
-        optimizer profile's choice, exactly as System D's store carries an
-        ID index that an ablation profile may ignore — and the
-        indexed-vs-scan ablation plus the probe==scan property tests need
-        both access paths available on one and the same loaded store.
-        Subclasses wanting a different trade-off override this.
+        The value and sorted indexes are built uniformly across all seven
+        systems even though the scan-only profiles (F, G) never probe:
+        *use* is the optimizer profile's choice, exactly as System D's
+        store carries an ID index that an ablation profile may ignore —
+        and the indexed-vs-scan ablation plus the probe==scan property
+        tests need both access paths available on one and the same loaded
+        store.  Subclasses wanting a different trade-off override this.
         """
-        from repro.index.spec import DEFAULT_AUCTION_SPEC
+        from repro.index.spec import DEFAULT_AUCTION_SPEC, NATIVE_PATHS_AUCTION_SPEC
+        if self.native_path_extents:
+            return NATIVE_PATHS_AUCTION_SPEC
         return DEFAULT_AUCTION_SPEC
 
     def drop_indexes(self) -> None:

@@ -55,6 +55,7 @@ class SummaryStore(TreeStore):
     """Main-memory store with DataGuide summary and ID index (System D)."""
 
     architecture = "main memory + structural summary (DataGuide) + ID index (System D)"
+    native_path_extents = True          # a path's extent is its summary entry
 
     def __init__(self) -> None:
         super().__init__()

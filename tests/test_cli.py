@@ -86,8 +86,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "System D" in out and "System F" in out
         assert "value" in out and "sorted" in out and "label paths" in out
+        assert "path extents: native" in out        # D's summary, no copy
         import json
         snapshot = json.loads(report.read_text())
+        assert snapshot["systems"]["D"]["paths"] is None
+        assert snapshot["systems"]["F"]["paths"]["nodes"] > 0
         person = next(e for e in snapshot["systems"]["D"]["value"]
                       if e["field"] == "site/people/person :: @id")
         assert person["entries"] > 0

@@ -23,6 +23,7 @@ from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.index import SortedNumericIndex, ValueIndex, extract_values, normalize_key
 from repro.index.indexes import cast_double
 from repro.obs.trace import Tracer
+from repro.shard.store import ShardedStore
 from repro.xquery.evaluator import evaluate
 from repro.xquery.planner import SystemProfile, compile_query
 from repro.xquery.sequence import COMPARATORS, NodeItem, NodeWindow, try_number
@@ -142,10 +143,33 @@ def store_set(request, tiny_stores, loaded_stores):
 class TestBuild:
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_every_store_builds_indexes_at_load(self, store_set, system):
-        indexes = store_set[system].indexes
+        store = store_set[system]
+        indexes = store.indexes
         assert indexes is not None
         assert indexes.nodes_walked > 0
-        assert indexes.values and indexes.sorteds and indexes.paths is not None
+        assert indexes.values and indexes.sorteds
+        # B's per-path tables and D's summary serve every path extent
+        # themselves; every other store gets the generic path index.
+        assert store.native_path_extents == (system in ("B", "D"))
+        assert (indexes.paths is None) == store.native_path_extents
+
+    def test_path_index_is_built_where_a_plan_reads_it(self, loaded_stores,
+                                                       tiny_text):
+        """B and D have no path index; E's plans still read its own, and a
+        shard's backend still builds the one its shard profile reads."""
+        assert loaded_stores["B"].indexes.paths is None
+        assert loaded_stores["D"].indexes.paths is None
+        compiled = compile_query('document("auction.xml")/site/people/person/name',
+                                 loaded_stores["E"], get_profile("E"))
+        plans = [plan for plan in compiled.path_plans.values()
+                 if plan.kind == "path_index"]
+        assert plans and all(plan.source == "index" for plan in plans)
+        sharded = ShardedStore(2, ("F",))
+        sharded.load(tiny_text)
+        assert sharded.indexes.paths is not None
+        for shard in sharded.shard_stores():
+            assert shard.indexes.paths is not None
+            assert shard.indexes.covers_path(("site", "people", "person"))
 
     def test_extents_identical_across_architectures(self, store_set):
         """Same spec + same document => same index cardinalities on every
@@ -286,27 +310,40 @@ class TestProbeEqualsScan:
 
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_path_extents_return_exact_scan_set(self, store_set, system):
-        """Every dictionary-encoded path: extent == navigation walk."""
+        """Every walked label path: the extent a path plan reads (the
+        store's own on B and D, the path index's elsewhere) == navigation
+        walk."""
         store = store_set[system]
         indexes = store.indexes
-        for path in indexes.paths.paths():
-            if not indexes.covers_path(path):
-                continue
-            assert indexes.path_extent(path) == _scan_extent(store, path), path
+        for path in store_set["G"].indexes.paths.paths():
+            if store.native_path_extents:
+                assert store.nodes_at_path(path) == _scan_extent(store, path), path
+            elif indexes.covers_path(path):
+                assert indexes.path_extent(path) == _scan_extent(store, path), path
 
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_uncovered_paths_are_refused_not_guessed(self, store_set, system):
         """Paths through a stop tag are outside the walk: the index must
         say "not covered" rather than return a wrong empty extent."""
-        indexes = store_set[system].indexes
+        store = store_set[system]
+        indexes = store.indexes
         fragment_interior = ("site", "regions", "europe", "item",
                             "description", "parlist", "listitem")
+        bogus = ("site", "people", "bogus")
         assert not indexes.covers_path(fragment_interior)
         assert indexes.path_extent(fragment_interior) is None
+        if store.native_path_extents:
+            # No path index to cover anything; the store's own extents
+            # reach through a stop tag, and an absent path is empty.
+            assert not indexes.covers_path(bogus)
+            assert store.nodes_at_path(fragment_interior) == \
+                _scan_extent(store, fragment_interior)
+            assert store.nodes_at_path(bogus) == []
+            return
         # ...while a merely-absent path under covered territory is an
         # honest empty extent.
-        assert indexes.covers_path(("site", "people", "bogus")) is True
-        assert indexes.path_extent(("site", "people", "bogus")) == []
+        assert indexes.covers_path(bogus) is True
+        assert indexes.path_extent(bogus) == []
 
 
 # -- the one number cast ----------------------------------------------------------------

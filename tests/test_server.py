@@ -34,6 +34,7 @@ from repro.server import (
 )
 from repro.server import protocol
 from repro.update.ops import CloseAuction, DeleteItem, PlaceBid, RegisterPerson
+from repro.xmlgen.generator import generate_string
 from repro.xmlio.parser import parse
 from repro.xmlio.serialize import serialize
 
@@ -207,6 +208,38 @@ class TestTenantRegistry:
         with pytest.raises(TenantQuotaError):
             registry.connect("a")
         assert registry.state("a").quota is registry.state("b").quota is quota
+
+    def test_counts_lose_no_update_across_threads(self):
+        """Worker threads release cursor slots while others claim them:
+        every claim and release lands, so the count ends at exactly 0."""
+        registry = TenantRegistry()
+        tenant = registry.connect("t")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def churn():
+                for _ in range(50_000):
+                    registry.open_cursor(tenant)
+                    registry.close_cursor(tenant)
+            threads = [threading.Thread(target=churn) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert tenant.cursors == 0
+        assert registry.snapshot()["t"]["refused_total"] == 0
+
+    def test_an_over_release_fails_loudly(self):
+        registry = TenantRegistry()
+        tenant = registry.connect("t")
+        registry.disconnect(tenant)
+        for release in (registry.disconnect, registry.end_request,
+                        registry.close_cursor):
+            with pytest.raises(AssertionError, match="does not hold"):
+                release(tenant)
+        assert registry.snapshot()["t"]["sessions"] == 0
 
 
 # -- handshake ------------------------------------------------------------------------
@@ -556,6 +589,44 @@ class TestUnframableReplies:
                 cursor.fetchall()
         finally:
             database.close()
+
+
+class TestFailedFirstPage:
+    """An execute whose inline first page raises answers with the query
+    error and leaves no cursor behind holding its tenant's slot."""
+
+    QUERY = "for $p in /site/people/person return 1 div 0"
+
+    @pytest.fixture()
+    def server(self):
+        database = repro.connect(generate_string(0.002), systems=("D",))
+        server = XMarkServer()
+        server.add_document("auction", database, owned=True)
+        handle = serve_in_thread(server)
+        yield handle
+        handle.stop()
+
+    def test_failed_first_pages_leak_no_cursor(self, server):
+        client = WireClient(server.host, server.port, document="auction")
+        try:
+            quota = TenantQuota().max_cursors
+            for _ in range(quota + 2):
+                with pytest.raises(QueryError, match="by zero"):
+                    client.request({"kind": "execute", "system": "D",
+                                    "query": self.QUERY, "fetch": True})
+            stats = client.request({"kind": "stats"})
+            assert stats["tenants"]["default"]["cursors"] == 0
+            reply = client.request({"kind": "execute", "system": "D",
+                                    "query": "count(/site/people/person)",
+                                    "fetch": True})
+            assert reply["done"] and int(reply["rows"][0]) > 0
+            second = WireClient(server.host, server.port, document="auction")
+            try:
+                assert second.request({"kind": "ping"})["kind"] == "pong"
+            finally:
+                second.close()
+        finally:
+            client.close()
 
 
 # -- the write path over the wire -----------------------------------------------------

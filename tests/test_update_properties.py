@@ -115,9 +115,11 @@ def assert_probe_equals_scan(store) -> None:
                            in index.pairs(*index.window("=", key))]
                 assert sorted(map(repr, matched)) == sorted(map(repr, nodes)), \
                     (field.label, key)
-    paths = index_set.paths
+    # The extent a path plan reads: D's summary, the path index elsewhere.
+    extent_of = (store.nodes_at_path if store.native_path_extents
+                 else index_set.paths.nodes)
     for path in CHECKED_PATHS:
-        extent = paths.nodes(path)
+        extent = extent_of(path)
         expected_nodes = walk_extent(store, path)
         assert [repr(n) for n in extent] == [repr(n) for n in expected_nodes], \
             (path, len(extent), len(expected_nodes))
