@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="always keep traces of requests at least "
                                 "this slow, regardless of sampling")
     serve_cmd.add_argument("--query-log", default=None,
-                           help="append one JSON line per served query to "
-                                "this file (schema v1, rotatable)")
+                           help="the served connection's query log: one "
+                                "JSON line per finished or failed query "
+                                "(schema v1, source \"server\", rotatable)")
     serve_cmd.add_argument("--query-log-max-bytes", type=int, default=None,
                            help="rotate the query log at this size "
                                 "(keeps 3 older files)")
@@ -721,9 +722,12 @@ def _serve_command(args) -> int:
     from repro.benchmark.systems import parse_system_letters
     from repro.db import connect
     from repro.errors import XMarkError
+    from repro.obs.querylog import QueryLogWriter
     from repro.obs.trace import NULL_TRACER
     from repro.server import TenantQuota, XMarkServer
 
+    # The served connection writes the query log; the command closes it.
+    query_log = None
     try:
         systems = parse_system_letters(args.systems)
         if args.doc_path is not None:
@@ -731,16 +735,16 @@ def _serve_command(args) -> int:
                 text = handle.read()
         else:
             text = generate_string(args.factor)
+        if args.query_log is not None:
+            query_log = QueryLogWriter(args.query_log,
+                                       max_bytes=args.query_log_max_bytes)
         database = connect(text, systems=systems, durable=args.durable,
-                           tracing=args.tracing)
+                           tracing=args.tracing, query_log=query_log)
     except (OSError, XMarkError) as exc:
+        if query_log is not None:
+            query_log.close()
         print(f"serve: {exc}", file=sys.stderr)
         return 2
-    query_log = None
-    if args.query_log is not None:
-        from repro.obs.querylog import QueryLogWriter
-        query_log = QueryLogWriter(args.query_log,
-                                   max_bytes=args.query_log_max_bytes)
     server = XMarkServer(
         args.host, args.port,
         max_workers=args.workers,
@@ -748,7 +752,6 @@ def _serve_command(args) -> int:
         tracer=database.tracer if args.tracing else NULL_TRACER,
         trace_sample_rate=args.trace_sample_rate,
         slow_trace_ms=args.slow_trace_ms,
-        query_log=query_log,
         default_quota=TenantQuota(max_sessions=args.max_sessions,
                                   max_inflight=args.max_inflight,
                                   max_cursors=args.max_cursors),
@@ -770,6 +773,9 @@ def _serve_command(args) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("serve: interrupted, shutting down", file=sys.stderr)
+    finally:
+        if query_log is not None:
+            query_log.close()
     return 0
 
 

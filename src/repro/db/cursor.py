@@ -5,8 +5,9 @@ direct connection it is backed by the evaluator's lazy pipeline
 (:func:`repro.xquery.evaluator.evaluate_stream`): items are produced as
 the plan yields them, so the first row of a large result arrives long
 before the last binding has been evaluated.  A service connection
-materializes (its caches need complete results) and the cursor streams
-from the finished sequence — same protocol, different latency profile.
+materializes (its result cache needs complete results) and the cursor
+streams from the finished sequence — same protocol, different latency
+profile.
 
 Whatever the backing, ``fetchall()`` returns exactly the items the legacy
 ``evaluate()`` would have put in ``QueryResult.items``, in the same
@@ -34,11 +35,14 @@ class Cursor:
 
     Execution metadata rides along: ``compile_seconds`` /
     ``execute_seconds`` (the latter 0.0 on streaming cursors, where
-    execution happens during fetching), ``plan_cache_hit`` /
+    execution happens during fetching), ``queue_seconds`` (the wait for
+    the connection's read side), ``plan_cache_hit`` /
     ``result_cache_hit`` (service connections), ``source`` (which path
     served it: ``direct`` / ``service``), and ``streaming`` (whether rows
     are produced lazily).  A streaming cursor's fetch call holds the
     connection's read side (``reading``); a commit poisons it (``stale``).
+    ``on_end(cursor, error)`` runs once, when a streaming execution runs
+    out, is closed, or fails (``error``): the connection's accounting.
     """
 
     arraysize = 100
@@ -56,6 +60,7 @@ class Cursor:
         compile_cpu_seconds: float = 0.0,
         execute_seconds: float = 0.0,
         execute_cpu_seconds: float = 0.0,
+        queue_seconds: float = 0.0,
         metadata_accesses: int = 0,
         plans_considered: int = 0,
         plan_cache_hit: bool = False,
@@ -63,6 +68,7 @@ class Cursor:
         span=None,
         reading=nullcontext,
         stale=None,
+        on_end=None,
     ) -> None:
         self._iterator = iter(items)
         self._reading = reading
@@ -77,6 +83,7 @@ class Cursor:
         self.compile_cpu_seconds = compile_cpu_seconds
         self.execute_seconds = execute_seconds
         self.execute_cpu_seconds = execute_cpu_seconds
+        self.queue_seconds = queue_seconds
         self.metadata_accesses = metadata_accesses
         self.plans_considered = plans_considered
         self.plan_cache_hit = plan_cache_hit
@@ -90,6 +97,7 @@ class Cursor:
         #: (:meth:`profile`); unfinished on streaming cursors until
         #: exhaustion or close.
         self._span = span
+        self._on_end = on_end
 
     # -- fetching -----------------------------------------------------------------
 
@@ -110,18 +118,25 @@ class Cursor:
             item = next(self._iterator)
         except StopIteration:
             self._exhausted = True
-            self._finish_span()
+            self._end()
             return None
+        except Exception as exc:
+            self._end(exc)
+            raise
         self.rowcount += 1
         return item
 
     def _rest(self) -> list:
         """Every remaining item; the caller holds the read side."""
         self._require_open()
-        out = list(self._iterator)
+        try:
+            out = list(self._iterator)
+        except Exception as exc:
+            self._end(exc)
+            raise
         self.rowcount += len(out)
         self._exhausted = True
-        self._finish_span()
+        self._end()
         return out
 
     def fetchone(self):
@@ -177,10 +192,17 @@ class Cursor:
 
     # -- observability -------------------------------------------------------------
 
-    def _finish_span(self) -> None:
+    def _end(self, error: Exception | None = None) -> None:
+        """The execution is over: finish its span, then (once) tell the
+        connection."""
         span = self._span
         if span is not None and not span.finished:
+            if error is not None:
+                span.set(error=type(error).__name__)
             span.set(rows=self.rowcount).finish()
+        on_end, self._on_end = self._on_end, None
+        if on_end is not None:
+            on_end(self, error)
 
     def profile(self):
         """The recorded span tree of this execution, or None.
@@ -202,7 +224,7 @@ class Cursor:
         closer = getattr(iterator, "close", None)
         if closer is not None:
             closer()                    # release the suspended pipeline
-        self._finish_span()
+        self._end()
 
     def invalidate(self, reason: str) -> None:
         """Poison the cursor: further fetches raise ``ClosedCursorError``

@@ -11,19 +11,21 @@ to whichever engine the connect options selected:
   :class:`~repro.shard.store.ShardedStore`, one more system under the
   pseudo-system name ``"S"`` whose plans fan out over a
   :class:`~repro.shard.scatter.ScatterGatherExecutor`.
-* **service** (``service=True``): queries run through a
-  :class:`~repro.service.QueryService` over the same stores — a result
-  cache, each query run on the caller's thread — including the sharded
-  pseudo-system when ``shards`` is also given.
+* **service** (``service=True``): a direct connection plus a
+  :class:`~repro.service.QueryService`'s result cache — an execution
+  first probes the cache, and a miss evaluates eagerly and fills it —
+  including the sharded pseudo-system when ``shards`` is also given.
 
-Whatever the route, the connection owns the stores, the update lock,
-the one :class:`ReadWriteLock` that keeps readers off a commit, the one
-:class:`~repro.update.commit.WritePath` every commit takes, the metrics
-registry and the one :class:`~repro.cache.PlanCache` — one plan
-per query shape, so texts that differ only in their literals compile
-once.  ``Cursor.fetchall()`` returns exactly what the legacy entry
-points returned, and every write goes through the update engine, so
-digests, indexes, and caches stay consistent.  See docs/API.md.
+Whatever the route, one method (``Database._run``) admits, plans,
+evaluates, times and traces every execution, and the connection owns
+the stores, the update lock, the one :class:`ReadWriteLock` that keeps
+readers off a commit, the one :class:`~repro.update.commit.WritePath`
+every commit takes, the metrics registry, the query log and the one
+:class:`~repro.cache.PlanCache` — one plan per query shape, so texts
+that differ only in their literals compile once.  ``Cursor.fetchall()``
+returns exactly what the legacy entry points returned, and every write
+goes through the update engine, so digests, indexes, and caches stay
+consistent.  See docs/API.md.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from repro.errors import (
     BenchmarkError, ClosedSessionError, DurabilityError, UnknownSystemError,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, TraceLogWriter, Tracer
+from repro.obs.querylog import QueryLogWriter
+from repro.obs.trace import NULL_SPAN, NULL_TRACER, TraceLogWriter, Tracer
 from repro.storage.interface import Store
 from repro.update.commit import WritePath
 from repro.update.ops import UpdateOp
@@ -60,7 +63,7 @@ def connect(
     result_cache_size: int = 1024,
     tracing: bool = False,
     trace_log: str | None = None,
-    query_log: str | None = None,
+    query_log: str | QueryLogWriter | None = None,
     durable: str | None = None,
     sync: str = "commit",
 ) -> "Database":
@@ -69,8 +72,8 @@ def connect(
     ``systems`` names the benchmark architectures to load (A-G);
     ``shards=N`` additionally serves a scatter-gather deployment of the
     ``backends`` architectures as pseudo-system ``"S"``;
-    ``service=True`` puts a concurrent query service (a result cache) in
-    front of everything.  The connection's one plan cache holds 128
+    ``service=True`` adds a result cache in front of every execution
+    (``db.service``).  The connection's one plan cache holds 128
     query shapes per serving system, on every kind of connection.
     ``max_workers`` caps the reads one connection runs at once (every
     kind of connection); ``result_cache_size`` sizes the service's cache
@@ -80,12 +83,12 @@ def connect(
     inspect it with ``cursor.profile()`` or ``db.tracer.roots``;
     ``trace_log`` additionally appends each finished tree to a
     JSON-lines workload log.  Off by default: the disabled path costs
-    one attribute read per instrumentation point.  ``query_log`` makes
-    a service connection (``service=True``) append one flat JSON record
-    per completed query — the structured workload log the tuning
-    advisor ingests (docs/OBSERVABILITY.md); a direct connection refuses
-    it with :class:`~repro.errors.BenchmarkError`, since no log would be
-    written.
+    one attribute read per instrumentation point.  ``query_log`` (a path,
+    or a :class:`~repro.obs.querylog.QueryLogWriter` the caller closes)
+    makes the connection append one flat JSON record per finished or
+    failed execution, on every kind of connection and for a wire server
+    in front of it — the structured workload log the tuning advisor
+    ingests (docs/OBSERVABILITY.md).
 
     ``durable=directory`` makes the connection crash-consistent: every
     commit is logged and fsynced to a write-ahead log in ``directory``
@@ -183,7 +186,13 @@ class ReadWriteLock:
 
 
 class Database:
-    """A connected embedded database; open sessions with :meth:`session`."""
+    """A connected embedded database; open sessions with :meth:`session`.
+
+    Every execution — a session's, a prepared query's, a service's, a
+    wire server's — runs through one path (:meth:`_run`), which counts it
+    in ``db.queries_total`` (a failure also in ``db.errors_total``) and
+    writes its record to the connection's query log, if it has one.
+    """
 
     def __init__(
         self,
@@ -197,7 +206,7 @@ class Database:
         result_cache_size: int = 1024,
         tracing: bool = False,
         trace_log: str | None = None,
-        query_log: str | None = None,
+        query_log: str | QueryLogWriter | None = None,
         durable: str | None = None,
     ) -> None:
         for name in systems:
@@ -208,9 +217,6 @@ class Database:
         if max_workers <= 0:
             raise BenchmarkError(
                 f"max_workers must be positive, got {max_workers}")
-        if query_log is not None and not service:
-            raise BenchmarkError(
-                "query_log needs a service connection (service=True)")
         self.shard_system = SHARD_SYSTEM if shards is not None else None
         self._closed = False
         #: The write path's lock: every commit, checkpoint and close()
@@ -220,16 +226,34 @@ class Database:
         #: write side, inside the update lock.
         self.rwlock = ReadWriteLock(max_workers)
         self.service = None
+        #: The route an execution's trace and query-log record name.
+        self._route = "service" if service else "direct"
         self._scatter = None
+        self._durability = None
         self._trace_writer = (TraceLogWriter(trace_log)
                               if tracing and trace_log else None)
+        # A path opens a writer the connection owns and closes.
+        self._owns_query_log = query_log is not None and not hasattr(
+            query_log, "record")
+        #: The one query log: a record per finished or failed execution.
+        self.query_log = (QueryLogWriter(query_log) if self._owns_query_log
+                          else query_log)
+        try:
+            self._open(document, systems, shards, backends, service,
+                       result_cache_size, tracing, durable)
+        except BaseException:
+            self.close()                # the logs, a WAL, a scatter pool
+            raise
+
+    def _open(self, document, systems, shards, backends, service,
+              result_cache_size, tracing, durable) -> None:
+        """Everything the constructor does after opening its logs."""
         self.tracer = (Tracer(on_root=self._trace_writer)
                        if tracing else NULL_TRACER)
         #: Unified metrics: ``db.*``, the caches' gauges, ``wal.*``,
-        #: ``recovery.*`` and a service's ``service.*``.
+        #: ``recovery.*`` and a service's latency histograms.
         self.registry = MetricsRegistry()
 
-        self._durability = None
         self.recovery = None            # RecoveryReport when a reconnect replayed
         recovery = None
         if durable is not None:
@@ -260,13 +284,12 @@ class Database:
             # serving one) never loads the service package.
             from repro.service import QueryService
             self.service = QueryService(
-                self, result_cache_size=result_cache_size,
-                query_log=query_log)
+                self, result_cache_size=result_cache_size)
         #: The one write path, behind the write side.  The only per-kind
         #: choice: a service re-keys its result cache after a commit.
         self._write_path = WritePath(
             self.stores, self._update_lock,
-            source="direct" if self.service is None else "service",
+            source=self._route,
             tracer=self.tracer, exclusion=self.rwlock.write,
             invalidate=(self.service._rekey_results if self.service
                         else lambda _old_digests, _changes: {}),
@@ -275,12 +298,7 @@ class Database:
         self.document = document
         self._serving = tuple(self.stores)
         if durable is not None:
-            try:
-                self._finish_durable(recovery,
-                                     time.perf_counter() - started)
-            except BaseException:
-                self.close()
-                raise
+            self._finish_durable(recovery, time.perf_counter() - started)
 
     # -- durability -----------------------------------------------------------------
 
@@ -376,14 +394,14 @@ class Database:
                 return
             self._closed = True
             with self.rwlock.write():
-                if self.service is not None:
-                    self.service.close()
                 if self._durability is not None:
                     self._durability.close()
         if self._scatter is not None:
             self._scatter.close()
         if self._trace_writer is not None:
             self._trace_writer.close()
+        if self._owns_query_log:
+            self.query_log.close()
 
     def __enter__(self) -> "Database":
         return self
@@ -451,8 +469,13 @@ class Database:
         name = self.resolve_system(system)
         with self.rwlock.read():
             self._require_open()
-            return self.plan_cache.lookup(name, text, self.store(name),
-                                          self.profiles[name], self.tracer)[0]
+            return self._plan(name, text)[0]
+
+    def _plan(self, name: str, text: str):
+        """``(compiled, values, hit)``: one text's plan from the plan
+        cache; the caller holds the read side."""
+        return self.plan_cache.lookup(name, text, self.store(name),
+                                      self.profiles[name], self.tracer)
 
     def explain(self, query: int | str, *, system: str | None = None):
         """Describe how a query would run — plan, indexes, shard route,
@@ -464,16 +487,17 @@ class Database:
             return explain_query(self, name, query)
 
     def _admit(self, system: str | None, query: int | str,
-               tenant: str | None) -> tuple[str, str]:
-        """``(system, text)`` of one execution, counted in
-        ``db.queries_total`` (per ``tenant`` when given)."""
+               tenant: str | None) -> tuple[str, str, float]:
+        """``(system, text, submitted)`` of one execution, counted in
+        ``db.queries_total`` (per ``tenant`` when given); ``submitted``
+        is read before the read side, so it times the queue wait."""
         self._require_open()
         name = self.resolve_system(system)
         text = self.query_text(query)
         labels = {"system": name} if tenant is None else {
             "system": name, "tenant": tenant}
         self.registry.counter("db.queries_total", **labels).inc()
-        return name, text
+        return name, text, time.perf_counter()
 
     def execute(self, system: str | None, query: int | str, *,
                 stream: bool = True,
@@ -482,103 +506,168 @@ class Database:
 
         ``stream=True`` (the default) gives a lazily-produced cursor on
         direct connections, which takes the read side once per fetch
-        call; a service connection materializes (its caches need
+        call; a service connection materializes (its result cache needs
         complete results) and streams from the finished sequence.
         Either way the plan comes from the connection's plan cache
         (``cursor.plan_cache_hit``).  ``tenant`` labels the connection's
         ``db.queries_total`` counter (per-caller accounting; no isolation
         semantics).
         """
-        name, text = self._admit(system, query, tenant)
-        if self.service is not None:
-            return self._served(name, text)
+        name, text, submitted = self._admit(system, query, tenant)
         with self.rwlock.read():
-            return self._run(name, text, stream)
+            return self._run(name, text, stream, submitted, self._route)
 
     def _first_page(self, system: str | None, query: int | str,
                     tenant: str | None, read):
-        """``read(cursor)`` of one streaming execution, under the read side
-        the execution took (``read`` must not take it again): the wire
-        server reads a first page there, so no commit poisons the cursor
-        before it.  A service's materialized cursor is read under a read
-        of its own."""
-        name, text = self._admit(system, query, tenant)
-        if self.service is not None:
-            cursor = self._served(name, text)
-            with self.rwlock.read():
-                return read(cursor)
+        """``read(cursor)`` of one execution for a wire server, under the
+        read side the execution took (``read`` must not take it again),
+        so no commit poisons the cursor before its first page.  The
+        server logs the cursor when it finishes it (:meth:`_log_query`)."""
+        name, text, submitted = self._admit(system, query, tenant)
         with self.rwlock.read():
-            return read(self._run(name, text, True))
+            return read(self._run(name, text, True, submitted, "server"))
 
-    def _served(self, name: str, text: str) -> Cursor:
-        """One execution through the service (which takes the read side)."""
-        outcome = self.service.execute(name, text)
-        return Cursor(
-            outcome.result.items, outcome.result.navigator,
-            system=name, query_text=text, streaming=False,
-            source="service",
-            compile_seconds=outcome.compile_seconds,
-            execute_seconds=outcome.execute_seconds,
-            plan_cache_hit=outcome.plan_cache_hit,
-            result_cache_hit=outcome.result_cache_hit,
-            span=outcome.span,
-        )
+    def _run(self, name: str, text: str, stream: bool, submitted: float,
+             route: str) -> Cursor:
+        """The one execution path; the caller holds the read side.
 
-    def _run(self, name: str, text: str, stream: bool) -> Cursor:
-        """One direct execution; the caller holds the read side."""
+        A service connection answers from its result cache when it can
+        and otherwise evaluates eagerly into it; a direct one streams when
+        asked.  ``route`` (``direct``, ``service``, ``server``) names the
+        execution in its trace and query-log record.  A failure is counted
+        in ``db.errors_total`` and logged, then raised."""
         self._require_open()            # a close() that ran while this queued
         store = self.store(name)
         tracer = self.tracer
-        root = (tracer.begin("query", system=name, source="direct",
-                             query=text, stream=stream)
+        service = self.service
+        wall0 = time.perf_counter()
+        root = (tracer.begin("query", system=name, source=route, query=text,
+                             stream=stream,
+                             queue_ms=round((wall0 - submitted) * 1000.0, 3))
                 if tracer.enabled else None)
-        with tracer.activate(root):
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            compiled, values, hit = self.plan_cache.lookup(
-                name, text, store, self.profiles[name], tracer)
-            cpu1 = time.process_time()
-            wall1 = time.perf_counter()
+        cached = False
+        try:
+            with tracer.activate(root):
+                if service is not None:
+                    key = service.result_cache.key(
+                        name, text, store.document_digest() or "")
+                    result, cached = service.result_cache.lookup(key)
+                if not cached:
+                    cpu0 = time.process_time()
+                    compiled, values, hit = self._plan(name, text)
+                    cpu1 = time.process_time()
+                    wall1 = time.perf_counter()
+                    if root is not None:
+                        root.set(plan_cache_hit=hit)
+                    if stream and service is None:
+                        # After a commit the suspended pipeline would hold
+                        # pre-commit handles: the cursor refuses to go on.
+                        opened = self._write_path.writes
+                        streamed = evaluate_stream(compiled, tracer=tracer,
+                                                   values=values)
+                        return Cursor(
+                            iter(streamed), streamed.navigator,
+                            system=name, query_text=text, streaming=True,
+                            source=self._route,
+                            compile_seconds=0.0 if hit else wall1 - wall0,
+                            compile_cpu_seconds=0.0 if hit else cpu1 - cpu0,
+                            queue_seconds=wall0 - submitted,
+                            metadata_accesses=compiled.metadata_accesses,
+                            plans_considered=compiled.plans_considered,
+                            plan_cache_hit=hit,
+                            span=root,  # unfinished: the cursor finishes it
+                            reading=self.rwlock.read,
+                            stale=lambda: self._write_path.writes != opened,
+                            on_end=lambda cursor, error: self._ended(
+                                cursor, error, route, submitted),
+                        )
+                    result = evaluate(compiled, tracer=tracer, values=values)
+                    cpu2 = time.process_time()
+                    if service is not None:
+                        service.result_cache.put(key, result)
+        except Exception as exc:
+            self.registry.counter("db.errors_total", system=name).inc()
             if root is not None:
-                root.set(plan_cache_hit=hit)
-            if stream:
-                # After a commit the suspended pipeline would hold
-                # pre-commit handles: the cursor refuses to go on.
-                opened = self._write_path.writes
-                streamed = evaluate_stream(compiled, tracer=tracer,
-                                           values=values)
-                cursor = Cursor(
-                    iter(streamed), streamed.navigator,
-                    system=name, query_text=text, streaming=True,
-                    source="direct",
-                    compile_seconds=0.0 if hit else wall1 - wall0,
-                    compile_cpu_seconds=0.0 if hit else cpu1 - cpu0,
-                    metadata_accesses=compiled.metadata_accesses,
-                    plans_considered=compiled.plans_considered,
-                    plan_cache_hit=hit,
-                    span=root,          # unfinished: the cursor finishes it
-                    reading=self.rwlock.read,
-                    stale=lambda: self._write_path.writes != opened,
-                )
-                return cursor
-            result = evaluate(compiled, tracer=tracer, values=values)
-            cpu2 = time.process_time()
-            wall2 = time.perf_counter()
+                root.set(error=type(exc).__name__).finish()
+            if route != "server":       # a server logs its own failures
+                self._log_query(route, submitted, error=exc, system=name,
+                                query_text=text)
+            raise
+        wall2 = time.perf_counter()
+        rows = len(result.items)
+        if cached:
+            cursor = Cursor(
+                result.items, result.navigator,
+                system=name, query_text=text, streaming=False,
+                source=self._route, queue_seconds=wall0 - submitted,
+                result_cache_hit=True, span=root)
+        else:
+            cursor = Cursor(
+                result.items, result.navigator,
+                system=name, query_text=text, streaming=False,
+                source=self._route,
+                compile_seconds=0.0 if hit else wall1 - wall0,
+                compile_cpu_seconds=0.0 if hit else cpu1 - cpu0,
+                execute_seconds=wall2 - wall1,
+                execute_cpu_seconds=cpu2 - cpu1,
+                queue_seconds=wall0 - submitted,
+                metadata_accesses=compiled.metadata_accesses,
+                plans_considered=compiled.plans_considered,
+                plan_cache_hit=hit,
+                span=root,
+            )
         if root is not None:
-            root.set(rows=len(result.items)).finish()
-        return Cursor(
-            result.items, result.navigator,
-            system=name, query_text=text, streaming=False,
-            source="direct",
-            compile_seconds=0.0 if hit else wall1 - wall0,
-            compile_cpu_seconds=0.0 if hit else cpu1 - cpu0,
-            execute_seconds=wall2 - wall1,
-            execute_cpu_seconds=cpu2 - cpu1,
-            metadata_accesses=compiled.metadata_accesses,
-            plans_considered=compiled.plans_considered,
-            plan_cache_hit=hit,
-            span=root,
-        )
+            if service is not None:
+                root.set(result_cache_hit=cached)
+            root.set(rows=rows).finish()
+        if service is not None:
+            service.metrics.record(wall2 - submitted, cursor.compile_seconds,
+                                   wall0 - submitted, name)
+        if route != "server":
+            self._log_query(route, submitted, cursor, rows=rows)
+        return cursor
+
+    def _ended(self, cursor: Cursor, error: BaseException | None,
+               route: str, submitted: float) -> None:
+        """A streaming execution ran out, was closed, or failed."""
+        if error is not None:
+            self.registry.counter("db.errors_total",
+                                  system=cursor.system).inc()
+        if route != "server":           # a server logs the cursors it finishes
+            self._log_query(route, submitted, cursor, error=error)
+
+    def _log_query(self, source: str, submitted: float,
+                   cursor: Cursor | None = None, *,
+                   error: BaseException | str | None = None,
+                   **fields) -> None:
+        """Build one query-log record and write it (docs/OBSERVABILITY.md).
+
+        ``source`` is the route: ``direct``, ``service`` or ``server``.
+        A cursor gives the record its identity, rows, queue wait, cache
+        flags and finished span tree; ``fields`` add to or override them
+        (a server's wire fields; the system and text of an execution that
+        failed before its cursor).  ``duration_ms`` defaults to the time
+        since ``submitted``."""
+        log = self.query_log
+        if log is None:
+            return
+        span = None
+        if cursor is not None:
+            span = cursor.profile()
+            fields = {"system": cursor.system,
+                      "query_text": cursor.query_text,
+                      "rows": cursor.rowcount,
+                      "queue_ms": round(cursor.queue_seconds * 1000.0, 3),
+                      "plan_cache_hit": cursor.plan_cache_hit,
+                      "result_cache_hit": cursor.result_cache_hit,
+                      **fields}
+        if error is not None:
+            fields["error"] = (error if isinstance(error, str)
+                               else type(error).__name__)
+        fields.setdefault("duration_ms", round(
+            (time.perf_counter() - submitted) * 1000.0, 3))
+        log.record(source=source, span=None if span is NULL_SPAN else span,
+                   **fields)
 
     # -- the write path -------------------------------------------------------------
 

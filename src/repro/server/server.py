@@ -41,7 +41,6 @@ from repro.errors import (
     ServerStopError, XMarkError,
 )
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.querylog import QueryLogWriter
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, TraceSampler
 from repro.server import protocol
 from repro.server.tenants import (
@@ -200,7 +199,6 @@ class XMarkServer:
         tracer=NULL_TRACER,
         trace_sample_rate: float = 1.0,
         slow_trace_ms: float | None = None,
-        query_log=None,
         default_quota: TenantQuota | None = None,
         max_frame: int = protocol.MAX_FRAME,
     ) -> None:
@@ -218,10 +216,6 @@ class XMarkServer:
         # deterministic per-tenant die; the slow/error tail rule can still
         # upgrade an unsampled request's span to kept (docs/OBSERVABILITY.md).
         self.sampler = TraceSampler(trace_sample_rate, slow_ms=slow_trace_ms)
-        self._owns_query_log = isinstance(query_log, (str, bytes)) or (
-            query_log is not None and not hasattr(query_log, "record"))
-        self.query_log = (QueryLogWriter(query_log) if self._owns_query_log
-                          else query_log)
         self.tenants = TenantRegistry(default_quota or TenantQuota())
         self.documents: dict[str, ServedDocument] = {}
         self._meters: dict[str | None, _Meters] = {}
@@ -267,7 +261,9 @@ class XMarkServer:
         closed when the server stops.  Served databases should be
         *direct* connections (the default ``repro.connect``) so cursors
         stream off the lazy evaluator; service connections work too and
-        simply materialize per execution.
+        simply materialize per execution.  The database's query log
+        (``connect(query_log=...)``) takes one ``source="server"`` record
+        per finished cursor, with the server's wire fields.
         """
         if name in self.documents:
             raise ProtocolError(f"document {name!r} is already served",
@@ -298,8 +294,7 @@ class XMarkServer:
 
     async def stop(self, timeout: float | None = None) -> None:
         """Stop accepting, refuse queued requests, wait for the running
-        ones, end the open connections, then close owned databases and
-        the owned query log.
+        ones, end the open connections, then close owned databases.
 
         The wait is on the event loop, not a blocking join, and lasts at
         most ``timeout`` seconds (None: until they finish).  At the
@@ -338,8 +333,6 @@ class XMarkServer:
         for served in self.documents.values():
             if served.owned:
                 served.database.close()
-        if self.query_log is not None and self._owns_query_log:
-            self.query_log.close()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -624,13 +617,12 @@ class XMarkServer:
                 else:
                     span.discard()
             if (error_code is not None and kind == "execute"
-                    and self.query_log is not None):
+                    and conn.document is not None):
                 busy, conn.busy = conn.busy, 0
-                self.query_log.record(
-                    source="server", tenant=tenant_label,
+                conn.document.database._log_query(
+                    "server", started, error=error_code, tenant=tenant_label,
                     query=payload.get("query", payload.get("query_id")),
-                    error=error_code, duration_ms=round(elapsed_ms, 3),
-                    busy=busy or None)
+                    duration_ms=round(elapsed_ms, 3), busy=busy or None)
         return keep_open
 
     # -- request handlers -----------------------------------------------------------
@@ -847,7 +839,8 @@ class XMarkServer:
 
     def _finish_cursor(self, conn: _Connection, cursor_id: str,
                        reply: dict | None = None) -> None:
-        """Close a completed cursor: finish + attach its span, log it.
+        """Close a completed cursor: finish + attach its span, and hand
+        its wire fields to the served database's query log.
 
         The reply completing a cursor (inline-done execute, final fetch,
         or close ack) carries the server-side span tree when the query
@@ -865,25 +858,17 @@ class XMarkServer:
             reply["span"] = span.to_dict()
         if conn.span is not None:
             conn.span.set(pages=held.pages)
-        self._log_query(conn, held, span if traced else None)
-
-    def _log_query(self, conn: _Connection, held: _ServerCursor,
-                   span) -> None:
-        if self.query_log is None:
+        database = conn.document.database
+        if database.query_log is None:
             return
         duration_ms = (time.perf_counter() - held.started) * 1000.0
-        wire_ms = None
-        if span is not None and span.duration is not None:
-            wire_ms = round(max(0.0, duration_ms - span.duration * 1000.0), 4)
+        wire_ms = (round(max(0.0, duration_ms - span.duration * 1000.0), 4)
+                   if traced and span.duration is not None else None)
         busy, conn.busy = conn.busy, 0
-        cursor = held.cursor
-        self.query_log.record(
-            source="server", span=span, tenant=held.tenant,
-            system=held.system, query=held.query_ref,
-            query_text=held.query, rows=held.rows_sent, pages=held.pages,
+        database._log_query(
+            "server", held.started, held.cursor, tenant=held.tenant,
+            query=held.query_ref, rows=held.rows_sent, pages=held.pages,
             duration_ms=round(duration_ms, 3), wire_ms=wire_ms,
-            plan_cache_hit=cursor.plan_cache_hit,
-            result_cache_hit=cursor.result_cache_hit,
             busy=busy or None)
 
     def _do_fetch(self, conn: _Connection, served: ServedDocument,

@@ -30,13 +30,13 @@ class TestQueryServiceCloseRace:
         db = connect(small_text, systems=("D",), service=True, max_workers=2,
                      query_log=tmp_path / "queries.jsonl")
         closes: list[int] = []
-        real_close = db.service.query_log.close
+        real_close = db.query_log.close
 
         def counting_close():
             closes.append(1)
             return real_close()
 
-        db.service.query_log.close = counting_close
+        db.query_log.close = counting_close
         barrier = threading.Barrier(4)
 
         def racer():
@@ -60,14 +60,14 @@ class TestQueryServiceCloseRace:
     def test_execute_racing_close_gets_a_typed_error(self, small_text,
                                                      monkeypatch):
         db = connect(small_text, systems=("D",), service=True, max_workers=1)
-        real_store = db.store
+        real_resolve = db.resolve_system
 
-        def store_then_close(system):
-            store = real_store(system)
+        def resolve_then_close(system):
+            name = real_resolve(system)
             db.close()                # lands after execute's open check
-            return store
+            return name
 
-        monkeypatch.setattr(db, "store", store_then_close)
+        monkeypatch.setattr(db, "resolve_system", resolve_then_close)
         with pytest.raises(ClosedSessionError,
                            match="database connection is closed"):
             db.service.execute("D", 1)

@@ -22,8 +22,8 @@ import repro
 from repro.benchmark.queries import QUERIES
 from repro.benchmark.systems import SYSTEMS, get_profile, make_store
 from repro.errors import (
-    BenchmarkError, ClosedCursorError, ClosedSessionError, TransactionError,
-    UnknownSystemError,
+    BenchmarkError, ClosedCursorError, ClosedSessionError, DurabilityError,
+    QuerySyntaxError, TransactionError, TypeCoercionError, UnknownSystemError,
 )
 from repro.update.engine import apply_update, serialize_store
 from repro.update.ops import PlaceBid, transaction_token
@@ -82,24 +82,71 @@ class TestConnect:
             with pytest.raises(TypeError, match=keyword):
                 repro.connect(tiny_text, systems=("F",), **{keyword: 1})
 
-    def test_a_query_log_without_a_service_is_refused(
+    def test_a_direct_query_log_has_one_record_per_finished_cursor(
+            self, tiny_text, tmp_path):
+        """A direct connection writes its own query log: a streamed
+        cursor's record when it runs out or is closed, an eager one's at
+        execution, a failure's when it raises — and an abandoned,
+        unfinished cursor none."""
+        log = tmp_path / "queries.jsonl"
+        with repro.connect(tiny_text, systems=("D",),
+                           query_log=str(log)) as db:
+            session = db.session()
+            streamed = session.execute(2)
+            rows = streamed.fetchall()
+            eager = session.execute(1, stream=False)
+            closed = session.execute(2)
+            closed.fetchone()
+            closed.close()
+            session.execute(2).fetchone()        # never finished
+            failing = session.execute(
+                "for $p in /site/people/person return "
+                'if ($p/@id = "person1") then 1 div 0 else 1')
+            with pytest.raises(TypeCoercionError):
+                failing.fetchall()
+            with pytest.raises(QuerySyntaxError):
+                session.execute("for $x in")
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["source"] for r in records] == ["direct"] * 5
+        assert [r.get("rows") for r in records[:3]] == [len(rows), 1, 1]
+        assert records[1]["query_text"] == db.query_text(1)
+        assert all(r["system"] == "D" and r["duration_ms"] >= 0
+                   for r in records)
+        assert all(r["queue_ms"] >= 0 for r in records[:4])
+        assert [r.get("error") for r in records[3:]] == [
+            "TypeCoercionError", "QuerySyntaxError"]
+        assert "error" not in records[0] and records[0]["plan_cache_hit"] in (
+            True, False)
+
+    def test_a_refused_connect_closes_the_logs_it_opened(
             self, tiny_text, tmp_path, monkeypatch):
-        """Only a service writes the query log: a direct connection
-        asking for one is refused before any store loads."""
+        """A constructor that raises after opening its trace and query
+        logs closes both: no file handle outlives the refusal."""
         from repro.db import database as database_module
 
-        loads = []
-        real_load = database_module.load_stores
+        opened = []
 
-        def spy(*args, **kwargs):
-            loads.append(args)
-            return real_load(*args, **kwargs)
+        def spy(writer_class):
+            class Spy(writer_class):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    opened.append(self._sink._handle)
+            return Spy
 
-        monkeypatch.setattr(database_module, "load_stores", spy)
-        log = tmp_path / "queries.jsonl"
-        with pytest.raises(BenchmarkError, match="query_log"):
-            repro.connect(tiny_text, systems=("D",), query_log=str(log))
-        assert loads == [] and not log.exists()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        logs = {"trace_log": str(tmp_path / "trace.jsonl")}
+        monkeypatch.setattr(database_module, "TraceLogWriter",
+                            spy(database_module.TraceLogWriter))
+        with pytest.raises(DurabilityError, match="no durable deployment"):
+            repro.connect(None, tracing=True, durable=str(empty), **logs)
+        assert len(opened) == 1 and opened[0].closed
+        logs["query_log"] = str(tmp_path / "queries.jsonl")
+        monkeypatch.setattr(database_module, "QueryLogWriter",
+                            spy(database_module.QueryLogWriter))
+        with pytest.raises(DurabilityError, match="no durable deployment"):
+            repro.connect(None, tracing=True, durable=str(empty), **logs)
+        assert len(opened) == 3 and all(handle.closed for handle in opened)
 
     def test_unknown_query_number(self, tiny_db):
         with pytest.raises(BenchmarkError):

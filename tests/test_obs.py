@@ -16,7 +16,7 @@ import pytest
 from repro.benchmark.queries import query_text
 from repro.benchmark.systems import get_profile
 from repro.db import connect
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, XMarkError
 from repro.obs import (
     NULL_SPAN, NULL_TRACER, MetricsRegistry, TraceLogWriter, Tracer,
 )
@@ -231,19 +231,14 @@ class TestMetricsRegistry:
 
     def test_service_metrics_shim_is_bounded(self):
         metrics = ServiceMetrics(MetricsRegistry())
-        for number in range(50):
-            metrics.record(started=0.0, finished=0.001,
-                           compile_seconds=0.0001, queue_seconds=0.0,
-                           plan_cache_hit=number % 2 == 0,
-                           result_cache_hit=False, system="D")
-        assert metrics.completed == 50
+        for _ in range(50):
+            metrics.record(0.001, 0.0001, 0.0, "D")
         assert metrics._latency.window == DEFAULT_WINDOW
         snapshot = metrics.snapshot()
-        assert snapshot["completed"] == 50
-        assert snapshot["plan_cache_hits"] == 25
         assert snapshot["latency"]["count"] == 50
+        assert snapshot["compile_latency"]["count"] == 50
         text = metrics.registry.render_text()
-        assert 'service.queries_total{system="D"} 50' in text
+        assert 'service.latency_seconds{system="D"} count=50' in text
 
 
 # -- EXPLAIN --------------------------------------------------------------------------
@@ -458,20 +453,24 @@ class TestProfileAgainstExecution:
         second.fetchall()
         assert service.result_cache.stats.hits == hits_before + 1
         root = second.profile()
-        assert root.name == "service.query"
+        assert root.name == "query" and root.attrs["source"] == "service"
         assert root.attrs["result_cache_hit"] is True
-        assert root.find("service.result_cache").attrs["hit"] is True
+        assert root.find("plan") is None        # the hit planned nothing
         assert first.profile().attrs["result_cache_hit"] is False
-        # admission + result-cache probe still spanned on the hit path
-        assert first.profile().find("service.admission") is not None
+        # the wait for the read side is recorded on either path
+        assert first.profile().attrs["queue_ms"] >= 0.0
+        assert root.attrs["queue_ms"] >= 0.0
 
     def test_service_span_rides_the_outcome(self, traced_service_db):
         cursor = traced_service_db.session().execute(2, system="D",
                                                      stream=False)
         rows = cursor.fetchall()
         root = cursor.profile()
-        assert root.attrs["result_size"] == len(rows)
-        assert root.find("service.plan_cache") is not None
+        assert root.attrs["rows"] == len(rows)
+        assert "plan_cache_hit" in root.attrs
+        outcome = traced_service_db.service.execute("D", 2)
+        assert outcome.span.name == "query"
+        assert outcome.span.attrs["rows"] == outcome.result_size
 
     def test_profile_none_when_tracing_off(self, tiny_text):
         with connect(tiny_text, systems=("D",)) as db:
@@ -612,7 +611,105 @@ class TestObsCli:
                      "--json", str(report)]) == 0
         out = capsys.readouterr().out
         assert "service.latency_seconds" in out
-        assert 'service.queries_total{system="B"} 20' in out
+        assert 'db.queries_total{system="B"} 20' in out
         snapshot = json.loads(report.read_text())
-        assert snapshot["counters"]["service.queries_total"] == 40
-        assert snapshot["counters"]["service.errors_total"] == 0
+        assert snapshot["counters"]['db.queries_total{system="D"}'] == 20
+        assert not any(name.startswith("db.errors_total")
+                       for name in snapshot["counters"])
+
+
+# -- one counter family per fact -----------------------------------------------------
+
+
+def _counts(registry) -> dict:
+    """Every counter, and the caches' hit and miss counts, by series."""
+    snapshot = registry.snapshot()
+    counts = dict(snapshot["counters"])
+    counts.update((name, value) for name, value in snapshot["gauges"].items()
+                  if name.startswith(("cache.hits", "cache.misses")))
+    return counts
+
+
+def _moved(registry, action) -> dict:
+    """The series ``action()`` moved, and by how much."""
+    before = _counts(registry)
+    action()
+    after = _counts(registry)
+    return {name: value - before.get(name, 0) for name, value in after.items()
+            if value != before.get(name, 0)}
+
+
+class TestOneFamilyPerFact:
+    """An execution, a plan or result-cache hit and a failure each move
+    exactly one family of the connection's registry, whatever the route:
+    ``db.queries_total``, ``cache.hits{cache=...}``, ``db.errors_total``
+    (a miss moves ``cache.misses``)."""
+
+    Q1 = query_text(1)
+    BAD = "for $x in ][ return"
+
+    def test_direct_route(self, tiny_text):
+        with connect(tiny_text, systems=("D",)) as db:
+            session = db.session()
+
+            def run(query, stream=True):
+                return lambda: session.execute(query, stream=stream).fetchall()
+
+            queries = 'db.queries_total{system="D"}'
+            assert _moved(db.registry, run(self.Q1)) == {
+                queries: 1, 'cache.misses{cache="plan"}': 1}
+            assert _moved(db.registry, run(self.Q1, stream=False)) == {
+                queries: 1, 'cache.hits{cache="plan"}': 1}
+            failing = run("for $p in /site/people/person return 1 div 0")
+            with pytest.raises(XMarkError):
+                failing()
+            assert db.registry.counter("db.errors_total",
+                                       system="D").value == 1
+
+    def test_service_route(self, tiny_text):
+        with connect(tiny_text, systems=("D",), service=True) as db:
+            session = db.session()
+            queries = 'db.queries_total{system="D"}'
+            miss = _moved(db.registry,
+                          lambda: session.execute(self.Q1).fetchall())
+            assert miss == {queries: 1, 'cache.misses{cache="result"}': 1,
+                            'cache.misses{cache="plan"}': 1}
+            hit = _moved(db.registry,
+                         lambda: session.execute(self.Q1).fetchall())
+            assert hit == {queries: 1, 'cache.hits{cache="result"}': 1}
+            # The service's own entry point is one more execution.
+            assert _moved(db.registry,
+                          lambda: db.service.execute("D", self.Q1)) == hit
+
+            def fail():
+                with pytest.raises(XMarkError):
+                    db.service.execute("D", self.BAD)
+
+            assert _moved(db.registry, fail) == {
+                queries: 1, 'db.errors_total{system="D"}': 1,
+                'cache.misses{cache="result"}': 1,
+                'cache.misses{cache="plan"}': 1}
+            assert not any(name.startswith("service.")
+                           for name in db.registry.snapshot()["counters"])
+
+    def test_wire_route(self, tiny_text):
+        from repro.server import XMarkServer, connect_url, serve_in_thread
+
+        database = connect(tiny_text, systems=("D",))
+        server = XMarkServer()
+        server.add_document("auction", database, owned=True)
+        with serve_in_thread(server) as handle:
+            with connect_url(handle.url, tenant="acme") as remote:
+                session = remote.session()
+                queries = 'db.queries_total{system="D",tenant="acme"}'
+                assert _moved(database.registry,
+                              lambda: session.execute(self.Q1).fetchall()) \
+                    == {queries: 1, 'cache.misses{cache="plan"}': 1}
+
+                def fail():
+                    with pytest.raises(XMarkError):
+                        session.execute(self.BAD).fetchall()
+
+                assert _moved(database.registry, fail) == {
+                    queries: 1, 'db.errors_total{system="D"}': 1,
+                    'cache.misses{cache="plan"}': 1}

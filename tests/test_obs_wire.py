@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.benchmark.queries import query_text
 from repro.benchmark.systems import get_profile
-from repro.errors import QuerySyntaxError
+from repro.errors import ProtocolError, QuerySyntaxError
 from repro.obs.querylog import (
     QUERY_LOG_SCHEMA_VERSION, QueryLogWriter, span_breakdown,
 )
@@ -422,9 +422,13 @@ class TestQueryLog:
         assert breakdown["merge_ms"] >= 0.0
 
     def test_server_records_every_query(self, tiny_text, tmp_path):
+        """The served connection's query log takes one record per
+        execute — a finished cursor with the server's wire fields, a
+        failure inside the facade, and one that never reached it."""
         path = tmp_path / "server_queries.jsonl"
-        database = repro.connect(tiny_text, systems=("D",))
-        server = XMarkServer(queue_depth=64, query_log=str(path))
+        database = repro.connect(tiny_text, systems=("D",),
+                                 query_log=str(path))
+        server = XMarkServer(queue_depth=64)
         server.add_document("auction", database, owned=True)
         with serve_in_thread(server) as handle:
             with connect_url(handle.url, tenant="acme") as remote:
@@ -432,31 +436,37 @@ class TestQueryLog:
                 expected_rows = len(session.execute(1).fetchall())
                 with pytest.raises(QuerySyntaxError):
                     session.execute("for $x in")
+                with pytest.raises(ProtocolError, match="fetch size"):
+                    remote._client.request({"kind": "execute", "query": 1,
+                                            "fetch": -1})
         records = [json.loads(line)
                    for line in path.read_text().splitlines()]
-        assert len(records) == 2
-        ok, failed = records
+        assert len(records) == 3
+        ok, failed, refused = records
         assert ok["v"] == QUERY_LOG_SCHEMA_VERSION
         assert ok["source"] == "server" and ok["tenant"] == "acme"
         assert ok["system"] == "D" and ok["rows"] == expected_rows
+        assert ok["query"] == ok["query_text"] and ok["pages"] == 1
         assert ok["duration_ms"] > 0
         assert isinstance(ok["plan_cache_hit"], bool)
         assert "error" not in ok
         assert failed["error"] == "query_syntax"
+        assert failed["source"] == "server" and failed["tenant"] == "acme"
+        assert refused["error"] == "bad_message" and refused["query"] == 1
 
     def test_traced_server_records_breakdown_and_wire_ms(self, traced_served,
                                                          tmp_path,
                                                          traced_remote):
-        # Attach a fresh log to the live traced server for this test.
+        # Attach a fresh log to the live traced connection for this test.
         path = tmp_path / "traced_queries.jsonl"
-        _, _, server = traced_served
+        _, database, _ = traced_served
         writer = QueryLogWriter(str(path))
-        server.query_log = writer
+        database.query_log = writer
         try:
             cursor = traced_remote.session().execute(8, system="D")
             cursor.fetchall()
         finally:
-            server.query_log = None
+            database.query_log = None
             writer.close()
         records = [json.loads(line)
                    for line in path.read_text().splitlines()]
@@ -474,9 +484,9 @@ class TestQueryLog:
         the client spent on the cursor's rows."""
         path = tmp_path / "paged_queries.jsonl"
         tracer = Tracer()
-        database = repro.connect(tiny_text, systems=("D",))
-        server = XMarkServer(queue_depth=64, tracer=tracer,
-                             query_log=str(path))
+        database = repro.connect(tiny_text, systems=("D",),
+                                 query_log=str(path))
+        server = XMarkServer(queue_depth=64, tracer=tracer)
         server.add_document("auction", database, owned=True)
         round_trips = []
         with serve_in_thread(server) as handle:

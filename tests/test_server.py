@@ -11,6 +11,7 @@ and the served state survive untouched.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import socket
@@ -20,6 +21,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
 
 import repro
 from repro.errors import (
@@ -1008,3 +1013,183 @@ class TestServerObservability:
         names = [span.name for span in tracer.roots]
         assert "server.accept" in names
         assert "server.request" in names
+
+
+# -- tenant accounting under any interleaving ----------------------------------------
+
+
+@functools.cache
+def _machine_document() -> str:
+    return generate_string(0.0005)      # 13 persons
+
+
+class _Peer:
+    """One client connection of the model: its tenant and the cursor ids
+    it holds open (id -> True once a commit poisoned it)."""
+
+    def __init__(self, client: WireClient, tenant: str) -> None:
+        self.client = client
+        self.tenant = tenant
+        self.cursors: dict[str, bool] = {}
+
+
+class TenantAccountingMachine(RuleBasedStateMachine):
+    """Clients of two tenants execute, page, close, commit and hang up in
+    any order; after every step each tenant's ``sessions`` and
+    ``cursors`` in the server's stats equal what its connections hold,
+    and no request is left in flight."""
+
+    TENANTS = ("acme", "zenith")
+    LISTING = "for $p in /site/people/person return $p/name"
+    FAILS_FIRST = "for $p in /site/people/person return 1 div 0"
+    FAILS_LATER = ('for $p in /site/people/person return '
+                   'if ($p/@id = "person3") then 1 div 0 else 1')
+
+    def __init__(self) -> None:
+        super().__init__()
+        database = repro.connect(_machine_document(), systems=("D",))
+        self.server = XMarkServer()
+        self.server.add_document("auction", database, owned=True)
+        self.handle = serve_in_thread(self.server)
+        # The observer's tenant is not one the machine checks.
+        self.watch = self._client("observer")
+        self.peers: list[_Peer] = []
+
+    def _client(self, tenant: str) -> WireClient:
+        return WireClient(self.handle.host, self.handle.port,
+                          document="auction", tenant=tenant)
+
+    def _peer(self, index: int) -> _Peer:
+        return self.peers[index % len(self.peers)]
+
+    def _execute(self, peer: _Peer, query: str, fetch) -> dict:
+        reply = peer.client.request({"kind": "execute", "system": "D",
+                                     "query": query, "fetch": fetch})
+        if not reply["done"]:
+            peer.cursors[reply["cursor_id"]] = False
+        return reply
+
+    def _tenants(self) -> dict:
+        return self.watch.request({"kind": "stats"})["tenants"]
+
+    def _expected(self, tenant: str) -> tuple[int, int]:
+        peers = [peer for peer in self.peers if peer.tenant == tenant]
+        return len(peers), sum(len(peer.cursors) for peer in peers)
+
+    def _counted(self, tenants: dict, tenant: str) -> tuple[int, int]:
+        state = tenants.get(tenant, {"sessions": 0, "cursors": 0})
+        return state["sessions"], state["cursors"]
+
+    # -- steps ---------------------------------------------------------------------
+
+    @initialize()
+    def connect_both_tenants(self):
+        for tenant in self.TENANTS:
+            self.peers.append(_Peer(self._client(tenant), tenant))
+
+    @precondition(lambda self: len(self.peers) < 4)
+    @rule(tenant=st.sampled_from(TENANTS))
+    def connect(self, tenant):
+        self.peers.append(_Peer(self._client(tenant), tenant))
+
+    @precondition(lambda self: self.peers)
+    @rule(index=st.integers(0, 3), size=st.integers(1, 16))
+    def execute(self, index, size):
+        reply = self._execute(self._peer(index), self.LISTING, size)
+        assert len(reply["rows"]) == min(size, 13)
+
+    @precondition(lambda self: self.peers)
+    @rule(index=st.integers(0, 3))
+    def execute_failing_first_row(self, index):
+        with pytest.raises(QueryError, match="by zero"):
+            self._execute(self._peer(index), self.FAILS_FIRST, True)
+
+    @precondition(lambda self: self.peers)
+    @rule(index=st.integers(0, 3))
+    def execute_failing_later_page(self, index):
+        peer = self._peer(index)
+        cursor_id = self._execute(peer, self.FAILS_LATER, 2)["cursor_id"]
+        with pytest.raises(QueryError, match="by zero"):
+            peer.client.request({"kind": "fetch", "cursor_id": cursor_id,
+                                 "n": 5})
+        # A client that saw its cursor fail closes it.
+        peer.client.request({"kind": "close_cursor", "cursor_id": cursor_id})
+        del peer.cursors[cursor_id]
+
+    @precondition(lambda self: self.peers)
+    @rule(index=st.integers(0, 3), fetch=st.sampled_from([-1, "two", 2.5]))
+    def execute_with_bad_fetch_size(self, index, fetch):
+        with pytest.raises(ProtocolError, match="fetch size"):
+            self._execute(self._peer(index), self.LISTING, fetch)
+
+    @precondition(lambda self: any(peer.cursors for peer in self.peers))
+    @rule(data=st.data(), size=st.integers(1, 16))
+    def fetch(self, data, size):
+        peer = data.draw(st.sampled_from(
+            [peer for peer in self.peers if peer.cursors]))
+        cursor_id = data.draw(st.sampled_from(sorted(peer.cursors)))
+        request = {"kind": "fetch", "cursor_id": cursor_id, "n": size}
+        if peer.cursors[cursor_id]:
+            with pytest.raises(ClosedCursorError):
+                peer.client.request(request)
+            del peer.cursors[cursor_id]
+        elif peer.client.request(request)["done"]:
+            del peer.cursors[cursor_id]
+
+    @precondition(lambda self: any(peer.cursors for peer in self.peers))
+    @rule(data=st.data())
+    def close_cursor(self, data):
+        peer = data.draw(st.sampled_from(
+            [peer for peer in self.peers if peer.cursors]))
+        cursor_id = data.draw(st.sampled_from(sorted(peer.cursors)))
+        reply = peer.client.request({"kind": "close_cursor",
+                                     "cursor_id": cursor_id})
+        assert reply["known"]
+        del peer.cursors[cursor_id]
+
+    @precondition(lambda self: self.peers)
+    @rule(index=st.integers(0, 3))
+    def commit(self, index):
+        client = self._peer(index).client
+        client.request({"kind": "begin"})
+        client.request({"kind": "txn_op", "op": protocol.encode_op(PlaceBid(
+            "open_auction0", "person0", 1.5, "01/01/2026", "00:00:00"))})
+        client.request({"kind": "commit"})
+        for peer in self.peers:         # every open cursor is poisoned
+            for cursor_id in peer.cursors:
+                peer.cursors[cursor_id] = True
+
+    @precondition(lambda self: self.peers)
+    @rule(index=st.integers(0, 3))
+    def drop_socket(self, index):
+        peer = self._peer(index)
+        self.peers.remove(peer)
+        peer.client._sock.close()       # no bye: the server sees EOF
+        peer.client._closed = True
+        # The server releases the connection on its loop, after EOF.
+        deadline = time.monotonic() + 10.0
+        while (self._counted(self._tenants(), peer.tenant)
+               != self._expected(peer.tenant)
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+
+    # -- the accounting ------------------------------------------------------------
+
+    @invariant()
+    def tenant_counts_match_the_connections(self):
+        tenants = self._tenants()
+        for tenant in self.TENANTS:
+            assert self._counted(tenants, tenant) == self._expected(tenant)
+            assert tenants.get(tenant, {"inflight": 0})["inflight"] == 0
+
+    def teardown(self) -> None:
+        for peer in self.peers:
+            peer.client.close()
+        self.watch.close()
+        self.handle.stop()
+
+
+TenantAccountingMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+TestTenantAccounting = TenantAccountingMachine.TestCase

@@ -216,57 +216,57 @@ class TestPercentiles:
 
     def test_metrics_snapshot(self):
         metrics = ServiceMetrics(MetricsRegistry())
-        for i in range(10):
-            metrics.record(started=float(i), finished=float(i) + 0.5,
-                           compile_seconds=0.1, queue_seconds=0.0,
-                           plan_cache_hit=(i % 2 == 0), result_cache_hit=False)
+        for _ in range(10):
+            metrics.record(0.5, 0.1, 0.0, "D")
         snapshot = metrics.snapshot()
-        assert snapshot["completed"] == 10
-        assert snapshot["plan_cache_hits"] == 5
+        assert snapshot["latency"]["count"] == 10
+        assert snapshot["compile_latency"]["p50_ms"] == pytest.approx(100.0)
         assert snapshot["latency"]["p50_ms"] == pytest.approx(500.0)
 
 
 class TestServiceMetrics:
     @staticmethod
-    def _record(metrics, *, queue=0.0, system=None, result_hit=False):
-        metrics.record(started=0.0, finished=1.0, compile_seconds=0.0,
-                       queue_seconds=queue, plan_cache_hit=False,
-                       result_cache_hit=result_hit, system=system)
+    def _record(metrics, *, queue=0.0, system="D"):
+        metrics.record(1.0, 0.0, queue, system)
 
     def test_snapshot_reports_queue_wait(self):
         """The ledger's sharded mix reads ``queue_wait.p50_ms``; the
-        snapshot carries per-query distributions and totals only."""
+        snapshot carries per-query distributions only."""
         metrics = ServiceMetrics(MetricsRegistry())
         for queue in (0.1, 0.2, 0.3):
             self._record(metrics, queue=queue)
         snapshot = metrics.snapshot()
         assert snapshot["queue_wait"]["p50_ms"] == pytest.approx(200.0)
         assert snapshot["queue_wait"]["count"] == 3
-        assert set(snapshot) == {
-            "completed", "errors", "latency", "compile_latency",
-            "queue_wait", "plan_cache_hits", "result_cache_hits"}
+        assert set(snapshot) == {"latency", "compile_latency", "queue_wait"}
 
-    def test_errors_are_counted_per_system(self):
-        metrics = ServiceMetrics(MetricsRegistry())
-        metrics.record_error(system="D")
-        metrics.record_error(system="D")
-        metrics.record_error()
-        assert metrics.snapshot()["errors"] == 3
-        assert metrics.registry.counter(
-            "service.errors_total", system="D").value == 2
-        assert metrics.completed == 0
+    def test_errors_are_counted_per_system_by_the_connection(self, tiny_text):
+        """A failed execution is counted once, in ``db.errors_total``,
+        whether it came through a session or ``db.service.execute``."""
+        with serve(tiny_text, ("D",), max_workers=1) as db:
+            with pytest.raises(XMarkError):
+                db.session().execute("for $x in ][ return")
+            with pytest.raises(XMarkError):
+                db.service.execute("D", "for $x in ][ return")
+            counters = db.registry.snapshot()["counters"]
+        assert counters['db.errors_total{system="D"}'] == 2
+        assert counters['db.queries_total{system="D"}'] == 2
+        assert db.service.metrics.snapshot()["latency"]["count"] == 0
 
-    def test_queries_are_labelled_by_system(self):
-        metrics = ServiceMetrics(MetricsRegistry())
-        self._record(metrics, system="B")
-        self._record(metrics, system="B", result_hit=True)
-        self._record(metrics, system="D")
-        registry = metrics.registry
-        assert registry.counter("service.queries_total", system="B").value == 2
-        assert registry.counter("service.queries_total", system="D").value == 1
-        assert registry.histogram("service.latency_seconds",
-                                  system="B").count == 2
-        assert metrics.snapshot()["result_cache_hits"] == 1
+    def test_queries_are_labelled_by_system(self, tiny_text):
+        with serve(tiny_text, ("B", "D"), max_workers=1) as db:
+            svc = db.service
+            svc.execute("B", 1)
+            svc.execute("B", 1)
+            svc.execute("D", 1)
+            registry = db.registry
+            assert registry.counter("db.queries_total",
+                                    system="B").value == 2
+            assert registry.counter("db.queries_total",
+                                    system="D").value == 1
+            assert registry.histogram("service.latency_seconds",
+                                      system="B").count == 2
+            assert svc.cache_stats()["result_cache"]["hits"] == 1
 
     def test_percentiles_cover_a_bounded_window(self):
         """Totals stay exact while a histogram keeps only ``window``
@@ -281,7 +281,6 @@ class TestServiceMetrics:
         for _ in range(10):
             self._record(metrics, system="D")
         snapshot = metrics.snapshot()
-        assert snapshot["completed"] == 10
         assert snapshot["latency"]["count"] == 10
         registry = metrics.registry
         assert registry.histogram("service.latency_seconds").window == \
@@ -327,7 +326,7 @@ class TestQueryService:
             assert not first.result_cache_hit
             assert again.result_cache_hit
             assert again.execute_seconds == 0.0
-            assert again.result is first.result
+            assert again.result.items == first.result.items
 
     def test_result_cache_invalidated_on_document_change(self, tiny_text):
         """A commit that changes a query's answer advances the digest and
@@ -366,10 +365,10 @@ class TestQueryService:
             svc.execute("B", 1)
             text = svc.export_metrics(as_text=True)
             snapshot = svc.export_metrics()
-        assert 'service.queries_total{system="D"} 2' in text
-        assert 'service.queries_total{system="B"} 1' in text
+        assert 'db.queries_total{system="D"} 2' in text
+        assert 'db.queries_total{system="B"} 1' in text
         assert "service.latency_seconds" in text
-        assert snapshot["counters"]["service.queries_total"] == 3
+        assert snapshot["counters"]['db.queries_total{system="D"}'] == 2
         assert snapshot["gauges"]["service.updates_applied"] == 0
 
     def test_outcome_latency_covers_queue_and_execution(self, service):
@@ -384,11 +383,9 @@ class TestQueryService:
             svc = db.service
             with pytest.raises(XMarkError):
                 svc.execute("D", "for $x in ][ return")
-            snapshot = svc.metrics.snapshot()
-            assert snapshot["errors"] == 1
-            assert snapshot["completed"] == 0
+            assert svc.metrics.snapshot()["latency"]["count"] == 0
             assert db.registry.counter(
-                "service.errors_total", system="D").value == 1
+                "db.errors_total", system="D").value == 1
 
     def test_unknown_query_number_raises(self, service):
         with pytest.raises(BenchmarkError, match="unknown query number"):
@@ -457,16 +454,17 @@ class TestAdmission:
 
     @staticmethod
     def _wrap_evaluate(monkeypatch, before):
-        """Run ``before()`` inside every evaluation the service makes."""
-        from repro.service import service as service_module
+        """Run ``before()`` inside every eager evaluation the connection
+        makes (a service connection's every miss)."""
+        from repro.db import database as database_module
 
-        real = service_module.evaluate
+        real = database_module.evaluate
 
         def wrapped(*args, **kwargs):
             before()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(service_module, "evaluate", wrapped)
+        monkeypatch.setattr(database_module, "evaluate", wrapped)
 
     @pytest.mark.parametrize("limit", [1, 2])
     def test_max_workers_bounds_concurrent_executions(
@@ -643,7 +641,7 @@ class TestConcurrentReads:
     def test_mixed_workload_across_systems(self, service):
         """execute() from 8 clients against three architectures at once."""
         systems = ("B", "C", "D")
-        before = service.metrics.snapshot()
+        before = service.metrics.snapshot()["latency"]["count"]
 
         def client(rank: int) -> None:
             for seq in range(6):
@@ -653,9 +651,10 @@ class TestConcurrentReads:
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as clients:
             list(clients.map(client, range(8)))
-        after = service.metrics.snapshot()
-        assert after["completed"] - before["completed"] == 48
-        assert after["errors"] == before["errors"]
+        after = service.metrics.snapshot()["latency"]["count"]
+        assert after - before == 48
+        assert not any(name.startswith("db.errors_total") for name in
+                       service.metrics.registry.snapshot()["counters"])
 
     def test_fragment_store_string_value_has_no_read_scratch(self,
                                                              service_db):
@@ -826,7 +825,11 @@ class TestServiceWritePath:
                 committed = sum(clients.map(client, range(4)))
             assert 0 < committed < 32
             assert commits(db) == committed
-            assert svc.metrics.completed == 32 - committed
-            assert svc.metrics.snapshot()["errors"] == 0
+            counters = db.registry.snapshot()["counters"]
+            assert sum(counters[f'db.queries_total{{system="{name}"}}']
+                       for name in systems) == 32 - committed
+            assert svc.metrics.snapshot()["latency"]["count"] == 32 - committed
+            assert not any(name.startswith("db.errors_total")
+                           for name in counters)
             assert serialize_store(db.store("C")) == \
                 serialize_store(db.store("D"))
